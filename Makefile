@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-fix lint-selftest fmt vet bench bench-sim bench-gateway bench-churn sim contest
+.PHONY: all build test race lint lint-fix lint-selftest fmt vet bench bench-sim bench-gateway bench-churn bench-smoke bench-all bench-compare sim contest
 
 all: build test lint
 
@@ -73,6 +73,24 @@ bench-gateway:
 # per-epoch movement bound.
 bench-churn:
 	$(GO) run ./cmd/icibench -churnbench BENCH_PR8.json
+
+# The repository's one benchmark (bench/README.md, BENCHMARK.json) is a Go
+# module of its own, so `make test` does not reach it. bench-smoke runs its
+# tests and the same-seed determinism check at smoke scale; CI's
+# bench-module job runs the same two commands.
+bench-smoke:
+	$(GO) test -C bench ./...
+	bash bench/run.sh -selfcheck -quick
+
+# Every workload, untraced and traced, every metric by name:
+#   make bench-all [OUT=after.json] [RUNS=3]
+bench-all:
+	bash bench/run.sh -all $(if $(RUNS),-runs $(RUNS)) $(if $(OUT),-out $(OUT))
+
+# Judge a change against its parent from two bench-all files:
+#   make bench-compare A=before.json B=after.json
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 sim:
 	$(GO) run ./cmd/icisim -nodes 32 -clusters 4 -blocks 2 -trace summary

@@ -105,7 +105,8 @@ func run(args []string) error {
 			id = strings.TrimSpace(id)
 			e, ok := experiments.ByID(id)
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (valid: E1..E10)", id)
+				all := experiments.All()
+				return fmt.Errorf("unknown experiment %q (valid: %s..%s)", id, all[0].ID, all[len(all)-1].ID)
 			}
 			selected = append(selected, e)
 		}

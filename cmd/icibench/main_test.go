@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -29,8 +30,12 @@ func TestRunMultipleExperiments(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-quick", "-run", "E99"}); err == nil {
+	err := run([]string{"-quick", "-run", "E99"})
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if !strings.Contains(err.Error(), "valid: E1..E16") {
+		t.Fatalf("error does not name the registered range: %v", err)
 	}
 }
 

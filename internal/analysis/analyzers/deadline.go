@@ -25,8 +25,8 @@ import (
 //     wrappers) are invisible by design: I/O through them inherits
 //     whatever the underlying conn armed.
 //   - Events: v.Read/v.Write method calls, and calls to the message
-//     helpers (ReadMessage, WriteMessage, io.ReadFull, io.Copy, CopyN,
-//     ReadAll) passing a tracked value.
+//     helpers (ReadMessage, WriteMessage, ReadFrame, WriteFrame,
+//     io.ReadFull, io.Copy, CopyN, ReadAll) passing a tracked value.
 //   - Arming: v.SetDeadline / SetReadDeadline / SetWriteDeadline.
 //     Reassigning v disarms it.
 //
@@ -59,6 +59,8 @@ var deadlinePkgs = map[string]bool{
 var ioHelperNames = map[string]bool{
 	"ReadMessage":  true,
 	"WriteMessage": true,
+	"ReadFrame":    true,
+	"WriteFrame":   true,
 	"ReadFull":     true,
 	"ReadAll":      true,
 	"Copy":         true,

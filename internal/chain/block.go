@@ -33,9 +33,13 @@ type Header struct {
 	TxCount    uint32
 }
 
-// EncodeHeader serializes the header into its canonical HeaderSize bytes.
+// Encode serializes the header into its canonical HeaderSize bytes.
 func (h *Header) Encode() []byte {
-	buf := make([]byte, 0, HeaderSize)
+	return h.AppendTo(make([]byte, 0, HeaderSize))
+}
+
+// AppendTo appends the canonical HeaderSize-byte encoding to buf.
+func (h *Header) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, h.Height)
 	buf = append(buf, h.PrevHash[:]...)
 	buf = append(buf, h.MerkleRoot[:]...)
@@ -109,14 +113,13 @@ func (b *Block) Hash() blockcrypto.Hash {
 // EncodeBody serializes only the transaction body: txCount(4) then each
 // encoded transaction. The body is what strategies chunk and distribute.
 func (b *Block) EncodeBody() []byte {
-	n := 4
-	for _, tx := range b.Txs {
-		n += tx.EncodedSize()
-	}
-	buf := make([]byte, 0, n)
+	return b.appendBody(make([]byte, 0, b.BodySize()))
+}
+
+func (b *Block) appendBody(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Txs)))
 	for _, tx := range b.Txs {
-		buf = append(buf, tx.Encode()...)
+		buf = tx.AppendTo(buf)
 	}
 	return buf
 }
@@ -132,12 +135,12 @@ func (b *Block) BodySize() int {
 
 // Encode serializes header followed by body.
 func (b *Block) Encode() []byte {
-	head := b.Header.Encode()
-	body := b.EncodeBody()
-	out := make([]byte, 0, len(head)+len(body))
-	out = append(out, head...)
-	out = append(out, body...)
-	return out
+	return b.AppendTo(make([]byte, 0, HeaderSize+b.BodySize()))
+}
+
+// AppendTo appends the block's encoding (see Encode) to buf.
+func (b *Block) AppendTo(buf []byte) []byte {
+	return b.appendBody(b.Header.AppendTo(buf))
 }
 
 // minTxEncodedSize is the smallest possible encoded transaction: fixed

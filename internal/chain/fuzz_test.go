@@ -82,3 +82,37 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeProofs feeds arbitrary bytes to the proof-list decoder. It must
+// never panic or allocate by a declared count, and what it accepts must
+// survive an encode/decode round trip with every step intact.
+func FuzzDecodeProofs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0})
+	f.Add(AppendProofs(nil, proofsOf(f, 8, 0, 3)))
+	f.Add(AppendProofs(nil, []Proof{{LeafIndex: -1}, {LeafIndex: 5, Steps: []ProofStep{{Left: true}}}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, n, err := DecodeProofs(data)
+		if err != nil {
+			return
+		}
+		again, m, err := DecodeProofs(AppendProofs(nil, ps))
+		if err != nil {
+			t.Fatalf("re-decode of accepted proofs: %v", err)
+		}
+		if len(again) != len(ps) || n > len(data) || m == 0 {
+			t.Fatalf("round trip changed %d proofs into %d", len(ps), len(again))
+		}
+		for i := range ps {
+			if again[i].LeafIndex != ps[i].LeafIndex || len(again[i].Steps) != len(ps[i].Steps) {
+				t.Fatalf("proof %d drifted across the round trip", i)
+			}
+			for j := range ps[i].Steps {
+				if again[i].Steps[j] != ps[i].Steps[j] {
+					t.Fatalf("proof %d step %d drifted across the round trip", i, j)
+				}
+			}
+		}
+	})
+}

@@ -1,17 +1,20 @@
 package chain
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"icistrategy/internal/blockcrypto"
 )
 
 // Merkle tree errors.
 var (
-	ErrEmptyTree     = errors.New("chain: merkle tree has no leaves")
-	ErrLeafOutOfs    = errors.New("chain: merkle leaf index out of range")
-	ErrProofInvalid  = errors.New("chain: merkle proof does not verify")
-	ErrProofTooLarge = errors.New("chain: merkle proof longer than tree depth bound")
+	ErrEmptyTree      = errors.New("chain: merkle tree has no leaves")
+	ErrLeafOutOfs     = errors.New("chain: merkle leaf index out of range")
+	ErrProofInvalid   = errors.New("chain: merkle proof does not verify")
+	ErrProofTooLarge  = errors.New("chain: merkle proof longer than tree depth bound")
+	ErrProofMalformed = errors.New("chain: merkle proof encoding malformed")
 )
 
 // maxProofDepth bounds proof length during verification; 2^64 leaves is
@@ -126,4 +129,96 @@ func VerifyProof(root, leaf blockcrypto.Hash, proof Proof) error {
 		return ErrProofInvalid
 	}
 	return nil
+}
+
+// proofStepSize is the wire size of one step: the sibling hash plus the
+// side byte.
+const proofStepSize = blockcrypto.HashSize + 1
+
+// AppendProof appends the wire form of p to buf:
+//
+//	varint leafIndex | uvarint steps | steps × (sibling(32) left(1))
+func AppendProof(buf []byte, p Proof) []byte {
+	buf = binary.AppendVarint(buf, int64(p.LeafIndex))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Steps)))
+	for i := range p.Steps {
+		buf = append(buf, p.Steps[i].Sibling[:]...)
+		side := byte(0)
+		if p.Steps[i].Left {
+			side = 1
+		}
+		buf = append(buf, side)
+	}
+	return buf
+}
+
+// DecodeProof parses one proof from the front of data and returns it with
+// the number of bytes consumed. The proof owns its steps, and the steps it
+// allocates are bounded by len(data), never by the declared count.
+func DecodeProof(data []byte) (Proof, int, error) {
+	leaf, off := binary.Varint(data)
+	if off <= 0 {
+		return Proof{}, 0, ErrProofMalformed
+	}
+	steps, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		return Proof{}, 0, ErrProofMalformed
+	}
+	off += n
+	if steps > uint64(len(data)-off)/proofStepSize {
+		return Proof{}, 0, fmt.Errorf("%w: %d steps declared in %d bytes", ErrProofMalformed, steps, len(data)-off)
+	}
+	p := Proof{LeafIndex: int(leaf)}
+	if steps == 0 {
+		return p, off, nil
+	}
+	p.Steps = make([]ProofStep, steps)
+	for i := range p.Steps {
+		copy(p.Steps[i].Sibling[:], data[off:])
+		switch data[off+blockcrypto.HashSize] {
+		case 0:
+		case 1:
+			p.Steps[i].Left = true
+		default:
+			return Proof{}, 0, fmt.Errorf("%w: side byte %d", ErrProofMalformed, data[off+blockcrypto.HashSize])
+		}
+		off += proofStepSize
+	}
+	return p, off, nil
+}
+
+// AppendProofs appends a count-prefixed list of proofs (see AppendProof).
+func AppendProofs(buf []byte, ps []Proof) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ps)))
+	for i := range ps {
+		buf = AppendProof(buf, ps[i])
+	}
+	return buf
+}
+
+// DecodeProofs parses a list written by AppendProofs and returns it with
+// the number of bytes consumed. Like DecodeProof, it allocates no more than
+// len(data) allows.
+func DecodeProofs(data []byte) ([]Proof, int, error) {
+	count, off := binary.Uvarint(data)
+	if off <= 0 {
+		return nil, 0, ErrProofMalformed
+	}
+	// The smallest proof is two bytes: index and step count.
+	if count > uint64(len(data)-off)/2 {
+		return nil, 0, fmt.Errorf("%w: %d proofs declared in %d bytes", ErrProofMalformed, count, len(data)-off)
+	}
+	if count == 0 {
+		return nil, off, nil
+	}
+	ps := make([]Proof, count)
+	for i := range ps {
+		p, n, err := DecodeProof(data[off:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("proof %d: %w", i, err)
+		}
+		ps[i] = p
+		off += n
+	}
+	return ps, off, nil
 }

@@ -1,7 +1,10 @@
 package chain
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +180,80 @@ func BenchmarkMerkleProveVerify(b *testing.B) {
 		}
 		if err := VerifyProof(tree.Root(), leaves[idx], proof); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// proofsOf returns the proofs of leaves [from, to) of a tree over n leaves.
+func proofsOf(t testing.TB, n, from, to int) []Proof {
+	t.Helper()
+	tree, err := NewMerkleTree(leavesOf(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := make([]Proof, 0, to-from)
+	for i := from; i < to; i++ {
+		p, err := tree.Prove(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+func TestProofWireRoundTrip(t *testing.T) {
+	lists := [][]Proof{
+		nil,
+		proofsOf(t, 1, 0, 1),    // no steps at all
+		proofsOf(t, 96, 12, 24), // one chunk of the benchmark's block
+		{{LeafIndex: -3}, {LeafIndex: 1 << 40, Steps: []ProofStep{{Left: true}}}, {}}, // mixed depths, odd indexes
+	}
+	for _, ps := range lists {
+		enc := AppendProofs([]byte("prefix"), ps)
+		got, n, err := DecodeProofs(enc[len("prefix"):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(enc)-len("prefix") {
+			t.Fatalf("consumed %d of %d bytes", n, len(enc)-len("prefix"))
+		}
+		if len(got) != len(ps) {
+			t.Fatalf("%d proofs decoded, want %d", len(got), len(ps))
+		}
+		for i := range ps {
+			if got[i].LeafIndex != ps[i].LeafIndex || !reflect.DeepEqual(got[i].Steps, ps[i].Steps) {
+				t.Fatalf("proof %d: got %+v, want %+v", i, got[i], ps[i])
+			}
+			one, m, err := DecodeProof(AppendProof(nil, ps[i]))
+			if err != nil || m != len(AppendProof(nil, ps[i])) || !reflect.DeepEqual(one.Steps, ps[i].Steps) {
+				t.Fatalf("single proof %d: %+v, %d, %v", i, one, m, err)
+			}
+		}
+	}
+}
+
+func TestDecodeProofsRejectsHostileInput(t *testing.T) {
+	good := AppendProofs(nil, proofsOf(t, 8, 0, 3))
+	for cut := 0; cut < len(good); cut++ {
+		if _, _, err := DecodeProofs(good[:cut]); !errors.Is(err, ErrProofMalformed) {
+			t.Fatalf("cut at %d of %d: got %v, want ErrProofMalformed", cut, len(good), err)
+		}
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	cases := map[string][]byte{
+		"proof count beyond the bytes that follow": append(append([]byte(nil), huge...), 0, 0),
+		"step count beyond the bytes that follow":  append(append([]byte{1, 0}, huge...), make([]byte, 33)...),
+		"side byte that is neither 0 nor 1":        append(append([]byte{1, 0, 1}, make([]byte, 32)...), 2),
+	}
+	for name, data := range cases {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := DecodeProofs(data); !errors.Is(err, ErrProofMalformed) {
+				t.Fatalf("%s: got %v, want ErrProofMalformed", name, err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("%s: %.0f allocations for a %d-byte input", name, allocs, len(data))
 		}
 	}
 }

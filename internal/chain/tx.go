@@ -86,8 +86,11 @@ func (tx *Transaction) VerifySignature() error {
 //	from(32) to(32) amount(8) nonce(8) fee(8)
 //	payloadLen(4) payload pubKeyLen(2) pubKey sigLen(2) sig
 func (tx *Transaction) Encode() []byte {
-	n := 2*blockcrypto.HashSize + 24 + 4 + len(tx.Payload) + 2 + len(tx.PublicKey) + 2 + len(tx.Signature)
-	buf := make([]byte, 0, n)
+	return tx.AppendTo(make([]byte, 0, tx.EncodedSize()))
+}
+
+// AppendTo appends the canonical encoding (see Encode) to buf.
+func (tx *Transaction) AppendTo(buf []byte) []byte {
 	buf = append(buf, tx.From[:]...)
 	buf = append(buf, tx.To[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, tx.Amount)

@@ -5,7 +5,7 @@ import "icistrategy/internal/metrics"
 // Experiment names one regenerable paper artifact.
 type Experiment struct {
 	// ID is the experiment identifier used in DESIGN.md and EXPERIMENTS.md
-	// (E1..E10).
+	// (E1..E16).
 	ID string
 	// Name is a short human-readable description.
 	Name string

@@ -39,7 +39,7 @@ type fakeUpstream struct {
 	lost map[int]map[netx.ChunkRef]bool
 }
 
-func newFakeUpstream(t *testing.T, peers, blocks, txPerBlock int) (*fakeUpstream, []*chain.Block) {
+func newFakeUpstream(t testing.TB, peers, blocks, txPerBlock int) (*fakeUpstream, []*chain.Block) {
 	t.Helper()
 	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 24, Seed: 11})
 	if err != nil {
@@ -66,39 +66,46 @@ func newFakeUpstream(t *testing.T, peers, blocks, txPerBlock int) (*fakeUpstream
 			t.Fatal(err)
 		}
 		out[bi] = b
-		u.headers[b.Hash()] = b.Header
-		u.txs[b.Hash()] = b.Txs
-		tree, err := chain.TxMerkleTree(b.Txs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts, err := core.SplitCounts(len(b.Txs), peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		txStart := 0
-		for idx := 0; idx < peers; idx++ {
-			group := b.Txs[txStart : txStart+counts[idx]]
-			proofs := make([]chain.Proof, len(group))
-			for i := range group {
-				proofs[i], err = tree.Prove(txStart + i)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			sub := chain.Block{Txs: group}
-			resp := netx.ChunkResp{
-				Index: idx, Parts: peers, TxStart: txStart,
-				Data: sub.EncodeBody(), Proofs: proofs,
-			}
-			// Every peer holds every chunk; Owners narrows who is asked.
-			for p := 0; p < peers; p++ {
-				u.chunks[p][netx.ChunkRef{Block: b.Hash(), Index: idx}] = resp
-			}
-			txStart += counts[idx]
-		}
+		u.addBlock(t, b)
 	}
 	return u, out
+}
+
+// addBlock chunks b the way DistributeBlock does and gives every peer every
+// chunk; Owners narrows who is asked.
+func (u *fakeUpstream) addBlock(t testing.TB, b *chain.Block) {
+	t.Helper()
+	peers := u.parts
+	u.headers[b.Hash()] = b.Header
+	u.txs[b.Hash()] = b.Txs
+	tree, err := chain.TxMerkleTree(b.Txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := core.SplitCounts(len(b.Txs), peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txStart := 0
+	for idx := 0; idx < peers; idx++ {
+		group := b.Txs[txStart : txStart+counts[idx]]
+		proofs := make([]chain.Proof, len(group))
+		for i := range group {
+			proofs[i], err = tree.Prove(txStart + i)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sub := chain.Block{Txs: group}
+		resp := netx.ChunkResp{
+			Index: idx, Parts: peers, TxStart: txStart,
+			Data: sub.EncodeBody(), Proofs: proofs,
+		}
+		for p := 0; p < peers; p++ {
+			u.chunks[p][netx.ChunkRef{Block: b.Hash(), Index: idx}] = resp
+		}
+		txStart += counts[idx]
+	}
 }
 
 func (u *fakeUpstream) Parts(block blockcrypto.Hash) (int, error) { return u.parts, nil }
@@ -190,7 +197,7 @@ func (u *fakeUpstream) loseChunk(peer int, ref netx.ChunkRef) {
 	u.lost[peer][ref] = true
 }
 
-func newTestGateway(t *testing.T, u Upstream, reg *metrics.Registry, cacheBytes int64) *Gateway {
+func newTestGateway(t testing.TB, u Upstream, reg *metrics.Registry, cacheBytes int64) *Gateway {
 	t.Helper()
 	g, err := New(Config{
 		Upstream:        u,

@@ -1,9 +1,9 @@
 package netx
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -19,6 +19,7 @@ import (
 // Client errors.
 var (
 	ErrClosed          = errors.New("netx: client closed")
+	ErrWrongReply      = errors.New("netx: reply to another request")
 	ErrIncompleteBlock = errors.New("netx: could not gather every chunk")
 	ErrNoServers       = errors.New("netx: no servers configured")
 )
@@ -32,90 +33,135 @@ const dialTimeout = 5 * time.Second
 // and everything queued behind it — forever.
 const DefaultRPCTimeout = 15 * time.Second
 
-// Client is a connection to one storage server, safe for sequential use;
-// Cluster (below) multiplexes clients for whole-cluster operations.
-type Client struct {
+// Link is the client end of one framed connection, shared by the storage
+// Client below and the gateway's wire client: one request in flight at a
+// time, each under the per-call I/O deadline, every reply matched to its
+// request by id. It is safe for concurrent use; calls queue on its mutex.
+type Link struct {
 	mu      sync.Mutex
-	conn    net.Conn
+	conn    net.Conn // nil once closed, by Close or by a failed call
+	br      *bufio.Reader
 	timeout time.Duration
-	tr      *trace.Tracer
-	parent  trace.SpanID
+	lastID  uint32
+}
+
+// DialLink connects to addr.
+func DialLink(addr string) (*Link, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return &Link{conn: conn, br: bufio.NewReaderSize(conn, ReadBufferSize), timeout: DefaultRPCTimeout}, nil
+}
+
+// SetTimeout overrides the per-call I/O deadline; d <= 0 restores the
+// default.
+func (l *Link) SetTimeout(d time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if d <= 0 {
+		d = DefaultRPCTimeout
+	}
+	l.timeout = d
+}
+
+// Close tears the connection down; later calls return ErrClosed.
+func (l *Link) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn == nil {
+		return nil
+	}
+	err := l.conn.Close()
+	l.conn = nil
+	return err
+}
+
+// Call sends req and reads the reply into resp, both before the per-call
+// deadline passes, so a stalled or half-dead peer surfaces as
+// os.ErrDeadlineExceeded instead of hanging the caller. It returns the
+// bytes moved on the wire in both directions.
+//
+// Any failure — transport, decode, or a reply carrying another request's id
+// — closes the connection: a frame may be half-written, or the reply to
+// this call may still arrive and would be read as the answer to the next.
+// The caller dials again.
+func (l *Link) Call(req WireEncoder, resp WireDecoder) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn == nil {
+		return 0, ErrClosed
+	}
+	n, err := l.exchange(req, resp)
+	if err != nil {
+		_ = l.conn.Close() // the call's own error is the one to report
+		l.conn = nil
+	}
+	return n, err
+}
+
+func (l *Link) exchange(req WireEncoder, resp WireDecoder) (int, error) {
+	if err := l.conn.SetDeadline(time.Now().Add(l.timeout)); err != nil {
+		return 0, fmt.Errorf("netx: arm deadline: %w", err)
+	}
+	l.lastID++
+	sent, err := WriteFrame(l.conn, l.lastID, req)
+	if err != nil {
+		return sent, err
+	}
+	id, recv, err := ReadFrame(l.br, resp)
+	if err != nil {
+		return sent + recv, err
+	}
+	if id != l.lastID {
+		return sent + recv, fmt.Errorf("%w: reply carries id %d, request was %d", ErrWrongReply, id, l.lastID)
+	}
+	return sent + recv, nil
+}
+
+// Client is a connection to one storage server; Cluster (below)
+// multiplexes clients for whole-cluster operations.
+type Client struct {
+	link *Link
+
+	mu     sync.Mutex // guards tr and parent
+	tr     *trace.Tracer
+	parent trace.SpanID
 }
 
 // Dial connects to a server.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	link, err := DialLink(addr)
 	if err != nil {
 		return nil, fmt.Errorf("netx: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, timeout: DefaultRPCTimeout}, nil
+	return &Client{link: link}, nil
 }
 
 // SetTimeout overrides the per-round-trip I/O deadline; d <= 0 restores the
-// default. A round trip that blows its deadline poisons the connection (a
-// frame may be half-written), so the error is terminal for this Client —
-// Cluster drops and re-dials failed connections.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d <= 0 {
-		d = DefaultRPCTimeout
-	}
-	c.timeout = d
-}
+// default. A round trip that blows its deadline is terminal for this Client
+// (see Link.Call) — Cluster drops and re-dials failed connections.
+func (c *Client) SetTimeout(d time.Duration) { c.link.SetTimeout(d) }
 
 // Close tears the connection down.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
+func (c *Client) Close() error { return c.link.Close() }
 
-// roundTrip sends one request and reads one response under the per-call
-// I/O deadline (see SetTimeout): both the write and the read must complete
-// before it passes, so a stalled or half-dead peer surfaces as
-// os.ErrDeadlineExceeded instead of hanging the caller. With a tracer
-// installed, each round-trip is one span carrying the wire bytes it moved
-// in both directions.
+// roundTrip sends one request and reads its response (see Link.Call). With
+// a tracer installed, each round-trip is one span carrying the wire bytes it
+// moved in both directions.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, ErrClosed
-	}
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return nil, fmt.Errorf("netx: arm deadline: %w", err)
-	}
-	var rw io.ReadWriter = c.conn
-	var sp trace.Span
-	var cw *countConn
-	if c.tr.Enabled() {
-		cw = &countConn{rw: c.conn}
-		rw = cw
-		sp = c.tr.Start(c.parent, "netx", reqName(req), clientNode)
-	}
-	finish := func(err error) {
-		if cw != nil {
-			sp.AddBytes(cw.n)
-		}
-		sp.SetErr(err)
-		sp.End()
-	}
-	if err := writeMessage(rw, req); err != nil {
-		finish(err)
-		return nil, err
-	}
+	tr, parent := c.tr, c.parent
+	c.mu.Unlock()
+	sp := tr.Start(parent, "netx", reqName(req), clientNode)
 	var resp Response
-	if err := readMessage(rw, &resp); err != nil {
-		finish(err)
+	n, err := c.link.Call(req, &resp)
+	sp.AddBytes(int64(n))
+	sp.SetErr(err)
+	sp.End()
+	if err != nil {
 		return nil, err
 	}
-	finish(nil)
 	return &resp, nil
 }
 

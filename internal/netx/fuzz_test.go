@@ -5,55 +5,68 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
-
-	"icistrategy/internal/blockcrypto"
 )
 
-// frame wraps raw bytes in a protocol frame (length prefix + body).
-func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(body)))
-	copy(out[4:], body)
-	return out
+// frame builds a protocol frame by hand: length prefix, version, opcode,
+// request id, fields.
+func frame(version, op uint8, id uint32, fields []byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, uint32(frameHeaderSize-4+len(fields)))
+	out = append(out, version, op)
+	out = binary.BigEndian.AppendUint32(out, id)
+	return append(out, fields...)
 }
 
-// FuzzReadMessage feeds arbitrary byte streams to the frame decoder.
-// Malformed, truncated and oversized frames must all come back as errors —
-// never a panic, and never an allocation sized by a hostile length prefix.
-// Frames that decode successfully must survive a write/read round-trip.
+// encoded returns the frame WriteMessage produces for m.
+func encoded(t testing.TB, m wireMessage) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, m); err != nil {
+		t.Fatalf("encode %T: %v", m, err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadMessage feeds arbitrary byte streams to the frame decoder, as a
+// request and as a response. Malformed, truncated and oversized frames must
+// all come back as errors — never a panic, and never an allocation sized by
+// a hostile length prefix. A frame that decodes must re-encode, and the
+// re-encoding must decode to a message that encodes to the same bytes.
 func FuzzReadMessage(f *testing.F) {
-	// Corpus: empty, truncated header, length prefix with no body, a frame
-	// claiming far more than it carries, an oversized claim, and two valid
-	// messages.
+	// Corpus: empty, truncated length, length with no body, a length below
+	// the header size, a frame claiming far more than it carries, an
+	// oversized claim, a wrong version, an unknown opcode, and one frame of
+	// every message variant.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0, 0, 0, 9})
-	f.Add(frame([]byte("not gob")))
+	f.Add([]byte{0, 0, 0, 3, 1, 1, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
-	var buf bytes.Buffer
-	if err := writeMessage(&buf, &Request{GetHeaders: &GetHeadersReq{FromHeight: 3}}); err != nil {
-		f.Fatal(err)
+	f.Add(frame(wireVersion, opGetChunk, 1, []byte("short")))
+	f.Add(frame(wireVersion+1, opStats, 1, nil))
+	f.Add(frame(wireVersion, 0x3f, 1, nil))
+	for _, m := range sampleMessages(f) {
+		f.Add(encoded(f, m.msg))
 	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	if err := writeMessage(&buf, &Request{GetChunk: &GetChunkReq{Block: blockcrypto.Sum256([]byte("b")), Index: 2}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := readMessage(bytes.NewReader(data), &req); err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := writeMessage(&out, &req); err != nil {
-			t.Fatalf("re-encode of accepted request: %v", err)
-		}
-		var again Request
-		if err := readMessage(&out, &again); err != nil {
-			t.Fatalf("re-decode of accepted request: %v", err)
+		for _, fresh := range []func() wireMessage{
+			func() wireMessage { return new(Request) },
+			func() wireMessage { return new(Response) },
+		} {
+			msg := fresh()
+			if err := ReadMessage(bytes.NewReader(data), msg); err != nil {
+				continue
+			}
+			first := encoded(t, msg)
+			again := fresh()
+			if err := ReadMessage(bytes.NewReader(first), again); err != nil {
+				t.Fatalf("re-decode of accepted %T: %v", msg, err)
+			}
+			if second := encoded(t, again); !bytes.Equal(first, second) {
+				t.Fatalf("%T does not re-encode to the same bytes:\n%x\n%x", msg, first, second)
+			}
 		}
 	})
 }
@@ -67,20 +80,25 @@ func TestReadMessageTruncatedBody(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr, maxMessageSize)
 	stream := append(hdr, 1, 2, 3)
 	var req Request
-	err := readMessage(bytes.NewReader(stream), &req)
+	err := ReadMessage(bytes.NewReader(stream), &req)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() {
 		var r Request
-		_ = readMessage(bytes.NewReader(stream), &r)
+		_ = ReadMessage(bytes.NewReader(stream), &r)
 	})
-	// A handful of small allocations (buffer growth to the 3 arrived bytes,
-	// reader state) is fine; a 64 MiB up-front slice would show up as an
-	// enormous per-run byte count and is separately covered by the fact
-	// that bytes.Buffer only grows with actual input.
+	runtime.ReadMemStats(&after)
 	if allocs > 20 {
 		t.Fatalf("truncated read allocates too much: %.0f allocs/run", allocs)
+	}
+	// The frame buffer grows by what arrives (one 64 KiB step here), never
+	// by the 64 MiB the header claims.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun > 1<<20 {
+		t.Fatalf("truncated read allocates %d bytes/run for a 3-byte body", perRun)
 	}
 }
 
@@ -90,7 +108,7 @@ func TestReadMessageOversizedClaim(t *testing.T) {
 	hdr := make([]byte, 4)
 	binary.BigEndian.PutUint32(hdr, maxMessageSize+1)
 	var req Request
-	if err := readMessage(bytes.NewReader(hdr), &req); !errors.Is(err, ErrTooLarge) {
+	if err := ReadMessage(bytes.NewReader(hdr), &req); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // startServers launches n TCP storage servers on ephemeral ports.
-func startServers(t *testing.T, n int) ([]*Server, []string) {
+func startServers(t testing.TB, n int) ([]*Server, []string) {
 	t.Helper()
 	servers := make([]*Server, n)
 	addrs := make([]string, n)
@@ -27,7 +27,7 @@ func startServers(t *testing.T, n int) ([]*Server, []string) {
 	return servers, addrs
 }
 
-func testBlocks(t *testing.T, count, txPerBlock int) []*chain.Block {
+func testBlocks(t testing.TB, count, txPerBlock int) []*chain.Block {
 	t.Helper()
 	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 20, Seed: 77})
 	if err != nil {

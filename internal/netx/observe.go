@@ -1,63 +1,29 @@
 package netx
 
-import (
-	"io"
-
-	"icistrategy/internal/trace"
-)
+import "icistrategy/internal/trace"
 
 // clientNode is the trace node label for the client side of the TCP
 // protocol — clients are not cluster members and have no NodeID.
 const clientNode = -1
 
-// countConn counts the bytes crossing a connection in both directions, so a
-// round-trip span can report its true wire cost (frames included).
-type countConn struct {
-	rw io.ReadWriter
-	n  int64
-}
-
-func (c *countConn) Read(p []byte) (int, error) {
-	n, err := c.rw.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countConn) Write(p []byte) (int, error) {
-	n, err := c.rw.Write(p)
-	c.n += int64(n)
-	return n, err
+// requestNames labels each request opcode for tracing.
+var requestNames = [...]string{
+	opNone:           "unknown",
+	opPutHeader:      "put-header",
+	opPutChunk:       "put-chunk",
+	opGetHeaders:     "get-headers",
+	opGetChunk:       "get-chunk",
+	opGetChunkBatch:  "get-chunk-batch",
+	opGetBlockChunks: "get-block-chunks",
+	opGetTxProof:     "get-txproof",
+	opGetClusterMap:  "get-cluster-map",
+	opSetClusterMap:  "set-cluster-map",
+	opStats:          "stats",
+	opFault:          "fault",
 }
 
 // reqName labels a request union for tracing.
-func reqName(r *Request) string {
-	switch {
-	case r.PutHeader != nil:
-		return "put-header"
-	case r.PutChunk != nil:
-		return "put-chunk"
-	case r.GetHeaders != nil:
-		return "get-headers"
-	case r.GetChunk != nil:
-		return "get-chunk"
-	case r.GetChunkBatch != nil:
-		return "get-chunk-batch"
-	case r.GetBlockChunks != nil:
-		return "get-block-chunks"
-	case r.GetTxProof != nil:
-		return "get-txproof"
-	case r.GetClusterMap != nil:
-		return "get-cluster-map"
-	case r.SetClusterMap != nil:
-		return "set-cluster-map"
-	case r.Stats != nil:
-		return "stats"
-	case r.Fault != nil:
-		return "fault"
-	default:
-		return "unknown"
-	}
-}
+func reqName(r *Request) string { return requestNames[r.opcode()] }
 
 // SetTracer installs (or clears, with nil) the tracer used for this
 // client's round-trips; parent is the span every round-trip nests under.

@@ -1,19 +1,15 @@
 // Package netx runs the ICIStrategy storage protocol over real TCP: every
 // cluster member is a Server owning a chunk/header store, and clients
-// (block distributors, readers, bootstrapping nodes) speak a length-prefixed
-// gob protocol to it. The discrete-event simulator (internal/simnet) is the
+// (block distributors, readers, bootstrapping nodes) speak a request/response
+// protocol of length-prefixed binary frames to it (wire.go; DESIGN.md "Wire
+// format"). The discrete-event simulator (internal/simnet) is the
 // tool for measuring the strategy at scale; netx exists to prove the same
 // storage layout, placement, and verification logic works end-to-end on a
 // real network stack, and to power the cmd/icinet demo.
 package netx
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"fmt"
-	"io"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
@@ -26,8 +22,8 @@ var (
 	ErrNotFound   = errors.New("netx: not found")
 )
 
-// maxMessageSize bounds a single protocol message (64 MiB — far above any
-// realistic block).
+// maxMessageSize bounds what follows a frame's length field (64 MiB — far
+// above any realistic block).
 const maxMessageSize = 64 << 20
 
 // Request is the union of client requests; exactly one field is set.
@@ -218,57 +214,4 @@ type FaultReq struct {
 type FaultResp struct {
 	// Corrupted counts the chunks CorruptStored damaged.
 	Corrupted int
-}
-
-// WriteMessage frames and gob-encodes v onto w with the netx wire format.
-// Exported for protocol layers stacked on the same framing (the gateway's
-// client-facing listener); servers and clients in this package use the
-// unexported forms directly.
-func WriteMessage(w io.Writer, v any) error { return writeMessage(w, v) }
-
-// ReadMessage reads one length-prefixed gob message into v (see
-// WriteMessage).
-func ReadMessage(r io.Reader, v any) error { return readMessage(r, v) }
-
-// writeMessage frames and gob-encodes v onto w: 4-byte big-endian length,
-// then the gob bytes.
-func writeMessage(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("netx: encode: %w", err)
-	}
-	if buf.Len() > maxMessageSize {
-		return ErrTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// readMessage reads one length-prefixed gob message into v. The body is
-// accumulated with io.CopyN rather than allocated up front, so a frame
-// header claiming a huge length on a short (or malicious) stream costs only
-// the bytes that actually arrive, never a maxMessageSize allocation.
-func readMessage(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMessageSize {
-		return ErrTooLarge
-	}
-	var buf bytes.Buffer
-	copied, err := io.CopyN(&buf, r, int64(n))
-	if err != nil {
-		if err == io.EOF && copied < int64(n) {
-			return io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	return gob.NewDecoder(&buf).Decode(v)
 }

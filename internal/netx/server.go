@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +22,11 @@ import (
 // immediately via the same deadline and exit quietly.
 const drainGrace = 250 * time.Millisecond
 
+// writeTimeout bounds the write of one response: a client that stops
+// reading costs a handler goroutine that long, not until Close. A variable
+// only so the regression test can shorten it.
+var writeTimeout = DefaultRPCTimeout
+
 // Logf is the server's structured event sink: an event name plus
 // alternating key/value pairs. cmd/icinet -serve wires it to the logfmt
 // stderr stream the integration harness asserts on; nil discards events.
@@ -38,10 +44,12 @@ type Server struct {
 	cmap   []EpochInfo // newest published cluster map (epoch-versioned membership)
 	conns  map[net.Conn]struct{}
 	closed bool
-	wg     sync.WaitGroup
-	tr     *trace.Tracer
-	logf   Logf
-	faults *faultState
+	// drainBy is the deadline Close put on every connection; set with closed.
+	drainBy time.Time
+	wg      sync.WaitGroup
+	tr      *trace.Tracer
+	logf    Logf
+	faults  *faultState
 
 	// connErrs counts abnormal connection errors: read/write failures that
 	// are neither a client hanging up (EOF) nor the server's own graceful
@@ -108,13 +116,14 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	deadline := time.Now().Add(drainGrace)
+	s.drainBy = deadline
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	err := s.listener.Close()
-	deadline := time.Now().Add(drainGrace)
 	for _, c := range conns {
 		_ = c.SetDeadline(deadline)
 	}
@@ -191,19 +200,19 @@ func (s *Server) connErr(op string, err error) {
 }
 
 // serveConn handles request/response pairs until the client disconnects or
-// the server drains.
+// the server drains. Each response echoes its request's id.
 func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	tr := s.tr
 	s.mu.Unlock()
-	cw := &countConn{rw: conn}
-	var last int64
+	br := bufio.NewReaderSize(conn, ReadBufferSize)
 	for {
 		if s.isClosed() {
 			return // drained: the previous round-trip completed
 		}
 		var req Request
-		if err := readMessage(cw, &req); err != nil {
+		id, recv, err := ReadFrame(br, &req)
+		if err != nil {
 			s.connErr("read", err)
 			return
 		}
@@ -222,13 +231,27 @@ func (s *Server) serveConn(conn net.Conn) {
 		if corrupt {
 			corruptChunkResponses(resp)
 		}
-		if err := writeMessage(cw, resp); err != nil {
+		// The write deadline is armed under the lock Close takes to start
+		// the drain, so whichever runs second, no response may outlast
+		// the drain deadline.
+		s.mu.Lock()
+		deadline := time.Now().Add(writeTimeout)
+		if s.closed && s.drainBy.Before(deadline) {
+			deadline = s.drainBy
+		}
+		err = conn.SetWriteDeadline(deadline)
+		s.mu.Unlock()
+		if err != nil {
+			s.connErr("write", err)
+			return
+		}
+		sent, err := WriteFrame(conn, id, resp)
+		if err != nil {
 			s.connErr("write", err)
 			return
 		}
 		if tr.Enabled() {
-			tr.Point(0, "netx", "serve:"+reqName(&req), clientNode, cw.n-last, resp.Err)
-			last = cw.n
+			tr.Point(0, "netx", "serve:"+reqName(&req), clientNode, int64(recv+sent), resp.Err)
 		}
 	}
 }

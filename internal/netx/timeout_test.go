@@ -101,9 +101,9 @@ func TestSetTimeoutZeroRestoresDefault(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetTimeout(-1)
-	c.mu.Lock()
-	got := c.timeout
-	c.mu.Unlock()
+	c.link.mu.Lock()
+	got := c.link.timeout
+	c.link.mu.Unlock()
 	if got != DefaultRPCTimeout {
 		t.Fatalf("timeout = %v, want default %v", got, DefaultRPCTimeout)
 	}
