@@ -15,6 +15,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent'
 
 # The repo's own invariant suite — ten analyzers: determinism, chunkalias,
 # atomicmix, metricname, spanbalance, poolreturn, goroleak, deadline,

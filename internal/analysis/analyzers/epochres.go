@@ -52,14 +52,14 @@ membersAt / placementAt) before calling Owners/RankedMembers/IsOwner.`,
 // only ever works on now-state (the write path) is allowed to place by
 // the live roster.
 var epochMarkers = map[string]bool{
-	"epochAt":              true,
-	"placementAt":          true,
-	"partsAt":              true,
-	"membersAt":            true,
-	"ClusterMembersAt":     true,
-	"archivedInfo":         true,
-	"epochForMap":          true,
-	"fetchFromEpochOwners": true,
+	"epochAt":          true,
+	"placementAt":      true,
+	"partsAt":          true,
+	"membersAt":        true,
+	"ClusterMembersAt": true,
+	"archivedInfo":     true,
+	"epochForMap":      true,
+	"epochHolders":     true,
 }
 
 // rosterFields are field names that hold a live member roster.

@@ -96,6 +96,9 @@ func (t *MerkleTree) Prove(i int) (Proof, error) {
 		return Proof{}, ErrLeafOutOfs
 	}
 	proof := Proof{LeafIndex: i}
+	if depth := len(t.levels) - 1; depth > 0 {
+		proof.Steps = make([]ProofStep, 0, depth) // a one-leaf tree's proof keeps nil steps
+	}
 	idx := i
 	for _, level := range t.levels[:len(t.levels)-1] {
 		sib := idx ^ 1

@@ -257,3 +257,18 @@ func TestDecodeProofsRejectsHostileInput(t *testing.T) {
 		}
 	}
 }
+
+func TestProveAllocatesItsStepsOnce(t *testing.T) {
+	tree, err := NewMerkleTree(leavesOf(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tree.Prove(37); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Prove: %.0f allocations, want 1", allocs)
+	}
+}

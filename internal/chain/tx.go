@@ -40,7 +40,10 @@ type Transaction struct {
 // SigningBytes returns the canonical byte string covered by the signature:
 // every field except PublicKey and Signature.
 func (tx *Transaction) SigningBytes() []byte {
-	buf := make([]byte, 0, 2*blockcrypto.HashSize+24+len(tx.Payload))
+	return tx.appendSigningBytes(make([]byte, 0, 2*blockcrypto.HashSize+24+len(tx.Payload)))
+}
+
+func (tx *Transaction) appendSigningBytes(buf []byte) []byte {
 	buf = append(buf, tx.From[:]...)
 	buf = append(buf, tx.To[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, tx.Amount)
@@ -59,8 +62,14 @@ func (tx *Transaction) Sign(key blockcrypto.KeyPair) {
 
 // ID returns the content address of the encoded transaction.
 func (tx *Transaction) ID() blockcrypto.Hash {
-	return blockcrypto.Sum256(tx.Encode())
+	var scratch [txScratchSize]byte
+	return blockcrypto.Sum256(tx.AppendTo(scratch[:0]))
 }
+
+// txScratchSize is the stack buffer ID and VerifySignature encode into, so
+// that checking a transaction of ordinary size allocates nothing; a larger
+// one grows onto the heap.
+const txScratchSize = 512
 
 // VerifySignature checks structural sanity and that Signature is a valid
 // signature of SigningBytes under PublicKey, and that PublicKey hashes to
@@ -75,7 +84,8 @@ func (tx *Transaction) VerifySignature() error {
 	if blockcrypto.PublicKeyHash(tx.PublicKey) != tx.From {
 		return fmt.Errorf("%w: public key does not hash to sender account", ErrTxBadSignature)
 	}
-	if err := blockcrypto.Verify(tx.PublicKey, tx.SigningBytes(), tx.Signature); err != nil {
+	var scratch [txScratchSize]byte
+	if err := blockcrypto.Verify(tx.PublicKey, tx.appendSigningBytes(scratch[:0]), tx.Signature); err != nil {
 		return fmt.Errorf("%w: %v", ErrTxBadSignature, err)
 	}
 	return nil

@@ -154,3 +154,34 @@ func BenchmarkTransactionVerify(b *testing.B) {
 		}
 	}
 }
+
+// ID and VerifySignature encode into a stack buffer: checking a transaction
+// of ordinary size must not allocate (every replica does it for every
+// transaction it stores, on all cores at once), and one that outgrows the
+// buffer must hash and verify the same.
+func TestTransactionChecksDoNotAllocate(t *testing.T) {
+	tx, _ := newTestTx(t, 1, 2, 10, 0, bytes.Repeat([]byte{1}, 120))
+	if allocs := testing.AllocsPerRun(20, func() { tx.ID() }); allocs != 0 {
+		t.Errorf("ID: %.0f allocations, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := tx.VerifySignature(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("VerifySignature: %.0f allocations, want 0", allocs)
+	}
+
+	big, _ := newTestTx(t, 1, 2, 10, 0, bytes.Repeat([]byte{7}, 4*txScratchSize))
+	if got, want := big.ID(), blockcrypto.Sum256(big.Encode()); got != want {
+		t.Errorf("ID of a %d-byte transaction: got %s, want %s", big.EncodedSize(), got.Short(), want.Short())
+	}
+	if err := big.VerifySignature(); err != nil {
+		t.Errorf("valid %d-byte transaction rejected: %v", big.EncodedSize(), err)
+	}
+	big.Payload[0] ^= 1
+	if err := big.VerifySignature(); err == nil {
+		t.Error("tampered large transaction accepted")
+	}
+}

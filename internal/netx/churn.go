@@ -2,10 +2,9 @@ package netx
 
 import (
 	"fmt"
+	"slices"
 
-	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/core"
-	"icistrategy/internal/simnet"
 )
 
 // GetClusterMap fetches the server's epoch-versioned cluster map; an empty
@@ -58,7 +57,7 @@ func (cl *Cluster) currentMap() []EpochInfo {
 		}
 		epochs, err := c.GetClusterMap()
 		if err != nil {
-			cl.dropClient(addr)
+			cl.dropClient(addr, c)
 			continue
 		}
 		if len(epochs) > len(best) { // epoch numbers are positional
@@ -69,6 +68,8 @@ func (cl *Cluster) currentMap() []EpochInfo {
 }
 
 // maxHeight reports the highest header height any reachable member holds.
+// Each member is asked only for headers at or above the best height seen so
+// far, so one member sends the chain and the rest send their tails.
 func (cl *Cluster) maxHeight() (uint64, bool) {
 	var top uint64
 	found := false
@@ -77,9 +78,9 @@ func (cl *Cluster) maxHeight() (uint64, bool) {
 		if err != nil {
 			continue
 		}
-		headers, err := c.GetHeaders(0)
+		headers, err := c.GetHeaders(top)
 		if err != nil {
-			cl.dropClient(addr)
+			cl.dropClient(addr, c)
 			continue
 		}
 		for _, h := range headers {
@@ -126,7 +127,7 @@ func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
 			continue
 		}
 		if err := c.SetClusterMap(epochs); err != nil {
-			cl.dropClient(addr)
+			cl.dropClient(addr, c)
 			continue
 		}
 		published++
@@ -147,34 +148,16 @@ func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
 // transfer set is exactly the leaver's displaced replicas. Returns the
 // number of chunks moved.
 func (cl *Cluster) RetireMember(addr string) (int, error) {
-	li := -1
-	for i, a := range cl.addrs {
-		if a == addr {
-			li = i
-			break
-		}
-	}
+	li := slices.Index(cl.addrs, addr)
 	if li < 0 {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
 	if len(cl.addrs) == 1 {
 		return 0, fmt.Errorf("netx: cannot retire the last member")
 	}
-	shrunkIDs := make([]simnet.NodeID, 0, len(cl.ids)-1)
-	addrOf := make(map[simnet.NodeID]string, len(cl.ids))
-	var remaining []MemberInfo
-	for i, id := range cl.ids {
-		addrOf[id] = cl.addrs[i]
-		if i == li {
-			continue
-		}
-		shrunkIDs = append(shrunkIDs, id)
-		remaining = append(remaining, MemberInfo{ID: uint64(id), Addr: cl.addrs[i]})
-	}
-	r := cl.replication
-	if r > len(shrunkIDs) {
-		r = len(shrunkIDs)
-	}
+	shrunkIDs := slices.Delete(slices.Clone(cl.ids), li, li+1)
+	remaining := slices.Delete(cl.baseEpoch().Members, li, li+1)
+	r := min(cl.replication, len(shrunkIDs))
 
 	leaver, err := cl.client(addr)
 	if err != nil {
@@ -182,58 +165,43 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 	}
 	headers, err := leaver.GetHeaders(0)
 	if err != nil {
-		cl.dropClient(addr)
+		cl.dropClient(addr, leaver)
 		return 0, fmt.Errorf("netx: retire %s: headers: %w", addr, err)
 	}
-	moved := 0
-	for _, hdr := range headers {
-		block := hdr.Hash()
-		resp, err := leaver.GetBlockChunks(block)
-		if err != nil {
-			cl.dropClient(addr)
-			return moved, fmt.Errorf("netx: retire %s: chunks of %x: %w", addr, block[:4], err)
-		}
-		seed := block.Uint64()
-		for _, chk := range resp.Chunks {
-			oldOwners, err := core.Owners(seed, cl.ids, chk.Index, cl.replication)
+	moved, err := cl.transfer(func(emit func(chunkMove) bool) error {
+		for _, hdr := range headers {
+			block := hdr.Hash()
+			resp, err := leaver.GetBlockChunks(block)
 			if err != nil {
-				return moved, err
+				cl.dropClient(addr, leaver)
+				return fmt.Errorf("chunks of %x: %w", block[:4], err)
 			}
-			newOwners, err := core.Owners(seed, shrunkIDs, chk.Index, r)
-			if err != nil {
-				return moved, err
-			}
-			was := make(map[simnet.NodeID]bool, len(oldOwners))
-			for _, o := range oldOwners {
-				was[o] = true
-			}
-			pushed := false
-			for _, o := range newOwners {
-				if was[o] {
-					continue
+			seed := block.Uint64()
+			for i := range resp.Chunks {
+				chk := &resp.Chunks[i]
+				oldOwners, err := core.Owners(seed, cl.ids, chk.Index, cl.replication)
+				if err != nil {
+					return err
 				}
-				dst, cerr := cl.client(addrOf[o])
-				if cerr != nil {
-					return moved, fmt.Errorf("netx: retire %s: dial gainer %s: %w", addr, addrOf[o], cerr)
+				newOwners, err := core.Owners(seed, shrunkIDs, chk.Index, r)
+				if err != nil {
+					return err
 				}
-				req := PutChunkReq{
-					Block:   block,
-					Index:   chk.Index,
-					Parts:   chk.Parts,
-					TxStart: chk.TxStart,
-					Data:    chk.Data,
-					Proofs:  chk.Proofs,
+				var gainers []string
+				for _, o := range newOwners {
+					if !slices.Contains(oldOwners, o) {
+						gainers = append(gainers, cl.addrs[int(o)])
+					}
 				}
-				if perr := dst.PutChunk(req); perr != nil {
-					cl.dropClient(addrOf[o])
-					return moved, fmt.Errorf("netx: retire %s: push chunk %d to %s: %w", addr, chk.Index, addrOf[o], perr)
+				if len(gainers) > 0 && !emit(chunkMove{block: block, index: chk.Index, chunk: chk, to: gainers}) {
+					return nil
 				}
-				pushed = true
-			}
-			if pushed {
-				moved++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return moved, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
 	if _, err := cl.PublishEpoch(remaining); err != nil {
 		return moved, err
@@ -262,108 +230,18 @@ func epochForMap(epochs []EpochInfo, height uint64) EpochInfo {
 // chunks it owns under the restored membership, fetched from either their
 // write-epoch or post-migration holders. Returns the chunks transferred.
 func (cl *Cluster) RejoinMember(addr string) (int, error) {
-	li := -1
-	for i, a := range cl.addrs {
-		if a == addr {
-			li = i
-			break
-		}
-	}
+	li := slices.Index(cl.addrs, addr)
 	if li < 0 {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
-	self := cl.ids[li]
-	epochs := cl.currentMap()
-	newest := epochs[len(epochs)-1]
-
-	targetClient, err := Dial(addr)
+	// Ownership is decided under the restored roster cl.ids; the chunks come
+	// from each block's write-epoch members.
+	transferred, err := cl.provisionMember(addr, cl.ids[li], cl.ids, cl.currentMap())
 	if err != nil {
-		return 0, fmt.Errorf("netx: rejoin: dial member %s: %w", addr, err)
+		return transferred, err
 	}
-	defer targetClient.Close()
-	headers, err := cl.syncHeaders(targetClient, addr)
-	if err != nil {
-		return 0, err
-	}
-
-	transferred := 0
-	for _, h := range headers {
-		block := h.Hash()
-		seed := block.Uint64()
-		wrote := epochForMap(epochs, h.Height)
-		parts := len(wrote.Members)
-		for idx := 0; idx < parts; idx++ {
-			owns, oerr := core.IsOwner(seed, cl.ids, idx, cl.replication, self) //icilint:allow epochres(churn transfer decides ownership under the NEW roster on purpose; it fetches from the write-epoch members wrote.Members)
-			if oerr != nil {
-				return transferred, oerr
-			}
-			if !owns {
-				continue
-			}
-			chunk, ferr := cl.fetchFromEpochOwners(block, seed, idx, addr, wrote, newest)
-			if ferr != nil {
-				return transferred, ferr
-			}
-			if err := targetClient.PutChunk(PutChunkReq{
-				Block:   block,
-				Index:   idx,
-				Parts:   chunk.Parts,
-				TxStart: chunk.TxStart,
-				Data:    chunk.Data,
-				Proofs:  chunk.Proofs,
-			}); err != nil {
-				return transferred, fmt.Errorf("netx: rejoin: push chunk %d to %s: %w", idx, addr, err)
-			}
-			transferred++
-		}
-	}
-	members := make([]MemberInfo, len(cl.addrs))
-	for i := range cl.addrs {
-		members[i] = MemberInfo{ID: uint64(cl.ids[i]), Addr: cl.addrs[i]}
-	}
-	if _, err := cl.PublishEpoch(members); err != nil {
+	if _, err := cl.PublishEpoch(cl.baseEpoch().Members); err != nil {
 		return transferred, err
 	}
 	return transferred, nil
-}
-
-// fetchFromEpochOwners gathers one chunk from its write-epoch owners or,
-// failing those, the owners it migrated to under the newest epoch —
-// skipping the member being provisioned, which has nothing to offer.
-func (cl *Cluster) fetchFromEpochOwners(block blockcrypto.Hash, seed uint64, idx int, skip string, es ...EpochInfo) (*ChunkResp, error) {
-	tried := make(map[string]bool)
-	for _, e := range es {
-		ids := make([]simnet.NodeID, len(e.Members))
-		addrOf := make(map[simnet.NodeID]string, len(e.Members))
-		for i, m := range e.Members {
-			ids[i] = simnet.NodeID(m.ID)
-			addrOf[ids[i]] = m.Addr
-		}
-		r := cl.replication
-		if r > len(ids) {
-			r = len(ids)
-		}
-		owners, err := core.Owners(seed, ids, idx, r)
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range owners {
-			a := addrOf[o]
-			if a == skip || tried[a] {
-				continue
-			}
-			tried[a] = true
-			c, cerr := cl.client(a)
-			if cerr != nil {
-				continue
-			}
-			resp, gerr := c.GetChunk(block, idx)
-			if gerr != nil {
-				cl.dropClient(a)
-				continue
-			}
-			return resp, nil
-		}
-	}
-	return nil, fmt.Errorf("netx: rejoin: chunk %d of %s unavailable from any epoch owner", idx, block.Short())
 }

@@ -77,6 +77,13 @@ func (l *Link) Close() error {
 	return err
 }
 
+// closed reports whether Close, or a failed call, has torn the connection down.
+func (l *Link) closed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conn == nil
+}
+
 // Call sends req and reads the reply into resp, both before the per-call
 // deadline passes, so a stalled or half-dead peer surfaces as
 // os.ErrDeadlineExceeded instead of hanging the caller. It returns the
@@ -357,19 +364,40 @@ func (cl *Cluster) client(addr string) (*Client, error) {
 	return c, nil
 }
 
-// dropClient evicts a cached connection after a transport failure.
-func (cl *Cluster) dropClient(addr string) {
+// dial opens a connection of the caller's own to addr, outside the cache,
+// under the cluster's per-round-trip deadline.
+func (cl *Cluster) dial(addr string) (*Client, error) {
+	c, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	cl.mu.Lock()
+	c.SetTimeout(cl.timeout)
+	cl.mu.Unlock()
+	return c, nil
+}
+
+// dropClient evicts c from the cache once a call on it has failed in
+// transport, which closed it (Link.Call). A connection whose server only
+// answered with an error is sound and stays: other goroutines may be in the
+// middle of calls on it. A newer connection to addr that another goroutine
+// has dialed since stays too.
+func (cl *Cluster) dropClient(addr string, c *Client) {
+	if !c.link.closed() {
+		return
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if c, ok := cl.clients[addr]; ok {
-		_ = c.Close()
+	if cl.clients[addr] == c {
 		delete(cl.clients, addr)
 	}
 }
 
 // DistributeBlock stores a block across the cluster: the header goes to
 // every server, and each transaction-group chunk (with Merkle proofs) to
-// its rendezvous owners.
+// its rendezvous owners. Members are written to side by side; when several
+// fail, the error of the first in address order is returned, and what the
+// others stored stands (it is verified data, and puts are idempotent).
 func (cl *Cluster) DistributeBlock(b *chain.Block) error {
 	span := cl.tracer().Start(0, "distribute", "distribute-block", clientNode)
 	span.AddBytes(int64(b.BodySize()))
@@ -384,59 +412,79 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 	if err != nil {
 		return err
 	}
-	hdr := b.Header
-	for _, addr := range cl.addrs {
-		c, err := cl.tracedClient(addr, parent)
-		if err != nil {
-			return err
-		}
-		if err := c.PutHeader(hdr); err != nil {
-			cl.dropClient(addr)
-			return fmt.Errorf("put header to %s: %w", addr, err)
-		}
-	}
 	parts := len(cl.addrs)
 	counts, err := core.SplitCounts(len(b.Txs), parts)
 	if err != nil {
 		return err
 	}
-	seed := b.Hash().Uint64()
+	hash := b.Hash()
+	seed := hash.Uint64()
+	reqs := make([]PutChunkReq, parts)
+	owned := make([][]int, len(cl.addrs)) // chunk indices per member, ascending
 	txStart := 0
-	for idx := 0; idx < parts; idx++ {
+	for idx := range reqs {
 		group := b.Txs[txStart : txStart+counts[idx]]
 		proofs := make([]chain.Proof, len(group))
 		for i := range group {
-			p, perr := tree.Prove(txStart + i)
-			if perr != nil {
-				return perr
+			if proofs[i], err = tree.Prove(txStart + i); err != nil {
+				return err
 			}
-			proofs[i] = p
 		}
 		sub := chain.Block{Txs: group}
-		req := PutChunkReq{
-			Block:   b.Hash(),
+		reqs[idx] = PutChunkReq{
+			Block:   hash,
 			Index:   idx,
 			Parts:   parts,
 			TxStart: txStart,
 			Data:    sub.EncodeBody(),
 			Proofs:  proofs,
 		}
-		owners, oerr := core.Owners(seed, cl.ids, idx, cl.replication)
-		if oerr != nil {
-			return oerr
+		owners, err := core.Owners(seed, cl.ids, idx, cl.replication)
+		if err != nil {
+			return err
 		}
 		for _, o := range owners {
-			addr := cl.addrs[int(o)]
-			c, cerr := cl.tracedClient(addr, parent)
-			if cerr != nil {
-				return cerr
-			}
-			if err := c.PutChunk(req); err != nil {
-				cl.dropClient(addr)
-				return fmt.Errorf("put chunk %d to %s: %w", idx, addr, err)
-			}
+			owned[int(o)] = append(owned[int(o)], idx)
 		}
 		txStart += counts[idx]
+	}
+
+	// One goroutine per member: a server refuses a chunk whose header it
+	// does not hold, and one connection delivers in order.
+	errs := make([]error, len(cl.addrs))
+	var wg sync.WaitGroup
+	for m, addr := range cl.addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[m] = cl.putToMember(addr, parent, b.Header, reqs, owned[m])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// putToMember sends one member its share of a block over the cached
+// connection: the header, then the chunks it owns.
+func (cl *Cluster) putToMember(addr string, parent trace.SpanID, hdr chain.Header, reqs []PutChunkReq, owned []int) error {
+	c, err := cl.tracedClient(addr, parent)
+	if err != nil {
+		return err
+	}
+	if err := c.PutHeader(hdr); err != nil {
+		cl.dropClient(addr, c)
+		return fmt.Errorf("put header to %s: %w", addr, err)
+	}
+	for _, idx := range owned {
+		if err := c.PutChunk(reqs[idx]); err != nil {
+			cl.dropClient(addr, c)
+			return fmt.Errorf("put chunk %d to %s: %w", idx, addr, err)
+		}
 	}
 	return nil
 }
@@ -467,7 +515,7 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.
 		}
 		resp, err := c.GetBlockChunks(block)
 		if err != nil {
-			cl.dropClient(addr)
+			cl.dropClient(addr, c)
 			continue
 		}
 		if resp.Parts > 0 {

@@ -29,7 +29,13 @@ func startServers(t testing.TB, n int) ([]*Server, []string) {
 
 func testBlocks(t testing.TB, count, txPerBlock int) []*chain.Block {
 	t.Helper()
-	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 20, Seed: 77})
+	return seededBlocks(t, 77, count, txPerBlock)
+}
+
+// seededBlocks generates a chain of count blocks from the workload seed.
+func seededBlocks(t testing.TB, seed uint64, count, txPerBlock int) []*chain.Block {
+	t.Helper()
+	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 20, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +143,6 @@ func TestDegradedReadWithDeadServer(t *testing.T) {
 	if err := servers[2].Close(); err != nil {
 		t.Fatal(err)
 	}
-	cl.dropClient(addrs[2])
 	got, err := cl.RetrieveBlock(b.Header)
 	if err != nil {
 		t.Fatalf("degraded read: %v", err)
@@ -279,12 +284,11 @@ func TestRetrieveIncompleteWithReplicationOne(t *testing.T) {
 	// Find a server that holds at least one chunk and kill it: r=1 means
 	// its chunks are gone.
 	killed := false
-	for i, s := range servers {
+	for _, s := range servers {
 		if s.Stats().ChunkCount > 0 {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			cl.dropClient(addrs[i])
 			killed = true
 			break
 		}

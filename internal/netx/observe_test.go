@@ -36,6 +36,15 @@ func TestClusterTracing(t *testing.T) {
 	if got.Hash() != b.Hash() {
 		t.Fatal("retrieved block mismatch")
 	}
+	// A server records its serve point after the reply has left, so the
+	// client can be back before the point is in the ring. Close joins every
+	// connection goroutine: after it, all points are recorded.
+	cl.Close()
+	for _, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	events := ring.Events()
 	byName := make(map[string]int)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -267,14 +268,15 @@ func (s *Server) handle(req *Request) *Response {
 	if req.GetClusterMap != nil || req.SetClusterMap != nil {
 		return s.handleClusterMap(req)
 	}
+	if req.PutChunk != nil {
+		return s.handlePutChunk(req.PutChunk) // locks only around its store accesses
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case req.PutHeader != nil:
 		s.store.PutHeader(req.PutHeader.Header)
 		return okResp()
-	case req.PutChunk != nil:
-		return s.handlePutChunk(req.PutChunk)
 	case req.GetHeaders != nil:
 		var out []chain.Header
 		for _, h := range s.store.Headers() {
@@ -339,40 +341,58 @@ func (s *Server) handleClusterMap(req *Request) *Response {
 	return okResp()
 }
 
+// handlePutChunk verifies what the server stores: the chunk must decode and
+// every transaction must prove into the already-stored header's root and
+// carry a valid signature. s.mu is held to look the header up and again to
+// store; the checks between run unlocked (verifyChunk reads only the request
+// and the header copy), so connections verify side by side and reads do not
+// wait behind signatures.
 func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	if len(r.Data) == 0 || r.Parts <= 0 || r.Index < 0 || r.Index >= r.Parts {
 		return errResp(ErrBadRequest)
 	}
-	// The server verifies what it stores: the chunk must decode and every
-	// transaction must prove into the already-stored header's root.
+	s.mu.Lock()
 	hdr, err := s.store.Header(r.Block)
+	s.mu.Unlock()
 	if err != nil {
 		return errResp(fmt.Errorf("store chunk: header unknown: %w", ErrNotFound))
 	}
+	if err := verifyChunk(hdr.MerkleRoot, r); err != nil {
+		return errResp(err)
+	}
+	chunk := storage.NewChunk(storage.ChunkID{Block: r.Block, Index: r.Index}, r.Data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.store.PutChunk(chunk); err != nil {
+		return errResp(err)
+	}
+	s.meta[chunk.ID] = chunkSidecar{parts: r.Parts, txStart: r.TxStart, proofs: r.Proofs}
+	return okResp()
+}
+
+// verifyChunk checks a chunk against its block's Merkle root: it decodes,
+// each transaction proves into the root at its claimed position, and each
+// signature verifies.
+func verifyChunk(root blockcrypto.Hash, r *PutChunkReq) error {
 	txs, err := chain.DecodeBody(r.Data)
 	if err != nil {
-		return errResp(fmt.Errorf("%w: %v", ErrBadRequest, err))
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if len(txs) != len(r.Proofs) {
-		return errResp(fmt.Errorf("%w: %d txs, %d proofs", ErrBadRequest, len(txs), len(r.Proofs)))
+		return fmt.Errorf("%w: %d txs, %d proofs", ErrBadRequest, len(txs), len(r.Proofs))
 	}
 	for i, tx := range txs {
 		if r.Proofs[i].LeafIndex != r.TxStart+i {
-			return errResp(fmt.Errorf("%w: proof index mismatch", ErrBadRequest))
+			return fmt.Errorf("%w: proof index mismatch", ErrBadRequest)
 		}
-		if err := chain.VerifyProof(hdr.MerkleRoot, tx.ID(), r.Proofs[i]); err != nil {
-			return errResp(err)
+		if err := chain.VerifyProof(root, tx.ID(), r.Proofs[i]); err != nil {
+			return err
 		}
 		if err := tx.VerifySignature(); err != nil {
-			return errResp(err)
+			return err
 		}
 	}
-	id := storage.ChunkID{Block: r.Block, Index: r.Index}
-	if err := s.store.PutChunk(storage.NewChunk(id, r.Data)); err != nil {
-		return errResp(err)
-	}
-	s.meta[id] = chunkSidecar{parts: r.Parts, txStart: r.TxStart, proofs: r.Proofs}
-	return okResp()
+	return nil
 }
 
 func (s *Server) handleGetChunk(r *GetChunkReq) *Response {
