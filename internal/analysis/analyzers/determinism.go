@@ -34,7 +34,9 @@ captured from the enclosing scope records results in whatever order the
 scheduler finished them; the sanctioned pattern is an indexed write into
 a pre-sized slice (results[i] = ...), which makes result order the input
 order by construction. The analyzer flags captured-slice appends inside
-go statements in simulation-reachable packages.`,
+go statements, and inside function literals passed to par.Each (the
+tree's one fork-join loop, which runs them on worker goroutines), in
+simulation-reachable packages.`,
 	Run: runDeterminism,
 }
 
@@ -93,6 +95,13 @@ func runDeterminism(pass *analysis.Pass) error {
 					pass.Reportf(n.Pos(),
 						"time.%s in simulation-reachable package %s reads the wall clock; inject the virtual clock (simnet.Network.Now / Tracer.SetClock) or annotate icilint:allow determinism(reason)", fn.Name(), pass.Pkg.Name())
 				}
+				// A function literal handed to par.Each runs on its worker
+				// goroutines: the same hazard as a go statement's body.
+				if funcFromPkg(fn, "par", "Each") {
+					if fl, ok := n.Args[len(n.Args)-1].(*ast.FuncLit); ok {
+						checkCompletionOrderAppends(pass, fl)
+					}
+				}
 			case *ast.GoStmt:
 				if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
 					checkCompletionOrderAppends(pass, fl)
@@ -116,9 +125,10 @@ func runDeterminism(pass *analysis.Pass) error {
 }
 
 // checkCompletionOrderAppends walks the body of a function literal started
-// by a go statement and reports appends whose destination slice is captured
-// from the enclosing scope: such a slice collects results in goroutine
-// completion order, which the scheduler decides, not the seed. The
+// by a go statement (or run by par.Each's workers) and reports appends
+// whose destination slice is captured from the enclosing scope: such a
+// slice collects results in goroutine completion order, which the
+// scheduler decides, not the seed. The
 // sanctioned alternative is an indexed write into a pre-sized slice
 // (results[i] = ...), which pins result order to input order no matter
 // which worker finishes first. Nested function literals are skipped here —

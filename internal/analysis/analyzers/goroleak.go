@@ -47,7 +47,7 @@ var goroleakPkgs = map[string]bool{
 	"netx":     true,
 	"gateway":  true,
 	"contest":  true,
-	"runner":   true,
+	"par":      true,
 	"watchsrv": true,
 }
 

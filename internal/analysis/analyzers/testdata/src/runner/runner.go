@@ -6,7 +6,11 @@
 // order is the input order by construction.
 package runner
 
-import "sync"
+import (
+	"sync"
+
+	"par"
+)
 
 type result struct {
 	key string
@@ -73,5 +77,31 @@ func sequentialAppend(keys []string) []result {
 	for _, k := range keys {
 		results = append(results, result{key: k})
 	}
+	return results
+}
+
+// eachByCompletion is the same hazard through the fork-join helper: the
+// closure runs on par.Each's workers, so the shared append is ordered by
+// the scheduler even though no go statement is in sight.
+func eachByCompletion(keys []string) []result {
+	var (
+		mu      sync.Mutex
+		results []result
+	)
+	par.Each(len(keys), 0, func(i int) {
+		mu.Lock()
+		results = append(results, result{key: keys[i]}) // want `completion`
+		mu.Unlock()
+	})
+	return results
+}
+
+// eachIndexed is how the runner and the verification loops use the helper:
+// one indexed write per call, silent.
+func eachIndexed(keys []string) []result {
+	results := make([]result, len(keys))
+	par.Each(len(keys), 0, func(i int) {
+		results[i] = result{key: keys[i]}
+	})
 	return results
 }

@@ -5,6 +5,7 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/metrics"
+	"icistrategy/internal/par"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/trace"
 )
@@ -209,13 +210,17 @@ func (t *ChunkTable) ApprovalCertificate(pool []Vote) ([]Vote, bool) {
 	for i := range need {
 		need[i] = t.coverQuorum
 	}
-	seen := make(map[string]bool, len(pool))
+	type voterChunk struct {
+		voter simnet.NodeID
+		idx   int
+	}
+	seen := make(map[voterChunk]bool, len(pool))
 	var cert []Vote
 	for _, v := range pool {
 		if !v.Approve || v.Block != t.block || v.ChunkIdx < 0 || v.ChunkIdx >= t.parts {
 			continue
 		}
-		key := fmt.Sprintf("%d/%d", v.Voter, v.ChunkIdx)
+		key := voterChunk{v.Voter, v.ChunkIdx}
 		if seen[key] || need[v.ChunkIdx] == 0 {
 			continue
 		}
@@ -234,20 +239,30 @@ func (t *ChunkTable) ApprovalCertificate(pool []Vote) ([]Vote, bool) {
 // VerifyCertificate checks a commit certificate: every vote approves this
 // block, signatures verify under the registry, voters are members, and
 // every chunk reaches the approval quorum.
+//
+// The signature checks fork-join over GOMAXPROCS. isMember and pubKey are
+// called only on the caller's goroutine, before the fork, and the valid
+// votes enter the table in certificate order after the join.
 func VerifyCertificate(block blockcrypto.Hash, parts, n, r int, cert []Vote, isMember func(simnet.NodeID) bool, pubKey func(simnet.NodeID) []byte) error {
 	t, err := NewChunkTable(block, parts, n, r)
 	if err != nil {
 		return err
 	}
-	for _, v := range cert {
-		if !v.Approve || v.Block != block {
-			continue
+	// pubs[i] is the key vote i must verify under; nil marks a vote that
+	// does not count (filtered here, or failing its signature below).
+	pubs := make([][]byte, len(cert))
+	for i, v := range cert {
+		if v.Approve && v.Block == block && isMember(v.Voter) {
+			pubs[i] = pubKey(v.Voter)
 		}
-		if !isMember(v.Voter) {
-			continue
+	}
+	par.Each(len(cert), 0, func(i int) {
+		if pubs[i] != nil && VerifyVote(cert[i], pubs[i]) != nil {
+			pubs[i] = nil
 		}
-		pub := pubKey(v.Voter)
-		if pub == nil || VerifyVote(v, pub) != nil {
+	})
+	for i, v := range cert {
+		if pubs[i] == nil {
 			continue
 		}
 		if _, err := t.Add(v); err != nil {

@@ -177,9 +177,9 @@ func TestApprovalCertificate(t *testing.T) {
 	pool := []Vote{
 		{Voter: 1, Block: block, ChunkIdx: 0, Approve: true},
 		{Voter: 2, Block: block, ChunkIdx: 0, Approve: true},
-		{Voter: 2, Block: block, ChunkIdx: 0, Approve: true}, // duplicate
-		{Voter: 3, Block: block, ChunkIdx: 0, Approve: true}, // surplus
-		{Voter: 4, Block: block, ChunkIdx: 1, Approve: true},
+		{Voter: 2, Block: block, ChunkIdx: 0, Approve: true},  // duplicate
+		{Voter: 3, Block: block, ChunkIdx: 0, Approve: true},  // surplus
+		{Voter: 1, Block: block, ChunkIdx: 1, Approve: true},  // voter 1 again, other chunk: counts
 		{Voter: 5, Block: block, ChunkIdx: 1, Approve: false}, // reject: skipped
 		{Voter: 6, Block: block, ChunkIdx: 1, Approve: true},
 	}
@@ -189,6 +189,9 @@ func TestApprovalCertificate(t *testing.T) {
 	}
 	if len(cert) != 4 { // 2 per chunk, trimmed
 		t.Fatalf("certificate has %d votes, want 4", len(cert))
+	}
+	if cert[2].Voter != 1 || cert[2].ChunkIdx != 1 {
+		t.Fatalf("certificate %v: voter 1's approval of chunk 1 was dropped as a duplicate of its chunk 0 vote", cert)
 	}
 	// Remove chunk 1's approvals: uncoverable.
 	if _, ok := tbl.ApprovalCertificate(pool[:4]); ok {

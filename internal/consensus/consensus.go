@@ -6,6 +6,7 @@
 package consensus
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -62,23 +63,20 @@ type Vote struct {
 	Signature []byte
 }
 
-// voteSigningBytes is the canonical byte string a vote signature covers.
-func voteSigningBytes(voter simnet.NodeID, block blockcrypto.Hash, chunkIdx int, approve bool) []byte {
-	buf := make([]byte, 0, 16+blockcrypto.HashSize+1)
-	buf = append(buf,
-		byte(voter>>56), byte(voter>>48), byte(voter>>40), byte(voter>>32),
-		byte(voter>>24), byte(voter>>16), byte(voter>>8), byte(voter))
+// voteSigningSize is the length of the byte string a vote signature covers.
+const voteSigningSize = 16 + blockcrypto.HashSize + 1
+
+// appendVoteSigningBytes appends the canonical byte string a vote signature
+// covers. Callers pass a stack buffer of voteSigningSize, so signing and
+// verifying a vote allocate nothing here.
+func appendVoteSigningBytes(buf []byte, voter simnet.NodeID, block blockcrypto.Hash, chunkIdx int, approve bool) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(voter))
 	buf = append(buf, block[:]...)
-	ci := uint64(int64(chunkIdx))
-	buf = append(buf,
-		byte(ci>>56), byte(ci>>48), byte(ci>>40), byte(ci>>32),
-		byte(ci>>24), byte(ci>>16), byte(ci>>8), byte(ci))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(chunkIdx)))
 	if approve {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		return append(buf, 1)
 	}
-	return buf
+	return append(buf, 0)
 }
 
 // SignVote produces a signed block-level vote (ChunkIdx -1).
@@ -88,22 +86,24 @@ func SignVote(voter simnet.NodeID, block blockcrypto.Hash, approve bool, key blo
 
 // SignChunkVote produces a signed vote about one chunk.
 func SignChunkVote(voter simnet.NodeID, block blockcrypto.Hash, chunkIdx int, approve bool, key blockcrypto.KeyPair) Vote {
+	var scratch [voteSigningSize]byte
 	return Vote{
 		Voter:     voter,
 		Block:     block,
 		ChunkIdx:  chunkIdx,
 		Approve:   approve,
-		Signature: key.Sign(voteSigningBytes(voter, block, chunkIdx, approve)),
+		Signature: key.Sign(appendVoteSigningBytes(scratch[:0], voter, block, chunkIdx, approve)),
 	}
 }
 
 // VerifyVote checks the vote's signature against the voter's public key.
 func VerifyVote(v Vote, pub []byte) error {
-	return blockcrypto.Verify(pub, voteSigningBytes(v.Voter, v.Block, v.ChunkIdx, v.Approve), v.Signature)
+	var scratch [voteSigningSize]byte
+	return blockcrypto.Verify(pub, appendVoteSigningBytes(scratch[:0], v.Voter, v.Block, v.ChunkIdx, v.Approve), v.Signature)
 }
 
 // EncodedVoteSize is the wire size of a vote used for traffic accounting.
-const EncodedVoteSize = 16 + blockcrypto.HashSize + 1 + blockcrypto.SignatureSize
+const EncodedVoteSize = voteSigningSize + blockcrypto.SignatureSize
 
 // Decision is the state of a vote aggregation.
 type Decision int

@@ -22,6 +22,12 @@ const (
 	chainGasLimit       = 10_000
 )
 
+// assertLogSettle bounds how long assert-log waits for a line that was
+// written before the action started to travel the child's stderr pipe. It is
+// a delivery allowance, not a wait for the event to happen (that is
+// wait-log), and the scenario deadline caps it.
+const assertLogSettle = 2 * time.Second
+
 // exec runs one scripted action after template expansion.
 func (x *run) exec(raw *Action) error {
 	a, err := x.expandAction(raw)
@@ -90,7 +96,11 @@ func (x *run) exec(raw *Action) error {
 		if err != nil {
 			return err
 		}
-		if _, ok := n.stderr.Match(re); !ok {
+		// The child's stderr pipe is read asynchronously: a line the server
+		// wrote before it acknowledged the previous action may not have
+		// reached the watcher yet, so an instantaneous look races pipe
+		// delivery. Give it a short bounded settle instead.
+		if _, err := n.stderr.WaitMatch(re, x.within(assertLogSettle)); err != nil {
 			return fmt.Errorf("node %s: no log line matches %q", n.def.Name, re)
 		}
 		return nil

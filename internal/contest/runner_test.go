@@ -142,6 +142,47 @@ stage s
 	}
 }
 
+// The server logs before it acknowledges, but its stderr pipe is read
+// asynchronously: a line already written can reach the watcher after the
+// next action starts. assert-log must allow for that delivery (the
+// churn.cont:28 flake) — and still fail, within its bound, for a line that
+// never comes.
+func TestAssertLogSettlesForLateDelivery(t *testing.T) {
+	late := filepath.Join(t.TempDir(), "late-icinet")
+	script := strings.Replace(fakeIcinet,
+		`echo "event=serve.ready`, `sleep 0.3; echo "event=serve.ready`, 1)
+	if script == fakeIcinet {
+		t.Fatal("fake binary template changed: no stderr line to delay")
+	}
+	if err := os.WriteFile(late, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := runWith(t, late, `
+scenario settle
+node n0
+stage s
+    start n0
+    assert-log n0 event=serve.ready
+    stop n0
+`); err != nil {
+		t.Fatalf("assert-log raced a line 300ms behind the readiness ack: %v\n%s", err, out)
+	}
+	start := time.Now()
+	_, err := runWith(t, late, `
+scenario settle-neg
+node n0
+stage s
+    start n0
+    assert-log n0 event=never.logged
+`)
+	if err == nil || !strings.Contains(err.Error(), "no log line matches") {
+		t.Fatalf("absent line accepted: %v", err)
+	}
+	if waited := time.Since(start); waited > assertLogSettle+5*time.Second {
+		t.Fatalf("assert-log on an absent line took %v, want about %v", waited, assertLogSettle)
+	}
+}
+
 func TestRunnerRejectsDoubleStartAndStopOfStopped(t *testing.T) {
 	bin := writeFakeIcinet(t)
 	if _, err := runWith(t, bin, `

@@ -30,7 +30,8 @@
 //	stop NODE...             [timeout=10s]   SIGTERM, require clean exit 0
 //	kill NODE...                             SIGKILL, no cleanup
 //	wait-log NODE REGEX      [timeout=10s]   block until stderr line matches
-//	assert-log NODE REGEX                    match must already be present
+//	assert-log NODE REGEX                    line must already have been logged
+//	                                         (allows ≤2s for pipe delivery)
 //	sleep DURATION
 //	distribute               via=n0,n1 [blocks=2] [tx=20] [seed=42]
 //	bootstrap-member         node=NX via=n0,n1 [min=1]

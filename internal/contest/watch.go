@@ -88,18 +88,6 @@ func watchLines(r io.Reader, echo io.Writer, prefix string) *logWatcher {
 	return w
 }
 
-// Match reports the first collected line matching re, if any.
-func (w *logWatcher) Match(re *regexp.Regexp) (string, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, l := range w.lines {
-		if re.MatchString(l) {
-			return l, true
-		}
-	}
-	return "", false
-}
-
 // Tail returns up to n of the most recent lines (for failure dumps).
 func (w *logWatcher) Tail(n int) []string {
 	w.mu.Lock()

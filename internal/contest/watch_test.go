@@ -12,11 +12,8 @@ import (
 func TestWatcherMatchAndTail(t *testing.T) {
 	w := watchLines(strings.NewReader("alpha\nbeta\ngamma\n"), nil, "")
 	re := regexp.MustCompile(`^beta$`)
-	if _, err := w.WaitMatch(re, time.Now().Add(time.Second)); err != nil {
-		t.Fatalf("WaitMatch: %v", err)
-	}
-	if line, ok := w.Match(re); !ok || line != "beta" {
-		t.Fatalf("Match: %q, %v", line, ok)
+	if line, err := w.WaitMatch(re, time.Now().Add(time.Second)); err != nil || line != "beta" {
+		t.Fatalf("WaitMatch: %q, %v", line, err)
 	}
 	if tail := w.Tail(2); len(tail) != 2 || tail[1] != "gamma" {
 		t.Fatalf("Tail: %v", tail)

@@ -30,6 +30,9 @@ type NodeMetrics struct {
 	DuplicateChunks metrics.Counter
 	// DuplicateVotes counts votes the leader dropped as already recorded.
 	DuplicateVotes metrics.Counter
+	// DuplicateCommits counts commit announcements for blocks already
+	// finalized here, dropped before their certificate is verified.
+	DuplicateCommits metrics.Counter
 	// DuplicateResponses counts fetch/query responses from members that
 	// already answered the current round.
 	DuplicateResponses metrics.Counter
@@ -60,6 +63,7 @@ type MetricsSnapshot struct {
 	BootstrapRetries   int64
 	DuplicateChunks    int64
 	DuplicateVotes     int64
+	DuplicateCommits   int64
 	DuplicateResponses int64
 	ChunkResends       int64
 	CommitProbes       int64
@@ -77,6 +81,7 @@ func (m *NodeMetrics) Snapshot() MetricsSnapshot {
 		BootstrapRetries:   m.BootstrapRetries.Value(),
 		DuplicateChunks:    m.DuplicateChunks.Value(),
 		DuplicateVotes:     m.DuplicateVotes.Value(),
+		DuplicateCommits:   m.DuplicateCommits.Value(),
 		DuplicateResponses: m.DuplicateResponses.Value(),
 		ChunkResends:       m.ChunkResends.Value(),
 		CommitProbes:       m.CommitProbes.Value(),
@@ -94,6 +99,7 @@ func (s *MetricsSnapshot) add(other MetricsSnapshot) {
 	s.BootstrapRetries += other.BootstrapRetries
 	s.DuplicateChunks += other.DuplicateChunks
 	s.DuplicateVotes += other.DuplicateVotes
+	s.DuplicateCommits += other.DuplicateCommits
 	s.DuplicateResponses += other.DuplicateResponses
 	s.ChunkResends += other.ChunkResends
 	s.CommitProbes += other.CommitProbes

@@ -8,6 +8,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/consensus"
+	"icistrategy/internal/par"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -457,21 +458,33 @@ func (n *Node) reassignChunk(net *simnet.Network, st *leaderState, idx int) {
 
 // verifyChunk checks everything a member can check about its share: proof
 // indices, Merkle membership under the header root, and every transaction
-// signature.
+// signature. The per-transaction checks fork-join over GOMAXPROCS; they
+// read only the message, and the error returned is the lowest failing
+// index's, as a sequential loop reports (DESIGN.md "Verification concurrency").
 func verifyChunk(c chunkPayload) error {
 	if len(c.Txs) != len(c.Proofs) {
 		return fmt.Errorf("core: %d txs with %d proofs", len(c.Txs), len(c.Proofs))
 	}
-	for i, tx := range c.Txs {
-		if c.Proofs[i].LeafIndex != c.TxStart+i {
-			return fmt.Errorf("core: proof %d has leaf index %d, want %d", i, c.Proofs[i].LeafIndex, c.TxStart+i)
+	errs := make([]error, len(c.Txs))
+	par.Each(len(c.Txs), 0, func(i int) { errs[i] = verifyChunkTx(c, i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		if err := chain.VerifyProof(c.Header.MerkleRoot, tx.ID(), c.Proofs[i]); err != nil {
-			return fmt.Errorf("core: tx %d proof: %w", c.TxStart+i, err)
-		}
-		if err := tx.VerifySignature(); err != nil {
-			return fmt.Errorf("core: tx %d: %w", c.TxStart+i, err)
-		}
+	}
+	return nil
+}
+
+// verifyChunkTx checks transaction i of a chunk.
+func verifyChunkTx(c chunkPayload, i int) error {
+	if c.Proofs[i].LeafIndex != c.TxStart+i {
+		return fmt.Errorf("core: proof %d has leaf index %d, want %d", i, c.Proofs[i].LeafIndex, c.TxStart+i)
+	}
+	if err := chain.VerifyProof(c.Header.MerkleRoot, c.Txs[i].ID(), c.Proofs[i]); err != nil {
+		return fmt.Errorf("core: tx %d proof: %w", c.TxStart+i, err)
+	}
+	if err := c.Txs[i].VerifySignature(); err != nil {
+		return fmt.Errorf("core: tx %d: %w", c.TxStart+i, err)
 	}
 	return nil
 }
@@ -680,9 +693,11 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 				Size: msg.wireSize(), Payload: msg, Span: st.span.Context(),
 			})
 		}
+		// Every vote of the certificate passed VerifyVote above on its way
+		// into st.pool: the leader applies its commit without a second check.
 		prev := n.rxSpan
 		n.rxSpan = st.span.Context()
-		n.onCommit(msg)
+		n.applyCommit(v.Block, msg)
 		n.rxSpan = prev
 		st.span.End()
 	}
@@ -711,16 +726,25 @@ func memberOf(members []simnet.NodeID, id simnet.NodeID) bool {
 	return false
 }
 
-// onCommit finalizes a block: store the header and persist any pending
-// chunks this node owns.
+// onCommit handles a commit announcement: a block already finalized here
+// (duplicate delivery, a re-served or replayed commit) is dropped before any
+// signature is looked at; otherwise the certificate is verified and applied.
 func (n *Node) onCommit(m commitMsg) {
+	hash := m.Header.Hash()
+	if n.store.HasHeader(hash) {
+		n.metrics.DuplicateCommits.Inc()
+		return
+	}
 	if err := n.verifyCommit(m); err != nil {
 		return
 	}
-	hash := m.Header.Hash()
-	if n.store.HasHeader(hash) {
-		return
-	}
+	n.applyCommit(hash, m)
+}
+
+// applyCommit finalizes a block whose certificate the caller has verified
+// and whose header is not stored yet: store the header and persist any
+// pending chunks this node owns.
+func (n *Node) applyCommit(hash blockcrypto.Hash, m commitMsg) {
 	n.store.PutHeader(m.Header)
 	// Retain the certificate so lost commit announcements can be re-served
 	// to probing members (bounded by sweepStale).

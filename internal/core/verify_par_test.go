@@ -1,0 +1,311 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/chain"
+	"icistrategy/internal/metrics"
+	"icistrategy/internal/simnet"
+	"icistrategy/internal/storage"
+	"icistrategy/internal/trace"
+	"icistrategy/internal/workload"
+)
+
+// verifyChunkSeq is the sequential loop verifyChunk was before its
+// per-transaction checks went fork-join, kept as the reference the
+// differential test compares against.
+func verifyChunkSeq(c chunkPayload) error {
+	if len(c.Txs) != len(c.Proofs) {
+		return fmt.Errorf("core: %d txs with %d proofs", len(c.Txs), len(c.Proofs))
+	}
+	for i, tx := range c.Txs {
+		if c.Proofs[i].LeafIndex != c.TxStart+i {
+			return fmt.Errorf("core: proof %d has leaf index %d, want %d", i, c.Proofs[i].LeafIndex, c.TxStart+i)
+		}
+		if err := chain.VerifyProof(c.Header.MerkleRoot, tx.ID(), c.Proofs[i]); err != nil {
+			return fmt.Errorf("core: tx %d proof: %w", c.TxStart+i, err)
+		}
+		if err := tx.VerifySignature(); err != nil {
+			return fmt.Errorf("core: tx %d: %w", c.TxStart+i, err)
+		}
+	}
+	return nil
+}
+
+// fixtureTxs signs the 256 transactions every chunk fixture is cut from.
+func fixtureTxs(t testing.TB) []*chain.Transaction {
+	t.Helper()
+	gen, err := workload.NewGenerator(workload.Config{Accounts: 50, PayloadBytes: 40, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen.NextTxs(256)
+}
+
+// chunkFixture builds the chunk a 16-member cluster's member receives from a
+// block of the given transactions: 16 of them with their proofs, starting at
+// transaction 32. The block is built over a forged signature at each chunk
+// position in badSigAt, so those transactions carry a valid proof and fail
+// only the signature check — what a leader distributing a bad block sends.
+func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) chunkPayload {
+	t.Helper()
+	const start, count = 32, 16
+	txs = append([]*chain.Transaction(nil), txs...)
+	for _, i := range badSigAt {
+		forged := *txs[start+i]
+		forged.Signature = append([]byte(nil), forged.Signature...)
+		forged.Signature[0] ^= 1
+		txs[start+i] = &forged
+	}
+	b, err := chain.NewBlock(0, blockcrypto.ZeroHash, txs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := chain.TxMerkleTree(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proofs := make([]chain.Proof, count)
+	for i := range proofs {
+		if proofs[i], err = tree.Prove(start + i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return chunkPayload{Header: b.Header, PartIdx: 2, Parts: 16, TxStart: start, Txs: txs[start : start+count], Proofs: proofs}
+}
+
+// The ways a chunk can be damaged in flight at one position, each applied to
+// a copy (the fixture's slices are shared between cases).
+var chunkDamage = map[string]func(c *chunkPayload, i int){
+	"tampered transaction": func(c *chunkPayload, i int) {
+		tx := *c.Txs[i]
+		tx.Amount++
+		c.Txs = append([]*chain.Transaction(nil), c.Txs...)
+		c.Txs[i] = &tx
+	},
+	"wrong leaf index": func(c *chunkPayload, i int) {
+		c.Proofs = append([]chain.Proof(nil), c.Proofs...)
+		c.Proofs[i].LeafIndex++
+	},
+	"bad proof": func(c *chunkPayload, i int) {
+		c.Proofs = append([]chain.Proof(nil), c.Proofs...)
+		p := c.Proofs[i]
+		p.Steps = append([]chain.ProofStep(nil), p.Steps...)
+		p.Steps[0].Sibling[0] ^= 1
+		c.Proofs[i] = p
+	},
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestVerifyChunkMatchesSequential damages a chunk at each position in each
+// way, and in pairs (two failures at once must report the lower index, as
+// the sequential loop does), and requires the fork-join verifyChunk to
+// return the reference's error text at one core and at four.
+func TestVerifyChunkMatchesSequential(t *testing.T) {
+	txs := fixtureTxs(t)
+	good := chunkFixture(t, txs)
+	kinds := make([]string, 0, len(chunkDamage))
+	for k := range chunkDamage {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+
+	type testCase struct {
+		name string
+		c    chunkPayload
+	}
+	cases := []testCase{{"intact", good}}
+	short := good
+	short.Proofs = good.Proofs[:len(good.Proofs)-1]
+	cases = append(cases, testCase{"proof count mismatch", short})
+	shifted := good
+	shifted.TxStart += 16
+	cases = append(cases, testCase{"shifted position", shifted})
+	empty := good
+	empty.Txs, empty.Proofs = nil, nil
+	cases = append(cases, testCase{"empty chunk", empty})
+	for _, k := range kinds {
+		for i := range good.Txs {
+			c := good
+			chunkDamage[k](&c, i)
+			cases = append(cases, testCase{fmt.Sprintf("%s at %d", k, i), c})
+		}
+	}
+	// A transaction that fails only its signature, at each position, and
+	// beside in-flight damage below and above it.
+	for i := range good.Txs {
+		cases = append(cases, testCase{fmt.Sprintf("bad signature at %d", i), chunkFixture(t, txs, i)})
+	}
+	for _, k := range kinds {
+		below, above := chunkFixture(t, txs, 6, 11), chunkFixture(t, txs, 6, 11)
+		chunkDamage[k](&below, 2)
+		chunkDamage[k](&above, 9)
+		cases = append(cases,
+			testCase{"bad signatures at 6 and 11, " + k + " at 2", below},
+			testCase{"bad signatures at 6 and 11, " + k + " at 9", above})
+	}
+	// Two failures of different kinds: every ordered pair of kinds, at a low
+	// and a high position.
+	for _, lowKind := range kinds {
+		for _, highKind := range kinds {
+			for _, pos := range [][2]int{{0, 15}, {3, 4}, {7, 12}} {
+				c := good
+				chunkDamage[highKind](&c, pos[1])
+				chunkDamage[lowKind](&c, pos[0])
+				cases = append(cases, testCase{fmt.Sprintf("%s at %d and %s at %d", lowKind, pos[0], highKind, pos[1]), c})
+			}
+		}
+	}
+
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			want, got := errText(verifyChunkSeq(tc.c)), errText(verifyChunk(tc.c))
+			if got != want {
+				t.Errorf("GOMAXPROCS=%d %s: fork-join says %q, sequential says %q", procs, tc.name, got, want)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+
+	// The reference itself must tell the cases apart, or the comparison
+	// above proves nothing.
+	if err := verifyChunk(good); err != nil {
+		t.Fatalf("intact chunk rejected: %v", err)
+	}
+	two := good
+	chunkDamage["bad proof"](&two, 12)
+	chunkDamage["tampered transaction"](&two, 7)
+	if got := errText(verifyChunk(two)); !strings.Contains(got, fmt.Sprintf("tx %d proof", good.TxStart+7)) {
+		t.Fatalf("two failures reported %q, want the proof failure at index 7 (tx %d)", got, good.TxStart+7)
+	}
+	if err := verifyChunk(chunkFixture(t, txs, 6, 11)); !errors.Is(err, chain.ErrTxBadSignature) || !strings.Contains(err.Error(), fmt.Sprintf("tx %d:", good.TxStart+6)) {
+		t.Fatalf("two forged signatures reported %v, want ErrTxBadSignature at index 6 (tx %d)", err, good.TxStart+6)
+	}
+}
+
+// dumpNodes renders every node's fault-recovery counters and store
+// contents — headers by height, every chunk's bytes by content address — in
+// node-id order.
+func dumpNodes(t *testing.T, sys *System) string {
+	t.Helper()
+	ids := make([]simnet.NodeID, 0, len(sys.nodes))
+	for id := range sys.nodes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var sb strings.Builder
+	for _, id := range ids {
+		n := sys.nodes[id]
+		fmt.Fprintf(&sb, "node %d committed=%d proofBytes=%d metrics=%+v stats=%+v\n",
+			id, n.committed, n.proofBytes, n.metrics.Snapshot(), n.store.Stats())
+		for _, h := range n.store.Headers() {
+			hash := h.Hash()
+			fmt.Fprintf(&sb, "  header %d %x\n", h.Height, hash[:8])
+			for _, idx := range n.store.ChunksForBlock(hash) {
+				chk, err := n.store.Chunk(storage.ChunkID{Block: hash, Index: idx})
+				if err != nil {
+					t.Fatalf("node %d chunk %d of block %d: %v", id, idx, h.Height, err)
+				}
+				sum := blockcrypto.Sum256(chk.Data)
+				fmt.Fprintf(&sb, "    chunk %d %d bytes %x\n", idx, len(chk.Data), sum[:])
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestSeededRunIdenticalAcrossGOMAXPROCS runs one seeded System through
+// produce, retrieve, join, repair, archive and coded retrieval at one core
+// and at four: the span forest, the registry, every node's counters and
+// every node's store must be byte-identical, because the forked checks
+// touch nothing but the message they verify.
+func TestSeededRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	run := func(procs int) (tree, reg, nodes string) {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		ring := trace.NewRing(1 << 16)
+		registry := metrics.NewRegistry()
+		sys := exerciseAllProtocols(t, trace.New(ring), registry, 97)
+		return trace.Tree(ring.Events()), registry.JSON(), dumpNodes(t, sys)
+	}
+	tree1, reg1, nodes1 := run(1)
+	tree4, reg4, nodes4 := run(4)
+	if tree1 != tree4 {
+		t.Errorf("span forests differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", head(tree1, 40), head(tree4, 40))
+	}
+	if reg1 != reg4 {
+		t.Errorf("registry dumps differ:\n%s\n---\n%s", reg1, reg4)
+	}
+	if nodes1 != nodes4 {
+		t.Errorf("node metrics or stores differ:\n--- 1 ---\n%s\n--- 4 ---\n%s", head(nodes1, 60), head(nodes4, 60))
+	}
+	if !strings.Contains(nodes1, "chunk ") || !strings.Contains(tree1, "verify") {
+		t.Fatal("the run stored no chunk or traced no verification: nothing was compared")
+	}
+}
+
+// TestDuplicateCommitDroppedBeforeVerification delivers every message
+// twice: the second copy of a commit announcement finds the header stored,
+// is counted, and changes nothing — each node finalizes each block once and
+// the leader, which applies its own commit directly, counts none.
+func TestDuplicateCommitDroppedBeforeVerification(t *testing.T) {
+	cfg := Config{Nodes: 16, Clusters: 2, Replication: 2, Seed: 23}
+	sys, gen := buildSystem(t, cfg)
+	sys.Network().EnableFaults(23, simnet.FaultConfig{DupRate: 1})
+	const blocks = 3
+	produced := produceAndSettle(t, sys, gen, blocks, 16)
+	for _, b := range produced {
+		if !sys.AllCommitted(b.Hash()) {
+			t.Fatalf("block %d not committed everywhere under duplicate delivery", b.Header.Height)
+		}
+	}
+	for id, n := range sys.nodes {
+		if n.committed != blocks {
+			t.Errorf("node %d finalized %d blocks, want %d", id, n.committed, blocks)
+		}
+		led := 0
+		for _, b := range produced {
+			if l, _ := n.cluster.leaderAt(b.Header.Height); l == id {
+				led++
+			}
+		}
+		// One duplicate per commit announcement received over the wire; a
+		// leader receives none for the blocks it led.
+		if got, want := n.metrics.DuplicateCommits.Value(), int64(blocks-led); got != want {
+			t.Errorf("node %d (led %d blocks) counted %d duplicate commits, want %d", id, led, got, want)
+		}
+	}
+
+	// Without faults the counter stays at zero like every other one.
+	clean, gen2 := buildSystem(t, cfg)
+	produceAndSettle(t, clean, gen2, blocks, 16)
+	if ms := clean.MetricsSnapshot(); ms != (MetricsSnapshot{}) {
+		t.Fatalf("failure-free run recorded recovery work: %+v", ms)
+	}
+}
+
+// BenchmarkVerifyChunk verifies one member's share of a 256-transaction
+// block in a 16-member cluster (16 transactions); run with -cpu 1,2.
+func BenchmarkVerifyChunk(b *testing.B) {
+	c := chunkFixture(b, fixtureTxs(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := verifyChunk(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

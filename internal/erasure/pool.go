@@ -11,8 +11,8 @@ package erasure
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"icistrategy/internal/par"
 )
 
 const (
@@ -25,50 +25,24 @@ const (
 	parallelChunkBytes = 64 << 10
 )
 
-// maxWorkers bounds the pool. Workers are spawned per call and exit when
-// the task list drains; the bound keeps a process full of concurrent codecs
-// from oversubscribing the scheduler.
-var maxWorkers = runtime.GOMAXPROCS(0)
-
 // rowTask names one unit of pool work: output row r, columns [lo, hi).
 type rowTask struct {
 	row    int
 	lo, hi int
 }
 
-// runRowTasks executes fn for every task, fanning out across the bounded
-// pool when it is worth it. fn must write only to the task's row/range.
+// runRowTasks executes fn for every task, on at most GOMAXPROCS goroutines
+// that exit when the task list drains. fn must write only to the task's
+// row/range.
 func runRowTasks(tasks []rowTask, fn func(rowTask)) {
-	workers := min(len(tasks), maxWorkers)
-	if workers <= 1 {
-		for _, t := range tasks {
-			fn(t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				fn(tasks[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(tasks), 0, func(i int) { fn(tasks[i]) })
 }
 
 // rowTasks builds the task list for rows output rows of size bytes each:
 // one task per row when sequential or small, column-split tasks when the
 // shards are large enough to parallelize.
 func rowTasks(rows, size int) []rowTask {
-	if size < parallelMinShardBytes || maxWorkers <= 1 {
+	if size < parallelMinShardBytes || runtime.GOMAXPROCS(0) <= 1 {
 		tasks := make([]rowTask, rows)
 		for r := range tasks {
 			tasks[r] = rowTask{row: r, lo: 0, hi: size}

@@ -13,20 +13,17 @@
 //   - per-cell seeds derive from the root seed by stable cell key
 //     (CellSeed), so a cell's randomness does not depend on which worker
 //     picks it up or when;
-//   - workers draw cells from one atomic cursor — no channels, no select,
-//     nothing the runtime scheduler can reorder into the results.
+//   - workers draw cells from par.Each's one atomic cursor — no channels,
+//     no select, nothing the runtime scheduler can reorder into the results.
 //
 // Under these rules a -parallel N run renders byte-identically to the
 // sequential run of the same cells.
 package runner
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/metrics"
+	"icistrategy/internal/par"
 )
 
 // Cell is one independently runnable unit of harness work. Run must be
@@ -64,38 +61,12 @@ func CellSeed(root uint64, key string) uint64 {
 // sequentially.
 func Run(cells []Cell, workers int) []Result {
 	results := make([]Result, len(cells))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i, c := range cells {
-			tbl, err := c.Run()
-			results[i] = Result{Key: c.Key, Table: tbl, Err: err}
-		}
-		return results
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				c := cells[i]
-				tbl, err := c.Run()
-				// Indexed write, never an append: result order is the
-				// input order by construction.
-				results[i] = Result{Key: c.Key, Table: tbl, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(cells), workers, func(i int) {
+		c := cells[i]
+		tbl, err := c.Run()
+		// Indexed write, never an append: result order is the input order
+		// by construction.
+		results[i] = Result{Key: c.Key, Table: tbl, Err: err}
+	})
 	return results
 }
