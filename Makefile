@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-fix lint-selftest fmt vet bench bench-sim bench-gateway bench-churn bench-smoke bench-all bench-compare sim contest
+.PHONY: all build test race lint lint-fix lint-selftest fmt vet bench bench-sim bench-gateway bench-churn bench-smoke bench-all bench-compare sim contest contest-stress loc
 
 all: build test lint
 
@@ -107,3 +107,17 @@ contest:
 		scenarios/crash-restart.cont scenarios/membership.cont \
 		scenarios/byzantine.cont scenarios/gateway.cont \
 		scenarios/churn.cont
+
+# The contest suite twenty times on one and on two Ps with every CPU kept
+# busy by a shell loop — the loaded 1-2 CPU box tier-1 must stay green on
+# (ROADMAP item 5). CI's contest-stress job runs the same recipe.
+contest-stress:
+	@pids=; for i in $$(seq $$(nproc)); do ( while :; do :; done ) & pids="$$pids $$!"; done; \
+	$(GO) test -count=20 -cpu 1,2 -timeout 40m ./internal/contest; status=$$?; \
+	kill $$pids; exit $$status
+
+# Non-test, non-testdata Go lines of the main module (bench/ is a module of
+# its own): the number a "net lines down" claim is made in. Counts tracked
+# files, so `git add` first.
+loc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | grep -v '/testdata/' | xargs cat | wc -l

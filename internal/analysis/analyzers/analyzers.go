@@ -23,8 +23,8 @@
 //     Close/Wait returns (the PR-6 pipe-drain truncation)
 //   - deadline:   conn Read/Write dominated by a SetDeadline arm on all
 //     paths (the PR-7 roundTrip hang)
-//   - epochres:   placement for existing blocks resolved at the block's
-//     write epoch, not the live roster (the PR-8 stale-placement bug)
+//   - epochres:   rendezvous placement goes through the epoch type, so
+//     every decision names its epoch (the PR-8 stale-placement bug)
 //   - aliasflow:  cross-package aliasing chains via RetainsFact /
 //     ReturnsAliasFact (the PR-2 family recurring across package
 //     boundaries)

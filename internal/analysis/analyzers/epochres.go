@@ -2,183 +2,88 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/types"
-	"strings"
 
 	"icistrategy/internal/analysis"
 )
 
-// EpochRes encodes the PR-8 stale-placement bug family: after membership
-// became epoch-versioned, every placement decision about an existing
-// block must flow from the epoch the block was WRITTEN under
-// (epochAt/membersAt/placementAt), not from the raw live roster — a
-// rendezvous hash over today's members silently disagrees with where an
-// earlier epoch actually put the chunks, and retrieval asks the wrong
-// nodes.
+// EpochRes keeps placement behind the epoch type. Membership is
+// epoch-versioned (core.EpochMap): which members hold a chunk depends on
+// the epoch the block was written under and where its chunks migrated
+// since, and Epoch.Owners / Epoch.Ranked / EpochMap.Holders are the calls
+// that say which epoch a decision was made under. The free rendezvous
+// functions take a bare member slice and say nothing, which is how the
+// PR-8 bug was written: retrieval ranked owners over the live roster for a
+// block placed under an earlier one, and after churn every read missed.
 //
-// The check is deliberately scoped to "epoch-aware" functions — ones
-// that already touch the historical-epoch API — because those are
-// exactly the functions handling blocks that may predate the current
-// roster. Inside such a function, passing a raw roster to a placement
-// call (core.Owners, RankedMembers, IsOwner) is flagged when the members
-// argument is:
-//
-//   - a roster field selector like n.cluster.members or cl.ids — live
-//     state, not a resolved epoch — or
-//   - currentEpoch().members / a .members read off a *current* epoch
-//     value obtained via currentEpoch, which pins "now" onto a block
-//     that may be older.
-//
-// Plain identifiers (parameters, locals) and .members reads off values
-// produced by the height-resolving API stay silent, so the fixed shapes
-// (ep := c.epochAt(h); Owners(seed, ep.members, ...)) never trigger.
-// Intentional current-epoch placement in an epoch-aware function — e.g.
-// a write path that also archives — is annotated:
-// //icilint:allow epochres(reason).
+// So in the packages that place chunks (core, netx, gateway) the free
+// functions Owners, IsOwner and RankedMembers may be called only by each
+// other, by methods of the epoch types, and by the Accountant, which models
+// a static network and has no epochs. Everything else names its epoch:
+// m.At(h).Owners(…), m.Current().Owners(…), m.Holders(…).
 var EpochRes = &analysis.Analyzer{
 	Name: "epochres",
-	Doc: `flag placement computed from the raw live roster in functions handling epoch-versioned blocks
+	Doc: `flag rendezvous placement computed outside the epoch type
 
 Historical bug (PR 8): retrieval ranked owners over the cluster's live
 member list while the block's chunks had been placed under an earlier
 membership epoch; after churn the ranking diverged and reads missed every
-replica. Resolve the roster at the block's write height (epochAt /
-membersAt / placementAt) before calling Owners/RankedMembers/IsOwner.`,
+replica. Call Epoch.Owners / Epoch.Ranked / EpochMap.Holders on the epoch
+the decision is made under (At, PlacementAt, Current) instead of the free
+Owners/IsOwner/RankedMembers over a member slice.`,
 	Run: runEpochRes,
 }
 
-// epochMarkers are the historical-epoch API calls that make a function
-// "epoch-aware". currentEpoch is deliberately absent: a function that
-// only ever works on now-state (the write path) is allowed to place by
-// the live roster.
-var epochMarkers = map[string]bool{
-	"epochAt":          true,
-	"placementAt":      true,
-	"partsAt":          true,
-	"membersAt":        true,
-	"ClusterMembersAt": true,
-	"archivedInfo":     true,
-	"epochForMap":      true,
-	"epochHolders":     true,
+// epochresPkgs are the packages that place chunks (plus the fixture).
+var epochresPkgs = map[string]bool{"core": true, "netx": true, "gateway": true, "epochstore": true}
+
+// placementFree reports whether name is one of the free rendezvous
+// functions; placementRecv whether a receiver type may call them.
+func placementFree(name string) bool {
+	return name == "Owners" || name == "IsOwner" || name == "RankedMembers"
 }
 
-// rosterFields are field names that hold a live member roster.
-var rosterFields = map[string]bool{
-	"members": true,
-	"Members": true,
-	"ids":     true,
-	"IDs":     true,
+func placementRecv(name string) bool {
+	return name == "Epoch" || name == "EpochMap" || name == "Accountant"
 }
 
 func runEpochRes(pass *analysis.Pass) error {
+	if !epochresPkgs[lastPathElem(pass.Pkg.Path())] {
+		return nil
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || mayPlace(pass, fd) {
 				continue
 			}
-			if !callsEpochMarker(pass.TypesInfo, fd.Body) {
-				continue
-			}
-			checkEpochRes(pass, fd)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(pass.TypesInfo, call)
+				if fn == nil || fn.Pkg() == nil || recvNamed(fn) != nil || !placementFree(fn.Name()) || !epochresPkgs[lastPathElem(fn.Pkg().Path())] {
+					return true
+				}
+				pass.Reportf(call.Pos(),
+					"%s over a bare member slice; placement is epoch-versioned — call Epoch.Owners/Ranked or EpochMap.Holders on the epoch the decision is made under (At, PlacementAt, Current), or annotate icilint:allow epochres(reason)", fn.Name())
+				return true
+			})
 		}
 	}
 	return nil
 }
 
-// callsEpochMarker reports whether body contains a call to any of the
-// historical-epoch API functions.
-func callsEpochMarker(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		if fn := calleeFunc(info, call); fn != nil && epochMarkers[fn.Name()] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func checkEpochRes(pass *analysis.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if !isPlacementCall(fn) || len(call.Args) < 2 {
-			return true
-		}
-		if src := rawRosterSource(pass.TypesInfo, call.Args[1]); src != "" {
-			pass.Reportf(call.Args[1].Pos(),
-				"placement over raw roster %s in an epoch-aware function; chunks of an existing block live under its write epoch — resolve members at the block's height (epochAt/membersAt) or annotate icilint:allow epochres(reason)", src)
-		}
-		return true
-	})
-}
-
-// isPlacementCall matches the rendezvous placement entry points. The
-// members argument is Args[1] for all three.
-func isPlacementCall(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
+// mayPlace reports whether fd is one of the functions allowed to call the
+// free rendezvous functions: those functions themselves, and methods of the
+// epoch types and the Accountant.
+func mayPlace(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+	if fd.Recv == nil {
+		return placementFree(fd.Name.Name)
+	}
+	if len(fd.Recv.List) == 0 {
 		return false
 	}
-	switch fn.Name() {
-	case "Owners", "RankedMembers", "IsOwner":
-	default:
-		return false
-	}
-	return pkgPathMatches(fn.Pkg().Path(), "core") || pkgPathMatches(fn.Pkg().Path(), "epochstore")
-}
-
-// rawRosterSource classifies the members argument, returning a short
-// description of the raw-roster source it flows from, or "" when the
-// expression is epoch-resolved (or too indirect to judge).
-func rawRosterSource(info *types.Info, e ast.Expr) string {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return "" // params, locals, and call results stay silent
-	}
-	if !rosterFields[sel.Sel.Name] {
-		return ""
-	}
-	switch base := ast.Unparen(sel.X).(type) {
-	case *ast.CallExpr:
-		// currentEpoch().members pins the live epoch onto the block.
-		if fn := calleeFunc(info, base); fn != nil && fn.Name() == "currentEpoch" {
-			return renderSelector(sel)
-		}
-		return "" // epochAt(h).members and friends: resolved
-	default:
-		// A .members/.ids field read off live state (cluster, roster
-		// struct) unless the base value is itself an epoch type.
-		if t := info.TypeOf(sel.X); t != nil {
-			if n := namedOrNil(t); n != nil && strings.Contains(strings.ToLower(n.Obj().Name()), "epoch") {
-				return ""
-			}
-		}
-		return renderSelector(sel)
-	}
-}
-
-// renderSelector prints a compact dotted path for the message.
-func renderSelector(sel *ast.SelectorExpr) string {
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.Ident:
-		return x.Name + "." + sel.Sel.Name
-	case *ast.SelectorExpr:
-		return renderSelector(x) + "." + sel.Sel.Name
-	case *ast.CallExpr:
-		if inner, ok := x.Fun.(*ast.SelectorExpr); ok {
-			return inner.Sel.Name + "()." + sel.Sel.Name
-		}
-		if id, ok := x.Fun.(*ast.Ident); ok {
-			return id.Name + "()." + sel.Sel.Name
-		}
-	}
-	return sel.Sel.Name
+	named := namedOrNil(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type))
+	return named != nil && placementRecv(named.Obj().Name())
 }

@@ -7,10 +7,9 @@ import (
 	"icistrategy/internal/analysis/analyzers"
 )
 
-// The epochstore fixture reproduces the PR-8 stale-placement bug: an
-// epoch-aware retrieval path ranking owners over the live roster instead
-// of the block's write-epoch members, next to the resolved fixed shapes
-// and the write path that must stay silent.
+// The epochstore fixture reproduces the PR-8 stale-placement bug: a read
+// path ranking owners over a bare member slice, next to the shapes that go
+// through the epoch type (and the type's own methods) and stay silent.
 func TestEpochRes(t *testing.T) {
 	analysistest.Run(t, "testdata", analyzers.EpochRes, "epochstore")
 }

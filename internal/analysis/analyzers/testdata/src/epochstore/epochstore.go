@@ -1,12 +1,12 @@
 // Package epochstore is the epochres golden fixture: it reproduces the
-// PR-8 stale-placement bug — ranking owners over the live roster for a
-// block whose chunks were placed under an earlier membership epoch —
-// next to the epoch-resolved fixed shapes that must stay silent.
+// PR-8 stale-placement bug — ranking owners over a bare member slice for a
+// block whose chunks were placed under an earlier membership epoch — next
+// to the shapes that name their epoch and must stay silent.
 package epochstore
 
 type NodeID string
 
-// Owners mirrors core.Owners: members is the second argument.
+// Owners mirrors core.Owners: the free rendezvous function.
 func Owners(blockSeed uint64, members []NodeID, chunkIdx, r int) []NodeID {
 	return members
 }
@@ -16,95 +16,95 @@ func RankedMembers(blockSeed uint64, members []NodeID, chunkIdx int) []NodeID {
 	return members
 }
 
-// IsOwner mirrors core.IsOwner.
+// IsOwner mirrors core.IsOwner; the free functions may call each other.
 func IsOwner(blockSeed uint64, members []NodeID, chunkIdx, r int, node NodeID) bool {
-	return len(members) > 0 && members[0] == node
+	owners := Owners(blockSeed, members, chunkIdx, r)
+	return len(owners) > 0 && owners[0] == node
 }
 
-// membershipEpoch mirrors the core epoch record: the roster frozen at
-// the epoch's start height.
-type membershipEpoch struct {
-	fromHeight uint64
-	members    []NodeID
+// Epoch mirrors core.Epoch: the roster frozen at the epoch's start height.
+type Epoch struct {
+	FromHeight uint64
+	Members    []NodeID
 }
 
-// cluster mirrors the live cluster state: a mutable roster plus the
-// epoch history.
-type cluster struct {
-	members []NodeID
-	ids     []NodeID
-	epochs  []membershipEpoch
+// Owners is the epoch type's own placement read: allowed to call the free
+// function.
+func (e *Epoch) Owners(seed uint64, idx, r int) []NodeID {
+	return Owners(seed, e.Members, idx, r)
 }
 
-func (c *cluster) epochAt(height uint64) *membershipEpoch {
-	for i := len(c.epochs) - 1; i >= 0; i-- {
-		if c.epochs[i].fromHeight <= height {
-			return &c.epochs[i]
+// EpochMap mirrors core.EpochMap.
+type EpochMap []Epoch
+
+func (m EpochMap) At(height uint64) *Epoch {
+	for i := len(m) - 1; i > 0; i-- {
+		if m[i].FromHeight <= height {
+			return &m[i]
 		}
 	}
-	return &c.epochs[0]
+	return &m[0]
 }
 
-func (c *cluster) membersAt(height uint64) []NodeID {
-	return c.epochAt(height).members
+func (m EpochMap) Current() *Epoch { return &m[len(m)-1] }
+
+// Holders is a map method: allowed.
+func (m EpochMap) Holders(seed uint64, idx, r int, height uint64) []NodeID {
+	return append(Owners(seed, m.At(height).Members, idx, r), RankedMembers(seed, m.Current().Members, idx)...)
 }
 
-func (c *cluster) currentEpoch() *membershipEpoch {
-	return &c.epochs[len(c.epochs)-1]
+// Accountant mirrors core.Accountant: a static network, no epochs.
+type Accountant struct{ ids []NodeID }
+
+func (a *Accountant) Account(seed uint64) []NodeID { return Owners(seed, a.ids, 0, 2) }
+
+// cluster mirrors a type that holds a map plus a roster of its own.
+type cluster struct {
+	EpochMap
+	ids []NodeID
 }
 
-// Retrieve is the historical bug verbatim: the function resolves the
-// block's parts at its write height (epoch-aware) but then ranks owners
-// over the LIVE roster, so after churn it asks nodes that never held the
-// chunks.
+// Retrieve is the historical bug verbatim: the live roster ranked for a
+// block that may predate it, so after churn it asks nodes that never held
+// the chunks.
 func (c *cluster) Retrieve(seed uint64, height uint64, idx int) []NodeID {
-	_ = c.membersAt(height) // epoch-aware: parts lookup in the real code
-	return Owners(seed, c.members, idx, 2) // want `raw roster`
+	return Owners(seed, c.Current().Members, idx, 2) // want `bare member slice`
 }
 
-// RetrieveIDs uses the secondary roster field; same bug.
-func (c *cluster) RetrieveIDs(seed uint64, height uint64, idx int) []NodeID {
-	ep := c.epochAt(height)
-	_ = ep
-	return RankedMembers(seed, c.ids, idx) // want `raw roster`
+// RetrieveIDs uses a roster field of its own; same bug.
+func (c *cluster) RetrieveIDs(seed uint64, idx int) []NodeID {
+	return RankedMembers(seed, c.ids, idx) // want `bare member slice`
 }
 
-// RetrievePinned pins the live epoch onto a historical block: still the
-// bug, just dressed as epoch API.
-func (c *cluster) RetrievePinned(seed uint64, height uint64, idx int) bool {
-	_ = c.epochAt(height)
-	return IsOwner(seed, c.currentEpoch().members, idx, 2, "n1") // want `raw roster`
+// RetrieveResolved resolves the right members and still goes around the
+// type: the slice no longer says which epoch it came from.
+func (c *cluster) RetrieveResolved(seed uint64, height uint64, idx int) bool {
+	return IsOwner(seed, c.At(height).Members, idx, 2, "n1") // want `bare member slice`
 }
 
-// RetrieveFixed is the PR-8 fix shape: members resolved at the block's
-// write height flow into placement.
+// helper hides the roster behind a parameter; still a bare slice.
+func helper(seed uint64, members []NodeID) []NodeID {
+	return Owners(seed, members, 0, 2) // want `bare member slice`
+}
+
+// RetrieveFixed is the fix shape: the epoch the block was written under is
+// named, and the epoch type does the ranking.
 func (c *cluster) RetrieveFixed(seed uint64, height uint64, idx int) []NodeID {
-	ep := c.epochAt(height)
-	return Owners(seed, ep.members, idx, 2)
+	return c.At(height).Owners(seed, idx, 2)
 }
 
-// RetrieveAt goes through the resolving helper; silent.
-func (c *cluster) RetrieveAt(seed uint64, height uint64, idx int) []NodeID {
-	return Owners(seed, c.membersAt(height), idx, 2)
-}
-
-// Place is the write path: no historical-epoch API in sight, so placing
-// by the live roster is fine and the function stays out of scope.
+// Place is a write path: it places under the current epoch and says so.
 func (c *cluster) Place(seed uint64, idx int) []NodeID {
-	return Owners(seed, c.members, idx, 2)
+	return c.Current().Owners(seed, idx, 2)
 }
 
-// RetrieveAllowed documents an intentional current-roster ranking inside
-// an epoch-aware function.
-func (c *cluster) RetrieveAllowed(seed uint64, height uint64, idx int) []NodeID {
-	_ = c.membersAt(height)
-	//icilint:allow epochres(probe deliberately measures live-roster disagreement)
-	return Owners(seed, c.members, idx, 2)
+// Both resolves through the map.
+func (c *cluster) Both(seed uint64, height uint64, idx int) []NodeID {
+	return c.Holders(seed, idx, 2, height)
 }
 
-// helper passes a plain parameter through; parameters are never flagged
-// (the caller already chose how to resolve them).
-func helper(seed uint64, members []NodeID, height uint64, c *cluster) []NodeID {
-	_ = c.membersAt(height)
-	return Owners(seed, members, 0, 2)
+// RetrieveAllowed documents an intentional bare ranking.
+func (c *cluster) RetrieveAllowed(seed uint64, idx int) []NodeID {
+	//icilint:allow epochres(probe deliberately ranks a roster no epoch ever held)
+	return Owners(seed, c.ids, idx, 2)
 }

@@ -108,22 +108,18 @@ func (rn *Runner) Run(sc *Scenario) (err error) {
 	// Addresses are allocated before anything starts: every -members list
 	// must be complete up front, and a crashed member must rebind its
 	// original port when restarted.
-	for _, nd := range sc.Nodes {
-		port, perr := freePort()
-		if perr != nil {
-			return fmt.Errorf("contest: allocate port for %s: %w", nd.Name, perr)
-		}
+	ports, err := freePorts(2 * len(sc.Nodes)) // a serving port each, and room for a gateway's
+	if err != nil {
+		return fmt.Errorf("contest: allocate ports: %w", err)
+	}
+	for i, nd := range sc.Nodes {
 		n := &node{
 			def:      nd,
-			addr:     fmt.Sprintf("127.0.0.1:%d", port),
+			addr:     fmt.Sprintf("127.0.0.1:%d", ports[2*i]),
 			stateDir: filepath.Join(dir, nd.Name),
 		}
 		if nd.Gateway {
-			gwPort, perr := freePort()
-			if perr != nil {
-				return fmt.Errorf("contest: allocate gateway port for %s: %w", nd.Name, perr)
-			}
-			n.gwAddr = fmt.Sprintf("127.0.0.1:%d", gwPort)
+			n.gwAddr = fmt.Sprintf("127.0.0.1:%d", ports[2*i+1])
 		}
 		if err := os.MkdirAll(n.stateDir, 0o755); err != nil {
 			return fmt.Errorf("contest: state dir for %s: %w", nd.Name, err)
@@ -148,16 +144,22 @@ func (rn *Runner) Run(sc *Scenario) (err error) {
 	return nil
 }
 
-// freePort reserves an ephemeral localhost port and releases it for the
-// node process to rebind. The tiny claim/rebind window is acceptable for a
-// loopback test harness.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
+// freePorts reserves n distinct ephemeral localhost ports and releases them
+// for the node processes to rebind. Every listener stays open until the last
+// port is claimed — released one by one, the kernel may hand the same port
+// out twice, and two members then share an address. The claim/rebind window
+// that remains is acceptable for a loopback test harness.
+func freePorts(n int) ([]int, error) {
+	ports := make([]int, n)
+	for i := range ports {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer l.Close()
+		ports[i] = l.Addr().(*net.TCPAddr).Port
 	}
-	port := l.Addr().(*net.TCPAddr).Port
-	return port, l.Close()
+	return ports, nil
 }
 
 // memberAddrs lists every node's address in placement-id order — the

@@ -79,14 +79,14 @@ func (s *System) ArchiveBlock(c int, block blockcrypto.Hash, parity int, cb func
 	if _, ok := ci.archived[block]; ok {
 		return fmt.Errorf("%w: %s", ErrAlreadyArchived, block.Short())
 	}
-	total := len(ci.members)
+	total := len(ci.Current().Members)
 	if parity < 1 || parity >= total {
 		return fmt.Errorf("%w: parity=%d, members=%d", ErrBadParity, parity, total)
 	}
 	// The archiver is any live member; use the block's rendezvous leader
 	// order so repeated archival work spreads across the cluster.
 	var archiver *Node
-	for _, m := range ci.members {
+	for _, m := range ci.Current().Members {
 		if !s.net.IsDown(m) {
 			archiver = s.nodes[m]
 			break
@@ -131,19 +131,19 @@ func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archive
 		}
 		span.AddBytes(int64(b.BodySize()))
 		// Group shares by owner so each member gets one message.
-		perMember := make(map[simnet.NodeID]map[int][]byte, len(n.cluster.members))
-		for _, m := range n.cluster.members {
+		perMember := make(map[simnet.NodeID]map[int][]byte, len(n.cluster.Current().Members))
+		for _, m := range n.cluster.Current().Members {
 			perMember[m] = make(map[int][]byte)
 		}
 		for i, share := range shares {
-			owners, oerr := Owners(info.seed, n.cluster.members, i, 1)
+			owners, oerr := n.cluster.Current().Owners(info.seed, i, 1)
 			if oerr != nil {
 				done(oerr)
 				return
 			}
 			perMember[owners[0]][i] = share
 		}
-		for _, m := range n.cluster.members {
+		for _, m := range n.cluster.Current().Members {
 			msg := archiveShareMsg{Block: block, K: info.k, Total: info.total, Shares: perMember[m]}
 			if m == n.id {
 				prev := n.rxSpan

@@ -46,7 +46,7 @@ func TestLeaveClusterHandsOffChunks(t *testing.T) {
 	if seq != 1 {
 		t.Fatalf("epoch seq = %d after one leave, want 1", seq)
 	}
-	if got := sys.clusters[0].placementAt(0).seq; got != 1 {
+	if got := sys.clusters[0].PlacementAt(0).Seq; got != 1 {
 		t.Fatalf("placement seq = %d after acknowledged handoff, want 1", got)
 	}
 	for _, b := range blocks {
@@ -147,7 +147,7 @@ func TestRejoinClusterSameIdentity(t *testing.T) {
 	node, _ := sys.Node(victim)
 	all := append(append([]*chain.Block(nil), pre...), mid...)
 	for _, b := range all {
-		parts := sys.clusters[0].partsAt(b.Header.Height)
+		parts := len(sys.clusters[0].At(b.Header.Height).Members)
 		for idx := 0; idx < parts; idx++ {
 			owns, err := IsOwner(b.Hash().Uint64(), cur, idx, 2, victim)
 			if err != nil {
@@ -237,15 +237,11 @@ func TestRetrievePreDepartureBlockAfterTwoRemovals(t *testing.T) {
 
 	// Historic blocks keep their write-epoch arithmetic.
 	for _, b := range blocks {
-		if got := sys.clusters[0].partsAt(b.Header.Height); got != writeParts {
+		if got := len(sys.clusters[0].At(b.Header.Height).Members); got != writeParts {
 			t.Fatalf("height %d: parts %d after removals, want write-epoch %d", b.Header.Height, got, writeParts)
 		}
 	}
-	wm, err := sys.ClusterMembersAt(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wm) != writeParts {
+	if wm := sys.clusters[0].At(0).Members; len(wm) != writeParts {
 		t.Fatalf("write-epoch membership shrank to %d, want %d", len(wm), writeParts)
 	}
 
@@ -287,7 +283,7 @@ func TestRetrievePreDepartureBlockAfterTwoRemovals(t *testing.T) {
 	if lost != 0 {
 		t.Fatalf("repair lost %d chunks with disjoint victims and r=2", lost)
 	}
-	if got := sys.clusters[0].placementAt(0).seq; got != 2 {
+	if got := sys.clusters[0].PlacementAt(0).Seq; got != 2 {
 		t.Fatalf("placement seq = %d after repair, want 2", got)
 	}
 	for _, b := range blocks {
@@ -441,7 +437,7 @@ func TestConcurrentJoinsBothBootstrap(t *testing.T) {
 		if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
 			t.Fatal(err)
 		}
-		if got := sys.clusters[0].partsAt(b.Header.Height); got != len(cur) {
+		if got := len(sys.clusters[0].At(b.Header.Height).Members); got != len(cur) {
 			t.Fatalf("post-join block split into %d parts, membership is %d", got, len(cur))
 		}
 	}

@@ -42,24 +42,24 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 	n.pc.handoffs.Inc()
 	hs := &handoffState{pending: make(map[uint64]bool), cb: cb}
 	n.handoff = hs
-	target := n.cluster.currentEpoch().members
+	target := n.cluster.Current()
 	for _, h := range n.store.Headers() {
 		block := h.Hash()
 		if _, archived := n.cluster.archivedInfo(block); archived {
 			continue // coded shares are re-established by archival repair
 		}
-		place := n.cluster.placementAt(h.Height).members
+		place := n.cluster.PlacementAt(h.Height)
 		seed := block.Uint64()
 		for _, idx := range n.store.ChunksForBlock(block) {
 			id := storage.ChunkID{Block: block, Index: idx}
 			if n.meta[id].coded {
 				continue
 			}
-			oldOwners, err := Owners(seed, place, idx, n.replication)
+			oldOwners, err := place.Owners(seed, idx, n.replication)
 			if err != nil || !memberOf(oldOwners, n.id) {
 				continue // a stale extra copy; nobody needs it from us
 			}
-			newOwners, err := Owners(seed, target, idx, n.replication)
+			newOwners, err := target.Owners(seed, idx, n.replication)
 			if err != nil {
 				continue
 			}

@@ -40,7 +40,7 @@ func TestJoinClusterBootstrap(t *testing.T) {
 	members, _ := sys.ClusterMembers(0)
 	for _, b := range blocks {
 		seed := b.Hash().Uint64()
-		parts := sys.clusters[0].partsAt(b.Header.Height)
+		parts := len(sys.clusters[0].At(b.Header.Height).Members)
 		for idx := 0; idx < parts; idx++ {
 			owns, err := IsOwner(seed, members, idx, 2, joined)
 			if err != nil {

@@ -214,17 +214,12 @@ func (m blockChunksMsg) wireSize() int {
 	return n
 }
 
-// clusterInfo is the shared membership view of one cluster: an append-only
-// list of membership epochs (see epoch.go) plus the current member slice as
-// a convenience alias of the newest epoch's snapshot. Membership changes go
-// through System, which pushes epochs; nothing mutates members in place.
+// clusterInfo is the shared view of one cluster: its epoch-versioned
+// membership map (epoch.go) plus the archival records. Membership changes go
+// through System, which pushes epochs; nothing edits one in place.
 type clusterInfo struct {
-	index   int
-	members []simnet.NodeID // current members == currentEpoch().members
-	// epochs is the epoch-versioned cluster map: every membership change
-	// appends a (epoch, members, parts) record so historic blocks keep
-	// resolving against the membership they were written under.
-	epochs []membershipEpoch
+	index int
+	EpochMap
 	// archived records blocks converted to coded storage (see archive.go).
 	// Like membership, it is a shared cluster view; a real deployment
 	// would record archival decisions on the membership chain.
@@ -234,5 +229,5 @@ type clusterInfo struct {
 // leaderAt returns the cluster's leader for the given height, elected over
 // the membership that governs that height.
 func (c *clusterInfo) leaderAt(height uint64) (simnet.NodeID, error) {
-	return consensus.Leader(c.membersAt(height), height)
+	return consensus.Leader(c.At(height).Members, height)
 }

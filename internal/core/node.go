@@ -317,8 +317,8 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 	// chunk count and rendezvous ranking all come from the membership at
 	// the block's height, so a membership change racing a proposal cannot
 	// skew placement.
-	members := n.cluster.membersAt(b.Header.Height)
-	parts := len(members)
+	epoch := n.cluster.At(b.Header.Height)
+	parts := len(epoch.Members)
 	counts, err := SplitCounts(len(b.Txs), parts)
 	if err != nil {
 		return
@@ -376,7 +376,7 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 			payload.Txs = mut
 		}
 		st.payloads[idx] = payload
-		ranked, rerr := RankedMembers(seed, members, idx)
+		ranked, rerr := epoch.Ranked(seed, idx)
 		if rerr != nil {
 			return
 		}
@@ -417,7 +417,7 @@ func (n *Node) coverageCheck(net *simnet.Network, block blockcrypto.Hash) {
 		return
 	}
 	st.rounds++
-	if st.rounds > len(n.cluster.members) {
+	if st.rounds > len(n.cluster.Current().Members) {
 		// Candidates exhausted; the block stays uncommitted here.
 		st.span.SetErr(errors.New("coverage exhausted"))
 		st.span.End()
@@ -611,7 +611,7 @@ func (n *Node) commitProbeTarget(block blockcrypto.Hash, attempt int) (simnet.No
 			return l, true
 		}
 	}
-	members := n.cluster.members
+	members := n.cluster.Current().Members
 	for i := 0; i < len(members); i++ {
 		m := members[(attempt+i)%len(members)]
 		if m != n.id {
@@ -684,7 +684,7 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 		}
 		st.committed = true
 		msg := commitMsg{Header: st.block.Header, Parts: st.table.Parts(), Votes: cert}
-		for _, m := range n.cluster.members {
+		for _, m := range n.cluster.Current().Members {
 			if m == n.id {
 				continue
 			}
@@ -709,7 +709,7 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 // one) keeps historic certificates valid after churn: a voter that has
 // since departed was a legitimate member when it voted.
 func (n *Node) verifyCommit(m commitMsg) error {
-	members := n.cluster.membersAt(m.Header.Height)
+	members := n.cluster.At(m.Header.Height).Members
 	return consensus.VerifyCertificate(
 		m.Header.Hash(), m.Parts, len(members), n.replication, m.Votes,
 		func(id simnet.NodeID) bool { return memberOf(members, id) },

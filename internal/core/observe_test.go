@@ -18,9 +18,9 @@ import (
 func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) ([]retrievedChunk, int) {
 	t.Helper()
 	ci := sys.clusters[c]
-	parts := ci.partsAt(b.Header.Height)
+	parts := len(ci.At(b.Header.Height).Members)
 	found := make(map[int]retrievedChunk, parts)
-	for _, m := range ci.members {
+	for _, m := range ci.Current().Members {
 		node := sys.nodes[m]
 		for _, idx := range node.store.ChunksForBlock(b.Hash()) {
 			if _, ok := found[idx]; ok {
@@ -122,7 +122,7 @@ func TestStaleNegativeChunkRespSkipsRingAdvance(t *testing.T) {
 	b := produceAndSettle(t, sys, gen, 1, 12)[0]
 	members, _ := sys.ClusterMembers(0)
 	n := sys.nodes[members[0]]
-	parts := sys.clusters[0].partsAt(b.Header.Height)
+	parts := len(sys.clusters[0].At(b.Header.Height).Members)
 	idx := -1
 	for i := 0; i < parts; i++ {
 		if !n.store.HasChunk(storage.ChunkID{Block: b.Hash(), Index: i}) {

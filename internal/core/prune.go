@@ -26,14 +26,13 @@ func (n *Node) PruneUnowned() int64 {
 			// Pruning evaluates PRESENT responsibility: churn transfer has
 			// already re-homed archived chunks under the live roster, so
 			// "do I own this now" is the question, not who wrote it.
-			owners, oerr := Owners(info.seed, n.cluster.members, id.Index, 1) //icilint:allow epochres(prune asks present responsibility; churn transfer re-homes archived chunks under the live roster)
+			owners, oerr := n.cluster.Current().Owners(info.seed, id.Index, 1)
 			if oerr != nil {
 				return true // cannot evaluate: keep conservatively
 			}
 			return memberOf(owners, n.id)
 		}
-		parts := n.cluster.partsAt(hdr.Height)
-		if id.Index >= parts {
+		if id.Index >= len(n.cluster.At(hdr.Height).Members) {
 			return false // impossible index under this epoch: collect
 		}
 		// Ownership is evaluated under the block's placement epoch, not
@@ -42,12 +41,11 @@ func (n *Node) PruneUnowned() int64 {
 		// lives, and collecting their copies would destroy the only
 		// replicas. After the migration advances placement to the current
 		// epoch, the stale copies stop being owned and get collected.
-		place := n.cluster.placementAt(hdr.Height).members
-		owns, oerr := IsOwner(id.Block.Uint64(), place, id.Index, n.replication, n.id)
+		owners, oerr := n.cluster.PlacementAt(hdr.Height).Owners(id.Block.Uint64(), id.Index, n.replication)
 		if oerr != nil {
 			return true
 		}
-		return owns
+		return memberOf(owners, n.id)
 	})
 	// Sweep the sidecar metadata of collected chunks.
 	for id, meta := range n.meta {
@@ -71,7 +69,7 @@ func (s *System) PruneCluster(c int) (int64, error) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
 	var freed int64
-	for _, m := range s.clusters[c].members {
+	for _, m := range s.clusters[c].Current().Members {
 		if s.net.IsDown(m) {
 			continue
 		}

@@ -49,7 +49,7 @@ func TestPruneAfterJoinRestoresExactFootprint(t *testing.T) {
 	// cluster under the current membership.
 	var expected int64
 	for _, b := range blocks {
-		parts := sys.clusters[0].partsAt(b.Header.Height)
+		parts := len(sys.clusters[0].At(b.Header.Height).Members)
 		counts, cerr := SplitCounts(len(b.Txs), parts)
 		if cerr != nil {
 			t.Fatal(cerr)

@@ -76,7 +76,7 @@ func (n *Node) broadcastFetch(net *simnet.Network, req uint64, st *fetchState) {
 	// members: before a migration completes, pre-churn chunks still live
 	// on the epoch the block was written under, and asking only the
 	// current membership would miss them.
-	targets := without(n.cluster.members, n.id)
+	targets := without(n.cluster.Current().Members, n.id)
 	if hdr, err := n.store.Header(st.block); err == nil {
 		targets = n.cluster.fetchMembers(hdr.Height, n.id)
 	}
@@ -321,22 +321,20 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	// Fetch the chunks this node now owns under the current epoch.
 	for _, h := range m.Headers {
 		block := h.Hash()
-		parts := n.cluster.partsAt(h.Height)
-		place := n.cluster.placementAt(h.Height).members
+		parts := len(n.cluster.At(h.Height).Members)
 		seed := block.Uint64()
 		for idx := 0; idx < parts; idx++ {
-			owners, err := Owners(seed, n.cluster.members, idx, n.replication) //icilint:allow epochres(bootstrap decides what this node should hold under the live roster; fetch sources resolve via placementAt above)
-			if err != nil {
-				continue
-			}
-			if !memberOf(owners, n.id) {
+			// Bootstrap decides what this node should hold under the live
+			// roster; where to fetch it from resolves at the block's height.
+			owners, err := n.cluster.Current().Owners(seed, idx, n.replication)
+			if err != nil || !memberOf(owners, n.id) {
 				continue
 			}
 			// The block's placement-epoch owners definitively stored the
 			// chunk — ask them first. Then the current co-owners (they may
 			// hold a migrated copy already) and finally the remaining
 			// placement members (stale extra copies survive until pruning).
-			sources := chunkSources(seed, idx, n.replication, place, n.cluster.members, n.id)
+			sources := n.chunkSources(seed, idx, h.Height)
 			if len(sources) == 0 {
 				continue
 			}
@@ -379,27 +377,19 @@ func (n *Node) finishBootstrap(err error) {
 }
 
 // chunkSources builds the deterministic source ring for re-establishing
-// one chunk: the owners under the block's placement epoch (they stored the
-// chunk when it was distributed or last migrated), then the current-epoch
-// co-owners (a completed migration may already have copied it), then the
-// remaining placement members (stale extra copies survive until pruning).
-// self is excluded throughout.
-func chunkSources(seed uint64, idx, replication int, place, current []simnet.NodeID, self simnet.NodeID) []simnet.NodeID {
-	sources := make([]simnet.NodeID, 0, len(place)+replication)
-	add := func(ids []simnet.NodeID) {
-		for _, o := range ids {
-			if o != self && !memberOf(sources, o) {
-				sources = append(sources, o)
-			}
+// one chunk of a block written at the given height: its holders (placement
+// owners, then current co-owners — EpochMap.Holders), then the remaining
+// placement members (stale extra copies survive until pruning). This node
+// is excluded throughout.
+func (n *Node) chunkSources(seed uint64, idx int, height uint64) []simnet.NodeID {
+	// An error leaves the owners unknown; every placement member is still asked.
+	holders, _ := n.cluster.Holders(seed, idx, n.replication, height)
+	sources := without(holders, n.id)
+	for _, m := range n.cluster.PlacementAt(height).Members {
+		if m != n.id && !memberOf(sources, m) {
+			sources = append(sources, m)
 		}
 	}
-	if placeOwners, err := Owners(seed, place, idx, replication); err == nil {
-		add(placeOwners)
-	}
-	if curOwners, err := Owners(seed, current, idx, replication); err == nil {
-		add(curOwners)
-	}
-	add(place)
 	return sources
 }
 
@@ -553,8 +543,7 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 	var wants []want
 	for _, h := range n.store.Headers() {
 		block := h.Hash()
-		parts := n.cluster.partsAt(h.Height)
-		place := n.cluster.placementAt(h.Height)
+		parts := len(n.cluster.At(h.Height).Members)
 		seed := block.Uint64()
 		// The store's per-block index answers "which chunks of this block do
 		// I hold" in one lookup; a block whose every part is already local
@@ -570,15 +559,14 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 			if held[idx] {
 				continue
 			}
-			owners, err := Owners(seed, n.cluster.members, idx, n.replication) //icilint:allow epochres(repair targets the post-churn roster by design; sources below use the block's placement epoch)
+			// Repair targets the post-churn roster by design; sources
+			// resolve against the block's placement epoch — the members
+			// that actually stored the chunk — not the current view.
+			owners, err := n.cluster.Current().Owners(seed, idx, n.replication)
 			if err != nil || !memberOf(owners, n.id) {
 				continue
 			}
-			// Sources resolve against the block's placement epoch — the
-			// members that actually stored the chunk — not the mutated
-			// current view.
-			srcs := chunkSources(seed, idx, n.replication, place.members, n.cluster.members, n.id)
-			wants = append(wants, want{epochSeq: place.seq, height: h.Height, block: block, idx: idx, srcs: srcs})
+			wants = append(wants, want{epochSeq: n.cluster.PlacementAt(h.Height).Seq, height: h.Height, block: block, idx: idx, srcs: n.chunkSources(seed, idx, h.Height)})
 		}
 	}
 	sort.Slice(wants, func(i, j int) bool {

@@ -158,7 +158,9 @@ func NewSystem(cfg Config) (*System, error) {
 			members[i] = simnet.NodeID(m)
 		}
 		ci := &clusterInfo{index: c}
-		ci.pushEpoch(0, members)
+		if _, err := ci.Push(0, members, nil); err != nil {
+			return nil, err
+		}
 		s.clusters[c] = ci
 	}
 	registry := s.PublicKey
@@ -211,7 +213,7 @@ func (s *System) ClusterMembers(c int) ([]simnet.NodeID, error) {
 	if c < 0 || c >= len(s.clusters) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
-	return append([]simnet.NodeID(nil), s.clusters[c].members...), nil
+	return append([]simnet.NodeID(nil), s.clusters[c].Current().Members...), nil
 }
 
 // ClusterOf returns the cluster index of a node.
@@ -319,7 +321,7 @@ func (s *System) ClusterCommitted(c int, block blockcrypto.Hash) (bool, error) {
 	if c < 0 || c >= len(s.clusters) {
 		return false, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
-	for _, m := range s.clusters[c].members {
+	for _, m := range s.clusters[c].Current().Members {
 		if s.net.IsDown(m) {
 			continue
 		}
@@ -357,7 +359,7 @@ func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 	}
 	found := make(map[int]part)
 	parts := 0
-	for _, m := range ci.members {
+	for _, m := range ci.Current().Members {
 		node := s.nodes[m]
 		if h, err := node.store.Header(block); err == nil && hdr == nil {
 			hh := h
@@ -430,13 +432,15 @@ func (s *System) RemoveNode(id simnet.NodeID) error {
 		return err
 	}
 	ci := n.cluster
-	if !memberOf(ci.members, id) {
+	if !memberOf(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is not a member of cluster %d", id, ci.index)
 	}
-	if len(ci.members) == 1 {
+	if len(ci.Current().Members) == 1 {
 		return fmt.Errorf("core: cluster %d lost its last member", ci.index)
 	}
-	ci.pushEpoch(s.height, without(ci.members, id))
+	if _, err := ci.Push(s.height, without(ci.Current().Members, id), nil); err != nil {
+		return err
+	}
 	return s.net.SetDown(id, true)
 }
 
@@ -451,10 +455,10 @@ func (s *System) RepairCluster(c int, cb func(lost int)) error {
 		return fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
 	ci := s.clusters[c]
-	target := ci.currentEpoch().seq
+	target := ci.Current().Seq
 	outstanding := 0
 	totalLost := 0
-	for _, m := range ci.members {
+	for _, m := range ci.Current().Members {
 		if s.net.IsDown(m) {
 			continue
 		}
@@ -464,7 +468,7 @@ func (s *System) RepairCluster(c int, cb func(lost int)) error {
 		cb(0)
 		return nil
 	}
-	for _, m := range ci.members {
+	for _, m := range ci.Current().Members {
 		if s.net.IsDown(m) {
 			continue
 		}
@@ -473,7 +477,7 @@ func (s *System) RepairCluster(c int, cb func(lost int)) error {
 			outstanding--
 			if outstanding == 0 {
 				if totalLost == 0 {
-					ci.advancePlacement(target)
+					ci.AdvancePlacement(target)
 				}
 				cb(totalLost)
 			}
@@ -490,7 +494,7 @@ const noNode = ^simnet.NodeID(0)
 // syncing headers from it would complete a bootstrap against an empty or
 // partial chain), and not the excluded node.
 func (s *System) sponsorFor(ci *clusterInfo, exclude simnet.NodeID) (simnet.NodeID, error) {
-	for _, m := range ci.members {
+	for _, m := range ci.Current().Members {
 		if m == exclude || s.net.IsDown(m) {
 			continue
 		}
@@ -537,11 +541,14 @@ func (s *System) JoinCluster(c int, cb func(simnet.NodeID, error)) error {
 	}
 	// Membership grows now; blocks from the current height on are split
 	// into the larger part count.
-	epoch := ci.pushEpoch(s.height, append(ci.members, id))
-	target := epoch.seq
+	epoch, err := ci.Push(s.height, append(ci.Current().Members, id), nil)
+	if err != nil {
+		return err
+	}
+	target := epoch.Seq
 	node.Bootstrap(s.net, sponsor, func(err error) {
 		if err == nil {
-			ci.advancePlacement(target)
+			ci.AdvancePlacement(target)
 		}
 		cb(id, err)
 	})
@@ -561,20 +568,23 @@ func (s *System) LeaveCluster(id simnet.NodeID, cb func(moved int, err error)) e
 		return err
 	}
 	ci := n.cluster
-	if !memberOf(ci.members, id) {
+	if !memberOf(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is not a member of cluster %d", id, ci.index)
 	}
-	if len(ci.members) == 1 {
+	if len(ci.Current().Members) == 1 {
 		return fmt.Errorf("core: cluster %d lost its last member", ci.index)
 	}
 	if s.net.IsDown(id) {
 		return fmt.Errorf("core: node %d is down; use RemoveNode for crashed members", id)
 	}
-	epoch := ci.pushEpoch(s.height, without(ci.members, id))
-	target := epoch.seq
+	epoch, err := ci.Push(s.height, without(ci.Current().Members, id), nil)
+	if err != nil {
+		return err
+	}
+	target := epoch.Seq
 	n.HandoffChunks(s.net, func(moved int, herr error) {
 		if herr == nil {
-			ci.advancePlacement(target)
+			ci.AdvancePlacement(target)
 		}
 		_ = s.net.SetDown(id, true)
 		cb(moved, herr)
@@ -594,7 +604,7 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 		return err
 	}
 	ci := n.cluster
-	if memberOf(ci.members, id) {
+	if memberOf(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is already a member of cluster %d", id, ci.index)
 	}
 	sponsor, serr := s.sponsorFor(ci, id)
@@ -604,11 +614,14 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 	if err := s.net.SetDown(id, false); err != nil {
 		return err
 	}
-	epoch := ci.pushEpoch(s.height, append(ci.members, id))
-	target := epoch.seq
+	epoch, err := ci.Push(s.height, append(ci.Current().Members, id), nil)
+	if err != nil {
+		return err
+	}
+	target := epoch.Seq
 	n.Bootstrap(s.net, sponsor, func(err error) {
 		if err == nil {
-			ci.advancePlacement(target)
+			ci.AdvancePlacement(target)
 		}
 		cb(err)
 	})
@@ -622,14 +635,5 @@ func (s *System) ClusterEpoch(c int) (int, error) {
 	if c < 0 || c >= len(s.clusters) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
-	return s.clusters[c].currentEpoch().seq, nil
-}
-
-// ClusterMembersAt returns the member set of cluster c that governs blocks
-// at the given height (the write-epoch membership).
-func (s *System) ClusterMembersAt(c int, height uint64) ([]simnet.NodeID, error) {
-	if c < 0 || c >= len(s.clusters) {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
-	}
-	return append([]simnet.NodeID(nil), s.clusters[c].membersAt(height)...), nil
+	return s.clusters[c].Current().Seq, nil
 }

@@ -110,8 +110,8 @@ func (n *Node) QueryTxProof(net *simnet.Network, block, txID blockcrypto.Hash, c
 func (n *Node) broadcastTxQuery(net *simnet.Network, req uint64, st *txQueryState) {
 	st.attempts++
 	st.waiting = 0
-	st.responded = make(map[simnet.NodeID]bool, len(n.cluster.members))
-	for _, m := range n.cluster.members {
+	st.responded = make(map[simnet.NodeID]bool, len(n.cluster.Current().Members))
+	for _, m := range n.cluster.Current().Members {
 		if m == n.id {
 			continue
 		}

@@ -10,7 +10,6 @@ import (
 	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
 	"icistrategy/internal/netx"
-	"icistrategy/internal/simnet"
 )
 
 // Gateway errors.
@@ -51,9 +50,10 @@ type Upstream interface {
 	TxProof(peer int, block, txID blockcrypto.Hash) (*netx.TxProofResp, error)
 }
 
-// ClusterUpstream reads from a netx storage cluster: one cached connection
-// per member, the same rendezvous placement the writers used, and a local
-// header index kept fresh by incremental header syncs.
+// ClusterUpstream reads from a netx storage cluster through a netx.Cluster
+// — its connection cache and its cluster-map poll — with the placement the
+// writers used (core.EpochMap) and a local header index kept fresh by
+// incremental header syncs.
 //
 // Membership is epoch-versioned: the upstream starts from the constructor
 // roster as epoch 0 and adopts any newer cluster map published to the
@@ -63,14 +63,12 @@ type Upstream interface {
 // a member keeps its peer number across refreshes and rejoins.
 type ClusterUpstream struct {
 	replication int
+	cl          *netx.Cluster
 
-	mu      sync.Mutex
-	roster  []string        // peer number -> address; append-only
-	idOf    []simnet.NodeID // peer number -> placement identity
-	peerOf  map[string]int  // address -> peer number
-	epochs  []netx.EpochInfo
-	clients map[int]*netx.Client
-	timeout time.Duration
+	mu     sync.Mutex
+	roster []string       // peer number -> address; append-only
+	peerOf map[string]int // address -> peer number
+	epochs core.EpochMap
 
 	hmu        sync.Mutex
 	headers    map[blockcrypto.Hash]chain.Header
@@ -82,75 +80,25 @@ type ClusterUpstream struct {
 // addresses become membership epoch 0 (identity i at addrs[i] — the
 // netx.NewCluster convention); later epochs arrive via Refresh.
 func NewClusterUpstream(addrs []string, replication int) (*ClusterUpstream, error) {
-	if len(addrs) == 0 {
-		return nil, netx.ErrNoServers
-	}
-	if replication < 1 || replication > len(addrs) {
-		return nil, fmt.Errorf("gateway: replication %d with %d servers", replication, len(addrs))
-	}
-	members := make([]netx.MemberInfo, len(addrs))
-	for i, addr := range addrs {
-		members[i] = netx.MemberInfo{ID: uint64(i), Addr: addr}
+	cl, err := netx.NewCluster(addrs, replication)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	u := &ClusterUpstream{
 		replication: replication,
+		cl:          cl,
 		peerOf:      make(map[string]int),
-		clients:     make(map[int]*netx.Client),
-		timeout:     netx.DefaultRPCTimeout,
 		headers:     make(map[blockcrypto.Hash]chain.Header),
 	}
-	u.adoptLocked([]netx.EpochInfo{{Epoch: 0, FromHeight: 0, Members: members}})
+	u.adopt(cl.Map())
 	return u, nil
 }
 
-// adoptLocked installs a cluster map, growing the append-only roster with
-// any member not yet numbered. Callers hold u.mu (or are the constructor).
-func (u *ClusterUpstream) adoptLocked(epochs []netx.EpochInfo) {
-	for _, e := range epochs {
-		for _, m := range e.Members {
-			if p, ok := u.peerOf[m.Addr]; ok {
-				u.idOf[p] = simnet.NodeID(m.ID)
-				continue
-			}
-			u.peerOf[m.Addr] = len(u.roster)
-			u.roster = append(u.roster, m.Addr)
-			u.idOf = append(u.idOf, simnet.NodeID(m.ID))
-		}
-	}
-	u.epochs = append([]netx.EpochInfo(nil), epochs...)
-}
-
-// epochForLocked resolves the membership epoch governing a write height:
-// the last epoch whose FromHeight does not exceed it (so back-to-back
-// epochs at one height resolve to the later — same arithmetic as core).
-func (u *ClusterUpstream) epochForLocked(height uint64) netx.EpochInfo {
-	for i := len(u.epochs) - 1; i > 0; i-- {
-		if u.epochs[i].FromHeight <= height {
-			return u.epochs[i]
-		}
-	}
-	return u.epochs[0]
-}
-
 // SetTimeout sets the per-round-trip deadline for upstream calls.
-func (u *ClusterUpstream) SetTimeout(d time.Duration) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.timeout = d
-	for _, c := range u.clients {
-		c.SetTimeout(d)
-	}
-}
+func (u *ClusterUpstream) SetTimeout(d time.Duration) { u.cl.SetTimeout(d) }
 
 // Close drops every cached connection.
-func (u *ClusterUpstream) Close() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for _, c := range u.clients {
-		_ = c.Close()
-	}
-	u.clients = make(map[int]*netx.Client)
-}
+func (u *ClusterUpstream) Close() { u.cl.Close() }
 
 // Parts implements Upstream: the chunk count of the membership epoch the
 // block was written under.
@@ -161,71 +109,26 @@ func (u *ClusterUpstream) Parts(block blockcrypto.Hash) (int, error) {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return len(u.epochForLocked(hdr.Height).Members), nil
+	return len(u.epochs.At(hdr.Height).Members), nil
 }
 
-// ownersOf maps a member set's rendezvous owners for one chunk to peer
-// numbers, clamping replication to the set size.
-func (u *ClusterUpstream) ownersOf(seed uint64, members []netx.MemberInfo, idx int) ([]int, error) {
-	ids := make([]simnet.NodeID, len(members))
-	for i, m := range members {
-		ids[i] = simnet.NodeID(m.ID)
-	}
-	r := u.replication
-	if r > len(ids) {
-		r = len(ids)
-	}
-	owners, err := core.Owners(seed, ids, idx, r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, len(owners))
-	for _, o := range owners {
-		for i, m := range members {
-			if simnet.NodeID(m.ID) == o {
-				out = append(out, u.peerOf[members[i].Addr])
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-// Owners implements Upstream: the block's write-epoch owners first (where
-// the chunk was placed), then any distinct owners under the newest epoch
-// (where graceful departures migrate it to).
+// Owners implements Upstream: the chunk's holders under the map held
+// (core.EpochMap.Holders), as peer numbers.
 func (u *ClusterUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error) {
 	hdr, err := u.Header(block)
 	if err != nil {
 		return nil, err
 	}
-	seed := block.Uint64()
 	u.mu.Lock()
-	wrote := u.epochForLocked(hdr.Height)
-	newest := u.epochs[len(u.epochs)-1]
-	writeOwners, werr := u.ownersOf(seed, wrote.Members, idx)
-	if werr != nil {
-		u.mu.Unlock()
-		return nil, werr
+	defer u.mu.Unlock()
+	holders, err := u.epochs.Holders(block.Uint64(), idx, u.replication, hdr.Height)
+	if err != nil {
+		return nil, err
 	}
-	out := writeOwners
-	if newest.Epoch != wrote.Epoch {
-		newOwners, nerr := u.ownersOf(seed, newest.Members, idx)
-		if nerr != nil {
-			u.mu.Unlock()
-			return nil, nerr
-		}
-		seen := make(map[int]bool, len(out))
-		for _, p := range out {
-			seen[p] = true
-		}
-		for _, p := range newOwners {
-			if !seen[p] {
-				out = append(out, p)
-			}
-		}
+	out := make([]int, len(holders))
+	for i, id := range holders {
+		out[i] = u.peerOf[u.epochs.Addr(id)]
 	}
-	u.mu.Unlock()
 	return out, nil
 }
 
@@ -233,99 +136,61 @@ func (u *ClusterUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error)
 func (u *ClusterUpstream) Peers() []int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	newest := u.epochs[len(u.epochs)-1]
-	out := make([]int, 0, len(newest.Members))
-	for _, m := range newest.Members {
-		out = append(out, u.peerOf[m.Addr])
+	addrs := u.epochs.Current().Addrs
+	out := make([]int, len(addrs))
+	for i, addr := range addrs {
+		out[i] = u.peerOf[addr]
 	}
 	return out
 }
 
-// Refresh implements Upstream: poll every known peer for its cluster map
-// and adopt the newest one found. Returns true when membership advanced —
-// the caller's cue to retry a read that missed under the stale map.
-func (u *ClusterUpstream) Refresh() bool {
-	u.mu.Lock()
-	known := len(u.roster)
-	have := u.epochs[len(u.epochs)-1].Epoch
-	u.mu.Unlock()
+// Refresh implements Upstream: have the cluster poll every member it knows
+// of for a newer valid map and adopt it, growing the append-only roster with
+// any member not yet numbered. Returns true when membership advanced — the
+// caller's cue to retry a read that missed under the stale map.
+func (u *ClusterUpstream) Refresh() bool { return u.adopt(u.cl.CurrentMap()) }
 
-	var best []netx.EpochInfo
-	for peer := 0; peer < known; peer++ {
-		c, err := u.client(peer)
-		if err != nil {
-			continue
-		}
-		epochs, err := c.GetClusterMap()
-		if err != nil {
-			u.dropClient(peer)
-			continue
-		}
-		if len(epochs) > 0 && epochs[len(epochs)-1].Epoch > have && len(epochs) > len(best) {
-			best = epochs
-		}
-	}
-	if best == nil {
-		return false
-	}
+// adopt installs m if it is newer than the map held.
+func (u *ClusterUpstream) adopt(m core.EpochMap) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if best[len(best)-1].Epoch <= u.epochs[len(u.epochs)-1].Epoch {
-		return false // raced with another refresher
+	if !m.Newer(u.epochs) {
+		return false // nothing newer, or raced with another refresher
 	}
-	u.adoptLocked(best)
+	for _, e := range m {
+		for _, addr := range e.Addrs {
+			if _, ok := u.peerOf[addr]; !ok {
+				u.peerOf[addr] = len(u.roster)
+				u.roster = append(u.roster, addr)
+			}
+		}
+	}
+	u.epochs = m
 	return true
 }
 
-// client returns a cached or fresh connection to peer.
-func (u *ClusterUpstream) client(peer int) (*netx.Client, error) {
+// client returns the cluster's cached connection to peer and its address.
+func (u *ClusterUpstream) client(peer int) (*netx.Client, string, error) {
 	u.mu.Lock()
 	if peer < 0 || peer >= len(u.roster) {
 		u.mu.Unlock()
-		return nil, fmt.Errorf("gateway: peer %d of %d", peer, len(u.roster))
-	}
-	if c, ok := u.clients[peer]; ok {
-		u.mu.Unlock()
-		return c, nil
+		return nil, "", fmt.Errorf("gateway: peer %d of %d", peer, len(u.roster))
 	}
 	addr := u.roster[peer]
-	timeout := u.timeout
 	u.mu.Unlock()
-	c, err := netx.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTimeout(timeout)
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if existing, ok := u.clients[peer]; ok {
-		_ = c.Close()
-		return existing, nil
-	}
-	u.clients[peer] = c
-	return c, nil
-}
-
-// dropClient evicts a connection after a transport failure (the deadline
-// may have left a frame half-read; the connection is poisoned).
-func (u *ClusterUpstream) dropClient(peer int) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if c, ok := u.clients[peer]; ok {
-		_ = c.Close()
-		delete(u.clients, peer)
-	}
+	c, err := u.cl.Client(addr)
+	return c, addr, err
 }
 
 // FetchBatch implements Upstream.
 func (u *ClusterUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.ChunkBatchResp, error) {
-	c, err := u.client(peer)
+	c, addr, err := u.client(peer)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.GetChunkBatch(refs)
 	if err != nil {
-		u.dropClient(peer)
+		u.cl.DropClient(addr, c)
 		return nil, err
 	}
 	return resp, nil
@@ -333,13 +198,13 @@ func (u *ClusterUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.Chun
 
 // TxProof implements Upstream.
 func (u *ClusterUpstream) TxProof(peer int, block, txID blockcrypto.Hash) (*netx.TxProofResp, error) {
-	c, err := u.client(peer)
+	c, addr, err := u.client(peer)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.GetTxProof(block, txID)
 	if err != nil {
-		u.dropClient(peer)
+		u.cl.DropClient(addr, c)
 		return nil, err
 	}
 	return resp, nil
@@ -359,14 +224,14 @@ func (u *ClusterUpstream) Header(block blockcrypto.Hash) (chain.Header, error) {
 
 	var lastErr error = ErrUnknownBlock
 	for _, peer := range u.Peers() {
-		c, err := u.client(peer)
+		c, addr, err := u.client(peer)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		hdrs, err := c.GetHeaders(from)
 		if err != nil {
-			u.dropClient(peer)
+			u.cl.DropClient(addr, c)
 			lastErr = err
 			continue
 		}

@@ -34,9 +34,12 @@ import (
 // newcomer to serve future blocks build a new Cluster over addrs +
 // newAddr.
 func (cl *Cluster) BootstrapNewMember(newAddr string) (int, error) {
-	newID := simnet.NodeID(len(cl.ids))
-	grown := append(append([]simnet.NodeID(nil), cl.ids...), newID)
-	return cl.provisionMember(newAddr, newID, grown, []EpochInfo{cl.baseEpoch()})
+	newID := simnet.NodeID(len(cl.base.Members))
+	grown := core.Epoch{
+		Members: append(slices.Clone(cl.base.Members), newID),
+		Addrs:   append(slices.Clone(cl.base.Addrs), newAddr),
+	}
+	return cl.provisionMember(newAddr, newID, &grown, core.EpochMap{cl.base})
 }
 
 // ResyncMember re-provisions an existing member whose local store was lost
@@ -49,44 +52,48 @@ func (cl *Cluster) BootstrapNewMember(newAddr string) (int, error) {
 // A chunk whose only owners were the lost member itself (replication 1)
 // cannot be recovered and fails the resync.
 func (cl *Cluster) ResyncMember(addr string, id simnet.NodeID) (int, error) {
-	if int(id) < 0 || int(id) >= len(cl.ids) {
-		return 0, fmt.Errorf("netx: resync: member id %d outside cluster of %d", id, len(cl.ids))
+	if int(id) < 0 || int(id) >= len(cl.base.Members) {
+		return 0, fmt.Errorf("netx: resync: member id %d outside cluster of %d", id, len(cl.base.Members))
 	}
-	if cl.addrs[int(id)] != addr {
-		return 0, fmt.Errorf("netx: resync: member %d is %s, not %s", id, cl.addrs[int(id)], addr)
+	if cl.base.Addrs[int(id)] != addr {
+		return 0, fmt.Errorf("netx: resync: member %d is %s, not %s", id, cl.base.Addrs[int(id)], addr)
 	}
-	return cl.provisionMember(addr, id, cl.ids, []EpochInfo{cl.baseEpoch()})
+	return cl.provisionMember(addr, id, &cl.base, core.EpochMap{cl.base})
 }
 
-// provisionMember pushes headers plus the chunks self owns (ownership is
-// rendezvous placement over the ownership id set) into the server at
-// target, fetching everything from members other than target itself. Each
-// block is resolved against the epoch of the map it was written under —
-// that epoch's member count is its chunk count — and a chunk is fetched
-// from its write-epoch owners or, failing those, the owners it migrated to
-// under the newest epoch.
-func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership []simnet.NodeID, epochs []EpochInfo) (int, error) {
+// provisionMember pushes headers plus the chunks self owns under the
+// ownership epoch into the server at target, fetching everything from
+// members other than target itself. Each block is resolved against the map
+// m: the epoch it was written under gives its chunk count, and a chunk is
+// fetched from its holders there — write-epoch owners, then the owners it
+// migrated to under the newest epoch (EpochMap.Holders).
+func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership *core.Epoch, m core.EpochMap) (int, error) {
 	headers, err := cl.syncHeaders(target)
 	if err != nil {
 		return 0, err
 	}
-	newest := epochs[len(epochs)-1]
 	n, err := cl.transfer(func(emit func(chunkMove) bool) error {
 		for _, h := range headers {
 			block := h.Hash()
 			seed := block.Uint64()
-			wrote := epochForMap(epochs, h.Height)
-			for idx := range wrote.Members {
-				owns, err := core.IsOwner(seed, ownership, idx, cl.replication, self)
+			for idx := range m.At(h.Height).Members {
+				owners, err := ownership.Owners(seed, idx, cl.replication)
 				if err != nil {
 					return err
 				}
-				if !owns {
+				if !slices.Contains(owners, self) {
 					continue
 				}
-				from, err := cl.epochHolders(seed, idx, target, wrote, newest)
+				holders, err := m.Holders(seed, idx, cl.replication, h.Height)
 				if err != nil {
 					return err
+				}
+				var from []string
+				for _, id := range holders {
+					// The member being provisioned has nothing to offer.
+					if a := m.Addr(id); a != target && !slices.Contains(from, a) {
+						from = append(from, a)
+					}
 				}
 				if !emit(chunkMove{block: block, index: idx, from: from, to: []string{target}}) {
 					return nil
@@ -99,34 +106,6 @@ func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership 
 		return n, fmt.Errorf("netx: bootstrap: %w", err)
 	}
 	return n, nil
-}
-
-// epochHolders lists, in fail-over order and without repeats, the addresses
-// of chunk idx's owners under each of the epochs in turn — skipping the
-// member being provisioned, which has nothing to offer.
-func (cl *Cluster) epochHolders(seed uint64, idx int, skip string, es ...EpochInfo) ([]string, error) {
-	var out []string
-	for i, e := range es {
-		if i > 0 && e.Epoch == es[i-1].Epoch {
-			continue // a block written under the newest epoch: same owners again
-		}
-		ids := make([]simnet.NodeID, len(e.Members))
-		addrOf := make(map[simnet.NodeID]string, len(e.Members))
-		for i, m := range e.Members {
-			ids[i] = simnet.NodeID(m.ID)
-			addrOf[ids[i]] = m.Addr
-		}
-		owners, err := core.Owners(seed, ids, idx, min(cl.replication, len(ids)))
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range owners {
-			if a := addrOf[o]; a != skip && !slices.Contains(out, a) {
-				out = append(out, a)
-			}
-		}
-	}
-	return out, nil
 }
 
 // transferWorkers is how many chunks a bootstrap, resync, rejoin or retire
@@ -215,14 +194,14 @@ func (cl *Cluster) transfer(produce func(emit func(chunkMove) bool) error) (int,
 func (cl *Cluster) moveChunk(mv chunkMove, dests map[string]*Client) error {
 	chunk := mv.chunk
 	for _, addr := range mv.from {
-		c, err := cl.client(addr)
+		c, err := cl.Client(addr)
 		if err != nil {
 			continue
 		}
 		if chunk, err = c.GetChunk(mv.block, mv.index); err == nil {
 			break
 		}
-		cl.dropClient(addr, c)
+		cl.DropClient(addr, c)
 	}
 	if chunk == nil {
 		return fmt.Errorf("chunk %d of %s unavailable from any owner", mv.index, mv.block.Short())
@@ -263,19 +242,19 @@ func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
 	defer targetClient.Close()
 	var headers []chain.Header
 	err = ErrNoServers // what is left to report when target is the only member
-	for _, addr := range cl.addrs {
+	for _, addr := range cl.base.Addrs {
 		if addr == target {
 			continue
 		}
 		var c *Client
-		if c, err = cl.client(addr); err != nil {
+		if c, err = cl.Client(addr); err != nil {
 			continue
 		}
 		if headers, err = c.GetHeaders(0); err == nil {
 			break
 		}
 		err = fmt.Errorf("get headers from %s: %w", addr, err)
-		cl.dropClient(addr, c)
+		cl.DropClient(addr, c)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("netx: bootstrap: no member served headers: %w", err)

@@ -5,11 +5,12 @@ import (
 	"slices"
 
 	"icistrategy/internal/core"
+	"icistrategy/internal/simnet"
 )
 
 // GetClusterMap fetches the server's epoch-versioned cluster map; an empty
-// slice means no map was ever published to that server.
-func (c *Client) GetClusterMap() ([]EpochInfo, error) {
+// map means none was ever published to that server.
+func (c *Client) GetClusterMap() (core.EpochMap, error) {
 	resp, err := c.roundTrip(&Request{GetClusterMap: &ClusterMapReq{}})
 	if err != nil {
 		return nil, err
@@ -25,46 +26,62 @@ func (c *Client) GetClusterMap() ([]EpochInfo, error) {
 
 // SetClusterMap publishes a cluster map to the server. The server keeps the
 // newest map it has seen, so delivering a stale map is harmless.
-func (c *Client) SetClusterMap(epochs []EpochInfo) error {
-	resp, err := c.roundTrip(&Request{SetClusterMap: &SetClusterMapReq{Epochs: epochs}})
+func (c *Client) SetClusterMap(m core.EpochMap) error {
+	resp, err := c.roundTrip(&Request{SetClusterMap: &SetClusterMapReq{Epochs: m}})
 	if err != nil {
 		return err
 	}
 	return respError(resp)
 }
 
-// baseEpoch synthesizes the genesis epoch from the cluster's constructor
-// membership — the map every deployment implicitly runs under before any
-// churn is published.
-func (cl *Cluster) baseEpoch() EpochInfo {
-	members := make([]MemberInfo, len(cl.addrs))
-	for i, addr := range cl.addrs {
-		members[i] = MemberInfo{ID: uint64(cl.ids[i]), Addr: addr}
+// CurrentMap polls every member this cluster knows of — the constructor's,
+// then any the newest map it has seen lists in any epoch — for its published
+// cluster map, keeps the newest valid one, and returns it. Before any churn
+// is published that is the constructor membership as epoch 0, the map every
+// deployment implicitly runs under. Polling every member (not just the
+// first) tolerates members that missed an earlier publish; a member that
+// answers with an invalid map is skipped like one that does not answer.
+func (cl *Cluster) CurrentMap() core.EpochMap {
+	best := cl.Map()
+	var polled []string
+	for _, e := range append(core.EpochMap{cl.base}, best...) {
+		for _, addr := range e.Addrs {
+			if slices.Contains(polled, addr) {
+				continue
+			}
+			polled = append(polled, addr)
+			c, err := cl.Client(addr)
+			if err != nil {
+				continue
+			}
+			m, err := c.GetClusterMap()
+			if err != nil {
+				cl.DropClient(addr, c)
+				continue
+			}
+			if m.Newer(best) && checkMap(m) == nil {
+				best = m
+			}
+		}
 	}
-	return EpochInfo{Epoch: 0, FromHeight: 0, Members: members}
+	return cl.adopt(best)
 }
 
-// currentMap gathers the newest published cluster map reachable in the
-// cluster, falling back to the synthesized genesis epoch when nobody holds
-// one. Polling every member (not just the first) tolerates members that
-// missed an earlier publish.
-func (cl *Cluster) currentMap() []EpochInfo {
-	best := []EpochInfo{cl.baseEpoch()}
-	for _, addr := range cl.addrs {
-		c, err := cl.client(addr)
-		if err != nil {
-			continue
-		}
-		epochs, err := c.GetClusterMap()
-		if err != nil {
-			cl.dropClient(addr, c)
-			continue
-		}
-		if len(epochs) > len(best) { // epoch numbers are positional
-			best = epochs
-		}
+// Map returns the newest cluster map this cluster has seen, without polling.
+func (cl *Cluster) Map() core.EpochMap {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.cmap
+}
+
+// adopt keeps m if it is newer than the map held, and returns the map held.
+func (cl *Cluster) adopt(m core.EpochMap) core.EpochMap {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if m.Newer(cl.cmap) {
+		cl.cmap = m
 	}
-	return best
+	return cl.cmap
 }
 
 // maxHeight reports the highest header height any reachable member holds.
@@ -73,14 +90,14 @@ func (cl *Cluster) currentMap() []EpochInfo {
 func (cl *Cluster) maxHeight() (uint64, bool) {
 	var top uint64
 	found := false
-	for _, addr := range cl.addrs {
-		c, err := cl.client(addr)
+	for _, addr := range cl.base.Addrs {
+		c, err := cl.Client(addr)
 		if err != nil {
 			continue
 		}
 		headers, err := c.GetHeaders(top)
 		if err != nil {
-			cl.dropClient(addr, c)
+			cl.DropClient(addr, c)
 			continue
 		}
 		for _, h := range headers {
@@ -95,47 +112,43 @@ func (cl *Cluster) maxHeight() (uint64, bool) {
 // PublishEpoch appends a membership epoch to the cluster map and pushes the
 // updated map to every reachable member of both the old and new rosters.
 // The epoch governs blocks written above the highest header currently held,
-// so in-flight history keeps resolving against its write-time membership.
+// so in-flight history keeps resolving against its write-time membership; a
+// height below the current epoch's — no member answered for its headers —
+// is refused (EpochMap.Push) rather than published over existing history.
 // Returns the new epoch number.
-func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
-	if len(members) == 0 {
-		return 0, fmt.Errorf("netx: publish epoch with no members")
-	}
-	epochs := cl.currentMap()
+func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error) {
+	m := slices.Clone(cl.CurrentMap()) // Push appends; the map polled is shared
 	var from uint64
 	if h, ok := cl.maxHeight(); ok {
 		from = h + 1
 	}
-	next := EpochInfo{
-		Epoch:      len(epochs),
-		FromHeight: from,
-		Members:    append([]MemberInfo(nil), members...),
+	next, err := m.Push(from, ids, addrs)
+	if err != nil {
+		return 0, fmt.Errorf("netx: publish epoch: %w", err)
 	}
-	epochs = append(epochs, next)
-
-	targets := make(map[string]bool, len(cl.addrs)+len(members))
-	for _, addr := range cl.addrs {
-		targets[addr] = true
-	}
-	for _, m := range members {
-		targets[m.Addr] = true
+	targets := slices.Clone(cl.base.Addrs)
+	for _, addr := range next.Addrs {
+		if !slices.Contains(targets, addr) {
+			targets = append(targets, addr)
+		}
 	}
 	published := 0
-	for addr := range targets {
-		c, err := cl.client(addr)
+	for _, addr := range targets {
+		c, err := cl.Client(addr)
 		if err != nil {
 			continue
 		}
-		if err := c.SetClusterMap(epochs); err != nil {
-			cl.dropClient(addr, c)
+		if err := c.SetClusterMap(m); err != nil {
+			cl.DropClient(addr, c)
 			continue
 		}
 		published++
 	}
 	if published == 0 {
-		return 0, fmt.Errorf("netx: cluster map epoch %d reached no member", next.Epoch)
+		return 0, fmt.Errorf("netx: cluster map epoch %d reached no member", next.Seq)
 	}
-	return next.Epoch, nil
+	cl.adopt(m)
+	return next.Seq, nil
 }
 
 // RetireMember gracefully removes the member serving at addr from a cluster
@@ -148,24 +161,25 @@ func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
 // transfer set is exactly the leaver's displaced replicas. Returns the
 // number of chunks moved.
 func (cl *Cluster) RetireMember(addr string) (int, error) {
-	li := slices.Index(cl.addrs, addr)
+	li := slices.Index(cl.base.Addrs, addr)
 	if li < 0 {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
-	if len(cl.addrs) == 1 {
+	if len(cl.base.Addrs) == 1 {
 		return 0, fmt.Errorf("netx: cannot retire the last member")
 	}
-	shrunkIDs := slices.Delete(slices.Clone(cl.ids), li, li+1)
-	remaining := slices.Delete(cl.baseEpoch().Members, li, li+1)
-	r := min(cl.replication, len(shrunkIDs))
+	shrunk := core.Epoch{
+		Members: slices.Delete(slices.Clone(cl.base.Members), li, li+1),
+		Addrs:   slices.Delete(slices.Clone(cl.base.Addrs), li, li+1),
+	}
 
-	leaver, err := cl.client(addr)
+	leaver, err := cl.Client(addr)
 	if err != nil {
 		return 0, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
 	headers, err := leaver.GetHeaders(0)
 	if err != nil {
-		cl.dropClient(addr, leaver)
+		cl.DropClient(addr, leaver)
 		return 0, fmt.Errorf("netx: retire %s: headers: %w", addr, err)
 	}
 	moved, err := cl.transfer(func(emit func(chunkMove) bool) error {
@@ -173,24 +187,24 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 			block := hdr.Hash()
 			resp, err := leaver.GetBlockChunks(block)
 			if err != nil {
-				cl.dropClient(addr, leaver)
+				cl.DropClient(addr, leaver)
 				return fmt.Errorf("chunks of %x: %w", block[:4], err)
 			}
 			seed := block.Uint64()
 			for i := range resp.Chunks {
 				chk := &resp.Chunks[i]
-				oldOwners, err := core.Owners(seed, cl.ids, chk.Index, cl.replication)
+				oldOwners, err := cl.base.Owners(seed, chk.Index, cl.replication)
 				if err != nil {
 					return err
 				}
-				newOwners, err := core.Owners(seed, shrunkIDs, chk.Index, r)
+				newOwners, err := shrunk.Owners(seed, chk.Index, cl.replication)
 				if err != nil {
 					return err
 				}
 				var gainers []string
 				for _, o := range newOwners {
 					if !slices.Contains(oldOwners, o) {
-						gainers = append(gainers, cl.addrs[int(o)])
+						gainers = append(gainers, cl.base.Addrs[int(o)])
 					}
 				}
 				if len(gainers) > 0 && !emit(chunkMove{block: block, index: chk.Index, chunk: chk, to: gainers}) {
@@ -203,22 +217,10 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 	if err != nil {
 		return moved, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
-	if _, err := cl.PublishEpoch(remaining); err != nil {
+	if _, err := cl.PublishEpoch(shrunk.Members, shrunk.Addrs); err != nil {
 		return moved, err
 	}
 	return moved, nil
-}
-
-// epochForMap resolves the epoch governing a write height in a cluster map:
-// the last entry whose FromHeight does not exceed it (back-to-back epochs
-// at one height resolve to the later — same arithmetic as core).
-func epochForMap(epochs []EpochInfo, height uint64) EpochInfo {
-	for i := len(epochs) - 1; i > 0; i-- {
-		if epochs[i].FromHeight <= height {
-			return epochs[i]
-		}
-	}
-	return epochs[0]
 }
 
 // RejoinMember re-provisions a member returning after a graceful departure
@@ -230,17 +232,17 @@ func epochForMap(epochs []EpochInfo, height uint64) EpochInfo {
 // chunks it owns under the restored membership, fetched from either their
 // write-epoch or post-migration holders. Returns the chunks transferred.
 func (cl *Cluster) RejoinMember(addr string) (int, error) {
-	li := slices.Index(cl.addrs, addr)
+	li := slices.Index(cl.base.Addrs, addr)
 	if li < 0 {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
-	// Ownership is decided under the restored roster cl.ids; the chunks come
+	// Ownership is decided under the restored roster cl.base.Members; the chunks come
 	// from each block's write-epoch members.
-	transferred, err := cl.provisionMember(addr, cl.ids[li], cl.ids, cl.currentMap())
+	transferred, err := cl.provisionMember(addr, cl.base.Members[li], &cl.base, cl.CurrentMap())
 	if err != nil {
 		return transferred, err
 	}
-	if _, err := cl.PublishEpoch(cl.baseEpoch().Members); err != nil {
+	if _, err := cl.PublishEpoch(cl.base.Members, cl.base.Addrs); err != nil {
 		return transferred, err
 	}
 	return transferred, nil

@@ -1,8 +1,16 @@
 package netx
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
+	"icistrategy/internal/simnet"
 )
 
 func mapServer(t *testing.T) (*Server, *Client) {
@@ -20,14 +28,19 @@ func mapServer(t *testing.T) (*Server, *Client) {
 	return s, c
 }
 
-func epoch(n int, from uint64, ids ...uint64) EpochInfo {
-	e := EpochInfo{Epoch: n, FromHeight: from}
+// epoch builds one wire epoch; member id serves at "m<id>".
+func epoch(seq int, from uint64, ids ...uint64) core.Epoch {
+	e := core.Epoch{Seq: seq, FromHeight: from}
 	for _, id := range ids {
-		e.Members = append(e.Members, MemberInfo{ID: id, Addr: "x"})
+		e.Members = append(e.Members, simnet.NodeID(id))
+		e.Addrs = append(e.Addrs, fmt.Sprintf("m%d", id))
 	}
 	return e
 }
 
+// TestClusterMapNewestWins is the server's side of the adoption rule; the
+// rule itself (EpochMap.Newer) and the rejection table (EpochMap.Validate)
+// are tested once, in core.
 func TestClusterMapNewestWins(t *testing.T) {
 	_, c := mapServer(t)
 
@@ -40,7 +53,7 @@ func TestClusterMapNewestWins(t *testing.T) {
 		t.Fatalf("fresh server holds %d epochs", len(m))
 	}
 
-	two := []EpochInfo{epoch(0, 0, 1, 2, 3), epoch(1, 9, 1, 2)}
+	two := core.EpochMap{epoch(0, 0, 1, 2, 3), epoch(1, 9, 1, 2)}
 	if err := c.SetClusterMap(two); err != nil {
 		t.Fatal(err)
 	}
@@ -52,39 +65,80 @@ func TestClusterMapNewestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 2 || m[1].Epoch != 1 || m[1].FromHeight != 9 || len(m[1].Members) != 2 {
+	if len(m) != 2 || m[1].Seq != 1 || m[1].FromHeight != 9 || len(m[1].Members) != 2 {
 		t.Fatalf("map = %+v, want the two-epoch publish intact", m)
 	}
 	// A newer publish replaces it.
-	three := append(append([]EpochInfo(nil), two...), epoch(2, 12, 1, 2, 4))
+	three := append(append(core.EpochMap(nil), two...), epoch(2, 12, 1, 2, 4))
 	if err := c.SetClusterMap(three); err != nil {
 		t.Fatal(err)
 	}
 	m, _ = c.GetClusterMap()
-	if len(m) != 3 || m[2].Epoch != 2 {
+	if len(m) != 3 || m[2].Seq != 2 {
 		t.Fatalf("map = %+v, want three epochs", m)
+	}
+
+	// An invalid publish is refused whole and leaves the stored map alone:
+	// the server runs EpochMap.Validate on what a client sends.
+	for name, bad := range map[string]core.EpochMap{
+		"empty":           nil,
+		"nonpositional":   {epoch(1, 0, 1)},
+		"repeated member": append(append(core.EpochMap(nil), three...), epoch(3, 12, 5, 5)),
+		"heights go back": append(append(core.EpochMap(nil), three...), epoch(3, 11, 1)),
+	} {
+		err := c.SetClusterMap(bad)
+		if err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Fatalf("%s: err = %v, want malformed-request rejection", name, err)
+		}
+	}
+	if m, _ := c.GetClusterMap(); len(m) != 3 {
+		t.Fatalf("rejected publish mutated server state: %+v", m)
 	}
 }
 
-func TestClusterMapRejectsMalformed(t *testing.T) {
-	_, c := mapServer(t)
+// TestClusterMapFramesGolden pins the cluster-map frames to the bytes the
+// tree produced before the wire carried a core.EpochMap (captured at the
+// parent commit from the EpochInfo/MemberInfo encoder): wire version 1, same
+// opcodes, same field order.
+func TestClusterMapFramesGolden(t *testing.T) {
+	addr := func(i int) string { return fmt.Sprintf("127.0.0.1:400%d", i) }
+	m := core.EpochMap{
+		{Seq: 0, FromHeight: 0, Members: []simnet.NodeID{0, 1, 2}, Addrs: []string{addr(0), addr(1), addr(2)}},
+		{Seq: 1, FromHeight: 17, Members: []simnet.NodeID{0, 2}, Addrs: []string{addr(0), addr(2)}},
+		{Seq: 2, FromHeight: 300, Members: []simnet.NodeID{0, 1, 2}, Addrs: []string{addr(0), addr(1), addr(2)}},
+	}
+	const body = "03000003000e3132372e302e302e313a34303030010e3132372e302e302e313a34303031020e3132372e302e302e313a34303032" +
+		"021102000e3132372e302e302e313a34303030020e3132372e302e302e313a34303032" +
+		"04ac0203000e3132372e302e302e313a34303030010e3132372e302e302e313a34303031020e3132372e302e302e313a34303032"
 	cases := []struct {
-		name   string
-		epochs []EpochInfo
+		name string
+		id   uint32
+		msg  WireEncoder
+		into func() wireMessage
+		want string
 	}{
-		{"empty", nil},
-		{"nonpositional", []EpochInfo{epoch(1, 0, 1)}},
-		{"gap", []EpochInfo{epoch(0, 0, 1), epoch(2, 4, 1)}},
-		{"memberless epoch", []EpochInfo{{Epoch: 0}}},
+		{"set_cluster_map_req", 7, &Request{SetClusterMap: &SetClusterMapReq{Epochs: m}}, freshRequest, "00000091010900000007" + body},
+		{"cluster_map_resp", 8, &Response{ClusterMap: &ClusterMapResp{Epochs: m}}, freshResponse, "00000091014700000008" + body},
+		{"empty_cluster_map_resp", 9, &Response{ClusterMap: &ClusterMapResp{}}, freshResponse, "0000000701470000000900"},
 	}
 	for _, tc := range cases {
-		err := c.SetClusterMap(tc.epochs)
-		if err == nil || !strings.Contains(err.Error(), "malformed") {
-			t.Fatalf("%s: err = %v, want malformed-request rejection", tc.name, err)
+		var b bytes.Buffer
+		if _, err := WriteFrame(&b, tc.id, tc.msg); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if m, _ := c.GetClusterMap(); len(m) != 0 {
-		t.Fatal("rejected publish mutated server state")
+		if got := hex.EncodeToString(b.Bytes()); got != tc.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		// And the parent's bytes decode to a map that encodes back to them.
+		raw, _ := hex.DecodeString(tc.want)
+		back := tc.into()
+		if _, _, err := ReadFrame(bytes.NewReader(raw), back); err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		b.Reset()
+		if _, err := WriteFrame(&b, tc.id, back); err != nil || !bytes.Equal(b.Bytes(), raw) {
+			t.Errorf("%s: decode then encode changed the frame (%v)", tc.name, err)
+		}
 	}
 }
 
@@ -99,7 +153,7 @@ func TestPublishEpochSynthesizesGenesis(t *testing.T) {
 
 	// No map published anywhere: the first PublishEpoch synthesizes epoch 0
 	// from the constructor roster and appends the new membership as epoch 1.
-	n, err := cl.PublishEpoch([]MemberInfo{{ID: 0, Addr: s1.Addr()}})
+	n, err := cl.PublishEpoch([]simnet.NodeID{0}, []string{s1.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +172,14 @@ func TestPublishEpochSynthesizesGenesis(t *testing.T) {
 	if len(m) != 2 {
 		t.Fatalf("map has %d epochs, want 2", len(m))
 	}
-	if len(m[0].Members) != 2 || m[0].Members[0].Addr != s1.Addr() {
+	if len(m[0].Members) != 2 || m[0].Addrs[0] != s1.Addr() {
 		t.Fatalf("genesis epoch = %+v, want the constructor roster", m[0])
 	}
 	if len(m[1].Members) != 1 || m[1].FromHeight != 0 {
 		t.Fatalf("epoch 1 = %+v, want one member from height 0 (no headers yet)", m[1])
+	}
+	if _, err := cl.PublishEpoch(nil, nil); err == nil {
+		t.Fatal("published an epoch with no members")
 	}
 
 	// RetireMember refuses addresses outside the roster and the last member.
@@ -136,5 +193,74 @@ func TestPublishEpochSynthesizesGenesis(t *testing.T) {
 	defer solo.Close()
 	if _, err := solo.RetireMember(s1.Addr()); err == nil {
 		t.Fatal("retired the last member")
+	}
+}
+
+// TestPublishEpochRefusesToRewriteHistory: with a published history and no
+// member able to report its chain height, the next epoch would start at
+// height 0 — below the current epoch's — and re-address every block written
+// since. At the parent commit it was published; now the push is refused.
+func TestPublishEpochRefusesToRewriteHistory(t *testing.T) {
+	s1, c1 := mapServer(t)
+	s2, _ := mapServer(t)
+	addrs := []string{s1.Addr(), s2.Addr()}
+	history := core.EpochMap{
+		{Seq: 0, FromHeight: 0, Members: []simnet.NodeID{0, 1}, Addrs: addrs},
+		{Seq: 1, FromHeight: 9, Members: []simnet.NodeID{0}, Addrs: addrs[:1]},
+	}
+	if err := c1.SetClusterMap(history); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(addrs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// The servers hold no headers, so no height is learned.
+	if n, err := cl.PublishEpoch([]simnet.NodeID{0, 1}, addrs); err == nil {
+		t.Fatalf("published epoch %d from height 0 over a history that reaches height 9", n)
+	}
+	if m, _ := c1.GetClusterMap(); len(m) != 2 {
+		t.Fatalf("refused publish changed the stored map: %+v", m)
+	}
+	// With the chain height known the same publish goes through.
+	if err := c1.PutHeader(chain.Header{Height: 9}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := cl.PublishEpoch([]simnet.NodeID{0, 1}, addrs)
+	if err != nil || n != 2 {
+		t.Fatalf("publish with a known height: epoch %d, %v; want 2", n, err)
+	}
+	if m, _ := c1.GetClusterMap(); len(m) != 3 || m[2].FromHeight != 10 {
+		t.Fatalf("map = %+v, want epoch 2 from height 10", m)
+	}
+}
+
+// TestCurrentMapSkipsInvalidPeerMap: a member answering the poll with a map
+// that fails Validate (here: one identity twice in an epoch, which would
+// halve replication silently) is skipped like an unreachable member. At the
+// parent commit the longest map won unchecked.
+func TestCurrentMapSkipsInvalidPeerMap(t *testing.T) {
+	good, cGood := mapServer(t)
+	invalid := &Response{ClusterMap: &ClusterMapResp{Epochs: core.EpochMap{
+		epoch(0, 0, 0, 1), epoch(1, 3, 0, 1), {Seq: 2, FromHeight: 5, Members: []simnet.NodeID{1, 1}, Addrs: []string{"a", "b"}},
+	}}}
+	rogue := scriptedServer(t, func(_ int, id uint32) (time.Duration, []byte) { return 0, replyFrame(t, id, invalid) })
+	addrs := []string{good.Addr(), rogue}
+	valid := core.EpochMap{
+		{Seq: 0, FromHeight: 0, Members: []simnet.NodeID{0, 1}, Addrs: addrs},
+		{Seq: 1, FromHeight: 4, Members: []simnet.NodeID{0}, Addrs: addrs[:1]},
+	}
+	if err := cGood.SetClusterMap(valid); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(addrs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	m := cl.CurrentMap()
+	if len(m) != 2 || m.Current().FromHeight != 4 {
+		t.Fatalf("CurrentMap = %+v, want the valid two-epoch map", m)
 	}
 }

@@ -286,12 +286,12 @@ func (c *Client) Stats() (*StatsResp, error) {
 // to distribute blocks, and reassembles them with Merkle-root verification
 // on reads.
 type Cluster struct {
-	addrs       []string
-	ids         []simnet.NodeID // placement identities, parallel to addrs
+	base        core.Epoch // the constructor membership: identity i serves at Addrs[i]
 	replication int
 
 	mu      sync.Mutex
 	clients map[string]*Client
+	cmap    core.EpochMap // newest cluster map seen: base until a poll or publish finds a newer
 	timeout time.Duration // per-round-trip deadline applied to every client
 	tr      *trace.Tracer
 }
@@ -308,11 +308,16 @@ func NewCluster(addrs []string, replication int) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = simnet.NodeID(i)
 	}
+	var cmap core.EpochMap
+	base, err := cmap.Push(0, ids, addrs)
+	if err != nil {
+		return nil, fmt.Errorf("netx: %w", err)
+	}
 	return &Cluster{
-		addrs:       addrs,
-		ids:         ids,
+		base:        *base,
 		replication: replication,
 		clients:     make(map[string]*Client),
+		cmap:        cmap,
 		timeout:     DefaultRPCTimeout,
 	}, nil
 }
@@ -341,8 +346,10 @@ func (cl *Cluster) Close() {
 	cl.clients = make(map[string]*Client)
 }
 
-// client returns a cached or fresh connection to addr.
-func (cl *Cluster) client(addr string) (*Client, error) {
+// Client returns the cached connection to addr, dialing one if there is
+// none. The cache is shared by everything that reads through this cluster,
+// the gateway upstream included.
+func (cl *Cluster) Client(addr string) (*Client, error) {
 	cl.mu.Lock()
 	if c, ok := cl.clients[addr]; ok {
 		cl.mu.Unlock()
@@ -377,12 +384,12 @@ func (cl *Cluster) dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// dropClient evicts c from the cache once a call on it has failed in
+// DropClient evicts c from the cache once a call on it has failed in
 // transport, which closed it (Link.Call). A connection whose server only
 // answered with an error is sound and stays: other goroutines may be in the
 // middle of calls on it. A newer connection to addr that another goroutine
 // has dialed since stays too.
-func (cl *Cluster) dropClient(addr string, c *Client) {
+func (cl *Cluster) DropClient(addr string, c *Client) {
 	if !c.link.closed() {
 		return
 	}
@@ -412,7 +419,7 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 	if err != nil {
 		return err
 	}
-	parts := len(cl.addrs)
+	parts := len(cl.base.Addrs)
 	counts, err := core.SplitCounts(len(b.Txs), parts)
 	if err != nil {
 		return err
@@ -420,7 +427,7 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 	hash := b.Hash()
 	seed := hash.Uint64()
 	reqs := make([]PutChunkReq, parts)
-	owned := make([][]int, len(cl.addrs)) // chunk indices per member, ascending
+	owned := make([][]int, len(cl.base.Addrs)) // chunk indices per member, ascending
 	txStart := 0
 	for idx := range reqs {
 		group := b.Txs[txStart : txStart+counts[idx]]
@@ -439,7 +446,7 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 			Data:    sub.EncodeBody(),
 			Proofs:  proofs,
 		}
-		owners, err := core.Owners(seed, cl.ids, idx, cl.replication)
+		owners, err := cl.base.Owners(seed, idx, cl.replication)
 		if err != nil {
 			return err
 		}
@@ -451,9 +458,9 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 
 	// One goroutine per member: a server refuses a chunk whose header it
 	// does not hold, and one connection delivers in order.
-	errs := make([]error, len(cl.addrs))
+	errs := make([]error, len(cl.base.Addrs))
 	var wg sync.WaitGroup
-	for m, addr := range cl.addrs {
+	for m, addr := range cl.base.Addrs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -477,12 +484,12 @@ func (cl *Cluster) putToMember(addr string, parent trace.SpanID, hdr chain.Heade
 		return err
 	}
 	if err := c.PutHeader(hdr); err != nil {
-		cl.dropClient(addr, c)
+		cl.DropClient(addr, c)
 		return fmt.Errorf("put header to %s: %w", addr, err)
 	}
 	for _, idx := range owned {
 		if err := c.PutChunk(reqs[idx]); err != nil {
-			cl.dropClient(addr, c)
+			cl.DropClient(addr, c)
 			return fmt.Errorf("put chunk %d to %s: %w", idx, addr, err)
 		}
 	}
@@ -508,14 +515,14 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.
 	found := make(map[int][]*chain.Transaction)
 	starts := make(map[int]int)
 	parts := 0
-	for _, addr := range cl.addrs {
+	for _, addr := range cl.base.Addrs {
 		c, err := cl.tracedClient(addr, parent)
 		if err != nil {
 			continue // dead server: degraded read
 		}
 		resp, err := c.GetBlockChunks(block)
 		if err != nil {
-			cl.dropClient(addr, c)
+			cl.DropClient(addr, c)
 			continue
 		}
 		if resp.Parts > 0 {

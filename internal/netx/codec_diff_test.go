@@ -10,6 +10,8 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
+	"icistrategy/internal/simnet"
 )
 
 // gen turns fuzz input into message values: every choice consumes bytes of
@@ -113,16 +115,17 @@ func (g *gen) chunks() []ChunkResp {
 	return cs
 }
 
-func (g *gen) epochs() []EpochInfo {
-	var es []EpochInfo
+func (g *gen) epochs() core.EpochMap {
+	var m core.EpochMap
 	for i, n := 0, g.n(3); i < n; i++ {
-		e := EpochInfo{Epoch: g.int(), FromHeight: g.uint64()}
-		for j, m := 0, g.n(3); j < m; j++ {
-			e.Members = append(e.Members, MemberInfo{ID: g.uint64(), Addr: string(g.bytes(21))})
+		e := core.Epoch{Seq: g.int(), FromHeight: g.uint64()}
+		for j, k := 0, g.n(3); j < k; j++ {
+			e.Members = append(e.Members, simnet.NodeID(g.uint64()))
+			e.Addrs = append(e.Addrs, string(g.bytes(21)))
 		}
-		es = append(es, e)
+		m = append(m, e)
 	}
-	return es
+	return m
 }
 
 // request builds one variant of the Request union (or none).

@@ -52,7 +52,7 @@ func (cl *Cluster) tracer() *trace.Tracer {
 // tracedClient returns a connection to addr with its round-trips parented
 // under parent.
 func (cl *Cluster) tracedClient(addr string, parent trace.SpanID) (*Client, error) {
-	c, err := cl.client(addr)
+	c, err := cl.Client(addr)
 	if err != nil {
 		return nil, err
 	}

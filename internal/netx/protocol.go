@@ -10,9 +10,11 @@ package netx
 
 import (
 	"errors"
+	"fmt"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
 )
 
 // Protocol errors.
@@ -147,46 +149,37 @@ type BlockChunksResp struct {
 	Chunks []ChunkResp
 }
 
-// MemberInfo names one cluster member on the wire: its stable placement
-// identity and the address it serves on. The identity — not the address or
-// a positional index — is what rendezvous placement hashes, so a member
-// that moves or rejoins keeps its chunks.
-type MemberInfo struct {
-	ID   uint64
-	Addr string
-}
-
-// EpochInfo is one entry of the epoch-versioned cluster map: the member set
-// that governs blocks written at or above FromHeight. The full epoch
-// history travels together so readers can resolve any historic block
-// against the membership it was written under (same arithmetic as
-// core's membership epochs: last entry with FromHeight <= height wins).
-type EpochInfo struct {
-	Epoch      int
-	FromHeight uint64
-	Members    []MemberInfo
-}
-
 // ClusterMapReq fetches the server's epoch-versioned cluster map.
 type ClusterMapReq struct{}
 
-// ClusterMapResp returns the stored cluster map, oldest epoch first. Empty
-// when no map was ever published to this server.
+// ClusterMapResp returns the stored cluster map, whole — readers resolve any
+// historic block against the membership it was written under. Empty when no
+// map was ever published to this server.
 type ClusterMapResp struct {
-	Epochs []EpochInfo
+	Epochs core.EpochMap
 }
 
-// SetClusterMapReq publishes a cluster map. Servers keep the newest map
-// they have seen: a request whose final epoch number does not exceed the
-// stored one is acknowledged but ignored, so republishing after partitions
-// or restarts is always safe.
+// SetClusterMapReq publishes a cluster map. Servers keep the newest valid
+// map they have seen (core.EpochMap.Newer): a stale or duplicate publish is
+// acknowledged but ignored, so republishing after partitions or restarts is
+// always safe.
 type SetClusterMapReq struct {
-	Epochs []EpochInfo
+	Epochs core.EpochMap
 }
 
 // maxMapEpochs bounds a published map so a buggy client cannot grow server
 // state without limit; real churn histories are far smaller.
 const maxMapEpochs = 65536
+
+// checkMap is the gate every cluster map from outside the process passes
+// before it is adopted — a server's SetClusterMap, a cluster's poll (and
+// through it the gateway's refresh).
+func checkMap(m core.EpochMap) error {
+	if len(m) > maxMapEpochs {
+		return fmt.Errorf("%w: cluster map with %d epochs", core.ErrBadMap, len(m))
+	}
+	return m.Validate()
+}
 
 // StatsReq asks for the server's storage accounting.
 type StatsReq struct{}

@@ -13,6 +13,7 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
 )
@@ -42,7 +43,7 @@ type Server struct {
 	mu     sync.Mutex
 	store  *storage.Store
 	meta   map[storage.ChunkID]chunkSidecar
-	cmap   []EpochInfo // newest published cluster map (epoch-versioned membership)
+	cmap   core.EpochMap // newest published cluster map; empty until the first publish
 	conns  map[net.Conn]struct{}
 	closed bool
 	// drainBy is the deadline Close put on every connection; set with closed.
@@ -307,37 +308,29 @@ func (s *Server) handle(req *Request) *Response {
 }
 
 // handleClusterMap serves the epoch-versioned membership ops. A published
-// map is kept only when newer than the one held (by final epoch number);
-// stale or duplicate publishes are acknowledged without effect, so
-// republishing after partitions or restarts is always safe.
+// map must be valid and is kept only when newer than the one held; stale or
+// duplicate publishes are acknowledged without effect, so republishing after
+// partitions or restarts is always safe.
 func (s *Server) handleClusterMap(req *Request) *Response {
 	if req.GetClusterMap != nil {
 		s.mu.Lock()
-		out := append([]EpochInfo(nil), s.cmap...)
+		m := s.cmap // replaced whole on a newer publish, never edited
 		s.mu.Unlock()
-		return &Response{ClusterMap: &ClusterMapResp{Epochs: out}}
+		return &Response{ClusterMap: &ClusterMapResp{Epochs: m}}
 	}
-	r := req.SetClusterMap
-	if len(r.Epochs) == 0 || len(r.Epochs) > maxMapEpochs {
-		return errResp(fmt.Errorf("%w: cluster map with %d epochs", ErrBadRequest, len(r.Epochs)))
+	m := req.SetClusterMap.Epochs
+	if err := checkMap(m); err != nil {
+		return errResp(fmt.Errorf("%w: %v", ErrBadRequest, err))
 	}
-	for i, e := range r.Epochs {
-		if e.Epoch != i {
-			return errResp(fmt.Errorf("%w: epoch %d at position %d", ErrBadRequest, e.Epoch, i))
-		}
-		if len(e.Members) == 0 {
-			return errResp(fmt.Errorf("%w: epoch %d has no members", ErrBadRequest, i))
-		}
-	}
-	newest := r.Epochs[len(r.Epochs)-1].Epoch
 	s.mu.Lock()
-	if len(s.cmap) > 0 && newest <= s.cmap[len(s.cmap)-1].Epoch {
-		s.mu.Unlock()
-		return okResp() // stale or duplicate publish: keep what we have
+	newer := m.Newer(s.cmap)
+	if newer {
+		s.cmap = m // decoded for this request; nobody else holds it
 	}
-	s.cmap = append([]EpochInfo(nil), r.Epochs...)
 	s.mu.Unlock()
-	s.event("clustermap.update", "epoch", newest, "members", len(r.Epochs[len(r.Epochs)-1].Members))
+	if newer {
+		s.event("clustermap.update", "epoch", m.Current().Seq, "members", len(m.Current().Members))
+	}
 	return okResp()
 }
 

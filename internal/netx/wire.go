@@ -12,6 +12,8 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
+	"icistrategy/internal/simnet"
 )
 
 // The wire format. Every message is one frame:
@@ -651,34 +653,40 @@ func (r *wireReader) chunks() []ChunkResp {
 // An epoch list: count, then per epoch
 //
 //	varint epoch | uvarint fromHeight | count × (uvarint id | string addr)
-func appendEpochs(b []byte, es []EpochInfo) []byte {
-	b = binary.AppendUvarint(b, uint64(len(es)))
-	for i := range es {
-		b = appendInt(b, es[i].Epoch)
-		b = binary.AppendUvarint(b, es[i].FromHeight)
-		b = binary.AppendUvarint(b, uint64(len(es[i].Members)))
-		for _, m := range es[i].Members {
-			b = binary.AppendUvarint(b, m.ID)
-			b = appendString(b, m.Addr)
+func appendEpochs(b []byte, m core.EpochMap) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	for i := range m {
+		e := &m[i]
+		b = appendInt(b, e.Seq)
+		b = binary.AppendUvarint(b, e.FromHeight)
+		b = binary.AppendUvarint(b, uint64(len(e.Members)))
+		for j, id := range e.Members {
+			b = binary.AppendUvarint(b, uint64(id))
+			addr := "" // a map without addresses is the receiver's to reject
+			if j < len(e.Addrs) {
+				addr = e.Addrs[j]
+			}
+			b = appendString(b, addr)
 		}
 	}
 	return b
 }
 
-func (r *wireReader) epochs() []EpochInfo {
+func (r *wireReader) epochs() core.EpochMap {
 	n := r.count(3, "epochs")
 	if n == 0 {
 		return nil
 	}
-	es := make([]EpochInfo, n)
-	for i := range es {
-		es[i].Epoch, es[i].FromHeight = r.int("epoch"), r.uvarint("from height")
-		if m := r.count(2, "members"); m > 0 {
-			es[i].Members = make([]MemberInfo, m)
-			for j := range es[i].Members {
-				es[i].Members[j] = MemberInfo{ID: r.uvarint("member id"), Addr: r.string("member addr")}
+	m := make(core.EpochMap, n)
+	for i := range m {
+		e := &m[i]
+		e.Seq, e.FromHeight = r.int("epoch"), r.uvarint("from height")
+		if k := r.count(2, "members"); k > 0 {
+			e.Members, e.Addrs = make([]simnet.NodeID, k), make([]string, k)
+			for j := range e.Members {
+				e.Members[j], e.Addrs[j] = simnet.NodeID(r.uvarint("member id")), r.string("member addr")
 			}
 		}
 	}
-	return es
+	return m
 }

@@ -11,6 +11,8 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
+	"icistrategy/internal/simnet"
 )
 
 // wireMessage is a message the tests send both ways.
@@ -62,9 +64,9 @@ func sampleMessages(t testing.TB) []sample {
 		headers[i] = b.Header
 		headers[i].Height = uint64(i)
 	}
-	epochs := []EpochInfo{
-		{Epoch: 0, FromHeight: 0, Members: []MemberInfo{{ID: 0, Addr: "127.0.0.1:4000"}, {ID: 1, Addr: "127.0.0.1:4001"}}},
-		{Epoch: 1, FromHeight: 17, Members: []MemberInfo{{ID: 1, Addr: "127.0.0.1:4001"}}},
+	epochs := core.EpochMap{
+		{Seq: 0, FromHeight: 0, Members: []simnet.NodeID{0, 1}, Addrs: []string{"127.0.0.1:4000", "127.0.0.1:4001"}},
+		{Seq: 1, FromHeight: 17, Members: []simnet.NodeID{1}, Addrs: []string{"127.0.0.1:4001"}},
 	}
 	h1, h2 := blockcrypto.Sum256([]byte("one")), blockcrypto.Sum256([]byte("two"))
 	req := func(name string, r Request) sample { return sample{name, &r, freshRequest} }

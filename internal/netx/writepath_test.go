@@ -27,8 +27,8 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 	if err != nil {
 		return err
 	}
-	for _, addr := range cl.addrs {
-		c, err := cl.client(addr)
+	for _, addr := range cl.base.Addrs {
+		c, err := cl.Client(addr)
 		if err != nil {
 			return err
 		}
@@ -36,7 +36,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 			return fmt.Errorf("put header to %s: %w", addr, err)
 		}
 	}
-	parts := len(cl.addrs)
+	parts := len(cl.base.Addrs)
 	counts, err := core.SplitCounts(len(b.Txs), parts)
 	if err != nil {
 		return err
@@ -53,13 +53,13 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 		}
 		sub := chain.Block{Txs: group}
 		req := PutChunkReq{Block: b.Hash(), Index: idx, Parts: parts, TxStart: txStart, Data: sub.EncodeBody(), Proofs: proofs}
-		owners, err := core.Owners(seed, cl.ids, idx, cl.replication)
+		owners, err := core.Owners(seed, cl.base.Members, idx, cl.replication)
 		if err != nil {
 			return err
 		}
 		for _, o := range owners {
-			addr := cl.addrs[int(o)]
-			c, err := cl.client(addr)
+			addr := cl.base.Addrs[int(o)]
+			c, err := cl.Client(addr)
 			if err != nil {
 				return err
 			}
@@ -72,7 +72,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 	return nil
 }
 
-// sequentialBootstrap provisions target as member len(cl.ids) one chunk
+// sequentialBootstrap provisions target as member len(cl.base.Members) one chunk
 // after another over one connection: the reference for BootstrapNewMember.
 func sequentialBootstrap(t *testing.T, cl *Cluster, target string) int {
 	t.Helper()
@@ -85,15 +85,15 @@ func sequentialBootstrap(t *testing.T, cl *Cluster, target string) int {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	grown := memberIDs(len(cl.ids) + 1)
+	grown := memberIDs(len(cl.base.Members) + 1)
 	n := 0
 	for _, h := range headers {
-		for _, idx := range ownedChunks(t, h.Hash(), grown, len(cl.ids), cl.replication)[len(cl.ids)] {
-			owners, err := core.Owners(h.Hash().Uint64(), cl.ids, idx, cl.replication)
+		for _, idx := range ownedChunks(t, h.Hash(), grown, len(cl.base.Members), cl.replication)[len(cl.base.Members)] {
+			owners, err := core.Owners(h.Hash().Uint64(), cl.base.Members, idx, cl.replication)
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := cl.client(cl.addrs[int(owners[0])])
+			src, err := cl.Client(cl.base.Addrs[int(owners[0])])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +382,7 @@ func TestTransferStopsAtUnavailableChunk(t *testing.T) {
 	if bad < 2 || len(moves)-bad <= 2*transferWorkers {
 		t.Fatalf("joiner owns %d chunks: too few for the test", len(moves))
 	}
-	owners, err := core.Owners(moves[bad].Block.Uint64(), cl.ids, moves[bad].Index, r)
+	owners, err := core.Owners(moves[bad].Block.Uint64(), cl.base.Members, moves[bad].Index, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,16 +559,16 @@ func TestRefusalKeepsTheSharedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.client(addrs[0])
+	c, err := cl.Client(addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GetChunk(blockcrypto.Hash{1}, 0); err == nil {
 		t.Fatal("an empty server served a chunk")
 	} else {
-		cl.dropClient(addrs[0], c)
+		cl.DropClient(addrs[0], c)
 	}
-	if again, err := cl.client(addrs[0]); err != nil || again != c {
+	if again, err := cl.Client(addrs[0]); err != nil || again != c {
 		t.Fatalf("the connection was evicted after a refusal (err %v)", err)
 	}
 	if _, err := c.Stats(); err != nil {
