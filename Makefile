@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-fix lint-selftest fmt vet bench bench-sim bench-gateway bench-churn bench-smoke bench-all bench-compare sim contest contest-stress loc
+.PHONY: all build test race lint lint-fix lint-selftest fmt vet bench bench-smoke bench-all bench-compare sim contest contest-stress loc
 
 all: build test lint
 
@@ -54,36 +54,15 @@ vet:
 bench:
 	$(GO) test -run=NONE -bench 'Erasure' -benchtime 200ms .
 
-# Regenerate the simulation-engine throughput snapshot: overhauled engine
-# vs the frozen pre-overhaul baseline on the E4-style workload (DESIGN.md
-# "Event engine"). CI runs the same command at -quick scale with
-# -minspeedup 2 as the regression gate.
-bench-sim:
-	$(GO) run ./cmd/icibench -simbench BENCH_PR5.json
-
-# Regenerate the read-gateway load snapshot: Zipfian closed-loop clients
-# over a real TCP storage cluster, caches on vs off (DESIGN.md "Read-path
-# gateway"). CI runs the same command at -quick scale with -minspeedup 1.5
-# as the regression gate.
-bench-gateway:
-	$(GO) run ./cmd/icibench -gatewaybench BENCH_PR7.json
-
-# Regenerate the churn availability/movement snapshot: graceful
-# leave/rejoin cycles, flash-crowd join bursts, and correlated crashes over
-# the epoch-versioned membership machinery (DESIGN.md "Membership epochs").
-# CI runs the same command at -quick scale; the built-in gate requires
-# graceful and flash-crowd churn to keep 100% availability within the
-# per-epoch movement bound.
-bench-churn:
-	$(GO) run ./cmd/icibench -churnbench BENCH_PR8.json
-
 # The repository's one benchmark (bench/README.md, BENCHMARK.json) is a Go
 # module of its own, so `make test` does not reach it. bench-smoke runs its
-# tests and the same-seed determinism check at smoke scale; CI's
-# bench-module job runs the same two commands.
+# tests and the same-seed determinism check at smoke scale, then every
+# testing.B of the main module for one iteration so they keep compiling and
+# running; CI's bench-module job runs the same three commands.
 bench-smoke:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -selfcheck -quick
+	$(GO) test -run=NONE -bench . -benchtime 1x ./...
 
 # Every workload, untraced and traced, every metric by name:
 #   make bench-all [OUT=after.json] [RUNS=3]

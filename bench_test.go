@@ -1,8 +1,8 @@
-// Package icistrategy's root benchmark harness: one testing.B per paper
-// artifact (experiments E1-E10, see DESIGN.md). Benchmarks run the Quick
-// configuration so `go test -bench=.` completes in seconds; pass
-// -paperscale to run the full reconstructed paper configuration (n=4096,
-// 1 MiB blocks — minutes, matches cmd/icibench's default output).
+// Package icistrategy's root benchmark harness: one testing.B per
+// simulator experiment (E1-E12 and E16, see EXPERIMENTS.md). Benchmarks
+// run the Quick configuration so `go test -bench=.` completes in seconds;
+// pass -paperscale to run the full reconstructed paper configuration
+// (n=4096, 1 MiB blocks — minutes, matches cmd/icibench's default output).
 package icistrategy
 
 import (

@@ -26,30 +26,25 @@ import (
 //     gone — the lost column is the point of the variant.
 var churnVariants = []string{"graceful", "flash-crowd", "correlated"}
 
-// ChurnResult is one measured churn run; the JSON form is the row schema of
-// BENCH_PR8.json.
-type ChurnResult struct {
-	Variant        string  `json:"variant"`
-	Rate           int     `json:"rate"`
-	Blocks         int     `json:"blocks"`
-	PreChurnBlocks int     `json:"pre_churn_blocks"`
-	Epochs         int     `json:"epochs"`
-	PreChurnAvail  float64 `json:"pre_churn_availability"`
-	AllAvail       float64 `json:"all_availability"`
-	RetrieveOK     bool    `json:"pre_churn_retrieve_ok"`
-	MovedChunks    int64   `json:"moved_chunks"`
-	MaxEpochMoved  int64   `json:"max_epoch_moved_chunks"`
-	EpochMoveBound int64   `json:"epoch_move_bound_chunks"`
-	HandoffKB      float64 `json:"handoff_kb"`
-	RepairFetches  int64   `json:"repair_chunk_fetches"`
-	LostChunks     int64   `json:"lost_chunks"`
+// churnResult is one measured churn run: a row of E16 plus RetrieveOK,
+// which the table does not print and TestE16GracefulChurnGate checks.
+type churnResult struct {
+	Epochs         int
+	PreChurnAvail  float64
+	AllAvail       float64
+	RetrieveOK     bool
+	MovedChunks    int64
+	MaxEpochMoved  int64
+	EpochMoveBound int64
+	HandoffKB      float64
+	LostChunks     int64
 }
 
 // runChurn executes one (variant, rate) cell on a fresh single-cluster
 // system with a private counter registry, so movement deltas are this
 // run's alone even when the suite shares a registry elsewhere.
-func runChurn(p Params, variant string, rate int) (ChurnResult, error) {
-	res := ChurnResult{Variant: variant, Rate: rate}
+func runChurn(p Params, variant string, rate int) (churnResult, error) {
+	var res churnResult
 	reg := metrics.NewRegistry()
 	sys, err := core.NewSystem(core.Config{
 		Nodes:       p.ChurnClusterSize,
@@ -101,7 +96,6 @@ func runChurn(p Params, variant string, rate int) (ChurnResult, error) {
 	if err := produce(pre); err != nil {
 		return res, err
 	}
-	res.PreChurnBlocks = len(blocks)
 	preHashes := append([]blockcrypto.Hash(nil), blocks...)
 
 	// The incremental-re-clustering bound: rendezvous placement moves about
@@ -231,10 +225,8 @@ func runChurn(p Params, variant string, rate int) (ChurnResult, error) {
 		return res, fmt.Errorf("experiments: unknown churn variant %q", variant)
 	}
 
-	res.Blocks = len(blocks)
 	res.MovedChunks = moved()
 	res.HandoffKB = kb(float64(reg.Counter("ici.handoff.bytes").Value()))
-	res.RepairFetches = reg.Counter("ici.repair.chunk_fetches").Value()
 	if res.Epochs, err = sys.ClusterEpoch(0); err != nil {
 		return res, err
 	}
@@ -271,24 +263,6 @@ func runChurn(p Params, variant string, rate int) (ChurnResult, error) {
 	return res, nil
 }
 
-// RunChurnBench sweeps every churn variant over p.ChurnRates and returns
-// the raw per-run results — the payload of BENCH_PR8.json and the data
-// cmd/icibench gates on (graceful and flash-crowd churn must keep every
-// pre-churn block available, within the per-epoch movement bound).
-func RunChurnBench(p Params) ([]ChurnResult, error) {
-	var out []ChurnResult
-	for _, variant := range churnVariants {
-		for _, rate := range p.ChurnRates {
-			res, err := runChurn(p, variant, rate)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: churn %s rate %d: %w", variant, rate, err)
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
 // E16ChurnAvailability is an extension experiment: availability and repair
 // bandwidth as a function of churn rate, under graceful departures,
 // flash-crowd join/leave bursts, and correlated crashes. Graceful churn
@@ -300,13 +274,15 @@ func E16ChurnAvailability(p Params) (*metrics.Table, error) {
 			p.ChurnClusterSize, p.ChurnReplication, p.ChurnBlocks),
 		"variant", "rate", "epochs", "pre_avail", "all_avail", "moved_chunks",
 		"max_epoch_moved", "epoch_bound", "handoff_KB", "lost_chunks")
-	results, err := RunChurnBench(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		tbl.AddRow(r.Variant, r.Rate, r.Epochs, r.PreChurnAvail, r.AllAvail,
-			r.MovedChunks, r.MaxEpochMoved, r.EpochMoveBound, r.HandoffKB, r.LostChunks)
+	for _, variant := range churnVariants {
+		for _, rate := range p.ChurnRates {
+			r, err := runChurn(p, variant, rate)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: churn %s rate %d: %w", variant, rate, err)
+			}
+			tbl.AddRow(variant, rate, r.Epochs, r.PreChurnAvail, r.AllAvail,
+				r.MovedChunks, r.MaxEpochMoved, r.EpochMoveBound, r.HandoffKB, r.LostChunks)
+		}
 	}
 	return tbl, nil
 }

@@ -176,21 +176,27 @@ func TestE8SavingsBelowOne(t *testing.T) {
 	}
 }
 
-// BenchmarkSimWorkload drives the -simbench flood+ack workload through the
-// overhauled engine — the profile target for event-engine work.
-func BenchmarkSimWorkload(b *testing.B) {
-	eng, err := buildSimBenchNet(4096, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := simBenchRound(eng, 4096); err != nil {
-		b.Fatal(err) // warm-up: fill pool and intern table
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := simBenchRound(eng, 4096); err != nil {
-			b.Fatal(err)
+// TestE16GracefulChurnGate is E16's correctness gate: graceful and
+// flash-crowd churn must keep every block held and retrievable, and move no
+// more chunks in one epoch than the incremental re-clustering bound.
+// Correlated crashes are reported by E16, not gated: losing chunks once the
+// crash count reaches the replication factor is the expected physics.
+func TestE16GracefulChurnGate(t *testing.T) {
+	p := Quick()
+	for _, variant := range []string{"graceful", "flash-crowd"} {
+		for _, rate := range p.ChurnRates {
+			r, err := runChurn(p, variant, rate)
+			if err != nil {
+				t.Fatalf("%s rate=%d: %v", variant, rate, err)
+			}
+			if r.PreChurnAvail != 1 || r.AllAvail != 1 || !r.RetrieveOK {
+				t.Errorf("%s rate=%d: availability pre=%.2f all=%.2f retrieve_ok=%v, want 1.0/1.0/true",
+					variant, rate, r.PreChurnAvail, r.AllAvail, r.RetrieveOK)
+			}
+			if r.MaxEpochMoved > r.EpochMoveBound {
+				t.Errorf("%s rate=%d: max per-epoch movement %d chunks exceeds bound %d",
+					variant, rate, r.MaxEpochMoved, r.EpochMoveBound)
+			}
 		}
 	}
 }

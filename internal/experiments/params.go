@@ -44,17 +44,6 @@ type Params struct {
 	// Availability (E7).
 	AvailTrials int // Monte-Carlo trials per point
 
-	// Gateway load (E15) — real-TCP read path under Zipfian popularity.
-	GatewayServers     int     // storage servers behind the gateway
-	GatewayReplication int     // chunk replication in the gateway cluster
-	GatewayBlocks      int     // chain length served
-	GatewayTxPerBlock  int     // transactions per served block
-	GatewayClients     int     // closed-loop client concurrency
-	GatewayRequests    int     // total requests per run
-	GatewayZipfS       float64 // key-popularity skew
-	GatewayCacheBytes  int64   // per-cache budget for the cache-on run
-	GatewayProofEvery  int     // every Nth request is a light-client proof
-
 	// Churn (E16) — epoch-versioned membership under node churn.
 	ChurnClusterSize int   // members in the churned cluster
 	ChurnReplication int   // chunk replication under churn
@@ -92,16 +81,6 @@ func Defaults() Params {
 		ProtoClusterCount: []int{2, 4, 8, 16},
 		AvailTrials:       300,
 
-		GatewayServers:     8,
-		GatewayReplication: 2,
-		GatewayBlocks:      48,
-		GatewayTxPerBlock:  96,
-		GatewayClients:     16,
-		GatewayRequests:    2400,
-		GatewayZipfS:       1.1,
-		GatewayCacheBytes:  4 << 20,
-		GatewayProofEvery:  8,
-
 		ChurnClusterSize: 12,
 		ChurnReplication: 2,
 		ChurnBlocks:      24,
@@ -130,16 +109,6 @@ func Quick() Params {
 		ProtoClusterSizes: []int{4, 8, 16},
 		ProtoClusterCount: []int{2, 4},
 		AvailTrials:       50,
-
-		GatewayServers:     3,
-		GatewayReplication: 2,
-		GatewayBlocks:      6,
-		GatewayTxPerBlock:  12,
-		GatewayClients:     4,
-		GatewayRequests:    80,
-		GatewayZipfS:       1.1,
-		GatewayCacheBytes:  1 << 20,
-		GatewayProofEvery:  10,
 
 		ChurnClusterSize: 8,
 		ChurnReplication: 2,

@@ -4,8 +4,8 @@ import "icistrategy/internal/metrics"
 
 // Experiment names one regenerable paper artifact.
 type Experiment struct {
-	// ID is the experiment identifier used in DESIGN.md and EXPERIMENTS.md
-	// (E1..E16).
+	// ID is the experiment identifier used in DESIGN.md and EXPERIMENTS.md.
+	// IDs are stable names with gaps (no E13, no E15), never renumbered.
 	ID string
 	// Name is a short human-readable description.
 	Name string
@@ -28,9 +28,7 @@ func All() []Experiment {
 		{ID: "E10", Name: "clustering method ablation", Run: E10ClusteringAblation},
 		{ID: "E11", Name: "coded archival tradeoff (extension)", Run: E11ArchivalTradeoff},
 		{ID: "E12", Name: "repair cost after departure (extension)", Run: E12RepairCost},
-		{ID: "E13", Name: "erasure coding throughput (extension)", Run: E13CodingThroughput},
 		{ID: "E14", Name: "per-phase trace breakdown (extension)", Run: E14TraceBreakdown},
-		{ID: "E15", Name: "gateway read path under Zipfian load (extension)", Run: E15GatewayLatency},
 		{ID: "E16", Name: "availability and repair bandwidth under churn (extension)", Run: E16ChurnAvailability},
 	}
 }

@@ -268,7 +268,8 @@ func TestConcurrentGetsCoalesceToOneFetch(t *testing.T) {
 }
 
 // TestCacheHitServesWithZeroUpstream: once a block is hot, serving it again
-// must touch the upstream zero times.
+// must touch the upstream zero times — and with the caches off, every read
+// goes upstream.
 func TestCacheHitServesWithZeroUpstream(t *testing.T) {
 	u, blocks := newFakeUpstream(t, 3, 1, 12)
 	reg := metrics.NewRegistry()
@@ -294,6 +295,30 @@ func TestCacheHitServesWithZeroUpstream(t *testing.T) {
 	snap := reg.Snapshot()
 	if v := snap["ici.gateway.block_cache.hits"]; v < 1 {
 		t.Fatalf("block cache hits = %v, want >= 1", v)
+	}
+
+	// The other side: with a cache budget of 0 nothing is ever hot, so
+	// every read of the same block costs upstream RPCs again.
+	reg = metrics.NewRegistry()
+	g = newTestGateway(t, u, reg, 0)
+	last := u.batchCalls.Load()
+	for read := 1; read <= 3; read++ {
+		got, err := g.GetBlock(b.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Hash() != b.Hash() {
+			t.Fatal("wrong block with caches off")
+		}
+		now := u.batchCalls.Load()
+		if now <= last {
+			t.Fatalf("caches off: read %d cost no upstream RPC (batches %d->%d)", read, last, now)
+		}
+		last = now
+	}
+	snap = reg.Snapshot()
+	if hits := snap["ici.gateway.block_cache.hits"] + snap["ici.gateway.chunk_cache.hits"]; hits != 0 {
+		t.Fatalf("caches off recorded %v hits", hits)
 	}
 }
 

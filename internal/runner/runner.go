@@ -10,9 +10,9 @@
 //   - results land in a slice indexed by the cell's input position, so
 //     collection order is the caller's order, never goroutine completion
 //     order;
-//   - per-cell seeds derive from the root seed by stable cell key
-//     (CellSeed), so a cell's randomness does not depend on which worker
-//     picks it up or when;
+//   - a cell's randomness comes from its own configuration (the suite seed
+//     forked by fixed labels inside the cell), so it does not depend on
+//     which worker picks the cell up or when;
 //   - workers draw cells from par.Each's one atomic cursor — no channels,
 //     no select, nothing the runtime scheduler can reorder into the results.
 //
@@ -21,7 +21,6 @@
 package runner
 
 import (
-	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/par"
 )
@@ -31,9 +30,8 @@ import (
 // from its own configuration and touches no sibling state. Shared sinks it
 // does write (metrics counters) must be commutative.
 type Cell struct {
-	// Key names the cell stably across runs — an experiment ID ("E4"), a
-	// sweep coordinate ("simbench/n=4096"). It labels the result and is
-	// the input to per-cell seed derivation.
+	// Key names the cell stably across runs — an experiment ID ("E4"). It
+	// labels the result.
 	Key string
 	// Run executes the cell.
 	Run func() (*metrics.Table, error)
@@ -44,14 +42,6 @@ type Result struct {
 	Key   string
 	Table *metrics.Table
 	Err   error
-}
-
-// CellSeed derives the seed for one cell from the root seed and the cell's
-// stable key. The derivation matches the repo's RNG forking convention
-// (hash of parent state + label), so a cell's stream is independent of its
-// position in the schedule and of every other cell's consumption.
-func CellSeed(root uint64, key string) uint64 {
-	return blockcrypto.NewRNG(root).Fork("cell/" + key).Uint64()
 }
 
 // Run executes cells on a bounded pool of workers and returns results in

@@ -118,21 +118,3 @@ func TestRunDefaultsAndEmpty(t *testing.T) {
 		t.Fatalf("default-worker run misbehaved: ran=%v results=%v", ran, results)
 	}
 }
-
-// TestCellSeedStableAndDistinct: the same (root, key) always derives the
-// same seed; different keys and different roots derive different seeds.
-func TestCellSeedStableAndDistinct(t *testing.T) {
-	if CellSeed(42, "E4") != CellSeed(42, "E4") {
-		t.Fatal("CellSeed is not stable")
-	}
-	seen := map[uint64]string{}
-	for _, key := range []string{"E1", "E4", "simbench/n=4096", "simbench/n=16384"} {
-		for _, root := range []uint64{1, 42, 1 << 40} {
-			s := CellSeed(root, key)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision between %s and %s/%d", prev, key, root)
-			}
-			seen[s] = fmt.Sprintf("%s/%d", key, root)
-		}
-	}
-}

@@ -479,44 +479,37 @@ func TestKindsSortedAndDeterministic(t *testing.T) {
 	}
 }
 
-// differentialWorkload drives one complete 4-ary-tree flood plus per-node
-// acks through an engine via the given primitives, returning executed
-// events. Both engines must produce identical schedules for it.
-func differentialWorkload(n int, send func(Message) error, run func() int) (int, error) {
-	root := Message{From: 0, To: 0, Kind: "diff/flood", Size: 4096}
-	for c := 1; c <= 4 && c < n; c++ {
-		root.To = NodeID(c)
-		if err := send(root); err != nil {
-			return 0, err
-		}
-	}
-	return run(), nil
-}
+// TestEngineGoldenSchedule pins the engine's schedule for one seeded
+// workload: a complete 4-ary-tree flood over 256 nodes with one ack per
+// delivery. The constants were read at commit 1a6587c, the last to carry
+// the frozen pre-overhaul engine, where TestBaselineDifferential showed
+// both engines agreeing on every one of them. A change that moves any of
+// them has changed event ordering, latency sampling or traffic accounting.
+func TestEngineGoldenSchedule(t *testing.T) {
+	const (
+		n         = 256
+		floodSize = 4096
+		ackSize   = 64
 
-// TestBaselineDifferential pins the engine overhaul against the frozen
-// pre-PR reference: the same seeded workload on both engines must agree on
-// virtual time, traffic totals, per-kind stats, and delivery counts.
-func TestBaselineDifferential(t *testing.T) {
-	const n = 256
-	floodSize, ackSize := 4096, 64
-	children := func(i int) []NodeID {
-		var out []NodeID
-		for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
-			out = append(out, NodeID(c))
-		}
-		return out
+		wantEvents = 510
+		wantNow    = 288445461 * time.Nanosecond
+	)
+	wantTraffic := TrafficStats{BytesSent: 1060800, BytesRecv: 1060800, MsgsSent: 510, MsgsRecv: 510}
+	wantKinds := map[string]KindStats{
+		"diff/flood": {Messages: 255, Bytes: 1044480},
+		"diff/ack":   {Messages: 255, Bytes: 16320},
 	}
+
 	coords := RandomCoords(n, 60, blockcrypto.NewRNG(9))
-
-	newEngine := New(NewLinkModel(17))
+	net := New(NewLinkModel(17))
 	for i := 0; i < n; i++ {
 		i := i
-		err := newEngine.AddNode(NodeID(i), HandlerFunc(func(nw *Network, m Message) {
+		err := net.AddNode(NodeID(i), HandlerFunc(func(nw *Network, m Message) {
 			if m.Kind != "diff/flood" {
 				return
 			}
-			for _, c := range children(i) {
-				_ = nw.Send(Message{From: NodeID(i), To: c, Kind: "diff/flood", Size: floodSize})
+			for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
+				_ = nw.Send(Message{From: NodeID(i), To: NodeID(c), Kind: "diff/flood", Size: floodSize})
 			}
 			_ = nw.Send(Message{From: NodeID(i), To: m.From, Kind: "diff/ack", Size: ackSize})
 		}), coords[i])
@@ -524,47 +517,26 @@ func TestBaselineDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	newEvents, err := differentialWorkload(n, newEngine.Send, newEngine.RunUntilIdle)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	base := NewBaseline(NewLinkModel(17))
-	for i := 0; i < n; i++ {
-		i := i
-		err := base.AddNode(NodeID(i), func(nw *BaselineNetwork, m Message) {
-			if m.Kind != "diff/flood" {
-				return
-			}
-			for _, c := range children(i) {
-				_ = nw.Send(Message{From: NodeID(i), To: c, Kind: "diff/flood", Size: floodSize})
-			}
-			_ = nw.Send(Message{From: NodeID(i), To: m.From, Kind: "diff/ack", Size: ackSize})
-		}, coords[i])
-		if err != nil {
+	for c := 1; c <= 4; c++ {
+		if err := net.Send(Message{From: 0, To: NodeID(c), Kind: "diff/flood", Size: floodSize}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	baseEvents, err := differentialWorkload(n, base.Send, base.RunUntilIdle)
-	if err != nil {
-		t.Fatal(err)
+	if events := net.RunUntilIdle(); events != wantEvents {
+		t.Fatalf("executed %d events, want %d", events, wantEvents)
 	}
-
-	if newEvents != baseEvents {
-		t.Fatalf("event counts diverged: new %d, baseline %d", newEvents, baseEvents)
+	if net.Now() != wantNow {
+		t.Fatalf("final virtual time %v, want %v", net.Now(), wantNow)
 	}
-	if newEngine.Now() != base.Now() {
-		t.Fatalf("virtual time diverged: new %v, baseline %v", newEngine.Now(), base.Now())
+	if net.TotalTraffic() != wantTraffic {
+		t.Fatalf("traffic %+v, want %+v", net.TotalTraffic(), wantTraffic)
 	}
-	if newEngine.TotalTraffic() != base.TotalTraffic() {
-		t.Fatalf("traffic diverged: new %+v, baseline %+v", newEngine.TotalTraffic(), base.TotalTraffic())
+	if net.DeliveredCount() != wantEvents {
+		t.Fatalf("delivered %d, want %d", net.DeliveredCount(), wantEvents)
 	}
-	if newEngine.DeliveredCount() != base.DeliveredCount() {
-		t.Fatalf("delivered diverged: new %d, baseline %d", newEngine.DeliveredCount(), base.DeliveredCount())
-	}
-	for _, k := range []string{"diff/flood", "diff/ack"} {
-		if newEngine.KindTraffic(k) != base.KindTraffic(k) {
-			t.Fatalf("kind %s diverged: new %+v, baseline %+v", k, newEngine.KindTraffic(k), base.KindTraffic(k))
+	for k, want := range wantKinds {
+		if net.KindTraffic(k) != want {
+			t.Fatalf("kind %s: %+v, want %+v", k, net.KindTraffic(k), want)
 		}
 	}
 }
