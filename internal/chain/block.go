@@ -16,6 +16,7 @@ var (
 	ErrBlockBadParent   = errors.New("chain: previous-hash does not match parent")
 	ErrBlockBadHeight   = errors.New("chain: height does not follow parent")
 	ErrBlockInTheFuture = errors.New("chain: block timestamp precedes parent")
+	ErrNotFromGenesis   = errors.New("chain: header chain does not start at genesis")
 )
 
 // HeaderSize is the fixed encoded size of a block header in bytes. Headers
@@ -217,6 +218,22 @@ func (b *Block) VerifyLink(parent *Header) error {
 	}
 	if b.Header.TimeMillis < parent.TimeMillis {
 		return ErrBlockInTheFuture
+	}
+	return nil
+}
+
+// VerifyHeaderChain checks a header list is a chain from genesis: the first
+// header is at height 0 on the zero hash, and each later one extends the one
+// before it (VerifyLink). An empty list is a chain.
+func VerifyHeaderChain(headers []Header) error {
+	if len(headers) > 0 && (headers[0].Height != 0 || !headers[0].PrevHash.IsZero()) {
+		return ErrNotFromGenesis
+	}
+	for i := 1; i < len(headers); i++ {
+		b := Block{Header: headers[i]}
+		if err := b.VerifyLink(&headers[i-1]); err != nil {
+			return fmt.Errorf("header %d: %w", i, err)
+		}
 	}
 	return nil
 }

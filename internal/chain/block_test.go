@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"errors"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -166,6 +167,38 @@ func BenchmarkBlockVerifyShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := blk.VerifyShape(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestVerifyHeaderChain(t *testing.T) {
+	genesis := newTestBlock(t, 0, blockcrypto.ZeroHash, 2)
+	b1 := newTestBlock(t, 1, genesis.Hash(), 2)
+	b2 := newTestBlock(t, 2, b1.Hash(), 2)
+	chainOf := func(bs ...*Block) []Header {
+		out := make([]Header, len(bs))
+		for i, b := range bs {
+			out[i] = b.Header
+		}
+		return out
+	}
+	orphan := newTestBlock(t, 2, genesis.Hash(), 2) // right height, wrong parent
+	rooted := newTestBlock(t, 0, blockcrypto.Sum256([]byte("prev")), 2)
+	for _, tc := range []struct {
+		name    string
+		headers []Header
+		want    error
+	}{
+		{"empty", nil, nil},
+		{"genesis alone", chainOf(genesis), nil},
+		{"three linked", chainOf(genesis, b1, b2), nil},
+		{"starts above genesis", chainOf(b1, b2), ErrNotFromGenesis},
+		{"height 0 on a parent", chainOf(rooted), ErrNotFromGenesis},
+		{"broken link", chainOf(genesis, b1, orphan), ErrBlockBadParent},
+		{"skipped height", chainOf(genesis, b2), ErrBlockBadParent},
+	} {
+		if err := VerifyHeaderChain(tc.headers); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

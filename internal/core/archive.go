@@ -170,28 +170,18 @@ func (n *Node) onArchiveShare(_ *simnet.Network, m archiveShareMsg) {
 	n.pc.archiveShares.Add(int64(len(m.Shares)))
 	n.tr.Point(n.rxSpan, "archive", "store-shares", int64(n.id), int64(m.wireSize()-reqOverhead), "")
 	// Drop replicated chunks first so share indices cannot collide with
-	// live chunk IDs.
+	// live chunk IDs. Shares already held (a duplicate delivery) stay.
 	for _, idx := range n.store.ChunksForBlock(m.Block) {
 		id := storage.ChunkID{Block: m.Block, Index: idx}
-		if meta, ok := n.meta[id]; ok && meta.coded {
+		if chk, err := n.store.Chunk(id); err == nil && chk.CodedK > 0 {
 			continue
 		}
-		if err := n.store.DeleteChunk(id); err != nil {
-			continue
-		}
-		if meta, ok := n.meta[id]; ok {
-			for _, p := range meta.proofs {
-				n.proofBytes -= int64(p.EncodedSize())
-			}
-			delete(n.meta, id)
-		}
+		_ = n.store.DeleteChunk(id) // nothing pins a chunk in the simulator
 	}
 	for i, share := range m.Shares {
-		id := storage.ChunkID{Block: m.Block, Index: i}
-		if err := n.store.PutChunk(storage.NewChunk(id, share)); err != nil {
-			continue
-		}
-		n.meta[id] = chunkMeta{parts: m.Total, coded: true, codedK: m.K}
+		c := storage.NewChunk(storage.ChunkID{Block: m.Block, Index: i}, share)
+		c.Parts, c.CodedK = m.Total, m.K
+		_ = n.store.PutChunk(c) // an empty share is refused; reconstruction then counts it missing
 	}
 }
 
@@ -209,86 +199,14 @@ func (n *Node) RetrieveArchivedBlock(net *simnet.Network, block blockcrypto.Hash
 		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
 		return
 	}
-	n.nextReq++
-	req := n.nextReq
-	st := &fetchState{
+	n.pc.codedRetrieves.Inc()
+	n.startRetrieve(net, &fetchState{
 		block:   block,
 		parts:   info.total,
 		codedK:  info.k,
-		chunks:  make(map[int]retrievedChunk),
-		timeout: fetchTimeout,
 		onBlock: cb,
 		span:    n.tr.Start(n.rxSpan, "archive", "retrieve-archived", int64(n.id)),
-	}
-	n.fetches[req] = st
-	n.pc.codedRetrieves.Inc()
-	for _, idx := range n.store.ChunksForBlock(block) {
-		id := storage.ChunkID{Block: block, Index: idx}
-		chk, err := n.store.Chunk(id)
-		if err != nil {
-			n.metrics.LocalChunkErrors.Inc()
-			continue
-		}
-		if !n.meta[id].coded {
-			continue
-		}
-		st.chunks[idx] = retrievedChunk{Idx: idx, Raw: chk.Data, Coded: true}
-	}
-	if n.tryFinishCodedRetrieve(req, st) {
-		return
-	}
-	// Shares ride the same request/response pair as live chunks, so the
-	// retry-aware broadcast round of RetrieveBlock serves both modes.
-	n.broadcastFetch(net, req, st)
-}
-
-// tryFinishCodedRetrieve reconstructs once k distinct shares are present.
-// The codec comes from the shared registry: this runs on every share
-// arrival, and re-deriving the systematic matrix per response used to
-// dominate the coded read path.
-func (n *Node) tryFinishCodedRetrieve(req uint64, st *fetchState) bool {
-	if st.onBlock == nil || len(st.chunks) < st.codedK {
-		return false
-	}
-	code, err := erasure.Cached(st.codedK, st.parts-st.codedK)
-	if err != nil {
-		n.failFetch(req, st, err)
-		return true
-	}
-	shards := make([][]byte, st.parts)
-	for i, c := range st.chunks {
-		if i >= 0 && i < st.parts && c.Coded {
-			shards[i] = c.Raw
-		}
-	}
-	if err := code.Reconstruct(shards); err != nil {
-		return false // wait for more shares
-	}
-	body, err := code.Join(shards)
-	if err != nil {
-		n.failFetch(req, st, err)
-		return true
-	}
-	txs, err := chain.DecodeBody(body)
-	if err != nil {
-		n.failFetch(req, st, fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
-		return true
-	}
-	hdr, err := n.store.Header(st.block)
-	if err != nil {
-		n.failFetch(req, st, err)
-		return true
-	}
-	b := &chain.Block{Header: hdr, Txs: txs}
-	if err := b.VerifyShape(); err != nil {
-		n.failFetch(req, st, fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
-		return true
-	}
-	st.done = true
-	delete(n.fetches, req)
-	n.finishFetchSpan(st, int64(b.BodySize()), nil)
-	st.onBlock(b, nil)
-	return true
+	})
 }
 
 // RetrieveBlockAuto reads a block through whichever storage mode the

@@ -19,7 +19,7 @@ func TestChaosCorrupterCopies(t *testing.T) {
 	tx := &chain.Transaction{Amount: 50, Nonce: 1, Fee: 1}
 	tx.Sign(key)
 
-	chunk := chunkPayload{PartIdx: 0, Parts: 1, Txs: []*chain.Transaction{tx}}
+	chunk := chunkPayload{Group: Group{Parts: 1, Txs: []*chain.Transaction{tx}}}
 
 	t.Run("chunkPayload", func(t *testing.T) {
 		out, ok := corrupt(simnet.Message{Payload: chunk}, rng)
@@ -51,7 +51,7 @@ func TestChaosCorrupterCopies(t *testing.T) {
 
 	t.Run("blockChunksMsg", func(t *testing.T) {
 		raw := []byte{1, 2, 3, 4}
-		m := blockChunksMsg{Chunks: []retrievedChunk{{Idx: 0, Coded: true, Raw: raw}}}
+		m := blockChunksMsg{Chunks: []retrievedChunk{{Coded: true, Raw: raw}}}
 		out, ok := corrupt(simnet.Message{Payload: m}, rng)
 		if !ok {
 			t.Fatal("corrupter skipped a coded chunks response")

@@ -1,0 +1,153 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/chain"
+)
+
+func fixtureBlock(t testing.TB, txs int) *chain.Block {
+	t.Helper()
+	b, err := chain.NewBlock(0, blockcrypto.ZeroHash, fixtureTxs(t)[:txs], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSplitReassembleRoundTrip splits a block into 1, 2, a cluster's worth
+// and one-per-transaction groups, and more groups than transactions: the
+// groups tile the block in SplitCounts' sizes, each verifies against the
+// root as split and as decoded back from its stored bytes, and together they
+// reassemble into the block.
+func TestSplitReassembleRoundTrip(t *testing.T) {
+	const txs = 37
+	b := fixtureBlock(t, txs)
+	for _, parts := range []int{1, 2, 16, txs, txs + 3} {
+		groups, err := SplitBlock(b, parts)
+		if err != nil {
+			t.Fatalf("parts=%d: %v", parts, err)
+		}
+		counts, _ := SplitCounts(txs, parts)
+		stored := make([]Group, parts)
+		next := 0
+		for i, g := range groups {
+			if g.Index != i || g.Parts != parts || g.TxStart != next || len(g.Txs) != counts[i] {
+				t.Fatalf("parts=%d group %d: index %d of %d, %d txs from %d; want %d txs from %d", parts, i, g.Index, g.Parts, len(g.Txs), g.TxStart, counts[i], next)
+			}
+			next += len(g.Txs)
+			if err := g.Verify(b.Header.MerkleRoot); err != nil {
+				t.Fatalf("parts=%d group %d: %v", parts, i, err)
+			}
+			chk := g.Chunk(b.Hash(), g.Encode())
+			if stored[i], err = storedGroup(&chk); err != nil {
+				t.Fatalf("parts=%d group %d from its stored bytes: %v", parts, i, err)
+			}
+			if err := stored[i].Verify(b.Header.MerkleRoot); err != nil {
+				t.Fatalf("parts=%d group %d from its stored bytes: %v", parts, i, err)
+			}
+		}
+		for _, set := range [][]Group{groups, stored} {
+			got, err := Reassemble(b.Header, set)
+			if err != nil {
+				t.Fatalf("parts=%d: %v", parts, err)
+			}
+			if got.Hash() != b.Hash() || !reflect.DeepEqual(got.EncodeBody(), b.EncodeBody()) {
+				t.Fatalf("parts=%d: reassembled another block", parts)
+			}
+		}
+	}
+	if _, err := SplitBlock(b, 0); !errors.Is(err, ErrBadParts) {
+		t.Fatalf("split into 0 parts: %v", err)
+	}
+}
+
+// TestReassembleRejects hands Reassemble every wrong set of groups a reader
+// can end up with.
+func TestReassembleRejects(t *testing.T) {
+	b := fixtureBlock(t, 37)
+	split := func(parts int) []Group {
+		groups, err := SplitBlock(b, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return groups
+	}
+	g := split(4)
+	other := fixtureBlock(t, 36)
+	for _, tc := range []struct {
+		name   string
+		groups []Group
+		hdr    chain.Header
+		want   error
+	}{
+		{"missing index", []Group{g[0], {}, g[2], g[3]}, b.Header, ErrBadGroup},
+		{"missing first index", []Group{{}, g[1], g[2], g[3]}, b.Header, ErrBadGroup},
+		{"duplicate index", []Group{g[0], g[1], g[1], g[3]}, b.Header, ErrBadGroup},
+		{"groups out of order", []Group{g[1], g[0], g[2], g[3]}, b.Header, ErrBadGroup},
+		{"last group missing", g[:3], b.Header, ErrBadGroup},
+		{"cut for another part count", split(5)[:4], b.Header, ErrBadGroup},
+		{"another block's header", g, other.Header, chain.ErrBlockBadRoot},
+		{"no groups", nil, b.Header, chain.ErrBlockEmptyBody},
+	} {
+		if _, err := Reassemble(tc.hdr, tc.groups); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	tampered := split(4)
+	tx := *tampered[2].Txs[0]
+	tx.Amount++
+	tampered[2].Txs = append([]*chain.Transaction{&tx}, tampered[2].Txs[1:]...)
+	if _, err := Reassemble(b.Header, tampered); !errors.Is(err, chain.ErrBlockBadRoot) {
+		t.Errorf("tampered transaction: got %v, want %v", err, chain.ErrBlockBadRoot)
+	}
+}
+
+// TestGainersIsThePlacementDelta removes each member of a cluster in turn:
+// for every chunk, the members Gainers names are exactly the new owners that
+// were not owners before, only a chunk the leaver owned moves, and nobody
+// but the leaver is asked to send it.
+func TestGainersIsThePlacementDelta(t *testing.T) {
+	const n, r, chunks = 7, 3, 64
+	var m EpochMap
+	full, err := m.Push(0, ids(n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leaver := range full.Members {
+		shrunk := Epoch{Members: without(full.Members, leaver)}
+		for idx := 0; idx < chunks; idx++ {
+			seed := uint64(idx) * 0x9e3779b97f4a7c15
+			old, _ := full.Owners(seed, idx, r)
+			now, _ := shrunk.Owners(seed, idx, r)
+			var want []int
+			for _, o := range now {
+				if !memberOf(old, o) {
+					want = append(want, int(o))
+				}
+			}
+			for _, holder := range full.Members {
+				gain, err := full.Gainers(&shrunk, holder, seed, idx, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []int
+				for _, g := range gain {
+					got = append(got, int(g))
+				}
+				switch {
+				case !memberOf(old, holder) && got != nil:
+					t.Fatalf("leaver %d chunk %d: non-owner %d told to send to %v", leaver, idx, holder, got)
+				case memberOf(old, holder) && !reflect.DeepEqual(got, want):
+					t.Fatalf("leaver %d chunk %d: owner %d gainers %v, want %v", leaver, idx, holder, got, want)
+				}
+			}
+			if memberOf(old, leaver) != (len(want) == 1) {
+				t.Fatalf("leaver %d chunk %d: owned=%v but %d members gain it", leaver, idx, memberOf(old, leaver), len(want))
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"icistrategy/internal/chain"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -51,23 +50,9 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 		place := n.cluster.PlacementAt(h.Height)
 		seed := block.Uint64()
 		for _, idx := range n.store.ChunksForBlock(block) {
-			id := storage.ChunkID{Block: block, Index: idx}
-			if n.meta[id].coded {
-				continue
-			}
-			oldOwners, err := place.Owners(seed, idx, n.replication)
-			if err != nil || !memberOf(oldOwners, n.id) {
-				continue // a stale extra copy; nobody needs it from us
-			}
-			newOwners, err := target.Owners(seed, idx, n.replication)
-			if err != nil {
-				continue
-			}
-			for _, gain := range newOwners {
-				if memberOf(oldOwners, gain) {
-					continue // already an owner; already holds or repairs it
-				}
-				n.pushHandoffChunk(net, hs, id, gain)
+			gainers, _ := place.Gainers(target, n.id, seed, idx, n.replication) // unplaceable: nobody to hand it to
+			for _, gain := range gainers {
+				n.pushHandoffChunk(net, hs, storage.ChunkID{Block: block, Index: idx}, gain)
 			}
 		}
 	}
@@ -78,29 +63,10 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 // pushHandoffChunk sends one owned chunk to one gaining member and arms
 // its acknowledgement timeout.
 func (n *Node) pushHandoffChunk(net *simnet.Network, hs *handoffState, id storage.ChunkID, to simnet.NodeID) {
-	chk, err := n.store.Chunk(id)
+	payload, err := n.storedPayload(id)
 	if err != nil {
 		hs.failed++
 		return
-	}
-	txs, derr := chain.DecodeBody(chk.Data)
-	if derr != nil {
-		hs.failed++
-		return
-	}
-	hdr, herr := n.store.Header(id.Block)
-	if herr != nil {
-		hs.failed++
-		return
-	}
-	meta := n.meta[id]
-	payload := chunkPayload{
-		Header:  hdr,
-		PartIdx: id.Index,
-		Parts:   meta.parts,
-		TxStart: meta.txStart,
-		Txs:     txs,
-		Proofs:  meta.proofs,
 	}
 	n.nextReq++
 	req := n.nextReq
@@ -127,18 +93,7 @@ func (n *Node) pushHandoffChunk(net *simnet.Network, hs *handoffState, id storag
 // locally committed header exactly like a fetched chunk, persist it, and
 // acknowledge.
 func (n *Node) onHandoff(net *simnet.Network, from simnet.NodeID, m handoffMsg) {
-	block := m.Chunk.Header.Hash()
-	ok := true
-	hdr, err := n.store.Header(block)
-	if err != nil || hdr.MerkleRoot != m.Chunk.Header.MerkleRoot {
-		ok = false
-	} else if verifyChunk(m.Chunk) != nil {
-		ok = false
-	}
-	if ok {
-		n.persistChunk(block, m.Chunk)
-	}
-	ack := handoffAckMsg{ReqID: m.ReqID, OK: ok}
+	ack := handoffAckMsg{ReqID: m.ReqID, OK: n.adoptChunk(m.Chunk.Header.Hash(), m.Chunk)}
 	_ = net.Send(simnet.Message{
 		From: n.id, To: from, Kind: KindHandoffAck,
 		Size: reqOverhead, Payload: ack, Span: n.rxSpan,

@@ -58,44 +58,25 @@ func (m proposeMsg) wireSize() int {
 	return chain.HeaderSize + m.Block.BodySize()
 }
 
-// chunkPayload is one distributed chunk: a contiguous transaction group of
-// the block plus the Merkle proof of every transaction in it.
+// chunkPayload is one distributed chunk: a group (chunk.go) under the header
+// whose Merkle root its proofs lead to.
 type chunkPayload struct {
-	Header  chain.Header
-	PartIdx int // chunk index within the block
-	Parts   int // total chunks the block was split into
-	TxStart int // index of the first transaction in the group
-	Txs     []*chain.Transaction
-	Proofs  []chain.Proof // Proofs[i] proves Txs[i] under Header.MerkleRoot
+	Header chain.Header
+	Group
 }
 
 // dataBytes is the chunk's storable payload size (what counts as storage).
 func (c chunkPayload) dataBytes() int {
-	n := 4
-	for _, tx := range c.Txs {
-		n += tx.EncodedSize()
-	}
-	return n
+	sub := chain.Block{Txs: c.Txs}
+	return sub.BodySize()
 }
 
-// proofBytes is the wire/storage size of the attached proofs.
-func (c chunkPayload) proofBytes() int {
-	n := 0
+func (c chunkPayload) wireSize() int {
+	n := chain.HeaderSize + 16 + c.dataBytes()
 	for _, p := range c.Proofs {
 		n += p.EncodedSize()
 	}
 	return n
-}
-
-func (c chunkPayload) wireSize() int {
-	return chain.HeaderSize + 16 + c.dataBytes() + c.proofBytes()
-}
-
-// encodeChunkData serializes the transaction group in the same format as a
-// block sub-body, which is what owners persist.
-func (c chunkPayload) encodeChunkData() []byte {
-	sub := chain.Block{Txs: c.Txs}
-	return sub.EncodeBody()
 }
 
 // commitMsg is the payload of KindCommit: the leader's proof that every
@@ -185,22 +166,19 @@ type getBlockChunksMsg struct {
 // blockChunksMsg returns all held chunks of a block, without proofs — a
 // full-block reassembly is verified against the Merkle root directly.
 type blockChunksMsg struct {
-	Block blockcrypto.Hash
-	ReqID uint64
-	Round int // echoed from the request
-	// Parts is the chunk count the block was stored with.
-	Parts  int
+	Block  blockcrypto.Hash
+	ReqID  uint64
+	Round  int // echoed from the request
 	Chunks []retrievedChunk
 }
 
-// retrievedChunk is one chunk's content for reassembly: a transaction
-// group for live blocks, or a raw Reed-Solomon share for archived ones.
+// retrievedChunk is one chunk's content for reassembly: a transaction group
+// (without proofs) for live blocks, or a raw Reed-Solomon share for archived
+// ones. Either way Parts is the count the block was stored under.
 type retrievedChunk struct {
-	Idx     int
-	TxStart int
-	Txs     []*chain.Transaction
-	Coded   bool
-	Raw     []byte
+	Group
+	Coded bool
+	Raw   []byte
 }
 
 func (m blockChunksMsg) wireSize() int {

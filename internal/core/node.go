@@ -8,7 +8,6 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/consensus"
-	"icistrategy/internal/par"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -48,18 +47,6 @@ type Behavior struct {
 	// TamperChunks makes the node, when leading, corrupt the first
 	// transaction of every chunk it distributes (Byzantine leader).
 	TamperChunks bool
-}
-
-// chunkMeta is the sidecar state an owner keeps next to a stored chunk so
-// it can serve verifiable fetches and reassemblies.
-type chunkMeta struct {
-	txStart int
-	parts   int
-	proofs  []chain.Proof
-	// coded marks a Reed-Solomon byte share produced by archival; codedK
-	// is the data-share threshold needed to reconstruct the block.
-	coded  bool
-	codedK int
 }
 
 // coverInterval is the virtual-time cadence at which a leader re-checks
@@ -125,13 +112,11 @@ type fetchState struct {
 // simulated network: HandleMessage is the single entry point. Not safe for
 // concurrent use (the simulator is single-threaded).
 type Node struct {
-	id         simnet.NodeID
-	cluster    *clusterInfo
-	key        blockcrypto.KeyPair
-	registry   func(simnet.NodeID) []byte // public key lookup
-	store      *storage.Store
-	meta       map[storage.ChunkID]chunkMeta
-	proofBytes int64
+	id       simnet.NodeID
+	cluster  *clusterInfo
+	key      blockcrypto.KeyPair
+	registry func(simnet.NodeID) []byte // public key lookup
+	store    *storage.Store
 
 	replication int
 	behavior    Behavior
@@ -178,7 +163,6 @@ func newNode(id simnet.NodeID, ci *clusterInfo, key blockcrypto.KeyPair, replica
 		key:           key,
 		registry:      registry,
 		store:         storage.NewStore(),
-		meta:          make(map[storage.ChunkID]chunkMeta),
 		replication:   replication,
 		leading:       make(map[blockcrypto.Hash]*leaderState),
 		pending:       make(map[blockcrypto.Hash][]chunkPayload),
@@ -196,9 +180,6 @@ func (n *Node) ID() simnet.NodeID { return n.id }
 
 // Store exposes the node's local store (read-only use by experiments).
 func (n *Node) Store() *storage.Store { return n.store }
-
-// ProofBytes returns the bytes of Merkle proofs kept alongside chunks.
-func (n *Node) ProofBytes() int64 { return n.proofBytes }
 
 // CommittedBlocks returns how many blocks this node has finalized.
 func (n *Node) CommittedBlocks() int { return n.committed }
@@ -309,17 +290,13 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 	if err := b.VerifyShape(); err != nil {
 		return // malformed block: never enters voting
 	}
-	tree, err := chain.TxMerkleTree(b.Txs)
-	if err != nil {
-		return
-	}
 	// Distribution is governed by the block's write epoch: the member set,
 	// chunk count and rendezvous ranking all come from the membership at
 	// the block's height, so a membership change racing a proposal cannot
 	// skew placement.
 	epoch := n.cluster.At(b.Header.Height)
 	parts := len(epoch.Members)
-	counts, err := SplitCounts(len(b.Txs), parts)
+	groups, err := SplitBlock(b, parts)
 	if err != nil {
 		return
 	}
@@ -348,30 +325,12 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 		Votes:  n.pc.votes, Equivocations: n.pc.equivocations, Decisions: n.pc.decisions,
 	})
 
-	txStart := 0
-	for idx := 0; idx < parts; idx++ {
-		cnt := counts[idx]
-		group := b.Txs[txStart : txStart+cnt]
-		proofs := make([]chain.Proof, len(group))
-		for i := range group {
-			p, perr := tree.Prove(txStart + i)
-			if perr != nil {
-				return
-			}
-			proofs[i] = p
-		}
-		payload := chunkPayload{
-			Header:  b.Header,
-			PartIdx: idx,
-			Parts:   parts,
-			TxStart: txStart,
-			Txs:     group,
-			Proofs:  proofs,
-		}
-		if n.behavior.TamperChunks && len(group) > 0 {
-			tampered := *group[0]
+	for idx, group := range groups {
+		payload := chunkPayload{Header: b.Header, Group: group}
+		if n.behavior.TamperChunks && len(group.Txs) > 0 {
+			tampered := *group.Txs[0]
 			tampered.Amount++
-			mut := append([]*chain.Transaction(nil), group...)
+			mut := append([]*chain.Transaction(nil), group.Txs...)
 			mut[0] = &tampered
 			payload.Txs = mut
 		}
@@ -387,7 +346,6 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 			st.assigned[idx][o] = true
 			n.sendChunk(net, o, payload, st.span.Context())
 		}
-		txStart += cnt
 	}
 	net.After(coverInterval, func() { n.coverageCheck(net, hash) })
 }
@@ -456,39 +414,6 @@ func (n *Node) reassignChunk(net *simnet.Network, st *leaderState, idx int) {
 
 // --- distribution: member side ----------------------------------------------
 
-// verifyChunk checks everything a member can check about its share: proof
-// indices, Merkle membership under the header root, and every transaction
-// signature. The per-transaction checks fork-join over GOMAXPROCS; they
-// read only the message, and the error returned is the lowest failing
-// index's, as a sequential loop reports (DESIGN.md "Verification concurrency").
-func verifyChunk(c chunkPayload) error {
-	if len(c.Txs) != len(c.Proofs) {
-		return fmt.Errorf("core: %d txs with %d proofs", len(c.Txs), len(c.Proofs))
-	}
-	errs := make([]error, len(c.Txs))
-	par.Each(len(c.Txs), 0, func(i int) { errs[i] = verifyChunkTx(c, i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyChunkTx checks transaction i of a chunk.
-func verifyChunkTx(c chunkPayload, i int) error {
-	if c.Proofs[i].LeafIndex != c.TxStart+i {
-		return fmt.Errorf("core: proof %d has leaf index %d, want %d", i, c.Proofs[i].LeafIndex, c.TxStart+i)
-	}
-	if err := chain.VerifyProof(c.Header.MerkleRoot, c.Txs[i].ID(), c.Proofs[i]); err != nil {
-		return fmt.Errorf("core: tx %d proof: %w", c.TxStart+i, err)
-	}
-	if err := c.Txs[i].VerifySignature(); err != nil {
-		return fmt.Errorf("core: tx %d: %w", c.TxStart+i, err)
-	}
-	return nil
-}
-
 // onChunk runs on a chunk assignee: verify the share and vote on exactly
 // the chunk received. Ingestion is idempotent — a chunk already held
 // (persisted or pending) is not re-verified or re-queued, but the member
@@ -496,14 +421,14 @@ func verifyChunkTx(c chunkPayload, i int) error {
 // leader re-sends chunks to silent assignees for exactly this reason).
 func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, c chunkPayload) {
 	hash := c.Header.Hash()
-	if n.hasChunkData(hash, c.PartIdx) {
+	if n.hasChunkData(hash, c.Index) {
 		n.metrics.DuplicateChunks.Inc()
-		n.voteChunk(net, leader, hash, c.PartIdx, true, n.rxSpan)
+		n.voteChunk(net, leader, hash, c.Index, true, n.rxSpan)
 		return
 	}
-	sp := n.tr.Start(n.rxSpan, "verify", fmt.Sprintf("verify[%d]", c.PartIdx), int64(n.id))
+	sp := n.tr.Start(n.rxSpan, "verify", fmt.Sprintf("verify[%d]", c.Index), int64(n.id))
 	sp.AddBytes(int64(c.dataBytes()))
-	approve := verifyChunk(c) == nil
+	approve := c.Verify(c.Header.MerkleRoot) == nil
 	n.pc.verified.Inc()
 	if approve {
 		n.pc.approvals.Inc()
@@ -527,7 +452,7 @@ func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, c chunkPayload
 			n.pending[hash] = append(n.pending[hash], c)
 		}
 	}
-	n.voteChunk(net, leader, hash, c.PartIdx, approve, sp.Context())
+	n.voteChunk(net, leader, hash, c.Index, approve, sp.Context())
 }
 
 // hasChunkData reports whether this node already holds chunk idx of block,
@@ -537,7 +462,7 @@ func (n *Node) hasChunkData(block blockcrypto.Hash, idx int) bool {
 		return true
 	}
 	for _, p := range n.pending[block] {
-		if p.PartIdx == idx {
+		if p.Index == idx {
 			return true
 		}
 	}
@@ -791,17 +716,25 @@ func (n *Node) sweepStale(committedHeight uint64) {
 	}
 }
 
-// persistChunk stores a verified chunk and its sidecar metadata.
+// persistChunk stores a verified chunk, proofs beside the bytes.
 func (n *Node) persistChunk(block blockcrypto.Hash, c chunkPayload) {
-	id := storage.ChunkID{Block: block, Index: c.PartIdx}
-	if n.store.HasChunk(id) {
+	if n.store.HasChunk(storage.ChunkID{Block: block, Index: c.Index}) {
 		return
 	}
-	if err := n.store.PutChunk(storage.NewChunk(id, c.encodeChunkData())); err != nil {
-		return
+	_ = n.store.PutChunk(c.Chunk(block, c.Encode())) // cannot be refused: the bytes are not empty and the ID is not held
+}
+
+// adoptChunk persists a chunk of block that arrived outside distribution —
+// fetched for bootstrap or repair, or handed off by a leaver — once it
+// verifies against the header this node committed; the header the message
+// carries is not trusted.
+func (n *Node) adoptChunk(block blockcrypto.Hash, c chunkPayload) bool {
+	hdr, err := n.store.Header(block)
+	if err != nil || c.Verify(hdr.MerkleRoot) != nil {
+		return false
 	}
-	n.meta[id] = chunkMeta{txStart: c.TxStart, parts: c.Parts, proofs: c.Proofs}
-	n.proofBytes += int64(c.proofBytes())
+	n.persistChunk(block, c)
+	return true
 }
 
 // --- serving ---------------------------------------------------------------
@@ -824,22 +757,9 @@ func (n *Node) onGetHeaders(net *simnet.Network, from simnet.NodeID, m getHeader
 func (n *Node) onGetChunk(net *simnet.Network, from simnet.NodeID, m getChunkMsg) {
 	id := storage.ChunkID{Block: m.Block, Index: m.Idx}
 	resp := chunkRespMsg{Block: m.Block, ReqID: m.ReqID, Attempt: m.Attempt}
-	if chk, err := n.store.Chunk(id); err == nil {
-		meta := n.meta[id]
-		if txs, derr := chain.DecodeBody(chk.Data); derr == nil {
-			hdr, herr := n.store.Header(m.Block)
-			if herr == nil {
-				resp.Found = true
-				resp.Chunk = chunkPayload{
-					Header:  hdr,
-					PartIdx: m.Idx,
-					Parts:   meta.parts,
-					TxStart: meta.txStart,
-					Txs:     txs,
-					Proofs:  meta.proofs,
-				}
-			}
-		}
+	if payload, err := n.storedPayload(id); err == nil {
+		resp.Found = true
+		resp.Chunk = payload
 	}
 	_ = net.Send(simnet.Message{
 		From: n.id, To: from, Kind: KindChunkResp,
@@ -849,27 +769,51 @@ func (n *Node) onGetChunk(net *simnet.Network, from simnet.NodeID, m getChunkMsg
 
 func (n *Node) onGetBlockChunks(net *simnet.Network, from simnet.NodeID, m getBlockChunksMsg) {
 	resp := blockChunksMsg{Block: m.Block, ReqID: m.ReqID, Round: m.Round}
-	for _, idx := range n.store.ChunksForBlock(m.Block) {
-		id := storage.ChunkID{Block: m.Block, Index: idx}
-		chk, err := n.store.Chunk(id)
-		if err != nil {
-			continue // corrupted chunk: withhold rather than poison
-		}
-		meta := n.meta[id]
-		if meta.coded {
-			resp.Parts = meta.parts
-			resp.Chunks = append(resp.Chunks, retrievedChunk{Idx: idx, Coded: true, Raw: chk.Data})
-			continue
-		}
-		txs, derr := chain.DecodeBody(chk.Data)
-		if derr != nil {
-			continue
-		}
-		resp.Parts = meta.parts
-		resp.Chunks = append(resp.Chunks, retrievedChunk{Idx: idx, TxStart: meta.txStart, Txs: txs})
-	}
+	// A chunk that fails its digest or does not decode is withheld rather
+	// than served.
+	resp.Chunks, _ = n.heldChunks(m.Block)
 	_ = net.Send(simnet.Message{
 		From: n.id, To: from, Kind: KindBlockChunks,
 		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
 	})
+}
+
+// storedPayload reads one stored chunk back as the message that carried it:
+// the decoded group under the block's header.
+func (n *Node) storedPayload(id storage.ChunkID) (chunkPayload, error) {
+	chk, err := n.store.Chunk(id)
+	if err != nil {
+		return chunkPayload{}, err
+	}
+	hdr, err := n.store.Header(id.Block)
+	if err != nil {
+		return chunkPayload{}, err
+	}
+	g, err := storedGroup(&chk)
+	return chunkPayload{Header: hdr, Group: g}, err
+}
+
+// heldChunks returns what this node stores of a block as retrieval content
+// — groups without proofs, coded shares raw — and how many stored chunks
+// failed their digest or did not decode.
+func (n *Node) heldChunks(block blockcrypto.Hash) (out []retrievedChunk, bad int) {
+	for _, idx := range n.store.ChunksForBlock(block) {
+		chk, err := n.store.Chunk(storage.ChunkID{Block: block, Index: idx})
+		if err != nil {
+			bad++
+			continue
+		}
+		c := retrievedChunk{Group: Group{Index: idx, Parts: chk.Parts}, Coded: true, Raw: chk.Data}
+		if chk.CodedK == 0 {
+			g, err := storedGroup(&chk)
+			if err != nil {
+				bad++
+				continue
+			}
+			g.Proofs = nil // a whole-block read is verified against the root directly
+			c = retrievedChunk{Group: g}
+		}
+		out = append(out, c)
+	}
+	return out, bad
 }

@@ -15,27 +15,18 @@ import (
 
 // clusterChunks collects every distinct chunk of b held inside cluster c —
 // the full reassembly set a (possibly stale) member response could carry.
-func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) ([]retrievedChunk, int) {
+func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) []retrievedChunk {
 	t.Helper()
 	ci := sys.clusters[c]
 	parts := len(ci.At(b.Header.Height).Members)
 	found := make(map[int]retrievedChunk, parts)
 	for _, m := range ci.Current().Members {
 		node := sys.nodes[m]
-		for _, idx := range node.store.ChunksForBlock(b.Hash()) {
-			if _, ok := found[idx]; ok {
-				continue
+		held, _ := node.heldChunks(b.Hash())
+		for _, chk := range held {
+			if _, ok := found[chk.Index]; !ok {
+				found[chk.Index] = chk
 			}
-			id := storage.ChunkID{Block: b.Hash(), Index: idx}
-			chk, err := node.store.Chunk(id)
-			if err != nil {
-				continue
-			}
-			txs, derr := chain.DecodeBody(chk.Data)
-			if derr != nil {
-				continue
-			}
-			found[idx] = retrievedChunk{Idx: idx, TxStart: node.meta[id].txStart, Txs: txs}
 		}
 	}
 	if len(found) != parts {
@@ -45,7 +36,7 @@ func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) ([]retrieve
 	for i := 0; i < parts; i++ {
 		out = append(out, found[i])
 	}
-	return out, parts
+	return out
 }
 
 // TestStaleRoundResponseSkipsBookkeeping is the regression test for the
@@ -97,9 +88,9 @@ func TestStaleRoundResponseSkipsBookkeeping(t *testing.T) {
 
 	// A stale answer that carries the full chunk set still completes the
 	// block.
-	chunks, parts := clusterChunks(t, sys, 0, b)
+	chunks := clusterChunks(t, sys, 0, b)
 	n.onBlockChunks(sys.net, members[2], blockChunksMsg{
-		Block: b.Hash(), ReqID: req, Round: 1, Parts: parts, Chunks: chunks,
+		Block: b.Hash(), ReqID: req, Round: 1, Chunks: chunks,
 	})
 	if calls != 1 || gotErr != nil || got == nil {
 		t.Fatalf("stale full response did not complete: calls=%d err=%v", calls, gotErr)

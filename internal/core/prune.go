@@ -13,14 +13,14 @@ import (
 // phase that reclaims the space once the cluster is healthy again. It
 // returns the number of bytes freed.
 func (n *Node) PruneUnowned() int64 {
-	freed := n.store.GC(func(id storage.ChunkID) bool {
+	return n.store.GC(func(c storage.Chunk) bool {
+		id := c.ID
 		hdr, err := n.store.Header(id.Block)
 		if err != nil {
 			return false // orphaned chunk without a header: collect
 		}
 		if info, archived := n.cluster.archivedInfo(id.Block); archived {
-			meta := n.meta[id]
-			if !meta.coded {
+			if c.CodedK == 0 {
 				return false // stale replicated chunk of an archived block
 			}
 			// Pruning evaluates PRESENT responsibility: churn transfer has
@@ -47,17 +47,6 @@ func (n *Node) PruneUnowned() int64 {
 		}
 		return memberOf(owners, n.id)
 	})
-	// Sweep the sidecar metadata of collected chunks.
-	for id, meta := range n.meta {
-		if n.store.HasChunk(id) {
-			continue
-		}
-		for _, p := range meta.proofs {
-			n.proofBytes -= int64(p.EncodedSize())
-		}
-		delete(n.meta, id)
-	}
-	return freed
 }
 
 // PruneCluster prunes every live member of cluster c and returns the total

@@ -7,6 +7,7 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/erasure"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -27,42 +28,50 @@ func (n *Node) retrieveBlock(net *simnet.Network, block blockcrypto.Hash, parent
 		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
 		return
 	}
-	n.nextReq++
-	req := n.nextReq
-	st := &fetchState{
+	n.pc.retrievals.Inc()
+	n.startRetrieve(net, &fetchState{
 		block:   block,
-		chunks:  make(map[int]retrievedChunk),
-		timeout: fetchTimeout,
 		onBlock: cb,
 		span:    n.tr.Start(parent, "retrieve", "retrieve", int64(n.id)),
-	}
-	n.fetches[req] = st
-	n.pc.retrievals.Inc()
+	})
+}
 
-	// Seed with local chunks.
-	for _, idx := range n.store.ChunksForBlock(block) {
-		id := storage.ChunkID{Block: block, Index: idx}
-		chk, err := n.store.Chunk(id)
-		if err != nil {
-			// A locally held chunk that fails its digest check (bit rot,
-			// torn write) must not be silently skipped: count it and fall
-			// through to the remote fetch below, which re-establishes the
-			// chunk from the other owners.
-			n.metrics.LocalChunkErrors.Inc()
+// startRetrieve runs a whole-block fetch, live or archived (shares ride the
+// same request/response pair as live chunks): seed it with the chunks this
+// node holds itself, then ask the cluster for the rest. A local chunk that
+// fails its digest check (bit rot, torn write) or does not decode must not
+// be silently skipped: it is counted, and the remote fetch re-establishes
+// it from the other owners.
+func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
+	n.nextReq++
+	req := n.nextReq
+	n.fetches[req] = st
+	st.chunks = make(map[int]retrievedChunk)
+	st.timeout = fetchTimeout
+	chunks, bad := n.heldChunks(st.block)
+	n.metrics.LocalChunkErrors.Add(int64(bad))
+	st.merge(chunks)
+	if !n.tryFinishRetrieve(req, st) {
+		n.broadcastFetch(net, req, st)
+	}
+}
+
+// merge adds one member's chunks of the block to the fetch, first copy of
+// each index wins. A chunk in the other storage mode — a member answering
+// from before or after archival — is skipped. A live retrieval learns the
+// block's part count from the chunks themselves.
+func (st *fetchState) merge(chunks []retrievedChunk) {
+	for _, c := range chunks {
+		if c.Coded != (st.codedK > 0) {
 			continue
 		}
-		meta := n.meta[id]
-		if txs, derr := chain.DecodeBody(chk.Data); derr == nil {
-			st.parts = meta.parts
-			st.chunks[idx] = retrievedChunk{Idx: idx, TxStart: meta.txStart, Txs: txs}
-		} else {
-			n.metrics.LocalChunkErrors.Inc()
+		if !c.Coded {
+			st.parts = c.Parts
+		}
+		if _, have := st.chunks[c.Index]; !have {
+			st.chunks[c.Index] = c
 		}
 	}
-	if n.tryFinishRetrieve(req, st) {
-		return
-	}
-	n.broadcastFetch(net, req, st)
 }
 
 // broadcastFetch issues one round of cluster-wide chunk requests for a
@@ -135,24 +144,8 @@ func (n *Node) onBlockChunks(net *simnet.Network, from simnet.NodeID, m blockChu
 		st.responded[from] = true
 		st.waiting--
 	}
-	if m.Parts > 0 && st.codedK == 0 {
-		st.parts = m.Parts
-	}
-	for _, c := range m.Chunks {
-		if c.Coded != (st.codedK > 0) {
-			continue // a stale member answering in the other storage mode
-		}
-		if _, have := st.chunks[c.Idx]; !have {
-			st.chunks[c.Idx] = c
-		}
-	}
-	finished := false
-	if st.codedK > 0 {
-		finished = n.tryFinishCodedRetrieve(m.ReqID, st)
-	} else {
-		finished = n.tryFinishRetrieve(m.ReqID, st)
-	}
-	if finished || stale {
+	st.merge(m.Chunks)
+	if n.tryFinishRetrieve(m.ReqID, st) || stale {
 		return
 	}
 	if st.waiting == 0 {
@@ -163,36 +156,81 @@ func (n *Node) onBlockChunks(net *simnet.Network, from simnet.NodeID, m blockChu
 	}
 }
 
-// tryFinishRetrieve reassembles and verifies once every chunk is present.
+// tryFinishRetrieve reassembles and verifies the block once the fetch holds
+// enough of it.
 func (n *Node) tryFinishRetrieve(req uint64, st *fetchState) bool {
-	if st.onBlock == nil || st.parts == 0 || len(st.chunks) < st.parts {
+	if st.onBlock == nil {
 		return false
 	}
-	idxs := make([]int, 0, len(st.chunks))
-	for i := range st.chunks {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var txs []*chain.Transaction
-	for _, i := range idxs {
-		txs = append(txs, st.chunks[i].Txs...)
-	}
-	hdr, err := n.store.Header(st.block)
-	if err != nil {
+	fail := func(err error) bool {
 		n.failFetch(req, st, err)
 		return true
 	}
-	b := &chain.Block{Header: hdr, Txs: txs}
-	if err := b.VerifyShape(); err != nil {
-		// Root mismatch: some member served corrupt or misordered data.
-		n.failFetch(req, st, fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
-		return true
+	groups, err := st.groups()
+	if err != nil {
+		return fail(err)
+	}
+	if groups == nil {
+		return false
+	}
+	hdr, err := n.store.Header(st.block)
+	if err != nil {
+		return fail(err)
+	}
+	b, err := Reassemble(hdr, groups)
+	if err != nil {
+		// Some member served corrupt, misplaced or misordered data.
+		return fail(fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
 	}
 	st.done = true
 	delete(n.fetches, req)
 	n.finishFetchSpan(st, int64(b.BodySize()), nil)
 	st.onBlock(b, nil)
 	return true
+}
+
+// groups returns the block's groups in order once enough chunks are present,
+// nil while more are needed: every group of a live block, or any k shares
+// of an archived one, whose rebuilt body is the block's one group. The
+// codec comes from the shared registry: this runs on every share arrival,
+// and re-deriving the systematic matrix per response used to dominate the
+// coded read path.
+func (st *fetchState) groups() ([]Group, error) {
+	if st.codedK == 0 {
+		if st.parts == 0 || len(st.chunks) < st.parts {
+			return nil, nil
+		}
+		groups := make([]Group, st.parts)
+		for i := range groups {
+			groups[i] = st.chunks[i].Group // a gap leaves the zero Group, which Reassemble refuses
+		}
+		return groups, nil
+	}
+	if len(st.chunks) < st.codedK {
+		return nil, nil
+	}
+	code, err := erasure.Cached(st.codedK, st.parts-st.codedK)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([][]byte, st.parts)
+	for i, c := range st.chunks {
+		if i >= 0 && i < st.parts {
+			shards[i] = c.Raw
+		}
+	}
+	if code.Reconstruct(shards) != nil {
+		return nil, nil // wait for more shares
+	}
+	body, err := code.Join(shards)
+	if err != nil {
+		return nil, err
+	}
+	g, err := DecodeGroup(0, 1, 0, body, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrRetrieveFailed, err)
+	}
+	return []Group{g}, nil
 }
 
 func (n *Node) failFetch(req uint64, st *fetchState, err error) {
@@ -302,21 +340,12 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	}
 	bs.headersDone = true
 	// Validate linkage before trusting anything.
-	var prev *chain.Header
-	for i := range m.Headers {
-		h := m.Headers[i]
-		if prev != nil {
-			b := chain.Block{Header: h}
-			if err := b.VerifyLink(prev); err != nil {
-				n.finishBootstrap(fmt.Errorf("%w: header %d: %v", ErrBootstrapFailed, i, err))
-				return
-			}
-		} else if h.Height != 0 || !h.PrevHash.IsZero() {
-			n.finishBootstrap(fmt.Errorf("%w: chain does not start at genesis", ErrBootstrapFailed))
-			return
-		}
+	if err := chain.VerifyHeaderChain(m.Headers); err != nil {
+		n.finishBootstrap(fmt.Errorf("%w: %v", ErrBootstrapFailed, err))
+		return
+	}
+	for _, h := range m.Headers {
 		n.store.PutHeader(h)
-		prev = &m.Headers[i]
 	}
 	// Fetch the chunks this node now owns under the current epoch.
 	for _, h := range m.Headers {
@@ -480,22 +509,11 @@ func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespM
 	if !ok || st.done || st.block != m.Block {
 		return
 	}
-	ok = m.Found
-	if ok {
-		// The chunk must verify against the locally known header.
-		hdr, err := n.store.Header(m.Block)
-		if err != nil || hdr.MerkleRoot != m.Chunk.Header.MerkleRoot {
-			ok = false
-		} else if verifyChunk(m.Chunk) != nil || m.Chunk.PartIdx != st.idx {
-			ok = false
-		}
-	}
-	if ok {
+	if m.Found && m.Chunk.Index == st.idx && n.adoptChunk(m.Block, m.Chunk) {
 		// A verified chunk is accepted from any source, even one already
 		// timed out: the data speaks for itself.
 		delete(n.fetches, m.ReqID)
 		st.done = true
-		n.persistChunk(m.Block, m.Chunk)
 		n.finishFetchSpan(st, int64(m.Chunk.dataBytes()), nil)
 		st.onChunk(nil)
 		return

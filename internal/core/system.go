@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
@@ -351,55 +350,24 @@ func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 	if c < 0 || c >= len(s.clusters) {
 		return fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
-	ci := s.clusters[c]
 	var hdr *chain.Header
-	type part struct {
-		txStart int
-		txs     []*chain.Transaction
-	}
-	found := make(map[int]part)
-	parts := 0
-	for _, m := range ci.Current().Members {
+	held := fetchState{chunks: make(map[int]retrievedChunk)}
+	for _, m := range s.clusters[c].Current().Members {
 		node := s.nodes[m]
 		if h, err := node.store.Header(block); err == nil && hdr == nil {
-			hh := h
-			hdr = &hh
+			hdr = &h
 		}
-		for _, idx := range node.store.ChunksForBlock(block) {
-			id := storage.ChunkID{Block: block, Index: idx}
-			chk, err := node.store.Chunk(id)
-			if err != nil {
-				continue
-			}
-			meta := node.meta[id]
-			parts = meta.parts
-			if _, ok := found[idx]; ok {
-				continue
-			}
-			txs, derr := chain.DecodeBody(chk.Data)
-			if derr != nil {
-				continue
-			}
-			found[idx] = part{txStart: meta.txStart, txs: txs}
-		}
+		chunks, _ := node.heldChunks(block)
+		held.merge(chunks)
 	}
 	if hdr == nil {
 		return fmt.Errorf("cluster %d: %w", c, ErrUnknownBlock)
 	}
-	if parts == 0 || len(found) < parts {
-		return fmt.Errorf("cluster %d: holds %d of %d chunks of %s", c, len(found), parts, block.Short())
+	groups, _ := held.groups() // a live gather has nothing to fail on
+	if groups == nil {
+		return fmt.Errorf("cluster %d: holds %d of %d chunks of %s", c, len(held.chunks), held.parts, block.Short())
 	}
-	idxs := make([]int, 0, len(found))
-	for i := range found {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var txs []*chain.Transaction
-	for _, i := range idxs {
-		txs = append(txs, found[i].txs...)
-	}
-	b := &chain.Block{Header: *hdr, Txs: txs}
-	if err := b.VerifyShape(); err != nil {
+	if _, err := Reassemble(*hdr, groups); err != nil {
 		return fmt.Errorf("cluster %d: reassembly of %s: %w", c, block.Short(), err)
 	}
 	return nil

@@ -347,21 +347,19 @@ func TestVerifyChunkRejectsBadProofIndex(t *testing.T) {
 	tree, _ := chain.TxMerkleTree(txs)
 	p0, _ := tree.Prove(0)
 	p1, _ := tree.Prove(1)
-	good := chunkPayload{
-		Header: b.Header, PartIdx: 0, Parts: 4, TxStart: 0,
-		Txs: txs[:2], Proofs: []chain.Proof{p0, p1},
-	}
-	if err := verifyChunk(good); err != nil {
+	good := Group{Index: 0, Parts: 4, TxStart: 0, Txs: txs[:2], Proofs: []chain.Proof{p0, p1}}
+	root := b.Header.MerkleRoot
+	if err := good.Verify(root); err != nil {
 		t.Fatalf("good chunk rejected: %v", err)
 	}
 	shifted := good
 	shifted.TxStart = 2
-	if err := verifyChunk(shifted); err == nil {
+	if err := shifted.Verify(root); err == nil {
 		t.Fatal("position-shifted chunk accepted")
 	}
 	mismatched := good
 	mismatched.Proofs = []chain.Proof{p0}
-	if err := verifyChunk(mismatched); err == nil {
+	if err := mismatched.Verify(root); err == nil {
 		t.Fatal("proof-count mismatch accepted")
 	}
 }

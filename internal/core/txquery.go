@@ -7,7 +7,6 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/simnet"
-	"icistrategy/internal/storage"
 )
 
 // Light-client query message kinds.
@@ -91,7 +90,7 @@ func (n *Node) QueryTxProof(net *simnet.Network, block, txID blockcrypto.Hash, c
 		return
 	}
 	// Local chunks first: the querying node may own the right chunk.
-	if proof, ok := n.localTxProof(block, txID); ok {
+	if proof, ok := StoredTxProof(n.store, block, txID); ok {
 		proof.Header = hdr
 		cb(proof, nil)
 		return
@@ -144,35 +143,10 @@ func (n *Node) broadcastTxQuery(net *simnet.Network, req uint64, st *txQueryStat
 	})
 }
 
-// localTxProof scans this node's own chunks for the transaction.
-func (n *Node) localTxProof(block, txID blockcrypto.Hash) (TxProof, bool) {
-	for _, idx := range n.store.ChunksForBlock(block) {
-		id := storage.ChunkID{Block: block, Index: idx}
-		chk, err := n.store.Chunk(id)
-		if err != nil {
-			continue
-		}
-		meta := n.meta[id]
-		if meta.coded {
-			continue // byte shares carry no per-tx structure
-		}
-		txs, derr := chain.DecodeBody(chk.Data)
-		if derr != nil {
-			continue
-		}
-		for i, tx := range txs {
-			if tx.ID() == txID && i < len(meta.proofs) {
-				return TxProof{Tx: tx, Proof: meta.proofs[i]}, true
-			}
-		}
-	}
-	return TxProof{}, false
-}
-
 // onGetTxProof serves an inclusion query from this node's stored chunks.
 func (n *Node) onGetTxProof(net *simnet.Network, from simnet.NodeID, m getTxProofMsg) {
 	resp := txProofMsg{Block: m.Block, ReqID: m.ReqID, Round: m.Round}
-	if proof, ok := n.localTxProof(m.Block, m.TxID); ok {
+	if proof, ok := StoredTxProof(n.store, m.Block, m.TxID); ok {
 		resp.Found = true
 		resp.Tx = proof.Tx
 		resp.Proof = proof.Proof

@@ -85,7 +85,7 @@ func TestQueryTxProofLocalFastPath(t *testing.T) {
 	for id := 0; id < 12; id++ {
 		node, _ := sys.Node(simnetID(id))
 		for _, tx := range target.Txs {
-			if proof, ok := node.localTxProof(target.Hash(), tx.ID()); ok {
+			if proof, ok := StoredTxProof(node.store, target.Hash(), tx.ID()); ok {
 				sys.Network().ResetTraffic()
 				var got TxProof
 				var gotErr error

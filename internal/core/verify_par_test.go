@@ -17,22 +17,26 @@ import (
 	"icistrategy/internal/workload"
 )
 
-// verifyChunkSeq is the sequential loop verifyChunk was before its
+// verifyGroupSeq is the sequential loop Group.Verify was before its
 // per-transaction checks went fork-join, kept as the reference the
-// differential test compares against.
-func verifyChunkSeq(c chunkPayload) error {
-	if len(c.Txs) != len(c.Proofs) {
-		return fmt.Errorf("core: %d txs with %d proofs", len(c.Txs), len(c.Proofs))
+// differential test compares against. Without sigs it is the reference for
+// Group.Proves.
+func verifyGroupSeq(root blockcrypto.Hash, g Group, sigs bool) error {
+	if len(g.Txs) != len(g.Proofs) {
+		return fmt.Errorf("%w: %d txs with %d proofs", ErrBadGroup, len(g.Txs), len(g.Proofs))
 	}
-	for i, tx := range c.Txs {
-		if c.Proofs[i].LeafIndex != c.TxStart+i {
-			return fmt.Errorf("core: proof %d has leaf index %d, want %d", i, c.Proofs[i].LeafIndex, c.TxStart+i)
+	for i, tx := range g.Txs {
+		if g.Proofs[i].LeafIndex != g.TxStart+i {
+			return fmt.Errorf("%w: proof %d has leaf index %d, want %d", ErrBadGroup, i, g.Proofs[i].LeafIndex, g.TxStart+i)
 		}
-		if err := chain.VerifyProof(c.Header.MerkleRoot, tx.ID(), c.Proofs[i]); err != nil {
-			return fmt.Errorf("core: tx %d proof: %w", c.TxStart+i, err)
+		if err := chain.VerifyProof(root, tx.ID(), g.Proofs[i]); err != nil {
+			return fmt.Errorf("core: tx %d proof: %w", g.TxStart+i, err)
+		}
+		if !sigs {
+			continue
 		}
 		if err := tx.VerifySignature(); err != nil {
-			return fmt.Errorf("core: tx %d: %w", c.TxStart+i, err)
+			return fmt.Errorf("core: tx %d: %w", g.TxStart+i, err)
 		}
 	}
 	return nil
@@ -49,13 +53,14 @@ func fixtureTxs(t testing.TB) []*chain.Transaction {
 }
 
 // chunkFixture builds the chunk a 16-member cluster's member receives from a
-// block of the given transactions: 16 of them with their proofs, starting at
-// transaction 32. The block is built over a forged signature at each chunk
-// position in badSigAt, so those transactions carry a valid proof and fail
-// only the signature check — what a leader distributing a bad block sends.
-func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) chunkPayload {
+// block of the given transactions — 16 of them with their proofs, starting at
+// transaction 32 — and the block's Merkle root. The block is built over a
+// forged signature at each chunk position in badSigAt, so those transactions
+// carry a valid proof and fail only the signature check — what a leader
+// distributing a bad block sends.
+func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) (blockcrypto.Hash, Group) {
 	t.Helper()
-	const start, count = 32, 16
+	const parts, idx, start = 16, 2, 32 // SplitCounts(256, 16): group 2 starts at transaction 32
 	txs = append([]*chain.Transaction(nil), txs...)
 	for _, i := range badSigAt {
 		forged := *txs[start+i]
@@ -67,38 +72,32 @@ func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) chunk
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := chain.TxMerkleTree(txs)
+	groups, err := SplitBlock(b, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proofs := make([]chain.Proof, count)
-	for i := range proofs {
-		if proofs[i], err = tree.Prove(start + i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return chunkPayload{Header: b.Header, PartIdx: 2, Parts: 16, TxStart: start, Txs: txs[start : start+count], Proofs: proofs}
+	return b.Header.MerkleRoot, groups[idx]
 }
 
 // The ways a chunk can be damaged in flight at one position, each applied to
 // a copy (the fixture's slices are shared between cases).
-var chunkDamage = map[string]func(c *chunkPayload, i int){
-	"tampered transaction": func(c *chunkPayload, i int) {
-		tx := *c.Txs[i]
+var chunkDamage = map[string]func(g *Group, i int){
+	"tampered transaction": func(g *Group, i int) {
+		tx := *g.Txs[i]
 		tx.Amount++
-		c.Txs = append([]*chain.Transaction(nil), c.Txs...)
-		c.Txs[i] = &tx
+		g.Txs = append([]*chain.Transaction(nil), g.Txs...)
+		g.Txs[i] = &tx
 	},
-	"wrong leaf index": func(c *chunkPayload, i int) {
-		c.Proofs = append([]chain.Proof(nil), c.Proofs...)
-		c.Proofs[i].LeafIndex++
+	"wrong leaf index": func(g *Group, i int) {
+		g.Proofs = append([]chain.Proof(nil), g.Proofs...)
+		g.Proofs[i].LeafIndex++
 	},
-	"bad proof": func(c *chunkPayload, i int) {
-		c.Proofs = append([]chain.Proof(nil), c.Proofs...)
-		p := c.Proofs[i]
+	"bad proof": func(g *Group, i int) {
+		g.Proofs = append([]chain.Proof(nil), g.Proofs...)
+		p := g.Proofs[i]
 		p.Steps = append([]chain.ProofStep(nil), p.Steps...)
 		p.Steps[0].Sibling[0] ^= 1
-		c.Proofs[i] = p
+		g.Proofs[i] = p
 	},
 }
 
@@ -111,11 +110,14 @@ func errText(err error) string {
 
 // TestVerifyChunkMatchesSequential damages a chunk at each position in each
 // way, and in pairs (two failures at once must report the lower index, as
-// the sequential loop does), and requires the fork-join verifyChunk to
-// return the reference's error text at one core and at four.
+// the sequential loop does), and requires the one group check both drivers
+// call to return the reference's error text at one core and at four: the
+// fork-join Verify on the decoded group (the simulator's path), Verify on
+// the group decoded back from its stored bytes (the TCP server's path), and
+// the reader's Merkle half, Proves.
 func TestVerifyChunkMatchesSequential(t *testing.T) {
 	txs := fixtureTxs(t)
-	good := chunkFixture(t, txs)
+	root, good := chunkFixture(t, txs)
 	kinds := make([]string, 0, len(chunkDamage))
 	for k := range chunkDamage {
 		kinds = append(kinds, k)
@@ -124,57 +126,73 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 
 	type testCase struct {
 		name string
-		c    chunkPayload
+		root blockcrypto.Hash
+		g    Group
 	}
-	cases := []testCase{{"intact", good}}
+	cases := []testCase{{"intact", root, good}}
 	short := good
 	short.Proofs = good.Proofs[:len(good.Proofs)-1]
-	cases = append(cases, testCase{"proof count mismatch", short})
+	cases = append(cases, testCase{"proof count mismatch", root, short})
 	shifted := good
 	shifted.TxStart += 16
-	cases = append(cases, testCase{"shifted position", shifted})
+	cases = append(cases, testCase{"shifted position", root, shifted})
 	empty := good
 	empty.Txs, empty.Proofs = nil, nil
-	cases = append(cases, testCase{"empty chunk", empty})
+	cases = append(cases, testCase{"empty chunk", root, empty})
 	for _, k := range kinds {
 		for i := range good.Txs {
-			c := good
-			chunkDamage[k](&c, i)
-			cases = append(cases, testCase{fmt.Sprintf("%s at %d", k, i), c})
+			g := good
+			chunkDamage[k](&g, i)
+			cases = append(cases, testCase{fmt.Sprintf("%s at %d", k, i), root, g})
 		}
 	}
 	// A transaction that fails only its signature, at each position, and
 	// beside in-flight damage below and above it.
 	for i := range good.Txs {
-		cases = append(cases, testCase{fmt.Sprintf("bad signature at %d", i), chunkFixture(t, txs, i)})
+		r, g := chunkFixture(t, txs, i)
+		cases = append(cases, testCase{fmt.Sprintf("bad signature at %d", i), r, g})
 	}
+	forgedRoot, forged := chunkFixture(t, txs, 6, 11)
 	for _, k := range kinds {
-		below, above := chunkFixture(t, txs, 6, 11), chunkFixture(t, txs, 6, 11)
+		below, above := forged, forged
 		chunkDamage[k](&below, 2)
 		chunkDamage[k](&above, 9)
 		cases = append(cases,
-			testCase{"bad signatures at 6 and 11, " + k + " at 2", below},
-			testCase{"bad signatures at 6 and 11, " + k + " at 9", above})
+			testCase{"bad signatures at 6 and 11, " + k + " at 2", forgedRoot, below},
+			testCase{"bad signatures at 6 and 11, " + k + " at 9", forgedRoot, above})
 	}
 	// Two failures of different kinds: every ordered pair of kinds, at a low
 	// and a high position.
 	for _, lowKind := range kinds {
 		for _, highKind := range kinds {
 			for _, pos := range [][2]int{{0, 15}, {3, 4}, {7, 12}} {
-				c := good
-				chunkDamage[highKind](&c, pos[1])
-				chunkDamage[lowKind](&c, pos[0])
-				cases = append(cases, testCase{fmt.Sprintf("%s at %d and %s at %d", lowKind, pos[0], highKind, pos[1]), c})
+				g := good
+				chunkDamage[highKind](&g, pos[1])
+				chunkDamage[lowKind](&g, pos[0])
+				cases = append(cases, testCase{fmt.Sprintf("%s at %d and %s at %d", lowKind, pos[0], highKind, pos[1]), root, g})
 			}
 		}
 	}
 
+	fromBytes := func(g Group, root blockcrypto.Hash) error {
+		d, err := DecodeGroup(g.Index, g.Parts, g.TxStart, g.Encode(), g.Proofs)
+		if err != nil {
+			return err
+		}
+		return d.Verify(root)
+	}
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, tc := range cases {
-			want, got := errText(verifyChunkSeq(tc.c)), errText(verifyChunk(tc.c))
-			if got != want {
+			want := errText(verifyGroupSeq(tc.root, tc.g, true))
+			if got := errText(tc.g.Verify(tc.root)); got != want {
 				t.Errorf("GOMAXPROCS=%d %s: fork-join says %q, sequential says %q", procs, tc.name, got, want)
+			}
+			if got := errText(fromBytes(tc.g, tc.root)); got != want {
+				t.Errorf("GOMAXPROCS=%d %s: decoded from stored bytes says %q, sequential says %q", procs, tc.name, got, want)
+			}
+			if got, want := errText(tc.g.Proves(tc.root)), errText(verifyGroupSeq(tc.root, tc.g, false)); got != want {
+				t.Errorf("GOMAXPROCS=%d %s: Proves says %q, sequential without signatures says %q", procs, tc.name, got, want)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
@@ -182,17 +200,25 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 
 	// The reference itself must tell the cases apart, or the comparison
 	// above proves nothing.
-	if err := verifyChunk(good); err != nil {
+	if err := good.Verify(root); err != nil {
 		t.Fatalf("intact chunk rejected: %v", err)
 	}
 	two := good
 	chunkDamage["bad proof"](&two, 12)
 	chunkDamage["tampered transaction"](&two, 7)
-	if got := errText(verifyChunk(two)); !strings.Contains(got, fmt.Sprintf("tx %d proof", good.TxStart+7)) {
+	if got := errText(two.Verify(root)); !strings.Contains(got, fmt.Sprintf("tx %d proof", good.TxStart+7)) {
 		t.Fatalf("two failures reported %q, want the proof failure at index 7 (tx %d)", got, good.TxStart+7)
 	}
-	if err := verifyChunk(chunkFixture(t, txs, 6, 11)); !errors.Is(err, chain.ErrTxBadSignature) || !strings.Contains(err.Error(), fmt.Sprintf("tx %d:", good.TxStart+6)) {
+	if err := forged.Verify(forgedRoot); !errors.Is(err, chain.ErrTxBadSignature) || !strings.Contains(err.Error(), fmt.Sprintf("tx %d:", good.TxStart+6)) {
 		t.Fatalf("two forged signatures reported %v, want ErrTxBadSignature at index 6 (tx %d)", err, good.TxStart+6)
+	}
+	if err := forged.Proves(forgedRoot); err != nil {
+		t.Fatalf("Proves looked at a signature: %v", err)
+	}
+	for _, g := range []Group{short, shifted} {
+		if err := g.Verify(root); !errors.Is(err, ErrBadGroup) {
+			t.Fatalf("shape error %v does not wrap ErrBadGroup", err)
+		}
 	}
 }
 
@@ -209,8 +235,8 @@ func dumpNodes(t *testing.T, sys *System) string {
 	var sb strings.Builder
 	for _, id := range ids {
 		n := sys.nodes[id]
-		fmt.Fprintf(&sb, "node %d committed=%d proofBytes=%d metrics=%+v stats=%+v\n",
-			id, n.committed, n.proofBytes, n.metrics.Snapshot(), n.store.Stats())
+		fmt.Fprintf(&sb, "node %d committed=%d metrics=%+v stats=%+v\n",
+			id, n.committed, n.metrics.Snapshot(), n.store.Stats())
 		for _, h := range n.store.Headers() {
 			hash := h.Hash()
 			fmt.Fprintf(&sb, "  header %d %x\n", h.Height, hash[:8])
@@ -300,11 +326,11 @@ func TestDuplicateCommitDroppedBeforeVerification(t *testing.T) {
 // BenchmarkVerifyChunk verifies one member's share of a 256-transaction
 // block in a 16-member cluster (16 transactions); run with -cpu 1,2.
 func BenchmarkVerifyChunk(b *testing.B) {
-	c := chunkFixture(b, fixtureTxs(b))
+	root, g := chunkFixture(b, fixtureTxs(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := verifyChunk(c); err != nil {
+		if err := g.Verify(root); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,6 @@ package gateway
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"icistrategy/internal/blockcrypto"
@@ -187,23 +186,17 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*chain.Block, error) {
 		return nil, fmt.Errorf("%w: have %d of %d for %s", ErrIncomplete, have, parts, h.Short())
 	}
 
-	// Reassemble in transaction order and verify the whole block shape
-	// (including the Merkle root) against the trusted header.
-	order := make([]int, parts)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return got[order[a]].TxStart < got[order[b]].TxStart })
-	var txs []*chain.Transaction
-	for _, idx := range order {
-		part, derr := chain.DecodeBody(got[idx].Data)
-		if derr != nil {
-			return nil, fmt.Errorf("gateway: chunk %d: %w", idx, derr)
+	// Reassemble and verify against the trusted header. A chunk cut for
+	// another part count than the map says is refused there, which is how a
+	// stale membership surfaces as an error for GetBlock to refresh on.
+	groups := make([]core.Group, parts)
+	for idx, c := range got {
+		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, c.Proofs); err != nil {
+			return nil, fmt.Errorf("gateway: chunk %d: %w", idx, err)
 		}
-		txs = append(txs, part...)
 	}
-	b := &chain.Block{Header: hdr, Txs: txs}
-	if err := b.VerifyShape(); err != nil {
+	b, err := core.Reassemble(hdr, groups)
+	if err != nil {
 		return nil, fmt.Errorf("gateway: reassembly: %w", err)
 	}
 	return b, nil

@@ -259,21 +259,13 @@ func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netx: bootstrap: no member served headers: %w", err)
 	}
-	var prev *chain.Header
-	for i := range headers {
-		h := headers[i]
-		if prev != nil {
-			blk := chain.Block{Header: h}
-			if err := blk.VerifyLink(prev); err != nil {
-				return nil, fmt.Errorf("netx: bootstrap: header %d: %w", i, err)
-			}
-		} else if h.Height != 0 || !h.PrevHash.IsZero() {
-			return nil, fmt.Errorf("netx: bootstrap: chain does not start at genesis")
-		}
+	if err := chain.VerifyHeaderChain(headers); err != nil {
+		return nil, fmt.Errorf("netx: bootstrap: %w", err)
+	}
+	for i, h := range headers {
 		if err := targetClient.PutHeader(h); err != nil {
 			return nil, fmt.Errorf("netx: bootstrap: push header %d: %w", i, err)
 		}
-		prev = &headers[i]
 	}
 	return headers, nil
 }

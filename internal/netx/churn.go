@@ -193,19 +193,13 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 			seed := block.Uint64()
 			for i := range resp.Chunks {
 				chk := &resp.Chunks[i]
-				oldOwners, err := cl.base.Owners(seed, chk.Index, cl.replication)
-				if err != nil {
-					return err
-				}
-				newOwners, err := shrunk.Owners(seed, chk.Index, cl.replication)
+				gain, err := cl.base.Gainers(&shrunk, cl.base.Members[li], seed, chk.Index, cl.replication)
 				if err != nil {
 					return err
 				}
 				var gainers []string
-				for _, o := range newOwners {
-					if !slices.Contains(oldOwners, o) {
-						gainers = append(gainers, cl.base.Addrs[int(o)])
-					}
+				for _, o := range gain {
+					gainers = append(gainers, cl.base.Addrs[int(o)])
 				}
 				if len(gainers) > 0 && !emit(chunkMove{block: block, index: chk.Index, chunk: chk, to: gainers}) {
 					return nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -415,37 +414,17 @@ func (cl *Cluster) DistributeBlock(b *chain.Block) error {
 }
 
 func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
-	tree, err := chain.TxMerkleTree(b.Txs)
-	if err != nil {
-		return err
-	}
-	parts := len(cl.base.Addrs)
-	counts, err := core.SplitCounts(len(b.Txs), parts)
+	groups, err := core.SplitBlock(b, len(cl.base.Addrs))
 	if err != nil {
 		return err
 	}
 	hash := b.Hash()
 	seed := hash.Uint64()
-	reqs := make([]PutChunkReq, parts)
+	reqs := make([]PutChunkReq, len(groups))
 	owned := make([][]int, len(cl.base.Addrs)) // chunk indices per member, ascending
-	txStart := 0
-	for idx := range reqs {
-		group := b.Txs[txStart : txStart+counts[idx]]
-		proofs := make([]chain.Proof, len(group))
-		for i := range group {
-			if proofs[i], err = tree.Prove(txStart + i); err != nil {
-				return err
-			}
-		}
-		sub := chain.Block{Txs: group}
-		reqs[idx] = PutChunkReq{
-			Block:   hash,
-			Index:   idx,
-			Parts:   parts,
-			TxStart: txStart,
-			Data:    sub.EncodeBody(),
-			Proofs:  proofs,
-		}
+	for idx := range groups {
+		g := &groups[idx]
+		reqs[idx] = PutChunkReq{Block: hash, Index: idx, Parts: g.Parts, TxStart: g.TxStart, Data: g.Encode(), Proofs: g.Proofs}
 		owners, err := cl.base.Owners(seed, idx, cl.replication)
 		if err != nil {
 			return err
@@ -453,7 +432,6 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 		for _, o := range owners {
 			owned[int(o)] = append(owned[int(o)], idx)
 		}
-		txStart += counts[idx]
 	}
 
 	// One goroutine per member: a server refuses a chunk whose header it
@@ -512,8 +490,7 @@ func (cl *Cluster) RetrieveBlock(hdr chain.Header) (*chain.Block, error) {
 
 func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.Block, error) {
 	block := hdr.Hash()
-	found := make(map[int][]*chain.Transaction)
-	starts := make(map[int]int)
+	found := make(map[int]core.Group)
 	parts := 0
 	for _, addr := range cl.base.Addrs {
 		c, err := cl.tracedClient(addr, parent)
@@ -528,16 +505,19 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.
 		if resp.Parts > 0 {
 			parts = resp.Parts
 		}
-		for _, chk := range resp.Chunks {
+		for i := range resp.Chunks {
+			chk := &resp.Chunks[i]
 			if _, ok := found[chk.Index]; ok {
 				continue
 			}
-			txs, derr := chain.DecodeBody(chk.Data)
-			if derr != nil {
+			// A copy is taken only if it proves into the header's root where
+			// it claims to sit; a damaged one is skipped and the next
+			// member's copy of that chunk is taken instead.
+			g, err := core.DecodeGroup(chk.Index, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
+			if err != nil || g.Proves(hdr.MerkleRoot) != nil {
 				continue
 			}
-			found[chk.Index] = txs
-			starts[chk.Index] = chk.TxStart
+			found[chk.Index] = g
 		}
 		if parts > 0 && len(found) == parts {
 			break
@@ -546,17 +526,12 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.
 	if parts == 0 || len(found) < parts {
 		return nil, fmt.Errorf("%w: have %d of %d", ErrIncompleteBlock, len(found), parts)
 	}
-	idxs := make([]int, 0, len(found))
-	for i := range found {
-		idxs = append(idxs, i)
+	groups := make([]core.Group, parts)
+	for i := range groups {
+		groups[i] = found[i] // a gap leaves the zero Group, which Reassemble refuses
 	}
-	sort.Ints(idxs)
-	var txs []*chain.Transaction
-	for _, i := range idxs {
-		txs = append(txs, found[i]...)
-	}
-	b := &chain.Block{Header: hdr, Txs: txs}
-	if err := b.VerifyShape(); err != nil {
+	b, err := core.Reassemble(hdr, groups)
+	if err != nil {
 		return nil, fmt.Errorf("netx: reassembly: %w", err)
 	}
 	return b, nil

@@ -125,6 +125,48 @@ func TestDelayFaultAddsLatency(t *testing.T) {
 	}
 }
 
+// TestRetrieveSurvivesOneCorruptingMember: 3 members, r=2, and the first
+// member in address order flips every chunk it serves. Every chunk has a
+// sound replica on another member, so the read must skip the bad copies and
+// take the next member's instead of keeping the first copy of each index
+// and failing the whole block at the end.
+func TestRetrieveSurvivesOneCorruptingMember(t *testing.T) {
+	servers, addrs := startServers(t, 3)
+	servers[0].EnableChaos()
+	cl, err := NewCluster(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	blocks := distributeBlocks(t, cl, 3, 18)
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.InjectFault(FaultReq{Set: &FaultConfig{CorruptRate: 1, Seed: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, b := range blocks {
+		resp, err := c.GetBlockChunks(b.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		served += len(resp.Chunks)
+		got, err := cl.RetrieveBlock(b.Header)
+		if err != nil {
+			t.Fatalf("block %d: one corrupting member failed a read every chunk of which has an honest replica: %v", b.Header.Height, err)
+		}
+		if got.Hash() != b.Hash() || len(got.Txs) != len(b.Txs) {
+			t.Fatalf("block %d reassembled wrong", b.Header.Height)
+		}
+	}
+	if served == 0 {
+		t.Fatal("the corrupting member holds no chunk: nothing was tested")
+	}
+}
+
 func TestCorruptRateDamagesServedChunks(t *testing.T) {
 	// One member, r=1: with CorruptRate 1 every served chunk payload is
 	// flipped in flight, so reassembly cannot produce a verified block.

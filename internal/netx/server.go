@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
 	"icistrategy/internal/storage"
@@ -35,14 +34,13 @@ var writeTimeout = DefaultRPCTimeout
 type Logf func(event string, kv ...any)
 
 // Server is one ICIStrategy storage node exposed over TCP. It owns a
-// storage.Store plus the proof sidecar and serves the request/response
-// protocol until closed. All methods are safe for concurrent use.
+// storage.Store and serves the request/response protocol until closed. All
+// methods are safe for concurrent use.
 type Server struct {
 	listener net.Listener
 
 	mu     sync.Mutex
 	store  *storage.Store
-	meta   map[storage.ChunkID]chunkSidecar
 	cmap   core.EpochMap // newest published cluster map; empty until the first publish
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -61,12 +59,6 @@ type Server struct {
 	connErrs atomic.Int64
 }
 
-type chunkSidecar struct {
-	parts   int
-	txStart int
-	proofs  []chain.Proof
-}
-
 // NewServer starts a storage server listening on addr (use "127.0.0.1:0"
 // for an ephemeral port).
 func NewServer(addr string) (*Server, error) {
@@ -77,7 +69,6 @@ func NewServer(addr string) (*Server, error) {
 	s := &Server{
 		listener: l,
 		store:    storage.NewStore(),
-		meta:     make(map[storage.ChunkID]chunkSidecar),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -335,11 +326,11 @@ func (s *Server) handleClusterMap(req *Request) *Response {
 }
 
 // handlePutChunk verifies what the server stores: the chunk must decode and
-// every transaction must prove into the already-stored header's root and
-// carry a valid signature. s.mu is held to look the header up and again to
-// store; the checks between run unlocked (verifyChunk reads only the request
-// and the header copy), so connections verify side by side and reads do not
-// wait behind signatures.
+// pass the group check every owner runs (core.Group.Verify) against the
+// already-stored header's root. s.mu is held to look the header up and again
+// to store; the checks between run unlocked (they read only the request and
+// the header copy), so connections verify side by side and reads do not wait
+// behind signatures.
 func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	if len(r.Data) == 0 || r.Parts <= 0 || r.Index < 0 || r.Index >= r.Parts {
 		return errResp(ErrBadRequest)
@@ -350,58 +341,38 @@ func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	if err != nil {
 		return errResp(fmt.Errorf("store chunk: header unknown: %w", ErrNotFound))
 	}
-	if err := verifyChunk(hdr.MerkleRoot, r); err != nil {
+	g, err := core.DecodeGroup(r.Index, r.Parts, r.TxStart, r.Data, r.Proofs)
+	if err != nil {
+		return errResp(fmt.Errorf("%w: %v", ErrBadRequest, err))
+	}
+	if err := g.Verify(hdr.MerkleRoot); err != nil {
+		if errors.Is(err, core.ErrBadGroup) {
+			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 		return errResp(err)
 	}
-	chunk := storage.NewChunk(storage.ChunkID{Block: r.Block, Index: r.Index}, r.Data)
+	chunk := g.Chunk(r.Block, r.Data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.store.PutChunk(chunk); err != nil {
 		return errResp(err)
 	}
-	s.meta[chunk.ID] = chunkSidecar{parts: r.Parts, txStart: r.TxStart, proofs: r.Proofs}
 	return okResp()
 }
 
-// verifyChunk checks a chunk against its block's Merkle root: it decodes,
-// each transaction proves into the root at its claimed position, and each
-// signature verifies.
-func verifyChunk(root blockcrypto.Hash, r *PutChunkReq) error {
-	txs, err := chain.DecodeBody(r.Data)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if len(txs) != len(r.Proofs) {
-		return fmt.Errorf("%w: %d txs, %d proofs", ErrBadRequest, len(txs), len(r.Proofs))
-	}
-	for i, tx := range txs {
-		if r.Proofs[i].LeafIndex != r.TxStart+i {
-			return fmt.Errorf("%w: proof index mismatch", ErrBadRequest)
-		}
-		if err := chain.VerifyProof(root, tx.ID(), r.Proofs[i]); err != nil {
-			return err
-		}
-		if err := tx.VerifySignature(); err != nil {
-			return err
-		}
-	}
-	return nil
+// chunkResp is a stored chunk as the wire carries it. The payload is the
+// store's copy-on-read bytes, passed through undecoded.
+func chunkResp(c *storage.Chunk) ChunkResp {
+	return ChunkResp{Index: c.ID.Index, Parts: c.Parts, TxStart: c.TxStart, Data: c.Data, Proofs: c.Proofs}
 }
 
 func (s *Server) handleGetChunk(r *GetChunkReq) *Response {
-	id := storage.ChunkID{Block: r.Block, Index: r.Index}
-	chk, err := s.store.Chunk(id)
+	chk, err := s.store.Chunk(storage.ChunkID{Block: r.Block, Index: r.Index})
 	if err != nil {
 		return errResp(ErrNotFound)
 	}
-	m := s.meta[id]
-	return &Response{Chunk: &ChunkResp{
-		Index:   r.Index,
-		Parts:   m.parts,
-		TxStart: m.txStart,
-		Data:    chk.Data,
-		Proofs:  m.proofs,
-	}}
+	resp := chunkResp(&chk)
+	return &Response{Chunk: &resp}
 }
 
 // handleGetChunkBatch answers a batch fetch position-for-position; chunks
@@ -416,66 +387,34 @@ func (s *Server) handleGetChunkBatch(r *ChunkBatchReq) *Response {
 		Chunks: make([]ChunkResp, len(r.Refs)),
 	}
 	for i, ref := range r.Refs {
-		id := storage.ChunkID{Block: ref.Block, Index: ref.Index}
-		chk, err := s.store.Chunk(id)
+		chk, err := s.store.Chunk(storage.ChunkID{Block: ref.Block, Index: ref.Index})
 		if err != nil {
 			continue // missing or corrupted: withhold this position
 		}
-		m := s.meta[id]
 		out.Found[i] = true
-		out.Chunks[i] = ChunkResp{
-			Index:   ref.Index,
-			Parts:   m.parts,
-			TxStart: m.txStart,
-			Data:    chk.Data,
-			Proofs:  m.proofs,
-		}
+		out.Chunks[i] = chunkResp(&chk)
 	}
 	return &Response{ChunkBatch: out}
 }
 
-// handleGetTxProof scans this server's chunks of the block for the
-// transaction and answers with it plus its stored Merkle proof — the
-// light-client path: the response is verifiable against the block header
-// alone, and no whole block crosses the wire.
+// handleGetTxProof answers with the transaction plus its stored Merkle proof
+// when this server's chunks of the block hold it — the light-client path:
+// the response is verifiable against the block header alone, and no whole
+// block crosses the wire.
 func (s *Server) handleGetTxProof(r *TxProofReq) *Response {
-	for _, idx := range s.store.ChunksForBlock(r.Block) {
-		id := storage.ChunkID{Block: r.Block, Index: idx}
-		chk, err := s.store.Chunk(id)
-		if err != nil {
-			continue
-		}
-		m := s.meta[id]
-		txs, derr := chain.DecodeBody(chk.Data)
-		if derr != nil {
-			continue
-		}
-		for i, tx := range txs {
-			if tx.ID() == r.TxID && i < len(m.proofs) {
-				return &Response{TxProof: &TxProofResp{Found: true, Tx: tx, Proof: m.proofs[i]}}
-			}
-		}
-	}
-	return &Response{TxProof: &TxProofResp{}}
+	p, found := core.StoredTxProof(s.store, r.Block, r.TxID)
+	return &Response{TxProof: &TxProofResp{Found: found, Tx: p.Tx, Proof: p.Proof}}
 }
 
 func (s *Server) handleGetBlockChunks(r *GetBlockChunksReq) *Response {
 	out := &BlockChunksResp{}
 	for _, idx := range s.store.ChunksForBlock(r.Block) {
-		id := storage.ChunkID{Block: r.Block, Index: idx}
-		chk, err := s.store.Chunk(id)
+		chk, err := s.store.Chunk(storage.ChunkID{Block: r.Block, Index: idx})
 		if err != nil {
 			continue // corrupted: withhold
 		}
-		m := s.meta[id]
-		out.Parts = m.parts
-		out.Chunks = append(out.Chunks, ChunkResp{
-			Index:   idx,
-			Parts:   m.parts,
-			TxStart: m.txStart,
-			Data:    chk.Data,
-			Proofs:  m.proofs,
-		})
+		out.Parts = chk.Parts
+		out.Chunks = append(out.Chunks, chunkResp(&chk))
 	}
 	return &Response{BlockChunks: out}
 }

@@ -479,8 +479,11 @@ func TestConcurrentPutsAndReadsOneServer(t *testing.T) {
 					return
 				}
 				for _, chk := range resp.Chunks {
-					req := PutChunkReq{Index: chk.Index, Parts: chk.Parts, TxStart: chk.TxStart, Data: chk.Data, Proofs: chk.Proofs}
-					if err := verifyChunk(b.Header.MerkleRoot, &req); err != nil {
+					g, err := core.DecodeGroup(chk.Index, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
+					if err == nil {
+						err = g.Verify(b.Header.MerkleRoot)
+					}
+					if err != nil {
 						t.Errorf("reader %d was served an unverifiable chunk %d: %v", rd, chk.Index, err)
 					}
 				}

@@ -66,7 +66,7 @@ func TestStoreAccountingAlwaysConsistent(t *testing.T) {
 				delete(pinned, id)
 			}
 		case 4: // GC everything unpinned with Index >= 6
-			s.GC(func(cid ChunkID) bool { return cid.Index < 6 })
+			s.GC(func(c Chunk) bool { return c.ID.Index < 6 })
 			for cid := range shadow {
 				if cid.Index >= 6 && !pinned[cid] {
 					delete(shadow, cid)

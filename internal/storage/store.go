@@ -36,15 +36,30 @@ func (c ChunkID) String() string {
 	return fmt.Sprintf("%s/%d", c.Block.Short(), c.Index)
 }
 
-// Chunk is a stored slice of a block body together with its digest so reads
-// are self-verifying.
+// Chunk is a stored slice of a block body together with its digest, so reads
+// are self-verifying, and the sidecar an owner keeps beside the bytes to
+// serve verifiable reads: a chunk and its proofs are put, read, pruned and
+// deleted as one value. Only Data counts as stored bytes (Stats).
 type Chunk struct {
 	ID     ChunkID
 	Data   []byte
 	Digest blockcrypto.Hash
+
+	// Parts is how many chunks the block was split into (how many shares,
+	// for a coded chunk).
+	Parts int
+	// TxStart is the block position of the first transaction in Data, and
+	// Proofs[i] proves transaction i of Data under the header's Merkle
+	// root. Proofs are never written after the put; readers share them.
+	TxStart int
+	Proofs  []chain.Proof
+	// CodedK > 0 marks Data as a Reed-Solomon byte share of an archived
+	// block: any CodedK of its Parts shares rebuild the body.
+	CodedK int
 }
 
-// NewChunk builds a chunk, computing its digest.
+// NewChunk builds a chunk, computing its digest; the caller fills the
+// sidecar.
 func NewChunk(id ChunkID, data []byte) Chunk {
 	return Chunk{ID: id, Data: data, Digest: blockcrypto.Sum256(data)}
 }
@@ -231,11 +246,12 @@ func (s *Store) ChunksForBlock(block blockcrypto.Hash) []int {
 }
 
 // GC deletes every unpinned chunk for which keep returns false and returns
-// the number of bytes freed.
-func (s *Store) GC(keep func(ChunkID) bool) int64 {
+// the number of bytes freed. keep sees the stored value, sidecar included;
+// its Data is the store's own buffer and must not be written to.
+func (s *Store) GC(keep func(Chunk) bool) int64 {
 	var freed int64
 	for id, c := range s.chunks {
-		if s.pinned[id] || keep(id) {
+		if s.pinned[id] || keep(c) {
 			continue
 		}
 		freed += int64(len(c.Data))

@@ -188,7 +188,7 @@ func TestGC(t *testing.T) {
 		}
 	}
 	s.Pin(pinnedVictim.ID)
-	freed := s.GC(func(id ChunkID) bool { return id == keepers.ID })
+	freed := s.GC(func(c Chunk) bool { return c.ID == keepers.ID })
 	if freed != 20 {
 		t.Fatalf("GC freed %d bytes, want 20", freed)
 	}
@@ -268,7 +268,7 @@ func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 	}
 	checkBlockIndex(t, s)
 	// GC away every odd index; the pinned chunk survives regardless.
-	s.GC(func(id ChunkID) bool { return id.Index%2 == 0 })
+	s.GC(func(c Chunk) bool { return c.ID.Index%2 == 0 })
 	checkBlockIndex(t, s)
 	if !s.HasChunk(pin) {
 		t.Fatal("GC removed a pinned chunk")
@@ -290,7 +290,7 @@ func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 	}
 	// Dropping the rest must empty the index entirely.
 	s.Unpin(pin)
-	s.GC(func(ChunkID) bool { return false })
+	s.GC(func(Chunk) bool { return false })
 	checkBlockIndex(t, s)
 	if len(s.byBlock) != 0 {
 		t.Fatalf("index still holds %d blocks after full GC", len(s.byBlock))
@@ -319,4 +319,65 @@ func TestChunkIDString(t *testing.T) {
 	if got := id.String(); got == "" {
 		t.Fatal("empty ChunkID string")
 	}
+}
+
+// TestSidecarLivesAndDiesWithTheChunk: the proofs, position and part count
+// put with a chunk come back with it, leave with it on DeleteChunk and GC
+// (keep sees them), and never count as stored bytes.
+func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
+	s := NewStore()
+	proofs := []chain.Proof{{LeafIndex: 8, Steps: make([]chain.ProofStep, 5)}, {LeafIndex: 9, Steps: make([]chain.ProofStep, 5)}}
+	live := testChunk(1, 2, 40)
+	live.Parts, live.TxStart, live.Proofs = 4, 8, proofs
+	share := testChunk(1, 3, 24)
+	share.Parts, share.CodedK = 4, 3
+	bare := testChunk(2, 0, 16)
+	for _, c := range []Chunk{live, share, bare} {
+		if err := s.PutChunk(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.ChunkBytes != 40+24+16 || st.ChunkCount != 3 {
+		t.Fatalf("stats %+v: ChunkBytes must count Data only", st)
+	}
+	got, err := s.Chunk(live.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Parts != 4 || got.TxStart != 8 || got.CodedK != 0 || len(got.Proofs) != 2 || got.Proofs[1].LeafIndex != 9 {
+		t.Fatalf("sidecar read back as %+v", got)
+	}
+
+	var seen []Chunk
+	freed := s.GC(func(c Chunk) bool {
+		seen = append(seen, c)
+		return c.CodedK > 0
+	})
+	if freed != 40+16 || len(seen) != 3 {
+		t.Fatalf("GC freed %d bytes after showing keep %d chunks", freed, len(seen))
+	}
+	for _, c := range seen {
+		if c.ID == live.ID && (c.Parts != 4 || len(c.Proofs) != 2) {
+			t.Fatalf("keep saw the live chunk without its sidecar: %+v", c)
+		}
+	}
+	if _, err := s.Chunk(live.ID); err == nil {
+		t.Fatal("collected chunk still readable")
+	}
+	// Re-putting the ID with another sidecar stores the new one: nothing of
+	// the collected chunk was left behind.
+	live.Parts, live.Proofs = 6, nil
+	if err := s.PutChunk(live); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Chunk(live.ID); got.Parts != 6 || got.Proofs != nil {
+		t.Fatalf("re-put chunk read back with a stale sidecar: %+v", got)
+	}
+	if err := s.DeleteChunk(share.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.ChunkBytes != 40 || st.ChunkCount != 1 {
+		t.Fatalf("stats after delete %+v", st)
+	}
+	checkBlockIndex(t, s)
 }
