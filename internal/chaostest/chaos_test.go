@@ -198,14 +198,19 @@ func runChaosLifecycle(t *testing.T, seed uint64) {
 		t.Fatalf("repair never converged: %d chunks still lost after 5 rounds", lost)
 	}
 
-	// Production continues after the departure.
-	produce(16)
-	last := blocks[len(blocks)-1]
-	if reader := finalizedReader(sys, cfg.Nodes, last); reader == nil {
-		t.Fatalf("post-repair block never committed")
-	} else {
-		retrieveVerified(t, sys, reader, last)
+	// Production continues after the departure. Which messages the fault
+	// layer drops depends on the whole message pattern before, so one block
+	// can lose the proposal to both leaders and legitimately never commit:
+	// produce until one does, within a bound no drop rate here explains.
+	reader = nil
+	for attempt := 0; attempt < 3 && reader == nil; attempt++ {
+		produce(16)
+		reader = finalizedReader(sys, cfg.Nodes, blocks[len(blocks)-1])
 	}
+	if reader == nil {
+		t.Fatalf("no block committed in 3 post-repair attempts")
+	}
+	retrieveVerified(t, sys, reader, blocks[len(blocks)-1])
 
 	// The schedule must actually have exercised the fault machinery.
 	fs := net.FaultStats()

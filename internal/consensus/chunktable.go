@@ -104,44 +104,52 @@ func (t *ChunkTable) RejectQuorum() int { return t.rejectQuorum }
 // Parts returns the chunk count.
 func (t *ChunkTable) Parts() int { return t.parts }
 
-// Add records one chunk vote. Conflicting votes by the same member on the
-// same chunk are equivocation. The caller is responsible for signature
-// verification and for filtering voters that were never assigned the chunk.
+// Add records one vote: every chunk it names or, when it is refused, none.
+// The chunks must be a non-empty strictly increasing set inside the block
+// (ErrBadChunks), and a verdict that conflicts with the same member's
+// earlier one on any of them is equivocation and refuses the whole vote;
+// chunks the member already voted the same way on are counted once. The
+// caller is responsible for signature verification and for filtering voters
+// that were never assigned a chunk.
 func (t *ChunkTable) Add(v Vote) (Decision, error) {
 	if v.Block != t.block {
 		return t.Decision(), ErrWrongSubject
 	}
-	if v.ChunkIdx < 0 || v.ChunkIdx >= t.parts {
-		return t.Decision(), fmt.Errorf("consensus: chunk index %d out of [0,%d)", v.ChunkIdx, t.parts)
+	last, ok := -1, len(v.Chunks) > 0
+	for _, idx := range v.Chunks {
+		ok, last = ok && idx > last && idx < t.parts, idx
 	}
-	app, rej := t.approve[v.ChunkIdx], t.reject[v.ChunkIdx]
-	if v.Approve {
-		if rej[v.Voter] {
-			t.observeEquivocation(v)
-			return t.Decision(), fmt.Errorf("%w: %d on chunk %d", ErrEquivocation, v.Voter, v.ChunkIdx)
+	if !ok {
+		return t.Decision(), fmt.Errorf("%w: %v of %d", ErrBadChunks, v.Chunks, t.parts)
+	}
+	mine, other := t.approve, t.reject
+	if !v.Approve {
+		mine, other = other, mine
+	}
+	for _, idx := range v.Chunks {
+		if other[idx][v.Voter] {
+			inc(t.obs.Equivocations)
+			t.observeVote(v, "equivocation")
+			return t.Decision(), fmt.Errorf("%w: %d on chunk %d", ErrEquivocation, v.Voter, idx)
 		}
-		app[v.Voter] = true
-	} else {
-		if app[v.Voter] {
-			t.observeEquivocation(v)
-			return t.Decision(), fmt.Errorf("%w: %d on chunk %d", ErrEquivocation, v.Voter, v.ChunkIdx)
-		}
-		rej[v.Voter] = true
+	}
+	for _, idx := range v.Chunks {
+		mine[idx][v.Voter] = true
 	}
 	inc(t.obs.Votes)
-	if t.obs.Tracer.Enabled() {
-		errStr := ""
-		if !v.Approve {
-			errStr = "reject"
-		}
-		t.obs.Tracer.Point(t.obs.Parent, "consensus", fmt.Sprintf("vote[%d]", v.ChunkIdx), int64(v.Voter), 0, errStr)
+	if v.Approve {
+		t.observeVote(v, "")
+	} else {
+		t.observeVote(v, "reject")
 	}
 	return t.Decision(), nil
 }
 
-func (t *ChunkTable) observeEquivocation(v Vote) {
-	inc(t.obs.Equivocations)
-	t.obs.Tracer.Point(t.obs.Parent, "consensus", fmt.Sprintf("vote[%d]", v.ChunkIdx), int64(v.Voter), 0, "equivocation")
+// observeVote traces one vote as the point vote[i] or vote[i j …].
+func (t *ChunkTable) observeVote(v Vote, errStr string) {
+	if t.obs.Tracer.Enabled() {
+		t.obs.Tracer.Point(t.obs.Parent, "consensus", "vote"+fmt.Sprint(v.Chunks), int64(v.Voter), 0, errStr)
+	}
 }
 
 // HasVoted reports whether voter already cast a vote (either way) on
@@ -202,43 +210,48 @@ func (t *ChunkTable) Decision() Decision {
 	return d
 }
 
-// ApprovalCertificate returns, for each chunk, coverQuorum approving votes
-// assembled from the given pool — the commit certificate members verify.
-// It returns false if the pool cannot cover every chunk.
+// ApprovalCertificate assembles the commit certificate members verify from
+// the pool of approving votes, in pool order: a vote is kept when it brings
+// a chunk still short of coverQuorum an approval from a member not yet
+// counted for it, so the certificate holds one signature per voter and
+// share, not one per chunk. It returns false if the pool cannot cover every
+// chunk.
 func (t *ChunkTable) ApprovalCertificate(pool []Vote) ([]Vote, bool) {
-	need := make([]int, t.parts)
-	for i := range need {
-		need[i] = t.coverQuorum
-	}
-	type voterChunk struct {
-		voter simnet.NodeID
-		idx   int
-	}
-	seen := make(map[voterChunk]bool, len(pool))
+	short := t.parts // chunks still below coverQuorum
+	counted := make([]map[simnet.NodeID]bool, t.parts)
 	var cert []Vote
 	for _, v := range pool {
-		if !v.Approve || v.Block != t.block || v.ChunkIdx < 0 || v.ChunkIdx >= t.parts {
+		if !v.Approve || v.Block != t.block {
 			continue
 		}
-		key := voterChunk{v.Voter, v.ChunkIdx}
-		if seen[key] || need[v.ChunkIdx] == 0 {
-			continue
+		adds := false
+		for _, idx := range v.Chunks {
+			if idx < 0 || idx >= t.parts || len(counted[idx]) >= t.coverQuorum || counted[idx][v.Voter] {
+				continue
+			}
+			if counted[idx] == nil {
+				counted[idx] = make(map[simnet.NodeID]bool, t.coverQuorum)
+			}
+			counted[idx][v.Voter] = true
+			if len(counted[idx]) == t.coverQuorum {
+				short--
+			}
+			adds = true
 		}
-		seen[key] = true
-		need[v.ChunkIdx]--
-		cert = append(cert, v)
+		if adds {
+			cert = append(cert, v)
+		}
 	}
-	for _, n := range need {
-		if n > 0 {
-			return nil, false
-		}
+	if short > 0 {
+		return nil, false
 	}
 	return cert, true
 }
 
 // VerifyCertificate checks a commit certificate: every vote approves this
 // block, signatures verify under the registry, voters are members, and
-// every chunk reaches the approval quorum.
+// every chunk reaches the approval quorum. A vote costs one signature check
+// however many chunks it covers.
 //
 // The signature checks fork-join over GOMAXPROCS. isMember and pubKey are
 // called only on the caller's goroutine, before the fork, and the valid

@@ -1,9 +1,12 @@
 package consensus
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/metrics"
 	"icistrategy/internal/simnet"
 )
 
@@ -45,7 +48,7 @@ func TestNewChunkTableValidation(t *testing.T) {
 func TestChunkTableCommitsOnFullCoverage(t *testing.T) {
 	tbl, block := newTable(t, 3, 6, 1)
 	for idx := 0; idx < 3; idx++ {
-		d, err := tbl.Add(Vote{Voter: simnet.NodeID(idx + 1), Block: block, ChunkIdx: idx, Approve: true})
+		d, err := tbl.Add(Vote{Voter: simnet.NodeID(idx + 1), Block: block, Chunks: []int{idx}, Approve: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +67,9 @@ func TestChunkTableCoverQuorumTwo(t *testing.T) {
 		t.Fatalf("CoverQuorum() = %d", tbl.CoverQuorum())
 	}
 	votes := []Vote{
-		{Voter: 1, Block: block, ChunkIdx: 0, Approve: true},
-		{Voter: 2, Block: block, ChunkIdx: 0, Approve: true},
-		{Voter: 3, Block: block, ChunkIdx: 1, Approve: true},
+		{Voter: 1, Block: block, Chunks: []int{0}, Approve: true},
+		{Voter: 2, Block: block, Chunks: []int{0}, Approve: true},
+		{Voter: 3, Block: block, Chunks: []int{1}, Approve: true},
 	}
 	for _, v := range votes {
 		if _, err := tbl.Add(v); err != nil {
@@ -79,7 +82,7 @@ func TestChunkTableCoverQuorumTwo(t *testing.T) {
 	if got := tbl.Uncovered(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Uncovered() = %v", got)
 	}
-	if _, err := tbl.Add(Vote{Voter: 4, Block: block, ChunkIdx: 1, Approve: true}); err != nil {
+	if _, err := tbl.Add(Vote{Voter: 4, Block: block, Chunks: []int{1}, Approve: true}); err != nil {
 		t.Fatal(err)
 	}
 	if d := tbl.Decision(); d != Committed {
@@ -93,7 +96,7 @@ func TestChunkTableRejectThreshold(t *testing.T) {
 		t.Fatalf("RejectQuorum() = %d", tbl.RejectQuorum())
 	}
 	for i := 0; i < 2; i++ {
-		d, err := tbl.Add(Vote{Voter: simnet.NodeID(i + 1), Block: block, ChunkIdx: 0, Approve: false})
+		d, err := tbl.Add(Vote{Voter: simnet.NodeID(i + 1), Block: block, Chunks: []int{0}, Approve: false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +104,7 @@ func TestChunkTableRejectThreshold(t *testing.T) {
 			t.Fatalf("rejected after %d rejects", i+1)
 		}
 	}
-	d, err := tbl.Add(Vote{Voter: 3, Block: block, ChunkIdx: 0, Approve: false})
+	d, err := tbl.Add(Vote{Voter: 3, Block: block, Chunks: []int{0}, Approve: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +121,11 @@ func TestChunkTableDecisionsAreFinal(t *testing.T) {
 	// and later votes cannot flip the outcome.
 	t.Run("committed stays committed", func(t *testing.T) {
 		tbl, block := newTable(t, 1, 8, 1)
-		if d, err := tbl.Add(Vote{Voter: 1, Block: block, ChunkIdx: 0, Approve: true}); err != nil || d != Committed {
+		if d, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{0}, Approve: true}); err != nil || d != Committed {
 			t.Fatalf("d=%v err=%v", d, err)
 		}
 		for i := 0; i < 3; i++ {
-			if d, err := tbl.Add(Vote{Voter: simnet.NodeID(10 + i), Block: block, ChunkIdx: 0, Approve: false}); err != nil || d != Committed {
+			if d, err := tbl.Add(Vote{Voter: simnet.NodeID(10 + i), Block: block, Chunks: []int{0}, Approve: false}); err != nil || d != Committed {
 				t.Fatalf("late reject %d flipped decision to %v (err %v)", i, d, err)
 			}
 		}
@@ -130,14 +133,14 @@ func TestChunkTableDecisionsAreFinal(t *testing.T) {
 	t.Run("rejected stays rejected", func(t *testing.T) {
 		tbl, block := newTable(t, 1, 8, 1)
 		for i := 0; i < 3; i++ {
-			if _, err := tbl.Add(Vote{Voter: simnet.NodeID(10 + i), Block: block, ChunkIdx: 0, Approve: false}); err != nil {
+			if _, err := tbl.Add(Vote{Voter: simnet.NodeID(10 + i), Block: block, Chunks: []int{0}, Approve: false}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if d := tbl.Decision(); d != Rejected {
 			t.Fatalf("decision = %v, want Rejected", d)
 		}
-		if d, err := tbl.Add(Vote{Voter: 1, Block: block, ChunkIdx: 0, Approve: true}); err != nil || d != Rejected {
+		if d, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{0}, Approve: true}); err != nil || d != Rejected {
 			t.Fatalf("late approval flipped decision to %v (err %v)", d, err)
 		}
 	})
@@ -145,14 +148,14 @@ func TestChunkTableDecisionsAreFinal(t *testing.T) {
 
 func TestChunkTableEquivocation(t *testing.T) {
 	tbl, block := newTable(t, 2, 6, 1)
-	if _, err := tbl.Add(Vote{Voter: 1, Block: block, ChunkIdx: 0, Approve: true}); err != nil {
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{0}, Approve: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Add(Vote{Voter: 1, Block: block, ChunkIdx: 0, Approve: false}); err == nil {
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{0}, Approve: false}); err == nil {
 		t.Fatal("equivocation accepted")
 	}
 	// Same voter on a different chunk is fine.
-	if _, err := tbl.Add(Vote{Voter: 1, Block: block, ChunkIdx: 1, Approve: true}); err != nil {
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{1}, Approve: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -160,28 +163,92 @@ func TestChunkTableEquivocation(t *testing.T) {
 func TestChunkTableWrongSubjectAndRange(t *testing.T) {
 	tbl, _ := newTable(t, 2, 6, 1)
 	other := blockcrypto.Sum256([]byte("other"))
-	if _, err := tbl.Add(Vote{Voter: 1, Block: other, ChunkIdx: 0, Approve: true}); err == nil {
+	if _, err := tbl.Add(Vote{Voter: 1, Block: other, Chunks: []int{0}, Approve: true}); err == nil {
 		t.Fatal("wrong-subject vote accepted")
 	}
 	tblB, block := newTable(t, 2, 6, 1)
-	if _, err := tblB.Add(Vote{Voter: 1, Block: block, ChunkIdx: 2, Approve: true}); err == nil {
+	if _, err := tblB.Add(Vote{Voter: 1, Block: block, Chunks: []int{2}, Approve: true}); err == nil {
 		t.Fatal("out-of-range chunk accepted")
 	}
-	if _, err := tblB.Add(Vote{Voter: 1, Block: block, ChunkIdx: -1, Approve: true}); err == nil {
+	if _, err := tblB.Add(Vote{Voter: 1, Block: block, Chunks: []int{-1}, Approve: true}); err == nil {
 		t.Fatal("negative chunk accepted")
+	}
+}
+
+// TestChunkTableAddIsAllOrNothing feeds votes over sets of chunks: a vote
+// the table refuses — a chunk out of range, a set that is not strictly
+// increasing, an equivocation on any one chunk — records none of its chunks
+// and does not count as a vote; an accepted one records every chunk, and
+// chunks the member already voted the same way on are counted once.
+func TestChunkTableAddIsAllOrNothing(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tbl, block := newTable(t, 6, 8, 2)
+	tbl.Instrument(VoteObserver{Votes: reg.Counter("votes"), Equivocations: reg.Counter("equivocations")})
+	voted := func(voter simnet.NodeID) (out []int) {
+		for idx := 0; idx < tbl.Parts(); idx++ {
+			if tbl.HasVoted(voter, idx) {
+				out = append(out, idx)
+			}
+		}
+		return out
+	}
+	for name, chunks := range map[string][]int{
+		"empty":            {},
+		"index at parts":   {1, 6},
+		"negative index":   {-1, 2},
+		"duplicate index":  {1, 1, 3},
+		"descending index": {1, 4, 3},
+	} {
+		if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: chunks, Approve: true}); !errors.Is(err, ErrBadChunks) {
+			t.Fatalf("%s %v: err = %v, want ErrBadChunks", name, chunks, err)
+		}
+		if got := voted(1); got != nil {
+			t.Fatalf("%s %v: refused vote recorded chunks %v", name, chunks, got)
+		}
+	}
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{0, 2, 5}, Approve: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := voted(1); !reflect.DeepEqual(got, []int{0, 2, 5}) {
+		t.Fatalf("accepted vote over {0,2,5} recorded %v", got)
+	}
+	// Rejecting {1,2}: chunk 2 was approved, so chunk 1 is not recorded either.
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{1, 2}, Approve: false}); !errors.Is(err, ErrEquivocation) {
+		t.Fatalf("equivocation on one chunk of a set: err = %v", err)
+	}
+	if got := voted(1); !reflect.DeepEqual(got, []int{0, 2, 5}) || tbl.Rejections(1) != 0 {
+		t.Fatalf("refused equivocating vote left %v, %d rejections of chunk 1", got, tbl.Rejections(1))
+	}
+	// An overlapping approval adds only what is new.
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{2, 3}, Approve: true}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Approvals(2) != 1 || tbl.Approvals(3) != 1 {
+		t.Fatalf("overlap: chunk 2 has %d approvals, chunk 3 has %d, want 1 and 1", tbl.Approvals(2), tbl.Approvals(3))
+	}
+	// A rejection of other chunks by the same member is not equivocation.
+	if _, err := tbl.Add(Vote{Voter: 1, Block: block, Chunks: []int{1, 4}, Approve: false}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Rejections(1) != 1 || tbl.Rejections(4) != 1 {
+		t.Fatalf("rejections of chunks 1 and 4: %d, %d", tbl.Rejections(1), tbl.Rejections(4))
+	}
+	snap := reg.Snapshot()
+	if snap["votes"] != 3 || snap["equivocations"] != 1 {
+		t.Fatalf("counted %v votes and %v equivocations, want 3 accepted votes and 1 equivocation", snap["votes"], snap["equivocations"])
 	}
 }
 
 func TestApprovalCertificate(t *testing.T) {
 	tbl, block := newTable(t, 2, 8, 2) // coverQuorum 2
 	pool := []Vote{
-		{Voter: 1, Block: block, ChunkIdx: 0, Approve: true},
-		{Voter: 2, Block: block, ChunkIdx: 0, Approve: true},
-		{Voter: 2, Block: block, ChunkIdx: 0, Approve: true},  // duplicate
-		{Voter: 3, Block: block, ChunkIdx: 0, Approve: true},  // surplus
-		{Voter: 1, Block: block, ChunkIdx: 1, Approve: true},  // voter 1 again, other chunk: counts
-		{Voter: 5, Block: block, ChunkIdx: 1, Approve: false}, // reject: skipped
-		{Voter: 6, Block: block, ChunkIdx: 1, Approve: true},
+		{Voter: 1, Block: block, Chunks: []int{0}, Approve: true},
+		{Voter: 2, Block: block, Chunks: []int{0}, Approve: true},
+		{Voter: 2, Block: block, Chunks: []int{0}, Approve: true},  // duplicate
+		{Voter: 3, Block: block, Chunks: []int{0}, Approve: true},  // surplus
+		{Voter: 1, Block: block, Chunks: []int{1}, Approve: true},  // voter 1 again, other chunk: counts
+		{Voter: 5, Block: block, Chunks: []int{1}, Approve: false}, // reject: skipped
+		{Voter: 6, Block: block, Chunks: []int{1}, Approve: true},
 	}
 	cert, ok := tbl.ApprovalCertificate(pool)
 	if !ok {
@@ -190,12 +257,53 @@ func TestApprovalCertificate(t *testing.T) {
 	if len(cert) != 4 { // 2 per chunk, trimmed
 		t.Fatalf("certificate has %d votes, want 4", len(cert))
 	}
-	if cert[2].Voter != 1 || cert[2].ChunkIdx != 1 {
+	if cert[2].Voter != 1 || len(cert[2].Chunks) != 1 || cert[2].Chunks[0] != 1 {
 		t.Fatalf("certificate %v: voter 1's approval of chunk 1 was dropped as a duplicate of its chunk 0 vote", cert)
 	}
 	// Remove chunk 1's approvals: uncoverable.
 	if _, ok := tbl.ApprovalCertificate(pool[:4]); ok {
 		t.Fatal("uncoverable pool produced a certificate")
+	}
+}
+
+// TestApprovalCertificateKeepsVotesThatAddCoverage builds a certificate
+// from votes over shares: one vote per member covers several chunks, a vote
+// whose chunks are all at quorum already (or all counted for its voter) is
+// left out, and the kept votes cover every chunk.
+func TestApprovalCertificateKeepsVotesThatAddCoverage(t *testing.T) {
+	tbl, block := newTable(t, 4, 8, 2) // coverQuorum 2
+	pool := []Vote{
+		{Voter: 1, Block: block, Chunks: []int{0, 1}, Approve: true},
+		{Voter: 2, Block: block, Chunks: []int{1, 2}, Approve: true},
+		{Voter: 1, Block: block, Chunks: []int{0, 1}, Approve: true}, // same member again: adds nothing
+		{Voter: 3, Block: block, Chunks: []int{1}, Approve: true},    // chunk 1 is at quorum: adds nothing
+		{Voter: 3, Block: block, Chunks: []int{0, 1, 3}, Approve: true},
+		{Voter: 4, Block: block, Chunks: []int{2, 3}, Approve: true},
+		{Voter: 5, Block: block, Chunks: []int{0, 1, 2, 3}, Approve: true}, // everything at quorum: adds nothing
+		{Voter: 6, Block: block, Chunks: []int{7}, Approve: true},          // out of range: skipped
+	}
+	cert, ok := tbl.ApprovalCertificate(pool)
+	if !ok {
+		t.Fatal("coverable pool reported uncoverable")
+	}
+	var voters []simnet.NodeID
+	for _, v := range cert {
+		voters = append(voters, v.Voter)
+	}
+	if !reflect.DeepEqual(voters, []simnet.NodeID{1, 2, 3, 4}) || len(cert[2].Chunks) != 3 {
+		t.Fatalf("certificate keeps votes of %v (third over %v), want members 1, 2, 3, 4 with 3's vote over {0,1,3}", voters, cert[2].Chunks)
+	}
+	check, _ := newTable(t, 4, 8, 2)
+	for _, v := range cert {
+		if _, err := check.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if check.Decision() != Committed {
+		t.Fatalf("kept votes leave %v uncovered", check.Uncovered())
+	}
+	if _, ok := tbl.ApprovalCertificate(pool[:5]); ok {
+		t.Fatal("pool with chunks 2 and 3 below quorum produced a certificate")
 	}
 }
 
@@ -266,10 +374,10 @@ func TestChunkTableRandomStreamsTerminalStable(t *testing.T) {
 			}
 			voted[[2]int{voter, chunk}] = true
 			d, err := tbl.Add(Vote{
-				Voter:    simnet.NodeID(voter),
-				Block:    block,
-				ChunkIdx: chunk,
-				Approve:  rng.Intn(4) != 0, // 75% approve
+				Voter:   simnet.NodeID(voter),
+				Block:   block,
+				Chunks:  []int{chunk},
+				Approve: rng.Intn(4) != 0, // 75% approve
 			})
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)

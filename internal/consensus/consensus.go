@@ -1,8 +1,9 @@
 // Package consensus implements the intra-cluster agreement machinery
 // ICIStrategy's collaborative verification relies on: rotating leader
-// selection, signed block votes, and quorum aggregation with Byzantine
-// fault bounds (a cluster of size n tolerates f = ⌊(n−1)/3⌋ faulty members
-// and commits on n−f approvals, the 2f+1 of the n=3f+1 case).
+// selection, signed votes over the chunks a member checked, and per-chunk
+// quorum aggregation with Byzantine fault bounds (a cluster of size n
+// tolerates f = ⌊(n−1)/3⌋ faulty members; a chunk is covered by
+// min(r, f+1) approvals and proven bad by f+1 rejections).
 package consensus
 
 import (
@@ -17,9 +18,9 @@ import (
 // Consensus errors.
 var (
 	ErrEmptyMembership = errors.New("consensus: empty membership")
-	ErrNotMember       = errors.New("consensus: voter is not a member")
 	ErrEquivocation    = errors.New("consensus: voter already voted differently")
 	ErrWrongSubject    = errors.New("consensus: vote is for a different block")
+	ErrBadChunks       = errors.New("consensus: vote's chunks are not a strictly increasing set inside the block")
 )
 
 // FaultBound returns f, the number of Byzantine members a cluster of size n
@@ -29,17 +30,6 @@ func FaultBound(n int) int {
 		return 0
 	}
 	return (n - 1) / 3
-}
-
-// QuorumSize returns the approvals needed to commit in a cluster of size n:
-// n − f. For n = 3f+1 this is the familiar 2f+1; for other n it is the
-// smallest quorum whose pairwise intersections always contain an honest
-// member (2q − n > f).
-func QuorumSize(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n - FaultBound(n)
 }
 
 // Leader returns the member that leads verification of the block at the
@@ -52,58 +42,72 @@ func Leader(members []simnet.NodeID, height uint64) (simnet.NodeID, error) {
 	return members[int(height%uint64(len(members)))], nil
 }
 
-// Vote is one member's signed verdict on one chunk of a block. ChunkIdx is
-// -1 for block-level votes (VoteSet); chunk-level votes (ChunkTable) carry
-// the index of the chunk the voter actually verified.
+// Vote is one member's signed verdict on the chunks of one block it checked:
+// its share, or what is left of it after a re-send or a reassignment. Chunks
+// must be strictly increasing, which makes the signed byte string canonical
+// — one set of chunks has one encoding — and lets ChunkTable.Add refuse a
+// repeated or out-of-range index by looking at neighbours only. One
+// signature over {a, b} states what two signatures over a and over b state.
 type Vote struct {
 	Voter     simnet.NodeID
 	Block     blockcrypto.Hash
-	ChunkIdx  int
+	Chunks    []int
 	Approve   bool
 	Signature []byte
 }
 
-// voteSigningSize is the length of the byte string a vote signature covers.
-const voteSigningSize = 16 + blockcrypto.HashSize + 1
+// voteSigningFixed is the length of the signed byte string without its
+// chunk indices: voter, block, index count, verdict.
+const voteSigningFixed = 8 + blockcrypto.HashSize + 8 + 1
 
-// appendVoteSigningBytes appends the canonical byte string a vote signature
-// covers. Callers pass a stack buffer of voteSigningSize, so signing and
-// verifying a vote allocate nothing here.
-func appendVoteSigningBytes(buf []byte, voter simnet.NodeID, block blockcrypto.Hash, chunkIdx int, approve bool) []byte {
+// voteScratch holds the signed bytes of a vote over up to sixteen chunks on
+// the stack; a larger share spills to the heap.
+type voteScratch [voteSigningFixed + 16*8]byte
+
+// appendVoteSigningBytes appends the byte string a vote signature covers:
+// voter(8) block(32) count(8) chunk(8)… verdict(1), big-endian.
+func appendVoteSigningBytes(buf []byte, voter simnet.NodeID, block blockcrypto.Hash, chunks []int, approve bool) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(voter))
 	buf = append(buf, block[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(chunkIdx)))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(chunks)))
+	for _, idx := range chunks {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(idx)))
+	}
 	if approve {
 		return append(buf, 1)
 	}
 	return append(buf, 0)
 }
 
-// SignVote produces a signed block-level vote (ChunkIdx -1).
-func SignVote(voter simnet.NodeID, block blockcrypto.Hash, approve bool, key blockcrypto.KeyPair) Vote {
-	return SignChunkVote(voter, block, -1, approve, key)
-}
-
-// SignChunkVote produces a signed vote about one chunk.
-func SignChunkVote(voter simnet.NodeID, block blockcrypto.Hash, chunkIdx int, approve bool, key blockcrypto.KeyPair) Vote {
-	var scratch [voteSigningSize]byte
+// SignShareVote produces a signed vote over a set of chunks; chunks is kept,
+// not copied.
+func SignShareVote(voter simnet.NodeID, block blockcrypto.Hash, chunks []int, approve bool, key blockcrypto.KeyPair) Vote {
+	var scratch voteScratch
 	return Vote{
 		Voter:     voter,
 		Block:     block,
-		ChunkIdx:  chunkIdx,
+		Chunks:    chunks,
 		Approve:   approve,
-		Signature: key.Sign(appendVoteSigningBytes(scratch[:0], voter, block, chunkIdx, approve)),
+		Signature: key.Sign(appendVoteSigningBytes(scratch[:0], voter, block, chunks, approve)),
 	}
+}
+
+// SignChunkVote produces a signed vote about one chunk: the share of one.
+func SignChunkVote(voter simnet.NodeID, block blockcrypto.Hash, chunkIdx int, approve bool, key blockcrypto.KeyPair) Vote {
+	return SignShareVote(voter, block, []int{chunkIdx}, approve, key)
 }
 
 // VerifyVote checks the vote's signature against the voter's public key.
 func VerifyVote(v Vote, pub []byte) error {
-	var scratch [voteSigningSize]byte
-	return blockcrypto.Verify(pub, appendVoteSigningBytes(scratch[:0], v.Voter, v.Block, v.ChunkIdx, v.Approve), v.Signature)
+	var scratch voteScratch
+	return blockcrypto.Verify(pub, appendVoteSigningBytes(scratch[:0], v.Voter, v.Block, v.Chunks, v.Approve), v.Signature)
 }
 
-// EncodedVoteSize is the wire size of a vote used for traffic accounting.
-const EncodedVoteSize = voteSigningSize + blockcrypto.SignatureSize
+// EncodedSize is the wire size of the vote used for traffic accounting: the
+// signed bytes and the signature.
+func (v Vote) EncodedSize() int {
+	return voteSigningFixed + 8*len(v.Chunks) + blockcrypto.SignatureSize
+}
 
 // Decision is the state of a vote aggregation.
 type Decision int
@@ -127,85 +131,4 @@ func (d Decision) String() string {
 	default:
 		return fmt.Sprintf("decision(%d)", int(d))
 	}
-}
-
-// VoteSet aggregates votes from one cluster about one block. The leader
-// holds one per in-flight block. Not safe for concurrent use.
-type VoteSet struct {
-	block    blockcrypto.Hash
-	members  map[simnet.NodeID]bool
-	votes    map[simnet.NodeID]bool // voter -> approve
-	quorum   int
-	rejectAt int // votes against needed to prove the block can never commit
-}
-
-// NewVoteSet starts aggregation for block among the given members.
-func NewVoteSet(block blockcrypto.Hash, members []simnet.NodeID) (*VoteSet, error) {
-	if len(members) == 0 {
-		return nil, ErrEmptyMembership
-	}
-	ms := make(map[simnet.NodeID]bool, len(members))
-	for _, m := range members {
-		ms[m] = true
-	}
-	n := len(members)
-	return &VoteSet{
-		block:   block,
-		members: ms,
-		votes:   make(map[simnet.NodeID]bool, n),
-		quorum:  QuorumSize(n),
-		// Once more than n - quorum members reject, quorum approvals are
-		// unreachable.
-		rejectAt: n - QuorumSize(n) + 1,
-	}, nil
-}
-
-// Quorum returns the approval count needed to commit.
-func (vs *VoteSet) Quorum() int { return vs.quorum }
-
-// Add records one vote and returns the updated decision. Votes from
-// non-members and duplicate consistent votes are tolerated (idempotent);
-// equivocation (same voter, different verdict) is an error.
-func (vs *VoteSet) Add(v Vote) (Decision, error) {
-	if v.Block != vs.block {
-		return vs.Decision(), ErrWrongSubject
-	}
-	if !vs.members[v.Voter] {
-		return vs.Decision(), fmt.Errorf("%w: %d", ErrNotMember, v.Voter)
-	}
-	if prev, ok := vs.votes[v.Voter]; ok {
-		if prev != v.Approve {
-			return vs.Decision(), fmt.Errorf("%w: %d", ErrEquivocation, v.Voter)
-		}
-		return vs.Decision(), nil
-	}
-	vs.votes[v.Voter] = v.Approve
-	return vs.Decision(), nil
-}
-
-// Approvals returns the current number of approve votes.
-func (vs *VoteSet) Approvals() int {
-	n := 0
-	for _, ok := range vs.votes {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
-// Rejections returns the current number of reject votes.
-func (vs *VoteSet) Rejections() int {
-	return len(vs.votes) - vs.Approvals()
-}
-
-// Decision returns the current aggregation state.
-func (vs *VoteSet) Decision() Decision {
-	if vs.Approvals() >= vs.quorum {
-		return Committed
-	}
-	if vs.Rejections() >= vs.rejectAt {
-		return Rejected
-	}
-	return Pending
 }

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -8,29 +9,27 @@ import (
 )
 
 func TestFaultBoundAndQuorum(t *testing.T) {
-	cases := []struct{ n, f, q int }{
-		{0, 0, 1}, {1, 0, 1}, {2, 0, 2}, {3, 0, 3},
-		{4, 1, 3}, {6, 1, 5}, {7, 2, 5}, {10, 3, 7},
-		{64, 21, 43}, {100, 33, 67},
+	// f = ⌊(n−1)/3⌋; a chunk is proven bad by f+1 rejections, and covered by
+	// f+1 approvals once replication allows it (TestCoverQuorumFor has the
+	// small-r cases).
+	cases := []struct{ n, f int }{
+		{0, 0}, {1, 0}, {2, 0}, {3, 0},
+		{4, 1}, {6, 1}, {7, 2}, {10, 3},
+		{64, 21}, {100, 33},
 	}
 	for _, tc := range cases {
 		if got := FaultBound(tc.n); got != tc.f {
 			t.Fatalf("FaultBound(%d) = %d, want %d", tc.n, got, tc.f)
 		}
-		if got := QuorumSize(tc.n); got != tc.q {
-			t.Fatalf("QuorumSize(%d) = %d, want %d", tc.n, got, tc.q)
+		if tc.n == 0 {
+			continue
 		}
-	}
-}
-
-func TestQuorumMajorityOfHonest(t *testing.T) {
-	// For any n >= 4, a quorum must exceed f (so at least one honest vote)
-	// and two quorums must intersect in an honest member:
-	// 2*quorum - n > f.
-	for n := 4; n <= 300; n++ {
-		f, q := FaultBound(n), QuorumSize(n)
-		if 2*q-n <= f {
-			t.Fatalf("n=%d: quorum intersection not honest (2q-n=%d, f=%d)", n, 2*q-n, f)
+		tbl, err := NewChunkTable(blockcrypto.ZeroHash, 1, tc.n, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.RejectQuorum() != tc.f+1 || tbl.CoverQuorum() != tc.f+1 {
+			t.Fatalf("n=%d: reject quorum %d, cover quorum %d, want %d for both", tc.n, tbl.RejectQuorum(), tbl.CoverQuorum(), tc.f+1)
 		}
 	}
 }
@@ -58,130 +57,45 @@ func TestLeaderRotation(t *testing.T) {
 func TestVoteSignatureRoundTrip(t *testing.T) {
 	key := blockcrypto.DeriveKeyPair(1, 1)
 	block := blockcrypto.Sum256([]byte("b"))
-	v := SignVote(7, block, true, key)
-	if err := VerifyVote(v, key.Public); err != nil {
-		t.Fatalf("valid vote rejected: %v", err)
-	}
-	// Flipping the verdict invalidates the signature.
-	v.Approve = false
-	if err := VerifyVote(v, key.Public); err == nil {
-		t.Fatal("verdict-flipped vote accepted")
-	}
-	v.Approve = true
-	v.Voter = 8
-	if err := VerifyVote(v, key.Public); err == nil {
-		t.Fatal("voter-swapped vote accepted")
-	}
-	v.Voter = 7
-	v.Block[0] ^= 1
-	if err := VerifyVote(v, key.Public); err == nil {
-		t.Fatal("block-swapped vote accepted")
-	}
-}
-
-func newVoteSet(t *testing.T, n int) (*VoteSet, blockcrypto.Hash, []simnet.NodeID) {
-	t.Helper()
-	block := blockcrypto.Sum256([]byte("subject"))
-	members := make([]simnet.NodeID, n)
-	for i := range members {
-		members[i] = simnet.NodeID(i + 1)
-	}
-	vs, err := NewVoteSet(block, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return vs, block, members
-}
-
-func TestVoteSetCommitPath(t *testing.T) {
-	vs, block, members := newVoteSet(t, 7) // f=2, quorum=5
-	if vs.Quorum() != 5 {
-		t.Fatalf("Quorum() = %d", vs.Quorum())
-	}
-	for i := 0; i < 4; i++ {
-		d, err := vs.Add(Vote{Voter: members[i], Block: block, Approve: true})
-		if err != nil {
-			t.Fatal(err)
+	for _, chunks := range [][]int{{4}, {0, 3, 9}} {
+		v := SignShareVote(7, block, chunks, true, key)
+		if err := VerifyVote(v, key.Public); err != nil {
+			t.Fatalf("valid vote over %v rejected: %v", chunks, err)
 		}
-		if d != Pending {
-			t.Fatalf("decision after %d approvals = %v", i+1, d)
+		if got, want := v.EncodedSize(), 8+blockcrypto.HashSize+8+8*len(chunks)+1+blockcrypto.SignatureSize; got != want {
+			t.Fatalf("EncodedSize() over %v = %d, want %d", chunks, got, want)
+		}
+		// Flipping the verdict invalidates the signature.
+		v.Approve = false
+		if err := VerifyVote(v, key.Public); err == nil {
+			t.Fatal("verdict-flipped vote accepted")
+		}
+		v.Approve = true
+		v.Voter = 8
+		if err := VerifyVote(v, key.Public); err == nil {
+			t.Fatal("voter-swapped vote accepted")
+		}
+		v.Voter = 7
+		v.Block[0] ^= 1
+		if err := VerifyVote(v, key.Public); err == nil {
+			t.Fatal("block-swapped vote accepted")
+		}
+		v.Block[0] ^= 1
+		// The signature covers the chunk set: no chunk can be added, dropped
+		// or swapped.
+		for name, other := range map[string][]int{
+			"extended":  append(append([]int(nil), chunks...), 11),
+			"truncated": chunks[:len(chunks)-1],
+			"swapped":   append([]int{chunks[0] + 1}, chunks[1:]...),
+		} {
+			v.Chunks = other
+			if err := VerifyVote(v, key.Public); err == nil {
+				t.Fatalf("vote over %v accepted with its chunks %s to %v", chunks, name, other)
+			}
 		}
 	}
-	d, err := vs.Add(Vote{Voter: members[4], Block: block, Approve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != Committed {
-		t.Fatalf("decision after quorum = %v", d)
-	}
-	if vs.Approvals() != 5 || vs.Rejections() != 0 {
-		t.Fatalf("tallies: %d/%d", vs.Approvals(), vs.Rejections())
-	}
-}
-
-func TestVoteSetRejectPath(t *testing.T) {
-	vs, block, members := newVoteSet(t, 7) // rejectAt = 7-5+1 = 3
-	for i := 0; i < 2; i++ {
-		if d, _ := vs.Add(Vote{Voter: members[i], Block: block, Approve: false}); d != Pending {
-			t.Fatalf("rejected too early at %d votes", i+1)
-		}
-	}
-	d, err := vs.Add(Vote{Voter: members[2], Block: block, Approve: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != Rejected {
-		t.Fatalf("decision after 3 rejections = %v", d)
-	}
-}
-
-func TestVoteSetEquivocation(t *testing.T) {
-	vs, block, members := newVoteSet(t, 4)
-	if _, err := vs.Add(Vote{Voter: members[0], Block: block, Approve: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Same vote again: idempotent.
-	if _, err := vs.Add(Vote{Voter: members[0], Block: block, Approve: true}); err != nil {
-		t.Fatalf("idempotent re-vote errored: %v", err)
-	}
-	// Flipped vote: equivocation.
-	if _, err := vs.Add(Vote{Voter: members[0], Block: block, Approve: false}); err == nil {
-		t.Fatal("equivocation accepted")
-	}
-	if vs.Approvals() != 1 {
-		t.Fatalf("Approvals() = %d after equivocation attempt", vs.Approvals())
-	}
-}
-
-func TestVoteSetRejectsOutsiders(t *testing.T) {
-	vs, block, _ := newVoteSet(t, 4)
-	if _, err := vs.Add(Vote{Voter: 999, Block: block, Approve: true}); err == nil {
-		t.Fatal("non-member vote accepted")
-	}
-}
-
-func TestVoteSetRejectsWrongSubject(t *testing.T) {
-	vs, _, members := newVoteSet(t, 4)
-	other := blockcrypto.Sum256([]byte("other block"))
-	if _, err := vs.Add(Vote{Voter: members[0], Block: other, Approve: true}); err == nil {
-		t.Fatal("vote for a different block accepted")
-	}
-}
-
-func TestVoteSetSingleton(t *testing.T) {
-	vs, block, members := newVoteSet(t, 1)
-	d, err := vs.Add(Vote{Voter: members[0], Block: block, Approve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != Committed {
-		t.Fatalf("singleton cluster did not commit on its own vote: %v", d)
-	}
-}
-
-func TestNewVoteSetEmpty(t *testing.T) {
-	if _, err := NewVoteSet(blockcrypto.ZeroHash, nil); err == nil {
-		t.Fatal("empty membership accepted")
+	if one, set := SignChunkVote(7, block, 4, true, key), SignShareVote(7, block, []int{4}, true, key); !bytes.Equal(one.Signature, set.Signature) {
+		t.Fatal("SignChunkVote is not the vote over the one-element set")
 	}
 }
 

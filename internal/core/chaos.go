@@ -131,16 +131,22 @@ func (s *System) MetricsSnapshot() MetricsSnapshot {
 func ChaosCorrupter() simnet.CorruptFunc {
 	return func(msg simnet.Message, rng *blockcrypto.RNG) (any, bool) {
 		switch p := msg.Payload.(type) {
-		case chunkPayload:
-			if c, ok := tamperChunk(p, rng); ok {
-				return c, true
+		case shareMsg:
+			if len(p.Groups) == 0 {
+				return nil, false
+			}
+			i := rng.Intn(len(p.Groups))
+			if txs, ok := tamperTxs(p.Groups[i].Txs, rng); ok {
+				p.Groups = append([]Group(nil), p.Groups...)
+				p.Groups[i].Txs = txs
+				return p, true
 			}
 		case chunkRespMsg:
 			if !p.Found {
 				return nil, false
 			}
-			if c, ok := tamperChunk(p.Chunk, rng); ok {
-				p.Chunk = c
+			if txs, ok := tamperTxs(p.Chunk.Txs, rng); ok {
+				p.Chunk.Txs = txs
 				return p, true
 			}
 		case blockChunksMsg:
@@ -181,16 +187,6 @@ func ChaosCorrupter() simnet.CorruptFunc {
 		}
 		return nil, false
 	}
-}
-
-// tamperChunk returns a copy of c with one transaction amount flipped.
-func tamperChunk(c chunkPayload, rng *blockcrypto.RNG) (chunkPayload, bool) {
-	txs, ok := tamperTxs(c.Txs, rng)
-	if !ok {
-		return c, false
-	}
-	c.Txs = txs
-	return c, true
 }
 
 // tamperTxs copies txs and bumps one amount; the copy leaves the sender's

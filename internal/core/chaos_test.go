@@ -21,17 +21,30 @@ func TestChaosCorrupterCopies(t *testing.T) {
 
 	chunk := chunkPayload{Group: Group{Parts: 1, Txs: []*chain.Transaction{tx}}}
 
-	t.Run("chunkPayload", func(t *testing.T) {
-		out, ok := corrupt(simnet.Message{Payload: chunk}, rng)
-		if !ok {
-			t.Fatal("corrupter skipped a chunk payload")
+	t.Run("shareMsg", func(t *testing.T) {
+		// The message a leader sends: several chunks under one header. One
+		// transaction of one chunk changes, in a copy.
+		tx2 := &chain.Transaction{Amount: 70, Nonce: 2, Fee: 1}
+		tx2.Sign(key)
+		share := shareMsg{Groups: []Group{chunk.Group, {Index: 1, Parts: 2, TxStart: 1, Txs: []*chain.Transaction{tx2}}}}
+		for i := 0; i < 8; i++ {
+			out, ok := corrupt(simnet.Message{Payload: share}, rng)
+			if !ok {
+				t.Fatal("corrupter skipped a share: chunk corruption would be switched off")
+			}
+			got := out.(shareMsg).Groups
+			if first, second := got[0].Txs[0].Amount != 50, got[1].Txs[0].Amount != 70; first == second {
+				t.Fatalf("corrupted share carries amounts %d and %d, want exactly one changed", got[0].Txs[0].Amount, got[1].Txs[0].Amount)
+			}
+			if tx.Amount != 50 || tx2.Amount != 70 || share.Groups[0].Txs[0] != tx || share.Groups[1].Txs[0] != tx2 {
+				t.Fatal("corrupter mutated the sender's share")
+			}
 		}
-		mutated := out.(chunkPayload)
-		if mutated.Txs[0].Amount == 50 {
-			t.Fatal("corrupted chunk still carries the original amount")
+		if _, ok := corrupt(simnet.Message{Payload: shareMsg{Groups: []Group{{Parts: 1}}}}, rng); ok {
+			t.Fatal("corrupter claimed to corrupt a share without transactions")
 		}
-		if tx.Amount != 50 {
-			t.Fatal("corrupter mutated the sender's transaction")
+		if _, ok := corrupt(simnet.Message{Payload: shareMsg{}}, rng); ok {
+			t.Fatal("corrupter claimed to corrupt an empty share")
 		}
 	})
 
@@ -83,7 +96,7 @@ func TestChaosCorrupterCopies(t *testing.T) {
 	})
 
 	t.Run("vote", func(t *testing.T) {
-		v := consensus.SignChunkVote(1, blockcrypto.Sum256([]byte("b")), 0, true, key)
+		v := consensus.SignShareVote(1, blockcrypto.Sum256([]byte("b")), []int{0, 2}, true, key)
 		out, ok := corrupt(simnet.Message{Payload: v}, rng)
 		if !ok {
 			t.Fatal("corrupter skipped a vote")

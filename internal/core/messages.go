@@ -13,8 +13,9 @@ const (
 	// KindPropose carries a full block from the producer to each cluster
 	// leader.
 	KindPropose = "ici/propose"
-	// KindChunk carries one chunk (a transaction group with Merkle proofs)
-	// from a cluster leader to a chunk owner.
+	// KindChunk carries a member's share — every chunk it is asked to verify
+	// (transaction groups with Merkle proofs) under one header — from a
+	// cluster leader to that member.
 	KindChunk = "ici/chunk"
 	// KindVote carries a member's signed verdict back to the leader.
 	KindVote = "ici/vote"
@@ -66,21 +67,43 @@ type chunkPayload struct {
 }
 
 // dataBytes is the chunk's storable payload size (what counts as storage).
-func (c chunkPayload) dataBytes() int {
-	sub := chain.Block{Txs: c.Txs}
+func (g *Group) dataBytes() int {
+	sub := chain.Block{Txs: g.Txs}
 	return sub.BodySize()
 }
 
-func (c chunkPayload) wireSize() int {
-	n := chain.HeaderSize + 16 + c.dataBytes()
-	for _, p := range c.Proofs {
+// wireBytes is the chunk on the wire without a header: position fields,
+// data and proofs.
+func (g *Group) wireBytes() int {
+	n := 16 + g.dataBytes()
+	for _, p := range g.Proofs {
 		n += p.EncodedSize()
 	}
 	return n
 }
 
+func (c chunkPayload) wireSize() int { return chain.HeaderSize + c.wireBytes() }
+
+// shareMsg is the payload of KindChunk: the chunks one member is asked to
+// verify, in increasing index order, under the header whose Merkle root
+// their proofs lead to. A share of one chunk is a chunkPayload.
+type shareMsg struct {
+	Header chain.Header
+	Groups []Group
+}
+
+// wireSize counts the header once, whatever the number of chunks.
+func (m shareMsg) wireSize() int {
+	n := chain.HeaderSize
+	for i := range m.Groups {
+		n += m.Groups[i].wireBytes()
+	}
+	return n
+}
+
 // commitMsg is the payload of KindCommit: the leader's proof that every
-// chunk of the block was verified by a quorum of its assignees.
+// chunk of the block was verified by a quorum of its assignees, one signed
+// vote per member and share.
 type commitMsg struct {
 	Header chain.Header
 	Parts  int
@@ -88,7 +111,11 @@ type commitMsg struct {
 }
 
 func (m commitMsg) wireSize() int {
-	return chain.HeaderSize + 8 + len(m.Votes)*consensus.EncodedVoteSize
+	n := chain.HeaderSize + 8
+	for _, v := range m.Votes {
+		n += v.EncodedSize()
+	}
+	return n
 }
 
 // getCommitMsg asks a peer for the commit certificate of one block.

@@ -58,10 +58,9 @@ const coverInterval = 2 * time.Second
 
 // leaderState tracks one block the node is currently leading.
 type leaderState struct {
-	block    *chain.Block
-	seed     uint64
-	table    *consensus.ChunkTable
-	payloads []chunkPayload
+	block  *chain.Block
+	table  *consensus.ChunkTable
+	groups []Group // groups[i] is chunk i as distributed
 	// assigned[i] is the set of members currently asked to verify chunk i.
 	assigned []map[simnet.NodeID]bool
 	// ranking[i] is the full rendezvous fallback order for chunk i;
@@ -209,7 +208,7 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 			n.onPropose(net, m)
 		}
 	case KindChunk:
-		if m, ok := msg.Payload.(chunkPayload); ok {
+		if m, ok := msg.Payload.(shareMsg); ok {
 			n.onChunk(net, msg.From, m)
 		}
 	case KindVote:
@@ -276,11 +275,12 @@ var _ simnet.Handler = (*Node)(nil)
 // --- distribution: leader side ---------------------------------------------
 
 // onPropose runs on the cluster leader when the producer hands it a new
-// block: split into chunks, attach proofs, send each chunk to its owners,
-// and start per-chunk vote aggregation. The leader deliberately does not
-// verify transaction signatures itself — that is the collaborative part:
-// every transaction is verified by the owners of its chunk, and the block
-// commits once every chunk is covered by a quorum of approvals.
+// block: split into chunks, attach proofs, send each member its share — all
+// the chunks it owns, in one message — and start per-chunk vote aggregation.
+// The leader deliberately does not verify transaction signatures itself —
+// that is the collaborative part: every transaction is verified by the
+// owners of its chunk, and the block commits once every chunk is covered by
+// a quorum of approvals.
 func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 	b := m.Block
 	hash := b.Hash()
@@ -307,9 +307,8 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 	seed := hash.Uint64()
 	st := &leaderState{
 		block:    b,
-		seed:     seed,
 		table:    table,
-		payloads: make([]chunkPayload, parts),
+		groups:   groups,
 		assigned: make([]map[simnet.NodeID]bool, parts),
 		ranking:  make([][]simnet.NodeID, parts),
 		nextCand: make([]int, parts),
@@ -325,16 +324,14 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 		Votes:  n.pc.votes, Equivocations: n.pc.equivocations, Decisions: n.pc.decisions,
 	})
 
-	for idx, group := range groups {
-		payload := chunkPayload{Header: b.Header, Group: group}
-		if n.behavior.TamperChunks && len(group.Txs) > 0 {
+	out := shares{}
+	for idx := range groups {
+		if group := &groups[idx]; n.behavior.TamperChunks && len(group.Txs) > 0 {
 			tampered := *group.Txs[0]
 			tampered.Amount++
-			mut := append([]*chain.Transaction(nil), group.Txs...)
-			mut[0] = &tampered
-			payload.Txs = mut
+			group.Txs = append([]*chain.Transaction(nil), group.Txs...)
+			group.Txs[0] = &tampered
 		}
-		st.payloads[idx] = payload
 		ranked, rerr := epoch.Ranked(seed, idx)
 		if rerr != nil {
 			return
@@ -344,27 +341,43 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 		st.nextCand[idx] = n.replication
 		for _, o := range ranked[:n.replication] {
 			st.assigned[idx][o] = true
-			n.sendChunk(net, o, payload, st.span.Context())
+			out[o] = append(out[o], idx)
 		}
 	}
+	n.sendShares(net, st, out)
 	net.After(coverInterval, func() { n.coverageCheck(net, hash) })
 }
 
-// sendChunk delivers a chunk to one member (locally when the leader owns
-// it), under the distribution span.
-func (n *Node) sendChunk(net *simnet.Network, to simnet.NodeID, payload chunkPayload, span trace.SpanID) {
-	n.pc.chunksSent.Inc()
-	if to == n.id {
-		prev := n.rxSpan
-		n.rxSpan = span
-		n.onChunk(net, n.id, payload)
-		n.rxSpan = prev
-		return
+// shares holds, per member, the chunks about to be sent to it; callers add
+// chunks in increasing order.
+type shares map[simnet.NodeID][]int
+
+// sendShares delivers each member's share as one message (locally when the
+// leader owns it), under the distribution span. Members are walked in the
+// write epoch's roster order, not the map's.
+func (n *Node) sendShares(net *simnet.Network, st *leaderState, out shares) {
+	for _, to := range n.cluster.At(st.block.Header.Height).Members {
+		idxs := out[to]
+		if len(idxs) == 0 {
+			continue
+		}
+		share := shareMsg{Header: st.block.Header, Groups: make([]Group, len(idxs))}
+		for i, idx := range idxs {
+			share.Groups[i] = st.groups[idx]
+		}
+		n.pc.chunksSent.Add(int64(len(idxs)))
+		if to == n.id {
+			prev := n.rxSpan
+			n.rxSpan = st.span.Context()
+			n.onChunk(net, n.id, share)
+			n.rxSpan = prev
+			continue
+		}
+		_ = net.Send(simnet.Message{
+			From: n.id, To: to, Kind: KindChunk,
+			Size: share.wireSize(), Payload: share, Span: st.span.Context(),
+		})
 	}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: to, Kind: KindChunk,
-		Size: payload.wireSize(), Payload: payload, Span: span,
-	})
 }
 
 // coverageCheck walks uncovered chunks and extends their assignment down
@@ -381,25 +394,29 @@ func (n *Node) coverageCheck(net *simnet.Network, block blockcrypto.Hash) {
 		st.span.End()
 		return
 	}
+	out := shares{}
 	for _, idx := range st.table.Uncovered() {
 		// First re-send the chunk to assignees that never voted: either the
-		// chunk or the vote was lost on the wire, and a re-delivery makes
+		// share or the vote was lost on the wire, and a re-delivery makes
 		// the member re-vote (both sides are idempotent). Then extend the
 		// assignment down the ranking as before. Assignment order follows
-		// the rendezvous ranking so re-sends are deterministic.
+		// the rendezvous ranking so re-sends are deterministic. What one
+		// member is owed travels as one share.
 		for _, m := range st.ranking[idx][:min(st.nextCand[idx], len(st.ranking[idx]))] {
 			if st.assigned[idx][m] && !st.table.HasVoted(m, idx) {
 				n.metrics.ChunkResends.Inc()
-				n.sendChunk(net, m, st.payloads[idx], st.span.Context())
+				out[m] = append(out[m], idx)
 			}
 		}
-		n.reassignChunk(net, st, idx)
+		st.reassignChunk(idx, out)
 	}
+	n.sendShares(net, st, out)
 	net.After(coverInterval, func() { n.coverageCheck(net, block) })
 }
 
-// reassignChunk asks the next-ranked member to verify chunk idx.
-func (n *Node) reassignChunk(net *simnet.Network, st *leaderState, idx int) {
+// reassignChunk adds chunk idx to the share of the next-ranked member not
+// yet asked to verify it.
+func (st *leaderState) reassignChunk(idx int, out shares) {
 	for st.nextCand[idx] < len(st.ranking[idx]) {
 		cand := st.ranking[idx][st.nextCand[idx]]
 		st.nextCand[idx]++
@@ -407,52 +424,66 @@ func (n *Node) reassignChunk(net *simnet.Network, st *leaderState, idx int) {
 			continue
 		}
 		st.assigned[idx][cand] = true
-		n.sendChunk(net, cand, st.payloads[idx], st.span.Context())
+		out[cand] = append(out[cand], idx)
 		return
 	}
 }
 
 // --- distribution: member side ----------------------------------------------
 
-// onChunk runs on a chunk assignee: verify the share and vote on exactly
-// the chunk received. Ingestion is idempotent — a chunk already held
+// onChunk runs on a member handed a share: verify every chunk in it and
+// sign one vote over the chunks approved (and a second, rejecting one only
+// if some chunk failed). Ingestion is idempotent — a chunk already held
 // (persisted or pending) is not re-verified or re-queued, but the member
 // re-votes so that a vote lost on the wire cannot stall the commit (the
-// leader re-sends chunks to silent assignees for exactly this reason).
-func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, c chunkPayload) {
-	hash := c.Header.Hash()
-	if n.hasChunkData(hash, c.Index) {
-		n.metrics.DuplicateChunks.Inc()
-		n.voteChunk(net, leader, hash, c.Index, true, n.rxSpan)
-		return
+// leader re-sends shares to silent assignees for exactly this reason).
+func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
+	hash := m.Header.Hash()
+	all := make([]int, len(m.Groups))
+	for i := range m.Groups {
+		all[i] = m.Groups[i].Index
 	}
-	sp := n.tr.Start(n.rxSpan, "verify", fmt.Sprintf("verify[%d]", c.Index), int64(n.id))
-	sp.AddBytes(int64(c.dataBytes()))
-	approve := c.Verify(c.Header.MerkleRoot) == nil
-	n.pc.verified.Inc()
-	if approve {
+	// One verify span per share; a share held already is voted on again
+	// under an empty one.
+	sp := n.tr.Start(n.rxSpan, "verify", "verify"+fmt.Sprint(all), int64(n.id))
+	var approved, rejected []int
+	for i := range m.Groups {
+		c := chunkPayload{Header: m.Header, Group: m.Groups[i]}
+		if n.hasChunkData(hash, c.Index) {
+			n.metrics.DuplicateChunks.Inc()
+			approved = append(approved, c.Index)
+			continue
+		}
+		sp.AddBytes(int64(c.dataBytes()))
+		n.pc.verified.Inc()
+		if c.Verify(m.Header.MerkleRoot) != nil {
+			n.pc.rejections.Inc()
+			sp.SetErr(errors.New("chunk rejected"))
+			rejected = append(rejected, c.Index)
+			continue
+		}
 		n.pc.approvals.Inc()
-	} else {
-		n.pc.rejections.Inc()
-		sp.SetErr(errors.New("chunk rejected"))
-	}
-	sp.End()
-	if approve {
+		approved = append(approved, c.Index)
 		if n.store.HasHeader(hash) {
 			// Commit already happened (late reassignment): persist now.
 			n.persistChunk(hash, c)
-		} else {
-			if len(n.pending[hash]) == 0 {
-				// First chunk of a block this node has not committed:
-				// remember the distributing leader and arm the commit
-				// probe in case the commit announcement gets lost.
-				n.pendingLeader[hash] = leader
-				n.scheduleCommitProbe(net, hash, 1)
-			}
-			n.pending[hash] = append(n.pending[hash], c)
+			continue
 		}
+		if len(n.pending[hash]) == 0 {
+			// First chunk of a block this node has not committed: remember
+			// the distributing leader and arm the commit probe in case the
+			// commit announcement gets lost.
+			n.pendingLeader[hash] = leader
+			n.scheduleCommitProbe(net, hash, 1)
+		}
+		n.pending[hash] = append(n.pending[hash], c)
 	}
-	n.voteChunk(net, leader, hash, c.Index, approve, sp.Context())
+	sp.End()
+	if n.behavior.VoteReject {
+		approved, rejected = nil, all
+	}
+	n.voteShare(net, leader, hash, approved, true, sp.Context())
+	n.voteShare(net, leader, hash, rejected, false, sp.Context())
 }
 
 // hasChunkData reports whether this node already holds chunk idx of block,
@@ -469,17 +500,14 @@ func (n *Node) hasChunkData(block blockcrypto.Hash, idx int) bool {
 	return false
 }
 
-// voteChunk signs and delivers this member's verdict on one chunk,
-// applying the Byzantine behavior knobs. The vote travels under span (the
-// verify span that produced the verdict).
-func (n *Node) voteChunk(net *simnet.Network, leader simnet.NodeID, block blockcrypto.Hash, idx int, approve bool, span trace.SpanID) {
-	if n.behavior.DropVotes {
+// voteShare signs and delivers this member's verdict on a set of chunks
+// (nothing when the set is empty), applying the DropVotes knob. The vote
+// travels under span (the verify span that produced the verdict).
+func (n *Node) voteShare(net *simnet.Network, leader simnet.NodeID, block blockcrypto.Hash, chunks []int, approve bool, span trace.SpanID) {
+	if len(chunks) == 0 || n.behavior.DropVotes {
 		return
 	}
-	if n.behavior.VoteReject {
-		approve = false
-	}
-	vote := consensus.SignChunkVote(n.id, block, idx, approve, n.key)
+	vote := consensus.SignShareVote(n.id, block, chunks, approve, n.key)
 	if leader == n.id {
 		prev := n.rxSpan
 		n.rxSpan = span
@@ -489,7 +517,7 @@ func (n *Node) voteChunk(net *simnet.Network, leader simnet.NodeID, block blockc
 	}
 	_ = net.Send(simnet.Message{
 		From: n.id, To: leader, Kind: KindVote,
-		Size: consensus.EncodedVoteSize, Payload: vote, Span: span,
+		Size: vote.EncodedSize(), Payload: vote, Span: span,
 	})
 }
 
@@ -560,23 +588,26 @@ func (n *Node) onGetCommit(net *simnet.Network, from simnet.NodeID, m getCommitM
 	})
 }
 
-// onVote runs on the leader: aggregate per-chunk votes; commit when every
-// chunk is covered, reject when any chunk accumulates a Byzantine-proof
-// number of rejections, and reassign a chunk immediately when an assignee
-// rejects it.
+// onVote runs on the leader: aggregate votes chunk by chunk; commit when
+// every chunk is covered, reject when any chunk accumulates a
+// Byzantine-proof number of rejections, and reassign a chunk immediately
+// when an assignee rejects it.
 func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 	st, ok := n.leading[v.Block]
 	if !ok || st.committed || st.rejected {
 		return
 	}
-	if v.ChunkIdx < 0 || v.ChunkIdx >= len(st.assigned) {
-		return
+	var fresh []int // chunks this is the member's first verdict on
+	for _, idx := range v.Chunks {
+		if idx < 0 || idx >= len(st.assigned) || !st.assigned[idx][v.Voter] {
+			return // a vote on a chunk its voter was never assigned carries no weight
+		}
+		if !st.table.HasVoted(v.Voter, idx) {
+			fresh = append(fresh, idx)
+		}
 	}
-	if !st.assigned[v.ChunkIdx][v.Voter] {
-		return // votes from members never assigned the chunk carry no weight
-	}
-	if st.table.HasVoted(v.Voter, v.ChunkIdx) {
-		// Duplicate delivery, or a re-vote triggered by a chunk re-send
+	if fresh == nil {
+		// Duplicate delivery, or a re-vote triggered by a share re-send
 		// racing the original vote: the first verdict stands.
 		n.metrics.DuplicateVotes.Inc()
 		return
@@ -592,9 +623,13 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 	if v.Approve {
 		st.pool = append(st.pool, v)
 	} else if decision == consensus.Pending {
-		// An assignee rejected its chunk: walk to the next candidate right
+		// An assignee rejected chunks: walk each to its next candidate right
 		// away rather than waiting for the coverage timer.
-		n.reassignChunk(net, st, v.ChunkIdx)
+		out := shares{}
+		for _, idx := range fresh {
+			st.reassignChunk(idx, out)
+		}
+		n.sendShares(net, st, out)
 	}
 	switch decision {
 	case consensus.Rejected:
@@ -609,13 +644,14 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 		}
 		st.committed = true
 		msg := commitMsg{Header: st.block.Header, Parts: st.table.Parts(), Votes: cert}
+		size := msg.wireSize()
 		for _, m := range n.cluster.Current().Members {
 			if m == n.id {
 				continue
 			}
 			_ = net.Send(simnet.Message{
 				From: n.id, To: m, Kind: KindCommit,
-				Size: msg.wireSize(), Payload: msg, Span: st.span.Context(),
+				Size: size, Payload: msg, Span: st.span.Context(),
 			})
 		}
 		// Every vote of the certificate passed VerifyVote above on its way

@@ -1,0 +1,274 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/chain"
+	"icistrategy/internal/simnet"
+	"icistrategy/internal/storage"
+)
+
+// clusterShares resolves, from the write epoch alone, what the leader of
+// cluster c must send for block b: its own id, the members that own a chunk
+// in roster order, and each one's share in increasing chunk order.
+func clusterShares(t *testing.T, sys *System, c int, b *chain.Block) (leader simnet.NodeID, owners []simnet.NodeID, share map[simnet.NodeID][]int) {
+	t.Helper()
+	ci := sys.clusters[c]
+	epoch := ci.At(b.Header.Height)
+	leader, err := ci.leaderAt(b.Header.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	share = map[simnet.NodeID][]int{}
+	for idx := range epoch.Members {
+		os, err := epoch.Owners(b.Hash().Uint64(), idx, sys.cfg.Replication)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range os {
+			share[o] = append(share[o], idx)
+		}
+	}
+	for _, m := range epoch.Members {
+		if len(share[m]) > 0 {
+			owners = append(owners, m)
+		}
+	}
+	return leader, owners, share
+}
+
+// largestRemoteShare picks the member other than the leader that owns the
+// most chunks (the first such in roster order).
+func largestRemoteShare(leader simnet.NodeID, owners []simnet.NodeID, share map[simnet.NodeID][]int) simnet.NodeID {
+	best := leader // share[leader] counts as empty below
+	for _, o := range owners {
+		if o != leader && (best == leader || len(share[o]) > len(share[best])) {
+			best = o
+		}
+	}
+	return best
+}
+
+// TestShareOneVotePerOwner pins the protocol's counts on a
+// clean block: one chunk message per remote owner holding its whole share
+// under one header, one vote per owner, a certificate of at most one vote per
+// owner whose real size is what the commit message is charged, and every
+// recovery counter at zero.
+func TestShareOneVotePerOwner(t *testing.T) {
+	sys, gen := buildSystem(t, Config{Nodes: 32, Clusters: 2, Replication: 2, Seed: 191})
+	b := produceAndSettle(t, sys, gen, 1, 64)[0]
+	if !sys.AllCommitted(b.Hash()) {
+		t.Fatal("clean block not committed everywhere")
+	}
+	var wantVotes, wantChunkMsgs, wantChunkBytes, wantCommitBytes int64
+	for c := 0; c < sys.NumClusters(); c++ {
+		leader, owners, share := clusterShares(t, sys, c, b)
+		members := sys.clusters[c].At(b.Header.Height).Members
+		groups, err := SplitBlock(b, len(members))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantVotes += int64(len(owners))
+		for _, o := range owners {
+			if o == leader {
+				continue
+			}
+			wantChunkMsgs++
+			wantChunkBytes += chain.HeaderSize
+			for _, idx := range share[o] {
+				wantChunkBytes += int64(groups[idx].wireBytes())
+			}
+		}
+		cm, ok := sys.nodes[leader].commits[b.Hash()]
+		if !ok {
+			t.Fatalf("cluster %d: leader kept no certificate", c)
+		}
+		if len(cm.Votes) > len(owners) {
+			t.Fatalf("cluster %d: certificate of %d votes for %d owners", c, len(cm.Votes), len(owners))
+		}
+		size := chain.HeaderSize + 8
+		for _, v := range cm.Votes {
+			if !reflect.DeepEqual(v.Chunks, share[v.Voter]) {
+				t.Fatalf("cluster %d: member %d voted over %v, its share is %v", c, v.Voter, v.Chunks, share[v.Voter])
+			}
+			size += v.EncodedSize()
+		}
+		wantCommitBytes += int64(size * (len(members) - 1))
+	}
+	net := sys.Network()
+	if got := sys.Registry().Snapshot()["consensus.votes"]; got != float64(wantVotes) {
+		t.Errorf("consensus.votes = %v, want one per owner = %d", got, wantVotes)
+	}
+	if got := net.KindTraffic(KindChunk); got.Messages != wantChunkMsgs || got.Bytes != wantChunkBytes {
+		t.Errorf("chunk traffic %+v, want %d messages (one per remote owner) of %d bytes (header once per share)", got, wantChunkMsgs, wantChunkBytes)
+	}
+	if got := net.KindTraffic(KindVote).Messages; got != wantChunkMsgs {
+		t.Errorf("%d vote messages, want one per remote owner = %d", got, wantChunkMsgs)
+	}
+	if got := net.KindTraffic(KindCommit).Bytes; got != wantCommitBytes {
+		t.Errorf("commit traffic %d bytes, want %d (the certificate's votes at their own sizes)", got, wantCommitBytes)
+	}
+	if ms := sys.MetricsSnapshot(); ms != (MetricsSnapshot{}) {
+		t.Errorf("failure-free block recorded recovery work: %+v", ms)
+	}
+}
+
+// TestShareLostIsResentWhole drops the leader's share to one owner: the
+// block waits (both owners of a chunk must approve), the coverage check
+// re-sends what that owner is owed as one message, and the block commits.
+func TestShareLostIsResentWhole(t *testing.T) {
+	sys, gen := buildSystem(t, Config{Nodes: 32, Clusters: 2, Replication: 2, Seed: 192})
+	net := sys.Network()
+	net.EnableFaults(192, simnet.FaultConfig{})
+	txs := gen.NextTxs(64)
+	// The victim depends on the block's hash, which only exists once the
+	// block does: build the block, cut the link, then propose.
+	b, err := chain.NewBlock(0, blockcrypto.ZeroHash, txs, 0, 0) // what ProduceBlock builds first
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, owners, share := clusterShares(t, sys, 0, b)
+	victim := largestRemoteShare(leader, owners, share)
+	if err := net.SetLinkFaults(leader, victim, simnet.FaultConfig{DropRate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	produced, err := sys.ProduceBlock(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if produced.Hash() != b.Hash() {
+		t.Fatal("test built a different block than the system produced")
+	}
+	net.Run(net.Now() + coverInterval/2)
+	if ok, _ := sys.ClusterCommitted(0, b.Hash()); ok {
+		t.Fatal("cluster committed without the victim's approvals")
+	}
+	if err := net.SetLinkFaults(leader, victim, simnet.FaultConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntilIdle()
+	if !sys.AllCommitted(b.Hash()) {
+		t.Fatal("block did not commit after the re-send")
+	}
+	if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.nodes[leader].metrics.ChunkResends.Value(); got != int64(len(share[victim])) {
+		t.Errorf("leader re-sent %d chunks, want the victim's share of %d", got, len(share[victim]))
+	}
+	// The re-send, and whatever reassignment the same coverage check gave
+	// the victim, arrived as one message; the other is the commit.
+	if tr, _ := net.Traffic(victim); tr.MsgsRecv != 2 {
+		t.Errorf("victim received %d messages, want 2: one share, one commit", tr.MsgsRecv)
+	}
+	for _, idx := range share[victim] {
+		if !sys.nodes[victim].store.HasChunk(storage.ChunkID{Block: b.Hash(), Index: idx}) {
+			t.Errorf("victim does not hold chunk %d of its share", idx)
+		}
+	}
+}
+
+// TestShareRejectedChunkIsReassigned tampers one transaction of one
+// owner's share in flight: the owner signs one approving vote over the rest
+// and one rejecting vote, the leader reassigns the rejected chunk at once
+// (no coverage timer), and the block commits with the chunk on the stand-in.
+func TestShareRejectedChunkIsReassigned(t *testing.T) {
+	sys, gen := buildSystem(t, Config{Nodes: 32, Clusters: 2, Replication: 2, Seed: 193})
+	net := sys.Network()
+	net.EnableFaults(193, simnet.FaultConfig{})
+	txs := gen.NextTxs(64)
+	b, err := chain.NewBlock(0, blockcrypto.ZeroHash, txs, 0, 0) // what ProduceBlock builds first
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, owners, share := clusterShares(t, sys, 0, b)
+	victim := largestRemoteShare(leader, owners, share)
+	if len(share[victim]) < 2 {
+		t.Fatalf("victim's share %v has one chunk: pick another seed", share[victim])
+	}
+	if err := net.SetLinkFaults(leader, victim, simnet.FaultConfig{CorruptRate: 1, Corrupt: ChaosCorrupter()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ProduceBlock(txs); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(net.Now() + coverInterval/2)
+	if ok, _ := sys.ClusterCommitted(0, b.Hash()); !ok {
+		t.Fatal("cluster waited for the coverage timer: the rejected chunk was not reassigned at once")
+	}
+	net.RunUntilIdle()
+	if !sys.AllCommitted(b.Hash()) {
+		t.Fatal("block not committed everywhere")
+	}
+	if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Registry().Snapshot()
+	if snap["ici.verify.rejections"] != 1 {
+		t.Fatalf("%v chunk rejections, want 1", snap["ici.verify.rejections"])
+	}
+	var wantVotes int
+	for c := 0; c < sys.NumClusters(); c++ {
+		_, os, _ := clusterShares(t, sys, c, b)
+		wantVotes += len(os)
+	}
+	// Beyond one vote per owner: the victim's rejecting vote and the
+	// stand-in's vote on the reassigned chunk.
+	if got := snap["consensus.votes"]; got != float64(wantVotes+2) {
+		t.Errorf("consensus.votes = %v, want %d", got, wantVotes+2)
+	}
+	held := 0
+	for _, idx := range share[victim] {
+		if sys.nodes[victim].store.HasChunk(storage.ChunkID{Block: b.Hash(), Index: idx}) {
+			held++
+		}
+	}
+	if held != len(share[victim])-1 {
+		t.Errorf("victim holds %d of its %d chunks, want all but the one it rejected", held, len(share[victim]))
+	}
+	if ms := sys.MetricsSnapshot(); ms.ChunkResends != 0 {
+		t.Errorf("%d chunk re-sends: reassignment went through the coverage timer", ms.ChunkResends)
+	}
+}
+
+// TestShareDuplicatesAreIdempotent delivers every message twice: the second
+// copy of a share finds every chunk held and only votes again, no vote is
+// counted twice, and every node stores what it stores in a clean run.
+func TestShareDuplicatesAreIdempotent(t *testing.T) {
+	cfg := Config{Nodes: 32, Clusters: 2, Replication: 2, Seed: 194}
+	run := func(dup bool) (*System, *chain.Block) {
+		sys, gen := buildSystem(t, cfg)
+		if dup {
+			sys.Network().EnableFaults(194, simnet.FaultConfig{DupRate: 1})
+		}
+		return sys, produceAndSettle(t, sys, gen, 1, 64)[0]
+	}
+	sys, b := run(true)
+	clean, _ := run(false)
+	if !sys.AllCommitted(b.Hash()) {
+		t.Fatal("block not committed everywhere under duplicate delivery")
+	}
+	var wantDupChunks, wantVotes int64
+	for c := 0; c < sys.NumClusters(); c++ {
+		leader, owners, share := clusterShares(t, sys, c, b)
+		wantVotes += int64(len(owners))
+		for _, o := range owners {
+			if o != leader {
+				wantDupChunks += int64(len(share[o]))
+			}
+		}
+	}
+	if got := sys.MetricsSnapshot().DuplicateChunks; got != wantDupChunks {
+		t.Errorf("DuplicateChunks = %d, want every chunk of every remote share once = %d", got, wantDupChunks)
+	}
+	if got := sys.Registry().Snapshot()["consensus.votes"]; got != float64(wantVotes) {
+		t.Errorf("consensus.votes = %v under duplicate delivery, want one per owner = %d", got, wantVotes)
+	}
+	for id, n := range sys.nodes {
+		if got, want := n.store.Stats(), clean.nodes[id].store.Stats(); got != want {
+			t.Errorf("node %d stores %+v, a clean run %+v", id, got, want)
+		}
+	}
+}
