@@ -74,7 +74,8 @@ func DecodeHeader(data []byte) (Header, error) {
 // Hash returns the content address of the header, which identifies the
 // whole block (the Merkle root commits to the body).
 func (h *Header) Hash() blockcrypto.Hash {
-	return blockcrypto.Sum256(h.Encode())
+	var scratch [HeaderSize]byte
+	return blockcrypto.Sum256(h.AppendTo(scratch[:0]))
 }
 
 // Block is a header plus its transaction body.
@@ -148,9 +149,13 @@ func (b *Block) AppendTo(buf []byte) []byte {
 // fields plus empty payload, key, and signature. It bounds the declared
 // transaction count of a body against its actual length, so a corrupt or
 // hostile count prefix cannot trigger a giant allocation.
-const minTxEncodedSize = 2*blockcrypto.HashSize + 24 + 4 + 2 + 2
+const minTxEncodedSize = txFixedSize + 4 + 2 + 2
 
-// DecodeBody parses a transaction body produced by EncodeBody.
+// DecodeBody parses a transaction body produced by EncodeBody. It walks the
+// framing once to validate it and size the result, then fills three
+// allocations whatever the count: the transactions, the pointers to them,
+// and one buffer of exactly the variable-length bytes. The result owns all
+// three and nothing of data (DESIGN.md "What a decoded value owns").
 func DecodeBody(data []byte) ([]*Transaction, error) {
 	if len(data) < 4 {
 		return nil, ErrBlockTruncated
@@ -159,18 +164,27 @@ func DecodeBody(data []byte) ([]*Transaction, error) {
 	if count*minTxEncodedSize > len(data)-4 {
 		return nil, fmt.Errorf("%w: %d txs declared in %d bytes", ErrBlockTruncated, count, len(data))
 	}
-	off := 4
-	txs := make([]*Transaction, 0, count)
+	off, varBytes := 4, 0
 	for i := 0; i < count; i++ {
-		tx, n, err := DecodeTransaction(data[off:])
+		f, err := frameTx(data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("tx %d: %w", i, err)
 		}
-		off += n
-		txs = append(txs, tx)
+		off += f.size()
+		varBytes += f.varBytes()
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("chain: %d trailing bytes after body", len(data)-off)
+	}
+	slab := make([]Transaction, count)
+	txs := make([]*Transaction, count)
+	buf := make([]byte, varBytes)
+	off = 4
+	for i := range slab {
+		f, _ := frameTx(data[off:]) // accepted above
+		buf = slab[i].fill(data[off:], f, buf)
+		txs[i] = &slab[i]
+		off += f.size()
 	}
 	return txs, nil
 }
@@ -192,20 +206,28 @@ func DecodeBlock(data []byte) (*Block, error) {
 // TxCount agreement, and Merkle root matching the body. It does not touch
 // ledger state.
 func (b *Block) VerifyShape() error {
+	_, err := b.VerifiedTree()
+	return err
+}
+
+// VerifiedTree is VerifyShape for a caller that goes on to cut proofs: it
+// returns the Merkle tree the check built, whose root is the header's, so a
+// proof from it verifies against the header with no second check.
+func (b *Block) VerifiedTree() (*MerkleTree, error) {
 	if len(b.Txs) == 0 {
-		return ErrBlockEmptyBody
+		return nil, ErrBlockEmptyBody
 	}
 	if int(b.Header.TxCount) != len(b.Txs) {
-		return fmt.Errorf("%w: header says %d txs, body has %d", ErrBlockBadRoot, b.Header.TxCount, len(b.Txs))
+		return nil, fmt.Errorf("%w: header says %d txs, body has %d", ErrBlockBadRoot, b.Header.TxCount, len(b.Txs))
 	}
 	tree, err := TxMerkleTree(b.Txs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if tree.Root() != b.Header.MerkleRoot {
-		return ErrBlockBadRoot
+		return nil, ErrBlockBadRoot
 	}
-	return nil
+	return tree, nil
 }
 
 // VerifyLink checks that b correctly extends parent.

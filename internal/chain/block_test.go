@@ -1,7 +1,9 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -161,6 +163,19 @@ func BenchmarkBlockEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeBody decodes the benchmark's block shape: 96 transactions.
+func BenchmarkDecodeBody(b *testing.B) {
+	body := newTestBlock(b, 0, blockcrypto.ZeroHash, 96).EncodeBody()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeBody(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBlockVerifyShape(b *testing.B) {
 	blk := newTestBlock(b, 0, blockcrypto.ZeroHash, 256)
 	b.ReportAllocs()
@@ -199,6 +214,107 @@ func TestVerifyHeaderChain(t *testing.T) {
 	} {
 		if err := VerifyHeaderChain(tc.headers); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// ownershipBody is a body whose transactions differ in every field and
+// include empty payloads, an empty key and an empty signature.
+func ownershipBody(t testing.TB) []byte {
+	t.Helper()
+	txs := newTestBlock(t, 3, blockcrypto.ZeroHash, 7).Txs
+	txs[1].Payload = nil
+	txs[2].Payload = bytes.Repeat([]byte{9}, 300)
+	txs[4].Payload, txs[4].PublicKey, txs[4].Signature = nil, nil, nil
+	txs[6].Signature = nil
+	return (&Block{Txs: txs}).EncodeBody()
+}
+
+// checkOwnedFields fails unless every variable-length field of tx has no
+// spare capacity (an append must reallocate, not reach what lies behind it
+// in the slab) and a zero-length field is nil, as the per-element decoder
+// left it.
+func checkOwnedFields(t *testing.T, i int, tx *Transaction) {
+	t.Helper()
+	for name, f := range map[string][]byte{"Payload": tx.Payload, "PublicKey": tx.PublicKey, "Signature": tx.Signature} {
+		if cap(f) != len(f) {
+			t.Errorf("tx %d %s: len %d, cap %d", i, name, len(f), cap(f))
+		}
+		if len(f) == 0 && f != nil {
+			t.Errorf("tx %d %s: empty but not nil", i, name)
+		}
+	}
+}
+
+// TestDecodedBodyOwnsItsBytes: a decoded body shares nothing with its input
+// (a pooled frame buffer in every caller) and its transactions, though cut
+// from one slab, cannot reach each other through an append.
+func TestDecodedBodyOwnsItsBytes(t *testing.T) {
+	data := ownershipBody(t)
+	want, err := refDecodeBody(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := append([]byte(nil), data...)
+	txs, err := DecodeBody(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, n, err := DecodeTransaction(in[4:])
+	if err != nil || n != want[0].EncodedSize() {
+		t.Fatalf("DecodeTransaction: %d bytes, %v", n, err)
+	}
+	for i := range in {
+		in[i] ^= 0xa5
+	}
+	if !reflect.DeepEqual(txs, want) || !reflect.DeepEqual(one, want[0]) {
+		t.Fatal("scribbling over the input changed the decoded transactions")
+	}
+	checkOwnedFields(t, 0, one)
+	for i, tx := range txs {
+		checkOwnedFields(t, i, tx)
+	}
+	// Grow every field of every transaction in turn; the others must not move.
+	for i, tx := range txs {
+		tx.Payload = append(tx.Payload, 0xee, 0xee)
+		tx.PublicKey = append(tx.PublicKey, 0xee)
+		tx.Signature = append(tx.Signature, 0xee)
+		for j, other := range txs {
+			if j > i && !reflect.DeepEqual(other, want[j]) {
+				t.Fatalf("appending to transaction %d changed transaction %d", i, j)
+			}
+		}
+	}
+	if re := (&Block{Txs: want}).EncodeBody(); !bytes.Equal(re, data) {
+		t.Fatal("reference decode does not re-encode to the input")
+	}
+}
+
+// TestDecodeAllocations gates what the slab bought: a body costs three
+// allocations whatever its transaction count, one transaction two, a proof
+// list two.
+func TestDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race include the detector's own")
+	}
+	body := newTestBlock(t, 0, blockcrypto.ZeroHash, 96).EncodeBody()
+	proofs := AppendProofs(nil, proofsOf(t, 96, 12, 24))
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"DecodeBody of 96 transactions", 3, func() error { _, err := DecodeBody(body); return err }},
+		{"DecodeTransaction", 2, func() error { _, _, err := DecodeTransaction(body[4:]); return err }},
+		{"DecodeProofs of 12 proofs", 2, func() error { _, _, err := DecodeProofs(proofs); return err }},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", tc.name, allocs, tc.max)
 		}
 	}
 }

@@ -71,6 +71,26 @@ func (t *MerkleTree) NumLeaves() int {
 	return len(t.levels[0])
 }
 
+// LeafIndex returns the position of leaf among the tree's leaves, the first
+// if it repeats, or -1 when it is not one of them.
+func (t *MerkleTree) LeafIndex(leaf blockcrypto.Hash) int {
+	for i := range t.levels[0] {
+		if t.levels[0][i] == leaf {
+			return i
+		}
+	}
+	return -1
+}
+
+// Size returns the bytes of hashes the tree retains, for cache accounting.
+func (t *MerkleTree) Size() int {
+	n := 0
+	for _, level := range t.levels {
+		n += len(level) * blockcrypto.HashSize
+	}
+	return n
+}
+
 // ProofStep is one sibling on the path from a leaf to the root.
 type ProofStep struct {
 	Sibling blockcrypto.Hash
@@ -155,39 +175,58 @@ func AppendProof(buf []byte, p Proof) []byte {
 	return buf
 }
 
+// frameProof walks the framing of the proof at the front of data: its leaf
+// index, its step count (checked against the bytes that follow, side bytes
+// included) and its encoded size. Like frameTx it is the format's one
+// parser; fillSteps copies what it accepted.
+func frameProof(data []byte) (leaf int64, steps, size int, err error) {
+	leaf, off := binary.Varint(data)
+	if off <= 0 {
+		return 0, 0, 0, ErrProofMalformed
+	}
+	count, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		return 0, 0, 0, ErrProofMalformed
+	}
+	off += n
+	if count > uint64(len(data)-off)/proofStepSize {
+		return 0, 0, 0, fmt.Errorf("%w: %d steps declared in %d bytes", ErrProofMalformed, count, len(data)-off)
+	}
+	steps = int(count)
+	size = off + steps*proofStepSize
+	for at := off + blockcrypto.HashSize; at < size; at += proofStepSize {
+		if data[at] > 1 {
+			return 0, 0, 0, fmt.Errorf("%w: side byte %d", ErrProofMalformed, data[at])
+		}
+	}
+	return leaf, steps, size, nil
+}
+
+// fillSteps decodes len(steps) encoded steps from the end of enc, the
+// encoding of one proof frameProof accepted.
+func fillSteps(steps []ProofStep, enc []byte) {
+	enc = enc[len(enc)-len(steps)*proofStepSize:]
+	for i := range steps {
+		copy(steps[i].Sibling[:], enc)
+		steps[i].Left = enc[blockcrypto.HashSize] == 1
+		enc = enc[proofStepSize:]
+	}
+}
+
 // DecodeProof parses one proof from the front of data and returns it with
 // the number of bytes consumed. The proof owns its steps, and the steps it
 // allocates are bounded by len(data), never by the declared count.
 func DecodeProof(data []byte) (Proof, int, error) {
-	leaf, off := binary.Varint(data)
-	if off <= 0 {
-		return Proof{}, 0, ErrProofMalformed
-	}
-	steps, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return Proof{}, 0, ErrProofMalformed
-	}
-	off += n
-	if steps > uint64(len(data)-off)/proofStepSize {
-		return Proof{}, 0, fmt.Errorf("%w: %d steps declared in %d bytes", ErrProofMalformed, steps, len(data)-off)
+	leaf, steps, size, err := frameProof(data)
+	if err != nil {
+		return Proof{}, 0, err
 	}
 	p := Proof{LeafIndex: int(leaf)}
-	if steps == 0 {
-		return p, off, nil
+	if steps > 0 {
+		p.Steps = make([]ProofStep, steps)
+		fillSteps(p.Steps, data[:size])
 	}
-	p.Steps = make([]ProofStep, steps)
-	for i := range p.Steps {
-		copy(p.Steps[i].Sibling[:], data[off:])
-		switch data[off+blockcrypto.HashSize] {
-		case 0:
-		case 1:
-			p.Steps[i].Left = true
-		default:
-			return Proof{}, 0, fmt.Errorf("%w: side byte %d", ErrProofMalformed, data[off+blockcrypto.HashSize])
-		}
-		off += proofStepSize
-	}
-	return p, off, nil
+	return p, size, nil
 }
 
 // AppendProofs appends a count-prefixed list of proofs (see AppendProof).
@@ -200,28 +239,42 @@ func AppendProofs(buf []byte, ps []Proof) []byte {
 }
 
 // DecodeProofs parses a list written by AppendProofs and returns it with
-// the number of bytes consumed. Like DecodeProof, it allocates no more than
+// the number of bytes consumed. A first walk validates the framing and
+// counts the steps; the proofs then share one step array, each a sub-slice
+// with its capacity capped. Like DecodeProof, it allocates no more than
 // len(data) allows.
 func DecodeProofs(data []byte) ([]Proof, int, error) {
-	count, off := binary.Uvarint(data)
-	if off <= 0 {
+	count, start := binary.Uvarint(data)
+	if start <= 0 {
 		return nil, 0, ErrProofMalformed
 	}
 	// The smallest proof is two bytes: index and step count.
-	if count > uint64(len(data)-off)/2 {
-		return nil, 0, fmt.Errorf("%w: %d proofs declared in %d bytes", ErrProofMalformed, count, len(data)-off)
+	if count > uint64(len(data)-start)/2 {
+		return nil, 0, fmt.Errorf("%w: %d proofs declared in %d bytes", ErrProofMalformed, count, len(data)-start)
 	}
 	if count == 0 {
-		return nil, off, nil
+		return nil, start, nil
 	}
-	ps := make([]Proof, count)
-	for i := range ps {
-		p, n, err := DecodeProof(data[off:])
+	off, total := start, 0
+	for i := 0; i < int(count); i++ {
+		_, steps, size, err := frameProof(data[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("proof %d: %w", i, err)
 		}
-		ps[i] = p
-		off += n
+		off += size
+		total += steps
+	}
+	ps := make([]Proof, count)
+	all := make([]ProofStep, total)
+	off = start
+	for i := range ps {
+		leaf, steps, size, _ := frameProof(data[off:]) // accepted above
+		ps[i].LeafIndex = int(leaf)
+		if steps > 0 {
+			ps[i].Steps, all = all[:steps:steps], all[steps:]
+			fillSteps(ps[i].Steps, data[off:off+size])
+		}
+		off += size
 	}
 	return ps, off, nil
 }

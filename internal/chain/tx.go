@@ -117,54 +117,90 @@ func (tx *Transaction) AppendTo(buf []byte) []byte {
 
 // EncodedSize returns len(tx.Encode()) without allocating.
 func (tx *Transaction) EncodedSize() int {
-	return 2*blockcrypto.HashSize + 24 + 4 + len(tx.Payload) + 2 + len(tx.PublicKey) + 2 + len(tx.Signature)
+	return minTxEncodedSize + len(tx.Payload) + len(tx.PublicKey) + len(tx.Signature)
+}
+
+// txFrame is the framing of one encoded transaction: the lengths of its
+// three variable-length fields, which fix where everything sits.
+type txFrame struct {
+	payload, pubKey, sig int
+}
+
+// varBytes is the number of bytes a decoded copy of the fields owns.
+func (f txFrame) varBytes() int { return f.payload + f.pubKey + f.sig }
+
+// size is the encoded size of the whole transaction.
+func (f txFrame) size() int { return minTxEncodedSize + f.varBytes() }
+
+// txFixedSize is the encoded size of From, To, Amount, Nonce and Fee.
+const txFixedSize = 2*blockcrypto.HashSize + 24
+
+// frameTx walks the framing of the transaction at the front of data. It is
+// the one parser of the format: decoding is frameTx, then Transaction.fill
+// into memory sized from what it found.
+func frameTx(data []byte) (txFrame, error) {
+	var f txFrame
+	if len(data) < txFixedSize+4 {
+		return f, ErrTxTruncated
+	}
+	off := txFixedSize
+	f.payload = int(binary.BigEndian.Uint32(data[off:]))
+	off += 4 + f.payload
+	if len(data) < off+2 {
+		return f, ErrTxTruncated
+	}
+	f.pubKey = int(binary.BigEndian.Uint16(data[off:]))
+	off += 2 + f.pubKey
+	if len(data) < off+2 {
+		return f, ErrTxTruncated
+	}
+	f.sig = int(binary.BigEndian.Uint16(data[off:]))
+	if len(data) < off+2+f.sig {
+		return f, ErrTxTruncated
+	}
+	return f, nil
+}
+
+// fill sets tx from the transaction at the front of data, which frameTx
+// framed as f, copying the variable-length fields into the front of buf, and
+// returns what is left of buf (the caller sized it from varBytes). Each
+// field's capacity is capped at its length, so appending to one reallocates
+// instead of reaching the next; a zero-length field stays nil.
+func (tx *Transaction) fill(data []byte, f txFrame, buf []byte) []byte {
+	copy(tx.From[:], data)
+	copy(tx.To[:], data[blockcrypto.HashSize:])
+	nums := data[2*blockcrypto.HashSize:]
+	tx.Amount = binary.BigEndian.Uint64(nums)
+	tx.Nonce = binary.BigEndian.Uint64(nums[8:])
+	tx.Fee = binary.BigEndian.Uint64(nums[16:])
+	off := txFixedSize + 4
+	tx.Payload, buf = carve(buf, data[off:off+f.payload])
+	off += f.payload + 2
+	tx.PublicKey, buf = carve(buf, data[off:off+f.pubKey])
+	off += f.pubKey + 2
+	tx.Signature, buf = carve(buf, data[off:off+f.sig])
+	return buf
+}
+
+// carve copies src into the front of buf and returns the copy, capacity
+// capped, with the rest of buf.
+func carve(buf, src []byte) (field, rest []byte) {
+	if len(src) == 0 {
+		return nil, buf
+	}
+	n := copy(buf, src)
+	return buf[:n:n], buf[n:]
 }
 
 // DecodeTransaction parses one transaction from the front of data and
-// returns it along with the number of bytes consumed.
+// returns it along with the number of bytes consumed. The transaction owns
+// its bytes: one buffer holds its three variable-length fields.
 func DecodeTransaction(data []byte) (*Transaction, int, error) {
-	fixed := 2*blockcrypto.HashSize + 24 + 4
-	if len(data) < fixed {
-		return nil, 0, ErrTxTruncated
+	f, err := frameTx(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	var tx Transaction
-	off := 0
-	copy(tx.From[:], data[off:])
-	off += blockcrypto.HashSize
-	copy(tx.To[:], data[off:])
-	off += blockcrypto.HashSize
-	tx.Amount = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	tx.Nonce = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	tx.Fee = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	payloadLen := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if len(data) < off+payloadLen+2 {
-		return nil, 0, ErrTxTruncated
-	}
-	if payloadLen > 0 {
-		tx.Payload = append([]byte(nil), data[off:off+payloadLen]...)
-	}
-	off += payloadLen
-	pubLen := int(binary.BigEndian.Uint16(data[off:]))
-	off += 2
-	if len(data) < off+pubLen+2 {
-		return nil, 0, ErrTxTruncated
-	}
-	if pubLen > 0 {
-		tx.PublicKey = append([]byte(nil), data[off:off+pubLen]...)
-	}
-	off += pubLen
-	sigLen := int(binary.BigEndian.Uint16(data[off:]))
-	off += 2
-	if len(data) < off+sigLen {
-		return nil, 0, ErrTxTruncated
-	}
-	if sigLen > 0 {
-		tx.Signature = append([]byte(nil), data[off:off+sigLen]...)
-	}
-	off += sigLen
-	return &tx, off, nil
+	tx := new(Transaction)
+	tx.fill(data, f, make([]byte, f.varBytes()))
+	return tx, f.size(), nil
 }

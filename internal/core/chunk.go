@@ -152,13 +152,15 @@ func (g *Group) checkTx(root blockcrypto.Hash, i int, sigs bool) error {
 // chunk i of len(groups), and verifies it against the header's Merkle
 // root. A position holding another index or a group cut for another part
 // count — a missing, repeated or misplaced chunk, or a block read under
-// the wrong membership — is refused before anything is hashed.
-func Reassemble(hdr chain.Header, groups []Group) (*chain.Block, error) {
+// the wrong membership — is refused before anything is hashed. The Merkle
+// tree the check built comes back with the block (chain.Block.VerifiedTree),
+// for a caller that will serve proofs of it.
+func Reassemble(hdr chain.Header, groups []Group) (*chain.Block, *chain.MerkleTree, error) {
 	total := 0
 	for i := range groups {
 		g := &groups[i]
 		if g.Index != i || g.Parts != len(groups) {
-			return nil, fmt.Errorf("%w: position %d of %d holds chunk %d of %d", ErrBadGroup, i, len(groups), g.Index, g.Parts)
+			return nil, nil, fmt.Errorf("%w: position %d of %d holds chunk %d of %d", ErrBadGroup, i, len(groups), g.Index, g.Parts)
 		}
 		total += len(g.Txs)
 	}
@@ -167,10 +169,11 @@ func Reassemble(hdr chain.Header, groups []Group) (*chain.Block, error) {
 		txs = append(txs, groups[i].Txs...)
 	}
 	b := &chain.Block{Header: hdr, Txs: txs}
-	if err := b.VerifyShape(); err != nil {
-		return nil, err
+	tree, err := b.VerifiedTree()
+	if err != nil {
+		return nil, nil, err
 	}
-	return b, nil
+	return b, tree, nil
 }
 
 // StoredTxProof scans the chunks st holds of a block for the transaction

@@ -51,12 +51,15 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 			}
 		}
 		for _, set := range [][]Group{groups, stored} {
-			got, err := Reassemble(b.Header, set)
+			got, tree, err := Reassemble(b.Header, set)
 			if err != nil {
 				t.Fatalf("parts=%d: %v", parts, err)
 			}
 			if got.Hash() != b.Hash() || !reflect.DeepEqual(got.EncodeBody(), b.EncodeBody()) {
 				t.Fatalf("parts=%d: reassembled another block", parts)
+			}
+			if tree.Root() != b.Header.MerkleRoot || tree.NumLeaves() != len(b.Txs) {
+				t.Fatalf("parts=%d: the tree handed up is not the block's", parts)
 			}
 		}
 	}
@@ -93,7 +96,7 @@ func TestReassembleRejects(t *testing.T) {
 		{"another block's header", g, other.Header, chain.ErrBlockBadRoot},
 		{"no groups", nil, b.Header, chain.ErrBlockEmptyBody},
 	} {
-		if _, err := Reassemble(tc.hdr, tc.groups); !errors.Is(err, tc.want) {
+		if _, _, err := Reassemble(tc.hdr, tc.groups); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -101,7 +104,7 @@ func TestReassembleRejects(t *testing.T) {
 	tx := *tampered[2].Txs[0]
 	tx.Amount++
 	tampered[2].Txs = append([]*chain.Transaction{&tx}, tampered[2].Txs[1:]...)
-	if _, err := Reassemble(b.Header, tampered); !errors.Is(err, chain.ErrBlockBadRoot) {
+	if _, _, err := Reassemble(b.Header, tampered); !errors.Is(err, chain.ErrBlockBadRoot) {
 		t.Errorf("tampered transaction: got %v, want %v", err, chain.ErrBlockBadRoot)
 	}
 }

@@ -177,7 +177,7 @@ func (n *Node) tryFinishRetrieve(req uint64, st *fetchState) bool {
 	if err != nil {
 		return fail(err)
 	}
-	b, err := Reassemble(hdr, groups)
+	b, _, err := Reassemble(hdr, groups)
 	if err != nil {
 		// Some member served corrupt, misplaced or misordered data.
 		return fail(fmt.Errorf("%w: %v", ErrRetrieveFailed, err))

@@ -367,7 +367,7 @@ func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 	if groups == nil {
 		return fmt.Errorf("cluster %d: holds %d of %d chunks of %s", c, len(held.chunks), held.parts, block.Short())
 	}
-	if _, err := Reassemble(*hdr, groups); err != nil {
+	if _, _, err := Reassemble(*hdr, groups); err != nil {
 		return fmt.Errorf("cluster %d: reassembly of %s: %w", c, block.Short(), err)
 	}
 	return nil

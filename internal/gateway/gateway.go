@@ -41,6 +41,11 @@ type Config struct {
 // Gateway serves verified block and transaction-proof reads over an
 // ICIStrategy storage cluster. Safe for concurrent use. Cached blocks are
 // shared between callers: treat every *chain.Block it returns as read-only.
+//
+// Both caches hold only what has been verified. A block-cache entry is a
+// cachedBlock; a chunk-cache entry is a *netx.ChunkResp without its proofs,
+// put there once the block it was fetched for reassembled to the header's
+// root.
 type Gateway struct {
 	up      Upstream
 	blocks  *lruCache
@@ -90,6 +95,16 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
+// cachedBlock is a verified block with the Merkle tree its root check built
+// (chain.Block.VerifiedTree). The tree's root is the header's, so a proof cut
+// from it needs no hashing and no second check.
+type cachedBlock struct {
+	block *chain.Block
+	tree  *chain.MerkleTree
+}
+
+func (c *cachedBlock) size() int64 { return int64(c.block.BodySize() + c.tree.Size()) }
+
 func blockKey(h blockcrypto.Hash) string { return "b:" + string(h[:]) }
 func chunkKey(h blockcrypto.Hash, idx int) string {
 	return fmt.Sprintf("c:%s:%d", h[:], idx)
@@ -101,7 +116,7 @@ func chunkKey(h blockcrypto.Hash, idx int) string {
 func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	key := blockKey(h)
 	if v, ok := g.blocks.Get(key); ok {
-		return v.(*chain.Block), nil
+		return v.(*cachedBlock).block, nil
 	}
 	v, err, shared := g.flights.Do(key, func() (any, error) {
 		// Re-check under the flight: a racing caller may have populated the
@@ -121,7 +136,7 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.blocks.Put(key, b, int64(b.BodySize()))
+		g.blocks.Put(key, b, b.size())
 		return b, nil
 	})
 	if shared {
@@ -130,13 +145,14 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.(*chain.Block), nil
+	return v.(*cachedBlock).block, nil
 }
 
 // fetchBlock gathers every chunk of h — cached chunks locally, the rest
 // batched per owning peer — then reassembles and verifies against the
-// header's Merkle root.
-func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*chain.Block, error) {
+// header's Merkle root. Only then do the fetched chunks enter the chunk
+// cache: one that decodes but is wrong fails this read, not every later one.
+func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 	hdr, err := g.up.Header(h)
 	if err != nil {
 		return nil, err
@@ -158,22 +174,14 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*chain.Block, error) {
 
 	if len(missing) > 0 {
 		var wg sync.WaitGroup
-		fetched := make([]*netx.ChunkResp, len(missing))
-		for i, idx := range missing {
+		for _, idx := range missing {
 			wg.Add(1)
-			go func(i, idx int) {
+			go func(idx int) {
 				defer wg.Done()
-				fetched[i] = g.fetchChunk(h, idx)
-			}(i, idx)
+				got[idx] = g.fetchChunk(h, idx)
+			}(idx)
 		}
 		wg.Wait()
-		for i, idx := range missing {
-			if fetched[i] == nil {
-				continue
-			}
-			got[idx] = fetched[i]
-			g.chunks.Put(chunkKey(h, idx), fetched[i], chunkSize(fetched[i]))
-		}
 	}
 
 	have := 0
@@ -188,18 +196,25 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*chain.Block, error) {
 
 	// Reassemble and verify against the trusted header. A chunk cut for
 	// another part count than the map says is refused there, which is how a
-	// stale membership surfaces as an error for GetBlock to refresh on.
+	// stale membership surfaces as an error for GetBlock to refresh on. The
+	// per-transaction proofs a chunk carries are not read: the root of the
+	// whole body is what is checked.
 	groups := make([]core.Group, parts)
 	for idx, c := range got {
-		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, c.Proofs); err != nil {
+		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, nil); err != nil {
 			return nil, fmt.Errorf("gateway: chunk %d: %w", idx, err)
 		}
 	}
-	b, err := core.Reassemble(hdr, groups)
+	b, tree, err := core.Reassemble(hdr, groups)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: reassembly: %w", err)
 	}
-	return b, nil
+	for _, idx := range missing {
+		payload := *got[idx] // a copy: the batcher hands one response to every reader that wanted it
+		payload.Proofs = nil
+		g.chunks.Put(chunkKey(h, idx), &payload, int64(len(payload.Data)))
+	}
+	return &cachedBlock{block: b, tree: tree}, nil
 }
 
 // fetchChunk tries each owner of (h, idx) in placement order through the
@@ -220,15 +235,6 @@ func (g *Gateway) fetchChunk(h blockcrypto.Hash, idx int) *netx.ChunkResp {
 	return nil
 }
 
-// chunkSize accounts a cached chunk: payload plus proof bytes.
-func chunkSize(c *netx.ChunkResp) int64 {
-	n := int64(len(c.Data))
-	for _, p := range c.Proofs {
-		n += int64(p.EncodedSize())
-	}
-	return n
-}
-
 // GetTxProof answers a light-client inclusion query: the transaction, the
 // header committing to it, and the Merkle proof connecting them. A cached
 // block answers locally; otherwise the cluster's members are queried in
@@ -236,7 +242,7 @@ func chunkSize(c *netx.ChunkResp) int64 {
 func (g *Gateway) GetTxProof(block, txID blockcrypto.Hash) (core.TxProof, error) {
 	g.proofs.Inc()
 	if v, ok := g.blocks.Get(blockKey(block)); ok {
-		if p, ok := g.localProof(v.(*chain.Block), txID); ok {
+		if p, ok := v.(*cachedBlock).proof(txID); ok {
 			g.proofsLocal.Inc()
 			return p, nil
 		}
@@ -260,27 +266,18 @@ func (g *Gateway) GetTxProof(block, txID blockcrypto.Hash) (core.TxProof, error)
 	return v.(core.TxProof), nil
 }
 
-// localProof derives an inclusion proof from a fully cached block.
-func (g *Gateway) localProof(b *chain.Block, txID blockcrypto.Hash) (core.TxProof, bool) {
-	at := -1
-	for i, tx := range b.Txs {
-		if tx.ID() == txID {
-			at = i
-			break
-		}
-	}
+// proof cuts an inclusion proof from a cached block: the transaction's id is
+// a leaf of the tree, so finding it and proving it hash nothing.
+func (c *cachedBlock) proof(txID blockcrypto.Hash) (core.TxProof, bool) {
+	at := c.tree.LeafIndex(txID)
 	if at < 0 {
 		return core.TxProof{}, false
 	}
-	tree, err := chain.TxMerkleTree(b.Txs)
+	proof, err := c.tree.Prove(at)
 	if err != nil {
 		return core.TxProof{}, false
 	}
-	proof, err := tree.Prove(at)
-	if err != nil {
-		return core.TxProof{}, false
-	}
-	return core.TxProof{Tx: b.Txs[at], Header: b.Header, Proof: proof}, true
+	return core.TxProof{Tx: c.block.Txs[at], Header: c.block.Header, Proof: proof}, true
 }
 
 // fetchProof queries peers in rotation until one produces a proof that

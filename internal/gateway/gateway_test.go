@@ -1,6 +1,9 @@
 package gateway
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -425,5 +428,192 @@ func TestGetBlockUnknownHash(t *testing.T) {
 	g := newTestGateway(t, u, nil, 1<<20)
 	if _, err := g.GetBlock(blockcrypto.Sum256([]byte("nope"))); err == nil {
 		t.Fatal("unknown block served")
+	}
+}
+
+// setChunk replaces the copy of a chunk one peer serves.
+func (u *fakeUpstream) setChunk(peer int, ref netx.ChunkRef, c netx.ChunkResp) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.chunks[peer][ref] = c
+}
+
+// TestBadChunkIsNotCached: a chunk that decodes but is wrong — what a faulty
+// member serves — fails the read it was fetched for and nothing else. It
+// must not enter the chunk cache, or every later read of the block would be
+// reassembled from it after upstream is sound again.
+func TestBadChunkIsNotCached(t *testing.T) {
+	u, blocks := newFakeUpstream(t, 3, 1, 12)
+	b := blocks[0]
+	g, err := New(Config{Upstream: u, BlockCacheBytes: 0, ChunkCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := netx.ChunkRef{Block: b.Hash(), Index: 1}
+	sound := u.chunks[1][ref] // chunk 1's first owner is peer 1
+	bad := sound
+	bad.Data = append([]byte(nil), sound.Data...)
+	bad.Data[4+2*blockcrypto.HashSize+7] ^= 1 // low byte of the first transaction's amount
+	u.setChunk(1, ref, bad)
+
+	if _, err := g.GetBlock(b.Hash()); !errors.Is(err, chain.ErrBlockBadRoot) {
+		t.Fatalf("read through a corrupting member: got %v, want %v", err, chain.ErrBlockBadRoot)
+	}
+	if n := g.chunks.Len(); n != 0 {
+		t.Fatalf("%d chunks cached from a block that did not verify", n)
+	}
+
+	u.setChunk(1, ref, sound)
+	got, err := g.GetBlock(b.Hash())
+	if err != nil {
+		t.Fatalf("read after upstream healed: %v", err)
+	}
+	if got.Hash() != b.Hash() || got.VerifyShape() != nil {
+		t.Fatal("wrong block after upstream healed")
+	}
+	var cached int64
+	for idx := 0; idx < u.parts; idx++ {
+		v, ok := g.chunks.Get(chunkKey(b.Hash(), idx))
+		if !ok {
+			t.Fatalf("chunk %d of a verified block is not cached", idx)
+		}
+		c := v.(*netx.ChunkResp)
+		want := u.chunks[idx][netx.ChunkRef{Block: b.Hash(), Index: idx}]
+		if !bytes.Equal(c.Data, want.Data) || c.Proofs != nil {
+			t.Fatalf("cached chunk %d: sound payload %v, %d proofs kept", idx, bytes.Equal(c.Data, want.Data), len(c.Proofs))
+		}
+		cached += int64(len(c.Data))
+	}
+	if g.chunks.Bytes() != cached {
+		t.Fatalf("chunk cache accounts %d bytes for %d bytes of payload", g.chunks.Bytes(), cached)
+	}
+	before := u.batchCalls.Load()
+	if _, err := g.GetBlock(b.Hash()); err != nil || u.batchCalls.Load() != before {
+		t.Fatalf("re-read from verified chunks: err %v, upstream batches %d->%d", err, before, u.batchCalls.Load())
+	}
+}
+
+// cachedEntry reads b through g and returns its block-cache entry.
+func cachedEntry(t testing.TB, g *Gateway, b *chain.Block) *cachedBlock {
+	t.Helper()
+	if _, err := g.GetBlock(b.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := g.blocks.Get(blockKey(b.Hash()))
+	if !ok {
+		t.Fatal("block not cached after a read")
+	}
+	return v.(*cachedBlock)
+}
+
+// TestLocalProofIsTheTreesProof: a proof served from a cached block is cut
+// from the tree the block's root check built. For every leaf of blocks with
+// one transaction, two, seven (odd levels: the duplicated trailing node) and
+// the benchmark's 96, it must be the proof a fresh tree gives and verify
+// against the header; an id the block does not hold is a definitive
+// not-found; and neither touches upstream.
+func TestLocalProofIsTheTreesProof(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 96} {
+		u, blocks := newFakeUpstream(t, 3, 1, n)
+		b := blocks[0]
+		g := newTestGateway(t, u, nil, 1<<20)
+		entry := cachedEntry(t, g, b)
+		tree, err := chain.TxMerkleTree(b.Txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := g.blocks.Bytes(), int64(b.BodySize()+tree.Size()); got != want || entry.size() != want {
+			t.Errorf("n=%d: block cache accounts %d bytes, want body + tree = %d", n, got, want)
+		}
+		headers, batches := u.headerCalls.Load(), u.batchCalls.Load()
+		for i, tx := range b.Txs {
+			p, err := g.GetTxProof(b.Hash(), tx.ID())
+			if err != nil {
+				t.Fatalf("n=%d leaf %d: %v", n, i, err)
+			}
+			want, err := tree.Prove(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p.Proof, want) || p.Header != b.Header || !reflect.DeepEqual(p.Tx, tx) {
+				t.Fatalf("n=%d leaf %d: served proof is not the tree's", n, i)
+			}
+			if err := p.Verify(); err != nil {
+				t.Fatalf("n=%d leaf %d: %v", n, i, err)
+			}
+		}
+		if _, err := g.GetTxProof(b.Hash(), blockcrypto.Sum256([]byte("ghost"))); !errors.Is(err, core.ErrTxNotFound) {
+			t.Errorf("n=%d: unknown id on a cached block: got %v, want %v", n, err, core.ErrTxNotFound)
+		}
+		if u.headerCalls.Load() != headers || u.batchCalls.Load() != batches || u.proofCalls.Load() != 0 {
+			t.Errorf("n=%d: proof reads of a cached block went upstream: headers %d->%d, batches %d->%d, proof queries %d",
+				n, headers, u.headerCalls.Load(), batches, u.batchCalls.Load(), u.proofCalls.Load())
+		}
+	}
+}
+
+// TestLocalProofConcurrentReaders: a block-cache entry is read by every
+// connection handler at once. Proof and block readers start on a cold
+// gateway, so some proofs come from upstream and the rest from the entry
+// the one coalesced fetch caches meanwhile; all must verify. Run under
+// -race (make race).
+func TestLocalProofConcurrentReaders(t *testing.T) {
+	u, blocks := newFakeUpstream(t, 4, 1, 96)
+	b := blocks[0]
+	g := newTestGateway(t, u, nil, 1<<20)
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			if r%2 == 0 { // odd readers ask for proofs while the block is still cold
+				if got, err := g.GetBlock(b.Hash()); err != nil || got.Hash() != b.Hash() {
+					t.Errorf("reader %d: block: %v", r, err)
+					return
+				}
+			}
+			for i := r; i < len(b.Txs); i += 3 {
+				p, err := g.GetTxProof(b.Hash(), b.Txs[i].ID())
+				if err != nil || p.Verify() != nil || p.Proof.LeafIndex != i {
+					t.Errorf("reader %d leaf %d: %v", r, i, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+// TestLocalProofAllocatesOnlyItsSteps: cutting a proof from a cached block
+// allocates the proof's steps and nothing else — no tree is rebuilt.
+func TestLocalProofAllocatesOnlyItsSteps(t *testing.T) {
+	u, blocks := newFakeUpstream(t, 3, 1, 96)
+	entry := cachedEntry(t, newTestGateway(t, u, nil, 1<<20), blocks[0])
+	id := blocks[0].Txs[41].ID()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := entry.proof(id); !ok {
+			t.Fatal("no proof for a transaction of the block")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("%.0f allocations for a proof from a cached block, want 1 (its steps)", allocs)
+	}
+}
+
+func BenchmarkGatewayLocalProof(b *testing.B) {
+	u, blocks := newFakeUpstream(b, 3, 1, 96)
+	g := newTestGateway(b, u, nil, 1<<20)
+	blk := blocks[0]
+	cachedEntry(b, g, blk)
+	ids := make([]blockcrypto.Hash, len(blk.Txs))
+	for i, tx := range blk.Txs {
+		ids[i] = tx.ID()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.GetTxProof(blk.Hash(), ids[i%len(ids)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -364,9 +364,10 @@ func (r *blockReply) DecodeWire(op uint8, fields []byte) error {
 	return nil
 }
 
-// GetBlock fetches a full block through the gateway. Like every call on a
-// netx.Link, a transport, decode or request-id failure closes the
-// connection; an error the server reports does not.
+// GetBlock fetches a full block through the gateway and refuses a reply
+// whose header does not hash to h. Like every call on a netx.Link, a
+// transport, decode or request-id failure closes the connection; an error
+// the server reports does not.
 func (c *Client) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	var reply blockReply
 	if _, err := c.link.Call(&WireRequest{GetBlock: &WireBlockReq{Block: h}}, &reply); err != nil {
@@ -374,6 +375,9 @@ func (c *Client) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	}
 	if reply.block == nil {
 		return nil, fmt.Errorf("%w: %s", ErrRemote, reply.err)
+	}
+	if got := reply.block.Hash(); got != h {
+		return nil, fmt.Errorf("%w: asked for block %s, got %s", ErrRemote, h.Short(), got.Short())
 	}
 	return reply.block, nil
 }

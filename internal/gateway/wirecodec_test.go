@@ -323,6 +323,25 @@ func TestClientLateReplyPoisonsTheConnection(t *testing.T) {
 	}
 }
 
+// TestClientRefusesAnotherBlock: GetBlock asked for a hash, so a reply whose
+// header hashes to anything else is refused, as GetTxProof refuses a proof
+// for the wrong block. The server answered, so the connection stays usable.
+func TestClientRefusesAnotherBlock(t *testing.T) {
+	_, blocks := newFakeUpstream(t, 4, 2, 8)
+	c, err := DialClient(lateGateway(t, 0, blocks[0])) // answers every request with blocks[0]
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if b, err := c.GetBlock(blocks[1].Hash()); !errors.Is(err, ErrRemote) {
+		t.Fatalf("asked for one block, was sent another: got block %v, err %v; want ErrRemote", b != nil, err)
+	}
+	b, err := c.GetBlock(blocks[0].Hash())
+	if err != nil || b.Hash() != blocks[0].Hash() {
+		t.Fatalf("the block asked for, on the same connection: %v", err)
+	}
+}
+
 // TestServerResponseWriteIsBounded is the gateway half of the unbounded-
 // write regression: a client that asks for a multi-megabyte block and never
 // reads it must cost a handler goroutine writeTimeout, not the server's

@@ -530,7 +530,7 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.
 	for i := range groups {
 		groups[i] = found[i] // a gap leaves the zero Group, which Reassemble refuses
 	}
-	b, err := core.Reassemble(hdr, groups)
+	b, _, err := core.Reassemble(hdr, groups)
 	if err != nil {
 		return nil, fmt.Errorf("netx: reassembly: %w", err)
 	}

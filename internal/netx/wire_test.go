@@ -244,14 +244,14 @@ func TestMessageTooLargeToSend(t *testing.T) {
 
 // allocCeilings are the allocations one encode plus one decode of a frame
 // may make. Decoding allocates what the message is made of (for a chunk:
-// the response's parts, one data slice, one step slice per proof);
+// the response's parts, one data slice, one step array for all its proofs);
 // encoding allocates nothing. Each ceiling is that count plus three, the
 // room the race detector needs (under it sync.Pool drops buffers at
 // random). An alloc regression fails here, in tier-1, before the benchmark
 // sees it.
 var allocCeilings = map[string]float64{
-	"chunk_batch_resp": 21,
-	"put_chunk_req":    19,
+	"chunk_batch_resp": 10,
+	"put_chunk_req":    8,
 	"ok_resp":          4,
 	"headers_resp":     5,
 }
