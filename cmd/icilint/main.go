@@ -1,42 +1,28 @@
 // Command icilint is the repo's static-analysis gate: it runs the
-// internal/analysis/analyzers suite — ten checkers, each encoding a bug
-// family a previous PR actually shipped — over the module and exits
-// non-zero on any finding, so CI blocks regressions of the determinism,
-// chunk-aliasing, atomic-access, metric-naming, span-balance, pool-return,
-// goroutine-join, deadline, epoch-resolution, and cross-package aliasing
-// invariants at review time instead of at 3am.
+// internal/analysis/analyzers suite — each checker encoding a bug family a
+// previous PR actually shipped — over the module and exits non-zero on any
+// finding, so CI blocks a regression at review time instead of at 3am.
 //
 // Usage:
 //
-//	icilint [flags] [packages]
+//	icilint [packages]
 //
 //	icilint ./...                    # whole module (the CI gate)
 //	icilint ./internal/core/...      # one subtree
-//	icilint -json ./...              # machine-readable findings for CI annotation
 //	icilint -list                    # the suite and what each analyzer polices
-//	icilint -allow FILE ./...        # extra suppression file (default .icilint-allow)
-//	icilint -fix ./...               # apply suggested fixes in place
-//	icilint -diff ./...              # print suggested fixes as a unified diff
-//	icilint -strict-allow ./...      # stale suppressions become findings
 //
 // Findings print as file:line:col: [analyzer] message. Suppression is via
-// source annotations — //icilint:allow analyzer(reason) — or the optional
-// suppression file; both grammars are documented in DESIGN.md. A
-// suppression that matches no diagnostic is itself reported: as a warning
-// by default, and as an "icilint" finding under -strict-allow (where -fix
-// also deletes stale single-clause annotations). Exit codes: 0 clean,
-// 1 findings, 2 usage/load failure.
+// source annotations — //icilint:allow analyzer(reason) — whose grammar is
+// documented in DESIGN.md. An annotation that matches no diagnostic is
+// itself a finding. Exit codes: 0 clean, 1 findings, 2 usage/load failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"icistrategy/internal/analysis"
@@ -51,13 +37,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("icilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (machine-readable diagnostics for CI)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	allowFile := fs.String("allow", "", "suppression file (default: .icilint-allow at the module root, if present)")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files in place")
-	diff := fs.Bool("diff", false, "print suggested fixes as a unified diff without writing (implies not -fix)")
-	strictAllow := fs.Bool("strict-allow", false, "report stale suppressions (allow annotations and file entries matching nothing) as findings")
-	dir := fs.String("C", "", "change to this directory before running")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -72,171 +52,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *dir != "" {
-		if err := os.Chdir(*dir); err != nil {
-			fmt.Fprintln(stderr, "icilint:", err)
-			return 2
-		}
-	}
-	root, err := findModuleRoot()
+	diags, err := lint(fs.Args(), suite)
 	if err != nil {
 		fmt.Fprintln(stderr, "icilint:", err)
 		return 2
 	}
-	loader, err := analysis.NewModuleLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "icilint:", err)
-		return 2
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
-	known := map[string]bool{}
-	for _, a := range suite {
-		known[a.Name] = true
-	}
-	sup, err := loadSuppressions(*allowFile, root, known)
-	if err != nil {
-		fmt.Fprintln(stderr, "icilint:", err)
-		return 2
-	}
-	pkgs, err := loader.Load(fs.Args()...)
-	if err != nil {
-		fmt.Fprintln(stderr, "icilint:", err)
-		return 2
-	}
-	res, err := analysis.RunPackages(loader, pkgs, suite, nil)
-	if err != nil {
-		fmt.Fprintln(stderr, "icilint:", err)
-		return 2
-	}
-	all := sup.Filter(res.Diagnostics)
-
-	// Sources for fix application, keyed by the loader's full paths (the
-	// same paths diagnostics' edits carry before relativization).
-	sources := map[string][]byte{}
-	for _, pkg := range pkgs {
-		for path, src := range pkg.Sources {
-			sources[path] = src
-		}
-	}
-
-	// Stale suppressions: annotations that matched nothing and allow-file
-	// entries whose use counter stayed zero. Warnings by default; findings
-	// under -strict-allow, where annotation deletions also become fixes.
-	for _, rec := range res.Allows {
-		if rec.Matched > 0 {
-			continue
-		}
-		if *strictAllow {
-			all = append(all, analysis.StaleAllowDiagnostic(rec.Allow, sources[rec.File]))
-		} else {
-			fmt.Fprintf(stderr, "icilint: warning: %s:%d: stale icilint:allow %s(%s) matches no diagnostic (run -strict-allow to enforce)\n",
-				displayPath(rec.File, root), rec.FromLine, rec.Analyzer, rec.Reason)
-		}
-	}
-	for _, e := range sup.Stale() {
-		if *strictAllow {
-			all = append(all, analysis.NewDiagnostic("icilint",
-				token.Position{Filename: e.File, Line: e.Line, Column: 1},
-				fmt.Sprintf("stale suppression-file entry %q %s: no diagnostic matched; delete the line", e.Pattern, e.Analyzer)))
-		} else {
-			fmt.Fprintf(stderr, "icilint: warning: %s:%d: stale suppression entry %q %s matches no diagnostic (run -strict-allow to enforce)\n",
-				displayPath(e.File, root), e.Line, e.Pattern, e.Analyzer)
-		}
-	}
-	analysis.SortDiagnostics(all)
-
-	if *fix || *diff {
-		changed, applied, dropped := analysis.ApplyFixes(all, sources)
-		files := make([]string, 0, len(changed))
-		for f := range changed {
-			files = append(files, f)
-		}
-		sort.Strings(files)
-		if *diff {
-			for _, f := range files {
-				fmt.Fprint(stdout, analysis.UnifiedDiff(displayPath(f, root), sources[f], changed[f]))
-			}
-		} else {
-			for _, f := range files {
-				if err := writeBack(f, changed[f]); err != nil {
-					fmt.Fprintln(stderr, "icilint:", err)
-					return 2
-				}
-			}
-			fmt.Fprintf(stderr, "icilint: -fix applied %d edit(s) in %d file(s)\n", applied, len(files))
-		}
-		if dropped > 0 {
-			fmt.Fprintf(stderr, "icilint: %d overlapping or out-of-range edit(s) skipped\n", dropped)
-		}
-	}
-
-	relativize(all, root)
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if all == nil {
-			all = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(stderr, "icilint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range all {
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Column, d.Analyzer, d.Message)
-		}
-	}
-	if len(all) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(stderr, "icilint: %d finding(s)\n", len(all))
-		}
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "icilint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
 }
 
-// writeBack rewrites path with data, preserving the file's mode.
-func writeBack(path string, data []byte) error {
-	mode := os.FileMode(0o644)
-	if st, err := os.Stat(path); err == nil {
-		mode = st.Mode().Perm()
-	}
-	return os.WriteFile(path, data, mode)
-}
-
-// loadSuppressions reads the explicit -allow file, or the default
-// .icilint-allow at the module root when present.
-func loadSuppressions(path, root string, known map[string]bool) (*analysis.Suppressions, error) {
-	if path == "" {
-		path = filepath.Join(root, ".icilint-allow")
-		if _, err := os.Stat(path); err != nil {
-			return nil, nil // optional default
-		}
-	}
-	f, err := os.Open(path)
+// lint loads the packages the patterns name from the module around the
+// working directory and runs the suite over them. Finding paths come back
+// relative to the module root, so output is machine-independent.
+func lint(patterns []string, suite []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	root, err := findModuleRoot()
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return analysis.ParseSuppressions(f, path, known)
-}
-
-// displayPath renders a path relative to the module root when possible.
-func displayPath(path, root string) string {
-	if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
+	loader, err := analysis.NewModuleLoader(root)
+	if err != nil {
+		return nil, err
 	}
-	return path
-}
-
-// relativize rewrites absolute finding paths relative to the module root,
-// so output (and JSON consumed by CI annotators) is machine-independent.
-func relativize(diags []analysis.Diagnostic, root string) {
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	diags, err := analysis.Run(pkgs, suite)
+	if err != nil {
+		return nil, err
+	}
 	for i := range diags {
-		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			diags[i].File = rel
+		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = rel
 		}
 	}
+	return diags, nil
 }
 
 // findModuleRoot walks up from the working directory to go.mod.

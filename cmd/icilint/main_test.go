@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"icistrategy/internal/analysis/analyzers"
 )
 
 // writeModule materializes a throwaway module under t.TempDir and returns
@@ -27,12 +30,15 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// runIn invokes run with -C dir and restores the working directory after,
-// since -C chdirs the whole process.
+// runIn invokes run from inside dir and restores the working directory
+// after: icilint lints the module around the working directory.
 func runIn(t *testing.T, dir string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	orig, err := os.Getwd()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -41,7 +47,7 @@ func runIn(t *testing.T, dir string, args ...string) (code int, stdout, stderr s
 		}
 	}()
 	var out, errBuf bytes.Buffer
-	code = run(append([]string{"-C", dir}, args...), &out, &errBuf)
+	code = run(args, &out, &errBuf)
 	return code, out.String(), errBuf.String()
 }
 
@@ -68,37 +74,6 @@ func TestRunReportsFindings(t *testing.T) {
 	}
 }
 
-func TestRunJSONOutput(t *testing.T) {
-	root := writeModule(t, map[string]string{"core/clock.go": violatingClock})
-	code, stdout, _ := runIn(t, root, "-json", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var diags []struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, stdout)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "determinism" || diags[0].File != "core/clock.go" || diags[0].Line != 6 {
-		t.Fatalf("unexpected diagnostics: %+v", diags)
-	}
-}
-
-func TestRunJSONCleanIsEmptyArray(t *testing.T) {
-	root := writeModule(t, map[string]string{"util/util.go": "package util\n\nfunc Id(x int) int { return x }\n"})
-	code, stdout, stderr := runIn(t, root, "-json", "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if strings.TrimSpace(stdout) != "[]" {
-		t.Fatalf("clean -json run must emit an empty array, got: %q", stdout)
-	}
-}
-
 func TestRunList(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errBuf); code != 0 {
@@ -122,154 +97,22 @@ func TestRunAllowAnnotationSuppresses(t *testing.T) {
 	}
 }
 
-func TestRunSuppressionFileDefault(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"core/clock.go":  violatingClock,
-		".icilint-allow": "core/clock.go determinism # vendored fixture\n",
-	})
-	code, stdout, stderr := runIn(t, root, "./...")
-	if code != 0 {
-		t.Fatalf(".icilint-allow entry not honored: exit=%d\n%s%s", code, stdout, stderr)
-	}
-}
-
-func TestRunSuppressionFileUnknownAnalyzer(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"core/clock.go":  violatingClock,
-		".icilint-allow": "core/clock.go determinsm\n",
-	})
-	code, _, stderr := runIn(t, root, "./...")
-	if code != 2 {
-		t.Fatalf("typo'd suppression must be a load failure: exit=%d, stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, `"determinsm"`) {
-		t.Fatalf("stderr should name the unknown analyzer: %s", stderr)
-	}
-}
-
-func TestRunExplicitAllowFlag(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"core/clock.go": violatingClock,
-		"baseline.txt":  "core/* *\n",
-	})
-	code, stdout, stderr := runIn(t, root, "-allow", "baseline.txt", "./...")
-	if code != 0 {
-		t.Fatalf("-allow file not honored: exit=%d\n%s%s", code, stdout, stderr)
-	}
-}
-
-const aliasingPut = `package core
-
-type Store struct{ buf []byte }
-
-func (s *Store) Put(data []byte) {
-	s.buf = data
-}
-`
-
-func TestRunFixAppliesAndIsIdempotent(t *testing.T) {
-	root := writeModule(t, map[string]string{"core/store.go": aliasingPut})
-	code, _, stderr := runIn(t, root, "-fix", "./...")
-	if code != 1 {
-		t.Fatalf("first -fix run: exit = %d, want 1 (finding present); stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "-fix applied 1 edit(s) in 1 file(s)") {
-		t.Fatalf("fix summary missing: %s", stderr)
-	}
-	fixed, err := os.ReadFile(filepath.Join(root, "core", "store.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(fixed), "s.buf = append([]byte(nil), data...)") {
-		t.Fatalf("fix not applied to source:\n%s", fixed)
-	}
-	// Idempotence: the fixed tree is clean, so a second -fix run applies
-	// nothing and exits 0.
-	code, stdout, stderr := runIn(t, root, "-fix", "./...")
-	if code != 0 {
-		t.Fatalf("second -fix run: exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	if !strings.Contains(stderr, "-fix applied 0 edit(s) in 0 file(s)") {
-		t.Fatalf("second run should apply nothing: %s", stderr)
-	}
-}
-
-func TestRunDiffPrintsWithoutWriting(t *testing.T) {
-	root := writeModule(t, map[string]string{"core/store.go": aliasingPut})
-	code, stdout, stderr := runIn(t, root, "-diff", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "--- core/store.go") ||
-		!strings.Contains(stdout, "+\ts.buf = append([]byte(nil), data...)") {
-		t.Fatalf("diff output missing expected hunk:\n%s", stdout)
-	}
-	onDisk, err := os.ReadFile(filepath.Join(root, "core", "store.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(onDisk) != aliasingPut {
-		t.Fatalf("-diff must not modify files:\n%s", onDisk)
-	}
-}
-
 const staleAnnotated = `package util
 
 func Id(x int) int { return x } //icilint:allow determinism(stale: there is no clock here)
 `
 
+// A stale annotation is a finding with no flag asked for: the allow that
+// outlives its reason would otherwise swallow the next real diagnostic on
+// that line.
 func TestRunStaleAllowAnnotation(t *testing.T) {
 	root := writeModule(t, map[string]string{"util/util.go": staleAnnotated})
-	// Default: warning on stderr, exit stays 0.
-	code, _, stderr := runIn(t, root, "./...")
-	if code != 0 {
-		t.Fatalf("default run: exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale icilint:allow determinism") {
-		t.Fatalf("stale-annotation warning missing: %s", stderr)
-	}
-	// -strict-allow: the stale annotation is a finding.
-	code, stdout, _ := runIn(t, root, "-strict-allow", "./...")
+	code, stdout, _ := runIn(t, root, "./...")
 	if code != 1 {
-		t.Fatalf("-strict-allow run: exit = %d, want 1", code)
+		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "[icilint]") || !strings.Contains(stdout, "stale icilint:allow determinism") {
+	if !strings.Contains(stdout, "util/util.go:3:1: [icilint]") || !strings.Contains(stdout, "stale icilint:allow determinism") {
 		t.Fatalf("stale annotation not reported as finding:\n%s", stdout)
-	}
-	// -strict-allow -fix deletes the annotation; the tree is then clean.
-	if code, _, stderr := runIn(t, root, "-strict-allow", "-fix", "./..."); code != 1 {
-		t.Fatalf("fix pass: exit = %d, want 1; stderr: %s", code, stderr)
-	}
-	fixed, err := os.ReadFile(filepath.Join(root, "util", "util.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(fixed), "icilint:allow") {
-		t.Fatalf("stale annotation not deleted:\n%s", fixed)
-	}
-	if code, stdout, stderr := runIn(t, root, "-strict-allow", "./..."); code != 0 {
-		t.Fatalf("after deletion: exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-}
-
-func TestRunStaleSuppressionFileEntry(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"util/util.go":   "package util\n\nfunc Id(x int) int { return x }\n",
-		".icilint-allow": "util/util.go determinism # nothing fires here anymore\n",
-	})
-	code, _, stderr := runIn(t, root, "./...")
-	if code != 0 {
-		t.Fatalf("default run: exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale suppression entry") {
-		t.Fatalf("stale-entry warning missing: %s", stderr)
-	}
-	code, stdout, _ := runIn(t, root, "-strict-allow", "./...")
-	if code != 1 {
-		t.Fatalf("-strict-allow run: exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout, ".icilint-allow:1:") || !strings.Contains(stdout, "stale suppression-file entry") {
-		t.Fatalf("stale entry not reported as finding:\n%s", stdout)
 	}
 }
 
@@ -295,5 +138,136 @@ func TestRunOutputDeterministicallySorted(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(first), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "cluster/clock.go:") || !strings.HasPrefix(lines[1], "core/clock.go:") {
 		t.Fatalf("findings not sorted by file:\n%s", first)
+	}
+}
+
+// seeds is one edit per analyzer of the suite, each to a real package of this
+// module and each re-introducing the bug family its analyzer was written
+// for. An analyzer that stops seeing its own edit fences nothing here, and
+// one with no seed is not in the gate at all: TestSeededEditsAreReported
+// fails on both. edits holds old/new pairs; each old must occur exactly once
+// in file.
+var seeds = []struct {
+	analyzer, file string
+	edits          []string
+}{
+	{"determinism", "internal/core/node.go", []string{
+		"const fetchTimeout = 30 * time.Second\n",
+		"const fetchTimeout = 30 * time.Second\n\nvar started = time.Now()\n"}},
+	{"chunkalias", "internal/storage/store.go", []string{ // PutChunk keeps the caller's buffer
+		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = c\n",
+		"\ts.chunks[c.ID] = c\n"}},
+	{"atomicmix", "internal/metrics/metrics.go", []string{ // the PR-3 Counter: atomic add, bare read
+		"\tv atomic.Int64\n}", "\tv int64\n}",
+		"\tc.v.Add(delta)\n", "\tatomic.AddInt64(&c.v, delta)\n",
+		"{ c.v.Add(1) }", "{ atomic.AddInt64(&c.v, 1) }",
+		"{ return c.v.Load() }", "{ return c.v }"}},
+	{"metricname", "internal/gateway/gateway.go", []string{
+		`reg.Counter("ici.gateway.coalesced")`,
+		`reg.Counter("gateway-coalesced")`}},
+	{"spanbalance", "internal/netx/client.go", []string{ // Client.roundTrip never ends its span
+		"\tsp.SetErr(err)\n\tsp.End()\n",
+		"\tsp.SetErr(err)\n"}},
+	{"goroleak", "internal/netx/client.go", []string{
+		"func (c *Client) Close() error { return c.link.Close() }",
+		"func (c *Client) Close() error { go c.link.Close(); return nil }"}},
+	{"deadline", "internal/netx/client.go", []string{ // Link.exchange blocks on a dead peer
+		"\tif err := l.conn.SetDeadline(time.Now().Add(l.timeout)); err != nil {\n\t\treturn 0, fmt.Errorf(\"netx: arm deadline: %w\", err)\n\t}\n",
+		""}},
+	{"epochres", "internal/netx/client.go", []string{ // distributeBlock places without naming an epoch
+		"cl.base.Owners(seed, idx, cl.replication)",
+		"core.Owners(seed, cl.base.Members, idx, cl.replication)"}},
+}
+
+// TestSeededEditsAreReported applies every seed to a copy of this module's
+// internal/ tree and requires icilint to report each under its analyzer's
+// name, in the edited file, and to report nothing else.
+func TestSeededEditsAreReported(t *testing.T) {
+	src, err := findModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	copyFile := func(rel string) {
+		data, err := os.ReadFile(filepath.Join(src, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, rel), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyFile("go.mod")
+	err = filepath.WalkDir(filepath.Join(src, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			rel, err := filepath.Rel(src, path)
+			if err != nil {
+				return err
+			}
+			copyFile(rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seeded := map[string]bool{} // analyzer names
+	var dirs []string
+	for _, s := range seeds {
+		path := filepath.Join(root, s.file)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for i := 0; i < len(s.edits); i += 2 {
+			if n := strings.Count(text, s.edits[i]); n != 1 {
+				t.Fatalf("%s seed: %q occurs %d times in %s, want 1 — the seeded site moved, re-point the seed", s.analyzer, s.edits[i], n, s.file)
+			}
+			text = strings.Replace(text, s.edits[i], s.edits[i+1], 1)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seeded[s.analyzer] = true
+		if dir := "./" + filepath.Dir(s.file); !slices.Contains(dirs, dir) {
+			dirs = append(dirs, dir)
+		}
+	}
+	for _, a := range analyzers.All() {
+		if !seeded[a.Name] {
+			t.Errorf("analyzer %s has no seeded real-tree edit: name the edit it catches or retire it", a.Name)
+		}
+	}
+
+	code, stdout, stderr := runIn(t, root, dirs...)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s%s", code, stdout, stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	for _, s := range seeds {
+		hit := func(line string) bool {
+			return strings.HasPrefix(line, s.file+":") && strings.Contains(line, "["+s.analyzer+"]")
+		}
+		if !slices.ContainsFunc(lines, hit) {
+			t.Errorf("%s does not report its seeded edit to %s", s.analyzer, s.file)
+		}
+		lines = slices.DeleteFunc(lines, hit)
+	}
+	if len(lines) > 0 {
+		t.Errorf("findings no seed accounts for:\n%s", strings.Join(lines, "\n"))
 	}
 }

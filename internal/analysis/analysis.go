@@ -1,17 +1,11 @@
 // Package analysis is the repo's static-analysis framework: a small,
 // dependency-free re-statement of the golang.org/x/tools/go/analysis shape
-// (Analyzer, Pass, Diagnostic) plus the package loader, the
-// `//icilint:allow` annotation grammar, and the suppression-file format the
-// cmd/icilint driver consumes.
+// (Analyzer, Pass, Diagnostic) plus the package loader and the
+// `//icilint:allow` annotation grammar the cmd/icilint driver consumes.
 //
-// The framework exists because the repo's last three PRs each shipped a bug
-// family that a repo-specific analyzer catches mechanically: chunk-slice
-// aliasing in storage.Store (PR 2), atomic/plain mixed Counter access and
-// cross-round retrieve bookkeeping corruption (PR 3), and wall-clock leaks
-// that break the "seeded runs produce byte-identical span forests"
-// guarantee. The analyzers themselves live in analysis/analyzers; each one
-// encodes exactly one of those historical bug families and carries
-// analysistest golden fixtures reproducing it.
+// The analyzers themselves live in analysis/analyzers; each one encodes a
+// bug family this repo shipped and carries analysistest golden fixtures
+// reproducing it.
 //
 // The x/tools module is deliberately not imported: everything here is built
 // on go/ast, go/types, and the stdlib source importer, so the suite builds
@@ -30,8 +24,8 @@ import (
 // category), one-paragraph documentation, and the Run function applied to
 // each loaded package.
 type Analyzer struct {
-	// Name identifies the analyzer in output, in `//icilint:allow Name(...)`
-	// annotations, and in suppression-file entries. Lower-case, no spaces.
+	// Name identifies the analyzer in output and in
+	// `//icilint:allow Name(...)` annotations. Lower-case, no spaces.
 	Name string
 	// Doc is the human-readable description `icilint -list` prints: first
 	// line is the summary, the rest is detail.
@@ -49,12 +43,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Sources maps each file name (exactly as it appears in Fset
-	// positions) to the raw bytes the loader parsed — the substrate for
-	// byte-offset SuggestedFix edits and NodeText.
-	Sources map[string][]byte
-	facts   *FactStore
-	report  func(Diagnostic)
+	report    func(Diagnostic)
 }
 
 // Reportf records a finding at pos.
@@ -66,71 +55,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a finding at pos carrying one suggested fix, which
-// `icilint -fix` can apply mechanically.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer:       p.Analyzer.Name,
-		Pos:            p.Fset.Position(pos),
-		Message:        fmt.Sprintf(format, args...),
-		SuggestedFixes: []SuggestedFix{fix},
-	})
-}
-
-// NodeText returns the exact source text of n, or "" if the file's bytes
-// are unavailable (e.g. a Pass constructed without Sources).
-func (p *Pass) NodeText(n ast.Node) string {
-	start, end := p.Fset.Position(n.Pos()), p.Fset.Position(n.End())
-	src, ok := p.Sources[start.Filename]
-	if !ok || start.Offset < 0 || end.Offset > len(src) || start.Offset > end.Offset {
-		return ""
-	}
-	return string(src[start.Offset:end.Offset])
-}
-
-// ReplaceNode builds a TextEdit swapping n's source text for newText.
-// The bool is false when the file's bytes are unavailable.
-func (p *Pass) ReplaceNode(n ast.Node, newText string) (TextEdit, bool) {
-	start, end := p.Fset.Position(n.Pos()), p.Fset.Position(n.End())
-	if _, ok := p.Sources[start.Filename]; !ok {
-		return TextEdit{}, false
-	}
-	return TextEdit{File: start.Filename, Start: start.Offset, End: end.Offset, NewText: newText}, true
-}
-
-// ExportObjectFact attaches f to obj under this analyzer's name, for
-// import while analyzing downstream packages (RunPackages runs the
-// dependency closure in import order, so exporters always run before
-// importers). Passing an object that cannot carry facts — nil, a
-// builtin, a method on an unnamed receiver — or an unmarshalable fact is
-// an analyzer bug and panics.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts == nil {
-		return // single-package Run: facts have no consumers
-	}
-	if err := p.facts.export(p.Analyzer.Name, obj, f); err != nil {
-		panic(fmt.Sprintf("analyzer %s: %v", p.Analyzer.Name, err))
-	}
-}
-
-// ImportObjectFact fills f with the fact of f's dynamic type that this
-// analyzer exported for obj, reporting whether one exists.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.lookup(p.Analyzer.Name, obj, f)
-}
-
 // Diagnostic is one finding, positioned and attributed to its analyzer.
 type Diagnostic struct {
-	Analyzer       string         `json:"analyzer"`
-	Pos            token.Position `json:"-"`
-	File           string         `json:"file"`
-	Line           int            `json:"line"`
-	Column         int            `json:"column"`
-	Message        string         `json:"message"`
-	SuggestedFixes []SuggestedFix `json:"suggested_fixes,omitempty"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String renders the go-vet-style one-liner.
@@ -138,91 +67,20 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// fill populates the flattened JSON position fields from Pos.
-func (d *Diagnostic) fill() {
-	d.File, d.Line, d.Column = d.Pos.Filename, d.Pos.Line, d.Pos.Column
-}
-
-// NewDiagnostic builds a fully-filled diagnostic. The icilint driver uses
-// it for findings that originate outside any analyzer pass, such as stale
-// suppression-file entries under -strict-allow.
-func NewDiagnostic(analyzer string, pos token.Position, message string) Diagnostic {
-	d := Diagnostic{Analyzer: analyzer, Pos: pos, Message: message}
-	d.fill()
-	return d
-}
-
-// AllowRecord pairs one parsed `//icilint:allow` annotation with the
-// number of diagnostics it suppressed during the run. Matched == 0 means
-// the annotation is stale: the condition it excuses no longer fires.
-type AllowRecord struct {
-	Allow
-	Matched int
-}
-
-// Result is the outcome of RunPackages.
-type Result struct {
-	// Diagnostics are the surviving findings for the requested packages,
-	// globally sorted by file/line/column/analyzer/message.
-	Diagnostics []Diagnostic
-	// Allows records every annotation seen in the requested packages with
-	// its suppression count, for stale-allow reporting.
-	Allows []AllowRecord
-	// Facts is the fact store the run populated (the one passed in, or a
-	// fresh store when nil was given).
-	Facts *FactStore
-}
-
-// RunPackages applies the analyzers to pkgs and every module-internal
-// dependency the loader type-checked on their behalf, in import
-// dependency order, sharing facts across the whole run — so an analyzer
-// can export a fact about core.Store while analyzing internal/core and
-// import it back while analyzing internal/gateway. Diagnostics and allow
-// records are collected only for the requested packages; dependencies
-// run facts-only. A nil facts store starts empty; passing a decoded
-// store replays facts from a previous loader pass.
-func RunPackages(l *Loader, pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Result, error) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
+// Run applies the analyzers to each package, filters findings through the
+// package's `//icilint:allow` annotations, and returns what survives sorted
+// by position. Two kinds of finding come from the annotations themselves,
+// under the pseudo-analyzer "icilint": a malformed or wrong-category
+// annotation, so a misspelled allow can never silently suppress anything,
+// and a stale one — an allow that suppressed nothing, because the condition
+// it excuses no longer fires.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	requested := make(map[string]bool, len(pkgs))
-	for _, p := range pkgs {
-		requested[p.Path] = true
-	}
-
-	// Dependency closure over packages this loader loaded (module-internal
-	// imports; the stdlib never carries facts), in deps-first postorder.
-	var order []*Package
-	inClosure := map[string]bool{}
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if inClosure[p.Path] {
-			return
-		}
-		inClosure[p.Path] = true
-		imps := p.Types.Imports()
-		paths := make([]string, 0, len(imps))
-		for _, imp := range imps {
-			paths = append(paths, imp.Path())
-		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			if dep := l.Loaded(path); dep != nil {
-				visit(dep)
-			}
-		}
-		order = append(order, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-
-	res := &Result{Facts: facts}
-	for _, pkg := range order {
+	var kept []Diagnostic
+	for _, pkg := range pkgs {
 		var diags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -231,99 +89,39 @@ func RunPackages(l *Loader, pkgs []*Package, analyzers []*Analyzer, facts *FactS
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Sources:   pkg.Sources,
-				facts:     facts,
 				report:    func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
 			}
 		}
-		if !requested[pkg.Path] {
-			continue // dependency analyzed for facts only
-		}
 		var allows []Allow
 		for _, f := range pkg.Files {
 			fileAllows, errs := ParseAllows(pkg.Fset, f, known)
 			allows = append(allows, fileAllows...)
-			diags = append(diags, errs...)
+			kept = append(kept, errs...)
 		}
-		matched := make([]int, len(allows))
+		matched := make([]bool, len(allows))
 		for _, d := range diags {
-			if d.Analyzer != allowErrAnalyzer {
-				if i := suppressIndex(d, allows); i >= 0 {
-					matched[i]++
-					continue
-				}
+			if i := suppressIndex(d, allows); i >= 0 {
+				matched[i] = true
+				continue
 			}
-			d.fill()
-			res.Diagnostics = append(res.Diagnostics, d)
+			kept = append(kept, d)
 		}
 		for i, a := range allows {
-			res.Allows = append(res.Allows, AllowRecord{Allow: a, Matched: matched[i]})
+			if !matched[i] {
+				kept = append(kept, staleAllow(a))
+			}
 		}
 	}
-	SortDiagnostics(res.Diagnostics)
-	sort.Slice(res.Allows, func(i, j int) bool {
-		a, b := res.Allows[i], res.Allows[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.FromLine != b.FromLine {
-			return a.FromLine < b.FromLine
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return res, nil
-}
-
-// Run applies the analyzers to one package in isolation, filters findings
-// through the package's `//icilint:allow` annotations, and returns the
-// surviving diagnostics sorted by position. Malformed or wrong-category
-// annotations surface as diagnostics of the pseudo-analyzer "icilint" so
-// a misspelled allow can never silently suppress anything. Cross-package
-// facts are inert here — use RunPackages for the fact-aware run.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Sources:   pkg.Sources,
-			report:    func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
-		}
-	}
-	var allows []Allow
-	for _, f := range pkg.Files {
-		fileAllows, errs := ParseAllows(pkg.Fset, f, known)
-		allows = append(allows, fileAllows...)
-		diags = append(diags, errs...)
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if d.Analyzer != allowErrAnalyzer && suppressed(d, allows) {
-			continue
-		}
-		d.fill()
-		kept = append(kept, d)
-	}
-	SortDiagnostics(kept)
+	sortDiagnostics(kept)
 	return kept, nil
 }
 
-// SortDiagnostics orders findings by file, line, column, analyzer, and
-// message — the byte-stable order every icilint output mode emits.
-func SortDiagnostics(ds []Diagnostic) {
+// sortDiagnostics orders findings by file, line, column, analyzer, and
+// message — the byte-stable order icilint prints.
+func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -14,20 +14,11 @@
 // no matching want, and wants with no matching diagnostic, fail the test.
 // `//icilint:allow` annotations are honored exactly as in the real driver,
 // so fixtures can (and do) pin the suppression behavior too.
-//
-// Packages run through analysis.RunPackages in the order given, sharing
-// one fact store — list fact-exporting dependency fixtures before their
-// consumers to exercise cross-package analyzers.
-//
-// If a fixture file F.go has a sibling F.go.golden.fixed, the harness
-// additionally applies the diagnostics' suggested fixes to F.go and
-// requires the result to equal the golden file byte-for-byte, pinning
-// the -fix output.
 package analysistest
 
 import (
 	"go/token"
-	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -36,8 +27,7 @@ import (
 )
 
 // Run loads each fixture package under dir/src and applies a to it,
-// comparing diagnostics with the fixtures' want comments and suggested
-// fixes with any .golden.fixed siblings.
+// comparing diagnostics with the fixtures' want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	loader, err := analysis.NewFixtureLoader(dir + "/src")
@@ -52,54 +42,17 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	res, err := analysis.RunPackages(loader, pkgs, []*analysis.Analyzer{a}, nil)
+	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
-	perPkg := map[string][]analysis.Diagnostic{}
-	for _, d := range res.Diagnostics {
-		perPkg[pkgDirOf(pkgs, d.File)] = append(perPkg[pkgDirOf(pkgs, d.File)], d)
+	perDir := map[string][]analysis.Diagnostic{}
+	for _, d := range diags {
+		dir := filepath.Dir(d.Pos.Filename)
+		perDir[dir] = append(perDir[dir], d)
 	}
 	for _, pkg := range pkgs {
-		checkWants(t, pkg, perPkg[pkg.Dir])
-	}
-	checkGoldenFixed(t, pkgs, res.Diagnostics)
-}
-
-// pkgDirOf attributes a diagnostic file to its fixture package directory.
-func pkgDirOf(pkgs []*analysis.Package, file string) string {
-	for _, p := range pkgs {
-		if _, ok := p.Sources[file]; ok {
-			return p.Dir
-		}
-	}
-	return ""
-}
-
-// checkGoldenFixed applies the run's suggested fixes and compares every
-// file that has a .golden.fixed sibling against it.
-func checkGoldenFixed(t *testing.T, pkgs []*analysis.Package, diags []analysis.Diagnostic) {
-	t.Helper()
-	sources := map[string][]byte{}
-	for _, p := range pkgs {
-		for name, src := range p.Sources {
-			sources[name] = src
-		}
-	}
-	changed, _, _ := analysis.ApplyFixes(diags, sources)
-	for name := range sources {
-		golden, err := os.ReadFile(name + ".golden.fixed")
-		if err != nil {
-			continue // no golden: fixes for this file (if any) unchecked
-		}
-		got, ok := changed[name]
-		if !ok {
-			got = sources[name]
-		}
-		if string(got) != string(golden) {
-			t.Errorf("%s: applying suggested fixes does not match %s.golden.fixed\n--- got ---\n%s\n--- want ---\n%s",
-				name, name, got, golden)
-		}
+		checkWants(t, pkg, perDir[pkg.Dir])
 	}
 }
 

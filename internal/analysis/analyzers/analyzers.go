@@ -1,33 +1,9 @@
 // Package analyzers holds the repo-specific invariant checkers cmd/icilint
 // runs. Each analyzer encodes one bug family this repo actually shipped and
-// carries golden fixtures (testdata/src) reproducing the historical bug:
-//
-//   - determinism: wall clocks / global math/rand / multi-channel selects in
-//     simulation-reachable packages (the seeded-run byte-identity guarantee)
-//   - chunkalias:  storing or returning caller-shared []byte buffers
-//     without a copy (the PR-2 storage.Store copy-on-put bug)
-//   - atomicmix:   fields accessed both atomically and plainly, and lock-
-//     bearing values passed by value (the PR-3 Counter bug)
-//   - metricname:  metrics.Registry names must be literals matching the
-//     repo's namespace, so Snapshot/CSV output stays stable and greppable
-//   - spanbalance: every trace span started must be ended on all paths, so
-//     the Ring recorder's per-phase summaries never undercount
-//
-// The v2 suite adds five dataflow-powered analyzers (built on the
-// analysis/cfg control-flow graphs and the cross-package facts layer),
-// each encoding a PR 5–8 bug family:
-//
-//   - poolreturn: pooled event structs released on every path and never
-//     touched after release (the PR-5 event-engine free-list bugs)
-//   - goroleak:   goroutines joined via WaitGroup or done channel before
-//     Close/Wait returns (the PR-6 pipe-drain truncation)
-//   - deadline:   conn Read/Write dominated by a SetDeadline arm on all
-//     paths (the PR-7 roundTrip hang)
-//   - epochres:   rendezvous placement goes through the epoch type, so
-//     every decision names its epoch (the PR-8 stale-placement bug)
-//   - aliasflow:  cross-package aliasing chains via RetainsFact /
-//     ReturnsAliasFact (the PR-2 family recurring across package
-//     boundaries)
+// carries golden fixtures (testdata/src) reproducing the historical bug.
+// `icilint -list` prints the suite from All, with what each analyzer
+// polices; DESIGN.md "Static analysis" keeps the ledger of the real-tree
+// edit each one is known to catch.
 package analyzers
 
 import (
@@ -45,11 +21,9 @@ func All() []*analysis.Analyzer {
 		AtomicMix,
 		MetricName,
 		SpanBalance,
-		PoolReturn,
 		GoroLeak,
 		Deadline,
 		EpochRes,
-		AliasFlow,
 	}
 }
 

@@ -69,17 +69,8 @@ func runChunkAlias(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			storeSide(pass, fd, func(at ast.Expr, src *aliasParam) {
-				reportStore(pass, at, src)
-			})
-			readSide(pass, fd, func(res ast.Expr, sel *ast.SelectorExpr) {
-				const format = "returning internal buffer %s without copy-on-read; callers can mutate stored state — return append([]byte(nil), %s...) or annotate icilint:allow chunkalias(reason)"
-				if fix, ok := copyFix(pass, res); ok {
-					pass.ReportFix(res.Pos(), fix, format, exprString(sel), exprString(sel))
-					return
-				}
-				pass.Reportf(res.Pos(), format, exprString(sel), exprString(sel))
-			})
+			storeSide(pass, fd)
+			readSide(pass, fd)
 		}
 	}
 	return nil
@@ -87,11 +78,8 @@ func runChunkAlias(pass *analysis.Pass) error {
 
 // --- store side --------------------------------------------------------------
 
-// storeSide runs the store-side detection and hands each violation (a
-// caller-shared buffer stored without copy) to report. Shared with the
-// aliasflow analyzer, which turns the same violations into cross-package
-// RetainsFact exports instead of diagnostics.
-func storeSide(pass *analysis.Pass, fd *ast.FuncDecl, report func(at ast.Expr, src *aliasParam)) {
+// storeSide reports every caller-shared buffer fd stores without a copy.
+func storeSide(pass *analysis.Pass, fd *ast.FuncDecl) {
 	params := collectAliasParams(pass, fd)
 	if len(params) == 0 {
 		return
@@ -137,11 +125,11 @@ func storeSide(pass *analysis.Pass, fd *ast.FuncDecl, report func(at ast.Expr, s
 						continue
 					}
 					if src != nil && direct {
-						report(rhs, src)
+						reportStore(pass, rhs, src)
 					}
 				case *ast.IndexExpr, *ast.StarExpr:
 					if src != nil && direct {
-						report(rhs, src)
+						reportStore(pass, rhs, src)
 					}
 				}
 			}
@@ -271,40 +259,15 @@ func callRooted(e ast.Expr) bool {
 }
 
 func reportStore(pass *analysis.Pass, at ast.Expr, src *aliasParam) {
-	const format = "storing caller-owned buffer of parameter %q without copy; the caller can mutate stored state — copy first (append([]byte(nil), p...)) or annotate icilint:allow chunkalias(reason)"
-	if fix, ok := copyFix(pass, at); ok {
-		pass.ReportFix(at.Pos(), fix, format, src.obj.Name())
-		return
-	}
-	pass.Reportf(at.Pos(), format, src.obj.Name())
-}
-
-// copyFix builds the mechanical copy-on-put/copy-on-read remedy for a
-// stored or returned []byte expression: wrap it in append([]byte(nil),
-// X...). Non-[]byte shapes (whole structs, composite literals) have no
-// single-expression fix and report without one.
-func copyFix(pass *analysis.Pass, at ast.Expr) (analysis.SuggestedFix, bool) {
-	t := pass.TypesInfo.TypeOf(at)
-	if t == nil || !isByteSlice(t) {
-		return analysis.SuggestedFix{}, false
-	}
-	txt := pass.NodeText(at)
-	if txt == "" {
-		return analysis.SuggestedFix{}, false
-	}
-	edit, ok := pass.ReplaceNode(at, "append([]byte(nil), "+txt+"...)")
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	return analysis.SuggestedFix{Message: "copy the buffer instead of sharing it", Edits: []analysis.TextEdit{edit}}, true
+	pass.Reportf(at.Pos(),
+		"storing caller-owned buffer of parameter %q without copy; the caller can mutate stored state — copy first (append([]byte(nil), p...)) or annotate icilint:allow chunkalias(reason)",
+		src.obj.Name())
 }
 
 // --- read side ---------------------------------------------------------------
 
-// readSide runs the read-side detection and hands each violation (an
-// internal []byte field returned without copy) to report. Shared with
-// the aliasflow analyzer's ReturnsAliasFact export.
-func readSide(pass *analysis.Pass, fd *ast.FuncDecl, report func(res ast.Expr, sel *ast.SelectorExpr)) {
+// readSide reports every internal []byte field fd returns without a copy.
+func readSide(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return
 	}
@@ -332,7 +295,9 @@ func readSide(pass *analysis.Pass, fd *ast.FuncDecl, report func(res ast.Expr, s
 		}
 		for _, res := range ret.Results {
 			if sel := receiverByteField(pass.TypesInfo, res, recvObj); sel != nil {
-				report(res, sel)
+				pass.Reportf(res.Pos(),
+					"returning internal buffer %s without copy-on-read; callers can mutate stored state — return append([]byte(nil), %s...) or annotate icilint:allow chunkalias(reason)",
+					exprString(sel), exprString(sel))
 			}
 		}
 		return true

@@ -223,7 +223,7 @@ func checkDeadline(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return bits
 	}
-	in := g.Solve(transfer, cfg.Intersect, 0)
+	in := g.Solve(transfer, 0)
 
 	// Report the first unarmed I/O event per value.
 	first := map[connKey]connEvent{}

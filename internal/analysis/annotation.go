@@ -36,21 +36,13 @@ import (
 const allowErrAnalyzer = "icilint"
 
 // Allow is one parsed suppression: category, justification, and the line
-// span it covers, plus enough comment geometry to delete the annotation
-// mechanically when it goes stale.
+// span it covers.
 type Allow struct {
 	Analyzer string
 	Reason   string
 	File     string
 	FromLine int // first line of the comment group
 	ToLine   int // last covered line (line after the comment group)
-	// CommentStart/CommentEnd are the byte offsets of the whole comment
-	// carrying this clause; Clauses is how many clauses share that
-	// comment. A stale-allow deletion fix removes the comment only when it
-	// holds a single clause — multi-clause comments need a hand edit.
-	CommentStart int
-	CommentEnd   int
-	Clauses      int
 }
 
 // allowMarker matches the annotation lead-in; gofmt may normalize `//x` to
@@ -67,13 +59,11 @@ func ParseAllows(fset *token.FileSet, f *ast.File, known map[string]bool) ([]All
 	var allows []Allow
 	var errs []Diagnostic
 	reportErr := func(pos token.Pos, format string, args ...any) {
-		d := Diagnostic{
+		errs = append(errs, Diagnostic{
 			Analyzer: allowErrAnalyzer,
 			Pos:      fset.Position(pos),
 			Message:  fmt.Sprintf(format, args...),
-		}
-		d.fill()
-		errs = append(errs, d)
+		})
 	}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -87,7 +77,6 @@ func ParseAllows(fset *token.FileSet, f *ast.File, known map[string]bool) ([]All
 				continue
 			}
 			start, end := fset.Position(c.Pos()), fset.Position(c.End())
-			var commentAllows []Allow
 			for rest != "" {
 				cm := allowClause.FindStringSubmatch(rest)
 				if cm == nil {
@@ -101,22 +90,16 @@ func ParseAllows(fset *token.FileSet, f *ast.File, known map[string]bool) ([]All
 				case reason == "":
 					reportErr(c.Pos(), "icilint:allow %s() needs a non-empty reason", name)
 				default:
-					commentAllows = append(commentAllows, Allow{
-						Analyzer:     name,
-						Reason:       reason,
-						File:         start.Filename,
-						FromLine:     start.Line,
-						ToLine:       end.Line + 1,
-						CommentStart: start.Offset,
-						CommentEnd:   end.Offset,
+					allows = append(allows, Allow{
+						Analyzer: name,
+						Reason:   reason,
+						File:     start.Filename,
+						FromLine: start.Line,
+						ToLine:   end.Line + 1,
 					})
 				}
 				rest = rest[len(cm[0]):]
 			}
-			for i := range commentAllows {
-				commentAllows[i].Clauses = len(commentAllows)
-			}
-			allows = append(allows, commentAllows...)
 		}
 	}
 	return allows, errs
@@ -131,14 +114,9 @@ func knownNames(known map[string]bool) string {
 	return strings.Join(names, ", ")
 }
 
-// suppressed reports whether d falls inside an allow for its analyzer.
-func suppressed(d Diagnostic, allows []Allow) bool {
-	return suppressIndex(d, allows) >= 0
-}
-
 // suppressIndex returns the index of the allow covering d, or -1.
-// RunPackages uses the index to count matches per annotation, which is
-// what makes stale allows detectable. Among several covering allows the
+// Run uses the index to mark which annotation matched, which is what makes
+// stale allows detectable. Among several covering allows the
 // CLOSEST one (largest FromLine) gets the credit: with trailing
 // annotations on adjacent lines, the previous line's allow also spans
 // this line, and crediting it would mark this line's own annotation
@@ -156,39 +134,12 @@ func suppressIndex(d Diagnostic, allows []Allow) int {
 	return best
 }
 
-// StaleAllowFix builds the edit that deletes a stale allow annotation
-// from its file: the whole comment when it sits alone on a line (eating
-// the trailing newline so no blank line is left behind), or the comment
-// plus the separating whitespace when it trails code. Multi-clause
-// comments are refused — removing one clause mechanically would disturb
-// the others, so those get a diagnostic without a fix.
-// StaleAllowDiagnostic converts a stale allow annotation into an
-// "icilint" diagnostic for -strict-allow runs, attaching the deletion fix
-// when removing the comment is mechanical.
-func StaleAllowDiagnostic(a Allow, src []byte) Diagnostic {
-	d := Diagnostic{
+// staleAllow is the finding for an annotation that suppressed nothing.
+func staleAllow(a Allow) Diagnostic {
+	return Diagnostic{
 		Analyzer: allowErrAnalyzer,
 		Pos:      token.Position{Filename: a.File, Line: a.FromLine, Column: 1},
 		Message: fmt.Sprintf("stale icilint:allow %s(%s): no diagnostic matched this annotation; delete it or re-check the reason",
 			a.Analyzer, a.Reason),
 	}
-	if fix, ok := StaleAllowFix(src, a); ok {
-		d.SuggestedFixes = []SuggestedFix{{Message: "delete stale allow annotation", Edits: []TextEdit{fix}}}
-	}
-	d.fill()
-	return d
-}
-
-func StaleAllowFix(src []byte, a Allow) (TextEdit, bool) {
-	if a.Clauses != 1 || a.CommentStart < 0 || a.CommentEnd > len(src) || a.CommentStart >= a.CommentEnd {
-		return TextEdit{}, false
-	}
-	start, end := a.CommentStart, a.CommentEnd
-	for start > 0 && (src[start-1] == ' ' || src[start-1] == '\t') {
-		start--
-	}
-	if (start == 0 || src[start-1] == '\n') && end < len(src) && src[end] == '\n' {
-		end++ // comment owned the whole line: remove it entirely
-	}
-	return TextEdit{File: a.File, Start: start, End: end}, true
 }

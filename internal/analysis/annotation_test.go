@@ -17,6 +17,11 @@ var testKnown = map[string]bool{
 	"spanbalance": true,
 }
 
+// suppressed reports whether d falls inside an allow for its analyzer.
+func suppressed(d Diagnostic, allows []Allow) bool {
+	return suppressIndex(d, allows) >= 0
+}
+
 func parseForAllows(t *testing.T, src string) (*token.FileSet, *ast.File) {
 	t.Helper()
 	fset := token.NewFileSet()

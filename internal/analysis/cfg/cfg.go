@@ -1,16 +1,12 @@
 // Package cfg builds per-function control-flow graphs from go/ast and
-// solves forward dataflow problems over them. It is the flow-sensitive
-// backbone of the icilint v2 analyzers: the PR 5-8 bug families (unarmed
-// wire deadlines, pooled events used after release, stale-roster
-// placement) are path properties that the purely syntactic PR 4 walkers
-// could not see.
+// solves forward must-dataflow problems over them. It is the flow-sensitive
+// backbone of the deadline analyzer: an unarmed wire deadline is a path
+// property that a purely syntactic walker cannot see.
 //
 // The graph is statement-granular: every Block holds the AST nodes that
 // execute in it, in execution order, so an analyzer can refine a block's
 // transfer function by scanning Nodes sequentially (an arm followed by a
-// read inside one block is armed; the reverse is not). Panic-terminated
-// blocks are marked so must-analyses can exclude them from "on all paths"
-// obligations.
+// read inside one block is armed; the reverse is not).
 //
 // Like the rest of internal/analysis, this restates the slice of
 // golang.org/x/tools (go/cfg, go/ssa's dominance idioms) the repo needs,
@@ -30,14 +26,9 @@ type Block struct {
 	// block, in execution order. An *ast.IfStmt contributes its Init and
 	// Cond here; its branches are separate blocks.
 	Nodes []ast.Node
-	// Succs and Preds are the control-flow edges.
+	// Succs and Preds are the control-flow edges. A block ending in a
+	// return or a call to panic has no successors.
 	Succs, Preds []*Block
-	// Return marks a block ending in an *ast.ReturnStmt (or falling off
-	// the end of the function body).
-	Return bool
-	// Panics marks a block ending in a call to panic: the function exits
-	// abnormally here, so must-release/must-arm obligations do not apply.
-	Panics bool
 }
 
 // CFG is the control-flow graph of one function body.
@@ -89,10 +80,6 @@ func New(body *ast.BlockStmt) *CFG {
 	entry := b.newBlock()
 	b.cur = entry
 	b.stmtList(body.List)
-	// Falling off the end of the body is an implicit return.
-	if b.cur != nil {
-		b.cur.Return = true
-	}
 	for _, pg := range b.gotos {
 		if li, ok := b.labels[pg.label]; ok {
 			b.edgeFrom(pg.from, li.block)
@@ -303,17 +290,11 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		b.add(s)
-		if b.cur != nil {
-			b.cur.Return = true
-		}
 		b.cur = nil
 
 	case *ast.ExprStmt:
 		b.add(s)
 		if isPanic(s.X) {
-			if b.cur != nil {
-				b.cur.Panics = true
-			}
 			b.cur = nil
 		}
 

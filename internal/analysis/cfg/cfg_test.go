@@ -164,9 +164,6 @@ func TestReturnTerminates(t *testing.T) {
 		}
 		late()`)
 	eb, lb := blockWithCall(t, g, "early"), blockWithCall(t, g, "late")
-	if !eb.Return {
-		t.Fatalf("block with return not marked Return")
-	}
 	if reaches(eb, lb) {
 		t.Fatalf("return must not fall through to following code")
 	}
@@ -178,16 +175,7 @@ func TestPanicMarksBlock(t *testing.T) {
 			panic("boom")
 		}
 		late()`)
-	var panicky *Block
-	for _, b := range g.Blocks {
-		if b.Panics {
-			panicky = b
-		}
-	}
-	if panicky == nil {
-		t.Fatalf("no block marked Panics")
-	}
-	if reaches(panicky, blockWithCall(t, g, "late")) {
+	if reaches(blockWithCall(t, g, "panic"), blockWithCall(t, g, "late")) {
 		t.Fatalf("panic must not fall through")
 	}
 }
@@ -291,13 +279,12 @@ func TestMustAnalysisDeadlineShape(t *testing.T) {
 	const armed = 0
 	run := func(body string) (inAtRead Bits) {
 		g := build(t, body)
-		in := g.SolveGenKill(func(b *Block) GenKill {
-			var gk GenKill
+		in := g.Solve(func(b *Block, in Bits) Bits {
 			if hasCall(b, "arm") {
-				gk.Gen = gk.Gen.With(armed)
+				in = in.With(armed)
 			}
-			return gk
-		}, Intersect, 0)
+			return in
+		}, 0)
 		rb := blockWithCall(t, g, "read")
 		return in[rb.Index]
 	}
@@ -332,28 +319,6 @@ func TestMustAnalysisDeadlineShape(t *testing.T) {
 		}`)
 	if !in.Has(armed) {
 		t.Fatalf("fact armed before a loop must hold inside it")
-	}
-}
-
-// TestMayAnalysisReleaseShape runs the poolreturn lattice: fact 0 is
-// "released"; Union meet means a release on any path taints later uses.
-func TestMayAnalysisReleaseShape(t *testing.T) {
-	const released = 0
-	g := build(t, `
-		if cond() {
-			release()
-		}
-		use()`)
-	in := g.SolveGenKill(func(b *Block) GenKill {
-		var gk GenKill
-		if hasCall(b, "release") {
-			gk.Gen = gk.Gen.With(released)
-		}
-		return gk
-	}, Union, 0)
-	ub := blockWithCall(t, g, "use")
-	if !in[ub.Index].Has(released) {
-		t.Fatalf("release on one path must reach the use under a Union meet")
 	}
 }
 

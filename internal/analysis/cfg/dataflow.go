@@ -1,10 +1,9 @@
 package cfg
 
 // Forward dataflow over the CFG: a reverse-postorder worklist driving
-// per-block transfer functions to a fixpoint, plus the small gen/kill
-// bitvector lattice the icilint analyzers share. Up to 64 facts per
-// problem — a per-function cap the analyzers never approach (they track
-// one armed-deadline bit or one released-bit per pooled variable).
+// per-block transfer functions to a fixpoint over a small bitvector
+// lattice. Up to 64 facts per problem — a per-function cap the deadline
+// analyzer never approaches (one armed bit per connection value).
 
 // Bits is a set of dataflow facts, one per bit.
 type Bits uint64
@@ -18,42 +17,14 @@ func (b Bits) With(i int) Bits { return b | 1<<uint(i) }
 // Without returns the set minus fact i.
 func (b Bits) Without(i int) Bits { return b &^ (1 << uint(i)) }
 
-// GenKill is one block's transfer function in the classic form:
-// out = (in &^ Kill) | Gen.
-type GenKill struct {
-	Gen, Kill Bits
-}
-
-// Apply runs the transfer function on an input state.
-func (gk GenKill) Apply(in Bits) Bits { return (in &^ gk.Kill) | gk.Gen }
-
-// Meet selects how predecessor states combine at a block entry.
-type Meet int
-
-const (
-	// Union is the may-analysis meet: a fact holds at entry if it held at
-	// the exit of ANY predecessor (e.g. "the event may already be
-	// released here").
-	Union Meet = iota
-	// Intersect is the must-analysis meet: a fact holds at entry only if
-	// it held at the exit of EVERY predecessor (e.g. "a deadline is armed
-	// on all paths reaching this read").
-	Intersect
-)
-
-// SolveGenKill runs the worklist to a fixpoint and returns the entry
-// state of every block (indexed by Block.Index). gk supplies each block's
-// transfer function; entryIn seeds the function entry block. For
-// Intersect problems, unvisited predecessors start at top (all facts),
-// the standard optimistic initialization.
-func (g *CFG) SolveGenKill(gk func(*Block) GenKill, meet Meet, entryIn Bits) []Bits {
-	return g.Solve(func(b *Block, in Bits) Bits { return gk(b).Apply(in) }, meet, entryIn)
-}
-
-// Solve is SolveGenKill with an arbitrary monotone transfer function —
-// for analyzers whose block transfer depends on the incoming state (e.g.
-// reporting a use only when the fact is absent at that point).
-func (g *CFG) Solve(transfer func(*Block, Bits) Bits, meet Meet, entryIn Bits) []Bits {
+// Solve runs a forward must-analysis to a fixpoint and returns the entry
+// state of every block (indexed by Block.Index): a fact holds at a block's
+// entry only if it held at the exit of EVERY predecessor (e.g. "a deadline
+// is armed on all paths reaching this read"). transfer is each block's
+// monotone transfer function; entryIn seeds the function entry block.
+// Unvisited predecessors start at top (all facts), the standard optimistic
+// initialization.
+func (g *CFG) Solve(transfer func(*Block, Bits) Bits, entryIn Bits) []Bits {
 	n := len(g.Blocks)
 	in := make([]Bits, n)
 	out := make([]Bits, n)
@@ -68,7 +39,6 @@ func (g *CFG) Solve(transfer func(*Block, Bits) Bits, meet Meet, entryIn Bits) [
 		order[b.Index] = i
 	}
 
-	top := ^Bits(0)
 	inWork := make([]bool, n)
 	var work []*Block
 	push := func(b *Block) {
@@ -95,30 +65,12 @@ func (g *CFG) Solve(transfer func(*Block, Bits) Bits, meet Meet, entryIn Bits) [
 		work = work[:len(work)-1]
 		inWork[b.Index] = false
 
-		var newIn Bits
-		if b.Index == 0 {
-			newIn = entryIn
-		} else {
-			first := true
+		newIn := entryIn
+		if b.Index != 0 {
+			newIn = ^Bits(0) // top; also what a block with no predecessors (unreachable) keeps
 			for _, p := range b.Preds {
-				po := out[p.Index]
-				if meet == Intersect && !visited[p.Index] {
-					po = top
-				}
-				if first {
-					newIn = po
-					first = false
-					continue
-				}
-				if meet == Union {
-					newIn |= po
-				} else {
-					newIn &= po
-				}
-			}
-			if first { // no predecessors: unreachable
-				if meet == Intersect {
-					newIn = top
+				if visited[p.Index] {
+					newIn &= out[p.Index]
 				}
 			}
 		}

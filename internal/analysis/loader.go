@@ -29,10 +29,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Sources holds the raw bytes of every parsed file, keyed by the file
-	// name as it appears in Fset positions. Suggested fixes are byte
-	// offsets into these exact bytes.
-	Sources map[string][]byte
 }
 
 // The stdlib is type-checked from source exactly once per process and
@@ -191,20 +187,13 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		return nil, fmt.Errorf("loader: %s: %w", importPath, err)
 	}
 	files := make([]*ast.File, 0, len(bp.GoFiles))
-	sources := make(map[string][]byte, len(bp.GoFiles))
 	sort.Strings(bp.GoFiles)
 	for _, name := range bp.GoFiles {
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, fmt.Errorf("loader: %w", err)
-		}
-		f, err := parser.ParseFile(l.Fset, full, src, parser.ParseComments)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %w", err)
 		}
 		files = append(files, f)
-		sources[full] = src
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -219,18 +208,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %w", importPath, err)
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, Sources: sources}
+	pkg := &Package{Path: importPath, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.byPath[importPath] = pkg
 	return pkg, nil
-}
-
-// Loaded returns the already-loaded package with the given import path,
-// or nil. RunPackages uses it to walk the module-internal dependency
-// closure without triggering new loads — the type-checker pulled every
-// internal dependency through Import while the requested packages were
-// loading, so anything absent here is stdlib.
-func (l *Loader) Loaded(importPath string) *Package {
-	return l.byPath[importPath]
 }
 
 // LoadPath loads the package with the given import path (which must be

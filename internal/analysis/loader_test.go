@@ -1,8 +1,6 @@
 package analysis_test
 
 import (
-	"go/ast"
-	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,116 +65,5 @@ func TestLoaderParseErrorIsPositioned(t *testing.T) {
 		t.Fatal("loading a package with a syntax error must fail")
 	} else if !strings.Contains(err.Error(), "bad.go:") {
 		t.Errorf("error does not carry the broken file: %v", err)
-	}
-}
-
-// loaderMarkFact is the fact used by the round-trip test below.
-type loaderMarkFact struct {
-	Tag string `json:"tag"`
-}
-
-func (*loaderMarkFact) AFact() {}
-
-// Facts exported during one loader pass must survive Encode →
-// DecodeFactStore → a FRESH loader in a separate process-equivalent run:
-// the serialized keys are (package path, object key) strings, so a
-// reloaded types.Object for the same function must find its fact again.
-func TestLoaderFactsRoundTripThroughReload(t *testing.T) {
-	files := map[string]string{
-		"dep/dep.go": "package dep\n\nfunc Target() {}\n",
-		"use/use.go": "package use\n\nimport \"tmpmod/dep\"\n\nfunc Use() { dep.Target() }\n",
-	}
-	root := writeModule(t, files)
-
-	exporter := &analysis.Analyzer{
-		Name: "marktest",
-		Doc:  "export a fact for every function named Target",
-		Run: func(pass *analysis.Pass) error {
-			for _, f := range pass.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Name.Name != "Target" {
-						continue
-					}
-					if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-						pass.ExportObjectFact(fn, &loaderMarkFact{Tag: "hit"})
-					}
-				}
-			}
-			return nil
-		},
-	}
-	// The checker deliberately exports nothing: any fact it sees in the
-	// second run can only have come through the decoded store.
-	checker := &analysis.Analyzer{
-		Name: "marktest",
-		Doc:  "report calls to functions carrying a loaderMarkFact",
-		Run: func(pass *analysis.Pass) error {
-			for _, f := range pass.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-					if !ok {
-						return true
-					}
-					var fact loaderMarkFact
-					if pass.ImportObjectFact(fn, &fact) {
-						pass.Reportf(call.Pos(), "call to marked function (tag %s)", fact.Tag)
-					}
-					return true
-				})
-			}
-			return nil
-		},
-	}
-
-	loader1, err := analysis.NewModuleLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depPkgs, err := loader1.Load("./dep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := analysis.NewFactStore()
-	if _, err := analysis.RunPackages(loader1, depPkgs, []*analysis.Analyzer{exporter}, store); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() == 0 {
-		t.Fatal("exporter produced no facts")
-	}
-	enc, err := store.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	decoded, err := analysis.DecodeFactStore(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Len() != store.Len() {
-		t.Fatalf("decoded %d facts, exported %d", decoded.Len(), store.Len())
-	}
-	loader2, err := analysis.NewModuleLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	usePkgs, err := loader2.Load("./use")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := analysis.RunPackages(loader2, usePkgs, []*analysis.Analyzer{checker}, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diagnostics) != 1 || !strings.Contains(res.Diagnostics[0].Message, "tag hit") {
-		t.Fatalf("fact did not survive the reload: diagnostics = %+v", res.Diagnostics)
 	}
 }

@@ -16,7 +16,9 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"icistrategy/internal/blockcrypto"
@@ -151,7 +153,8 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 // fetchBlock gathers every chunk of h — cached chunks locally, the rest
 // batched per owning peer — then reassembles and verifies against the
 // header's Merkle root. Only then do the fetched chunks enter the chunk
-// cache: one that decodes but is wrong fails this read, not every later one.
+// cache: one that decodes but is wrong never serves a later read, and costs
+// this one a second fetch of that chunk from its next owner (refetchUnproven).
 func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 	hdr, err := g.up.Header(h)
 	if err != nil {
@@ -163,6 +166,7 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		return nil, err
 	}
 	got := make([]*netx.ChunkResp, parts)
+	next := make([]int, parts) // for a fetched chunk, the owner rank after the peer that served it
 	var missing []int
 	for idx := 0; idx < parts; idx++ {
 		if v, ok := g.chunks.Get(chunkKey(h, idx)); ok {
@@ -178,7 +182,7 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 			wg.Add(1)
 			go func(idx int) {
 				defer wg.Done()
-				got[idx] = g.fetchChunk(h, idx)
+				got[idx], next[idx] = g.fetchChunk(h, idx, 0)
 			}(idx)
 		}
 		wg.Wait()
@@ -197,17 +201,14 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 	// Reassemble and verify against the trusted header. A chunk cut for
 	// another part count than the map says is refused there, which is how a
 	// stale membership surfaces as an error for GetBlock to refresh on. The
-	// per-transaction proofs a chunk carries are not read: the root of the
-	// whole body is what is checked.
-	groups := make([]core.Group, parts)
-	for idx, c := range got {
-		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, nil); err != nil {
-			return nil, fmt.Errorf("gateway: chunk %d: %w", idx, err)
-		}
+	// root of the whole body is what is checked; the per-transaction proofs
+	// a chunk carries are read only when it breaks, to find the bad copies.
+	b, tree, err := reassemble(hdr, got)
+	if errors.Is(err, chain.ErrBlockBadRoot) && g.refetchUnproven(h, hdr.MerkleRoot, missing, got, next) {
+		b, tree, err = reassemble(hdr, got)
 	}
-	b, tree, err := core.Reassemble(hdr, groups)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: reassembly: %w", err)
+		return nil, err
 	}
 	for _, idx := range missing {
 		payload := *got[idx] // a copy: the batcher hands one response to every reader that wanted it
@@ -217,22 +218,80 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 	return &cachedBlock{block: b, tree: tree}, nil
 }
 
-// fetchChunk tries each owner of (h, idx) in placement order through the
-// batcher, so concurrent misses against the same peer share round trips.
-// nil means no owner produced the chunk.
-func (g *Gateway) fetchChunk(h blockcrypto.Hash, idx int) *netx.ChunkResp {
-	owners, err := g.up.Owners(h, idx)
-	if err != nil {
-		return nil
-	}
-	ref := netx.ChunkRef{Block: h, Index: idx}
-	for _, peer := range owners {
-		chunk, err := g.batch.Fetch(peer, ref)
-		if err == nil && chunk != nil {
-			return chunk
+// reassemble decodes the payload of every chunk and rebuilds the block of
+// hdr from them (core.Reassemble).
+func reassemble(hdr chain.Header, chunks []*netx.ChunkResp) (*chain.Block, *chain.MerkleTree, error) {
+	groups := make([]core.Group, len(chunks))
+	for idx, c := range chunks {
+		var err error
+		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, nil); err != nil {
+			return nil, nil, fmt.Errorf("gateway: chunk %d: %w", idx, err)
 		}
 	}
-	return nil
+	b, tree, err := core.Reassemble(hdr, groups)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gateway: reassembly: %w", err)
+	}
+	return b, tree, nil
+}
+
+// proves reports whether the copy c of a chunk, read with the proofs it
+// carries, is what the block committed to at that position.
+func proves(c *netx.ChunkResp, root blockcrypto.Hash) bool {
+	group, err := core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
+	return err == nil && group.Proves(root) == nil
+}
+
+// refetchUnproven is the fallback of a read whose body broke the root: among
+// the chunks fetched for it (the cached ones were verified when they went
+// in), each copy that does not prove into root is replaced by the first one
+// that does from the owners ranked after the peer that served it, the bad
+// chunks side by side so their fetches batch. It reports whether any chunk
+// was replaced; one with no sound copy left keeps the bad one.
+func (g *Gateway) refetchUnproven(h, root blockcrypto.Hash, fetched []int, got []*netx.ChunkResp, next []int) bool {
+	replaced := make([]bool, len(got))
+	var wg sync.WaitGroup
+	for _, idx := range fetched {
+		if proves(got[idx], root) {
+			continue
+		}
+		wg.Add(1)
+		go func(idx int) {
+			defer wg.Done()
+			for {
+				c, after := g.fetchChunk(h, idx, next[idx])
+				if c == nil {
+					return
+				}
+				next[idx] = after
+				if proves(c, root) {
+					got[idx], replaced[idx] = c, true
+					return
+				}
+			}
+		}(idx)
+	}
+	wg.Wait()
+	return slices.Contains(replaced, true)
+}
+
+// fetchChunk tries the owners of (h, idx) ranked from on in placement order
+// through the batcher, so concurrent misses against the same peer share
+// round trips. It returns the chunk with the rank after the owner that
+// produced it; nil means none of them did.
+func (g *Gateway) fetchChunk(h blockcrypto.Hash, idx, from int) (*netx.ChunkResp, int) {
+	owners, err := g.up.Owners(h, idx)
+	if err != nil {
+		return nil, 0
+	}
+	ref := netx.ChunkRef{Block: h, Index: idx}
+	for rank := from; rank < len(owners); rank++ {
+		chunk, err := g.batch.Fetch(owners[rank], ref)
+		if err == nil && chunk != nil {
+			return chunk, rank + 1
+		}
+	}
+	return nil, 0
 }
 
 // GetTxProof answers a light-client inclusion query: the transaction, the

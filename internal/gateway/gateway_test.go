@@ -20,12 +20,14 @@ import (
 // fakeUpstream holds fully chunked blocks in memory and counts every
 // upstream touch, so tests can assert exactly how much cluster traffic a
 // gateway operation cost. Owners assigns chunk idx to peer idx%n with the
-// remaining peers as fallbacks.
+// next replication-1 peers as fallbacks (every other peer unless a test
+// narrows it).
 type fakeUpstream struct {
-	parts   int
-	headers map[blockcrypto.Hash]chain.Header
-	chunks  map[int]map[netx.ChunkRef]netx.ChunkResp // peer -> ref -> chunk
-	txs     map[blockcrypto.Hash][]*chain.Transaction
+	parts       int
+	replication int
+	headers     map[blockcrypto.Hash]chain.Header
+	chunks      map[int]map[netx.ChunkRef]netx.ChunkResp // peer -> ref -> chunk
+	txs         map[blockcrypto.Hash][]*chain.Transaction
 
 	headerCalls  atomic.Int64
 	batchCalls   atomic.Int64
@@ -53,11 +55,12 @@ func newFakeUpstream(t testing.TB, peers, blocks, txPerBlock int) (*fakeUpstream
 		t.Fatal(err)
 	}
 	u := &fakeUpstream{
-		parts:   peers,
-		headers: make(map[blockcrypto.Hash]chain.Header),
-		chunks:  make(map[int]map[netx.ChunkRef]netx.ChunkResp),
-		txs:     make(map[blockcrypto.Hash][]*chain.Transaction),
-		lost:    make(map[int]map[netx.ChunkRef]bool),
+		parts:       peers,
+		replication: peers,
+		headers:     make(map[blockcrypto.Hash]chain.Header),
+		chunks:      make(map[int]map[netx.ChunkRef]netx.ChunkResp),
+		txs:         make(map[blockcrypto.Hash][]*chain.Transaction),
+		lost:        make(map[int]map[netx.ChunkRef]bool),
 	}
 	for p := 0; p < peers; p++ {
 		u.chunks[p] = make(map[netx.ChunkRef]netx.ChunkResp)
@@ -127,7 +130,7 @@ func (u *fakeUpstream) Refresh() bool {
 }
 
 func (u *fakeUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error) {
-	owners := make([]int, u.parts)
+	owners := make([]int, u.replication)
 	for i := range owners {
 		owners[i] = (idx + i) % u.parts
 	}
@@ -444,17 +447,15 @@ func (u *fakeUpstream) setChunk(peer int, ref netx.ChunkRef, c netx.ChunkResp) {
 // reassembled from it after upstream is sound again.
 func TestBadChunkIsNotCached(t *testing.T) {
 	u, blocks := newFakeUpstream(t, 3, 1, 12)
+	u.replication = 1 // no second owner to fall back to
 	b := blocks[0]
 	g, err := New(Config{Upstream: u, BlockCacheBytes: 0, ChunkCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := netx.ChunkRef{Block: b.Hash(), Index: 1}
-	sound := u.chunks[1][ref] // chunk 1's first owner is peer 1
-	bad := sound
-	bad.Data = append([]byte(nil), sound.Data...)
-	bad.Data[4+2*blockcrypto.HashSize+7] ^= 1 // low byte of the first transaction's amount
-	u.setChunk(1, ref, bad)
+	sound := u.chunks[1][ref] // chunk 1's only owner is peer 1
+	u.setChunk(1, ref, flipAmount(sound))
 
 	if _, err := g.GetBlock(b.Hash()); !errors.Is(err, chain.ErrBlockBadRoot) {
 		t.Fatalf("read through a corrupting member: got %v, want %v", err, chain.ErrBlockBadRoot)
@@ -490,6 +491,70 @@ func TestBadChunkIsNotCached(t *testing.T) {
 	before := u.batchCalls.Load()
 	if _, err := g.GetBlock(b.Hash()); err != nil || u.batchCalls.Load() != before {
 		t.Fatalf("re-read from verified chunks: err %v, upstream batches %d->%d", err, before, u.batchCalls.Load())
+	}
+}
+
+// flipAmount returns c with one bit of its first transaction's amount
+// flipped: a payload that decodes but no longer proves into the root.
+func flipAmount(c netx.ChunkResp) netx.ChunkResp {
+	c.Data = append([]byte(nil), c.Data...)
+	c.Data[4+2*blockcrypto.HashSize+7] ^= 1
+	return c
+}
+
+// TestGatewaySurvivesOneCorruptingMember: replication 2, and one peer
+// serves a flipped payload for every chunk it owns. Every chunk has a sound
+// copy on its other owner, so every read must succeed — paying for the bad
+// copies only: one more batch to the owners ranked after the corrupting
+// peer, for the chunks it served — and the chunk cache must hold the sound
+// payloads, never the flipped ones.
+func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
+	const peers, corrupting = 4, 1
+	u, blocks := newFakeUpstream(t, peers, 3, 16)
+	u.replication = 2
+	for ref, c := range u.chunks[corrupting] {
+		u.setChunk(corrupting, ref, flipAmount(c))
+	}
+	reg := metrics.NewRegistry()
+	g, err := New(Config{Upstream: u, BlockCacheBytes: 0, ChunkCacheBytes: 1 << 20, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		before := u.batchCalls.Load()
+		got, err := g.GetBlock(b.Hash())
+		if err != nil {
+			t.Fatalf("block %d: one corrupting member failed a read every chunk of which has an honest replica: %v", b.Header.Height, err)
+		}
+		if got.Hash() != b.Hash() || got.VerifyShape() != nil {
+			t.Fatalf("block %d reassembled wrong", b.Header.Height)
+		}
+		// One batch per first owner, then one to the second owner of the
+		// one chunk the corrupting peer served first.
+		if calls := u.batchCalls.Load() - before; calls != peers+1 {
+			t.Fatalf("block %d cost %d upstream batches, want %d", b.Header.Height, calls, peers+1)
+		}
+		for idx := 0; idx < peers; idx++ {
+			v, ok := g.chunks.Get(chunkKey(b.Hash(), idx))
+			if !ok {
+				t.Fatalf("chunk %d of a verified block is not cached", idx)
+			}
+			sound := u.chunks[(corrupting+1)%peers][netx.ChunkRef{Block: b.Hash(), Index: idx}]
+			if c := v.(*netx.ChunkResp); !bytes.Equal(c.Data, sound.Data) || c.Proofs != nil {
+				t.Fatalf("cached chunk %d is not the sound payload without proofs", idx)
+			}
+		}
+	}
+	// A sound cluster is read exactly as before the fallback existed: one
+	// batch per owner, no proof looked at, nothing fetched twice.
+	sound, soundBlocks := newFakeUpstream(t, peers, 1, 16)
+	sound.replication = 2
+	g2 := newTestGateway(t, sound, nil, 0)
+	if _, err := g2.GetBlock(soundBlocks[0].Hash()); err != nil {
+		t.Fatal(err)
+	}
+	if calls, refs := sound.batchCalls.Load(), sound.batchRefs.Load(); calls != peers || refs != peers {
+		t.Fatalf("sound read cost %d batches of %d refs, want %d of %d", calls, refs, peers, peers)
 	}
 }
 

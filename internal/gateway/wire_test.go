@@ -12,8 +12,9 @@ import (
 	"icistrategy/internal/workload"
 )
 
-// startCluster launches n real TCP storage servers, distributes blocks
-// across them with replication r, and returns the addresses and blocks.
+// startCluster launches n real TCP storage servers, armed for fault
+// injection, distributes blocks across them with replication r, and returns
+// the addresses and blocks.
 func startCluster(t *testing.T, n, r, blockCount, txPerBlock int) ([]string, []*chain.Block) {
 	t.Helper()
 	addrs := make([]string, n)
@@ -23,6 +24,7 @@ func startCluster(t *testing.T, n, r, blockCount, txPerBlock int) ([]string, []*
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = s.Close() })
+		s.EnableChaos()
 		addrs[i] = s.Addr()
 	}
 	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 24, Seed: 21})
@@ -118,6 +120,53 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	}
 	if snap2["ici.gateway.block_cache.hits"] <= snap1["ici.gateway.block_cache.hits"] {
 		t.Fatal("cache hit not recorded")
+	}
+}
+
+// TestGatewaySurvivesOneCorruptingMemberOverTCP is netx's
+// TestRetrieveSurvivesOneCorruptingMember on the path clients use: 3 real
+// members, r=2, each in turn flipping every chunk it serves. Whichever member
+// it is, every chunk has a sound copy on its other owner, so every uncached
+// read must succeed — and must have fetched some chunk twice, or no first
+// owner was ever the corrupting one and nothing was tested.
+func TestGatewaySurvivesOneCorruptingMemberOverTCP(t *testing.T) {
+	const members = 3
+	addrs, blocks := startCluster(t, members, 2, 3, 18)
+	up, err := NewClusterUpstream(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	reg := metrics.NewRegistry()
+	g, err := New(Config{Upstream: up, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range addrs {
+		c, err := netx.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.InjectFault(netx.FaultReq{Set: &netx.FaultConfig{CorruptRate: 1, Seed: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			got, err := g.GetBlock(b.Hash())
+			if err != nil {
+				t.Fatalf("block %d, %s corrupting: a read every chunk of which has an honest replica failed: %v", b.Header.Height, addr, err)
+			}
+			if got.Hash() != b.Hash() || got.VerifyShape() != nil {
+				t.Fatalf("block %d reassembled wrong", b.Header.Height)
+			}
+		}
+		if _, err := c.InjectFault(netx.FaultReq{Set: &netx.FaultConfig{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads := members * len(blocks)
+	if refs := reg.Snapshot()["ici.gateway.batch.refs"]; refs <= float64(reads*members) {
+		t.Fatalf("%d reads of %d chunks fetched %v refs: no bad copy was ever replaced", reads, members, refs)
 	}
 }
 

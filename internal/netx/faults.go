@@ -160,6 +160,11 @@ func corruptChunkResponses(resp *Response) {
 			flip(&resp.BlockChunks.Chunks[i])
 		}
 	}
+	if resp.ChunkBatch != nil {
+		for i := range resp.ChunkBatch.Chunks {
+			flip(&resp.ChunkBatch.Chunks[i])
+		}
+	}
 }
 
 // InjectFault sends a FaultReq control op: installing a fault config,
