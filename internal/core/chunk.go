@@ -112,6 +112,23 @@ func (g *Group) Verify(root blockcrypto.Hash) error { return g.check(root, true)
 // that was signed. Hashing a proof path is too little work to fork.
 func (g *Group) Proves(root blockcrypto.Hash) error { return g.check(root, false) }
 
+// ProvesChunk is a reader's whole check of one copy it was served as chunk
+// idx of parts of hdr's block: the group says so, holds exactly the
+// transactions the split puts there (ChunkRange of the header's count), and
+// each proves into the root. Proves alone passes a copy cut short with its
+// matching proofs; the block then breaks its root with no copy to blame.
+func (g *Group) ProvesChunk(hdr chain.Header, parts, idx int) error {
+	start, end, err := ChunkRange(int(hdr.TxCount), parts, idx)
+	if err != nil {
+		return err
+	}
+	if g.Index != idx || g.Parts != parts || g.TxStart != start || len(g.Txs) != end-start {
+		return fmt.Errorf("%w: chunk %d of %d with txs [%d,%d), want chunk %d of %d with [%d,%d)",
+			ErrBadGroup, g.Index, g.Parts, g.TxStart, g.TxStart+len(g.Txs), idx, parts, start, end)
+	}
+	return g.Proves(hdr.MerkleRoot)
+}
+
 func (g *Group) check(root blockcrypto.Hash, sigs bool) error {
 	if len(g.Txs) != len(g.Proofs) {
 		return fmt.Errorf("%w: %d txs with %d proofs", ErrBadGroup, len(g.Txs), len(g.Proofs))

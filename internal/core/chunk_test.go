@@ -109,6 +109,54 @@ func TestReassembleRejects(t *testing.T) {
 	}
 }
 
+// TestProvesChunkChecksTheRange: a reader's check of one served copy. The
+// copy the split cut passes; one without its last transaction and proof
+// passes Proves — every transaction left proves — and is refused by
+// ProvesChunk, as is one cut for another part count, one served as another
+// index, and one with a tampered transaction.
+func TestProvesChunkChecksTheRange(t *testing.T) {
+	b := fixtureBlock(t, 37)
+	groups, err := SplitBlock(b, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := range groups {
+		if err := groups[idx].ProvesChunk(b.Header, 4, idx); err != nil {
+			t.Fatalf("chunk %d as split: %v", idx, err)
+		}
+	}
+	short := groups[1]
+	short.Txs, short.Proofs = short.Txs[:len(short.Txs)-1], short.Proofs[:len(short.Proofs)-1]
+	if err := short.Proves(b.Header.MerkleRoot); err != nil {
+		t.Fatalf("a shortened copy no longer proves, so the test shows nothing: %v", err)
+	}
+	if err := short.ProvesChunk(b.Header, 4, 1); !errors.Is(err, ErrBadGroup) {
+		t.Errorf("shortened copy: got %v, want %v", err, ErrBadGroup)
+	}
+	late := groups[1]
+	late.TxStart, late.Txs, late.Proofs = late.TxStart+1, late.Txs[1:], late.Proofs[1:]
+	if err := late.ProvesChunk(b.Header, 4, 1); !errors.Is(err, ErrBadGroup) {
+		t.Errorf("copy without its first transaction: got %v, want %v", err, ErrBadGroup)
+	}
+	fifths, err := SplitBlock(b, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fifths[1].ProvesChunk(b.Header, 4, 1); !errors.Is(err, ErrBadGroup) {
+		t.Errorf("copy cut for 5 parts read as one of 4: got %v, want %v", err, ErrBadGroup)
+	}
+	if err := groups[2].ProvesChunk(b.Header, 4, 1); !errors.Is(err, ErrBadGroup) {
+		t.Errorf("chunk 2 served as chunk 1: got %v, want %v", err, ErrBadGroup)
+	}
+	tampered := groups[3]
+	tx := *tampered.Txs[0]
+	tx.Amount++
+	tampered.Txs = append([]*chain.Transaction{&tx}, tampered.Txs[1:]...)
+	if err := tampered.ProvesChunk(b.Header, 4, 3); !errors.Is(err, chain.ErrProofInvalid) {
+		t.Errorf("tampered transaction: got %v, want %v", err, chain.ErrProofInvalid)
+	}
+}
+
 // TestGainersIsThePlacementDelta removes each member of a cluster in turn:
 // for every chunk, the members Gainers names are exactly the new owners that
 // were not owners before, only a chunk the leaver owned moves, and nobody

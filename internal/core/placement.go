@@ -141,17 +141,20 @@ func SplitCounts(total, parts int) ([]int, error) {
 }
 
 // ChunkRange returns the [start, end) item range of chunk chunkIdx under
-// SplitCounts(total, parts).
+// SplitCounts(total, parts), without building the counts: a reader calls it
+// with a part count that came off the wire.
 func ChunkRange(total, parts, chunkIdx int) (start, end int, err error) {
-	counts, err := SplitCounts(total, parts)
-	if err != nil {
-		return 0, 0, err
+	if parts <= 0 {
+		return 0, 0, ErrBadParts
 	}
 	if chunkIdx < 0 || chunkIdx >= parts {
 		return 0, 0, fmt.Errorf("core: chunk index %d out of [0,%d)", chunkIdx, parts)
 	}
-	for i := 0; i < chunkIdx; i++ {
-		start += counts[i]
+	base, extra := total/parts, total%parts
+	start = chunkIdx*base + min(chunkIdx, extra)
+	end = start + base
+	if chunkIdx < extra {
+		end++
 	}
-	return start, start + counts[chunkIdx], nil
+	return start, end, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -191,21 +192,27 @@ func TestSplitCountsProperties(t *testing.T) {
 }
 
 func TestChunkRange(t *testing.T) {
-	// Ranges must tile [0, total) exactly, in order.
-	total, parts := 103, 7
-	prevEnd := 0
-	for idx := 0; idx < parts; idx++ {
-		start, end, err := ChunkRange(total, parts, idx)
-		if err != nil {
-			t.Fatal(err)
+	// Ranges must tile [0, total) exactly, in order and in SplitCounts' sizes.
+	for _, tc := range [][2]int{{103, 7}, {96, 8}, {3, 8}, {0, 4}, {5, 1}} {
+		total, parts := tc[0], tc[1]
+		counts, _ := SplitCounts(total, parts)
+		prevEnd := 0
+		for idx := 0; idx < parts; idx++ {
+			start, end, err := ChunkRange(total, parts, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if start != prevEnd || end-start != counts[idx] {
+				t.Fatalf("chunk %d of %d over %d items is [%d,%d), want %d items from %d", idx, parts, total, start, end, counts[idx], prevEnd)
+			}
+			prevEnd = end
 		}
-		if start != prevEnd {
-			t.Fatalf("chunk %d starts at %d, want %d", idx, start, prevEnd)
+		if prevEnd != total {
+			t.Fatalf("ranges end at %d, want %d", prevEnd, total)
 		}
-		prevEnd = end
 	}
-	if prevEnd != total {
-		t.Fatalf("ranges end at %d, want %d", prevEnd, total)
+	if _, _, err := ChunkRange(10, 0, 0); !errors.Is(err, ErrBadParts) {
+		t.Fatalf("zero parts: %v", err)
 	}
 	if _, _, err := ChunkRange(10, 3, 3); err == nil {
 		t.Fatal("out-of-range chunk index accepted")

@@ -164,11 +164,11 @@ func TestBatcherSharesRoundTrips(t *testing.T) {
 	results := make([]*netx.ChunkResp, 3)
 	fetch := func(i int) {
 		defer wg.Done()
-		c, err := b.Fetch(0, netx.ChunkRef{Block: hash, Index: i % 2})
-		if err != nil {
-			t.Errorf("fetch %d: %v", i, err)
+		res := b.Fetch(0, []netx.ChunkRef{{Block: hash, Index: i % 2}})[0]
+		if res.err != nil {
+			t.Errorf("fetch %d: %v", i, res.err)
 		}
-		results[i] = c
+		results[i] = res.chunk
 	}
 	wg.Add(1)
 	go fetch(0)

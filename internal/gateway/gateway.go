@@ -9,16 +9,17 @@
 //     working set;
 //   - singleflight coalescing, so N concurrent requests for the same cold
 //     block cost exactly one upstream retrieval;
-//   - cross-request batching of chunk fetches to the same peer, so
-//     concurrent misses share wire round trips instead of paying one each.
+//   - a planned gather: a cold block is read from the fewest members that
+//     cover its chunks, one batch each, and batches of concurrent misses to
+//     the same peer share wire round trips instead of paying one each.
 //
 // All observable behavior lands in a metrics.Registry under ici.gateway.*.
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"icistrategy/internal/blockcrypto"
@@ -109,7 +110,7 @@ func (c *cachedBlock) size() int64 { return int64(c.block.BodySize() + c.tree.Si
 
 func blockKey(h blockcrypto.Hash) string { return "b:" + string(h[:]) }
 func chunkKey(h blockcrypto.Hash, idx int) string {
-	return fmt.Sprintf("c:%s:%d", h[:], idx)
+	return "c:" + string(h[:]) + ":" + strconv.Itoa(idx)
 }
 
 // GetBlock returns the full verified block with the given hash, from cache
@@ -150,11 +151,16 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	return v.(*cachedBlock).block, nil
 }
 
-// fetchBlock gathers every chunk of h — cached chunks locally, the rest
-// batched per owning peer — then reassembles and verifies against the
-// header's Merkle root. Only then do the fetched chunks enter the chunk
-// cache: one that decodes but is wrong never serves a later read, and costs
-// this one a second fetch of that chunk from its next owner (refetchUnproven).
+// fetchBlock gathers every chunk of h — cached chunks locally, the rest by
+// one planned gather (planGather) — then reassembles and verifies against
+// the header's Merkle root. Only then do the fetched chunks enter the chunk
+// cache: a copy that is wrong never serves a later read.
+//
+// First attempt and fallback are one loop. A chunk whose member failed or
+// withheld it, or served a copy that does not decode or does not prove, is
+// wanted again, and what is wanted is planned again over the holders not
+// asked yet. The loop ends when the block verifies or some wanted chunk has
+// no holder left.
 func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 	hdr, err := g.up.Header(h)
 	if err != nil {
@@ -166,49 +172,53 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		return nil, err
 	}
 	got := make([]*netx.ChunkResp, parts)
-	next := make([]int, parts) // for a fetched chunk, the owner rank after the peer that served it
+	holders := make([][]int, parts) // for a missing chunk, the members that may hold it and were not asked yet
 	var missing []int
 	for idx := 0; idx < parts; idx++ {
 		if v, ok := g.chunks.Get(chunkKey(h, idx)); ok {
 			got[idx] = v.(*netx.ChunkResp)
 			continue
 		}
+		owners, err := g.up.Owners(h, idx)
+		if err != nil {
+			return nil, fmt.Errorf("%w: owners of chunk %d of %s: %v", ErrIncomplete, idx, h.Short(), err)
+		}
 		missing = append(missing, idx)
+		holders[idx] = slices.Clone(owners)
 	}
 
-	if len(missing) > 0 {
-		var wg sync.WaitGroup
-		for _, idx := range missing {
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				got[idx], next[idx] = g.fetchChunk(h, idx, 0)
-			}(idx)
+	var b *chain.Block
+	var tree *chain.MerkleTree
+	var broken error  // why the last reassembly failed; nil before the first
+	wanted := missing // read, never written through: fetch returns a slice of its own
+	for {
+		asked := wanted // the copies this pass fetches: nobody has looked at them yet
+		for len(wanted) > 0 {
+			plan, ok := planGather(h, parts, wanted, holders)
+			if !ok {
+				if broken != nil {
+					return nil, broken // no sound copy left: the bad one stays
+				}
+				return nil, fmt.Errorf("%w: have %d of %d for %s", ErrIncomplete, parts-len(wanted), parts, h.Short())
+			}
+			wanted = g.fetch(h, plan, holders, got)
 		}
-		wg.Wait()
-	}
-
-	have := 0
-	for _, c := range got {
-		if c != nil {
-			have++
+		// Reassemble and verify against the trusted header. A chunk cut for
+		// another part count than the map says is refused there, which is how a
+		// stale membership surfaces as an error for GetBlock to refresh on. The
+		// root of the whole body is what is checked; the per-transaction proofs
+		// a chunk carries are read only when it breaks, to find the bad copies.
+		if b, tree, broken = reassemble(hdr, got); broken == nil {
+			break
 		}
-	}
-	if have < parts {
-		return nil, fmt.Errorf("%w: have %d of %d for %s", ErrIncomplete, have, parts, h.Short())
-	}
-
-	// Reassemble and verify against the trusted header. A chunk cut for
-	// another part count than the map says is refused there, which is how a
-	// stale membership surfaces as an error for GetBlock to refresh on. The
-	// root of the whole body is what is checked; the per-transaction proofs
-	// a chunk carries are read only when it breaks, to find the bad copies.
-	b, tree, err := reassemble(hdr, got)
-	if errors.Is(err, chain.ErrBlockBadRoot) && g.refetchUnproven(h, hdr.MerkleRoot, missing, got, next) {
-		b, tree, err = reassemble(hdr, got)
-	}
-	if err != nil {
-		return nil, err
+		for _, idx := range asked {
+			if !sound(got[idx], hdr, parts, idx) {
+				wanted = append(wanted, idx)
+			}
+		}
+		if len(wanted) == 0 {
+			return nil, broken
+		}
 	}
 	for _, idx := range missing {
 		payload := *got[idx] // a copy: the batcher hands one response to every reader that wanted it
@@ -216,6 +226,131 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		g.chunks.Put(chunkKey(h, idx), &payload, int64(len(payload.Data)))
 	}
 	return &cachedBlock{block: b, tree: tree}, nil
+}
+
+// fetch asks every member of the plan for its share in one batcher call,
+// the members side by side and the last on the caller's goroutine, and files
+// the copies that came in got. A member is asked for a chunk once: whatever
+// it answers, it is struck from the chunk's holders. A chunk that did not
+// come — its member failed or does not hold it — is returned to be planned
+// again.
+func (g *Gateway) fetch(h blockcrypto.Hash, plan []peerBatch, holders [][]int, got []*netx.ChunkResp) (again []int) {
+	answers := make([][]chunkResult, len(plan))
+	ask := func(i int) {
+		refs := make([]netx.ChunkRef, len(plan[i].idxs))
+		for j, idx := range plan[i].idxs {
+			refs[j] = netx.ChunkRef{Block: h, Index: idx}
+		}
+		answers[i] = g.batch.Fetch(plan[i].peer, refs)
+	}
+	last := len(plan) - 1
+	var wg sync.WaitGroup
+	for i := 0; i < last; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ask(i)
+		}()
+	}
+	ask(last)
+	wg.Wait()
+	for i, pb := range plan {
+		for j, idx := range pb.idxs {
+			holders[idx] = slices.DeleteFunc(holders[idx], func(p int) bool { return p == pb.peer })
+			if res := answers[i][j]; res.err == nil && res.chunk != nil {
+				got[idx] = res.chunk
+			} else {
+				again = append(again, idx)
+			}
+		}
+	}
+	return again
+}
+
+// peerBatch is one member's share of a planned gather.
+type peerBatch struct {
+	peer int
+	idxs []int // chunk indexes asked of peer, ascending
+}
+
+// planGather assigns each wanted chunk of block h to one of its holders
+// (holders[idx], for idx in want) so that few members are asked: a greedy
+// cover, each step taking the member that can serve the most chunks still
+// unassigned. Ties go to the member with the lowest value of a hash of the
+// block and the member, so that no member is favoured across blocks. No
+// member is handed more than ⌈parts/2⌉ chunks while another holder of the
+// chunk exists: a block's bytes come from at least two members side by side,
+// and no member serves a whole block serially under its store lock. The same
+// input gives the same plan. ok is false when a wanted chunk has no holder.
+func planGather(h blockcrypto.Hash, parts int, want []int, holders [][]int) (plan []peerBatch, ok bool) {
+	top := -1
+	for _, idx := range want {
+		if len(holders[idx]) == 0 {
+			return nil, false
+		}
+		top = max(top, slices.Max(holders[idx]))
+	}
+	limit := (parts + 1) / 2
+	seed := h.Uint64()
+	serves := make([]int, top+1) // per member, how many unassigned chunks it holds; -1 once chosen
+	left := slices.Clone(want)
+	for len(left) > 0 {
+		for p := range serves {
+			serves[p] = min(serves[p], 0)
+		}
+		for _, idx := range left {
+			for _, p := range holders[idx] {
+				if serves[p] >= 0 {
+					serves[p]++
+				}
+			}
+		}
+		best := -1
+		for p, n := range serves {
+			if n > 0 && (best < 0 || n > serves[best] || n == serves[best] && tieBreak(seed, p) < tieBreak(seed, best)) {
+				best = p
+			}
+		}
+		serves[best] = -1
+		// alts counts the members not chosen yet that hold idx too; a chunk
+		// with none must be taken now, whatever the limit.
+		alts := func(idx int) (n int) {
+			for _, p := range holders[idx] {
+				if serves[p] >= 0 {
+					n++
+				}
+			}
+			return n
+		}
+		var take []int
+		for _, idx := range left {
+			if slices.Contains(holders[idx], best) {
+				take = append(take, idx)
+			}
+		}
+		if len(take) > limit {
+			// Over the limit: keep the chunks hardest to place elsewhere.
+			slices.SortStableFunc(take, func(a, b int) int { return alts(a) - alts(b) })
+			keep := limit
+			for keep < len(take) && alts(take[keep]) == 0 {
+				keep++
+			}
+			take = take[:keep]
+			slices.Sort(take)
+		}
+		left = slices.DeleteFunc(left, func(idx int) bool { return slices.Contains(take, idx) })
+		plan = append(plan, peerBatch{peer: best, idxs: take})
+	}
+	return plan, true
+}
+
+// tieBreak orders members that can serve equally many chunks of a block.
+func tieBreak(seed uint64, peer int) uint64 {
+	x := seed ^ (uint64(peer)+1)*0x9e3779b97f4a7c15
+	x ^= x >> 32
+	x *= 0xd6e8feb86659fd93
+	x ^= x >> 32
+	return x
 }
 
 // reassemble decodes the payload of every chunk and rebuilds the block of
@@ -235,63 +370,12 @@ func reassemble(hdr chain.Header, chunks []*netx.ChunkResp) (*chain.Block, *chai
 	return b, tree, nil
 }
 
-// proves reports whether the copy c of a chunk, read with the proofs it
-// carries, is what the block committed to at that position.
-func proves(c *netx.ChunkResp, root blockcrypto.Hash) bool {
+// sound reports whether the copy c, read with the proofs it carries, is
+// chunk idx of parts of hdr's block: it decodes, is cut where the split
+// cuts, and every transaction proves into the root (core.Group.ProvesChunk).
+func sound(c *netx.ChunkResp, hdr chain.Header, parts, idx int) bool {
 	group, err := core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
-	return err == nil && group.Proves(root) == nil
-}
-
-// refetchUnproven is the fallback of a read whose body broke the root: among
-// the chunks fetched for it (the cached ones were verified when they went
-// in), each copy that does not prove into root is replaced by the first one
-// that does from the owners ranked after the peer that served it, the bad
-// chunks side by side so their fetches batch. It reports whether any chunk
-// was replaced; one with no sound copy left keeps the bad one.
-func (g *Gateway) refetchUnproven(h, root blockcrypto.Hash, fetched []int, got []*netx.ChunkResp, next []int) bool {
-	replaced := make([]bool, len(got))
-	var wg sync.WaitGroup
-	for _, idx := range fetched {
-		if proves(got[idx], root) {
-			continue
-		}
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			for {
-				c, after := g.fetchChunk(h, idx, next[idx])
-				if c == nil {
-					return
-				}
-				next[idx] = after
-				if proves(c, root) {
-					got[idx], replaced[idx] = c, true
-					return
-				}
-			}
-		}(idx)
-	}
-	wg.Wait()
-	return slices.Contains(replaced, true)
-}
-
-// fetchChunk tries the owners of (h, idx) ranked from on in placement order
-// through the batcher, so concurrent misses against the same peer share
-// round trips. It returns the chunk with the rank after the owner that
-// produced it; nil means none of them did.
-func (g *Gateway) fetchChunk(h blockcrypto.Hash, idx, from int) (*netx.ChunkResp, int) {
-	owners, err := g.up.Owners(h, idx)
-	if err != nil {
-		return nil, 0
-	}
-	ref := netx.ChunkRef{Block: h, Index: idx}
-	for rank := from; rank < len(owners); rank++ {
-		chunk, err := g.batch.Fetch(owners[rank], ref)
-		if err == nil && chunk != nil {
-			return chunk, rank + 1
-		}
-	}
-	return nil, 0
+	return err == nil && group.ProvesChunk(hdr, parts, idx) == nil
 }
 
 // GetTxProof answers a light-client inclusion query: the transaction, the

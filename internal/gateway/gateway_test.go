@@ -39,9 +39,11 @@ type fakeUpstream struct {
 	// when non-nil, receives one (buffered) send as each FetchBatch arrives.
 	gate    chan struct{}
 	entered chan struct{}
-	// lost marks (peer, ref) pairs that answer Found=false.
+	// lost marks (peer, ref) pairs that answer Found=false; a dead peer
+	// fails every FetchBatch.
 	mu   sync.Mutex
 	lost map[int]map[netx.ChunkRef]bool
+	dead map[int]bool
 }
 
 func newFakeUpstream(t testing.TB, peers, blocks, txPerBlock int) (*fakeUpstream, []*chain.Block) {
@@ -155,6 +157,9 @@ func (u *fakeUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.ChunkBa
 	}
 	u.batchCalls.Add(1)
 	u.batchRefs.Add(int64(len(refs)))
+	if u.dead[peer] {
+		return nil, errors.New("fake upstream: peer is down")
+	}
 	resp := &netx.ChunkBatchResp{Found: make([]bool, len(refs)), Chunks: make([]netx.ChunkResp, len(refs))}
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -505,9 +510,9 @@ func flipAmount(c netx.ChunkResp) netx.ChunkResp {
 // TestGatewaySurvivesOneCorruptingMember: replication 2, and one peer
 // serves a flipped payload for every chunk it owns. Every chunk has a sound
 // copy on its other owner, so every read must succeed — paying for the bad
-// copies only: one more batch to the owners ranked after the corrupting
-// peer, for the chunks it served — and the chunk cache must hold the sound
-// payloads, never the flipped ones.
+// copies only: the plan's batches, then one more plan over the chunks the
+// corrupting peer served, without it — and the chunk cache must hold the
+// sound payloads, never the flipped ones.
 func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 	const peers, corrupting = 4, 1
 	u, blocks := newFakeUpstream(t, peers, 3, 16)
@@ -520,7 +525,16 @@ func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	served := 0
 	for _, b := range blocks {
+		plan := planFor(t, u, b.Hash(), upTo(peers))
+		want := len(plan)
+		for _, pb := range plan {
+			if pb.peer == corrupting {
+				want += len(planFor(t, u, b.Hash(), pb.idxs, corrupting))
+				served += len(pb.idxs)
+			}
+		}
 		before := u.batchCalls.Load()
 		got, err := g.GetBlock(b.Hash())
 		if err != nil {
@@ -529,10 +543,8 @@ func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 		if got.Hash() != b.Hash() || got.VerifyShape() != nil {
 			t.Fatalf("block %d reassembled wrong", b.Header.Height)
 		}
-		// One batch per first owner, then one to the second owner of the
-		// one chunk the corrupting peer served first.
-		if calls := u.batchCalls.Load() - before; calls != peers+1 {
-			t.Fatalf("block %d cost %d upstream batches, want %d", b.Header.Height, calls, peers+1)
+		if calls := u.batchCalls.Load() - before; calls != int64(want) {
+			t.Fatalf("block %d cost %d upstream batches, want %d", b.Header.Height, calls, want)
 		}
 		for idx := 0; idx < peers; idx++ {
 			v, ok := g.chunks.Get(chunkKey(b.Hash(), idx))
@@ -545,16 +557,20 @@ func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 			}
 		}
 	}
-	// A sound cluster is read exactly as before the fallback existed: one
-	// batch per owner, no proof looked at, nothing fetched twice.
+	if served == 0 {
+		t.Fatal("the corrupting member was in no plan: nothing was tested")
+	}
+	// A sound cluster is read by its plan and nothing more: one batch per
+	// planned member, every chunk asked for once, no proof looked at.
 	sound, soundBlocks := newFakeUpstream(t, peers, 1, 16)
 	sound.replication = 2
 	g2 := newTestGateway(t, sound, nil, 0)
 	if _, err := g2.GetBlock(soundBlocks[0].Hash()); err != nil {
 		t.Fatal(err)
 	}
-	if calls, refs := sound.batchCalls.Load(), sound.batchRefs.Load(); calls != peers || refs != peers {
-		t.Fatalf("sound read cost %d batches of %d refs, want %d of %d", calls, refs, peers, peers)
+	plan := planFor(t, sound, soundBlocks[0].Hash(), upTo(peers))
+	if calls, refs := sound.batchCalls.Load(), sound.batchRefs.Load(); calls != int64(len(plan)) || refs != peers {
+		t.Fatalf("sound read cost %d batches of %d refs, want %d of %d", calls, refs, len(plan), peers)
 	}
 }
 

@@ -510,11 +510,12 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.
 			if _, ok := found[chk.Index]; ok {
 				continue
 			}
-			// A copy is taken only if it proves into the header's root where
-			// it claims to sit; a damaged one is skipped and the next
-			// member's copy of that chunk is taken instead.
+			// A copy is taken only if it is the whole chunk it claims to be
+			// and proves into the header's root; a damaged or shortened one
+			// is skipped and the next member's copy of that chunk is taken
+			// instead.
 			g, err := core.DecodeGroup(chk.Index, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
-			if err != nil || g.Proves(hdr.MerkleRoot) != nil {
+			if err != nil || g.ProvesChunk(hdr, chk.Parts, chk.Index) != nil {
 				continue
 			}
 			found[chk.Index] = g

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"icistrategy/internal/core"
+	"icistrategy/internal/storage"
 )
 
 func TestFaultRejectedWithoutChaos(t *testing.T) {
@@ -164,6 +167,58 @@ func TestRetrieveSurvivesOneCorruptingMember(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("the corrupting member holds no chunk: nothing was tested")
+	}
+}
+
+// TestRetrieveSurvivesOneShorteningMember: the first member in address
+// order holds every chunk without its last transaction, with the proofs to
+// match. Each such copy proves as far as it goes, so a check of proofs alone
+// takes it and the block breaks its root with no copy to blame; checked
+// against the range the split puts there (core.Group.ProvesChunk) it is
+// skipped for the whole copy on another member.
+func TestRetrieveSurvivesOneShorteningMember(t *testing.T) {
+	servers, addrs := startServers(t, 3)
+	cl, err := NewCluster(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	blocks := distributeBlocks(t, cl, 3, 18)
+	s, shortened := servers[0], 0
+	s.mu.Lock()
+	for _, b := range blocks {
+		for _, idx := range s.store.ChunksForBlock(b.Hash()) {
+			id := storage.ChunkID{Block: b.Hash(), Index: idx}
+			chk, err := s.store.Chunk(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := core.DecodeGroup(idx, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Txs, g.Proofs = g.Txs[:len(g.Txs)-1], g.Proofs[:len(g.Proofs)-1]
+			if err := s.store.DeleteChunk(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.store.PutChunk(g.Chunk(b.Hash(), g.Encode())); err != nil {
+				t.Fatal(err)
+			}
+			shortened++
+		}
+	}
+	s.mu.Unlock()
+	if shortened == 0 {
+		t.Fatal("the shortening member holds no chunk: nothing was tested")
+	}
+	for _, b := range blocks {
+		got, err := cl.RetrieveBlock(b.Header)
+		if err != nil {
+			t.Fatalf("block %d: one shortening member failed a read every chunk of which has a whole replica: %v", b.Header.Height, err)
+		}
+		if got.Hash() != b.Hash() || len(got.Txs) != len(b.Txs) {
+			t.Fatalf("block %d reassembled wrong", b.Header.Height)
+		}
 	}
 }
 
