@@ -164,9 +164,9 @@ func (x *run) logTarget(a *Action) (*node, *regexp.Regexp, error) {
 	return n, re, nil
 }
 
-// viaCluster builds a cluster client over the nodes named in via=, in the
-// listed order. For distribute, via must list the original membership in
-// placement-id order — the placement seed-to-owner mapping depends on it.
+// viaCluster builds a cluster client over the nodes named in via=: the
+// membership a block is written under, node i being placement identity i. A
+// read names it too, stopped members included, and plans around them.
 func (x *run) viaCluster(a *Action) (*netx.Cluster, error) {
 	names := splitList(a.Opts["via"])
 	if len(names) == 0 {

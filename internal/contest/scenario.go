@@ -45,7 +45,7 @@
 //	                         [rate=1] [delay=20ms] [seed=1] [min=1]
 //	assert-stats NODE FIELD OP VALUE         fields: headers, chunks,
 //	                                         header-bytes, chunk-bytes
-//	assert-retrieve          block=N via=n0,n1 | gateway=NODE [expect=ok|fail]
+//	assert-retrieve          block=N via=<write members, stopped ones too> | gateway=NODE [expect=ok|fail]
 //	assert-down NODE...
 //	assert-up NODE...
 package contest

@@ -1,17 +1,12 @@
 package gateway
 
 import (
+	"slices"
 	"sync"
 
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/netx"
 )
-
-// chunkResult is one answer delivered to a batch subscriber.
-type chunkResult struct {
-	chunk *netx.ChunkResp // nil when the peer does not hold the chunk
-	err   error           // transport failure talking to the peer
-}
 
 // batcher coalesces chunk wants for the same peer into shared round trips:
 // while one GetChunkBatch RPC is in flight to a peer, every want that
@@ -32,12 +27,12 @@ type peerQueue struct {
 	inflight bool
 }
 
-// want is one Fetch call: the refs one caller asks of one peer, answered
-// position for position. All of it rides one RPC.
+// want is one Fetch call: the refs one caller asks of one peer and the
+// answer to them, nil when the round trip failed. All of it rides one RPC.
 type want struct {
 	refs []netx.ChunkRef
-	res  []chunkResult
-	done chan struct{} // closed once res is filled
+	resp *netx.ChunkBatchResp
+	done chan struct{} // closed once resp is set
 }
 
 func newBatcher(up Upstream, rpcs, refs *metrics.Counter) *batcher {
@@ -55,16 +50,17 @@ func (b *batcher) queue(peer int) *peerQueue {
 	return q
 }
 
-// Fetch asks peer for refs and answers position for position, sharing wire
-// round trips with every concurrent Fetch to the same peer. A ref wanted by
-// several callers is deduplicated onto one wire slot and fanned back out:
-// they are handed the same *netx.ChunkResp, to read and not to change.
+// Fetch asks peer for refs and returns its answer to them, position for
+// position, or nil when the round trip failed, sharing wire round trips with
+// every concurrent Fetch to the same peer: each is handed its own stretch of
+// the one response, to read and not to change. Nothing is deduplicated: a
+// block is gathered by one reader at a time, a chunk asked for once per plan.
 //
 // With no RPC in flight to the peer the caller's own goroutine makes the
 // round trip — an idle gateway starts no goroutine for it; what queued up
 // behind that RPC is left to a drainer.
-func (b *batcher) Fetch(peer int, refs []netx.ChunkRef) []chunkResult {
-	w := &want{refs: refs, res: make([]chunkResult, len(refs)), done: make(chan struct{})}
+func (b *batcher) Fetch(peer int, refs []netx.ChunkRef) *netx.ChunkBatchResp {
+	w := &want{refs: refs, done: make(chan struct{})}
 	q := b.queue(peer)
 	q.mu.Lock()
 	q.pending = append(q.pending, w)
@@ -76,7 +72,7 @@ func (b *batcher) Fetch(peer int, refs []netx.ChunkRef) []chunkResult {
 		go b.drain(peer, q)
 	}
 	<-w.done
-	return w.res
+	return w.resp
 }
 
 // drain issues batched RPCs for peer until no wants remain.
@@ -94,36 +90,19 @@ func (b *batcher) roundTrip(peer int, q *peerQueue) bool {
 	q.pending = nil
 	q.mu.Unlock()
 
-	refs := wants[0].refs
-	var slot map[netx.ChunkRef]int // wire position of a ref, when several wants share the RPC
-	if len(wants) > 1 {
-		slot = make(map[netx.ChunkRef]int)
-		refs = nil
-		for _, w := range wants {
-			for _, ref := range w.refs {
-				if _, ok := slot[ref]; !ok {
-					slot[ref] = len(refs)
-					refs = append(refs, ref)
-				}
-			}
-		}
+	refs := slices.Clip(wants[0].refs) // the first append copies: the slice is its caller's
+	for _, w := range wants[1:] {
+		refs = append(refs, w.refs...)
 	}
 	b.rpcs.Inc()
 	b.refs.Add(int64(len(refs)))
 	resp, err := b.up.FetchBatch(peer, refs)
+	at := 0
 	for _, w := range wants {
-		for i, ref := range w.refs {
-			at := i
-			if slot != nil {
-				at = slot[ref]
-			}
-			switch {
-			case err != nil:
-				w.res[i].err = err
-			case resp.Found[at]:
-				w.res[i].chunk = &resp.Chunks[at]
-			}
+		if err == nil {
+			w.resp = &netx.ChunkBatchResp{Found: resp.Found[at : at+len(w.refs)], Chunks: resp.Chunks[at : at+len(w.refs)]}
 		}
+		at += len(w.refs)
 		close(w.done)
 	}
 

@@ -164,11 +164,9 @@ func TestBatcherSharesRoundTrips(t *testing.T) {
 	results := make([]*netx.ChunkResp, 3)
 	fetch := func(i int) {
 		defer wg.Done()
-		res := b.Fetch(0, []netx.ChunkRef{{Block: hash, Index: i % 2}})[0]
-		if res.err != nil {
-			t.Errorf("fetch %d: %v", i, res.err)
+		if resp := b.Fetch(0, []netx.ChunkRef{{Block: hash, Index: i % 2}}); resp != nil && resp.Found[0] {
+			results[i] = &resp.Chunks[0]
 		}
-		results[i] = res.chunk
 	}
 	wg.Add(1)
 	go fetch(0)

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -300,5 +301,39 @@ func TestUpstreamEvictsOnlyDeadConnections(t *testing.T) {
 	}
 	if n := accepts.Load(); n != 2 {
 		t.Fatalf("server saw %d connections, want 2: a stale drop evicted the fresh connection", n)
+	}
+}
+
+// TestHeaderSyncAsksPastAnEmptyMember: member 0 restarted with an empty
+// store and heads the roster. Its answer to the header sync — no headers —
+// is not the cluster's: the members behind it hold every header and, at
+// r = 2, a copy of every chunk, so the block must be found and read.
+func TestHeaderSyncAsksPastAnEmptyMember(t *testing.T) {
+	addrs, blocks := startCluster(t, 3, 2, 2, 10)
+	empty, err := netx.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	up, err := NewClusterUpstream([]string{empty.Addr(), addrs[1], addrs[2]}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	g, err := New(Config{Upstream: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		got, err := g.GetBlock(b.Hash())
+		if err != nil {
+			t.Fatalf("block %d behind an empty first member: %v", b.Header.Height, err)
+		}
+		if got.Hash() != b.Hash() {
+			t.Fatalf("block %d read wrong", b.Header.Height)
+		}
+	}
+	if _, err := up.Header(blockcrypto.Sum256([]byte("nobody wrote this"))); !errors.Is(err, ErrUnknownBlock) {
+		t.Fatalf("a block no member knows: got %v, want %v", err, ErrUnknownBlock)
 	}
 }

@@ -9,9 +9,9 @@
 //     working set;
 //   - singleflight coalescing, so N concurrent requests for the same cold
 //     block cost exactly one upstream retrieval;
-//   - a planned gather: a cold block is read from the fewest members that
-//     cover its chunks, one batch each, and batches of concurrent misses to
-//     the same peer share wire round trips instead of paying one each.
+//   - cross-request batching: netx.Gather reads a cold block from the fewest
+//     members that cover its chunks, one batch each, and batches of concurrent
+//     misses to the same peer share wire round trips instead of paying one each.
 //
 // All observable behavior lands in a metrics.Registry under ici.gateway.*.
 package gateway
@@ -151,16 +151,12 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	return v.(*cachedBlock).block, nil
 }
 
-// fetchBlock gathers every chunk of h — cached chunks locally, the rest by
-// one planned gather (planGather) — then reassembles and verifies against
-// the header's Merkle root. Only then do the fetched chunks enter the chunk
-// cache: a copy that is wrong never serves a later read.
-//
-// First attempt and fallback are one loop. A chunk whose member failed or
-// withheld it, or served a copy that does not decode or does not prove, is
-// wanted again, and what is wanted is planned again over the holders not
-// asked yet. The loop ends when the block verifies or some wanted chunk has
-// no holder left.
+// fetchBlock reads block h from the cluster: the chunks the chunk cache
+// holds are taken from it, and the rest are gathered through the batcher,
+// reassembled and verified against the header's Merkle root by netx.Gather.
+// Only then do the fetched chunks enter the chunk cache: a copy that is
+// wrong never serves a later read. A stale membership surfaces there as an
+// error, for GetBlock to refresh on.
 func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 	hdr, err := g.up.Header(h)
 	if err != nil {
@@ -172,7 +168,7 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		return nil, err
 	}
 	got := make([]*netx.ChunkResp, parts)
-	holders := make([][]int, parts) // for a missing chunk, the members that may hold it and were not asked yet
+	holders := make([][]int, parts) // for a missing chunk, the members that may hold it
 	var missing []int
 	for idx := 0; idx < parts; idx++ {
 		if v, ok := g.chunks.Get(chunkKey(h, idx)); ok {
@@ -186,39 +182,9 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		missing = append(missing, idx)
 		holders[idx] = slices.Clone(owners)
 	}
-
-	var b *chain.Block
-	var tree *chain.MerkleTree
-	var broken error  // why the last reassembly failed; nil before the first
-	wanted := missing // read, never written through: fetch returns a slice of its own
-	for {
-		asked := wanted // the copies this pass fetches: nobody has looked at them yet
-		for len(wanted) > 0 {
-			plan, ok := planGather(h, parts, wanted, holders)
-			if !ok {
-				if broken != nil {
-					return nil, broken // no sound copy left: the bad one stays
-				}
-				return nil, fmt.Errorf("%w: have %d of %d for %s", ErrIncomplete, parts-len(wanted), parts, h.Short())
-			}
-			wanted = g.fetch(h, plan, holders, got)
-		}
-		// Reassemble and verify against the trusted header. A chunk cut for
-		// another part count than the map says is refused there, which is how a
-		// stale membership surfaces as an error for GetBlock to refresh on. The
-		// root of the whole body is what is checked; the per-transaction proofs
-		// a chunk carries are read only when it breaks, to find the bad copies.
-		if b, tree, broken = reassemble(hdr, got); broken == nil {
-			break
-		}
-		for _, idx := range asked {
-			if !sound(got[idx], hdr, parts, idx) {
-				wanted = append(wanted, idx)
-			}
-		}
-		if len(wanted) == 0 {
-			return nil, broken
-		}
+	b, tree, err := netx.Gather(hdr, got, holders, g.batch.Fetch)
+	if err != nil {
+		return nil, err
 	}
 	for _, idx := range missing {
 		payload := *got[idx] // a copy: the batcher hands one response to every reader that wanted it
@@ -226,156 +192,6 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		g.chunks.Put(chunkKey(h, idx), &payload, int64(len(payload.Data)))
 	}
 	return &cachedBlock{block: b, tree: tree}, nil
-}
-
-// fetch asks every member of the plan for its share in one batcher call,
-// the members side by side and the last on the caller's goroutine, and files
-// the copies that came in got. A member is asked for a chunk once: whatever
-// it answers, it is struck from the chunk's holders. A chunk that did not
-// come — its member failed or does not hold it — is returned to be planned
-// again.
-func (g *Gateway) fetch(h blockcrypto.Hash, plan []peerBatch, holders [][]int, got []*netx.ChunkResp) (again []int) {
-	answers := make([][]chunkResult, len(plan))
-	ask := func(i int) {
-		refs := make([]netx.ChunkRef, len(plan[i].idxs))
-		for j, idx := range plan[i].idxs {
-			refs[j] = netx.ChunkRef{Block: h, Index: idx}
-		}
-		answers[i] = g.batch.Fetch(plan[i].peer, refs)
-	}
-	last := len(plan) - 1
-	var wg sync.WaitGroup
-	for i := 0; i < last; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ask(i)
-		}()
-	}
-	ask(last)
-	wg.Wait()
-	for i, pb := range plan {
-		for j, idx := range pb.idxs {
-			holders[idx] = slices.DeleteFunc(holders[idx], func(p int) bool { return p == pb.peer })
-			if res := answers[i][j]; res.err == nil && res.chunk != nil {
-				got[idx] = res.chunk
-			} else {
-				again = append(again, idx)
-			}
-		}
-	}
-	return again
-}
-
-// peerBatch is one member's share of a planned gather.
-type peerBatch struct {
-	peer int
-	idxs []int // chunk indexes asked of peer, ascending
-}
-
-// planGather assigns each wanted chunk of block h to one of its holders
-// (holders[idx], for idx in want) so that few members are asked: a greedy
-// cover, each step taking the member that can serve the most chunks still
-// unassigned. Ties go to the member with the lowest value of a hash of the
-// block and the member, so that no member is favoured across blocks. No
-// member is handed more than ⌈parts/2⌉ chunks while another holder of the
-// chunk exists: a block's bytes come from at least two members side by side,
-// and no member serves a whole block serially under its store lock. The same
-// input gives the same plan. ok is false when a wanted chunk has no holder.
-func planGather(h blockcrypto.Hash, parts int, want []int, holders [][]int) (plan []peerBatch, ok bool) {
-	top := -1
-	for _, idx := range want {
-		if len(holders[idx]) == 0 {
-			return nil, false
-		}
-		top = max(top, slices.Max(holders[idx]))
-	}
-	limit := (parts + 1) / 2
-	seed := h.Uint64()
-	serves := make([]int, top+1) // per member, how many unassigned chunks it holds; -1 once chosen
-	left := slices.Clone(want)
-	for len(left) > 0 {
-		for p := range serves {
-			serves[p] = min(serves[p], 0)
-		}
-		for _, idx := range left {
-			for _, p := range holders[idx] {
-				if serves[p] >= 0 {
-					serves[p]++
-				}
-			}
-		}
-		best := -1
-		for p, n := range serves {
-			if n > 0 && (best < 0 || n > serves[best] || n == serves[best] && tieBreak(seed, p) < tieBreak(seed, best)) {
-				best = p
-			}
-		}
-		serves[best] = -1
-		// alts counts the members not chosen yet that hold idx too; a chunk
-		// with none must be taken now, whatever the limit.
-		alts := func(idx int) (n int) {
-			for _, p := range holders[idx] {
-				if serves[p] >= 0 {
-					n++
-				}
-			}
-			return n
-		}
-		var take []int
-		for _, idx := range left {
-			if slices.Contains(holders[idx], best) {
-				take = append(take, idx)
-			}
-		}
-		if len(take) > limit {
-			// Over the limit: keep the chunks hardest to place elsewhere.
-			slices.SortStableFunc(take, func(a, b int) int { return alts(a) - alts(b) })
-			keep := limit
-			for keep < len(take) && alts(take[keep]) == 0 {
-				keep++
-			}
-			take = take[:keep]
-			slices.Sort(take)
-		}
-		left = slices.DeleteFunc(left, func(idx int) bool { return slices.Contains(take, idx) })
-		plan = append(plan, peerBatch{peer: best, idxs: take})
-	}
-	return plan, true
-}
-
-// tieBreak orders members that can serve equally many chunks of a block.
-func tieBreak(seed uint64, peer int) uint64 {
-	x := seed ^ (uint64(peer)+1)*0x9e3779b97f4a7c15
-	x ^= x >> 32
-	x *= 0xd6e8feb86659fd93
-	x ^= x >> 32
-	return x
-}
-
-// reassemble decodes the payload of every chunk and rebuilds the block of
-// hdr from them (core.Reassemble).
-func reassemble(hdr chain.Header, chunks []*netx.ChunkResp) (*chain.Block, *chain.MerkleTree, error) {
-	groups := make([]core.Group, len(chunks))
-	for idx, c := range chunks {
-		var err error
-		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, nil); err != nil {
-			return nil, nil, fmt.Errorf("gateway: chunk %d: %w", idx, err)
-		}
-	}
-	b, tree, err := core.Reassemble(hdr, groups)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gateway: reassembly: %w", err)
-	}
-	return b, tree, nil
-}
-
-// sound reports whether the copy c, read with the proofs it carries, is
-// chunk idx of parts of hdr's block: it decodes, is cut where the split
-// cuts, and every transaction proves into the root (core.Group.ProvesChunk).
-func sound(c *netx.ChunkResp, hdr chain.Header, parts, idx int) bool {
-	group, err := core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
-	return err == nil && group.ProvesChunk(hdr, parts, idx) == nil
 }
 
 // GetTxProof answers a light-client inclusion query: the transaction, the

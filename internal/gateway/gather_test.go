@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -14,12 +16,58 @@ import (
 	"icistrategy/internal/simnet"
 )
 
-// seededHash is the n-th block hash of a seeded test.
-func seededHash(seed, n uint64) blockcrypto.Hash {
+// seededHeader is the header of the n-th block of a seeded test, and its
+// hash.
+func seededHeader(seed, n uint64) (chain.Header, blockcrypto.Hash) {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], seed)
 	binary.BigEndian.PutUint64(buf[8:], n)
-	return blockcrypto.Sum256(buf[:])
+	hdr := chain.Header{Height: n, MerkleRoot: blockcrypto.Sum256(buf[:])}
+	return hdr, hdr.Hash()
+}
+
+// peerBatch is one round trip netx.Gather asked for.
+type peerBatch struct {
+	peer int
+	idxs []int
+}
+
+// firstPlan is the planner as the gateway meets it: the batches netx.Gather
+// asks for before any answer is in, for the wanted chunks of hdr's block
+// with the given holders, largest batch first and then by lowest chunk. The
+// planner itself is tested where it lives (netx's TestPlanGather); this holds
+// the exported entry point to the same contract. Nothing is answered, so
+// every later round asks only for chunks seen before and is left out. ok is
+// false when Gather asked for nothing.
+func firstPlan(hdr chain.Header, parts int, want []int, holders [][]int) (plan []peerBatch, ok bool) {
+	have := make([]*netx.ChunkResp, parts)
+	for idx := range have {
+		if !slices.Contains(want, idx) {
+			have[idx] = &netx.ChunkResp{}
+		}
+	}
+	left := make([][]int, parts) // Gather strikes whom it asked
+	for idx := range holders {
+		left[idx] = slices.Clone(holders[idx])
+	}
+	var mu sync.Mutex
+	seen := make(map[int]bool)
+	_, _, err := netx.Gather(hdr, have, left, func(peer int, refs []netx.ChunkRef) *netx.ChunkBatchResp {
+		mu.Lock()
+		defer mu.Unlock()
+		if !seen[refs[0].Index] {
+			idxs := make([]int, len(refs))
+			for i, ref := range refs {
+				idxs[i], seen[ref.Index] = ref.Index, true
+			}
+			plan = append(plan, peerBatch{peer: peer, idxs: idxs})
+		}
+		return nil
+	})
+	slices.SortFunc(plan, func(a, b peerBatch) int {
+		return cmp.Or(len(b.idxs)-len(a.idxs), a.idxs[0]-b.idxs[0])
+	})
+	return plan, len(plan) > 0 && errors.Is(err, ErrIncomplete)
 }
 
 // placed returns who holds each of a block's parts chunks when members
@@ -89,7 +137,7 @@ func checkPlan(t *testing.T, parts int, want []int, holders [][]int, plan []peer
 }
 
 func TestPlanGather(t *testing.T) {
-	h := seededHash(1, 0)
+	hdr, h := seededHeader(1, 0)
 	for _, tc := range []struct {
 		name    string
 		parts   int
@@ -122,7 +170,7 @@ func TestPlanGather(t *testing.T) {
 		{name: "64 members", parts: 64, want: upTo(64), holders: placed(t, h, 64, 64, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, ok := planGather(h, tc.parts, tc.want, tc.holders)
+			plan, ok := firstPlan(hdr, tc.parts, tc.want, tc.holders)
 			if !ok {
 				t.Fatal("no plan although every wanted chunk has a holder")
 			}
@@ -135,13 +183,13 @@ func TestPlanGather(t *testing.T) {
 					t.Fatalf("batch %d has %d chunks, want sizes %v: %v", i, len(plan[i].idxs), tc.sizes, plan)
 				}
 			}
-			again, _ := planGather(h, tc.parts, tc.want, tc.holders)
+			again, _ := firstPlan(hdr, tc.parts, tc.want, tc.holders)
 			if !reflect.DeepEqual(plan, again) {
 				t.Fatalf("same input, two plans:\n%v\n%v", plan, again)
 			}
 		})
 	}
-	if plan, ok := planGather(h, 3, upTo(3), [][]int{{0}, {}, {1}}); ok {
+	if plan, ok := firstPlan(hdr, 3, upTo(3), [][]int{{0}, {}, {1}}); ok {
 		t.Fatalf("a chunk nobody holds was planned: %v", plan)
 	}
 }
@@ -152,7 +200,8 @@ func TestPlanTieBreakFollowsTheBlock(t *testing.T) {
 	holders := [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}
 	first := make(map[int]int)
 	for n := uint64(0); n < 64; n++ {
-		plan, _ := planGather(seededHash(2, n), 4, upTo(4), holders)
+		hdr, _ := seededHeader(2, n)
+		plan, _ := firstPlan(hdr, 4, upTo(4), holders)
 		first[plan[0].peer]++
 	}
 	if first[0] < 16 || first[1] < 16 {
@@ -173,9 +222,9 @@ func TestPlanCoversWithFewMembers(t *testing.T) {
 		var planned, firstOwners int
 		load := make([]int, members)
 		for n := uint64(0); n < blocks; n++ {
-			h := seededHash(3, n)
+			hdr, h := seededHeader(3, n)
 			holders := placed(t, h, members, parts, tc.r)
-			plan, ok := planGather(h, parts, upTo(parts), holders)
+			plan, ok := firstPlan(hdr, parts, upTo(parts), holders)
 			if !ok {
 				t.Fatal("no plan")
 			}
@@ -204,8 +253,9 @@ func TestPlanCoversWithFewMembers(t *testing.T) {
 	}
 }
 
-// planFor is the plan the gateway makes for the wanted chunks of a block of
-// the fake upstream once the struck members are out of the holder lists.
+// planFor is the plan the gateway's read follows for the wanted chunks of a
+// block of the fake upstream once the struck members are out of the holder
+// lists.
 func planFor(t *testing.T, u *fakeUpstream, h blockcrypto.Hash, want []int, struck ...int) []peerBatch {
 	t.Helper()
 	holders := make([][]int, u.parts)
@@ -213,7 +263,7 @@ func planFor(t *testing.T, u *fakeUpstream, h blockcrypto.Hash, want []int, stru
 		owners, _ := u.Owners(h, idx)
 		holders[idx] = slices.DeleteFunc(owners, func(p int) bool { return slices.Contains(struck, p) })
 	}
-	plan, ok := planGather(h, u.parts, want, holders)
+	plan, ok := firstPlan(u.headers[h], u.parts, want, holders)
 	if !ok {
 		t.Fatalf("no plan for chunks %v without members %v", want, struck)
 	}

@@ -15,7 +15,7 @@ import (
 // Gateway errors.
 var (
 	ErrUnknownBlock = errors.New("gateway: unknown block")
-	ErrIncomplete   = errors.New("gateway: could not gather every chunk")
+	ErrIncomplete   = netx.ErrIncompleteBlock // netx.Gather's: every TCP read fails with the one value
 )
 
 // Upstream is the storage-cluster view the gateway reads through. The
@@ -210,44 +210,45 @@ func (u *ClusterUpstream) TxProof(peer int, block, txID blockcrypto.Hash) (*netx
 	return resp, nil
 }
 
-// Header implements Upstream: a local index miss triggers one incremental
+// Header implements Upstream: a local index miss triggers an incremental
 // header sync (every header at or above the highest height seen) from the
-// first reachable live member before giving up.
+// live members in turn, until one knows the block: one that answers without
+// it — restarted empty, or behind the others — does not end the search.
 func (u *ClusterUpstream) Header(block blockcrypto.Hash) (chain.Header, error) {
 	u.hmu.Lock()
-	if h, ok := u.headers[block]; ok {
-		u.hmu.Unlock()
-		return h, nil
-	}
+	h, ok := u.headers[block]
 	from := u.nextHeight
 	u.hmu.Unlock()
-
-	var lastErr error = ErrUnknownBlock
+	var down error // why the last member asked did not answer; nil when it did
 	for _, peer := range u.Peers() {
+		if ok {
+			break
+		}
 		c, addr, err := u.client(peer)
 		if err != nil {
-			lastErr = err
+			down = err
 			continue
 		}
 		hdrs, err := c.GetHeaders(from)
 		if err != nil {
 			u.cl.DropClient(addr, c)
-			lastErr = err
+			down = err
 			continue
 		}
 		u.hmu.Lock()
 		for _, h := range hdrs {
 			u.headers[h.Hash()] = h
-			if h.Height+1 > u.nextHeight {
-				u.nextHeight = h.Height + 1
-			}
+			u.nextHeight = max(u.nextHeight, h.Height+1)
 		}
-		h, ok := u.headers[block]
+		h, ok = u.headers[block]
+		from, down = u.nextHeight, nil
 		u.hmu.Unlock()
-		if ok {
-			return h, nil
-		}
-		return chain.Header{}, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short())
 	}
-	return chain.Header{}, fmt.Errorf("gateway: header sync: %w", lastErr)
+	switch {
+	case ok:
+		return h, nil
+	case down != nil:
+		return chain.Header{}, fmt.Errorf("gateway: header sync: %w", down)
+	}
+	return chain.Header{}, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short())
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -474,12 +475,18 @@ func (cl *Cluster) putToMember(addr string, parent trace.SpanID, hdr chain.Heade
 	return nil
 }
 
-// RetrieveBlock gathers the block's chunks from the cluster (skipping
-// unreachable servers), reassembles, and verifies the Merkle root against
-// the expected header.
+// RetrieveBlock reads the block of hdr by the cluster map this cluster holds
+// — how many chunks it was cut into, who may hold each — and verifies it
+// against the header's Merkle root (Gather). A read that fails may have been
+// resolved under a stale map: the members are polled for a newer one once,
+// and with one adopted the read is tried again.
 func (cl *Cluster) RetrieveBlock(hdr chain.Header) (*chain.Block, error) {
 	span := cl.tracer().Start(0, "retrieve", "retrieve-block", clientNode)
-	b, err := cl.retrieveBlock(hdr, span.Context())
+	m := cl.Map()
+	b, err := cl.retrieveBlock(hdr, m, span.Context())
+	if err != nil && cl.CurrentMap().Newer(m) {
+		b, err = cl.retrieveBlock(hdr, cl.Map(), span.Context())
+	}
 	if b != nil {
 		span.AddBytes(int64(b.BodySize()))
 	}
@@ -488,52 +495,35 @@ func (cl *Cluster) RetrieveBlock(hdr chain.Header) (*chain.Block, error) {
 	return b, err
 }
 
-func (cl *Cluster) retrieveBlock(hdr chain.Header, parent trace.SpanID) (*chain.Block, error) {
-	block := hdr.Hash()
-	found := make(map[int]core.Group)
-	parts := 0
-	for _, addr := range cl.base.Addrs {
+// retrieveBlock is one Gather under the map m, one GetChunkBatch per member
+// asked; a member's number is its position in ids, whatever its identity.
+func (cl *Cluster) retrieveBlock(hdr chain.Header, m core.EpochMap, parent trace.SpanID) (*chain.Block, error) {
+	seed := hdr.Hash().Uint64()
+	var ids []simnet.NodeID
+	holders := make([][]int, len(m.At(hdr.Height).Members))
+	for idx := range holders {
+		owners, err := m.Holders(seed, idx, cl.replication, hdr.Height)
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range owners {
+			if !slices.Contains(ids, id) {
+				ids = append(ids, id)
+			}
+			holders[idx] = append(holders[idx], slices.Index(ids, id))
+		}
+	}
+	b, _, err := Gather(hdr, make([]*ChunkResp, len(holders)), holders, func(member int, refs []ChunkRef) *ChunkBatchResp {
+		addr := m.Addr(ids[member])
 		c, err := cl.tracedClient(addr, parent)
 		if err != nil {
-			continue // dead server: degraded read
+			return nil // dead server: degraded read
 		}
-		resp, err := c.GetBlockChunks(block)
+		resp, err := c.GetChunkBatch(refs)
 		if err != nil {
 			cl.DropClient(addr, c)
-			continue
 		}
-		if resp.Parts > 0 {
-			parts = resp.Parts
-		}
-		for i := range resp.Chunks {
-			chk := &resp.Chunks[i]
-			if _, ok := found[chk.Index]; ok {
-				continue
-			}
-			// A copy is taken only if it is the whole chunk it claims to be
-			// and proves into the header's root; a damaged or shortened one
-			// is skipped and the next member's copy of that chunk is taken
-			// instead.
-			g, err := core.DecodeGroup(chk.Index, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
-			if err != nil || g.ProvesChunk(hdr, chk.Parts, chk.Index) != nil {
-				continue
-			}
-			found[chk.Index] = g
-		}
-		if parts > 0 && len(found) == parts {
-			break
-		}
-	}
-	if parts == 0 || len(found) < parts {
-		return nil, fmt.Errorf("%w: have %d of %d", ErrIncompleteBlock, len(found), parts)
-	}
-	groups := make([]core.Group, parts)
-	for i := range groups {
-		groups[i] = found[i] // a gap leaves the zero Group, which Reassemble refuses
-	}
-	b, _, err := core.Reassemble(hdr, groups)
-	if err != nil {
-		return nil, fmt.Errorf("netx: reassembly: %w", err)
-	}
-	return b, nil
+		return resp
+	})
+	return b, err
 }

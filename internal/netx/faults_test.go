@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
 	"icistrategy/internal/storage"
 )
@@ -128,11 +129,10 @@ func TestDelayFaultAddsLatency(t *testing.T) {
 	}
 }
 
-// TestRetrieveSurvivesOneCorruptingMember: 3 members, r=2, and the first
-// member in address order flips every chunk it serves. Every chunk has a
-// sound replica on another member, so the read must skip the bad copies and
-// take the next member's instead of keeping the first copy of each index
-// and failing the whole block at the end.
+// TestRetrieveSurvivesOneCorruptingMember: 3 members, r=2, and member 0
+// flips every chunk it serves. Every chunk has a sound replica on another
+// member, so the read must ask there for the copies that do not prove
+// instead of failing the whole block on them.
 func TestRetrieveSurvivesOneCorruptingMember(t *testing.T) {
 	servers, addrs := startServers(t, 3)
 	servers[0].EnableChaos()
@@ -170,12 +170,12 @@ func TestRetrieveSurvivesOneCorruptingMember(t *testing.T) {
 	}
 }
 
-// TestRetrieveSurvivesOneShorteningMember: the first member in address
-// order holds every chunk without its last transaction, with the proofs to
-// match. Each such copy proves as far as it goes, so a check of proofs alone
-// takes it and the block breaks its root with no copy to blame; checked
-// against the range the split puts there (core.Group.ProvesChunk) it is
-// skipped for the whole copy on another member.
+// TestRetrieveSurvivesOneShorteningMember: member 0 holds every chunk
+// without its last transaction, with the proofs to match. Each such copy
+// proves as far as it goes, so a check of proofs alone takes it and the
+// block breaks its root with no copy to blame; checked against the range the
+// split puts there (core.Group.ProvesChunk) it is unsound, and the whole copy
+// on another member is asked for.
 func TestRetrieveSurvivesOneShorteningMember(t *testing.T) {
 	servers, addrs := startServers(t, 3)
 	cl, err := NewCluster(addrs, 2)
@@ -184,8 +184,27 @@ func TestRetrieveSurvivesOneShorteningMember(t *testing.T) {
 	}
 	defer cl.Close()
 	blocks := distributeBlocks(t, cl, 3, 18)
-	s, shortened := servers[0], 0
+	shortened := shortenStored(t, servers[0], blocks)
+	if shortened == 0 {
+		t.Fatal("the shortening member holds no chunk: nothing was tested")
+	}
+	for _, b := range blocks {
+		got, err := cl.RetrieveBlock(b.Header)
+		if err != nil {
+			t.Fatalf("block %d: one shortening member failed a read every chunk of which has a whole replica: %v", b.Header.Height, err)
+		}
+		if got.Hash() != b.Hash() || len(got.Txs) != len(b.Txs) {
+			t.Fatalf("block %d reassembled wrong", b.Header.Height)
+		}
+	}
+}
+
+// shortenStored rewrites every chunk s stores of the blocks without its last
+// transaction and that transaction's proof, and returns how many it rewrote.
+func shortenStored(t *testing.T, s *Server, blocks []*chain.Block) (shortened int) {
+	t.Helper()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, b := range blocks {
 		for _, idx := range s.store.ChunksForBlock(b.Hash()) {
 			id := storage.ChunkID{Block: b.Hash(), Index: idx}
@@ -207,19 +226,7 @@ func TestRetrieveSurvivesOneShorteningMember(t *testing.T) {
 			shortened++
 		}
 	}
-	s.mu.Unlock()
-	if shortened == 0 {
-		t.Fatal("the shortening member holds no chunk: nothing was tested")
-	}
-	for _, b := range blocks {
-		got, err := cl.RetrieveBlock(b.Header)
-		if err != nil {
-			t.Fatalf("block %d: one shortening member failed a read every chunk of which has a whole replica: %v", b.Header.Height, err)
-		}
-		if got.Hash() != b.Hash() || len(got.Txs) != len(b.Txs) {
-			t.Fatalf("block %d reassembled wrong", b.Header.Height)
-		}
-	}
+	return shortened
 }
 
 func TestCorruptRateDamagesServedChunks(t *testing.T) {

@@ -2,7 +2,6 @@ package netx
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -296,11 +295,8 @@ func TestRetrieveIncompleteWithReplicationOne(t *testing.T) {
 	if !killed {
 		t.Fatal("no server held chunks")
 	}
-	if _, err := cl.RetrieveBlock(b.Header); err == nil {
-		t.Fatal("read succeeded despite lost chunks (r=1)")
-	} else if !strings.Contains(err.Error(), "of") {
-		// fine: either incomplete-block or reassembly error; both detect it
-		_ = err
+	if _, err := cl.RetrieveBlock(b.Header); !errors.Is(err, ErrIncompleteBlock) {
+		t.Fatalf("read despite lost chunks (r=1): got %v, want %v", err, ErrIncompleteBlock)
 	}
 }
 

@@ -66,11 +66,11 @@ func TestClusterTracing(t *testing.T) {
 		t.Fatalf("missing phase root spans; recorded names: %v", byName)
 	}
 	// 4 put-header round-trips, 2 replicas × parts put-chunks, ≥1
-	// get-block-chunks.
+	// get-chunk-batch.
 	if byName["put-header"] != 4 {
 		t.Errorf("put-header spans = %d, want 4", byName["put-header"])
 	}
-	if byName["put-chunk"] == 0 || byName["get-block-chunks"] == 0 {
+	if byName["put-chunk"] == 0 || byName["get-chunk-batch"] == 0 {
 		t.Errorf("missing round-trip spans: %v", byName)
 	}
 	if rpcBytes == 0 {

@@ -343,7 +343,9 @@ func BenchmarkSendDeliver(b *testing.B) {
 // TestAllocsPerSendDeliver pins the event-pooling win: once the free list
 // and intern table are warm, a full send→deliver cycle must stay within 2
 // allocations (it is 0 on the current engine; 2 is the regression ceiling
-// the PR 5 acceptance bar names).
+// the PR 5 acceptance bar names) and must not grow the event slab: a Step
+// that stops releasing events grows it by one per cycle, and the slab's
+// doubling hides that from the allocation count.
 func TestAllocsPerSendDeliver(t *testing.T) {
 	net := New(ConstantLatency(time.Millisecond))
 	const n = 64
@@ -359,6 +361,7 @@ func TestAllocsPerSendDeliver(t *testing.T) {
 		}
 	}
 	net.RunUntilIdle()
+	warm := len(net.pool)
 	i := 0
 	avg := testing.AllocsPerRun(500, func() {
 		if err := net.Send(Message{From: NodeID(i % n), To: NodeID((i + 1) % n), Kind: "alloc/probe", Size: 64}); err != nil {
@@ -369,6 +372,9 @@ func TestAllocsPerSendDeliver(t *testing.T) {
 	})
 	if avg > 2 {
 		t.Fatalf("send→deliver costs %.2f allocs, ceiling is 2", avg)
+	}
+	if grown := len(net.pool) - warm; grown != 0 {
+		t.Fatalf("the event slab grew by %d slots over 500 send→deliver cycles: events are not released", grown)
 	}
 }
 
