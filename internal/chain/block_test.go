@@ -292,12 +292,13 @@ func TestDecodedBodyOwnsItsBytes(t *testing.T) {
 
 // TestDecodeAllocations gates what the slab bought: a body costs three
 // allocations whatever its transaction count, one transaction two, a proof
-// list two.
+// list two — and what building a block's Merkle tree costs.
 func TestDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race include the detector's own")
 	}
-	body := newTestBlock(t, 0, blockcrypto.ZeroHash, 96).EncodeBody()
+	block := newTestBlock(t, 0, blockcrypto.ZeroHash, 96)
+	body := block.EncodeBody()
 	proofs := AppendProofs(nil, proofsOf(t, 96, 12, 24))
 	for _, tc := range []struct {
 		name string
@@ -307,6 +308,10 @@ func TestDecodeAllocations(t *testing.T) {
 		{"DecodeBody of 96 transactions", 3, func() error { _, err := DecodeBody(body); return err }},
 		{"DecodeTransaction", 2, func() error { _, _, err := DecodeTransaction(body[4:]); return err }},
 		{"DecodeProofs of 12 proofs", 2, func() error { _, _, err := DecodeProofs(proofs); return err }},
+		// The tree, its 8 levels (the leaf level is the one slice of ids
+		// TxMerkleTree fills, not a copy of it) and the 4 growths of the
+		// level list.
+		{"TxMerkleTree of 96 transactions", 13, func() error { _, err := TxMerkleTree(block.Txs); return err }},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			if err := tc.run(); err != nil {

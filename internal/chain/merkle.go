@@ -28,13 +28,19 @@ type MerkleTree struct {
 	levels [][]blockcrypto.Hash // levels[0] = leaves, last level = [root]
 }
 
-// NewMerkleTree builds a tree over the given leaf hashes.
+// NewMerkleTree builds a tree over the given leaf hashes, which stay the
+// caller's: the tree keeps a copy.
 func NewMerkleTree(leaves []blockcrypto.Hash) (*MerkleTree, error) {
-	if len(leaves) == 0 {
+	return newMerkleTree(append([]blockcrypto.Hash(nil), leaves...))
+}
+
+// newMerkleTree builds the tree on level, which becomes its leaf level: the
+// caller made the slice for it and keeps no reference.
+func newMerkleTree(level []blockcrypto.Hash) (*MerkleTree, error) {
+	if len(level) == 0 {
 		return nil, ErrEmptyTree
 	}
 	t := &MerkleTree{}
-	level := append([]blockcrypto.Hash(nil), leaves...)
 	t.levels = append(t.levels, level)
 	for len(level) > 1 {
 		next := make([]blockcrypto.Hash, 0, (len(level)+1)/2)
@@ -57,7 +63,7 @@ func TxMerkleTree(txs []*Transaction) (*MerkleTree, error) {
 	for i, tx := range txs {
 		leaves[i] = tx.ID()
 	}
-	return NewMerkleTree(leaves)
+	return newMerkleTree(leaves)
 }
 
 // Root returns the root hash of the tree.

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/metrics"
 )
 
@@ -30,12 +31,26 @@ type lruCache struct {
 	maxEntry int64
 	size     int64
 	order    *list.List // front = most recent
-	entries  map[string]*list.Element
+	entries  map[cacheKey]*list.Element
 	ctr      cacheCounters
 }
 
+// cacheKey names what a cache entry or a flight holds. It is a comparable
+// value, not a string built per lookup: a cold read makes one lookup and one
+// admission per chunk, and none of them allocates a key.
+type cacheKey struct {
+	kind byte             // 'b' a block, 'c' one of its chunks, 'p' the proof of one of its transactions
+	hash blockcrypto.Hash // the block
+	idx  int              // the chunk's index, for 'c'
+	tx   blockcrypto.Hash // the transaction's id, for 'p'
+}
+
+func blockKey(h blockcrypto.Hash) cacheKey          { return cacheKey{kind: 'b', hash: h} }
+func chunkKey(h blockcrypto.Hash, idx int) cacheKey { return cacheKey{kind: 'c', hash: h, idx: idx} }
+func proofKey(h, tx blockcrypto.Hash) cacheKey      { return cacheKey{kind: 'p', hash: h, tx: tx} }
+
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	val  any
 	size int64
 }
@@ -48,13 +63,13 @@ func newLRUCache(capacity int64, ctr cacheCounters) *lruCache {
 		capacity: capacity,
 		maxEntry: capacity / admissionDiv,
 		order:    list.New(),
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[cacheKey]*list.Element),
 		ctr:      ctr,
 	}
 }
 
 // Get returns the cached value and promotes it to most-recently-used.
-func (c *lruCache) Get(key string) (any, bool) {
+func (c *lruCache) Get(key cacheKey) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -70,7 +85,7 @@ func (c *lruCache) Get(key string) (any, bool) {
 // Put admits a value of the given size, evicting from the cold end until
 // it fits. Oversized entries (see admissionDiv) are rejected, as is any
 // entry when the cache is disabled.
-func (c *lruCache) Put(key string, val any, size int64) {
+func (c *lruCache) Put(key cacheKey, val any, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size <= 0 || size > c.maxEntry {

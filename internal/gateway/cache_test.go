@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/netx"
 )
@@ -21,11 +22,14 @@ func testCounters(reg *metrics.Registry, prefix string) cacheCounters {
 	}
 }
 
+// key is the cache key the tests call name.
+func key(name string) cacheKey { return blockKey(blockcrypto.Sum256([]byte(name))) }
+
 func TestLRUEvictsColdEntriesByBytes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := newLRUCache(100, testCounters(reg, "ici.test_cache"))
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i, 20) // 200 bytes into a 100-byte cache
+		c.Put(key(fmt.Sprintf("k%d", i)), i, 20) // 200 bytes into a 100-byte cache
 	}
 	if c.Bytes() > 100 {
 		t.Fatalf("cache over capacity: %d bytes", c.Bytes())
@@ -34,10 +38,10 @@ func TestLRUEvictsColdEntriesByBytes(t *testing.T) {
 		t.Fatalf("len = %d, want 5", c.Len())
 	}
 	// The cold half is gone, the hot half present.
-	if _, ok := c.Get("k0"); ok {
+	if _, ok := c.Get(key("k0")); ok {
 		t.Fatal("coldest entry survived")
 	}
-	if _, ok := c.Get("k9"); !ok {
+	if _, ok := c.Get(key("k9")); !ok {
 		t.Fatal("hottest entry evicted")
 	}
 	if v := reg.Snapshot()["ici.test_cache.evictions"]; v != 5 {
@@ -47,19 +51,19 @@ func TestLRUEvictsColdEntriesByBytes(t *testing.T) {
 
 func TestLRUGetPromotes(t *testing.T) {
 	c := newLRUCache(80, testCounters(nil, ""))
-	c.Put("a", 1, 20)
-	c.Put("b", 2, 20)
-	c.Put("c", 3, 20)
-	c.Put("d", 4, 20)
+	c.Put(key("a"), 1, 20)
+	c.Put(key("b"), 2, 20)
+	c.Put(key("c"), 3, 20)
+	c.Put(key("d"), 4, 20)
 	// Touch a so b becomes coldest, then overflow by one entry.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(key("a")); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put("e", 5, 20)
-	if _, ok := c.Get("b"); ok {
+	c.Put(key("e"), 5, 20)
+	if _, ok := c.Get(key("b")); ok {
 		t.Fatal("LRU order ignored recency: b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(key("a")); !ok {
 		t.Fatal("recently used entry evicted")
 	}
 }
@@ -67,13 +71,13 @@ func TestLRUGetPromotes(t *testing.T) {
 func TestLRUAdmissionRejectsOversized(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := newLRUCache(100, testCounters(reg, "ici.test_cache"))
-	c.Put("hot", 1, 10)
+	c.Put(key("hot"), 1, 10)
 	// Larger than capacity/admissionDiv (25): rejected, nothing evicted.
-	c.Put("whale", 2, 40)
-	if _, ok := c.Get("whale"); ok {
+	c.Put(key("whale"), 2, 40)
+	if _, ok := c.Get(key("whale")); ok {
 		t.Fatal("oversized entry admitted")
 	}
-	if _, ok := c.Get("hot"); !ok {
+	if _, ok := c.Get(key("hot")); !ok {
 		t.Fatal("admission rejection evicted the working set")
 	}
 	if v := reg.Snapshot()["ici.test_cache.rejected"]; v != 1 {
@@ -83,20 +87,20 @@ func TestLRUAdmissionRejectsOversized(t *testing.T) {
 
 func TestLRUDisabledCache(t *testing.T) {
 	c := newLRUCache(0, testCounters(nil, ""))
-	c.Put("a", 1, 10)
-	if _, ok := c.Get("a"); ok {
+	c.Put(key("a"), 1, 10)
+	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("disabled cache cached")
 	}
 }
 
 func TestLRUUpdateAdjustsAccounting(t *testing.T) {
 	c := newLRUCache(100, testCounters(nil, ""))
-	c.Put("a", 1, 10)
-	c.Put("a", 2, 25)
+	c.Put(key("a"), 1, 10)
+	c.Put(key("a"), 2, 25)
 	if got := c.Bytes(); got != 25 {
 		t.Fatalf("bytes = %d, want 25 after in-place update", got)
 	}
-	v, ok := c.Get("a")
+	v, ok := c.Get(key("a"))
 	if !ok || v.(int) != 2 {
 		t.Fatalf("updated value lost: %v %v", v, ok)
 	}
@@ -113,7 +117,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, shared := g.Do("k", func() (any, error) {
+			v, err, shared := g.Do(key("k"), func() (any, error) {
 				runs.Add(1)
 				<-gate
 				return 42, nil
@@ -145,7 +149,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 
 	// After completion the key is free again: a new call re-executes.
-	_, _, shared := g.Do("k", func() (any, error) { runs.Add(1); return 1, nil })
+	_, _, shared := g.Do(key("k"), func() (any, error) { runs.Add(1); return 1, nil })
 	if shared || runs.Load() != 2 {
 		t.Fatal("flight key leaked past completion")
 	}

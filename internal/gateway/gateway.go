@@ -19,7 +19,6 @@ package gateway
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 
 	"icistrategy/internal/blockcrypto"
@@ -107,11 +106,6 @@ type cachedBlock struct {
 }
 
 func (c *cachedBlock) size() int64 { return int64(c.block.BodySize() + c.tree.Size()) }
-
-func blockKey(h blockcrypto.Hash) string { return "b:" + string(h[:]) }
-func chunkKey(h blockcrypto.Hash, idx int) string {
-	return "c:" + string(h[:]) + ":" + strconv.Itoa(idx)
-}
 
 // GetBlock returns the full verified block with the given hash, from cache
 // when hot, otherwise by gathering its chunks from the cluster. Concurrent
@@ -207,8 +201,7 @@ func (g *Gateway) GetTxProof(block, txID blockcrypto.Hash) (core.TxProof, error)
 		}
 		return core.TxProof{}, core.ErrTxNotFound
 	}
-	key := "p:" + string(block[:]) + string(txID[:])
-	v, err, shared := g.flights.Do(key, func() (any, error) {
+	v, err, shared := g.flights.Do(proofKey(block, txID), func() (any, error) {
 		p, err := g.fetchProof(block, txID)
 		if err != nil && g.up.Refresh() {
 			g.refreshes.Inc()

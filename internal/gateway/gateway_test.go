@@ -32,6 +32,7 @@ type fakeUpstream struct {
 	headerCalls  atomic.Int64
 	batchCalls   atomic.Int64
 	batchRefs    atomic.Int64
+	provenRefs   atomic.Int64 // refs answered with their proofs
 	proofCalls   atomic.Int64
 	refreshCalls atomic.Int64
 
@@ -164,10 +165,17 @@ func (u *fakeUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.ChunkBa
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for i, ref := range refs {
+		proofs := ref.Proofs
+		ref.Proofs = false // the maps are keyed by the chunk's name alone
 		if u.lost[peer][ref] {
 			continue
 		}
 		if c, ok := u.chunks[peer][ref]; ok {
+			if proofs {
+				u.provenRefs.Add(1)
+			} else {
+				c.Proofs = nil // a bare ref is answered bare, as a server does
+			}
 			resp.Found[i] = true
 			resp.Chunks[i] = c
 		}
@@ -509,10 +517,11 @@ func flipAmount(c netx.ChunkResp) netx.ChunkResp {
 
 // TestGatewaySurvivesOneCorruptingMember: replication 2, and one peer
 // serves a flipped payload for every chunk it owns. Every chunk has a sound
-// copy on its other owner, so every read must succeed — paying for the bad
-// copies only: the plan's batches, then one more plan over the chunks the
-// corrupting peer served, without it — and the chunk cache must hold the
-// sound payloads, never the flipped ones.
+// copy on its other owner, so every read must succeed — at the price of the
+// plan's batches, one re-read with proofs per member of that plan (the first
+// pass reads bare, and a root that does not match blames no copy), then one
+// more plan over the chunks the corrupting peer served, without it — and the
+// chunk cache must hold the sound payloads, never the flipped ones.
 func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 	const peers, corrupting = 4, 1
 	u, blocks := newFakeUpstream(t, peers, 3, 16)
@@ -531,7 +540,7 @@ func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 		want := len(plan)
 		for _, pb := range plan {
 			if pb.peer == corrupting {
-				want += len(planFor(t, u, b.Hash(), pb.idxs, corrupting))
+				want += len(plan) + len(planFor(t, u, b.Hash(), pb.idxs, corrupting))
 				served += len(pb.idxs)
 			}
 		}
@@ -571,6 +580,9 @@ func TestGatewaySurvivesOneCorruptingMember(t *testing.T) {
 	plan := planFor(t, sound, soundBlocks[0].Hash(), upTo(peers))
 	if calls, refs := sound.batchCalls.Load(), sound.batchRefs.Load(); calls != int64(len(plan)) || refs != peers {
 		t.Fatalf("sound read cost %d batches of %d refs, want %d of %d", calls, refs, len(plan), peers)
+	}
+	if proven := sound.provenRefs.Load(); proven != 0 {
+		t.Fatalf("a sound read asked for the proofs of %d chunks", proven)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -322,9 +323,12 @@ func cutShort(c netx.ChunkResp) netx.ChunkResp {
 }
 
 // TestCopyThatDoesNotDecodeIsAskedElsewhere: a copy cut short in the middle
-// of a transaction is one more unsound copy. With a second holder the read
-// succeeds at the cost of one batch; with none it fails with the decode
-// error and caches nothing.
+// of a transaction is one more unsound copy. The first pass reads bare, so
+// the refused reassembly cannot say which copy it was: with a second holder
+// the read succeeds at the price of the plan, one re-read with proofs per
+// member of that plan, and one batch more for the chunk whose copy still
+// does not decode; with none it fails with the decode error and caches
+// nothing.
 func TestCopyThatDoesNotDecodeIsAskedElsewhere(t *testing.T) {
 	u, blocks := newFakeUpstream(t, 4, 1, 16)
 	u.replication = 2
@@ -343,8 +347,11 @@ func TestCopyThatDoesNotDecodeIsAskedElsewhere(t *testing.T) {
 	if got.Hash() != h || got.VerifyShape() != nil {
 		t.Fatal("wrong block")
 	}
-	if calls := u.batchCalls.Load(); calls != int64(len(plan)+1) {
-		t.Fatalf("the read cost %d batches, want the plan's %d and one more", calls, len(plan))
+	if calls := u.batchCalls.Load(); calls != int64(2*len(plan)+1) {
+		t.Fatalf("the read cost %d batches, want the plan's %d, as many re-reads and one more", calls, len(plan))
+	}
+	if proven := u.provenRefs.Load(); proven != 4+1 {
+		t.Fatalf("%d refs were answered with proofs, want the 4 read again and the 1 asked elsewhere", proven)
 	}
 
 	u, blocks = newFakeUpstream(t, 4, 1, 16)
@@ -380,7 +387,9 @@ func dropLast(t *testing.T, c netx.ChunkResp) netx.ChunkResp {
 // transaction of every chunk it serves, with the proofs to match. Each copy
 // proves as far as it goes; it is unsound because the split puts more
 // transactions there. Every chunk has a whole copy on its other owner, so
-// every read must succeed.
+// every read must succeed, at the price of the plan, one re-read with proofs
+// per member of that plan, and one more plan over the chunks the shortening
+// member served.
 func TestGatewaySurvivesOneShorteningMember(t *testing.T) {
 	const peers = 4
 	u, blocks := newFakeUpstream(t, peers, 3, 16)
@@ -401,7 +410,7 @@ func TestGatewaySurvivesOneShorteningMember(t *testing.T) {
 		}
 		want := len(plan)
 		if len(bad) > 0 {
-			want += len(planFor(t, u, b.Hash(), bad, shortening))
+			want += len(plan) + len(planFor(t, u, b.Hash(), bad, shortening))
 		}
 		served += len(bad)
 		before := u.batchCalls.Load()
@@ -418,6 +427,43 @@ func TestGatewaySurvivesOneShorteningMember(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("the shortening member was in no plan: nothing was tested")
+	}
+}
+
+// TestColdReadAllocations holds BenchmarkGatewayColdRead's allocs/op, with
+// both caches off as the benchmark has them and with both on (every lookup a
+// miss, every chunk and block admitted, the LRU's entries on top). The mean
+// over 64 seeded blocks is held to half an allocation — a read's count goes
+// with the size of its plan — so that a key built per lookup (the caches and
+// the flight group are keyed by a comparable struct, not a string) or a
+// second copy of a payload shows here, in tier-1.
+func TestColdReadAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		want       float64
+	}{{"caches off", 0, 142}, {"caches on", 1 << 30, 160.5}} {
+		u, blocks := newFakeUpstream(t, 8, 65, 96)
+		u.replication = 2
+		g := newTestGateway(t, u, nil, tc.cacheBytes)
+		read := func(b *chain.Block) {
+			if _, err := g.GetBlock(b.Hash()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read(blocks[0]) // warm-up: the batcher's queues, the goroutines a gather parks
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, b := range blocks[1:] { // every block is read once: no read is a hit
+			read(b)
+		}
+		runtime.ReadMemStats(&after)
+		mean := float64(after.Mallocs-before.Mallocs) / float64(len(blocks)-1)
+		t.Logf("%s: %.2f allocations a cold read", tc.name, mean)
+		if mean > tc.want+0.5 || mean < tc.want-0.5 { // the race detector adds none
+			t.Errorf("%s: %.2f allocations a cold read, want %.1f", tc.name, mean, tc.want)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import "sync"
 // in-repo because the gateway depends only on the standard library.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[cacheKey]*flight
 }
 
 type flight struct {
@@ -19,10 +19,10 @@ type flight struct {
 
 // Do runs fn once per key among concurrent callers; shared reports whether
 // this caller joined an execution started by another.
-func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
+func (g *flightGroup) Do(key cacheKey, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flight)
+		g.m = make(map[cacheKey]*flight)
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()

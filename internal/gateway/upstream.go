@@ -219,6 +219,9 @@ func (u *ClusterUpstream) Header(block blockcrypto.Hash) (chain.Header, error) {
 	h, ok := u.headers[block]
 	from := u.nextHeight
 	u.hmu.Unlock()
+	if ok {
+		return h, nil // every call of a read but its first: no peer list is built
+	}
 	var down error // why the last member asked did not answer; nil when it did
 	for _, peer := range u.Peers() {
 		if ok {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -127,8 +128,10 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 // TestRetrieveSurvivesOneCorruptingMember on the path clients use: 3 real
 // members, r=2, each in turn flipping every chunk it serves. Whichever member
 // it is, every chunk has a sound copy on its other owner, so every uncached
-// read must succeed — and must have fetched some chunk twice, or no first
-// owner was ever the corrupting one and nothing was tested.
+// read must succeed — at the price of its plan, one re-read with proofs per
+// member of that plan, and one more plan — and must have fetched some chunk
+// more than once, or no first owner was ever the corrupting one and nothing
+// was tested.
 func TestGatewaySurvivesOneCorruptingMemberOverTCP(t *testing.T) {
 	const members = 3
 	addrs, blocks := startCluster(t, members, 2, 3, 18)
@@ -167,6 +170,73 @@ func TestGatewaySurvivesOneCorruptingMemberOverTCP(t *testing.T) {
 	reads := members * len(blocks)
 	if refs := reg.Snapshot()["ici.gateway.batch.refs"]; refs <= float64(reads*members) {
 		t.Fatalf("%d reads of %d chunks fetched %v refs: no bad copy was ever replaced", reads, members, refs)
+	}
+}
+
+// proofCounter is a ClusterUpstream that counts what its batches ask for and
+// what the answers carry.
+type proofCounter struct {
+	*ClusterUpstream
+	refs, provenRefs, proofs atomic.Int64
+}
+
+func (u *proofCounter) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.ChunkBatchResp, error) {
+	for _, ref := range refs {
+		u.refs.Add(1)
+		if ref.Proofs {
+			u.provenRefs.Add(1)
+		}
+	}
+	resp, err := u.ClusterUpstream.FetchBatch(peer, refs)
+	if err == nil {
+		for i := range resp.Chunks {
+			u.proofs.Add(int64(len(resp.Chunks[i].Proofs)))
+		}
+	}
+	return resp, err
+}
+
+// TestSoundReadCarriesNoProofs is netx's test of that name on the path
+// clients use: cold reads through a gateway over real members ask for no
+// proofs and are sent none; with one member corrupting what it serves the
+// gateway asks for them, and only then.
+func TestSoundReadCarriesNoProofs(t *testing.T) {
+	const members = 4
+	addrs, blocks := startCluster(t, members, 2, 3, 24)
+	cu, err := NewClusterUpstream(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cu.Close()
+	up := &proofCounter{ClusterUpstream: cu}
+	g, err := New(Config{Upstream: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll := func() {
+		t.Helper()
+		for _, b := range blocks {
+			got, err := g.GetBlock(b.Hash())
+			if err != nil || got.Hash() != b.Hash() {
+				t.Fatalf("block %d: %v", b.Header.Height, err)
+			}
+		}
+	}
+	readAll()
+	if refs, proven, proofs := up.refs.Load(), up.provenRefs.Load(), up.proofs.Load(); refs != int64(len(blocks)*members) || proven != 0 || proofs != 0 {
+		t.Fatalf("sound reads asked for %d chunks, %d of them with proofs, and were sent %d proofs: want %d, 0, 0", refs, proven, proofs, len(blocks)*members)
+	}
+	c, err := netx.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.InjectFault(netx.FaultReq{Set: &netx.FaultConfig{CorruptRate: 1, Seed: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	readAll()
+	if proven, proofs := up.provenRefs.Load(), up.proofs.Load(); proven == 0 || proofs == 0 {
+		t.Fatalf("reads past a corrupting member asked for the proofs of %d chunks and were sent %d proofs: no copy was judged", proven, proofs)
 	}
 }
 

@@ -145,7 +145,7 @@ func (g *gen) request() *Request {
 	case 5:
 		q := &ChunkBatchReq{}
 		for i, n := 0, g.n(4); i < n; i++ {
-			q.Refs = append(q.Refs, ChunkRef{Block: g.hash(), Index: g.int()})
+			q.Refs = append(q.Refs, ChunkRef{Block: g.hash(), Index: g.int(), Proofs: g.bool()})
 		}
 		return &Request{GetChunkBatch: q}
 	case 6:
@@ -231,6 +231,17 @@ func FuzzCodecVsGob(f *testing.F) {
 	f.Add([]byte{})
 	for seed := byte(0); seed < 24; seed++ {
 		f.Add(bytes.Repeat([]byte{seed, seed * 7, 0xff - seed, 3}, 64))
+	}
+	// get_chunks with bare, proven and mixed refs, as gen.request reads
+	// them: variant 5, a count, then per ref a hash, a one-byte index and
+	// the proofs flag.
+	for _, flags := range [][]byte{{0, 0}, {1, 1}, {1, 0, 1}} {
+		seed := []byte{5, byte(len(flags))}
+		for i, flag := range flags {
+			seed = append(seed, bytes.Repeat([]byte{byte(0x11 * (i + 1))}, blockcrypto.HashSize)...)
+			seed = append(seed, 0, byte(i), flag)
+		}
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gen{b: data}

@@ -27,9 +27,12 @@ type FaultConfig struct {
 	// transport failure (the real-network analogue of simnet message loss).
 	DropRate float64
 	// CorruptRate is the probability a served chunk response has its
-	// payload corrupted in flight (last byte flipped, like the simulator's
-	// bit-flip corruption). Headers and control responses are never
-	// touched: chunk data is the integrity-checked path.
+	// payload corrupted in flight: the last data byte of every chunk is
+	// flipped in the encoded frame (storedChunks.appendStored), like the
+	// simulator's bit-flip corruption, and the stored chunk is not touched —
+	// the next read serves the original bytes. Proofs, headers and control
+	// responses are never touched: chunk data is the integrity-checked
+	// path.
 	CorruptRate float64
 	// Delay is a fixed extra latency applied to every request before it is
 	// handled.
@@ -134,37 +137,6 @@ func (s *Server) handleFault(f *faultState, r *FaultReq) *Response {
 		}
 	}
 	return &Response{Faults: resp}
-}
-
-// corruptChunkResponses flips the last byte of every chunk payload in a
-// response, leaving proofs and headers intact, so clients exercise their
-// verify-on-read paths exactly as they would against a byzantine member:
-// the last byte is inside the last transaction's signature, so the payload
-// still decodes and only a check against the Merkle root catches it (the
-// first byte is the transaction count, and flipping that fails the decode
-// before any verification is reached).
-func corruptChunkResponses(resp *Response) {
-	flip := func(c *ChunkResp) {
-		if len(c.Data) == 0 {
-			return
-		}
-		// The data slice is a private copy from the store (copy-on-read),
-		// so flipping here cannot corrupt the stored chunk.
-		c.Data[len(c.Data)-1] ^= 0xFF
-	}
-	if resp.Chunk != nil {
-		flip(resp.Chunk)
-	}
-	if resp.BlockChunks != nil {
-		for i := range resp.BlockChunks.Chunks {
-			flip(&resp.BlockChunks.Chunks[i])
-		}
-	}
-	if resp.ChunkBatch != nil {
-		for i := range resp.ChunkBatch.Chunks {
-			flip(&resp.ChunkBatch.Chunks[i])
-		}
-	}
 }
 
 // InjectFault sends a FaultReq control op: installing a fault config,

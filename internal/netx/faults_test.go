@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -251,9 +252,36 @@ func TestCorruptRateDamagesServedChunks(t *testing.T) {
 	if _, err := cl.RetrieveBlock(blocks[0].Header); err == nil {
 		t.Fatal("retrieve returned a verified block despite corrupt-in-flight shards")
 	}
-	// The stored data is untouched: clearing the fault heals reads.
+	// The byte is flipped in the response frame, which is the only copy the
+	// server makes of a stored chunk: the stored one must not have changed.
+	damaged, err := c.GetChunk(blocks[0].Hash(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers[0].mu.Lock()
+	stored, err := servers[0].store.Chunk(storage.ChunkID{Block: blocks[0].Hash(), Index: 0})
+	servers[0].mu.Unlock()
+	if err != nil {
+		t.Fatalf("the stored chunk after it was served corrupted: %v", err)
+	}
+	if last := len(stored.Data) - 1; !bytes.Equal(damaged.Data[:last], stored.Data[:last]) || damaged.Data[last] != stored.Data[last]^0xFF {
+		t.Fatal("corrupt-wire did not serve the stored payload with its last byte flipped")
+	}
+	// Clearing the fault heals reads: the same chunk read again is the
+	// original bytes, over the single-chunk op and in a batch.
 	if _, err := c.InjectFault(FaultReq{Set: &FaultConfig{}}); err != nil {
 		t.Fatal(err)
+	}
+	again, err := c.GetChunk(blocks[0].Hash(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := c.GetChunkBatch([]ChunkRef{{Block: blocks[0].Hash(), Index: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Data, stored.Data) || !batch.Found[0] || !bytes.Equal(batch.Chunks[0].Data, stored.Data) {
+		t.Fatal("a chunk served corrupted once is not served whole with the fault cleared")
 	}
 	if _, err := cl.RetrieveBlock(blocks[0].Header); err != nil {
 		t.Fatalf("retrieve after clearing faults: %v", err)

@@ -19,14 +19,20 @@ import (
 //
 // First attempt and fallback are one loop: the wanted chunks are planned
 // over their holders (planGather) and fetched, a member struck from
-// holders[idx] once asked, and a chunk that did not come, or whose copy —
-// read with its proofs once a reassembly has failed — does not decode, is
-// cut short or does not prove, is wanted again, until the block verifies
-// against the header's root (have then holds the copies it was built from)
-// or a wanted chunk has no holder left. A stale cluster map ends the same
-// way: chunks cut for another part count than len(have) are unsound.
+// holders[idx] once asked, and a chunk that did not come is wanted again,
+// until the block verifies against the header's root (have then holds the
+// copies it was built from) or a wanted chunk has no holder left. The root
+// is the only check a sound read pays for, so the copies are asked for
+// bare, without their Merkle proofs. Once a reassembly is refused somebody
+// has to say which copy is wrong: the copies of that pass are read again
+// from the members that served them, with proofs this time and for the rest
+// of the read, and one that does not come again, does not decode, is cut
+// short or does not prove is wanted again, from a holder not asked yet. A
+// stale cluster map ends the same way: chunks cut for another part count
+// than len(have) are unsound.
 func Gather(hdr chain.Header, have []*ChunkResp, holders [][]int, fetch func(member int, refs []ChunkRef) *ChunkBatchResp) (*chain.Block, *chain.MerkleTree, error) {
 	h, parts := hdr.Hash(), len(have)
+	rd := reading{block: h, have: have, from: make([]int, parts), holders: holders, fetch: fetch}
 	var wanted []int
 	for idx, c := range have {
 		if c == nil {
@@ -44,40 +50,54 @@ func Gather(hdr chain.Header, have []*ChunkResp, holders [][]int, fetch func(mem
 				}
 				return nil, nil, fmt.Errorf("%w: have %d of %d for %s", ErrIncompleteBlock, parts-len(wanted), parts, h.Short())
 			}
-			wanted = ask(h, plan, holders, have, fetch)
+			wanted = rd.ask(plan)
 		}
 		b, tree, err := reassemble(hdr, have)
 		if err == nil {
 			return b, tree, nil
 		}
+		if len(asked) == 0 {
+			return nil, nil, err // every copy left has proved, or was the caller's
+		}
 		broken = err
+		if !rd.proofs {
+			rd.proofs = true
+			wanted = rd.ask(rd.servers(asked))
+		}
 		for _, idx := range asked {
-			if !sound(have[idx], hdr, parts, idx) {
+			if have[idx] != nil && !sound(have[idx], hdr, parts, idx) {
 				wanted = append(wanted, idx)
 			}
-		}
-		if len(wanted) == 0 {
-			return nil, nil, broken
 		}
 	}
 }
 
+// reading is the state of one Gather that its round trips share.
+type reading struct {
+	block   blockcrypto.Hash
+	have    []*ChunkResp
+	from    []int // from[idx] is the member that served have[idx], where a round trip did
+	holders [][]int
+	proofs  bool // whether copies are asked for with their proofs: not until a reassembly was refused
+	fetch   func(member int, refs []ChunkRef) *ChunkBatchResp
+}
+
 // ask carries out one plan, its members side by side, files the copies that
 // came in have and returns the chunks that did not, to be planned again.
-func ask(h blockcrypto.Hash, plan []peerBatch, holders [][]int, have []*ChunkResp, fetch func(member int, refs []ChunkRef) *ChunkBatchResp) (again []int) {
+func (rd *reading) ask(plan []peerBatch) (again []int) {
 	var wg sync.WaitGroup
 	for i, pb := range plan {
 		refs := make([]ChunkRef, len(pb.idxs))
 		for j, idx := range pb.idxs {
-			refs[j] = ChunkRef{Block: h, Index: idx}
-			have[idx] = nil // a copy found unsound does not stand in for the one asked for now
-			holders[idx] = slices.DeleteFunc(holders[idx], func(p int) bool { return p == pb.peer })
+			refs[j] = ChunkRef{Block: rd.block, Index: idx, Proofs: rd.proofs}
+			rd.have[idx] = nil // a copy nobody could judge does not stand in for the one asked for now
+			rd.holders[idx] = slices.DeleteFunc(rd.holders[idx], func(p int) bool { return p == pb.peer })
 		}
 		file := func() {
-			res := fetch(pb.peer, refs)
+			res := rd.fetch(pb.peer, refs)
 			for j, idx := range pb.idxs {
 				if res != nil && res.Found[j] {
-					have[idx] = &res.Chunks[j]
+					rd.have[idx], rd.from[idx] = &res.Chunks[j], pb.peer
 				}
 			}
 		}
@@ -94,12 +114,25 @@ func ask(h blockcrypto.Hash, plan []peerBatch, holders [][]int, have []*ChunkRes
 	wg.Wait()
 	for _, pb := range plan {
 		for _, idx := range pb.idxs {
-			if have[idx] == nil {
+			if rd.have[idx] == nil {
 				again = append(again, idx)
 			}
 		}
 	}
 	return again
+}
+
+// servers is the plan that reads the copies idxs again where they came
+// from: one batch per member that served any, in the order of first use.
+func (rd *reading) servers(idxs []int) (plan []peerBatch) {
+	for _, idx := range idxs {
+		at := slices.IndexFunc(plan, func(pb peerBatch) bool { return pb.peer == rd.from[idx] })
+		if at < 0 {
+			at, plan = len(plan), append(plan, peerBatch{peer: rd.from[idx]})
+		}
+		plan[at].idxs = append(plan[at].idxs, idx)
+	}
+	return plan
 }
 
 // peerBatch is one member's share of a planned gather.

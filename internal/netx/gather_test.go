@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
 	"icistrategy/internal/simnet"
 )
@@ -198,5 +200,167 @@ func TestPlanCoversWithFewMembers(t *testing.T) {
 		if most := slices.Max(load); float64(most) > 1.35*share {
 			t.Errorf("r=%d: one member is asked for %d chunks, 1.35 times the mean is %.0f", tc.r, most, 1.35*share)
 		}
+	}
+}
+
+// fakeMembers serves Gather from memory: every member holds the sound copy
+// of every chunk of one block and answers a ref with or without the proofs,
+// as asked. damage, when set, rewrites what a member serves; every round
+// trip is recorded.
+type fakeMembers struct {
+	hdr    chain.Header
+	chunks []ChunkResp
+	damage func(trip, member int, ref ChunkRef, c ChunkResp) ChunkResp
+
+	mu    sync.Mutex
+	trips []fakeTrip
+}
+
+type fakeTrip struct {
+	member int
+	refs   []ChunkRef
+}
+
+func newFakeMembers(t *testing.T, seed uint64, parts, txs int) *fakeMembers {
+	t.Helper()
+	b := seededBlocks(t, seed, 1, txs)[0]
+	groups, err := core.SplitBlock(b, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeMembers{hdr: b.Header}
+	for i := range groups {
+		g := &groups[i]
+		f.chunks = append(f.chunks, ChunkResp{Index: g.Index, Parts: g.Parts, TxStart: g.TxStart, Data: g.Encode(), Proofs: g.Proofs})
+	}
+	return f
+}
+
+func (f *fakeMembers) fetch(member int, refs []ChunkRef) *ChunkBatchResp {
+	f.mu.Lock()
+	trip := len(f.trips)
+	f.trips = append(f.trips, fakeTrip{member, slices.Clone(refs)})
+	f.mu.Unlock()
+	out := &ChunkBatchResp{Found: make([]bool, len(refs)), Chunks: make([]ChunkResp, len(refs))}
+	for i, ref := range refs {
+		c := f.chunks[ref.Index]
+		if f.damage != nil {
+			c = f.damage(trip, member, ref, c)
+		}
+		if !ref.Proofs {
+			c.Proofs = nil
+		}
+		out.Found[i], out.Chunks[i] = true, c
+	}
+	return out
+}
+
+// gather reads the block with every chunk held by the two members after its
+// index, the gateway tests' placement.
+func (f *fakeMembers) gather() (*chain.Block, error) {
+	parts := len(f.chunks)
+	holders := make([][]int, parts)
+	for idx := range holders {
+		holders[idx] = []int{idx, (idx + 1) % parts}
+	}
+	b, _, err := Gather(f.hdr, make([]*ChunkResp, parts), holders, f.fetch)
+	return b, err
+}
+
+// flipLast is what corrupt-wire does to a copy: the last data byte, inside
+// the last signature, so the payload decodes and only the root catches it.
+func flipLast(c ChunkResp) ChunkResp {
+	c.Data = slices.Clone(c.Data)
+	c.Data[len(c.Data)-1] ^= 0xFF
+	return c
+}
+
+// TestGatherAsksForProofsOnlyAfterARefusal is the read's price list. A sound
+// read is its plan, every ref bare. A member that damages what it serves
+// costs the plan, one proven re-read per member of that plan — nobody can
+// say which bare copy broke the root — and one more plan, with proofs, over
+// the chunks that member served. A copy damaged once, on the wire, proves on
+// the re-read: the read ends there, in success.
+func TestGatherAsksForProofsOnlyAfterARefusal(t *testing.T) {
+	const parts = 4
+	sound := newFakeMembers(t, 41, parts, 16)
+	if b, err := sound.gather(); err != nil || b.Header != sound.hdr {
+		t.Fatalf("sound read: %v", err)
+	}
+	plan := len(sound.trips)
+	for _, trip := range sound.trips {
+		for _, ref := range trip.refs {
+			if ref.Proofs {
+				t.Fatalf("a sound read asked member %d for proofs: %+v", trip.member, trip.refs)
+			}
+		}
+	}
+	liar := sound.trips[0].member
+
+	for _, tc := range []struct {
+		name   string
+		damage func(trip, member int, ref ChunkRef, c ChunkResp) ChunkResp
+		again  bool // whether the liar's chunks are planned again after the re-read
+	}{
+		{"a member that corrupts every copy", func(_, member int, _ ChunkRef, c ChunkResp) ChunkResp {
+			if member == liar {
+				return flipLast(c)
+			}
+			return c
+		}, true},
+		{"a member that cuts every copy short", func(_, member int, _ ChunkRef, c ChunkResp) ChunkResp {
+			if member == liar {
+				c.Data = c.Data[:len(c.Data)-5]
+			}
+			return c
+		}, true},
+		{"a copy damaged on the wire once", func(trip, _ int, _ ChunkRef, c ChunkResp) ChunkResp {
+			if trip == 0 {
+				return flipLast(c)
+			}
+			return c
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeMembers(t, 41, parts, 16)
+			f.damage = tc.damage
+			b, err := f.gather()
+			if err != nil {
+				t.Fatalf("every chunk has a sound copy within reach: %v", err)
+			}
+			if b.Hash() != f.hdr.Hash() || b.VerifyShape() != nil {
+				t.Fatal("wrong block")
+			}
+			if len(f.trips) < 2*plan {
+				t.Fatalf("the read cost %d round trips, want the plan's %d and as many re-reads", len(f.trips), plan)
+			}
+			served := make(map[int][]int) // member -> the chunks it served bare
+			var again []int               // the chunks asked for after the re-read
+			for i, trip := range f.trips {
+				var idxs []int
+				for _, ref := range trip.refs {
+					if ref.Proofs != (i >= plan) {
+						t.Fatalf("round trip %d of %d asks member %d with proofs=%v", i, len(f.trips), trip.member, ref.Proofs)
+					}
+					idxs = append(idxs, ref.Index)
+				}
+				switch {
+				case i < plan:
+					served[trip.member] = idxs
+				case i < 2*plan:
+					if !slices.Equal(served[trip.member], idxs) {
+						t.Fatalf("the re-read asks member %d for %v, it served %v", trip.member, idxs, served[trip.member])
+					}
+				case trip.member == liar:
+					t.Fatalf("the liar was asked again, for %v", idxs)
+				default:
+					again = append(again, idxs...)
+				}
+			}
+			slices.Sort(again)
+			if want := served[liar]; tc.again && !slices.Equal(again, want) || !tc.again && again != nil {
+				t.Fatalf("after the re-read chunks %v were asked for; the liar served %v, again=%v", again, want, tc.again)
+			}
+		})
 	}
 }

@@ -13,13 +13,13 @@ var requestNames = [...]string{
 	opPutChunk:       "put-chunk",
 	opGetHeaders:     "get-headers",
 	opGetChunk:       "get-chunk",
-	opGetChunkBatch:  "get-chunk-batch",
 	opGetBlockChunks: "get-block-chunks",
 	opGetTxProof:     "get-txproof",
 	opGetClusterMap:  "get-cluster-map",
 	opSetClusterMap:  "set-cluster-map",
 	opStats:          "stats",
 	opFault:          "fault",
+	opGetChunks:      "get-chunk-batch", // the name its spans had under the retired opcode
 }
 
 // reqName labels a request union for tracing.

@@ -95,10 +95,15 @@ type ChunkResp struct {
 }
 
 // ChunkRef names one stored chunk, possibly of a different block than its
-// batch siblings.
+// batch siblings, and says whether the answer is to carry the chunk's Merkle
+// proofs. A reader that checks the reassembled block against the header's
+// root looks at no proof, so the zero value asks for the payload alone; one
+// that has to judge a single copy (Gather, once a reassembly was refused)
+// asks for them.
 type ChunkRef struct {
-	Block blockcrypto.Hash
-	Index int
+	Block  blockcrypto.Hash
+	Index  int
+	Proofs bool
 }
 
 // ChunkBatchReq fetches several stored chunks in one round trip — the wire
@@ -114,9 +119,10 @@ type ChunkBatchReq struct {
 const maxBatchRefs = 4096
 
 // ChunkBatchResp answers a batch fetch position-for-position: Chunks[i]
-// answers Refs[i], and Found[i] is false (with a zero Chunks[i]) when this
-// server does not hold that chunk. Partial answers are expected — the
-// client falls back to the other owners for the holes.
+// answers Refs[i], with an empty proof list unless the ref asked for proofs,
+// and Found[i] is false (with a zero Chunks[i]) when this server does not
+// hold that chunk. Partial answers are expected — the client falls back to
+// the other owners for the holes.
 type ChunkBatchResp struct {
 	Found  []bool
 	Chunks []ChunkResp

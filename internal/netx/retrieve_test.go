@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -152,10 +153,40 @@ func spansByName(ring *trace.Ring) map[string]int {
 	return byName
 }
 
+// spanBytes sums the wire bytes, both ways, of the recorded events of a name.
+func spanBytes(ring *trace.Ring, name string) (n int64) {
+	for _, e := range ring.Events() {
+		if e.Name == name {
+			n += e.Bytes
+		}
+	}
+	return n
+}
+
+// proofBytes is what the proofs of every chunk of the blocks, cut parts ways,
+// add to the chunks' frames: each list's encoding less the one byte an empty
+// list takes.
+func proofBytes(t *testing.T, blocks []*chain.Block, parts int) (n int64) {
+	t.Helper()
+	for _, b := range blocks {
+		groups, err := core.SplitBlock(b, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range groups {
+			n += int64(len(chain.AppendProofs(nil, groups[i].Proofs))) - 1
+		}
+	}
+	return n
+}
+
 // TestRetrieveBudget is the read's cost on the benchmark's shape (8 members,
-// r = 2, 8 chunks), counted from the tracer's spans over 64 seeded blocks:
-// no sweep of whole members, and the planner's mean of at most 3.7 batches
-// a block (the sweep visited 5.65 members and pulled 11.8 chunk copies).
+// r = 2, 8 chunks), counted from the tracer's spans over 64 seeded blocks of
+// 32 transactions (five proof steps each; the benchmark's 96 have seven):
+// no sweep of whole members, the planner's mean of at most 3.7 batches a
+// block (the sweep visited 5.65 members and pulled 11.8 chunk copies), and —
+// a sound read asks for no proofs — at most 0.6 of the bytes the same
+// batches move with every chunk's proofs in them.
 func TestRetrieveBudget(t *testing.T) {
 	const members, blocks = 8, 64
 	_, addrs := startServers(t, members)
@@ -164,7 +195,7 @@ func TestRetrieveBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	written := seededBlocks(t, 23, blocks, 16)
+	written := seededBlocks(t, 23, blocks, 32)
 	for _, b := range written {
 		if err := cl.DistributeBlock(b); err != nil {
 			t.Fatal(err)
@@ -188,6 +219,86 @@ func TestRetrieveBudget(t *testing.T) {
 	t.Logf("%.2f get-chunk-batch round trips a block", mean)
 	if mean > 3.7 {
 		t.Errorf("a read costs %.2f get-chunk-batch round trips in the mean, want at most 3.7", mean)
+	}
+	moved := spanBytes(ring, "get-chunk-batch")
+	proven := moved + proofBytes(t, written, members)
+	t.Logf("%d bytes a block in get-chunk-batch round trips, %d with proofs", moved/blocks, proven/blocks)
+	if float64(moved) > 0.6*float64(proven) {
+		t.Errorf("the reads moved %d bytes, want at most 0.6 of the %d the same batches move with proofs", moved, proven)
+	}
+}
+
+// TestSoundReadCarriesNoProofs: a server answers a ref with the chunk's
+// proofs only where the ref asks for them, bare and proven refs in one
+// batch; and a sound RetrieveBlock asks for none — what its round trips
+// move, counted by the servers, is less than the proofs alone would be on
+// top of the chunks.
+func TestSoundReadCarriesNoProofs(t *testing.T) {
+	const members = 4
+	ring := trace.NewRing(1024)
+	servers, addrs := startServers(t, members)
+	for _, s := range servers {
+		s.SetTracer(trace.New(ring))
+	}
+	cl, err := NewCluster(addrs, members) // every member holds every chunk
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	written := seededBlocks(t, 29, 2, 32)
+	var body int64
+	for _, b := range written {
+		if err := cl.DistributeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		body += int64(b.BodySize())
+	}
+	for _, b := range written {
+		if got, err := cl.RetrieveBlock(b.Header); err != nil || got.Hash() != b.Hash() {
+			t.Fatalf("block %d: %v", b.Header.Height, err)
+		}
+	}
+
+	// The batch below is not a read to count: a connection traces with the
+	// tracer its server had when it was accepted.
+	servers[1].SetTracer(nil)
+	c, err := Dial(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := written[0]
+	groups, err := core.SplitBlock(b, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := []ChunkRef{{Block: b.Hash(), Index: 2}, {Block: b.Hash(), Index: 0, Proofs: true}, {Block: b.Hash(), Index: 2, Proofs: true}, {Block: b.Hash(), Index: 3}}
+	resp, err := c.GetChunkBatch(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range refs {
+		got, g := resp.Chunks[i], &groups[ref.Index]
+		if !resp.Found[i] || got.Index != ref.Index || got.Parts != members || got.TxStart != g.TxStart || !bytes.Equal(got.Data, g.Encode()) {
+			t.Fatalf("ref %d: chunk %d answered wrong", i, ref.Index)
+		}
+		if ref.Proofs && !sameProofs(got.Proofs, g.Proofs) || !ref.Proofs && got.Proofs != nil {
+			t.Fatalf("ref %d (proofs=%v): answered with %d proofs, the chunk has %d", i, ref.Proofs, len(got.Proofs), len(g.Proofs))
+		}
+	}
+
+	// A serve point is recorded after the reply has left; closing a server
+	// joins its connections' goroutines.
+	cl.Close()
+	for _, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved, proofs := spanBytes(ring, "serve:get-chunk-batch"), proofBytes(t, written, members)
+	t.Logf("%d bytes of bodies read in %d bytes of round trips; their proofs are %d more", body, moved, proofs)
+	if moved < body || moved >= body+proofs/2 {
+		t.Fatalf("sound reads of %d bytes of bodies moved %d bytes: with proofs it would be %d more", body, moved, proofs)
 	}
 }
 

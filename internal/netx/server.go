@@ -2,11 +2,13 @@ package netx
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,10 +222,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			corrupt = d.corrupt
 		}
-		resp := s.handle(&req)
-		if corrupt {
-			corruptChunkResponses(resp)
-		}
+		resp := s.handle(&req, corrupt)
 		// The write deadline is armed under the lock Close takes to start
 		// the drain, so whichever runs second, no response may outlast
 		// the drain deadline.
@@ -244,12 +243,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if tr.Enabled() {
-			tr.Point(0, "netx", "serve:"+reqName(&req), clientNode, int64(recv+sent), resp.Err)
+			tr.Point(0, "netx", "serve:"+reqName(&req), clientNode, int64(recv+sent), resp.errText())
 		}
 	}
 }
 
-func (s *Server) handle(req *Request) *Response {
+// reply is what a request is answered with: the encoder of the response
+// frame, and the error the frame reports, for the serve trace point.
+type reply interface {
+	WireEncoder
+	errText() string
+}
+
+func (r *Response) errText() string { return r.Err }
+
+// handle answers one request. corrupt is the chaos layer's decision to
+// damage the chunks of the answer, if it carries any.
+func (s *Server) handle(req *Request, corrupt bool) reply {
+	if req.GetChunk != nil || req.GetChunkBatch != nil || req.GetBlockChunks != nil {
+		return s.handleChunkRead(req, corrupt) // locks for as long as it encodes
+	}
 	if req.Fault != nil {
 		f := s.chaosState()
 		if f == nil {
@@ -277,12 +290,6 @@ func (s *Server) handle(req *Request) *Response {
 			}
 		}
 		return &Response{Headers: out}
-	case req.GetChunk != nil:
-		return s.handleGetChunk(req.GetChunk)
-	case req.GetChunkBatch != nil:
-		return s.handleGetChunkBatch(req.GetChunkBatch)
-	case req.GetBlockChunks != nil:
-		return s.handleGetBlockChunks(req.GetBlockChunks)
 	case req.GetTxProof != nil:
 		return s.handleGetTxProof(req.GetTxProof)
 	case req.Stats != nil:
@@ -360,41 +367,108 @@ func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	return okResp()
 }
 
-// chunkResp is a stored chunk as the wire carries it. The payload is the
-// store's copy-on-read bytes, passed through undecoded.
-func chunkResp(c *storage.Chunk) ChunkResp {
-	return ChunkResp{Index: c.ID.Index, Parts: c.Parts, TxStart: c.TxStart, Data: c.Data, Proofs: c.Proofs}
+// handleChunkRead answers get_chunk, get_chunks and get_block_chunks. The
+// answer is a storedChunks, whose encoding is the read; only a batch of no
+// refs, or of too many, is refused here.
+func (s *Server) handleChunkRead(req *Request, corrupt bool) reply {
+	if q := req.GetChunkBatch; q != nil && (len(q.Refs) == 0 || len(q.Refs) > maxBatchRefs) {
+		return errResp(fmt.Errorf("%w: batch of %d refs", ErrBadRequest, len(q.Refs)))
+	}
+	return &storedChunks{s: s, req: req, corrupt: corrupt}
 }
 
-func (s *Server) handleGetChunk(r *GetChunkReq) *Response {
-	chk, err := s.store.Chunk(storage.ChunkID{Block: r.Block, Index: r.Index})
-	if err != nil {
-		return errResp(ErrNotFound)
-	}
-	resp := chunkResp(&chk)
-	return &Response{Chunk: &resp}
+// storedChunks is the response to a chunk read. It is not filled from the
+// store and then encoded: AppendWire, called with the pooled response frame,
+// takes s.mu and appends each chunk's fields from the store's own value
+// (storage.Store.LendChunk), so the frame is the store's copy-on-read — the
+// one copy between a stored chunk and the socket — and no stored slice is
+// reachable once the lock is released.
+type storedChunks struct {
+	s   *Server
+	req *Request
+	// corrupt is the chaos layer's decision for this request: flip the last
+	// data byte of every chunk in the frame (FaultConfig.CorruptRate).
+	corrupt bool
+	parts   int    // the part count of the last chunk appended
+	err     string // what the frame says when it is an error response
 }
 
-// handleGetChunkBatch answers a batch fetch position-for-position; chunks
-// this server does not hold are reported Found=false, never an error — the
-// gateway treats holes as "ask another owner", not as failures.
-func (s *Server) handleGetChunkBatch(r *ChunkBatchReq) *Response {
-	if len(r.Refs) == 0 || len(r.Refs) > maxBatchRefs {
-		return errResp(fmt.Errorf("%w: batch of %d refs", ErrBadRequest, len(r.Refs)))
-	}
-	out := &ChunkBatchResp{
-		Found:  make([]bool, len(r.Refs)),
-		Chunks: make([]ChunkResp, len(r.Refs)),
-	}
-	for i, ref := range r.Refs {
-		chk, err := s.store.Chunk(storage.ChunkID{Block: ref.Block, Index: ref.Index})
-		if err != nil {
-			continue // missing or corrupted: withhold this position
+func (r *storedChunks) errText() string { return r.err }
+
+// AppendWire implements WireEncoder with the encodings of Response's Chunk,
+// ChunkBatch and BlockChunks variants.
+func (r *storedChunks) AppendWire(b []byte) (uint8, []byte) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	switch {
+	case r.req.GetChunk != nil:
+		// A chunk moved between members is verified where it lands, with
+		// its proofs (transfer).
+		q := r.req.GetChunk
+		var ok bool
+		if b, ok = r.appendStored(b, storage.ChunkID{Block: q.Block, Index: q.Index}, true); !ok {
+			r.err = ErrNotFound.Error()
+			return opRespErr, append(b, r.err...)
 		}
-		out.Found[i] = true
-		out.Chunks[i] = chunkResp(&chk)
+		return opRespChunk, b
+	case r.req.GetChunkBatch != nil:
+		// Position for position; a chunk this server does not hold, or
+		// holds damaged, is Found=false with a zero chunk, never an error:
+		// the reader asks another holder for it.
+		refs := r.req.GetChunkBatch.Refs
+		b = binary.AppendUvarint(b, uint64(len(refs)))
+		found := len(b)
+		b = append(b, make([]byte, len(refs))...)
+		b = binary.AppendUvarint(b, uint64(len(refs)))
+		for i := range refs {
+			ref := &refs[i]
+			var ok bool
+			if b, ok = r.appendStored(b, storage.ChunkID{Block: ref.Block, Index: ref.Index}, ref.Proofs); ok {
+				b[found+i] = 1
+			} else {
+				b = appendChunkFields(b, 0, 0, 0, nil, nil)
+			}
+		}
+		return opRespChunkBatch, b
+	default:
+		// Every chunk held of one block, for a member that takes them over
+		// (RetireMember), so with proofs. How many pass their digest check
+		// is known only once they are in the frame: the two fields before
+		// them are put in front afterwards.
+		block := r.req.GetBlockChunks.Block
+		start, n := len(b), 0
+		for _, idx := range r.s.store.ChunksForBlock(block) {
+			var ok bool
+			if b, ok = r.appendStored(b, storage.ChunkID{Block: block, Index: idx}, true); ok {
+				n++
+			}
+		}
+		var head [2 * binary.MaxVarintLen64]byte
+		return opRespBlockChunks, slices.Insert(b, start, binary.AppendUvarint(appendInt(head[:0], r.parts), uint64(n))...)
 	}
-	return &Response{ChunkBatch: out}
+}
+
+// appendStored is the one place a stored chunk is put on the wire: its
+// digest is checked (a damaged or missing chunk is withheld: ok is false and
+// b comes back as it was) and its fields are appended to b from the store's
+// own value, with or without the proofs. The caller holds s.mu.
+func (r *storedChunks) appendStored(b []byte, id storage.ChunkID, proofs bool) (out []byte, ok bool) {
+	err := r.s.store.LendChunk(id, func(c storage.Chunk) {
+		if !proofs {
+			c.Proofs = nil
+		}
+		b = appendChunkPayload(b, c.ID.Index, c.Parts, c.TxStart, c.Data)
+		if r.corrupt {
+			// The last byte is inside the last transaction's signature, so
+			// the payload still decodes and only a check against the Merkle
+			// root catches it (the first byte is the transaction count:
+			// flipping that fails the decode before any verification).
+			b[len(b)-1] ^= 0xFF
+		}
+		b = chain.AppendProofs(b, c.Proofs)
+		r.parts = c.Parts
+	})
+	return b, err == nil
 }
 
 // handleGetTxProof answers with the transaction plus its stored Merkle proof
@@ -404,19 +478,6 @@ func (s *Server) handleGetChunkBatch(r *ChunkBatchReq) *Response {
 func (s *Server) handleGetTxProof(r *TxProofReq) *Response {
 	p, found := core.StoredTxProof(s.store, r.Block, r.TxID)
 	return &Response{TxProof: &TxProofResp{Found: found, Tx: p.Tx, Proof: p.Proof}}
-}
-
-func (s *Server) handleGetBlockChunks(r *GetBlockChunksReq) *Response {
-	out := &BlockChunksResp{}
-	for _, idx := range s.store.ChunksForBlock(r.Block) {
-		chk, err := s.store.Chunk(storage.ChunkID{Block: r.Block, Index: idx})
-		if err != nil {
-			continue // corrupted: withhold
-		}
-		out.Parts = chk.Parts
-		out.Chunks = append(out.Chunks, chunkResp(&chk))
-	}
-	return &Response{BlockChunks: out}
 }
 
 func okResp() *Response { return &Response{OK: &struct{}{}} }

@@ -72,13 +72,14 @@ const (
 	opPutChunk
 	opGetHeaders
 	opGetChunk
-	opGetChunkBatch
+	_ // 0x05 was get_chunk_batch, whose refs carried no proofs flag: retired, never reassigned
 	opGetBlockChunks
 	opGetTxProof
 	opGetClusterMap
 	opSetClusterMap
 	opStats
 	opFault
+	opGetChunks
 )
 
 const (
@@ -379,7 +380,7 @@ func (r *Request) opcode() uint8 {
 	case r.GetChunk != nil:
 		return opGetChunk
 	case r.GetChunkBatch != nil:
-		return opGetChunkBatch
+		return opGetChunks
 	case r.GetBlockChunks != nil:
 		return opGetBlockChunks
 	case r.GetTxProof != nil:
@@ -412,11 +413,13 @@ func (r *Request) AppendWire(b []byte) (uint8, []byte) {
 	case opGetChunk:
 		b = append(b, r.GetChunk.Block[:]...)
 		b = appendInt(b, r.GetChunk.Index)
-	case opGetChunkBatch:
+	case opGetChunks:
 		b = binary.AppendUvarint(b, uint64(len(r.GetChunkBatch.Refs)))
 		for i := range r.GetChunkBatch.Refs {
-			b = append(b, r.GetChunkBatch.Refs[i].Block[:]...)
-			b = appendInt(b, r.GetChunkBatch.Refs[i].Index)
+			ref := &r.GetChunkBatch.Refs[i]
+			b = append(b, ref.Block[:]...)
+			b = appendInt(b, ref.Index)
+			b = appendBool(b, ref.Proofs)
 		}
 	case opGetBlockChunks:
 		b = append(b, r.GetBlockChunks.Block[:]...)
@@ -455,12 +458,12 @@ func (r *Request) DecodeWire(op uint8, fields []byte) error {
 		r.GetHeaders = &GetHeadersReq{FromHeight: d.uvarint("from height")}
 	case opGetChunk:
 		r.GetChunk = &GetChunkReq{Block: d.hash("block"), Index: d.int("index")}
-	case opGetChunkBatch:
+	case opGetChunks:
 		q := &ChunkBatchReq{}
-		if n := d.count(blockcrypto.HashSize+1, "refs"); n > 0 {
+		if n := d.count(blockcrypto.HashSize+2, "refs"); n > 0 {
 			q.Refs = make([]ChunkRef, n)
 			for i := range q.Refs {
-				q.Refs[i] = ChunkRef{Block: d.hash("ref block"), Index: d.int("ref index")}
+				q.Refs[i] = ChunkRef{Block: d.hash("ref block"), Index: d.int("ref index"), Proofs: d.bool("ref proofs")}
 			}
 		}
 		r.GetChunkBatch = q
@@ -607,11 +610,16 @@ func (r *Response) DecodeWire(op uint8, fields []byte) error {
 //
 //	varint index | varint parts | varint txStart | bytes data | proofs
 func appendChunkFields(b []byte, index, parts, txStart int, data []byte, proofs []chain.Proof) []byte {
+	return chain.AppendProofs(appendChunkPayload(b, index, parts, txStart, data), proofs)
+}
+
+// appendChunkPayload appends a chunk up to the last byte of its data; the
+// proof list follows.
+func appendChunkPayload(b []byte, index, parts, txStart int, data []byte) []byte {
 	b = appendInt(b, index)
 	b = appendInt(b, parts)
 	b = appendInt(b, txStart)
-	b = appendBytes(b, data)
-	return chain.AppendProofs(b, proofs)
+	return appendBytes(b, data)
 }
 
 func (r *wireReader) chunkFields() (index, parts, txStart int, data []byte, proofs []chain.Proof) {

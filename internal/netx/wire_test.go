@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -59,6 +60,8 @@ func sampleMessages(t testing.TB) []sample {
 	b := testBlocks(t, 1, 96)[0]
 	put := testChunk(t, b, 8, 3)
 	chunk := ChunkResp{Index: put.Index, Parts: put.Parts, TxStart: put.TxStart, Data: put.Data, Proofs: put.Proofs}
+	bare := chunk // what a ref that does not ask for proofs is answered with
+	bare.Proofs = nil
 	headers := make([]chain.Header, 256)
 	for i := range headers {
 		headers[i] = b.Header
@@ -78,6 +81,8 @@ func sampleMessages(t testing.TB) []sample {
 		req("get_headers_req", Request{GetHeaders: &GetHeadersReq{FromHeight: 1 << 40}}),
 		req("get_chunk_req", Request{GetChunk: &GetChunkReq{Block: h1, Index: -2}}),
 		req("chunk_batch_req", Request{GetChunkBatch: &ChunkBatchReq{Refs: []ChunkRef{{Block: h1, Index: 0}, {Block: h2, Index: 7}}}}),
+		req("chunk_batch_proven_req", Request{GetChunkBatch: &ChunkBatchReq{Refs: []ChunkRef{{Block: h1, Index: 0, Proofs: true}, {Block: h2, Index: 7, Proofs: true}}}}),
+		req("chunk_batch_mixed_req", Request{GetChunkBatch: &ChunkBatchReq{Refs: []ChunkRef{{Block: h1, Index: 3, Proofs: true}, {Block: h1, Index: 4}, {Block: h2, Index: -1, Proofs: true}}}}),
 		req("get_block_chunks_req", Request{GetBlockChunks: &GetBlockChunksReq{Block: h1}}),
 		req("tx_proof_req", Request{GetTxProof: &TxProofReq{Block: h1, TxID: h2}}),
 		req("get_cluster_map_req", Request{GetClusterMap: &ClusterMapReq{}}),
@@ -91,6 +96,8 @@ func sampleMessages(t testing.TB) []sample {
 		resp("no_headers_resp", Response{}),
 		resp("chunk_resp", Response{Chunk: &chunk}),
 		resp("chunk_batch_resp", Response{ChunkBatch: &ChunkBatchResp{Found: []bool{true}, Chunks: []ChunkResp{chunk}}}),
+		resp("chunk_batch_resp_bare", Response{ChunkBatch: &ChunkBatchResp{Found: []bool{true}, Chunks: []ChunkResp{bare}}}),
+		resp("chunk_batch_mixed_resp", Response{ChunkBatch: &ChunkBatchResp{Found: []bool{true, true}, Chunks: []ChunkResp{bare, chunk}}}),
 		resp("chunk_batch_holes_resp", Response{ChunkBatch: &ChunkBatchResp{Found: []bool{false, true, false}, Chunks: []ChunkResp{{}, chunk, {}}}}),
 		resp("block_chunks_resp", Response{BlockChunks: &BlockChunksResp{Parts: 8, Chunks: []ChunkResp{chunk, chunk}}}),
 		resp("tx_proof_resp", Response{TxProof: &TxProofResp{Found: true, Tx: b.Txs[5], Proof: put.Proofs[0]}}),
@@ -176,7 +183,10 @@ func TestHostileFrames(t *testing.T) {
 		{"request opcode in a response", frame(wireVersion, opStats, 1, nil), freshResponse, ErrBadOpcode},
 		{"trailing bytes after no fields", frame(wireVersion, opStats, 1, []byte{0}), freshRequest, ErrMalformed},
 		{"trailing bytes after fields", frame(wireVersion, opGetChunk, 1, cat(h[:], []byte{2, 9})), freshRequest, ErrMalformed},
-		{"ref count larger than the bytes that follow", frame(wireVersion, opGetChunkBatch, 1, cat(uv(1<<40), h[:], []byte{0})), freshRequest, ErrMalformed},
+		{"ref count larger than the bytes that follow", frame(wireVersion, opGetChunks, 1, cat(uv(1<<40), h[:], []byte{0, 0})), freshRequest, ErrMalformed},
+		{"more refs claimed than whole refs follow", frame(wireVersion, opGetChunks, 1, cat(uv(2), h[:], []byte{0, 1})), freshRequest, ErrMalformed},
+		{"proofs flag that is neither 0 nor 1", frame(wireVersion, opGetChunks, 1, cat(uv(1), h[:], []byte{0, 2})), freshRequest, ErrMalformed},
+		{"the retired get_chunk_batch opcode", frame(wireVersion, 0x05, 1, cat(uv(1), h[:], []byte{0})), freshRequest, ErrBadOpcode},
 		{"chunk count larger than the bytes that follow", frame(wireVersion, opRespBlockChunks, 1, cat([]byte{16}, uv(1<<30))), freshResponse, ErrMalformed},
 		{"found count larger than the bytes that follow", frame(wireVersion, opRespChunkBatch, 1, cat(uv(1<<50), []byte{1})), freshResponse, ErrMalformed},
 		{"data length larger than the bytes that follow", frame(wireVersion, opRespChunk, 1, cat(chunkPrefix, uv(1<<31), []byte("xy"))), freshResponse, ErrMalformed},
@@ -251,10 +261,11 @@ func TestMessageTooLargeToSend(t *testing.T) {
 // so there raceAllocs adds room. An alloc regression fails here, in tier-1,
 // before the benchmark sees it.
 var allocCeilings = map[string]float64{
-	"chunk_batch_resp": 7,
-	"put_chunk_req":    5,
-	"ok_resp":          1,
-	"headers_resp":     2,
+	"chunk_batch_resp":      7,
+	"chunk_batch_resp_bare": 5, // no proof list, no step array
+	"put_chunk_req":         5,
+	"ok_resp":               1,
+	"headers_resp":          2,
 }
 
 func TestCodecAllocCeilings(t *testing.T) {
@@ -277,6 +288,51 @@ func TestCodecAllocCeilings(t *testing.T) {
 	}
 }
 
+// TestServedBatchCopiesNoPayload: a server answers a bare batch of four refs
+// with one allocation, the response value; the chunks go from the store into
+// the pooled frame and nowhere else. A storage.Store.Chunk back in the
+// handler would allocate each payload (2.5 KB here) and fails both counts.
+func TestServedBatchCopiesNoPayload(t *testing.T) {
+	servers, addrs := startServers(t, 1)
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	blk := testBlocks(t, 1, 96)[0]
+	if err := c.PutHeader(blk.Header); err != nil {
+		t.Fatal(err)
+	}
+	req := &Request{GetChunkBatch: &ChunkBatchReq{}}
+	payload := 0
+	for idx := 0; idx < 4; idx++ {
+		put := testChunk(t, blk, 8, idx)
+		if err := c.PutChunk(put); err != nil {
+			t.Fatal(err)
+		}
+		req.GetChunkBatch.Refs = append(req.GetChunkBatch.Refs, ChunkRef{Block: blk.Hash(), Index: idx})
+		payload += len(put.Data)
+	}
+	serve := func() {
+		n, err := WriteFrame(io.Discard, 1, servers[0].handle(req, false))
+		if err != nil || n < payload {
+			t.Fatalf("a %d-byte frame for %d bytes of chunks: %v", n, payload, err)
+		}
+	}
+	serve() // the pooled frame buffer grows to the batch once
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, serve)
+	runtime.ReadMemStats(&after)
+	if allocs > 1+raceAllocs {
+		t.Errorf("%.0f allocations to serve a bare batch of 4, want %d", allocs, 1+raceAllocs)
+	}
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); raceAllocs == 0 && perRun >= uint64(payload/4) { // under the race detector the pool drops frame buffers
+		t.Errorf("%d bytes allocated to serve a bare batch of 4: one chunk's data is %d", perRun, payload/4)
+	}
+}
+
 // The frame sizes the benchmark's layer table reports (bench/, metric
 // netx.codec.*.frame_bytes): pinned so a format change shows up here.
 func TestFrameSizes(t *testing.T) {
@@ -291,6 +347,10 @@ func TestFrameSizes(t *testing.T) {
 	}
 	if n := len(encoded(t, s.msg)); n > payload+64 {
 		t.Errorf("chunk_batch_resp frame is %d bytes for %d bytes of chunk data and proof steps", n, payload)
+	}
+	// The frame a sound read moves: the chunk's data and 19 bytes around it.
+	if n := len(encoded(t, sampleNamed(t, "chunk_batch_resp_bare").msg)); n > len(chunk.Data)+24 {
+		t.Errorf("chunk_batch_resp_bare frame is %d bytes for %d bytes of chunk data", n, len(chunk.Data))
 	}
 }
 

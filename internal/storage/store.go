@@ -178,6 +178,31 @@ func (s *Store) PutChunk(c Chunk) error {
 // returned chunk holds a private copy of the data: mutating it cannot
 // corrupt the store, and a later re-read returns the original bytes.
 func (s *Store) Chunk(id ChunkID) (Chunk, error) {
+	c, err := s.verified(id)
+	if err != nil {
+		return Chunk{}, err
+	}
+	c.Data = append([]byte(nil), c.Data...)
+	return c, nil
+}
+
+// LendChunk verifies a stored chunk's integrity like Chunk and hands fn the
+// stored value itself, sidecar included, for a reader that copies the bytes
+// somewhere of its own anyway (a server's response frame). As in GC's keep,
+// its Data is the store's own buffer: fn must not write to it, and must not
+// keep it past its return.
+func (s *Store) LendChunk(id ChunkID, fn func(Chunk)) error {
+	c, err := s.verified(id)
+	if err != nil {
+		return err
+	}
+	fn(c)
+	return nil
+}
+
+// verified looks a chunk up and checks it against its digest. The value
+// returned still shares its Data with the store.
+func (s *Store) verified(id ChunkID) (Chunk, error) {
 	c, ok := s.chunks[id]
 	if !ok {
 		return Chunk{}, fmt.Errorf("chunk %s: %w", id, ErrNotFound)
@@ -185,7 +210,6 @@ func (s *Store) Chunk(id ChunkID) (Chunk, error) {
 	if err := c.Verify(); err != nil {
 		return Chunk{}, err
 	}
-	c.Data = append([]byte(nil), c.Data...)
 	return c, nil
 }
 

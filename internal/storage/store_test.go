@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -311,6 +313,42 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	}
 	if s.Corrupt(ChunkID{Index: 99}) {
 		t.Fatal("Corrupt on missing chunk reported true")
+	}
+}
+
+// TestLendChunk: the lent value is what Chunk returns, sidecar included,
+// without the copy; a chunk that is missing or fails its digest is not lent.
+func TestLendChunk(t *testing.T) {
+	s := NewStore()
+	c := testChunk(3, 1, 50)
+	c.Parts, c.TxStart, c.Proofs = 4, 12, []chain.Proof{{LeafIndex: 12}}
+	if err := s.PutChunk(c); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Chunk(c.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lent := 0
+	if err := s.LendChunk(c.ID, func(got Chunk) {
+		lent++
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lent %+v, Chunk returns %+v", got, want)
+		}
+	}); err != nil || lent != 1 {
+		t.Fatalf("LendChunk: %v, fn called %d times", err, lent)
+	}
+	allocs := testing.AllocsPerRun(50, func() { _ = s.LendChunk(c.ID, func(Chunk) {}) })
+	if allocs != 0 {
+		t.Errorf("lending a chunk allocates %.0f times", allocs)
+	}
+	s.Corrupt(c.ID)
+	called := func(Chunk) { t.Error("a chunk that is not there, or is damaged, was lent") }
+	if err := s.LendChunk(c.ID, called); !errors.Is(err, ErrCorrupted) {
+		t.Errorf("damaged chunk: got %v, want %v", err, ErrCorrupted)
+	}
+	if err := s.LendChunk(ChunkID{Index: 99}, called); !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing chunk: got %v, want %v", err, ErrNotFound)
 	}
 }
 
