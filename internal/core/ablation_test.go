@@ -22,7 +22,7 @@ func TestPlacementDisruptionAblation(t *testing.T) {
 	const c, blocks = 20, 100
 	members := ids(c)
 	removed := members[c/2]
-	rest := without(members, removed)
+	rest := others(removed, members)
 
 	var rendezvousMoved, moduloMoved, total int
 	for b := 0; b < blocks; b++ {

@@ -7,16 +7,16 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/par"
-	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
 
 // This file is the chunk's rules, stated once: how a block splits into
 // proven transaction groups, what an owner checks before it stores one, how
-// groups become a block again, where a stored proof is found, and who gains
-// a chunk when the roster changes. The simulator's Node, the TCP server and
-// cluster client (internal/netx) and the gateway all call these; what they
-// keep for themselves is how bytes move (DESIGN.md "One chunk, two drivers").
+// groups become a block again and where a stored proof is found (who gains a
+// chunk when the roster changes is EpochMap.MovesFrom). The simulator's
+// Node, the TCP server and cluster client (internal/netx) and the gateway all
+// call these; what they keep for themselves is how bytes move (DESIGN.md "One
+// chunk, two drivers").
 
 // ErrBadGroup marks a group whose shape is wrong before any hash or
 // signature is looked at: proofs that do not pair up with transactions, or a
@@ -213,28 +213,4 @@ func StoredTxProof(st *storage.Store, block, txID blockcrypto.Hash) (TxProof, bo
 		}
 	}
 	return TxProof{}, false
-}
-
-// Gainers returns the members holder must send its copy of chunk idx to
-// when placement moves from e to next: next's owners that were not owners
-// under e. It is empty when holder was not an owner under e itself — a
-// stale extra copy nobody needs from it. By the rendezvous property a
-// departure moves exactly the chunks the leaver owned, never anybody
-// else's.
-func (e *Epoch) Gainers(next *Epoch, holder simnet.NodeID, seed uint64, idx, r int) ([]simnet.NodeID, error) {
-	old, err := e.Owners(seed, idx, r)
-	if err != nil || !memberOf(old, holder) {
-		return nil, err
-	}
-	owners, err := next.Owners(seed, idx, r)
-	if err != nil {
-		return nil, err
-	}
-	var gain []simnet.NodeID
-	for _, o := range owners {
-		if !memberOf(old, o) {
-			gain = append(gain, o)
-		}
-	}
-	return gain, nil
 }

@@ -156,49 +156,3 @@ func TestProvesChunkChecksTheRange(t *testing.T) {
 		t.Errorf("tampered transaction: got %v, want %v", err, chain.ErrProofInvalid)
 	}
 }
-
-// TestGainersIsThePlacementDelta removes each member of a cluster in turn:
-// for every chunk, the members Gainers names are exactly the new owners that
-// were not owners before, only a chunk the leaver owned moves, and nobody
-// but the leaver is asked to send it.
-func TestGainersIsThePlacementDelta(t *testing.T) {
-	const n, r, chunks = 7, 3, 64
-	var m EpochMap
-	full, err := m.Push(0, ids(n), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, leaver := range full.Members {
-		shrunk := Epoch{Members: without(full.Members, leaver)}
-		for idx := 0; idx < chunks; idx++ {
-			seed := uint64(idx) * 0x9e3779b97f4a7c15
-			old, _ := full.Owners(seed, idx, r)
-			now, _ := shrunk.Owners(seed, idx, r)
-			var want []int
-			for _, o := range now {
-				if !memberOf(old, o) {
-					want = append(want, int(o))
-				}
-			}
-			for _, holder := range full.Members {
-				gain, err := full.Gainers(&shrunk, holder, seed, idx, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []int
-				for _, g := range gain {
-					got = append(got, int(g))
-				}
-				switch {
-				case !memberOf(old, holder) && got != nil:
-					t.Fatalf("leaver %d chunk %d: non-owner %d told to send to %v", leaver, idx, holder, got)
-				case memberOf(old, holder) && !reflect.DeepEqual(got, want):
-					t.Fatalf("leaver %d chunk %d: owner %d gainers %v, want %v", leaver, idx, holder, got, want)
-				}
-			}
-			if memberOf(old, leaver) != (len(want) == 1) {
-				t.Fatalf("leaver %d chunk %d: owned=%v but %d members gain it", leaver, idx, memberOf(old, leaver), len(want))
-			}
-		}
-	}
-}

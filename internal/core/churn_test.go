@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"icistrategy/internal/chain"
@@ -134,7 +135,7 @@ func TestRejoinClusterSameIdentity(t *testing.T) {
 
 	// Same identity is back in membership: remove + rejoin = two epochs.
 	cur, _ := sys.ClusterMembers(0)
-	if !memberOf(cur, victim) {
+	if !slices.Contains(cur, victim) {
 		t.Fatal("rejoined node not in membership")
 	}
 	seq, _ := sys.ClusterEpoch(0)
@@ -211,7 +212,7 @@ func TestRetrievePreDepartureBlockAfterTwoRemovals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if memberOf(owners, v1) && memberOf(owners, cand) {
+				if slices.Contains(owners, v1) && slices.Contains(owners, cand) {
 					shared = true
 				}
 			}
@@ -419,7 +420,7 @@ func TestConcurrentJoinsBothBootstrap(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("concurrent join %d: %v", r.id, r.err)
 		}
-		if !memberOf(cur, r.id) {
+		if !slices.Contains(cur, r.id) {
 			t.Fatalf("joined node %d missing from membership", r.id)
 		}
 	}

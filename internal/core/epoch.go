@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/simnet"
 )
 
@@ -206,6 +207,79 @@ func (m EpochMap) Holders(seed uint64, idx, r int, height uint64) ([]simnet.Node
 	return out, nil
 }
 
+// Move is one chunk copy a membership change calls for: chunk Index of
+// Block, written at Height, goes to every member of To from the first member
+// of From that serves it.
+type Move struct {
+	Block  blockcrypto.Hash
+	Height uint64
+	Index  int
+	From   []simnet.NodeID
+	To     []simnet.NodeID
+}
+
+// MovesTo and MovesFrom are the one rule for what a membership change moves,
+// in the simulator and over TCP alike. Each plans one block, on a map the
+// change's epoch was pushed onto.
+//
+// MovesTo returns the chunks of a block written at the given height that
+// member self must take in (join, rejoin, resync, repair): every chunk it
+// owns under Current(), of the block's chunk count under At(height), each
+// from its holders (Holders), then from the other members of its placement
+// epoch, which may keep a stale extra copy — never from self.
+func (m EpochMap) MovesTo(block blockcrypto.Hash, height uint64, self simnet.NodeID, r int) ([]Move, error) {
+	seed, cur, place := block.Uint64(), m.Current(), m.PlacementAt(height)
+	var moves []Move
+	for idx := range m.At(height).Members {
+		owners, err := cur.Owners(seed, idx, r)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(owners, self) {
+			continue
+		}
+		holders, err := m.Holders(seed, idx, r, height)
+		if err != nil {
+			return nil, err
+		}
+		moves = append(moves, Move{Block: block, Height: height, Index: idx, From: others(self, holders, place.Members), To: []simnet.NodeID{self}})
+	}
+	return moves, nil
+}
+
+// MovesFrom returns the copies member leaver must hand out of a block written
+// at the given height: each chunk it owns under PlacementAt(height) goes to
+// the owners under Current() that were not owners there. By the rendezvous
+// property a departure moves exactly the leaver's chunks; a stale extra copy
+// it does not own, and a chunk whose owners stay, move nowhere.
+func (m EpochMap) MovesFrom(block blockcrypto.Hash, height uint64, leaver simnet.NodeID, r int) ([]Move, error) {
+	seed, cur, place := block.Uint64(), m.Current(), m.PlacementAt(height)
+	var moves []Move
+	for idx := range m.At(height).Members {
+		old, err := place.Owners(seed, idx, r)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(old, leaver) {
+			continue
+		}
+		owners, err := cur.Owners(seed, idx, r)
+		if err != nil {
+			return nil, err
+		}
+		var gain []simnet.NodeID
+		for _, o := range owners {
+			if !slices.Contains(old, o) {
+				gain = append(gain, o)
+			}
+		}
+		if gain != nil {
+			moves = append(moves, Move{Block: block, Height: height, Index: idx, From: []simnet.NodeID{leaver}, To: gain})
+		}
+	}
+	return moves, nil
+}
+
 // Addr returns where member id serves: its address in the newest epoch that
 // lists it (a departed member is still asked for pre-migration chunks), or
 // "" when no epoch does.
@@ -226,15 +300,13 @@ func (m EpochMap) Addr(id simnet.NodeID) string {
 // members. The union is deterministic: current members in order, then
 // placement-only members in order.
 func (m EpochMap) fetchMembers(height uint64, self simnet.NodeID) []simnet.NodeID {
-	cur := m.Current().Members
-	place := m.PlacementAt(height).Members
-	out := make([]simnet.NodeID, 0, len(cur)+len(place))
-	for _, id := range cur {
-		if id != self {
-			out = append(out, id)
-		}
-	}
-	for _, id := range place {
+	return others(self, m.Current().Members, m.PlacementAt(height).Members)
+}
+
+// others returns the members of lists in order, each once, without self.
+func others(self simnet.NodeID, lists ...[]simnet.NodeID) []simnet.NodeID {
+	var out []simnet.NodeID
+	for _, id := range slices.Concat(lists...) {
 		if id != self && !slices.Contains(out, id) {
 			out = append(out, id)
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/simnet"
 )
 
@@ -282,6 +285,206 @@ func TestEpochOwnersAndHolders(t *testing.T) {
 	}
 	if _, err := m.Holders(seed, 0, 0, 0); err == nil {
 		t.Fatal("Holders accepted replication 0")
+	}
+}
+
+// seededBlock returns a block hash whose placement seed (Hash.Uint64) is seed.
+func seededBlock(seed uint64) blockcrypto.Hash {
+	var h blockcrypto.Hash
+	binary.BigEndian.PutUint64(h[:], seed)
+	return h
+}
+
+// TestMembershipMoves is the one table for the rule both drivers plan every
+// membership change by. Every row plans the same block, seed 0x3c6e…f82a,
+// whose r = 2 owners are, chunk by chunk:
+//
+//	members 0 1 2 3:     [0 2] [1 3] [3 2] [0 2]
+//	members 0 1 2:       [0 2] [1 0] [2 1] [0 2]
+//	members 0 1:         [0 1] [1 0] [1 0] [0 1]
+//	members 0 1 5:       [0 5] [5 1] [5 1] [0 1]
+//	members 0 1 2 3 4:   [4 0] [1 3] [3 2] [4 0] [2 1]
+//	members 0 1 3 4:     [4 0] [1 3] [3 4] [4 0]
+//
+// A chunk's sources are its owners under the placement epoch, then its
+// current owners, then the rest of the placement members, never the member
+// taking it in.
+func TestMembershipMoves(t *testing.T) {
+	rejoined := []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1, 2), at(6, 0, 1, 2, 3)}
+	departed := []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1), at(6, 0, 1, 5)}
+	grown := []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1, 2, 3, 4), at(6, 0, 1, 3, 4)}
+	cases := []struct {
+		name    string
+		epochs  []Epoch
+		advance int // AdvancePlacement target; 0 moves nothing
+		r       int
+		height  uint64
+		member  simnet.NodeID
+		out     bool // MovesFrom(member); MovesTo(member) otherwise
+		want    []Move
+	}{
+		{
+			// Epoch 1 never governed a block: the block has five chunks, and
+			// member 4 owns two of them.
+			name:   "a block under an epoch shadowed at its own height",
+			epochs: []Epoch{at(0, 0, 1, 2, 3), at(5, 0, 1, 2), at(5, 0, 1, 2, 3, 4)},
+			r:      2, height: 5, member: 4,
+			want: []Move{{Index: 0, From: epochIDs(0, 1, 2, 3)}, {Index: 3, From: epochIDs(0, 1, 2, 3)}},
+		},
+		{
+			// Members 2 and 3 left and nothing migrated: they are still the
+			// first to ask for chunk 2, then the co-owner, then the rest.
+			name:   "a chunk whose write-epoch owners have all departed",
+			epochs: departed,
+			r:      2, height: 0, member: 5,
+			want: []Move{{Index: 0, From: epochIDs(0, 2, 1, 3)}, {Index: 1, From: epochIDs(1, 3, 0, 2)}, {Index: 2, From: epochIDs(3, 2, 1, 0)}},
+		},
+		{
+			name:    "the same chunk once their departure migrated",
+			epochs:  departed,
+			advance: 1,
+			r:       2, height: 0, member: 5,
+			want: []Move{{Index: 0, From: epochIDs(0, 1)}, {Index: 1, From: epochIDs(1, 0)}, {Index: 2, From: epochIDs(1, 0)}},
+		},
+		{
+			// r = 3 over two members: both own every chunk.
+			name:   "r clamped by a small epoch",
+			epochs: []Epoch{at(0, 0, 1)},
+			r:      3, height: 0, member: 1,
+			want: []Move{{Index: 0, From: epochIDs(0)}, {Index: 1, From: epochIDs(0)}},
+		},
+		{
+			// Every member of three already holds every chunk.
+			name:   "r clamped: leaving a cluster no larger than r moves nothing",
+			epochs: []Epoch{at(0, 0, 1, 2), at(2, 0, 1)},
+			r:      3, height: 0, member: 2, out: true,
+		},
+		{
+			// Member 3 owned chunks 1 and 2 when the block was written; it is
+			// never its own source.
+			name:   "a rejoiner, placement not advanced",
+			epochs: rejoined,
+			r:      2, height: 0, member: 3,
+			want: []Move{{Index: 1, From: epochIDs(1, 0, 2)}, {Index: 2, From: epochIDs(2, 0, 1)}},
+		},
+		{
+			name:    "a rejoiner, placement advanced past its departure",
+			epochs:  rejoined,
+			advance: 1,
+			r:       2, height: 0, member: 3,
+			want: []Move{{Index: 1, From: epochIDs(1, 0, 2)}, {Index: 2, From: epochIDs(2, 1, 0)}},
+		},
+		{
+			// Written while member 3 was away: three chunks, sourced from
+			// the three members that wrote it.
+			name:   "a member absent from the block's write epoch",
+			epochs: rejoined,
+			r:      2, height: 4, member: 3,
+			want: []Move{{Index: 1, From: epochIDs(1, 0, 2)}, {Index: 2, From: epochIDs(2, 1, 0)}},
+		},
+		{
+			name:   "a leaver hands out what it owned",
+			epochs: []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1, 2)},
+			r:      2, height: 0, member: 3, out: true,
+			want: []Move{{Index: 1, From: epochIDs(3), To: epochIDs(0)}, {Index: 2, From: epochIDs(3), To: epochIDs(1)}},
+		},
+		{
+			// Member 4's join migrated chunks 0 and 3 away from member 2,
+			// which keeps stale copies of them: only chunk 2 is still its own.
+			name:    "a leaver that holds a stale copy it does not own",
+			epochs:  grown,
+			advance: 1,
+			r:       2, height: 0, member: 2, out: true,
+			want: []Move{{Index: 2, From: epochIDs(2), To: epochIDs(4)}},
+		},
+		{
+			name:   "the same leaver had the join not migrated",
+			epochs: grown,
+			r:      2, height: 0, member: 2, out: true,
+			want: []Move{{Index: 0, From: epochIDs(2), To: epochIDs(4)}, {Index: 2, From: epochIDs(2), To: epochIDs(4)}, {Index: 3, From: epochIDs(2), To: epochIDs(4)}},
+		},
+	}
+	block := seededBlock(0x3c6ef372fe94f82a)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := pushed(t, tc.epochs...)
+			m.AdvancePlacement(tc.advance)
+			plan := m.MovesTo
+			if tc.out {
+				plan = m.MovesFrom
+			}
+			got, err := plan(block, tc.height, tc.member, tc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tc.want {
+				w := &tc.want[i]
+				w.Block, w.Height = block, tc.height
+				if !tc.out {
+					w.To = []simnet.NodeID{tc.member}
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("planned %+v\nwant    %+v", got, tc.want)
+			}
+		})
+	}
+	if _, err := pushed(t, at(0, 0, 1)).MovesTo(block, 0, 0, 0); err == nil {
+		t.Fatal("MovesTo accepted replication 0")
+	}
+}
+
+// TestMovesFromIsThePlacementDelta removes each member of a cluster in turn:
+// for every chunk of every block, what MovesFrom has a holder send is exactly
+// the new owners that were not owners before, only a chunk the leaver owned
+// moves, and nobody but an owner is asked to send it.
+func TestMovesFromIsThePlacementDelta(t *testing.T) {
+	const n, r, blocks = 7, 3, 64
+	full := ids(n)
+	for _, leaver := range full {
+		shrunk := others(leaver, full)
+		m := pushed(t, Epoch{Members: full}, Epoch{FromHeight: 1, Members: shrunk})
+		for b := uint64(0); b < blocks; b++ {
+			block := seededBlock(b * 0x9e3779b97f4a7c15)
+			want := make(map[simnet.NodeID]map[int][]simnet.NodeID) // holder -> chunk -> gainers
+			for idx := 0; idx < n; idx++ {
+				old, _ := Owners(block.Uint64(), full, idx, r)
+				now, _ := Owners(block.Uint64(), shrunk, idx, r)
+				var gain []simnet.NodeID
+				for _, o := range now {
+					if !slices.Contains(old, o) {
+						gain = append(gain, o)
+					}
+				}
+				if slices.Contains(old, leaver) != (len(gain) == 1) {
+					t.Fatalf("leaver %d block %d chunk %d: owned=%v but %d members gain it", leaver, b, idx, slices.Contains(old, leaver), len(gain))
+				}
+				for _, o := range old {
+					if gain != nil {
+						if want[o] == nil {
+							want[o] = make(map[int][]simnet.NodeID)
+						}
+						want[o][idx] = gain
+					}
+				}
+			}
+			for _, holder := range full {
+				moves, err := m.MovesFrom(block, 0, holder, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make(map[int][]simnet.NodeID)
+				for _, mv := range moves {
+					if !slices.Equal(mv.From, []simnet.NodeID{holder}) {
+						t.Fatalf("holder %d asked to send from %v", holder, mv.From)
+					}
+					got[mv.Index] = mv.To
+				}
+				if w := want[holder]; len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+					t.Fatalf("leaver %d block %d: holder %d sends %v, want %v", leaver, b, holder, got, w)
+				}
+			}
+		}
 	}
 }
 

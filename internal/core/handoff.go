@@ -28,11 +28,10 @@ type handoffState struct {
 // HandoffChunks pushes every chunk whose ownership this node's departure
 // shifts to the gaining members of the current (post-departure) epoch. The
 // caller (System.LeaveCluster) must already have pushed the epoch that
-// excludes this node. The movement is the placement delta between the
-// block's placement epoch and the departure epoch — by the rendezvous
-// property exactly the chunks this node owned, never a reshuffle of
-// anybody else's. cb fires once with the number of chunks moved; any
-// unacknowledged push fails the whole handoff.
+// excludes this node. The movement is EpochMap.MovesFrom: the placement
+// delta between the block's placement epoch and the departure epoch, of
+// the chunks this node holds. cb fires once with the number of chunks
+// moved; any unacknowledged push fails the whole handoff.
 func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error)) {
 	if n.handoff != nil {
 		cb(0, fmt.Errorf("core: handoff already in progress on node %d", n.id))
@@ -41,18 +40,19 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 	n.pc.handoffs.Inc()
 	hs := &handoffState{pending: make(map[uint64]bool), cb: cb}
 	n.handoff = hs
-	target := n.cluster.Current()
 	for _, h := range n.store.Headers() {
 		block := h.Hash()
 		if _, archived := n.cluster.archivedInfo(block); archived {
 			continue // coded shares are re-established by archival repair
 		}
-		place := n.cluster.PlacementAt(h.Height)
-		seed := block.Uint64()
-		for _, idx := range n.store.ChunksForBlock(block) {
-			gainers, _ := place.Gainers(target, n.id, seed, idx, n.replication) // unplaceable: nobody to hand it to
-			for _, gain := range gainers {
-				n.pushHandoffChunk(net, hs, storage.ChunkID{Block: block, Index: idx}, gain)
+		moves, _ := n.cluster.MovesFrom(block, h.Height, n.id, n.replication) // unplaceable: nobody to hand it to
+		for _, mv := range moves {
+			id := storage.ChunkID{Block: block, Index: mv.Index}
+			if !n.store.HasChunk(id) {
+				continue // owned but never received: nothing to hand out
+			}
+			for _, gain := range mv.To {
+				n.pushHandoffChunk(net, hs, id, gain)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"icistrategy/internal/blockcrypto"
@@ -673,18 +674,9 @@ func (n *Node) verifyCommit(m commitMsg) error {
 	members := n.cluster.At(m.Header.Height).Members
 	return consensus.VerifyCertificate(
 		m.Header.Hash(), m.Parts, len(members), n.replication, m.Votes,
-		func(id simnet.NodeID) bool { return memberOf(members, id) },
+		func(id simnet.NodeID) bool { return slices.Contains(members, id) },
 		n.registry,
 	)
-}
-
-func memberOf(members []simnet.NodeID, id simnet.NodeID) bool {
-	for _, m := range members {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }
 
 // onCommit handles a commit announcement: a block already finalized here

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"icistrategy/internal/storage"
 )
@@ -30,7 +31,7 @@ func (n *Node) PruneUnowned() int64 {
 			if oerr != nil {
 				return true // cannot evaluate: keep conservatively
 			}
-			return memberOf(owners, n.id)
+			return slices.Contains(owners, n.id)
 		}
 		if id.Index >= len(n.cluster.At(hdr.Height).Members) {
 			return false // impossible index under this epoch: collect
@@ -45,7 +46,7 @@ func (n *Node) PruneUnowned() int64 {
 		if oerr != nil {
 			return true
 		}
-		return memberOf(owners, n.id)
+		return slices.Contains(owners, n.id)
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -85,7 +86,7 @@ func (n *Node) broadcastFetch(net *simnet.Network, req uint64, st *fetchState) {
 	// members: before a migration completes, pre-churn chunks still live
 	// on the epoch the block was written under, and asking only the
 	// current membership would miss them.
-	targets := without(n.cluster.Current().Members, n.id)
+	targets := others(n.id, n.cluster.Current().Members)
 	if hdr, err := n.store.Header(st.block); err == nil {
 		targets = n.cluster.fetchMembers(hdr.Height, n.id)
 	}
@@ -347,29 +348,18 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	for _, h := range m.Headers {
 		n.store.PutHeader(h)
 	}
-	// Fetch the chunks this node now owns under the current epoch.
+	// Fetch the chunks this node now owns under the current epoch (the
+	// cluster map carries the join's epoch); one nobody else could serve is
+	// skipped.
 	for _, h := range m.Headers {
-		block := h.Hash()
-		parts := len(n.cluster.At(h.Height).Members)
-		seed := block.Uint64()
-		for idx := 0; idx < parts; idx++ {
-			// Bootstrap decides what this node should hold under the live
-			// roster; where to fetch it from resolves at the block's height.
-			owners, err := n.cluster.Current().Owners(seed, idx, n.replication)
-			if err != nil || !memberOf(owners, n.id) {
-				continue
-			}
-			// The block's placement-epoch owners definitively stored the
-			// chunk — ask them first. Then the current co-owners (they may
-			// hold a migrated copy already) and finally the remaining
-			// placement members (stale extra copies survive until pruning).
-			sources := n.chunkSources(seed, idx, h.Height)
-			if len(sources) == 0 {
+		moves, _ := n.cluster.MovesTo(h.Hash(), h.Height, n.id, n.replication) // unplaceable: nothing to take in
+		for _, mv := range moves {
+			if len(mv.From) == 0 {
 				continue
 			}
 			bs.outstanding++
 			n.pc.bootstrapChunks.Inc()
-			n.fetchChunk(net, block, idx, sources, bs.span.Context(), "bootstrap", func(err error) {
+			n.fetchChunk(net, mv.Block, mv.Index, mv.From, bs.span.Context(), "bootstrap", func(err error) {
 				if err != nil {
 					bs.failed = true
 				}
@@ -403,34 +393,6 @@ func (n *Node) finishBootstrap(err error) {
 	bs.span.SetErr(err)
 	bs.span.End()
 	cb(err)
-}
-
-// chunkSources builds the deterministic source ring for re-establishing
-// one chunk of a block written at the given height: its holders (placement
-// owners, then current co-owners — EpochMap.Holders), then the remaining
-// placement members (stale extra copies survive until pruning). This node
-// is excluded throughout.
-func (n *Node) chunkSources(seed uint64, idx int, height uint64) []simnet.NodeID {
-	// An error leaves the owners unknown; every placement member is still asked.
-	holders, _ := n.cluster.Holders(seed, idx, n.replication, height)
-	sources := without(holders, n.id)
-	for _, m := range n.cluster.PlacementAt(height).Members {
-		if m != n.id && !memberOf(sources, m) {
-			sources = append(sources, m)
-		}
-	}
-	return sources
-}
-
-// without returns members minus id.
-func without(members []simnet.NodeID, id simnet.NodeID) []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(members))
-	for _, m := range members {
-		if m != id {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // fetchChunk requests one chunk, trying sources in order until one serves a
@@ -553,48 +515,33 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 	span := n.tr.Start(0, "repair", "repair", int64(n.id))
 	type want struct {
 		epochSeq int // the block's placement epoch (repair priority)
-		height   uint64
-		block    blockcrypto.Hash
-		idx      int
-		srcs     []simnet.NodeID
+		Move
 	}
 	var wants []want
 	for _, h := range n.store.Headers() {
 		block := h.Hash()
-		parts := len(n.cluster.At(h.Height).Members)
-		seed := block.Uint64()
 		// The store's per-block index answers "which chunks of this block do
 		// I hold" in one lookup; a block whose every part is already local
-		// skips the per-index rendezvous ranking below entirely.
-		held := make(map[int]bool, parts)
-		for _, idx := range n.store.ChunksForBlock(block) {
-			held[idx] = true
-		}
-		if len(held) == parts {
+		// is not planned at all.
+		held := n.store.ChunksForBlock(block)
+		if len(held) == len(n.cluster.At(h.Height).Members) {
 			continue
 		}
-		for idx := 0; idx < parts; idx++ {
-			if held[idx] {
-				continue
+		moves, _ := n.cluster.MovesTo(block, h.Height, n.id, n.replication) // unplaceable: nothing to repair
+		for _, mv := range moves {
+			if !slices.Contains(held, mv.Index) {
+				wants = append(wants, want{n.cluster.PlacementAt(h.Height).Seq, mv})
 			}
-			// Repair targets the post-churn roster by design; sources
-			// resolve against the block's placement epoch — the members
-			// that actually stored the chunk — not the current view.
-			owners, err := n.cluster.Current().Owners(seed, idx, n.replication)
-			if err != nil || !memberOf(owners, n.id) {
-				continue
-			}
-			wants = append(wants, want{epochSeq: n.cluster.PlacementAt(h.Height).Seq, height: h.Height, block: block, idx: idx, srcs: n.chunkSources(seed, idx, h.Height)})
 		}
 	}
 	sort.Slice(wants, func(i, j int) bool {
 		if wants[i].epochSeq != wants[j].epochSeq {
 			return wants[i].epochSeq < wants[j].epochSeq
 		}
-		if wants[i].height != wants[j].height {
-			return wants[i].height < wants[j].height
+		if wants[i].Height != wants[j].Height {
+			return wants[i].Height < wants[j].Height
 		}
-		return wants[i].idx < wants[j].idx
+		return wants[i].Index < wants[j].Index
 	})
 	if len(wants) == 0 {
 		span.End()
@@ -604,7 +551,7 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 	lost, outstanding := 0, len(wants)
 	n.pc.repairChunks.Add(int64(len(wants)))
 	for _, w := range wants {
-		n.fetchChunk(net, w.block, w.idx, w.srcs, span.Context(), "repair", func(err error) {
+		n.fetchChunk(net, w.Block, w.Index, w.From, span.Context(), "repair", func(err error) {
 			if err != nil {
 				lost++
 			}

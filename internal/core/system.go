@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
@@ -400,13 +401,13 @@ func (s *System) RemoveNode(id simnet.NodeID) error {
 		return err
 	}
 	ci := n.cluster
-	if !memberOf(ci.Current().Members, id) {
+	if !slices.Contains(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is not a member of cluster %d", id, ci.index)
 	}
 	if len(ci.Current().Members) == 1 {
 		return fmt.Errorf("core: cluster %d lost its last member", ci.index)
 	}
-	if _, err := ci.Push(s.height, without(ci.Current().Members, id), nil); err != nil {
+	if _, err := ci.Push(s.height, others(id, ci.Current().Members), nil); err != nil {
 		return err
 	}
 	return s.net.SetDown(id, true)
@@ -507,18 +508,23 @@ func (s *System) JoinCluster(c int, cb func(simnet.NodeID, error)) error {
 	if err := s.net.AddNode(id, node, coord); err != nil {
 		return err
 	}
-	// Membership grows now; blocks from the current height on are split
-	// into the larger part count.
-	epoch, err := ci.Push(s.height, append(ci.Current().Members, id), nil)
+	return s.admit(ci, node, sponsor, func(err error) { cb(id, err) })
+}
+
+// admit grows ci's membership by n now — blocks from the current height on
+// are split into the larger part count — and bootstraps n from sponsor; once
+// the bootstrap succeeded, placement advances to the grown epoch.
+func (s *System) admit(ci *clusterInfo, n *Node, sponsor simnet.NodeID, cb func(error)) error {
+	epoch, err := ci.Push(s.height, append(ci.Current().Members, n.id), nil)
 	if err != nil {
 		return err
 	}
 	target := epoch.Seq
-	node.Bootstrap(s.net, sponsor, func(err error) {
+	n.Bootstrap(s.net, sponsor, func(err error) {
 		if err == nil {
 			ci.AdvancePlacement(target)
 		}
-		cb(id, err)
+		cb(err)
 	})
 	return nil
 }
@@ -536,7 +542,7 @@ func (s *System) LeaveCluster(id simnet.NodeID, cb func(moved int, err error)) e
 		return err
 	}
 	ci := n.cluster
-	if !memberOf(ci.Current().Members, id) {
+	if !slices.Contains(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is not a member of cluster %d", id, ci.index)
 	}
 	if len(ci.Current().Members) == 1 {
@@ -545,7 +551,7 @@ func (s *System) LeaveCluster(id simnet.NodeID, cb func(moved int, err error)) e
 	if s.net.IsDown(id) {
 		return fmt.Errorf("core: node %d is down; use RemoveNode for crashed members", id)
 	}
-	epoch, err := ci.Push(s.height, without(ci.Current().Members, id), nil)
+	epoch, err := ci.Push(s.height, others(id, ci.Current().Members), nil)
 	if err != nil {
 		return err
 	}
@@ -572,7 +578,7 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 		return err
 	}
 	ci := n.cluster
-	if memberOf(ci.Current().Members, id) {
+	if slices.Contains(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is already a member of cluster %d", id, ci.index)
 	}
 	sponsor, serr := s.sponsorFor(ci, id)
@@ -582,18 +588,7 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 	if err := s.net.SetDown(id, false); err != nil {
 		return err
 	}
-	epoch, err := ci.Push(s.height, append(ci.Current().Members, id), nil)
-	if err != nil {
-		return err
-	}
-	target := epoch.Seq
-	n.Bootstrap(s.net, sponsor, func(err error) {
-		if err == nil {
-			ci.AdvancePlacement(target)
-		}
-		cb(err)
-	})
-	return nil
+	return s.admit(ci, n, sponsor, cb)
 }
 
 // ClusterEpoch returns the current membership epoch sequence number of

@@ -304,6 +304,59 @@ func TestUpstreamEvictsOnlyDeadConnections(t *testing.T) {
 	}
 }
 
+// TestUpstreamRedialsARestartedMember: a member restarts at its address
+// while the upstream still caches a connection to its old process. The next
+// fetch finds that connection hung up and is asked again on a new one;
+// without that it failed, and a gather struck the member as if it were down
+// — unreadable, when no other holder of its chunks was up.
+func TestUpstreamRedialsARestartedMember(t *testing.T) {
+	_, blocks := startCluster(t, 1, 1, 1, 8)
+	b := blocks[0]
+	// serve starts a member at addr holding b.
+	serve := func(addr string) *netx.Server {
+		s, err := netx.NewServer(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		cl, err := netx.NewCluster([]string{s.Addr()}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.DistributeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := serve("127.0.0.1:0")
+	addr := first.Addr()
+	up, err := NewClusterUpstream([]string{addr}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	refs := []netx.ChunkRef{{Block: b.Hash(), Index: 0}}
+	if resp, err := up.FetchBatch(0, refs); err != nil || !resp.Found[0] {
+		t.Fatalf("fetch before the restart: %v", err)
+	}
+	old, err := up.cl.Client(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	serve(addr)
+	if resp, err := up.FetchBatch(0, refs); err != nil || !resp.Found[0] {
+		t.Fatalf("fetch from the restarted member: %v", err)
+	}
+	if cur, _ := up.cl.Client(addr); cur == old {
+		t.Fatal("the hung-up connection is still cached")
+	}
+}
+
 // TestHeaderSyncAsksPastAnEmptyMember: member 0 restarted with an empty
 // store and heads the roster. Its answer to the header sync — no headers —
 // is not the cluster's: the members behind it hold every header and, at

@@ -3,7 +3,9 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
+	"syscall"
 	"time"
 
 	"icistrategy/internal/blockcrypto"
@@ -182,18 +184,25 @@ func (u *ClusterUpstream) client(peer int) (*netx.Client, string, error) {
 	return c, addr, err
 }
 
-// FetchBatch implements Upstream.
+// FetchBatch implements Upstream. A read on a cached connection whose server
+// has hung up since — the member restarted — is asked again once on a new
+// one: the read is idempotent, and failing it would strike a live member
+// from the gather.
 func (u *ClusterUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.ChunkBatchResp, error) {
-	c, addr, err := u.client(peer)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.GetChunkBatch(refs)
-	if err != nil {
+	for again := true; ; again = false {
+		c, addr, err := u.client(peer)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := c.GetChunkBatch(refs)
+		if err == nil {
+			return resp, nil
+		}
 		u.cl.DropClient(addr, c)
-		return nil, err
+		if !again || !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			return nil, err
+		}
 	}
-	return resp, nil
 }
 
 // TxProof implements Upstream.

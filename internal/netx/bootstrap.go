@@ -2,6 +2,7 @@ package netx
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -11,46 +12,28 @@ import (
 	"icistrategy/internal/simnet"
 )
 
-// This file is the real-TCP bootstrap path: provisioning a storage server
-// with the headers and chunks it is responsible for, fetched from live
-// cluster members, verify-on-write. Two entry points share the machinery:
-//
-//   - BootstrapNewMember: a brand-new node joins a cluster of N as member
-//     N — ownership is computed under the grown membership (the
-//     re-placement case).
-//   - ResyncMember: an existing member restarted with an empty store
-//     re-fetches the chunks it owns under the unchanged membership (the
-//     crash-recovery case).
+// This file is the real-TCP side of a membership change: what moves is
+// planned by core (EpochMap.MovesTo, MovesFrom) on planMap's copy of the
+// cluster map; transfer carries it out, verify-on-write. BootstrapNewMember
+// (a newcomer joins), ResyncMember (a member restarted empty) and
+// RejoinMember (churn.go) provision a server.
 
 // BootstrapNewMember provisions a brand-new storage server as the next
-// member of this cluster, over TCP: it syncs every header from an existing
-// member (validating the hash chain), computes which chunks the newcomer
-// owns under the grown membership with the same rendezvous placement the
-// simulator's join protocol uses, fetches each from a current owner, and
-// pushes it — verify-on-write — into the new server. It returns how many
-// chunks were transferred.
-//
-// The cluster's own membership view is not mutated: callers that want the
-// newcomer to serve future blocks build a new Cluster over addrs +
-// newAddr.
+// member of this cluster: every header (hash chain checked), then every
+// chunk the newcomer owns under the grown membership, each fetched from a
+// member that holds it. It returns how many chunks were transferred. The
+// cluster's view is not mutated: a caller that wants the newcomer to serve
+// publishes the grown epoch (PublishEpoch) and builds a Cluster over it.
 func (cl *Cluster) BootstrapNewMember(newAddr string) (int, error) {
 	newID := simnet.NodeID(len(cl.base.Members))
-	grown := core.Epoch{
-		Members: append(slices.Clone(cl.base.Members), newID),
-		Addrs:   append(slices.Clone(cl.base.Addrs), newAddr),
-	}
-	return cl.provisionMember(newAddr, newID, &grown, core.EpochMap{cl.base})
+	return cl.provision(newAddr, newID, append(slices.Clone(cl.base.Members), newID), append(slices.Clone(cl.base.Addrs), newAddr))
 }
 
-// ResyncMember re-provisions an existing member whose local store was lost
-// (crash, restart, disk wipe): headers are synced from a surviving member
-// and every chunk the member owns under the current membership is fetched
-// from another replica and pushed back, verify-on-write. addr must be the
-// member's own address — cl must span the full membership including it.
-// It returns how many chunks were transferred.
-//
-// A chunk whose only owners were the lost member itself (replication 1)
-// cannot be recovered and fails the resync.
+// ResyncMember re-provisions member id, serving at addr, whose store was lost
+// (crash, restart, disk wipe) with the headers and every chunk it owns under
+// the published membership; cl must span that membership. It returns how
+// many chunks were transferred. A chunk only the lost member held
+// (replication 1) cannot be recovered and fails the resync.
 func (cl *Cluster) ResyncMember(addr string, id simnet.NodeID) (int, error) {
 	if int(id) < 0 || int(id) >= len(cl.base.Members) {
 		return 0, fmt.Errorf("netx: resync: member id %d outside cluster of %d", id, len(cl.base.Members))
@@ -58,44 +41,30 @@ func (cl *Cluster) ResyncMember(addr string, id simnet.NodeID) (int, error) {
 	if cl.base.Addrs[int(id)] != addr {
 		return 0, fmt.Errorf("netx: resync: member %d is %s, not %s", id, cl.base.Addrs[int(id)], addr)
 	}
-	return cl.provisionMember(addr, id, &cl.base, core.EpochMap{cl.base})
+	return cl.provision(addr, id, nil, nil)
 }
 
-// provisionMember pushes headers plus the chunks self owns under the
-// ownership epoch into the server at target, fetching everything from
-// members other than target itself. Each block is resolved against the map
-// m: the epoch it was written under gives its chunk count, and a chunk is
-// fetched from its holders there — write-epoch owners, then the owners it
-// migrated to under the newest epoch (EpochMap.Holders).
-func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership *core.Epoch, m core.EpochMap) (int, error) {
+// provision pushes headers plus every chunk member self takes in
+// (EpochMap.MovesTo) into the server at target, each fetched from the
+// sources the plan names. ids and addrs are the membership the change leads
+// to, nil for a resync, which changes none.
+func (cl *Cluster) provision(target string, self simnet.NodeID, ids []simnet.NodeID, addrs []string) (int, error) {
 	headers, err := cl.syncHeaders(target)
 	if err != nil {
 		return 0, err
 	}
 	n, err := cl.transfer(func(emit func(chunkMove) bool) error {
+		m, err := cl.planMap(ids, addrs)
+		if err != nil {
+			return err
+		}
 		for _, h := range headers {
-			block := h.Hash()
-			seed := block.Uint64()
-			for idx := range m.At(h.Height).Members {
-				owners, err := ownership.Owners(seed, idx, cl.replication)
-				if err != nil {
-					return err
-				}
-				if !slices.Contains(owners, self) {
-					continue
-				}
-				holders, err := m.Holders(seed, idx, cl.replication, h.Height)
-				if err != nil {
-					return err
-				}
-				var from []string
-				for _, id := range holders {
-					// The member being provisioned has nothing to offer.
-					if a := m.Addr(id); a != target && !slices.Contains(from, a) {
-						from = append(from, a)
-					}
-				}
-				if !emit(chunkMove{block: block, index: idx, from: from, to: []string{target}}) {
+			moves, err := m.MovesTo(h.Hash(), h.Height, self, cl.replication)
+			if err != nil {
+				return err
+			}
+			for _, mv := range moves {
+				if !emit(chunkMove{block: mv.Block, index: mv.Index, from: addrsOf(m, mv.From, target), to: []string{target}}) {
 					return nil
 				}
 			}
@@ -106,6 +75,35 @@ func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership 
 		return n, fmt.Errorf("netx: bootstrap: %w", err)
 	}
 	return n, nil
+}
+
+// planMap returns the map a membership change is planned on: a copy of the
+// newest published map with placement advanced to its current epoch — a TCP
+// epoch is published only once the migration into it completed, and the
+// placement cursor never crosses the wire — and, unless ids is nil, the
+// membership ids at addrs pushed on top, from a height no block reaches. The
+// map this Cluster holds, serves and reads by is not touched.
+func (cl *Cluster) planMap(ids []simnet.NodeID, addrs []string) (core.EpochMap, error) {
+	m := slices.Clone(cl.CurrentMap())
+	m.AdvancePlacement(m.Current().Seq)
+	if ids == nil {
+		return m, nil
+	}
+	_, err := m.Push(math.MaxUint64, ids, addrs)
+	return m, err
+}
+
+// addrsOf returns where the members ids serve under m, in order, without
+// repeats or skip: a server being provisioned has nothing to offer, even
+// where a departed member once served at its address.
+func addrsOf(m core.EpochMap, ids []simnet.NodeID, skip string) []string {
+	var out []string
+	for _, id := range ids {
+		if a := m.Addr(id); a != skip && !slices.Contains(out, a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // transferWorkers is how many chunks a bootstrap, resync, rejoin or retire

@@ -44,7 +44,7 @@ func (c *Client) SetClusterMap(m core.EpochMap) error {
 func (cl *Cluster) CurrentMap() core.EpochMap {
 	best := cl.Map()
 	var polled []string
-	for _, e := range append(core.EpochMap{cl.base}, best...) {
+	for _, e := range append([]core.Epoch{cl.base}, best...) {
 		for _, addr := range e.Addrs {
 			if slices.Contains(polled, addr) {
 				continue
@@ -152,14 +152,10 @@ func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error
 }
 
 // RetireMember gracefully removes the member serving at addr from a cluster
-// whose full current membership this Cluster was built over. Every chunk
-// the leaver holds whose ownership shifts under the shrunk membership is
-// pushed to the gaining owners (the receiving server verifies on write),
-// and the shrunk epoch is then published cluster-wide so readers and
-// gateways learn the new roster. Chunks that keep an owner under the old
-// placement stay put: rendezvous hashing only promotes on removal, so the
-// transfer set is exactly the leaver's displaced replicas. Returns the
-// number of chunks moved.
+// whose full current membership this Cluster was built over: the chunks it
+// holds that the shrunk membership gives to others (EpochMap.MovesFrom) are
+// pushed to them, then the shrunk epoch is published. Returns the number of
+// chunks moved.
 func (cl *Cluster) RetireMember(addr string) (int, error) {
 	li := slices.Index(cl.base.Addrs, addr)
 	if li < 0 {
@@ -168,10 +164,8 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 	if len(cl.base.Addrs) == 1 {
 		return 0, fmt.Errorf("netx: cannot retire the last member")
 	}
-	shrunk := core.Epoch{
-		Members: slices.Delete(slices.Clone(cl.base.Members), li, li+1),
-		Addrs:   slices.Delete(slices.Clone(cl.base.Addrs), li, li+1),
-	}
+	ids := slices.Delete(slices.Clone(cl.base.Members), li, li+1)
+	addrs := slices.Delete(slices.Clone(cl.base.Addrs), li, li+1)
 
 	leaver, err := cl.Client(addr)
 	if err != nil {
@@ -183,25 +177,27 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 		return 0, fmt.Errorf("netx: retire %s: headers: %w", addr, err)
 	}
 	moved, err := cl.transfer(func(emit func(chunkMove) bool) error {
+		m, err := cl.planMap(ids, addrs)
+		if err != nil {
+			return err
+		}
 		for _, hdr := range headers {
 			block := hdr.Hash()
+			moves, err := m.MovesFrom(block, hdr.Height, cl.base.Members[li], cl.replication)
+			if err != nil {
+				return err
+			}
 			resp, err := leaver.GetBlockChunks(block)
 			if err != nil {
 				cl.DropClient(addr, leaver)
 				return fmt.Errorf("chunks of %x: %w", block[:4], err)
 			}
-			seed := block.Uint64()
-			for i := range resp.Chunks {
-				chk := &resp.Chunks[i]
-				gain, err := cl.base.Gainers(&shrunk, cl.base.Members[li], seed, chk.Index, cl.replication)
-				if err != nil {
-					return err
+			for _, mv := range moves {
+				i := slices.IndexFunc(resp.Chunks, func(c ChunkResp) bool { return c.Index == mv.Index })
+				if i < 0 {
+					continue // owned but not held: nothing to hand out
 				}
-				var gainers []string
-				for _, o := range gain {
-					gainers = append(gainers, cl.base.Addrs[int(o)])
-				}
-				if len(gainers) > 0 && !emit(chunkMove{block: block, index: chk.Index, chunk: chk, to: gainers}) {
+				if !emit(chunkMove{block: block, index: mv.Index, chunk: &resp.Chunks[i], to: addrsOf(m, mv.To, "")}) {
 					return nil
 				}
 			}
@@ -211,28 +207,22 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 	if err != nil {
 		return moved, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
-	if _, err := cl.PublishEpoch(shrunk.Members, shrunk.Addrs); err != nil {
+	if _, err := cl.PublishEpoch(ids, addrs); err != nil {
 		return moved, err
 	}
 	return moved, nil
 }
 
 // RejoinMember re-provisions a member returning after a graceful departure
-// and publishes the restored membership as a new epoch. cl must span the
-// full post-rejoin membership including addr. Unlike ResyncMember, every
-// block is resolved against the epoch it was written under — blocks
-// distributed while the member was away have fewer parts, and their chunks
-// may have migrated to new owners — so the rejoiner receives exactly the
-// chunks it owns under the restored membership, fetched from either their
-// write-epoch or post-migration holders. Returns the chunks transferred.
+// with every chunk it owns under the restored membership, which cl spans
+// (EpochMap.MovesTo), and publishes that membership as a new epoch. Returns
+// the chunks transferred.
 func (cl *Cluster) RejoinMember(addr string) (int, error) {
 	li := slices.Index(cl.base.Addrs, addr)
 	if li < 0 {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
-	// Ownership is decided under the restored roster cl.base.Members; the chunks come
-	// from each block's write-epoch members.
-	transferred, err := cl.provisionMember(addr, cl.base.Members[li], &cl.base, cl.CurrentMap())
+	transferred, err := cl.provision(addr, cl.base.Members[li], cl.base.Members, cl.base.Addrs)
 	if err != nil {
 		return transferred, err
 	}

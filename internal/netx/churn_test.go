@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +235,134 @@ func TestPublishEpochRefusesToRewriteHistory(t *testing.T) {
 	}
 	if m, _ := c1.GetClusterMap(); len(m) != 3 || m[2].FromHeight != 10 {
 		t.Fatalf("map = %+v, want epoch 2 from height 10", m)
+	}
+}
+
+// churned runs the shape of scenarios/churn.cont over loopback servers: four
+// members, r = 2, four blocks; member 3 retires; four blocks under the
+// three that stay; member 3 rejoins. After each membership change the map
+// the Cluster holds must be the one its members serve: planning advances
+// placement on a copy only.
+func churned(t *testing.T) (servers []*Server, addrs []string, full *Cluster, blocks []*chain.Block) {
+	t.Helper()
+	const n, r = 4, 2
+	servers, addrs = startServers(t, n)
+	full, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(full.Close)
+	blocks = seededBlocks(t, 26, 8, 16)
+	distribute := func(cl *Cluster, bs []*chain.Block) {
+		for _, b := range bs {
+			if err := cl.DistributeBlock(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	requireServedMap := func(when string) {
+		c, err := Dial(addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		served, err := c.GetClusterMap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held := full.Map(); !reflect.DeepEqual(held, served) {
+			t.Fatalf("after %s the Cluster holds %+v, its members serve %+v", when, held, served)
+		}
+	}
+	distribute(full, blocks[:4])
+	if moved, err := full.RetireMember(addrs[n-1]); err != nil || moved == 0 {
+		t.Fatalf("retire moved %d chunks: %v", moved, err)
+	}
+	requireServedMap("retire")
+	shrunk, err := NewCluster(addrs[:n-1], r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shrunk.Close()
+	distribute(shrunk, blocks[4:])
+	if moved, err := full.RejoinMember(addrs[n-1]); err != nil || moved == 0 {
+		t.Fatalf("rejoin moved %d chunks: %v", moved, err)
+	}
+	requireServedMap("rejoin")
+	return servers, addrs, full, blocks
+}
+
+// requireOwned checks that the server at addr holds every chunk member id
+// owns under m — each block's chunk count its write epoch's, its owners the
+// current epoch's — and returns how many that is.
+func requireOwned(t *testing.T, addr string, id simnet.NodeID, m core.EpochMap, blocks []*chain.Block, r int) int {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	owned := 0
+	for _, b := range blocks {
+		resp, err := c.GetBlockChunks(b.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx := range m.At(b.Header.Height).Members {
+			owners, err := m.Current().Owners(b.Hash().Uint64(), idx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(owners, id) {
+				continue
+			}
+			owned++
+			if !slices.ContainsFunc(resp.Chunks, func(c ChunkResp) bool { return c.Index == idx }) {
+				t.Errorf("member %d lacks chunk %d of block %d", id, idx, b.Header.Height)
+			}
+		}
+	}
+	return owned
+}
+
+// TestResyncAfterChurn: member 1 loses its store after the churn and resyncs
+// into a fresh server. Every block is planned against the map the cluster
+// published — at the parent commit the resync planned over the constructor
+// roster, asked for a fourth chunk of blocks written in three, and failed.
+func TestResyncAfterChurn(t *testing.T) {
+	servers, addrs, _, blocks := churned(t)
+	if err := servers[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	reborn := newJoiner(t)
+	view, err := NewCluster([]string{addrs[0], reborn.Addr(), addrs[2], addrs[3]}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.Close()
+	moved, err := view.ResyncMember(reborn.Addr(), 1)
+	if err != nil {
+		t.Fatalf("resync after churn: %v", err)
+	}
+	if owned := requireOwned(t, reborn.Addr(), 1, view.CurrentMap(), blocks, 2); moved != owned {
+		t.Fatalf("resync moved %d chunks, member 1 owns %d", moved, owned)
+	}
+}
+
+// TestBootstrapAfterChurn: a fifth member joins the churned cluster and the
+// grown epoch is published; the newcomer holds every chunk it owns under it.
+func TestBootstrapAfterChurn(t *testing.T) {
+	_, addrs, full, blocks := churned(t)
+	joiner := newJoiner(t)
+	moved, err := full.BootstrapNewMember(joiner.Addr())
+	if err != nil {
+		t.Fatalf("bootstrap after churn: %v", err)
+	}
+	if _, err := full.PublishEpoch(memberIDs(5), append(slices.Clone(addrs), joiner.Addr())); err != nil {
+		t.Fatal(err)
+	}
+	if owned := requireOwned(t, joiner.Addr(), 4, full.CurrentMap(), blocks, 2); moved != owned {
+		t.Fatalf("bootstrap moved %d chunks, member 4 owns %d", moved, owned)
 	}
 }
 

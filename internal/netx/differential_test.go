@@ -2,11 +2,14 @@ package netx
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
+	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/workload"
 )
@@ -36,36 +39,14 @@ func TestSimAndTCPStoreTheSameChunks(t *testing.T) {
 		{"fewer transactions than members", 7, 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := core.NewSystem(core.Config{Nodes: n, Clusters: 1, Replication: r, Seed: tc.seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 20, Seed: tc.seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys, produce := twoDrivers(t, n, r, tc.seed, tc.txs)
 			servers, addrs := startServers(t, n)
 			cl, err := NewCluster(addrs, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-
-			var blocks []*chain.Block
-			for i := 0; i < tc.blocks; i++ {
-				b, err := sys.ProduceBlock(gen.NextTxs(tc.txs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Network().RunUntilIdle()
-				if !sys.AllCommitted(b.Hash()) {
-					t.Fatalf("block %d did not commit on the simulator", i)
-				}
-				if err := cl.DistributeBlock(b); err != nil {
-					t.Fatalf("block %d over TCP: %v", i, err)
-				}
-				blocks = append(blocks, b)
-			}
+			blocks := produce(cl, tc.blocks)
 
 			members, err := sys.ClusterMembers(0)
 			if err != nil {
@@ -74,40 +55,7 @@ func TestSimAndTCPStoreTheSameChunks(t *testing.T) {
 			if !reflect.DeepEqual(members, memberIDs(n)) {
 				t.Fatalf("simulator members %v, want identities 0..%d as netx.NewCluster assigns them", members, n-1)
 			}
-			held := 0
-			for i, id := range members {
-				node, err := sys.Node(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tcp := readState(t, addrs[i], blocks)
-				if sim := node.Store().Stats(); sim.ChunkBytes != tcp.Stats.ChunkBytes || sim.ChunkCount != tcp.Stats.ChunkCount || sim.ChunkBytes != servers[i].Stats().ChunkBytes {
-					t.Errorf("member %d: simulator holds %d chunks in %d bytes, TCP server %d in %d", id, sim.ChunkCount, sim.ChunkBytes, tcp.Stats.ChunkCount, tcp.Stats.ChunkBytes)
-				}
-				for bi, b := range blocks {
-					idxs := node.Store().ChunksForBlock(b.Hash())
-					served := tcp.Chunks[bi].Chunks
-					if len(idxs) != len(served) {
-						t.Errorf("member %d block %d: simulator holds chunks %v, TCP server %d chunks", id, bi, idxs, len(served))
-						continue
-					}
-					for k, idx := range idxs {
-						sim, err := node.Store().Chunk(storage.ChunkID{Block: b.Hash(), Index: idx})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := served[k]
-						if got.Index != idx || got.Parts != sim.Parts || got.TxStart != sim.TxStart ||
-							!bytes.Equal(got.Data, sim.Data) || !sameProofs(got.Proofs, sim.Proofs) {
-							t.Errorf("member %d block %d chunk %d: simulator stores parts=%d txStart=%d %d bytes %d proofs, TCP server index=%d parts=%d txStart=%d %d bytes %d proofs",
-								id, bi, idx, sim.Parts, sim.TxStart, len(sim.Data), len(sim.Proofs),
-								got.Index, got.Parts, got.TxStart, len(got.Data), len(got.Proofs))
-						}
-						held++
-					}
-				}
-			}
-			if want := tc.blocks * n * r; held != want {
+			if held, want := requireSameStores(t, sys, servers, blocks), tc.blocks*n*r; held != want {
 				t.Fatalf("compared %d chunks, want %d (every chunk on %d members)", held, want, r)
 			}
 			for _, b := range blocks {
@@ -120,6 +68,154 @@ func TestSimAndTCPStoreTheSameChunks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSimAndTCPMoveTheSameChunks is the churn half of the differential: the
+// same seeded blocks and the same membership changes go through a
+// one-cluster core.System (JoinCluster, LeaveCluster, RejoinCluster) and
+// through a Cluster over loopback servers (BootstrapNewMember and
+// PublishEpoch, RetireMember, RejoinMember). Both plan every change by
+// core's one rule, so after each step every member — the departed one
+// included — holds the same chunks with the same bytes on both drivers, and
+// every member of the current epoch holds every chunk it owns under the map.
+func TestSimAndTCPMoveTheSameChunks(t *testing.T) {
+	const n, r = 5, 2
+	sys, produce := twoDrivers(t, n, r, 7, 37)
+	servers, addrs := startServers(t, n+1)
+	five, err := NewCluster(addrs[:n], r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer five.Close()
+	six, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer six.Close()
+	blocks := produce(five, 3)
+
+	// settle drives the simulator until the churn step's callback fired and
+	// then compares the drivers.
+	settle := func(step string, simErr *error, tcpMoved int, tcpErr error) {
+		t.Helper()
+		sys.Network().RunUntilIdle()
+		if *simErr != nil || tcpErr != nil || tcpMoved == 0 {
+			t.Fatalf("%s: simulator %v; TCP moved %d chunks, %v", step, *simErr, tcpMoved, tcpErr)
+		}
+		m := six.CurrentMap()
+		if seq, _ := sys.ClusterEpoch(0); seq != m.Current().Seq {
+			t.Fatalf("%s: simulator at epoch %d, TCP map at %d", step, seq, m.Current().Seq)
+		}
+		requireSameStores(t, sys, servers, blocks)
+		for _, id := range m.Current().Members {
+			requireOwned(t, addrs[id], id, m, blocks, r)
+		}
+	}
+
+	simErr := errors.New("pending")
+	if err := sys.JoinCluster(0, func(id simnet.NodeID, err error) {
+		if simErr = err; err == nil && id != n {
+			simErr = fmt.Errorf("joined as %d, want %d", id, n)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := five.BootstrapNewMember(addrs[n])
+	if err == nil {
+		_, err = five.PublishEpoch(memberIDs(n+1), addrs)
+	}
+	settle("join", &simErr, moved, err)
+
+	blocks = append(blocks, produce(six, 2)...)
+	simErr = errors.New("pending")
+	if err := sys.LeaveCluster(n, func(_ int, err error) { simErr = err }); err != nil {
+		t.Fatal(err)
+	}
+	moved, err = six.RetireMember(addrs[n])
+	settle("leave", &simErr, moved, err)
+
+	blocks = append(blocks, produce(five, 2)...)
+	simErr = errors.New("pending")
+	if err := sys.RejoinCluster(n, func(err error) { simErr = err }); err != nil {
+		t.Fatal(err)
+	}
+	moved, err = six.RejoinMember(addrs[n])
+	settle("rejoin", &simErr, moved, err)
+}
+
+// twoDrivers returns a one-cluster simulator of n members and a function
+// that produces count blocks of txs transactions on it — each committed on
+// the simulator — and distributes the same blocks through a TCP cluster.
+func twoDrivers(t *testing.T, n, r int, seed uint64, txs int) (*core.System, func(cl *Cluster, count int) []*chain.Block) {
+	t.Helper()
+	sys, err := core.NewSystem(core.Config{Nodes: n, Clusters: 1, Replication: r, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 20, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, func(cl *Cluster, count int) []*chain.Block {
+		t.Helper()
+		var blocks []*chain.Block
+		for i := 0; i < count; i++ {
+			b, err := sys.ProduceBlock(gen.NextTxs(txs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Network().RunUntilIdle()
+			if !sys.AllCommitted(b.Hash()) {
+				t.Fatalf("block at height %d did not commit on the simulator", b.Header.Height)
+			}
+			if err := cl.DistributeBlock(b); err != nil {
+				t.Fatalf("block at height %d over TCP: %v", b.Header.Height, err)
+			}
+			blocks = append(blocks, b)
+		}
+		return blocks
+	}
+}
+
+// requireSameStores checks that simulator node i and servers[i] hold the
+// same chunks of blocks, each with the same bytes, part count, position and
+// proofs, and the same ChunkBytes; it returns how many chunks it compared.
+func requireSameStores(t *testing.T, sys *core.System, servers []*Server, blocks []*chain.Block) int {
+	t.Helper()
+	held := 0
+	for i, s := range servers {
+		node, err := sys.Node(simnet.NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcp := readState(t, s.Addr(), blocks)
+		if sim := node.Store().Stats(); sim.ChunkBytes != tcp.Stats.ChunkBytes || sim.ChunkCount != tcp.Stats.ChunkCount || sim.ChunkBytes != s.Stats().ChunkBytes {
+			t.Errorf("member %d: simulator holds %d chunks in %d bytes, TCP server %d in %d", i, sim.ChunkCount, sim.ChunkBytes, tcp.Stats.ChunkCount, tcp.Stats.ChunkBytes)
+		}
+		for bi, b := range blocks {
+			idxs := node.Store().ChunksForBlock(b.Hash())
+			served := tcp.Chunks[bi].Chunks
+			if len(idxs) != len(served) {
+				t.Errorf("member %d block %d: simulator holds chunks %v, TCP server %d chunks", i, bi, idxs, len(served))
+				continue
+			}
+			for k, idx := range idxs {
+				sim, err := node.Store().Chunk(storage.ChunkID{Block: b.Hash(), Index: idx})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := served[k]
+				if got.Index != idx || got.Parts != sim.Parts || got.TxStart != sim.TxStart ||
+					!bytes.Equal(got.Data, sim.Data) || !sameProofs(got.Proofs, sim.Proofs) {
+					t.Errorf("member %d block %d chunk %d: simulator stores parts=%d txStart=%d %d bytes %d proofs, TCP server index=%d parts=%d txStart=%d %d bytes %d proofs",
+						i, bi, idx, sim.Parts, sim.TxStart, len(sim.Data), len(sim.Proofs),
+						got.Index, got.Parts, got.TxStart, len(got.Data), len(got.Proofs))
+				}
+				held++
+			}
+		}
+	}
+	return held
 }
 
 // sameProofs compares proof lists, an empty one equal to a nil one (a

@@ -378,8 +378,13 @@ func TestTransferStopsAtUnavailableChunk(t *testing.T) {
 			moves = append(moves, storage.ChunkID{Block: b.Hash(), Index: idx})
 		}
 	}
+	// Every move before the bad one was taken before it and completes. While
+	// the bad one asks its n sources in turn (its one holder, then every other
+	// member), each other worker finishes at most about one move per ask, and
+	// once it fails at most one more move is on its way to a worker.
 	bad := len(moves) / 3
-	if bad < 2 || len(moves)-bad <= 2*transferWorkers {
+	limit := bad + (transferWorkers-1)*n + 1
+	if bad < 2 || len(moves) <= limit {
 		t.Fatalf("joiner owns %d chunks: too few for the test", len(moves))
 	}
 	owners, err := core.Owners(moves[bad].Block.Uint64(), cl.base.Members, moves[bad].Index, r)
@@ -403,11 +408,8 @@ func TestTransferStopsAtUnavailableChunk(t *testing.T) {
 	if stored := joiner.Stats().ChunkCount; int64(got) != stored {
 		t.Fatalf("transferred = %d, the joiner stores %d chunks", got, stored)
 	}
-	// Every move before the bad one was taken before it and completes; after
-	// it fails, the other workers finish theirs and at most one more move
-	// is already on its way to a worker.
-	if got < bad || got > bad+transferWorkers {
-		t.Fatalf("transferred = %d, want between %d and %d of %d", got, bad, bad+transferWorkers, len(moves))
+	if got < bad || got > limit {
+		t.Fatalf("transferred = %d, want between %d and %d of %d", got, bad, limit, len(moves))
 	}
 	if joiner.ConnErrors() != 0 {
 		t.Fatalf("joiner saw %d connection errors", joiner.ConnErrors())
