@@ -154,6 +154,9 @@ var seeds = []struct {
 	{"determinism", "internal/core/node.go", []string{
 		"const fetchTimeout = 30 * time.Second\n",
 		"const fetchTimeout = 30 * time.Second\n\nvar started = time.Now()\n"}},
+	{"determinism", "internal/workload/workload.go", []string{ // NextTxs collects signatures in completion order
+		"\tpar.Each(n, 0, func(i int) { out[i].Sign(keys[i]) })\n",
+		"\tvar signed []*chain.Transaction\n\tpar.Each(n, 0, func(i int) {\n\t\tout[i].Sign(keys[i])\n\t\tsigned = append(signed, out[i])\n\t})\n\tout = signed\n"}},
 	{"chunkalias", "internal/storage/store.go", []string{ // PutChunk keeps the caller's buffer
 		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = c\n",
 		"\ts.chunks[c.ID] = c\n"}},

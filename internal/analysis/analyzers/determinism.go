@@ -46,7 +46,9 @@ simulation-reachable packages.`,
 // it is held to the same bar; runner executes experiment cells on real
 // goroutines but its results must land in input order regardless of
 // completion order, so it is held to the same bar plus the
-// completion-order rule; netx is the real-TCP path and is exempt.)
+// completion-order rule; workload seeds every experiment and simulator run
+// and signs its transactions on worker goroutines, so it is held to both;
+// netx is the real-TCP path and is exempt.)
 var deterministicPkgs = map[string]bool{
 	"core":        true,
 	"simnet":      true,
@@ -56,6 +58,7 @@ var deterministicPkgs = map[string]bool{
 	"trace":       true,
 	"experiments": true,
 	"runner":      true,
+	"workload":    true,
 }
 
 // wallClockFuncs are the time-package entry points that read the wall

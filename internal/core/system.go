@@ -9,6 +9,7 @@ import (
 	"icistrategy/internal/chain"
 	"icistrategy/internal/cluster"
 	"icistrategy/internal/metrics"
+	"icistrategy/internal/par"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -163,10 +164,11 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		s.clusters[c] = ci
 	}
+	keys := make([]blockcrypto.KeyPair, cfg.Nodes)
+	par.Each(cfg.Nodes, 0, func(i int) { keys[i] = blockcrypto.DeriveKeyPair(cfg.Seed, uint64(i)) })
 	registry := s.PublicKey
-	for i := 0; i < cfg.Nodes; i++ {
+	for i, key := range keys {
 		id := simnet.NodeID(i)
-		key := blockcrypto.DeriveKeyPair(cfg.Seed, uint64(id))
 		s.keys[id] = key
 		node := newNode(id, s.clusters[asg.ClusterOf[i]], key, cfg.Replication, registry, s.tr, s.pc)
 		s.nodes[id] = node

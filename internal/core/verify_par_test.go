@@ -222,9 +222,9 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 	}
 }
 
-// dumpNodes renders every node's fault-recovery counters and store
-// contents — headers by height, every chunk's bytes by content address — in
-// node-id order.
+// dumpNodes renders every node's public key, fault-recovery counters and
+// store contents — headers by height, every chunk's bytes by content
+// address — in node-id order.
 func dumpNodes(t *testing.T, sys *System) string {
 	t.Helper()
 	ids := make([]simnet.NodeID, 0, len(sys.nodes))
@@ -235,8 +235,12 @@ func dumpNodes(t *testing.T, sys *System) string {
 	var sb strings.Builder
 	for _, id := range ids {
 		n := sys.nodes[id]
-		fmt.Fprintf(&sb, "node %d committed=%d metrics=%+v stats=%+v\n",
-			id, n.committed, n.metrics.Snapshot(), n.store.Stats())
+		key := sys.PublicKey(id)
+		if len(key) == 0 {
+			t.Fatalf("node %d has no public key", id)
+		}
+		fmt.Fprintf(&sb, "node %d key=%x committed=%d metrics=%+v stats=%+v\n",
+			id, key, n.committed, n.metrics.Snapshot(), n.store.Stats())
 		for _, h := range n.store.Headers() {
 			hash := h.Hash()
 			fmt.Fprintf(&sb, "  header %d %x\n", h.Height, hash[:8])
@@ -255,9 +259,10 @@ func dumpNodes(t *testing.T, sys *System) string {
 
 // TestSeededRunIdenticalAcrossGOMAXPROCS runs one seeded System through
 // produce, retrieve, join, repair, archive and coded retrieval at one core
-// and at four: the span forest, the registry, every node's counters and
-// every node's store must be byte-identical, because the forked checks
-// touch nothing but the message they verify.
+// and at four: the span forest, the registry, and every node's key,
+// counters and store must be byte-identical, because the forked checks
+// touch nothing but the message they verify and the forked key derivations
+// write only their own node's slot.
 func TestSeededRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) (tree, reg, nodes string) {
 		prev := runtime.GOMAXPROCS(procs)
@@ -276,7 +281,7 @@ func TestSeededRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		t.Errorf("registry dumps differ:\n%s\n---\n%s", reg1, reg4)
 	}
 	if nodes1 != nodes4 {
-		t.Errorf("node metrics or stores differ:\n--- 1 ---\n%s\n--- 4 ---\n%s", head(nodes1, 60), head(nodes4, 60))
+		t.Errorf("node keys, metrics or stores differ:\n--- 1 ---\n%s\n--- 4 ---\n%s", head(nodes1, 60), head(nodes4, 60))
 	}
 	if !strings.Contains(nodes1, "chunk ") || !strings.Contains(tree1, "verify") {
 		t.Fatal("the run stored no chunk or traced no verification: nothing was compared")

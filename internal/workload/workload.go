@@ -11,6 +11,7 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/par"
 )
 
 // Generator errors.
@@ -59,10 +60,10 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		nonces: make([]uint64, cfg.Accounts),
 		rng:    blockcrypto.NewRNG(cfg.Seed).Fork("workload"),
 	}
-	for i := range g.keys {
+	par.Each(cfg.Accounts, 0, func(i int) {
 		g.keys[i] = blockcrypto.DeriveKeyPair(cfg.Seed^0xACC0FFEE, uint64(i))
 		g.ids[i] = blockcrypto.PublicKeyHash(g.keys[i].Public)
-	}
+	})
 	if cfg.ZipfS > 0 {
 		g.zipf = zipfCDF(cfg.Accounts, cfg.ZipfS)
 	}
@@ -92,6 +93,29 @@ func (g *Generator) pickSender() int {
 
 // NextTx produces one signed transaction with correct nonce sequencing.
 func (g *Generator) NextTx() *chain.Transaction {
+	tx, key := g.draw()
+	tx.Sign(key)
+	return tx
+}
+
+// NextTxs produces the next n transactions of the stream, the same ones n
+// calls to NextTx would. The draws advance the RNG and the nonces, so they
+// run in stream order on the caller's goroutine; the signatures read
+// nothing the stream advances, so they are made side by side afterwards,
+// each into its own slot.
+func (g *Generator) NextTxs(n int) []*chain.Transaction {
+	out := make([]*chain.Transaction, n)
+	keys := make([]blockcrypto.KeyPair, n)
+	for i := range out {
+		out[i], keys[i] = g.draw()
+	}
+	par.Each(n, 0, func(i int) { out[i].Sign(keys[i]) })
+	return out
+}
+
+// draw takes the next transaction's random fields and nonce from the
+// stream and returns it unsigned, with the sender key that must sign it.
+func (g *Generator) draw() (*chain.Transaction, blockcrypto.KeyPair) {
 	from := g.pickSender()
 	to := g.rng.Intn(len(g.ids) - 1)
 	if to >= from {
@@ -113,17 +137,7 @@ func (g *Generator) NextTx() *chain.Transaction {
 		Payload: payload,
 	}
 	g.nonces[from]++
-	tx.Sign(g.keys[from])
-	return tx
-}
-
-// NextTxs produces n transactions.
-func (g *Generator) NextTxs(n int) []*chain.Transaction {
-	out := make([]*chain.Transaction, n)
-	for i := range out {
-		out[i] = g.NextTx()
-	}
-	return out
+	return tx, g.keys[from]
 }
 
 // TxSize returns the encoded size of this workload's transactions (all

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -89,6 +90,58 @@ func TestDeterministicWorkload(t *testing.T) {
 	}
 }
 
+// firstBlockSeed42 is the hash of the first block a ChainBuilder packs from
+// seed 42 (64 accounts, 40 payload bytes, 96 transactions), as the one-at-a-
+// time generator produced it before NextTxs signed side by side.
+const firstBlockSeed42 = "81cc998e23203be371d56139e8adf4f9d7aa4ef1d7975c4556cc0c9e390e6e3b"
+
+// TestNextTxsIsTheSequentialStream requires NextTxs(n) to be the stream n
+// calls to NextTx draw, byte for byte, and pins the first block of a seeded
+// chain, so a draw moved out of stream order fails even when both paths
+// move it the same way.
+func TestNextTxsIsTheSequentialStream(t *testing.T) {
+	cfg := Config{Accounts: 64, PayloadBytes: 40, Seed: 42}
+	for _, n := range []int{0, 1, 2, 96, 257} {
+		batched, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs := batched.NextTxs(n)
+		if len(txs) != n {
+			t.Fatalf("NextTxs(%d) returned %d transactions", n, len(txs))
+		}
+		for i, tx := range txs {
+			if got, want := tx.Encode(), single.NextTx().Encode(); !bytes.Equal(got, want) {
+				t.Fatalf("NextTxs(%d): transaction %d differs from NextTx call %d", n, i, i+1)
+			}
+		}
+		// The two streams must also leave off at the same place.
+		if !bytes.Equal(batched.NextTx().Encode(), single.NextTx().Encode()) {
+			t.Fatalf("NextTxs(%d) left the stream somewhere else than %d calls to NextTx", n, n)
+		}
+	}
+
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := NewChainBuilder(g, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cb.NextBlock(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Hash().String(); got != firstBlockSeed42 {
+		t.Fatalf("seed 42's first block hashes to %s, want %s", got, firstBlockSeed42)
+	}
+}
+
 func TestZipfSkewsSenders(t *testing.T) {
 	uniform, err := NewGenerator(Config{Accounts: 100, Seed: 5})
 	if err != nil {
@@ -140,7 +193,23 @@ func BenchmarkNextTx(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.NextTx()
+	}
+}
+
+// BenchmarkNextTxs generates one block's worth of transactions per op, the
+// batch ChainBuilder.NextBlock asks for; run with -cpu 1,2 to see the
+// signatures spread.
+func BenchmarkNextTxs(b *testing.B) {
+	g, err := NewGenerator(Config{Accounts: 1000, PayloadBytes: 40, Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.NextTxs(96)
 	}
 }
