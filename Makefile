@@ -16,8 +16,8 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate'
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/consensus ./internal/workload
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/cluster ./internal/consensus ./internal/workload
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults'
 	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ColdRead'
 
 # The repo's own invariant suite (`icilint -list` prints it; DESIGN.md

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,51 @@ func TestBalancedKMeansBalance(t *testing.T) {
 	q := Evaluate(a, coords)
 	if q.SizeImbalance > 1 {
 		t.Fatalf("balanced k-means imbalance = %d, want <= 1", q.SizeImbalance)
+	}
+}
+
+// balancedKMeansFull is the balanced variant as it ran before it stopped at
+// its cycle: all maxKMeansIterations iterations, no early exit. It is the
+// reference TestBalancedKMeansStopsAtItsCycle holds the cycle exit to.
+func balancedKMeansFull(coords []simnet.Coord, k int, rng *blockcrypto.RNG) *Assignment {
+	centers := kmeansPlusPlusInit(coords, k, rng)
+	var clusterOf []int
+	for iter := 0; iter < maxKMeansIterations; iter++ {
+		clusterOf = assignBalanced(coords, centers)
+		centers = recomputeCenters(coords, clusterOf, k, centers)
+	}
+	a := buildAssignment(clusterOf, k)
+	a.Centers = centers
+	return a
+}
+
+// TestBalancedKMeansStopsAtItsCycle requires the balanced variant to return
+// exactly what the full loop reaches — every node's cluster and every center
+// to the last bit — on the simulator's shape and around it, and to get there
+// in fewer iterations on the simulator's shape, where the full loop never
+// settles on a fixed point.
+func TestBalancedKMeansStopsAtItsCycle(t *testing.T) {
+	for _, sz := range []struct{ n, k int }{{256, 16}, {256, 8}, {64, 4}, {24, 3}, {1024, 16}, {4096, 64}} {
+		if raceEnabled && sz.n*sz.k > 1<<16 {
+			continue
+		}
+		for seed := uint64(1); seed <= 4; seed++ {
+			coords := testCoords(sz.n, 100+seed)
+			want := balancedKMeansFull(coords, sz.k, blockcrypto.NewRNG(seed))
+			got, err := Partition(BalancedKMeans, coords, sz.k, blockcrypto.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.ClusterOf, want.ClusterOf) || !slices.Equal(got.Centers, want.Centers) {
+				t.Errorf("n=%d k=%d seed %d: the cycle exit returned another partition than %d full iterations", sz.n, sz.k, seed, maxKMeansIterations)
+			}
+			if sz.n == 256 && sz.k == 16 {
+				_, _, iters := balancedLloyd(coords, kmeansPlusPlusInit(coords, sz.k, blockcrypto.NewRNG(seed)))
+				if iters >= maxKMeansIterations {
+					t.Errorf("n=%d k=%d seed %d: ran all %d iterations", sz.n, sz.k, seed, iters)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"icistrategy/internal/blockcrypto"
@@ -20,14 +21,15 @@ const maxKMeansIterations = 100
 func kmeans(coords []simnet.Coord, k int, rng *blockcrypto.RNG, balanced bool) (*Assignment, error) {
 	n := len(coords)
 	centers := kmeansPlusPlusInit(coords, k, rng)
+	if balanced {
+		clusterOf, centers, _ := balancedLloyd(coords, centers)
+		a := buildAssignment(clusterOf, k)
+		a.Centers = centers
+		return a, nil
+	}
 	clusterOf := make([]int, n)
 	for iter := 0; iter < maxKMeansIterations; iter++ {
-		var next []int
-		if balanced {
-			next = assignBalanced(coords, centers)
-		} else {
-			next = assignNearest(coords, centers)
-		}
+		next := assignNearest(coords, centers)
 		changed := false
 		for i := range next {
 			if next[i] != clusterOf[i] {
@@ -65,6 +67,44 @@ func kmeans(coords []simnet.Coord, k int, rng *blockcrypto.RNG, balanced bool) (
 	a := buildAssignment(clusterOf, k)
 	a.Centers = centers
 	return a, nil
+}
+
+// balancedLloyd runs the balanced variant's Lloyd iterations from centers and
+// returns the assignment and centers the maxKMeansIterations-th iteration
+// reaches, with the number of iterations it ran to find them. Every cluster is
+// filled to its capacity (n >= k), so the centers are a function of the
+// assignment and each iteration a function of the previous assignment: the
+// first assignment that repeats an earlier one closes a cycle that the
+// remaining iterations would only walk round, and the last one is read off
+// it. On the simulator's shape the assignment cycles instead of settling, so
+// a fixed-point test alone never fires.
+func balancedLloyd(coords, centers []simnet.Coord) ([]int, []simnet.Coord, int) {
+	k := len(centers)
+	history := make([][]int, 0, maxKMeansIterations)
+	seen := map[uint64][]int{} // assignment hash -> iterations that produced it
+	for iter := 0; iter < maxKMeansIterations; iter++ {
+		next := assignBalanced(coords, centers)
+		h := hashAssignment(next)
+		for _, i := range seen[h] {
+			if slices.Equal(history[i], next) {
+				last := history[i+(maxKMeansIterations-1-i)%(iter-i)]
+				return last, recomputeCenters(coords, last, k, centers), iter + 1
+			}
+		}
+		seen[h] = append(seen[h], iter)
+		history = append(history, next)
+		centers = recomputeCenters(coords, next, k, centers)
+	}
+	return history[len(history)-1], centers, maxKMeansIterations
+}
+
+// hashAssignment is FNV-1a over an assignment's cluster indexes.
+func hashAssignment(clusterOf []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range clusterOf {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 func countOf(clusterOf []int, c int) int {

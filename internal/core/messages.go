@@ -90,6 +90,10 @@ func (c chunkPayload) wireSize() int { return chain.HeaderSize + c.wireBytes() }
 type shareMsg struct {
 	Header chain.Header
 	Groups []Group
+	// verdict is the owner's check of Groups, started when the leader sent
+	// the share (node.go startVerdict); nil for the leader's own share. It
+	// is simulator bookkeeping, not wire bytes.
+	verdict *shareVerdict
 }
 
 // wireSize counts the header once, whatever the number of chunks.

@@ -233,6 +233,122 @@ func TestShareRejectedChunkIsReassigned(t *testing.T) {
 	}
 }
 
+// TestShareVerdictIsTheInlineCheck holds the check a leader starts when it
+// sends a share to the check the owner would run on delivery: for a clean
+// share and for shares damaged each way a leader can damage one, the verdict
+// reports, group by group, the error text of Group.Verify inline. A share
+// rewritten in flight — by ChaosCorrupter, or a rewrite that keeps the
+// groups under another header — carries the sender's verdict along, and it
+// must be checked inline instead. Trusting the carried verdict is not a
+// hypothetical: with it, TestShareRejectedChunkIsReassigned fails
+// ("0 chunk rejections, want 1"), the owner approving the chunk its link
+// tampered with.
+func TestShareVerdictIsTheInlineCheck(t *testing.T) {
+	txs := fixtureTxs(t)
+	// A share of three of a 16-member cluster's chunks; damage goes to the
+	// middle one, at its fourth transaction.
+	const parts, damaged, at = 16, 1, 3
+	owned := []int{2, 7, 11}
+	share := func(txs []*chain.Transaction) shareMsg {
+		b, err := chain.NewBlock(0, blockcrypto.ZeroHash, txs, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err := SplitBlock(b, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := shareMsg{Header: b.Header}
+		for _, idx := range owned {
+			m.Groups = append(m.Groups, groups[idx])
+		}
+		return m
+	}
+	clean := share(txs)
+	// One transaction signed wrongly before the block was built: its proof is
+	// sound, only its signature fails.
+	forgedTxs := append([]*chain.Transaction(nil), txs...)
+	forgedAt := clean.Groups[damaged].TxStart + at
+	forged := *forgedTxs[forgedAt]
+	forged.Signature = append([]byte(nil), forged.Signature...)
+	forged.Signature[0] ^= 1
+	forgedTxs[forgedAt] = &forged
+
+	cases := []struct {
+		name   string
+		m      shareMsg
+		damage func(g *Group)
+	}{
+		{"clean", clean, nil},
+		{"tampered by the leader", clean, func(g *Group) { // what onPropose does under TamperChunks
+			tampered := *g.Txs[0]
+			tampered.Amount++
+			g.Txs = append([]*chain.Transaction(nil), g.Txs...)
+			g.Txs[0] = &tampered
+		}},
+		{"wrong leaf index", clean, func(g *Group) { chunkDamage["wrong leaf index"](g, at) }},
+		{"forged signature", share(forgedTxs), nil},
+		{"more transactions than proofs", clean, func(g *Group) { g.Proofs = g.Proofs[:len(g.Proofs)-1] }},
+	}
+	inline := func(m shareMsg, i int) string {
+		c := chunkPayload{Header: m.Header, Group: m.Groups[i]}
+		return errText(c.Verify(c.Header.MerkleRoot))
+	}
+	corrupt := ChaosCorrupter()
+	for ci, tc := range cases {
+		m := tc.m
+		m.Groups = append([]Group(nil), m.Groups...)
+		if tc.damage != nil {
+			tc.damage(&m.Groups[damaged])
+		}
+		m.verdict = startVerdict(m)
+		<-m.verdict.done
+		for i := range m.Groups {
+			want := inline(m, i)
+			if got := errText(m.verdict.errs[i]); got != want {
+				t.Errorf("%s: verdict on group %d says %q, inline %q", tc.name, i, got, want)
+			}
+			if got := errText(m.verify(i)); got != want {
+				t.Errorf("%s: delivered group %d checked as %q, inline %q", tc.name, i, got, want)
+			}
+			// The reference must tell the cases apart.
+			if bad := tc.name != "clean" && i == damaged; bad != (want != "<nil>") {
+				t.Fatalf("%s: inline check of group %d says %q", tc.name, i, want)
+			}
+		}
+
+		out, ok := corrupt(simnet.Message{Kind: KindChunk, Payload: m}, blockcrypto.NewRNG(uint64(ci)))
+		if !ok {
+			t.Fatalf("%s: ChaosCorrupter declined a share", tc.name)
+		}
+		rewritten := out.(shareMsg)
+		if rewritten.verdict != m.verdict {
+			t.Fatalf("%s: the rewrite did not carry the sender's verdict: nothing is tested", tc.name)
+		}
+		stale := 0
+		for i := range rewritten.Groups {
+			want := inline(rewritten, i)
+			if got := errText(rewritten.verify(i)); got != want {
+				t.Errorf("%s, rewritten in flight: group %d checked as %q, inline %q", tc.name, i, got, want)
+			}
+			if want != errText(m.verdict.errs[i]) {
+				stale++
+			}
+		}
+		if tc.name == "clean" && stale != 1 {
+			t.Errorf("clean share rewritten in flight: %d groups where the sender's verdict differs from the delivered bytes, want 1", stale)
+		}
+
+		reheaded := m
+		reheaded.Header.MerkleRoot[0] ^= 1
+		for i := range reheaded.Groups {
+			if got, want := errText(reheaded.verify(i)), inline(reheaded, i); got != want || want == "<nil>" {
+				t.Errorf("%s under another root: group %d checked as %q, inline %q", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestShareDuplicatesAreIdempotent delivers every message twice: the second
 // copy of a share finds every chunk held and only votes again, no vote is
 // counted twice, and every node stores what it stores in a clean run.
