@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -11,20 +10,18 @@ import (
 // AtomicMix encodes the PR-3 metrics.Counter bug family: a counter field
 // incremented through sync/atomic on one path and read (or written) with a
 // plain load on another, which raced under -race and silently lost updates
-// before that. It also flags lock-bearing values passed by value — copying
-// a struct that owns a sync.Mutex (or an atomic.* value) forks the lock
-// from the state it guards.
+// before that. Lock-bearing values passed by value are go vet's copylocks
+// check, which CI runs.
 var AtomicMix = &analysis.Analyzer{
 	Name: "atomicmix",
-	Doc: `flag struct fields accessed both atomically and plainly, and lock-bearing values passed by value
+	Doc: `flag struct fields accessed both atomically and plainly
 
 Historical bug (PR 3): metrics.Counter kept a plain int64 bumped with
 atomic.AddInt64 but read with a bare load; the racy read shipped, and the
 fix moved the field to atomic.Int64 so every access goes through the
 atomic API. This analyzer reports any field that has both an atomic access
 (sync/atomic call on its address, or an atomic.* method call) and a plain
-read/write in the same package, and any receiver/parameter/result passing
-a Mutex/WaitGroup/Once/Cond/atomic.* by value.`,
+read/write in the same package.`,
 	Run: runAtomicMix,
 }
 
@@ -76,15 +73,6 @@ func runAtomicMix(pass *analysis.Pass) error {
 			})
 		}
 		walk(f, nil)
-
-		// Lock-bearing values passed by value.
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkByValueLocks(pass, fd)
-		}
 	}
 
 	for fobj, fa := range acc {
@@ -171,73 +159,4 @@ func classifyFieldUse(info *types.Info, sel *ast.SelectorExpr, parents []ast.Nod
 func isAtomicType(t types.Type) bool {
 	n := namedOrNil(t)
 	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
-}
-
-// --- locks by value ----------------------------------------------------------
-
-func checkByValueLocks(pass *analysis.Pass, fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.TypesInfo.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if path := lockPath(t, nil); path != nil {
-				pass.Reportf(field.Pos(),
-					"%s passes %s by value; copying it forks the %s from the state it guards — use a pointer",
-					what, t.String(), pathString(path))
-			}
-		}
-	}
-	check(fd.Recv, "method receiver")
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
-}
-
-// lockPath returns the field path to a copy-hostile sync primitive inside
-// t (passed by value), or nil. Pointers stop the search.
-func lockPath(t types.Type, seen []types.Type) []string {
-	for _, s := range seen {
-		if types.Identical(s, t) {
-			return nil
-		}
-	}
-	seen = append(seen, t)
-	// A pointer to a lock-bearing type is the correct way to pass one.
-	if _, ok := t.Underlying().(*types.Pointer); ok {
-		return nil
-	}
-	if n, ok := types.Unalias(t).(*types.Named); ok && n.Obj().Pkg() != nil {
-		switch n.Obj().Pkg().Path() {
-		case "sync":
-			switch n.Obj().Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return []string{n.Obj().Name()}
-			}
-		case "sync/atomic":
-			return []string{n.Obj().Name()}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if sub := lockPath(f.Type(), seen); sub != nil {
-				return append([]string{f.Name()}, sub...)
-			}
-		}
-	case *types.Array:
-		return lockPath(u.Elem(), seen)
-	}
-	return nil
-}
-
-func pathString(path []string) string {
-	if len(path) == 1 {
-		return path[0]
-	}
-	return fmt.Sprintf("%s (via %v)", path[len(path)-1], path[:len(path)-1])
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // The counter fixture reproduces the PR-3 metrics.Counter race (atomic
-// writes, plain reads), the post-migration variant (atomic.Int64 assigned
-// wholesale), and the lock-by-value copy hazard.
+// writes, plain reads) and the post-migration variant (atomic.Int64
+// assigned wholesale).
 func TestAtomicMix(t *testing.T) {
 	analysistest.Run(t, "testdata", analyzers.AtomicMix, "counter")
 }

@@ -1,12 +1,9 @@
 // Package counter is the atomicmix golden fixture: it reproduces the PR-3
-// metrics.Counter bug (atomic writes, plain reads) and the lock-by-value
-// copy hazard, alongside the fixed shapes that must stay silent.
+// metrics.Counter bug (atomic writes, plain reads) and its post-migration
+// variant, alongside the fixed shapes that must stay silent.
 package counter
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is the historical bug verbatim: incremented through sync/atomic
 // but read with a bare load, which races and can read torn state.
@@ -54,21 +51,3 @@ type Plain struct{ n int64 }
 
 // Inc is single-threaded by contract.
 func (p *Plain) Inc() { p.n++ }
-
-// Locked is a mutex-bearing struct.
-type Locked struct {
-	mu sync.Mutex
-	n  int
-}
-
-// addLocked copies the lock away from the state it guards.
-func addLocked(l Locked) int { // want `by value`
-	return l.n
-}
-
-// addByPtr is the correct shape.
-func addByPtr(l *Locked) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}

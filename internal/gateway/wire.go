@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"icistrategy/internal/blockcrypto"
@@ -202,83 +201,37 @@ var writeTimeout = netx.DefaultRPCTimeout
 // Server exposes a Gateway on a TCP listener.
 type Server struct {
 	g  *Gateway
-	ln net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	ln netx.Listener
 }
 
 // NewServer starts serving g on addr ("host:0" picks a free port).
 func NewServer(addr string, g *Gateway) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	s := &Server{g: g}
+	if err := s.ln.Listen(addr, s.serveConn); err != nil {
 		return nil, fmt.Errorf("gateway: listen %s: %w", addr, err)
 	}
-	s := &Server{g: g, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr() }
 
-// Close stops the listener and tears down open connections.
+// Close stops accepting and drains as the storage server does (see
+// netx.Listener): a connection waiting for its next request ends at once and
+// a request already being answered writes its response. No handler touches
+// the Gateway after Close returns.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	// Closing the listener and every conn unblocks the accept loop and all
-	// connection handlers; wait for them so no handler touches the Gateway
-	// after Close returns.
-	s.wg.Wait()
+	_, err := s.ln.Close()
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
 	br := bufio.NewReaderSize(conn, netx.ReadBufferSize)
-	for {
+	for !s.ln.Draining() {
 		var req WireRequest
 		// Waiting for the client's next request may legitimately block for
-		// the connection's whole idle lifetime; Close unwedges it by
-		// closing the conn, so no read deadline is armed.
+		// the connection's whole idle lifetime; Close unwedges it with a
+		// read deadline in the past, so none is armed here.
 		id, _, err := netx.ReadFrame(br, &req)
 		if err != nil {
 			return

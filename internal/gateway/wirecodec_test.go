@@ -380,18 +380,83 @@ func TestServerResponseWriteIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and never read. The handler must give up and drop the connection.
-	open := func() int {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.conns)
-	}
 	sawConn := false
 	deadline := time.Now().Add(15 * time.Second)
-	for !sawConn || open() > 0 {
-		sawConn = sawConn || open() > 0
+	for !sawConn || srv.ln.Open() > 0 {
+		sawConn = sawConn || srv.ln.Open() > 0
 		if time.Now().After(deadline) {
 			t.Fatalf("handler is still blocked writing to a client that does not read (saw the connection: %v)", sawConn)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCloseDrainsAnInFlightRead: Close lets a read already inside the
+// gateway (held in FetchBatch) write its answer instead of cutting the
+// connection under it, and a client idle on another connection does not
+// hold Close open.
+func TestCloseDrainsAnInFlightRead(t *testing.T) {
+	u, blocks := newFakeUpstream(t, 2, 1, 8)
+	u.entered = make(chan struct{}, 8)
+	u.gate = make(chan struct{})
+	srv, err := NewServer("127.0.0.1:0", newTestGateway(t, u, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := DialClient(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	idle, err := DialClient(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// Every wait is bounded, so a regression fails with what it waited for.
+	const bound = 5 * time.Second
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(bound); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("gave up after %v waiting for %s", bound, what)
+			}
+		}
+	}
+	recv := func(what string, c <-chan error) error {
+		select {
+		case err := <-c:
+			return err
+		case <-time.After(bound):
+			t.Fatalf("gave up after %v waiting for %s", bound, what)
+			return nil
+		}
+	}
+	read := make(chan error, 1)
+	go func() {
+		b, err := busy.GetBlock(blocks[0].Hash())
+		if err == nil && b.Hash() != blocks[0].Hash() {
+			err = errors.New("wrong block")
+		}
+		read <- err
+	}()
+	entered := make(chan error, 1)
+	go func() { <-u.entered; entered <- nil }()
+	_ = recv("the read to reach the upstream", entered)
+	waitFor("the idle connection to be served", func() bool { return srv.ln.Open() == 2 })
+
+	start := time.Now()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	// Release the upstream only once the drain has begun.
+	waitFor("Close to begin the drain", srv.ln.Draining)
+	close(u.gate)
+	if err := recv("the in-flight read", read); err != nil {
+		t.Fatalf("Close cut the in-flight read: %v", err)
+	}
+	if err := recv("Close", closed); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v with an idle client connected", d)
 	}
 }

@@ -19,12 +19,6 @@ import (
 	"icistrategy/internal/trace"
 )
 
-// drainGrace bounds how long Close waits for in-flight request/response
-// pairs to complete before connection deadlines cut them off. Idle
-// connections (blocked waiting for the next request frame) unblock
-// immediately via the same deadline and exit quietly.
-const drainGrace = 250 * time.Millisecond
-
 // writeTimeout bounds the write of one response: a client that stops
 // reading costs a handler goroutine that long, not until Close. A variable
 // only so the regression test can shorten it.
@@ -39,19 +33,14 @@ type Logf func(event string, kv ...any)
 // storage.Store and serves the request/response protocol until closed. All
 // methods are safe for concurrent use.
 type Server struct {
-	listener net.Listener
+	ln Listener
 
 	mu     sync.Mutex
 	store  *storage.Store
 	cmap   core.EpochMap // newest published cluster map; empty until the first publish
-	conns  map[net.Conn]struct{}
-	closed bool
-	// drainBy is the deadline Close put on every connection; set with closed.
-	drainBy time.Time
-	wg      sync.WaitGroup
-	tr      *trace.Tracer
-	logf    Logf
-	faults  *faultState
+	tr     *trace.Tracer
+	logf   Logf
+	faults *faultState
 
 	// connErrs counts abnormal connection errors: read/write failures that
 	// are neither a client hanging up (EOF) nor the server's own graceful
@@ -64,22 +53,15 @@ type Server struct {
 // NewServer starts a storage server listening on addr (use "127.0.0.1:0"
 // for an ephemeral port).
 func NewServer(addr string) (*Server, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
+	s := &Server{store: storage.NewStore()}
+	if err := s.ln.Listen(addr, s.serveConn); err != nil {
 		return nil, fmt.Errorf("netx: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		listener: l,
-		store:    storage.NewStore(),
-		conns:    make(map[net.Conn]struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.listener.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // SetLogf installs (or clears, with nil) the structured event sink.
 func (s *Server) SetLogf(fn Logf) {
@@ -98,40 +80,17 @@ func (s *Server) event(name string, kv ...any) {
 	}
 }
 
-// Close stops the listener and drains gracefully: in-flight request/
-// response pairs get up to drainGrace to complete, idle connections are
-// unblocked immediately, and every connection goroutine has exited by the
-// time Close returns. No handler surfaces "use of closed network
-// connection" — the old behavior of force-closing active connections
-// mid-frame.
+// Close stops the listener and drains (see Listener): every connection
+// goroutine has exited by the time Close returns, and no handler surfaces
+// "use of closed network connection" — the old behavior of force-closing
+// active connections mid-frame.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.ln.Draining() {
 		return nil
 	}
-	s.closed = true
-	deadline := time.Now().Add(drainGrace)
-	s.drainBy = deadline
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.listener.Close()
-	for _, c := range conns {
-		_ = c.SetDeadline(deadline)
-	}
-	s.wg.Wait()
-	s.event("serve.drained", "conns", len(conns))
+	open, err := s.ln.Close()
+	s.event("serve.drained", "conns", open)
 	return err
-}
-
-// isClosed reports whether Close has begun.
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // ConnErrors returns the abnormal-connection-error count (see the field
@@ -145,35 +104,6 @@ func (s *Server) Stats() storage.Stats {
 	return s.store.Stats()
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				_ = conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
 // connErr classifies a connection failure: expected terminations (client
 // hung up, graceful drain) end the connection quietly; anything else is
 // counted and logged.
@@ -184,10 +114,10 @@ func (s *Server) connErr(op string, err error) {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return // client disconnected between or during a frame
 	}
-	if errors.Is(err, os.ErrDeadlineExceeded) && s.isClosed() {
+	if errors.Is(err, os.ErrDeadlineExceeded) && s.ln.Draining() {
 		return // drain deadline cut off an idle or straggling connection
 	}
-	if errors.Is(err, net.ErrClosed) && s.isClosed() {
+	if errors.Is(err, net.ErrClosed) && s.ln.Draining() {
 		return // connection torn down by shutdown
 	}
 	s.connErrs.Add(1)
@@ -202,7 +132,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Unlock()
 	br := bufio.NewReaderSize(conn, ReadBufferSize)
 	for {
-		if s.isClosed() {
+		if s.ln.Draining() {
 			return // drained: the previous round-trip completed
 		}
 		var req Request
@@ -223,17 +153,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			corrupt = d.corrupt
 		}
 		resp := s.handle(&req, corrupt)
-		// The write deadline is armed under the lock Close takes to start
-		// the drain, so whichever runs second, no response may outlast
-		// the drain deadline.
-		s.mu.Lock()
-		deadline := time.Now().Add(writeTimeout)
-		if s.closed && s.drainBy.Before(deadline) {
-			deadline = s.drainBy
-		}
-		err = conn.SetWriteDeadline(deadline)
-		s.mu.Unlock()
-		if err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			s.connErr("write", err)
 			return
 		}

@@ -131,7 +131,7 @@ func (f *faultState) configFor(from, to NodeID) FaultConfig {
 // restart, not a disk wipe. downFor <= 0 leaves the node down permanently.
 // The script is part of the event queue, so it replays deterministically.
 func (n *Network) ScheduleCrash(id NodeID, after, downFor time.Duration) error {
-	if n.node(id) == nil {
+	if n.nodes[id] == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	n.After(after, func() {

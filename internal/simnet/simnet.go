@@ -8,21 +8,16 @@
 // message counts per node and per message kind), which is what the
 // communication-overhead experiments measure.
 //
-// The event engine is built for throughput (see DESIGN.md "Event engine"):
-// events are typed structs recycled through a slab free list instead of
-// per-message closures, the ready queue is a two-level sorted-window queue
-// (a sorted near window drained by cursor plus an unsorted far buffer,
-// refilled one time slice at a time), node state lives in a dense slice
-// indexed by NodeID (with a map fallback for sparse IDs), and message kinds
-// are interned to small ints so per-kind accounting never hashes a string
-// on the hot path. A send→deliver cycle performs zero allocations at
-// steady state.
+// The event engine is one binary min-heap of (at, seq) keys over a slab of
+// recycled event slots (see DESIGN.md "Event engine"): events run in
+// virtual-time order, ties in the order they were scheduled, and a
+// send→deliver cycle performs zero allocations at steady state. Nodes and
+// per-kind traffic live in plain maps.
 package simnet
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -82,327 +77,58 @@ type KindStats struct {
 }
 
 type nodeState struct {
-	id        NodeID
 	handler   Handler
 	coord     Coord
-	present   bool // dense-table slot is occupied
 	down      bool
 	traffic   TrafficStats
 	busyUntil time.Duration // uplink serialization horizon
 }
 
-// opCode selects what a popped event does. Deliveries — the hot path — are
-// fully described by the event struct itself; only user callbacks (After,
-// crash scripts) carry a closure.
-type opCode uint8
-
-const (
-	opFunc    opCode = iota // run fn
-	opDeliver               // deliver msg (scheduled by Send)
-)
-
-// event is one scheduled simulator action. Events live in the network's
-// flat pool slab and are addressed by index, never by pointer: Step
-// releases every executed event back onto the free list and the schedulers
-// reuse the slots, so the steady-state hot path allocates nothing and the
-// slab only ever grows to the peak queue depth.
+// event is one scheduled simulator action: a delivery (scheduled by Send)
+// or, when fn is set, a user callback (After, crash scripts). Events live in
+// the network's flat pool slab and are addressed by index, never by
+// pointer: Step releases every executed event back onto the free list and
+// the schedulers reuse the slots, so the steady-state hot path allocates
+// nothing and the slab only ever grows to the peak queue depth.
 type event struct {
-	op     opCode
-	sentAt time.Duration // opDeliver: virtual send time, for wire spans
-	msg    Message       // opDeliver
-	fn     func()        // opFunc
+	sentAt time.Duration // delivery: virtual send time, for wire spans
+	msg    Message       // delivery
+	fn     func()        // callback; nil means the event is a delivery
 	next   uint32        // free-list link (index into the pool slab)
 }
 
 // noEvent is the nil of pool indices (free-list terminator).
 const noEvent = ^uint32(0)
 
-// heapEntry is one heap slot: the (at, seq) sort key held inline next to
-// the event's pool index. The entry is exactly 16 bytes, so the 4-ary
-// min-child scan reads its four children from a single cache line and
-// never chases a pointer — sift traffic at large queue depths is the
-// engine's dominant cost, and it is pure sequential memory here. seq is
-// deliberately uint32: the scheduler renumbers the queue in the (cold)
-// event horizon where it would wrap, see nextSeq.
-type heapEntry struct {
-	at  time.Duration
-	seq uint32 // FIFO tie-break for equal timestamps
-	idx uint32 // event's index in the pool slab
+// key is one slot of the event heap: the (at, seq) order key next to the
+// event's index in the pool slab. seq is issued once per scheduled event,
+// so no two keys are equal and the heap's minimum is always unique.
+type key struct {
+	at   time.Duration
+	seq  uint64 // FIFO tie-break for equal timestamps
+	slot uint32
 }
 
-func entryLess(a, b heapEntry) bool {
+func (a key) less(b key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// sortEntries sorts es ascending by (at, seq) — an introsort (median-of-3
-// quicksort, insertion sort below 16, heapsort under a depth limit) written
-// out for heapEntry because the generic slices.SortFunc routes every
-// comparison through a function pointer, which at refill frequency is the
-// queue's dominant cost. The (at, seq) key is unique per queued entry, so
-// the order is total and any comparison sort yields the same permutation.
-func sortEntries(es []heapEntry) {
-	for i := 1; i < len(es); i++ {
-		if entryLess(es[i], es[i-1]) {
-			sortEntriesDepth(es, 2*bits.Len(uint(len(es))))
-			return
-		}
-	}
-	// Already sorted — the common case for bursts of constant-latency
-	// same-kind traffic, whose refill slices arrive in (at, seq) order.
-}
-
-func sortEntriesDepth(es []heapEntry, depth int) {
-	for len(es) > 16 {
-		if depth == 0 {
-			heapSortEntries(es)
-			return
-		}
-		depth--
-		p := partitionEntries(es)
-		if p < len(es)-p {
-			sortEntriesDepth(es[:p], depth)
-			es = es[p:]
-		} else {
-			sortEntriesDepth(es[p:], depth)
-			es = es[:p]
-		}
-	}
-	for i := 1; i < len(es); i++ {
-		en := es[i]
-		j := i - 1
-		for j >= 0 && entryLess(en, es[j]) {
-			es[j+1] = es[j]
-			j--
-		}
-		es[j+1] = en
-	}
-}
-
-// partitionEntries Hoare-partitions es around a median-of-three pivot and
-// returns the split point p: es[:p] all precede es[p:].
-func partitionEntries(es []heapEntry) int {
-	m := len(es) / 2
-	hi := len(es) - 1
-	if entryLess(es[m], es[0]) {
-		es[0], es[m] = es[m], es[0]
-	}
-	if entryLess(es[hi], es[0]) {
-		es[0], es[hi] = es[hi], es[0]
-	}
-	if entryLess(es[hi], es[m]) {
-		es[m], es[hi] = es[hi], es[m]
-	}
-	pivot := es[m]
-	i, j := 0, hi
-	for {
-		for entryLess(es[i], pivot) {
-			i++
-		}
-		for entryLess(pivot, es[j]) {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		es[i], es[j] = es[j], es[i]
-		i++
-		j--
-	}
-}
-
-// heapSortEntries is the depth-limit fallback: in-place binary max-heap
-// sort, O(n log n) worst case.
-func heapSortEntries(es []heapEntry) {
-	n := len(es)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownEntries(es, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		es[0], es[i] = es[i], es[0]
-		siftDownEntries(es, 0, i)
-	}
-}
-
-func siftDownEntries(es []heapEntry, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && entryLess(es[c], es[c+1]) {
-			c++
-		}
-		if !entryLess(es[i], es[c]) {
-			return
-		}
-		es[i], es[c] = es[c], es[i]
-		i = c
-	}
-}
-
-// nearChunkTarget is how many entries a queue refill aims to promote into
-// the near window: large enough to amortize the refill's scan over the far
-// buffer, small enough that the window (16 B/entry) stays L1-resident.
-const nearChunkTarget = 512
-
-// eventQueue is the pending-event set, split by a moving time horizon:
-// entries with at < horizon live in a sorted window consumed front to back
-// (near), everything later sits in an unsorted buffer (far). Scheduling
-// into the future — the overwhelmingly common case, since every delivery
-// lands at now+latency — is then a plain append, and popping the minimum
-// is a cursor increment instead of a heap sift over the whole pending set.
-// When the window drains, refill advances the horizon and sorts the next
-// time slice of far; entries scheduled inside the current window (zero-
-// delay callbacks, unusually short links) are spliced into the sorted tail
-// on arrival. The split never reorders anything: every window entry
-// precedes every far entry by the horizon invariant, and the window itself
-// is ordered by the full (at, seq) key, so pops return the global minimum
-// exactly as one big heap would.
-type eventQueue struct {
-	near    []heapEntry // sorted by (at, seq); next pop at nearPos
-	nearPos int
-	far     []heapEntry   // unsorted; every entry has at >= horizon
-	horizon time.Duration // near holds exactly the entries with at < horizon
-	farMin  time.Duration // valid while far is non-empty
-	farMax  time.Duration
-}
-
-func (q *eventQueue) len() int { return len(q.near) - q.nearPos + len(q.far) }
-
-func (q *eventQueue) push(en heapEntry) {
-	if en.at < q.horizon {
-		q.insertNear(en)
-		return
-	}
-	if len(q.far) == 0 {
-		q.farMin, q.farMax = en.at, en.at
-	} else if en.at < q.farMin {
-		q.farMin = en.at
-	} else if en.at > q.farMax {
-		q.farMax = en.at
-	}
-	q.far = append(q.far, en)
-}
-
-// insertNear splices an entry into the sorted window. Rare: only events
-// scheduled closer than the current horizon land here. The splice point is
-// always in the unconsumed tail — a new entry's timestamp is at least the
-// current virtual time, and everything before nearPos has already been
-// popped at or before that time.
-func (q *eventQueue) insertNear(en heapEntry) {
-	live := q.near[q.nearPos:]
-	i := sort.Search(len(live), func(k int) bool { return entryLess(en, live[k]) })
-	q.near = append(q.near, heapEntry{})
-	live = q.near[q.nearPos:]
-	copy(live[i+1:], live[i:])
-	live[i] = en
-}
-
-// minAt returns the earliest pending timestamp. Only valid when len() > 0.
-func (q *eventQueue) minAt() time.Duration {
-	if q.nearPos < len(q.near) {
-		return q.near[q.nearPos].at
-	}
-	return q.farMin
-}
-
-func (q *eventQueue) pop() heapEntry {
-	for q.nearPos == len(q.near) {
-		q.refill()
-	}
-	en := q.near[q.nearPos]
-	q.nearPos++
-	return en
-}
-
-// refill advances the horizon past the next slice of far, promotes that
-// slice into the window, and sorts it. The slice width is
-// span/ceil(len/target), which aims at nearChunkTarget entries for an even
-// timestamp spread and degrades gracefully for clustered ones; entries at
-// farMin always satisfy at < farMin+width, so each refill promotes at
-// least one entry.
-func (q *eventQueue) refill() {
-	if len(q.far) == 0 {
-		return
-	}
-	width := q.farMax - q.farMin
-	if steps := time.Duration((len(q.far)-1)/nearChunkTarget + 1); width >= steps {
-		width /= steps
-	} else {
-		width = 1
-	}
-	limit := q.farMin + width
-	q.near = q.near[:0]
-	q.nearPos = 0
-	kept := q.far[:0]
-	var min, max time.Duration
-	for _, en := range q.far {
-		if en.at < limit {
-			q.near = append(q.near, en)
-			continue
-		}
-		if len(kept) == 0 {
-			min, max = en.at, en.at
-		} else if en.at < min {
-			min = en.at
-		} else if en.at > max {
-			max = en.at
-		}
-		kept = append(kept, en)
-	}
-	q.far = kept
-	q.farMin, q.farMax = min, max
-	q.horizon = limit
-	sortEntries(q.near)
-}
-
-// drainSorted returns every pending entry ordered by (at, seq) and resets
-// the queue to hold them all in the sorted window. Cold path: only the
-// seq-renumber uses it.
-func (q *eventQueue) drainSorted() []heapEntry {
-	es := append(q.near[q.nearPos:], q.far...)
-	sortEntries(es)
-	q.near = es
-	q.nearPos = 0
-	q.far = nil
-	if n := len(es); n > 0 {
-		q.horizon = es[n-1].at + 1
-	}
-	return es
-}
-
 // Network is the simulator. Create one with New; the zero value is not
 // usable. Network is not safe for concurrent use: the simulation is
 // single-threaded by design so that runs are reproducible.
 type Network struct {
-	now    time.Duration
-	seq    uint32 // last issued tie-break; renumbered before it can wrap
-	events eventQueue
-	pool   []event // slab backing every queued event, addressed by index
-	free   uint32  // head of the recycled-slot list (noEvent when empty)
+	now   time.Duration
+	seq   uint64  // last issued tie-break
+	queue []key   // binary min-heap of pending events by (at, seq)
+	pool  []event // slab backing every queued event, addressed by index
+	free  uint32  // head of the recycled-slot list (noEvent when empty)
 
-	// dense holds node state indexed directly by NodeID for the sequential
-	// IDs every real topology uses; sparse is the fallback for outliers.
-	// Look nodes up through node(), never directly.
-	dense    []nodeState
-	sparse   map[NodeID]*nodeState
-	numNodes int
-
+	nodes   map[NodeID]*nodeState
+	kinds   map[string]*KindStats
 	latency LatencyModel
-
-	// Message kinds are interned to small ints: kindIDs maps a kind to its
-	// index in kindNames/kindAgg, and lastKind memoizes the previous Send's
-	// kind so runs of same-kind traffic (broadcasts, vote rounds) skip the
-	// map entirely — comparing against the same string constant is a
-	// pointer-equality hit, not a hash.
-	kindIDs    map[string]int
-	kindNames  []string
-	kindAgg    []KindStats
-	lastKind   string
-	lastKindID int
 
 	delivered int64
 	dropped   int64
@@ -478,7 +204,8 @@ func (n *Network) SetUplinkBandwidth(bytesPerSec float64) {
 func New(model LatencyModel) *Network {
 	return &Network{
 		latency: model,
-		kindIDs: make(map[string]int),
+		nodes:   make(map[NodeID]*nodeState),
+		kinds:   make(map[string]*KindStats),
 		free:    noEvent,
 	}
 }
@@ -486,77 +213,19 @@ func New(model LatencyModel) *Network {
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
 
-// denseSlack bounds how far past the current dense frontier an ID may land
-// while still growing the dense table; anything farther goes to the sparse
-// map so one pathological ID cannot balloon the slice.
-const denseSlack = 1024
-
-// node resolves a NodeID to its state, or nil when unregistered. The dense
-// slice is the hot path; the sparse map only exists when some caller
-// registered a far-outlying ID.
-func (n *Network) node(id NodeID) *nodeState {
-	if uint64(id) < uint64(len(n.dense)) {
-		if st := &n.dense[id]; st.present {
-			return st
-		}
-		return nil
-	}
-	if n.sparse != nil {
-		return n.sparse[id]
-	}
-	return nil
-}
-
 // AddNode registers a node with its handler and latency-space coordinate.
 func (n *Network) AddNode(id NodeID, handler Handler, coord Coord) error {
-	if n.node(id) != nil {
+	if n.nodes[id] != nil {
 		return fmt.Errorf("%w: %d", ErrDuplicateNode, id)
 	}
-	st := nodeState{id: id, handler: handler, coord: coord, present: true}
-	switch {
-	case uint64(id) < uint64(len(n.dense)):
-		n.dense[id] = st
-	case uint64(id) <= uint64(len(n.dense)+denseSlack):
-		for uint64(len(n.dense)) < uint64(id) {
-			n.dense = append(n.dense, nodeState{})
-		}
-		n.dense = append(n.dense, st)
-	default:
-		if n.sparse == nil {
-			n.sparse = make(map[NodeID]*nodeState)
-		}
-		heap := st
-		n.sparse[id] = &heap
-	}
-	n.numNodes++
+	n.nodes[id] = &nodeState{handler: handler, coord: coord}
 	return nil
-}
-
-// forEachNode visits every registered node: the dense table in ID order,
-// then any sparse outliers in ascending ID order, so iteration-driven
-// output is deterministic.
-func (n *Network) forEachNode(fn func(*nodeState)) {
-	for i := range n.dense {
-		if n.dense[i].present {
-			fn(&n.dense[i])
-		}
-	}
-	if len(n.sparse) > 0 {
-		ids := make([]NodeID, 0, len(n.sparse))
-		for id := range n.sparse {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			fn(n.sparse[id])
-		}
-	}
 }
 
 // SetHandler replaces a node's handler (used when a node restarts with new
 // state).
 func (n *Network) SetHandler(id NodeID, handler Handler) error {
-	st := n.node(id)
+	st := n.nodes[id]
 	if st == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
@@ -566,7 +235,7 @@ func (n *Network) SetHandler(id NodeID, handler Handler) error {
 
 // Coordinate returns the node's latency-space coordinate.
 func (n *Network) Coordinate(id NodeID) (Coord, error) {
-	st := n.node(id)
+	st := n.nodes[id]
 	if st == nil {
 		return Coord{}, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
@@ -574,12 +243,12 @@ func (n *Network) Coordinate(id NodeID) (Coord, error) {
 }
 
 // NumNodes returns the number of registered nodes (up or down).
-func (n *Network) NumNodes() int { return n.numNodes }
+func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // SetDown marks a node as failed (true) or recovered (false). Messages to a
 // down node are dropped; a down node cannot send.
 func (n *Network) SetDown(id NodeID, down bool) error {
-	st := n.node(id)
+	st := n.nodes[id]
 	if st == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
@@ -589,44 +258,32 @@ func (n *Network) SetDown(id NodeID, down bool) error {
 
 // IsDown reports whether the node is currently failed.
 func (n *Network) IsDown(id NodeID) bool {
-	st := n.node(id)
+	st := n.nodes[id]
 	return st != nil && st.down
-}
-
-// kindID interns kind, returning its index into kindAgg/kindNames.
-func (n *Network) kindID(kind string) int {
-	if kind == n.lastKind && len(n.kindNames) > 0 {
-		return n.lastKindID
-	}
-	id, ok := n.kindIDs[kind]
-	if !ok {
-		id = len(n.kindNames)
-		n.kindIDs[kind] = id
-		n.kindNames = append(n.kindNames, kind)
-		n.kindAgg = append(n.kindAgg, KindStats{})
-	}
-	n.lastKind, n.lastKindID = kind, id
-	return id
 }
 
 // Send schedules delivery of msg after the link latency. Sending accounts
 // the bytes immediately (the sender pays the uplink even if the receiver is
 // down when the message lands).
 func (n *Network) Send(msg Message) error {
-	src := n.node(msg.From)
+	src := n.nodes[msg.From]
 	if src == nil {
 		return fmt.Errorf("send from %w: %d", ErrUnknownNode, msg.From)
 	}
 	if src.down {
 		return fmt.Errorf("send: %w: %d", ErrNodeDown, msg.From)
 	}
-	dst := n.node(msg.To)
+	dst := n.nodes[msg.To]
 	if dst == nil {
 		return fmt.Errorf("send to %w: %d", ErrUnknownNode, msg.To)
 	}
 	src.traffic.BytesSent += int64(msg.Size)
 	src.traffic.MsgsSent++
-	ks := &n.kindAgg[n.kindID(msg.Kind)]
+	ks := n.kinds[msg.Kind]
+	if ks == nil {
+		ks = &KindStats{}
+		n.kinds[msg.Kind] = ks
+	}
 	ks.Messages++
 	ks.Bytes += int64(msg.Size)
 
@@ -659,9 +316,9 @@ func (n *Network) Send(msg Message) error {
 		}
 	}
 	sentAt := n.now
-	n.scheduleDeliver(depart+delay+extra, msg, sentAt)
+	n.schedule(depart+delay+extra, event{msg: msg, sentAt: sentAt})
 	if dup {
-		n.scheduleDeliver(depart+delay+dupExtra, msg, sentAt)
+		n.schedule(depart+delay+dupExtra, event{msg: msg, sentAt: sentAt})
 	}
 	return nil
 }
@@ -671,7 +328,7 @@ func (n *Network) Send(msg Message) error {
 // the sender handed the message to the network, kept for the wire-event
 // span so transit time is visible in traces.
 func (n *Network) deliver(msg Message, sentAt time.Duration) {
-	st := n.node(msg.To)
+	st := n.nodes[msg.To]
 	if st == nil || st.down || st.handler == nil || !n.reachable(msg.From, msg.To) {
 		n.dropped++
 		n.traceMsg("drop", msg)
@@ -705,23 +362,29 @@ func (n *Network) spanEvent(msg Message, sentAt time.Duration, errStr string) {
 	})
 }
 
-// After schedules fn to run after d of virtual time.
+// After schedules fn, which must not be nil, to run after d of virtual
+// time.
 func (n *Network) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.schedule(n.now+d, fn)
+	n.schedule(n.now+d, event{fn: fn})
 }
 
-// allocEvent pops a recycled pool slot or grows the slab by one, returning
-// the slot's index.
-func (n *Network) allocEvent() uint32 {
-	if i := n.free; i != noEvent {
+// schedule stores e in a recycled pool slot (or grows the slab by one) and
+// queues it at virtual time at, after every event already queued for the
+// same instant.
+func (n *Network) schedule(at time.Duration, e event) {
+	i := n.free
+	if i != noEvent {
 		n.free = n.pool[i].next
-		return i
+		n.pool[i] = e
+	} else {
+		i = uint32(len(n.pool))
+		n.pool = append(n.pool, e)
 	}
-	n.pool = append(n.pool, event{})
-	return uint32(len(n.pool) - 1)
+	n.seq++
+	n.push(key{at: at, seq: n.seq, slot: i})
 }
 
 // releaseEvent zeroes the slot (dropping any payload/closure reference so
@@ -731,60 +394,68 @@ func (n *Network) releaseEvent(i uint32) {
 	n.free = i
 }
 
-// nextSeq issues the next FIFO tie-break. seq is uint32 to keep heap
-// entries at 16 bytes; in the event horizon where it would wrap, the queue
-// is renumbered — relative (at, seq) order is preserved exactly, so the
-// schedule (and therefore every trace) is unchanged, and the cost is one
-// sort of the pending queue every ~4.3 billion events.
-func (n *Network) nextSeq() uint32 {
-	if n.seq == ^uint32(0) {
-		es := n.events.drainSorted()
-		for i := range es {
-			es[i].seq = uint32(i)
+// push adds k to the heap and sifts it up past every parent it precedes.
+// Not container/heap: its Push boxes every key, one allocation an event.
+func (n *Network) push(k key) {
+	q := append(n.queue, k)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
 		}
-		n.seq = uint32(len(es))
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	n.seq++
-	return n.seq
+	n.queue = q
 }
 
-func (n *Network) schedule(at time.Duration, fn func()) {
-	i := n.allocEvent()
-	e := &n.pool[i]
-	e.op, e.fn = opFunc, fn
-	n.events.push(heapEntry{at: at, seq: n.nextSeq(), idx: i})
-}
-
-func (n *Network) scheduleDeliver(at time.Duration, msg Message, sentAt time.Duration) {
-	i := n.allocEvent()
-	e := &n.pool[i]
-	e.op, e.msg, e.sentAt = opDeliver, msg, sentAt
-	n.events.push(heapEntry{at: at, seq: n.nextSeq(), idx: i})
+// pop removes and returns the heap's minimum: the last key moves to the
+// root and sifts down past every child that precedes it. The queue must be
+// non-empty.
+func (n *Network) pop() key {
+	q := n.queue
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	n.queue = q
+	return top
 }
 
 // Step executes the next pending event, returning false when the queue is
 // empty.
 func (n *Network) Step() bool {
-	if n.events.len() == 0 {
+	if len(n.queue) == 0 {
 		return false
 	}
-	en := n.events.pop()
-	e := &n.pool[en.idx]
-	if en.at > n.now {
-		n.now = en.at
+	k := n.pop()
+	if k.at > n.now {
+		n.now = k.at
 	}
 	// Copy what the action needs and recycle the slot before running it,
 	// so the work it schedules reuses the slot immediately.
-	switch e.op {
-	case opDeliver:
-		msg, sentAt := e.msg, e.sentAt
-		n.releaseEvent(en.idx)
-		n.deliver(msg, sentAt)
-	default:
-		fn := e.fn
-		n.releaseEvent(en.idx)
+	e := &n.pool[k.slot]
+	if fn := e.fn; fn != nil {
+		n.releaseEvent(k.slot)
 		fn()
+		return true
 	}
+	msg, sentAt := e.msg, e.sentAt
+	n.releaseEvent(k.slot)
+	n.deliver(msg, sentAt)
 	return true
 }
 
@@ -792,8 +463,8 @@ func (n *Network) Step() bool {
 // until (0 means no limit). It returns the number of events executed.
 func (n *Network) Run(until time.Duration) int {
 	executed := 0
-	for n.events.len() > 0 {
-		if until > 0 && n.events.minAt() > until {
+	for len(n.queue) > 0 {
+		if until > 0 && n.queue[0].at > until {
 			break
 		}
 		n.Step()
@@ -806,11 +477,11 @@ func (n *Network) Run(until time.Duration) int {
 func (n *Network) RunUntilIdle() int { return n.Run(0) }
 
 // Pending returns the number of queued events.
-func (n *Network) Pending() int { return n.events.len() }
+func (n *Network) Pending() int { return len(n.queue) }
 
 // Traffic returns the traffic snapshot for one node.
 func (n *Network) Traffic(id NodeID) (TrafficStats, error) {
-	st := n.node(id)
+	st := n.nodes[id]
 	if st == nil {
 		return TrafficStats{}, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
@@ -820,19 +491,19 @@ func (n *Network) Traffic(id NodeID) (TrafficStats, error) {
 // TotalTraffic sums traffic across all nodes.
 func (n *Network) TotalTraffic() TrafficStats {
 	var t TrafficStats
-	n.forEachNode(func(st *nodeState) {
+	for _, st := range n.nodes {
 		t.BytesSent += st.traffic.BytesSent
 		t.BytesRecv += st.traffic.BytesRecv
 		t.MsgsSent += st.traffic.MsgsSent
 		t.MsgsRecv += st.traffic.MsgsRecv
-	})
+	}
 	return t
 }
 
 // KindTraffic returns a copy of the per-kind aggregate for kind.
 func (n *Network) KindTraffic(kind string) KindStats {
-	if id, ok := n.kindIDs[kind]; ok {
-		return n.kindAgg[id]
+	if ks := n.kinds[kind]; ks != nil {
+		return *ks
 	}
 	return KindStats{}
 }
@@ -841,9 +512,9 @@ func (n *Network) KindTraffic(kind string) KindStats {
 // ResetTraffic, sorted so that iteration-driven reports render identically
 // across runs.
 func (n *Network) Kinds() []string {
-	out := make([]string, 0, len(n.kindNames))
-	for id, k := range n.kindNames {
-		if n.kindAgg[id].Messages != 0 {
+	out := make([]string, 0, len(n.kinds))
+	for k, ks := range n.kinds {
+		if ks.Messages != 0 {
 			out = append(out, k)
 		}
 	}
@@ -861,14 +532,13 @@ func (n *Network) DroppedCount() int64 { return n.dropped }
 
 // ResetTraffic zeroes all traffic accounting (per-node and per-kind) while
 // leaving topology and time untouched. Experiments use it to measure a
-// single phase. Interned kind IDs survive (they are engine state, not
-// traffic), but zeroed kinds drop out of Kinds until seen again.
+// single phase. Zeroed kinds drop out of Kinds until seen again.
 func (n *Network) ResetTraffic() {
-	n.forEachNode(func(st *nodeState) {
+	for _, st := range n.nodes {
 		st.traffic = TrafficStats{}
-	})
-	for i := range n.kindAgg {
-		n.kindAgg[i] = KindStats{}
+	}
+	for _, ks := range n.kinds {
+		*ks = KindStats{}
 	}
 	n.delivered = 0
 	n.dropped = 0
