@@ -179,9 +179,6 @@ var seeds = []seed{
 	{"goroleak", "internal/netx/client.go", []string{
 		"func (c *Client) Close() error { return c.link.Close() }",
 		"func (c *Client) Close() error { go c.link.Close(); return nil }"}},
-	{"deadline", "internal/netx/client.go", []string{ // Link.exchange blocks on a dead peer
-		"\tif err := l.conn.SetDeadline(time.Now().Add(l.timeout)); err != nil {\n\t\treturn 0, fmt.Errorf(\"netx: arm deadline: %w\", err)\n\t}\n",
-		""}},
 	{"epochres", "internal/netx/client.go", []string{ // distributeBlock places without naming an epoch
 		"cl.base.Owners(seed, idx, cl.replication)",
 		"core.Owners(seed, cl.base.Members, idx, cl.replication)"}},

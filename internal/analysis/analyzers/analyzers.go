@@ -22,7 +22,6 @@ func All() []*analysis.Analyzer {
 		MetricName,
 		SpanBalance,
 		GoroLeak,
-		Deadline,
 		EpochRes,
 	}
 }

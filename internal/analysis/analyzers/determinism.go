@@ -24,8 +24,7 @@ including span forests and metric snapshots) dies the moment simulation
 code reads time.Now, the global math/rand source, or lets the runtime
 scheduler pick between ready channels. Historical bug: wall-clock span
 timestamps made "identical" seeded runs diff in CI. Use the injected
-virtual clock and blockcrypto/rng; genuinely wall-clock code (throughput
-measurement, the disabled-tracer fallback) carries
+virtual clock and blockcrypto/rng; genuinely wall-clock code carries
 //icilint:allow determinism(reason).
 
 The parallel experiment runner adds a fourth hazard: deriving result

@@ -127,11 +127,11 @@ func (l *Link) exchange(req WireEncoder, resp WireDecoder) (int, error) {
 }
 
 // Client is a connection to one storage server; Cluster (below)
-// multiplexes clients for whole-cluster operations.
+// multiplexes clients for whole-cluster operations. A traced Client
+// (Cluster.tracedClient) records each round trip under parent; several
+// Clients may share one Link.
 type Client struct {
-	link *Link
-
-	mu     sync.Mutex // guards tr and parent
+	link   *Link
 	tr     *trace.Tracer
 	parent trace.SpanID
 }
@@ -157,10 +157,7 @@ func (c *Client) Close() error { return c.link.Close() }
 // a tracer installed, each round-trip is one span carrying the wire bytes it
 // moved in both directions.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
-	c.mu.Lock()
-	tr, parent := c.tr, c.parent
-	c.mu.Unlock()
-	sp := tr.Start(parent, "netx", reqName(req), clientNode)
+	sp := c.tr.Start(c.parent, "netx", reqName(req), clientNode)
 	var resp Response
 	n, err := c.link.Call(req, &resp)
 	sp.AddBytes(int64(n))
@@ -384,18 +381,18 @@ func (cl *Cluster) dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// DropClient evicts c from the cache once a call on it has failed in
-// transport, which closed it (Link.Call). A connection whose server only
-// answered with an error is sound and stays: other goroutines may be in the
-// middle of calls on it. A newer connection to addr that another goroutine
-// has dialed since stays too.
+// DropClient evicts c's connection from the cache once a call on it has
+// failed in transport, which closed it (Link.Call). A connection whose
+// server only answered with an error is sound and stays: other goroutines
+// may be in the middle of calls on it. A newer connection to addr that
+// another goroutine has dialed since stays too.
 func (cl *Cluster) DropClient(addr string, c *Client) {
 	if !c.link.closed() {
 		return
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.clients[addr] == c {
+	if cached, ok := cl.clients[addr]; ok && cached.link == c.link {
 		delete(cl.clients, addr)
 	}
 }

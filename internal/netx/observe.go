@@ -25,14 +25,6 @@ var requestNames = [...]string{
 // reqName labels a request union for tracing.
 func reqName(r *Request) string { return requestNames[r.opcode()] }
 
-// SetTracer installs (or clears, with nil) the tracer used for this
-// client's round-trips; parent is the span every round-trip nests under.
-func (c *Client) SetTracer(tr *trace.Tracer, parent trace.SpanID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tr, c.parent = tr, parent
-}
-
 // SetTracer installs (or clears) the tracer for whole-cluster operations.
 // DistributeBlock and RetrieveBlock then open one span per call, with a
 // child span per TCP round-trip carrying the actual wire byte counts.
@@ -49,15 +41,20 @@ func (cl *Cluster) tracer() *trace.Tracer {
 	return cl.tr
 }
 
-// tracedClient returns a connection to addr with its round-trips parented
-// under parent.
+// tracedClient returns the cached connection to addr with its round-trips
+// parented under parent. The tracing lives on a Client of this operation's
+// own over the shared Link, so a later call through the cache is not
+// recorded under a span that has ended; untraced, it is the cached Client.
 func (cl *Cluster) tracedClient(addr string, parent trace.SpanID) (*Client, error) {
 	c, err := cl.Client(addr)
 	if err != nil {
 		return nil, err
 	}
-	c.SetTracer(cl.tracer(), parent)
-	return c, nil
+	tr := cl.tracer()
+	if !tr.Enabled() {
+		return c, nil
+	}
+	return &Client{link: c.link, tr: tr, parent: parent}, nil
 }
 
 // SetTracer installs (or clears) the tracer for served requests: every

@@ -81,3 +81,38 @@ func TestClusterTracing(t *testing.T) {
 		t.Errorf("server points do not mirror client round-trips: %v", byName)
 	}
 }
+
+// TestCachedClientDoesNotKeepAnEndedParent is the regression test for a
+// traced operation leaving its parent span on the cluster's cached
+// connections: a later call through the cache (CurrentMap here; maxHeight
+// and transfer's source reads alike) was recorded under the
+// distribute-block span that had already ended.
+func TestCachedClientDoesNotKeepAnEndedParent(t *testing.T) {
+	ring := trace.NewRing(4096)
+	_, addrs := startServers(t, 4)
+	cl, err := NewCluster(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetTracer(trace.New(ring))
+
+	if err := cl.DistributeBlock(testBlocks(t, 1, 24)[0]); err != nil {
+		t.Fatal(err)
+	}
+	var distribute trace.SpanID
+	for _, e := range ring.Events() {
+		if e.Name == "distribute-block" {
+			distribute = e.ID
+		}
+	}
+	if distribute == 0 {
+		t.Fatal("no distribute-block span recorded")
+	}
+	cl.CurrentMap()
+	for _, e := range ring.Events() {
+		if e.Name == "get-cluster-map" && e.Parent == distribute {
+			t.Errorf("get-cluster-map after DistributeBlock returned is recorded under its ended span %d", distribute)
+		}
+	}
+}

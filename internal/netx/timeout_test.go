@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,20 +12,36 @@ import (
 )
 
 // stalledServer accepts connections and reads forever without ever writing
-// a response — the pathological peer the roundTrip deadline exists for.
+// a response — the pathological peer the roundTrip deadline exists for. At
+// cleanup it hangs up every connection it accepted, so a client call left
+// blocked on it by a failed test returns.
 func stalledServer(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = l.Close() })
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	t.Cleanup(func() {
+		_ = l.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	})
 	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
 			go func() {
 				defer conn.Close()
 				buf := make([]byte, 4096)
@@ -39,6 +56,23 @@ func stalledServer(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// within runs call on its own goroutine and fails the test if it has not
+// returned after five seconds, so a call no deadline bounds fails here
+// instead of hanging until go test's timeout. call closes its own client:
+// Close waits for the call in flight, which stalledServer's cleanup ends.
+func within(t *testing.T, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("call against a stalled server still blocked after 5s: no deadline bounds it")
+		return nil
+	}
+}
+
 // TestRoundTripDeadlineAgainstStalledServer is the regression test for the
 // unbounded-read bug: roundTrip used to perform its read with no I/O
 // deadline, so a peer that accepted the request but never answered parked
@@ -50,20 +84,18 @@ func TestRoundTripDeadlineAgainstStalledServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	c.SetTimeout(150 * time.Millisecond)
 
-	start := time.Now()
-	_, err = c.GetChunk(blockcrypto.Hash{1}, 0)
-	elapsed := time.Since(start)
+	err = within(t, func() error {
+		defer c.Close()
+		_, err := c.GetChunk(blockcrypto.Hash{1}, 0)
+		return err
+	})
 	if err == nil {
 		t.Fatal("round trip against a stalled server succeeded")
 	}
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("want deadline error, got %v", err)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("deadline fired after %v; the stall was not bounded by the timeout", elapsed)
 	}
 }
 
@@ -77,19 +109,17 @@ func TestClusterTimeoutPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
 	cl.SetTimeout(150 * time.Millisecond)
 
 	blocks := testBlocks(t, 1, 12)
 	// Distribution writes to every member including the stalled one; it must
 	// fail fast rather than hang.
-	start := time.Now()
-	err = cl.DistributeBlock(blocks[0])
+	err = within(t, func() error {
+		defer cl.Close()
+		return cl.DistributeBlock(blocks[0])
+	})
 	if err == nil {
 		t.Fatal("distribute through a stalled member succeeded")
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("distribute was not bounded by the cluster timeout")
 	}
 }
 

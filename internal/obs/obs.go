@@ -22,6 +22,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers its handlers on DefaultServeMux
 	"os"
+	"time"
 
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/trace"
@@ -66,6 +67,8 @@ func (f *Flags) Setup() error {
 	if *f.traceMode != "" {
 		f.ring = trace.NewRing(ringCapacity)
 		f.tr = trace.New(f.ring)
+		start := time.Now()
+		f.tr.SetClock(func() time.Duration { return time.Since(start) })
 	}
 	if *f.pprofAddr != "" {
 		mux := http.DefaultServeMux // pprof already registered here

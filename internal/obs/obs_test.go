@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"icistrategy/internal/trace"
 )
@@ -48,6 +49,23 @@ func TestDisabledByDefault(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("Finish wrote output with everything disabled: %q", out.String())
+	}
+}
+
+// TestTraceClockAdvances: the tracer -trace builds reads wall time, so a
+// command's TCP spans have real durations (trace.New alone reads 0 until a
+// clock is installed).
+func TestTraceClockAdvances(t *testing.T) {
+	f := parse(t, "-trace", "summary")
+	if err := f.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	sp := f.Tracer().Start(0, "netx", "op", -1)
+	time.Sleep(time.Millisecond)
+	sp.End()
+	evs := f.Events()
+	if len(evs) != 1 || evs[0].End <= evs[0].Start {
+		t.Fatalf("-trace clock did not advance: %+v", evs)
 	}
 }
 

@@ -51,7 +51,7 @@ type Event struct {
 	// Node is the emitting node's ID, or -1 when no node applies.
 	Node int64
 	// Start and End are clock readings (virtual time in the simulator,
-	// wall time since tracer creation on the TCP path).
+	// wall time since setup on the TCP path).
 	Start, End time.Duration
 	// Bytes annotates the event with a payload size (wire bytes for message
 	// events, body bytes for protocol ops).
@@ -81,23 +81,20 @@ type Tracer struct {
 }
 
 // New creates a tracer emitting into rec. A nil rec yields a disabled
-// tracer (identical to a nil *Tracer). The default clock is wall time
-// since New was called; see SetClock.
+// tracer (identical to a nil *Tracer). Its clock reads 0 until SetClock
+// installs one.
 func New(rec Recorder) *Tracer {
 	if rec == nil {
 		return nil
 	}
 	t := &Tracer{rec: rec}
-	// Wall time is only the fallback for the real-TCP path; the simulator
-	// immediately re-points the clock at virtual time via SetClock, which
-	// is what keeps seeded span forests byte-identical.
-	start := time.Now()                                              //icilint:allow determinism(default wall clock; simulator installs its virtual clock via SetClock)
-	t.clock.Store(func() time.Duration { return time.Since(start) }) //icilint:allow determinism(default wall clock; simulator installs its virtual clock via SetClock)
+	t.clock.Store(func() time.Duration { return 0 })
 	return t
 }
 
 // SetClock replaces the tracer's time source. The discrete-event simulator
-// installs its virtual clock here so span timestamps are deterministic.
+// installs its virtual clock here so span timestamps are deterministic; a
+// command's -trace tracer gets wall time since setup (obs.Setup).
 func (t *Tracer) SetClock(clock func() time.Duration) {
 	if t == nil || clock == nil {
 		return

@@ -256,15 +256,3 @@ func TestTreeOrphanBecomesRoot(t *testing.T) {
 		t.Fatalf("orphan should render as root:\n%s", out)
 	}
 }
-
-func TestDefaultClockAdvances(t *testing.T) {
-	ring := NewRing(2)
-	tr := New(ring)
-	sp := tr.Start(0, "netx", "op", -1)
-	time.Sleep(time.Millisecond)
-	sp.End()
-	evs := ring.Events()
-	if len(evs) != 1 || evs[0].End <= evs[0].Start {
-		t.Fatalf("default clock did not advance: %+v", evs)
-	}
-}
