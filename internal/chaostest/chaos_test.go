@@ -220,12 +220,22 @@ func runChaosLifecycle(t *testing.T, seed uint64) {
 	if fs.Crashes < 2 || fs.Restarts < 2 {
 		t.Fatalf("expected 2 crash/restart cycles, got %+v", fs)
 	}
-	ms := sys.MetricsSnapshot()
-	recovery := ms.RetrieveRetries + ms.TxQueryRetries + ms.FetchTimeouts +
-		ms.FetchRetries + ms.BootstrapRetries + ms.DuplicateChunks +
-		ms.DuplicateVotes + ms.DuplicateResponses + ms.ChunkResends + ms.CommitProbes
+	snap := sys.Registry().Snapshot()
+	var recovery float64
+	for _, name := range []string{
+		"ici.retrieve.retries", "ici.txquery.retries", "ici.retrieve.chunk_timeouts",
+		"ici.retrieve.chunk_retries", "ici.bootstrap.retries", "ici.distribute.duplicate_chunks",
+		"ici.distribute.duplicate_votes", "ici.retrieve.duplicate_responses",
+		"ici.distribute.chunk_resends", "ici.distribute.commit_probes",
+	} {
+		v, ok := snap[name]
+		if !ok {
+			t.Fatalf("registry lists no counter %q", name)
+		}
+		recovery += v
+	}
 	if recovery == 0 {
-		t.Fatalf("no recovery work recorded despite faults: %+v", ms)
+		t.Fatalf("no recovery work recorded despite faults:\n%s", sys.Registry().JSON())
 	}
 }
 
@@ -279,7 +289,7 @@ func TestChaosCorruptionIntegrity(t *testing.T) {
 // chaosTraceRun executes one fixed fault-injected lifecycle with event
 // tracing on and returns everything observable about the run. Two calls
 // with the same seed must return byte-identical results.
-func chaosTraceRun(t *testing.T, seed uint64) (string, simnet.TrafficStats, simnet.FaultStats, core.MetricsSnapshot) {
+func chaosTraceRun(t *testing.T, seed uint64) (string, simnet.TrafficStats, simnet.FaultStats, string) {
 	t.Helper()
 	cfg := core.Config{Nodes: 12, Clusters: 2, Replication: 2, Seed: seed}
 	sys, gen := buildSystem(t, cfg)
@@ -313,12 +323,13 @@ func chaosTraceRun(t *testing.T, seed uint64) (string, simnet.TrafficStats, simn
 		reader.RetrieveBlock(net, blocks[0].Hash(), func(*chain.Block, error) {})
 		net.RunUntilIdle()
 	}
-	return net.TraceString(), net.TotalTraffic(), net.FaultStats(), sys.MetricsSnapshot()
+	return net.TraceString(), net.TotalTraffic(), net.FaultStats(), sys.Registry().JSON()
 }
 
 // TestChaosDeterminism replays the same seeded chaos lifecycle twice —
 // faults, crash schedule, corruption and all — and requires byte-identical
-// event traces, traffic accounting, fault statistics and recovery metrics.
+// event traces, traffic accounting, fault statistics and registry dumps,
+// recovery counters included.
 // This is the regression gate for deterministic replay of failure runs.
 func TestChaosDeterminism(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
@@ -338,7 +349,7 @@ func TestChaosDeterminism(t *testing.T) {
 				t.Fatalf("fault stats diverge: %+v vs %+v", faults1, faults2)
 			}
 			if metrics1 != metrics2 {
-				t.Fatalf("recovery metrics diverge: %+v vs %+v", metrics1, metrics2)
+				t.Fatalf("registry dumps diverge:\n%s\n---\n%s", metrics1, metrics2)
 			}
 		})
 	}

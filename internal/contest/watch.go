@@ -1,7 +1,6 @@
 package contest
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"regexp"
@@ -73,19 +72,6 @@ func (w *logWatcher) closeWatch() {
 		w.partial = nil
 	}
 	w.closed = true
-}
-
-// watchLines consumes an io.Reader in a goroutine — the reader-based shape
-// used by tests and any future pipe-fed stream.
-func watchLines(r io.Reader, echo io.Writer, prefix string) *logWatcher {
-	w := newLogWatcher(echo, prefix)
-	//icilint:allow goroleak(pump exits on reader EOF when the feeding pipe closes; the harness never outlives its child processes)
-	go func() {
-		br := bufio.NewReader(r)
-		_, _ = io.Copy(w, br)
-		w.closeWatch()
-	}()
-	return w
 }
 
 // Tail returns up to n of the most recent lines (for failure dumps).

@@ -1,7 +1,6 @@
 package contest
 
 import (
-	"io"
 	"regexp"
 	"strings"
 	"sync"
@@ -9,8 +8,23 @@ import (
 	"time"
 )
 
+// feed writes chunks into w the way a child process's stream reaches it,
+// then, if closed, ends the stream the way startNode does once the process
+// is reaped.
+func feed(w *logWatcher, closed bool, chunks ...string) *logWatcher {
+	for _, c := range chunks {
+		if _, err := w.Write([]byte(c)); err != nil {
+			panic(err)
+		}
+	}
+	if closed {
+		w.closeWatch()
+	}
+	return w
+}
+
 func TestWatcherMatchAndTail(t *testing.T) {
-	w := watchLines(strings.NewReader("alpha\nbeta\ngamma\n"), nil, "")
+	w := feed(newLogWatcher(nil, ""), true, "alpha\nbe", "ta\ngamma\n")
 	re := regexp.MustCompile(`^beta$`)
 	if line, err := w.WaitMatch(re, time.Now().Add(time.Second)); err != nil || line != "beta" {
 		t.Fatalf("WaitMatch: %q, %v", line, err)
@@ -21,9 +35,7 @@ func TestWatcherMatchAndTail(t *testing.T) {
 }
 
 func TestWaitMatchTimesOut(t *testing.T) {
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	w := watchLines(pr, nil, "")
+	w := feed(newLogWatcher(nil, ""), false, "alpha\n")
 	start := time.Now()
 	_, err := w.WaitMatch(regexp.MustCompile("never"), start.Add(60*time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
@@ -37,7 +49,7 @@ func TestWaitMatchTimesOut(t *testing.T) {
 func TestWaitMatchFailsFastOnClose(t *testing.T) {
 	// A closed stream (the process exited) must fail the wait immediately,
 	// not burn the whole deadline.
-	w := watchLines(strings.NewReader("only line\n"), nil, "")
+	w := feed(newLogWatcher(nil, ""), true, "only line\n")
 	start := time.Now()
 	_, err := w.WaitMatch(regexp.MustCompile("never"), start.Add(10*time.Second))
 	if err == nil || !strings.Contains(err.Error(), "closed") {
@@ -48,23 +60,27 @@ func TestWaitMatchFailsFastOnClose(t *testing.T) {
 	}
 }
 
-func TestWatcherEchoesWithPrefix(t *testing.T) {
-	var sb safeBuilder
-	w := watchLines(strings.NewReader("one\ntwo\n"), &sb, "  nX| ")
-	if _, err := w.WaitMatch(regexp.MustCompile("two"), time.Now().Add(time.Second)); err != nil {
-		t.Fatal(err)
+func TestCloseFlushesUnterminatedLine(t *testing.T) {
+	w := feed(newLogWatcher(nil, ""), false, "first\nlast words")
+	if tail := w.Tail(5); len(tail) != 1 {
+		t.Fatalf("fragment counted as a line before its newline: %v", tail)
 	}
-	// The echo write happens outside the watcher lock; wait for it.
-	deadline := time.Now().Add(time.Second)
-	for !strings.Contains(sb.String(), "  nX| two") {
-		if time.Now().After(deadline) {
-			t.Fatalf("echo output: %q", sb.String())
-		}
-		time.Sleep(pollInterval)
+	w.closeWatch()
+	if line, err := w.WaitMatch(regexp.MustCompile("^last words$"), time.Now().Add(time.Second)); err != nil || line != "last words" {
+		t.Fatalf("WaitMatch after close: %q, %v", line, err)
 	}
 }
 
-// safeBuilder is a goroutine-safe strings.Builder for echo assertions.
+func TestWatcherEchoesWithPrefix(t *testing.T) {
+	var sb strings.Builder
+	feed(newLogWatcher(&sb, "  nX| "), true, "one\ntwo\n")
+	if got, want := sb.String(), "  nX| one\n  nX| two\n"; got != want {
+		t.Fatalf("echo output %q, want %q", got, want)
+	}
+}
+
+// safeBuilder is a goroutine-safe strings.Builder: a running node's stream
+// echoes into it from the process's output goroutines.
 type safeBuilder struct {
 	mu sync.Mutex
 	b  strings.Builder

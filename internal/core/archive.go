@@ -195,13 +195,15 @@ func (n *Node) RetrieveArchivedBlock(net *simnet.Network, block blockcrypto.Hash
 		cb(nil, fmt.Errorf("%w: %s", ErrNotArchived, block.Short()))
 		return
 	}
-	if !n.store.HasHeader(block) {
+	hdr, err := n.store.Header(block)
+	if err != nil {
 		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
 		return
 	}
 	n.pc.codedRetrieves.Inc()
 	n.startRetrieve(net, &fetchState{
 		block:   block,
+		hdr:     hdr,
 		parts:   info.total,
 		codedK:  info.k,
 		onBlock: cb,

@@ -83,16 +83,14 @@ type leaderState struct {
 // bootstrap chunk fetch).
 type fetchState struct {
 	block  blockcrypto.Hash
-	parts  int // 0 until learned
-	codedK int // >0 for archived-block retrievals
+	hdr    chain.Header // the block's stored header, for whole-block retrievals
+	parts  int          // 0 until learned
+	codedK int          // >0 for archived-block retrievals
 	chunks map[int]retrievedChunk
 
-	// Broadcast fetches (full-block retrieval) re-ask the whole cluster on
-	// timeout, with doubled timeout, up to maxFetchAttempts rounds.
-	waiting   int                    // outstanding responses this round
-	responded map[simnet.NodeID]bool // members that answered this round
-	attempts  int                    // rounds issued so far
-	timeout   time.Duration          // current round's timeout
+	// A whole-block retrieval asks its cluster in rounds; a single-chunk
+	// fetch uses only the round's attempts, timeout and done.
+	round
 
 	// Single-chunk fetches walk a source ring: the next rendezvous replica
 	// on a miss or timeout, wrapping for one extra pass after timeouts.
@@ -101,7 +99,6 @@ type fetchState struct {
 	passes   int
 	timedOut bool // a source timed out during the current pass
 	idx      int  // chunk index for single-chunk fetches
-	done     bool
 	onBlock  func(*chain.Block, error)
 	onChunk  func(error)
 	// span covers the whole fetch (all rounds); requests carry its context.
@@ -136,8 +133,6 @@ type Node struct {
 	bootstrap *bootstrapState
 	handoff   *handoffState
 
-	metrics NodeMetrics
-
 	// tr/pc are the System-wide structured tracer and protocol counters
 	// (tr may be nil = disabled; pc is never nil). rxSpan is the span
 	// context of the message currently being handled — the implicit parent
@@ -146,10 +141,6 @@ type Node struct {
 	tr     *trace.Tracer
 	pc     *protoCounters
 	rxSpan trace.SpanID
-
-	// committedHeights counts blocks this node has finalized, for tests
-	// and throughput accounting.
-	committed int
 }
 
 // newNode wires a node; System owns construction.
@@ -180,9 +171,6 @@ func (n *Node) ID() simnet.NodeID { return n.id }
 
 // Store exposes the node's local store (read-only use by experiments).
 func (n *Node) Store() *storage.Store { return n.store }
-
-// CommittedBlocks returns how many blocks this node has finalized.
-func (n *Node) CommittedBlocks() int { return n.committed }
 
 // HasFinalized reports whether this node committed the given block (stored
 // its header) — the precondition for retrieving it through this node.
@@ -242,7 +230,7 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 		}
 	case KindBlockChunks:
 		if m, ok := msg.Payload.(blockChunksMsg); ok {
-			n.onBlockChunks(net, msg.From, m)
+			n.onBlockChunks(msg.From, m)
 		}
 	case KindGetCommit:
 		if m, ok := msg.Payload.(getCommitMsg); ok {
@@ -254,7 +242,7 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 		}
 	case KindTxProof:
 		if m, ok := msg.Payload.(txProofMsg); ok {
-			n.onTxProof(net, msg.From, m)
+			n.onTxProof(msg.From, m)
 		}
 	case KindArchiveShare:
 		if m, ok := msg.Payload.(archiveShareMsg); ok {
@@ -446,7 +434,7 @@ func (n *Node) coverageCheck(net *simnet.Network, block blockcrypto.Hash) {
 		// member is owed travels as one share.
 		for _, m := range st.ranking[idx][:min(st.nextCand[idx], len(st.ranking[idx]))] {
 			if st.assigned[idx][m] && !st.table.HasVoted(m, idx) {
-				n.metrics.ChunkResends.Inc()
+				n.pc.chunkResends.Inc()
 				out[m] = append(out[m], idx)
 			}
 		}
@@ -493,7 +481,7 @@ func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
 	for i := range m.Groups {
 		c := chunkPayload{Header: m.Header, Group: m.Groups[i]}
 		if n.hasChunkData(hash, c.Index) {
-			n.metrics.DuplicateChunks.Inc()
+			n.pc.duplicateChunks.Inc()
 			approved = append(approved, c.Index)
 			continue
 		}
@@ -586,7 +574,7 @@ func (n *Node) scheduleCommitProbe(net *simnet.Network, block blockcrypto.Hash, 
 			return // swept: the proposal is dead
 		}
 		if target, ok := n.commitProbeTarget(block, attempt); ok {
-			n.metrics.CommitProbes.Inc()
+			n.pc.commitProbes.Inc()
 			_ = net.Send(simnet.Message{
 				From: n.id, To: target, Kind: KindGetCommit,
 				Size: reqOverhead, Payload: getCommitMsg{Block: block},
@@ -652,7 +640,7 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 	if fresh == nil {
 		// Duplicate delivery, or a re-vote triggered by a share re-send
 		// racing the original vote: the first verdict stands.
-		n.metrics.DuplicateVotes.Inc()
+		n.pc.duplicateVotes.Inc()
 		return
 	}
 	pub := n.registry(v.Voter)
@@ -727,7 +715,7 @@ func (n *Node) verifyCommit(m commitMsg) error {
 func (n *Node) onCommit(m commitMsg) {
 	hash := m.Header.Hash()
 	if n.store.HasHeader(hash) {
-		n.metrics.DuplicateCommits.Inc()
+		n.pc.duplicateCommits.Inc()
 		return
 	}
 	if err := n.verifyCommit(m); err != nil {
@@ -744,7 +732,6 @@ func (n *Node) applyCommit(hash blockcrypto.Hash, m commitMsg) {
 	// Retain the certificate so lost commit announcements can be re-served
 	// to probing members (bounded by sweepStale).
 	n.commits[hash] = m
-	n.committed++
 	n.pc.commits.Inc()
 	n.tr.Point(n.rxSpan, "distribute", "commit", int64(n.id), 0, "")
 	for _, c := range n.pending[hash] {

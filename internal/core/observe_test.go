@@ -56,23 +56,18 @@ func TestStaleRoundResponseSkipsBookkeeping(t *testing.T) {
 	var got *chain.Block
 	var gotErr error
 	calls := 0
-	n.nextReq++
+	n.RetrieveBlock(sys.net, b.Hash(), func(bb *chain.Block, err error) { got, gotErr, calls = bb, err, calls+1 })
 	req := n.nextReq
-	st := &fetchState{
-		block:   b.Hash(),
-		chunks:  make(map[int]retrievedChunk),
-		timeout: fetchTimeout,
-		onBlock: func(bb *chain.Block, err error) { got, gotErr, calls = bb, err, calls+1 },
-		// Round 1 timed out; round 2 is in flight with one member still
-		// unanswered.
-		attempts:  2,
-		waiting:   1,
-		responded: map[simnet.NodeID]bool{},
+	st := n.fetches[req]
+	if st == nil {
+		t.Fatal("no fetch state")
 	}
-	n.fetches[req] = st
+	// Round 1 timed out; round 2 is in flight with one member still
+	// unanswered.
+	st.attempts, st.waiting, st.responded = 2, 1, map[simnet.NodeID]bool{}
 
 	// A slow, empty round-1 answer lands mid-round-2.
-	n.onBlockChunks(sys.net, members[1], blockChunksMsg{Block: b.Hash(), ReqID: req, Round: 1})
+	n.onBlockChunks(members[1], blockChunksMsg{Block: b.Hash(), ReqID: req, Round: 1})
 	if calls != 0 {
 		t.Fatalf("stale empty response terminated the retrieval (err=%v)", gotErr)
 	}
@@ -82,14 +77,14 @@ func TestStaleRoundResponseSkipsBookkeeping(t *testing.T) {
 	if len(st.responded) != 0 {
 		t.Fatal("stale response marked its sender as having answered the current round")
 	}
-	if v := n.metrics.StaleResponses.Value(); v != 1 {
-		t.Fatalf("StaleResponses=%d, want 1", v)
+	if v := sys.Registry().Counter("ici.retrieve.stale_responses").Value(); v != 1 {
+		t.Fatalf("ici.retrieve.stale_responses=%d, want 1", v)
 	}
 
 	// A stale answer that carries the full chunk set still completes the
 	// block.
 	chunks := clusterChunks(t, sys, 0, b)
-	n.onBlockChunks(sys.net, members[2], blockChunksMsg{
+	n.onBlockChunks(members[2], blockChunksMsg{
 		Block: b.Hash(), ReqID: req, Round: 1, Chunks: chunks,
 	})
 	if calls != 1 || gotErr != nil || got == nil {
@@ -153,8 +148,8 @@ func TestStaleNegativeChunkRespSkipsRingAdvance(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("stale negative terminated the fetch: err=%v", gotErr)
 	}
-	if v := n.metrics.StaleResponses.Value(); v != 1 {
-		t.Fatalf("StaleResponses=%d, want 1", v)
+	if v := sys.Registry().Counter("ici.retrieve.stale_responses").Value(); v != 1 {
+		t.Fatalf("ici.retrieve.stale_responses=%d, want 1", v)
 	}
 
 	// Live answers still drive the ring to its definitive end.
@@ -358,6 +353,40 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	if json1 != json2 {
 		t.Errorf("registry dumps differ:\n%s\n---\n%s", json1, json2)
 	}
+}
+
+// recoveryCounters names every registry counter of recovery work —
+// retries, timeouts, re-sends, probes, local read errors, and answers
+// dropped as duplicate or kept out of a round as stale. A failure-free run
+// leaves each at zero.
+var recoveryCounters = []string{
+	"ici.distribute.chunk_resends", "ici.distribute.commit_probes",
+	"ici.distribute.duplicate_chunks", "ici.distribute.duplicate_votes",
+	"ici.distribute.duplicate_commits",
+	"ici.retrieve.retries", "ici.retrieve.stale_responses",
+	"ici.retrieve.duplicate_responses", "ici.retrieve.local_chunk_errors",
+	"ici.retrieve.chunk_timeouts", "ici.retrieve.chunk_retries",
+	"ici.txquery.retries", "ici.txquery.stale_responses",
+	"ici.bootstrap.retries",
+}
+
+// recoveryWork returns the recovery counters of reg that are not zero. A
+// name the registry does not list fails the test, so a misspelt entry
+// cannot read as zero.
+func recoveryWork(t *testing.T, reg *metrics.Registry) map[string]float64 {
+	t.Helper()
+	snap := reg.Snapshot()
+	work := make(map[string]float64)
+	for _, name := range recoveryCounters {
+		v, ok := snap[name]
+		if !ok {
+			t.Fatalf("registry lists no counter %q", name)
+		}
+		if v != 0 {
+			work[name] = v
+		}
+	}
+	return work
 }
 
 // head returns the first n lines of s (test-failure output trimming).

@@ -9,6 +9,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/erasure"
+	"icistrategy/internal/metrics"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -25,13 +26,15 @@ func (n *Node) RetrieveBlock(net *simnet.Network, block blockcrypto.Hash, cb fun
 // retrieveBlock is RetrieveBlock under an explicit parent span (archival
 // retrieves blocks from inside its own span).
 func (n *Node) retrieveBlock(net *simnet.Network, block blockcrypto.Hash, parent trace.SpanID, cb func(*chain.Block, error)) {
-	if !n.store.HasHeader(block) {
+	hdr, err := n.store.Header(block)
+	if err != nil {
 		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
 		return
 	}
 	n.pc.retrievals.Inc()
 	n.startRetrieve(net, &fetchState{
 		block:   block,
+		hdr:     hdr,
 		onBlock: cb,
 		span:    n.tr.Start(parent, "retrieve", "retrieve", int64(n.id)),
 	})
@@ -48,12 +51,29 @@ func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
 	req := n.nextReq
 	n.fetches[req] = st
 	st.chunks = make(map[int]retrievedChunk)
-	st.timeout = fetchTimeout
+	st.round = round{
+		// Ask the union of the current members and the block's
+		// placement-epoch members: before a migration completes, pre-churn
+		// chunks still live on the epoch the block was written under, and
+		// asking only the current membership would miss them.
+		targets: func() []simnet.NodeID { return n.cluster.fetchMembers(st.hdr.Height, n.id) },
+		request: func(tag int) simnet.Message {
+			return simnet.Message{
+				Kind: KindGetBlockChunks, Size: reqOverhead, Span: st.span.Context(),
+				Payload: getBlockChunksMsg{Block: st.block, ReqID: req, Round: tag},
+			}
+		},
+		rounds:  n.pc.retrieveRounds,
+		retries: n.pc.retrieveRetries,
+		stale:   n.pc.staleResponses,
+		fail:    func() { n.failFetch(req, st, ErrRetrieveFailed) },
+		timeout: fetchTimeout,
+	}
 	chunks, bad := n.heldChunks(st.block)
-	n.metrics.LocalChunkErrors.Add(int64(bad))
+	n.pc.localErrors.Add(int64(bad))
 	st.merge(chunks)
 	if !n.tryFinishRetrieve(req, st) {
-		n.broadcastFetch(net, req, st)
+		n.broadcast(net, &st.round)
 	}
 }
 
@@ -75,86 +95,102 @@ func (st *fetchState) merge(chunks []retrievedChunk) {
 	}
 }
 
-// broadcastFetch issues one round of cluster-wide chunk requests for a
-// retrieval and arms its timeout. Timed-out rounds are retried with doubled
-// timeout up to maxFetchAttempts; a round every member answered without
-// completing the block is definitive and fails immediately.
-func (n *Node) broadcastFetch(net *simnet.Network, req uint64, st *fetchState) {
-	st.attempts++
-	st.waiting = 0
-	// Ask the union of the current members and the block's placement-epoch
-	// members: before a migration completes, pre-churn chunks still live
-	// on the epoch the block was written under, and asking only the
-	// current membership would miss them.
-	targets := others(n.id, n.cluster.Current().Members)
-	if hdr, err := n.store.Header(st.block); err == nil {
-		targets = n.cluster.fetchMembers(hdr.Height, n.id)
-	}
-	st.responded = make(map[simnet.NodeID]bool, len(targets))
-	n.pc.retrieveRounds.Inc()
+// round is a request that asks a set of members once per round — a
+// whole-block retrieval (live or archived), an inclusion query, a joiner's
+// header request — and the bookkeeping of its current round. Its caller
+// sets what every round sends and how the request fails, then calls
+// broadcast; answers go through answer.
+type round struct {
+	targets func() []simnet.NodeID       // whom to ask, re-read every round
+	request func(tag int) simnet.Message // the request of round tag; From and To are filled in
+	rounds  *metrics.Counter             // rounds issued
+	retries *metrics.Counter             // timed-out rounds asked again
+	stale   *metrics.Counter             // answers to a superseded round
+	fail    func()                       // ends the request with its caller's terminal error
+
+	attempts  int                    // rounds issued so far
+	waiting   int                    // targets yet to answer this round
+	responded map[simnet.NodeID]bool // targets that answered this round
+	timeout   time.Duration          // this round's timeout
+	done      bool
+}
+
+// broadcast sends one round of r's request to each of its targets and arms
+// the round's timeout. A timed-out round is asked again with a doubled
+// timeout, up to maxFetchAttempts; after the last one, or when there is no
+// one to ask, the request fails.
+func (n *Node) broadcast(net *simnet.Network, r *round) {
+	r.attempts++
+	targets := r.targets()
+	r.waiting = len(targets)
+	r.responded = make(map[simnet.NodeID]bool, len(targets))
+	r.rounds.Inc()
+	msg := r.request(r.attempts)
+	msg.From = n.id
 	for _, m := range targets {
-		st.waiting++
-		_ = net.Send(simnet.Message{
-			From: n.id, To: m, Kind: KindGetBlockChunks,
-			Size: reqOverhead, Span: st.span.Context(),
-			Payload: getBlockChunksMsg{Block: st.block, ReqID: req, Round: st.attempts},
-		})
+		msg.To = m
+		_ = net.Send(msg)
 	}
-	if st.waiting == 0 {
-		n.failFetch(req, st, ErrRetrieveFailed)
+	if r.waiting == 0 {
+		r.fail()
 		return
 	}
-	attempt := st.attempts
-	net.After(st.timeout, func() {
-		cur, ok := n.fetches[req]
-		if !ok || cur.done || cur.attempts != attempt {
+	attempt := r.attempts
+	net.After(r.timeout, func() {
+		if r.done || r.attempts != attempt {
 			return // finished, or a newer round superseded this timer
 		}
-		if cur.attempts >= maxFetchAttempts {
-			n.failFetch(req, cur, ErrRetrieveFailed)
+		if r.attempts >= maxFetchAttempts {
+			r.fail()
 			return
 		}
-		n.metrics.RetrieveRetries.Inc()
-		cur.timeout *= 2
-		n.broadcastFetch(net, req, cur)
+		r.retries.Inc()
+		r.timeout *= 2
+		n.broadcast(net, r)
 	})
 }
 
-// onBlockChunks consumes one member's contribution to a retrieval.
+// answer books one target's answer to round tag of r; merge folds the
+// answer's data into the request and reports whether that finished it.
 //
-// A response only participates in the current round's bookkeeping when its
-// Round tag matches: an answer to an earlier, timed-out round still merges
-// its chunk data (verified data speaks for itself, and it may complete the
-// block), but it must not mark the member as having answered the current
-// round — otherwise a slow round-1 answer arriving during round 2 can
-// drive waiting to zero with a member's round-2 answer still in flight and
-// fire the "every member answered" definitive failure prematurely.
-func (n *Node) onBlockChunks(net *simnet.Network, from simnet.NodeID, m blockChunksMsg) {
+// An answer to a superseded round still merges — verified data speaks for
+// itself, and it may finish the request — but it stays out of the current
+// round's bookkeeping: otherwise a slow round-1 answer arriving during
+// round 2 could mark its sender as answered with that sender's round-2
+// answer still in flight, and end the round early. A second answer to the
+// same round is dropped. Once every target has answered the current round
+// and the request is still open, the data is missing right now and asking
+// the same targets again cannot help: the request fails.
+func (n *Node) answer(r *round, from simnet.NodeID, tag int, merge func() bool) {
+	stale := tag != r.attempts
+	switch {
+	case stale:
+		r.stale.Inc()
+	case r.responded[from]:
+		n.pc.duplicates.Inc()
+		return
+	default:
+		r.responded[from] = true
+		r.waiting--
+	}
+	if merge() || stale {
+		return
+	}
+	if r.waiting == 0 {
+		r.fail()
+	}
+}
+
+// onBlockChunks consumes one member's contribution to a retrieval.
+func (n *Node) onBlockChunks(from simnet.NodeID, m blockChunksMsg) {
 	st, ok := n.fetches[m.ReqID]
 	if !ok || st.done || st.block != m.Block {
 		return
 	}
-	stale := m.Round != st.attempts
-	if stale {
-		n.metrics.StaleResponses.Inc()
-		n.pc.staleResponses.Inc()
-	} else if st.responded[from] {
-		n.metrics.DuplicateResponses.Inc()
-		return // duplicate delivery of a response already merged
-	} else {
-		st.responded[from] = true
-		st.waiting--
-	}
-	st.merge(m.Chunks)
-	if n.tryFinishRetrieve(m.ReqID, st) || stale {
-		return
-	}
-	if st.waiting == 0 {
-		// Every member answered the current round and the block is still
-		// incomplete: the data is genuinely missing right now; retrying the
-		// same members cannot help.
-		n.failFetch(m.ReqID, st, ErrRetrieveFailed)
-	}
+	n.answer(&st.round, from, m.Round, func() bool {
+		st.merge(m.Chunks)
+		return n.tryFinishRetrieve(m.ReqID, st)
+	})
 }
 
 // tryFinishRetrieve reassembles and verifies the block once the fetch holds
@@ -174,11 +210,7 @@ func (n *Node) tryFinishRetrieve(req uint64, st *fetchState) bool {
 	if groups == nil {
 		return false
 	}
-	hdr, err := n.store.Header(st.block)
-	if err != nil {
-		return fail(err)
-	}
-	b, _, err := Reassemble(hdr, groups)
+	b, _, err := Reassemble(st.hdr, groups)
 	if err != nil {
 		// Some member served corrupt, misplaced or misordered data.
 		return fail(fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
@@ -270,14 +302,12 @@ func (n *Node) finishFetchSpan(st *fetchState, bytes int64, err error) {
 
 // bootstrapState tracks a join in progress.
 type bootstrapState struct {
-	sponsor     simnet.NodeID
+	// round is the header request to the sponsor, done once its answer
+	// arrived: a duplicate headersMsg must not rerun the chunk-fetch
+	// fan-out.
+	round
 	outstanding int
 	failed      bool
-	// headersDone latches the header phase: a duplicate headersMsg must not
-	// rerun the chunk-fetch fan-out.
-	headersDone bool
-	attempts    int
-	timeout     time.Duration
 	cb          func(error)
 	// span covers the whole join: header sync plus every owned-chunk fetch.
 	span trace.Span
@@ -287,45 +317,27 @@ type bootstrapState struct {
 // only the chunks rendezvous placement assigns to this node under the
 // post-join membership. cb fires once with nil on success. The node must
 // already be registered in the network and present in the cluster's member
-// list (System.JoinCluster arranges both).
+// list (System.JoinCluster arranges both). A lost header request (or lost
+// reply) is asked again like any round; the chunk phase that follows has
+// its own per-fetch retry logic.
 func (n *Node) Bootstrap(net *simnet.Network, sponsor simnet.NodeID, cb func(error)) {
-	n.bootstrap = &bootstrapState{
-		sponsor: sponsor, timeout: fetchTimeout, cb: cb,
-		span: n.tr.Start(0, "bootstrap", "bootstrap", int64(n.id)),
+	bs := &bootstrapState{cb: cb, span: n.tr.Start(0, "bootstrap", "bootstrap", int64(n.id))}
+	bs.round = round{
+		targets: func() []simnet.NodeID { return []simnet.NodeID{sponsor} },
+		request: func(int) simnet.Message {
+			return simnet.Message{
+				Kind: KindGetHeaders, Size: reqOverhead,
+				Payload: getHeadersMsg{FromHeight: 0}, Span: bs.span.Context(),
+			}
+		},
+		rounds:  n.pc.headerRounds,
+		retries: n.pc.headerRetries,
+		fail:    func() { n.finishBootstrap(ErrBootstrapFailed) },
+		timeout: fetchTimeout,
 	}
+	n.bootstrap = bs
 	n.pc.bootstraps.Inc()
-	n.requestHeaders(net)
-}
-
-// requestHeaders sends one header request to the sponsor and arms its
-// timeout. Lost requests (or lost replies) are retried with doubled timeout
-// up to maxFetchAttempts; the chunk phase that follows has its own per-fetch
-// retry logic and needs no outer timer.
-func (n *Node) requestHeaders(net *simnet.Network) {
-	bs := n.bootstrap
-	if bs == nil || bs.headersDone {
-		return
-	}
-	bs.attempts++
-	attempt := bs.attempts
-	n.pc.headerRounds.Inc()
-	_ = net.Send(simnet.Message{
-		From: n.id, To: bs.sponsor, Kind: KindGetHeaders,
-		Size: reqOverhead, Payload: getHeadersMsg{FromHeight: 0}, Span: bs.span.Context(),
-	})
-	net.After(bs.timeout, func() {
-		cur := n.bootstrap
-		if cur == nil || cur.headersDone || cur.attempts != attempt {
-			return
-		}
-		if cur.attempts >= maxFetchAttempts {
-			n.finishBootstrap(ErrBootstrapFailed)
-			return
-		}
-		n.metrics.BootstrapRetries.Inc()
-		cur.timeout *= 2
-		n.requestHeaders(net)
-	})
+	n.broadcast(net, &bs.round)
 }
 
 // onHeaders continues the bootstrap: validate the header chain, then fetch
@@ -335,11 +347,11 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	if bs == nil {
 		return
 	}
-	if bs.headersDone {
-		n.metrics.DuplicateResponses.Inc()
+	if bs.done {
+		n.pc.duplicates.Inc()
 		return // duplicate delivery of the sponsor's answer
 	}
-	bs.headersDone = true
+	bs.done = true
 	// Validate linkage before trusting anything.
 	if err := chain.VerifyHeaderChain(m.Headers); err != nil {
 		n.finishBootstrap(fmt.Errorf("%w: %v", ErrBootstrapFailed, err))
@@ -414,7 +426,7 @@ func (n *Node) fetchChunk(net *simnet.Network, block blockcrypto.Hash, idx int, 
 		block:   block,
 		idx:     idx,
 		sources: sources,
-		timeout: fetchTimeout,
+		round:   round{timeout: fetchTimeout},
 		onChunk: cb,
 		span:    n.tr.Start(parent, proto, fmt.Sprintf("fetch-chunk[%d]", idx), int64(n.id)),
 	}
@@ -438,7 +450,7 @@ func (n *Node) sendChunkReq(net *simnet.Network, req uint64, st *fetchState) {
 		if !ok || cur.done || cur.attempts != attempt {
 			return // answered, or a later request superseded this timer
 		}
-		n.metrics.FetchTimeouts.Inc()
+		n.pc.chunkTimeouts.Inc()
 		cur.timedOut = true
 		n.advanceChunkSource(net, req, cur)
 	})
@@ -460,7 +472,7 @@ func (n *Node) advanceChunkSource(net *simnet.Network, req uint64, st *fetchStat
 		st.srcPos = 0
 		st.timedOut = false
 		st.timeout *= 2
-		n.metrics.FetchRetries.Inc()
+		n.pc.chunkRetries.Inc()
 	}
 	n.sendChunkReq(net, req, st)
 }
@@ -487,7 +499,6 @@ func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespM
 	// attempt would double-advance the ring past it before the live answer
 	// arrives.
 	if m.Attempt != st.attempts {
-		n.metrics.StaleResponses.Inc()
 		n.pc.staleResponses.Inc()
 		return
 	}
@@ -495,7 +506,7 @@ func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespM
 		n.advanceChunkSource(net, m.ReqID, st)
 		return
 	}
-	n.metrics.DuplicateResponses.Inc()
+	n.pc.duplicates.Inc()
 }
 
 // --- repair -------------------------------------------------------------------

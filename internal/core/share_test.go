@@ -110,8 +110,8 @@ func TestShareOneVotePerOwner(t *testing.T) {
 	if got := net.KindTraffic(KindCommit).Bytes; got != wantCommitBytes {
 		t.Errorf("commit traffic %d bytes, want %d (the certificate's votes at their own sizes)", got, wantCommitBytes)
 	}
-	if ms := sys.MetricsSnapshot(); ms != (MetricsSnapshot{}) {
-		t.Errorf("failure-free block recorded recovery work: %+v", ms)
+	if work := recoveryWork(t, sys.Registry()); len(work) != 0 {
+		t.Errorf("failure-free block recorded recovery work: %v", work)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestShareLostIsResentWhole(t *testing.T) {
 	if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.nodes[leader].metrics.ChunkResends.Value(); got != int64(len(share[victim])) {
+	if got := sys.Registry().Counter("ici.distribute.chunk_resends").Value(); got != int64(len(share[victim])) {
 		t.Errorf("leader re-sent %d chunks, want the victim's share of %d", got, len(share[victim]))
 	}
 	// The re-send, and whatever reassignment the same coverage check gave
@@ -228,8 +228,8 @@ func TestShareRejectedChunkIsReassigned(t *testing.T) {
 	if held != len(share[victim])-1 {
 		t.Errorf("victim holds %d of its %d chunks, want all but the one it rejected", held, len(share[victim]))
 	}
-	if ms := sys.MetricsSnapshot(); ms.ChunkResends != 0 {
-		t.Errorf("%d chunk re-sends: reassignment went through the coverage timer", ms.ChunkResends)
+	if got := sys.Registry().Counter("ici.distribute.chunk_resends").Value(); got != 0 {
+		t.Errorf("%d chunk re-sends: reassignment went through the coverage timer", got)
 	}
 }
 
@@ -376,8 +376,8 @@ func TestShareDuplicatesAreIdempotent(t *testing.T) {
 			}
 		}
 	}
-	if got := sys.MetricsSnapshot().DuplicateChunks; got != wantDupChunks {
-		t.Errorf("DuplicateChunks = %d, want every chunk of every remote share once = %d", got, wantDupChunks)
+	if got := sys.Registry().Counter("ici.distribute.duplicate_chunks").Value(); got != wantDupChunks {
+		t.Errorf("ici.distribute.duplicate_chunks = %d, want every chunk of every remote share once = %d", got, wantDupChunks)
 	}
 	if got := sys.Registry().Snapshot()["consensus.votes"]; got != float64(wantVotes) {
 		t.Errorf("consensus.votes = %v under duplicate delivery, want one per owner = %d", got, wantVotes)

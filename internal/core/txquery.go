@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
@@ -69,20 +68,19 @@ func (m txProofMsg) wireSize() int {
 
 // txQueryState tracks one in-flight inclusion query.
 type txQueryState struct {
-	block     blockcrypto.Hash
-	txID      blockcrypto.Hash
-	waiting   int
-	responded map[simnet.NodeID]bool
-	attempts  int
-	timeout   time.Duration
-	done      bool
-	cb        func(TxProof, error)
+	block blockcrypto.Hash
+	hdr   chain.Header // the block's stored header, which the proof must match
+	txID  blockcrypto.Hash
+	round
+	cb func(TxProof, error)
 }
 
 // QueryTxProof asks this node's cluster for an inclusion proof of txID in
 // the given block. The owners of whichever chunk contains the transaction
 // answer with the transaction, its stored Merkle proof, and the header; the
-// result is verified against the locally stored header before cb fires.
+// result is verified against the locally stored header before cb fires. A
+// round every member answered without producing the proof is a definitive
+// not-found.
 func (n *Node) QueryTxProof(net *simnet.Network, block, txID blockcrypto.Hash, cb func(TxProof, error)) {
 	hdr, err := n.store.Header(block)
 	if err != nil {
@@ -97,50 +95,30 @@ func (n *Node) QueryTxProof(net *simnet.Network, block, txID blockcrypto.Hash, c
 	}
 	n.nextReq++
 	req := n.nextReq
-	st := &txQueryState{block: block, txID: txID, timeout: fetchTimeout, cb: cb}
+	st := &txQueryState{block: block, hdr: hdr, txID: txID, cb: cb}
+	st.round = round{
+		targets: func() []simnet.NodeID { return others(n.id, n.cluster.Current().Members) },
+		request: func(tag int) simnet.Message {
+			return simnet.Message{
+				Kind: KindGetTxProof, Size: reqOverhead,
+				Payload: getTxProofMsg{Block: block, TxID: txID, ReqID: req, Round: tag},
+			}
+		},
+		rounds:  n.pc.txqueryRounds,
+		retries: n.pc.txqueryRetries,
+		stale:   n.pc.txqueryStale,
+		fail:    func() { n.endQuery(req, st, TxProof{}, ErrTxNotFound) },
+		timeout: fetchTimeout,
+	}
 	n.txQueries[req] = st
-	n.broadcastTxQuery(net, req, st)
+	n.broadcast(net, &st.round)
 }
 
-// broadcastTxQuery issues one round of cluster-wide proof requests and arms
-// its timeout; timed-out rounds are retried with doubled timeout up to
-// maxFetchAttempts. A round every member answered without producing the
-// proof is a definitive not-found.
-func (n *Node) broadcastTxQuery(net *simnet.Network, req uint64, st *txQueryState) {
-	st.attempts++
-	st.waiting = 0
-	st.responded = make(map[simnet.NodeID]bool, len(n.cluster.Current().Members))
-	for _, m := range n.cluster.Current().Members {
-		if m == n.id {
-			continue
-		}
-		st.waiting++
-		_ = net.Send(simnet.Message{
-			From: n.id, To: m, Kind: KindGetTxProof,
-			Size: reqOverhead, Payload: getTxProofMsg{Block: st.block, TxID: st.txID, ReqID: req, Round: st.attempts},
-		})
-	}
-	if st.waiting == 0 {
-		delete(n.txQueries, req)
-		st.cb(TxProof{}, ErrTxNotFound)
-		return
-	}
-	attempt := st.attempts
-	net.After(st.timeout, func() {
-		cur, ok := n.txQueries[req]
-		if !ok || cur.done || cur.attempts != attempt {
-			return
-		}
-		if cur.attempts >= maxFetchAttempts {
-			cur.done = true
-			delete(n.txQueries, req)
-			cur.cb(TxProof{}, ErrTxNotFound)
-			return
-		}
-		n.metrics.TxQueryRetries.Inc()
-		cur.timeout *= 2
-		n.broadcastTxQuery(net, req, cur)
-	})
+// endQuery fires a query's callback once and forgets the query.
+func (n *Node) endQuery(req uint64, st *txQueryState, proof TxProof, err error) {
+	st.done = true
+	delete(n.txQueries, req)
+	st.cb(proof, err)
 }
 
 // onGetTxProof serves an inclusion query from this node's stored chunks.
@@ -157,50 +135,22 @@ func (n *Node) onGetTxProof(net *simnet.Network, from simnet.NodeID, m getTxProo
 	})
 }
 
-// onTxProof consumes one member's answer to an inclusion query.
-//
-// Same stale-round discipline as onBlockChunks: an answer tagged with a
-// superseded round may still complete the query when it carries a verified
-// proof (data speaks for itself), but it must not mark the member as
-// having answered the current round or decrement waiting — otherwise a
-// slow round-1 negative arriving during round 2 can drive waiting to zero
-// and fire the definitive not-found while round-2 answers (possibly
-// positive) are still in flight.
-func (n *Node) onTxProof(net *simnet.Network, from simnet.NodeID, m txProofMsg) {
+// onTxProof consumes one member's answer to an inclusion query: a verified
+// proof finishes it, from whichever round.
+func (n *Node) onTxProof(from simnet.NodeID, m txProofMsg) {
 	st, ok := n.txQueries[m.ReqID]
 	if !ok || st.done || st.block != m.Block {
 		return
 	}
-	stale := m.Round != st.attempts
-	if stale {
-		n.metrics.StaleResponses.Inc()
-		n.pc.txqueryStale.Inc()
-	} else if st.responded[from] {
-		n.metrics.DuplicateResponses.Inc()
-		return
-	} else {
-		st.responded[from] = true
-		st.waiting--
-	}
-	req := m.ReqID
-	if m.Found && m.Tx != nil && m.Tx.ID() == st.txID {
-		hdr, err := n.store.Header(st.block)
-		if err == nil {
-			proof := TxProof{Tx: m.Tx, Header: hdr, Proof: m.Proof}
-			if proof.Verify() == nil {
-				st.done = true
-				delete(n.txQueries, req)
-				st.cb(proof, nil)
-				return
-			}
+	n.answer(&st.round, from, m.Round, func() bool {
+		if !m.Found || m.Tx == nil || m.Tx.ID() != st.txID {
+			return false
 		}
-	}
-	if stale {
-		return
-	}
-	if st.waiting == 0 {
-		st.done = true
-		delete(n.txQueries, req)
-		st.cb(TxProof{}, ErrTxNotFound)
-	}
+		proof := TxProof{Tx: m.Tx, Header: st.hdr, Proof: m.Proof}
+		if proof.Verify() != nil {
+			return false
+		}
+		n.endQuery(m.ReqID, st, proof, nil)
+		return true
+	})
 }

@@ -235,27 +235,32 @@ func TestStaleTxProofResponseSkipsBookkeeping(t *testing.T) {
 	members, _ := sys.ClusterMembers(0)
 	n := sys.nodes[members[0]]
 
-	tx := b.Txs[len(b.Txs)/2]
+	// A transaction outside the reader's chunks, so the query goes out.
+	i := len(b.Txs) / 2
+	for ; i < len(b.Txs); i++ {
+		if _, held := StoredTxProof(n.store, b.Hash(), b.Txs[i].ID()); !held {
+			break
+		}
+	}
+	if i == len(b.Txs) {
+		t.Skip("reader holds every transaction past the middle under this seed")
+	}
+	tx := b.Txs[i]
 	var got TxProof
 	var gotErr error
 	calls := 0
-	n.nextReq++
+	n.QueryTxProof(sys.net, b.Hash(), tx.ID(), func(p TxProof, err error) { got, gotErr, calls = p, err, calls+1 })
 	req := n.nextReq
-	st := &txQueryState{
-		block:   b.Hash(),
-		txID:    tx.ID(),
-		timeout: fetchTimeout,
-		cb:      func(p TxProof, err error) { got, gotErr, calls = p, err, calls+1 },
-		// Round 1 timed out; round 2 is in flight with one member still
-		// unanswered.
-		attempts:  2,
-		waiting:   1,
-		responded: map[simnet.NodeID]bool{},
+	st := n.txQueries[req]
+	if st == nil {
+		t.Fatal("no query state")
 	}
-	n.txQueries[req] = st
+	// Round 1 timed out; round 2 is in flight with one member still
+	// unanswered.
+	st.attempts, st.waiting, st.responded = 2, 1, map[simnet.NodeID]bool{}
 
 	// A slow round-1 "don't have it" lands mid-round-2.
-	n.onTxProof(sys.net, members[1], txProofMsg{Block: b.Hash(), ReqID: req, Round: 1})
+	n.onTxProof(members[1], txProofMsg{Block: b.Hash(), ReqID: req, Round: 1})
 	if calls != 0 {
 		t.Fatalf("stale negative terminated the query (err=%v)", gotErr)
 	}
@@ -265,8 +270,8 @@ func TestStaleTxProofResponseSkipsBookkeeping(t *testing.T) {
 	if len(st.responded) != 0 {
 		t.Fatal("stale response marked its sender as having answered the current round")
 	}
-	if v := n.metrics.StaleResponses.Value(); v != 1 {
-		t.Fatalf("StaleResponses=%d, want 1", v)
+	if v := sys.Registry().Counter("ici.txquery.stale_responses").Value(); v != 1 {
+		t.Fatalf("ici.txquery.stale_responses=%d, want 1", v)
 	}
 
 	// A stale answer that carries the verifiable proof still completes.
@@ -274,11 +279,11 @@ func TestStaleTxProofResponseSkipsBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := tree.Prove(len(b.Txs) / 2)
+	proof, err := tree.Prove(i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.onTxProof(sys.net, members[2], txProofMsg{
+	n.onTxProof(members[2], txProofMsg{
 		Block: b.Hash(), ReqID: req, Round: 1, Found: true, Tx: tx, Proof: proof,
 	})
 	if calls != 1 || gotErr != nil {
@@ -292,7 +297,7 @@ func TestStaleTxProofResponseSkipsBookkeeping(t *testing.T) {
 	}
 
 	// And once done, a further duplicate stale answer is inert.
-	n.onTxProof(sys.net, members[1], txProofMsg{Block: b.Hash(), ReqID: req, Round: 1})
+	n.onTxProof(members[1], txProofMsg{Block: b.Hash(), ReqID: req, Round: 1})
 	if calls != 1 {
 		t.Fatalf("callback double-fired: calls=%d", calls)
 	}

@@ -222,8 +222,7 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 	}
 }
 
-// dumpNodes renders every node's public key, fault-recovery counters and
-// store contents — headers by height, every chunk's bytes by content
+// dumpNodes renders every node's public key and store contents — headers by height, every chunk's bytes by content
 // address — in node-id order.
 func dumpNodes(t *testing.T, sys *System) string {
 	t.Helper()
@@ -239,8 +238,7 @@ func dumpNodes(t *testing.T, sys *System) string {
 		if len(key) == 0 {
 			t.Fatalf("node %d has no public key", id)
 		}
-		fmt.Fprintf(&sb, "node %d key=%x committed=%d metrics=%+v stats=%+v\n",
-			id, key, n.committed, n.metrics.Snapshot(), n.store.Stats())
+		fmt.Fprintf(&sb, "node %d key=%x stats=%+v\n", id, key, n.store.Stats())
 		for _, h := range n.store.Headers() {
 			hash := h.Hash()
 			fmt.Fprintf(&sb, "  header %d %x\n", h.Height, hash[:8])
@@ -259,8 +257,8 @@ func dumpNodes(t *testing.T, sys *System) string {
 
 // TestSeededRunIdenticalAcrossGOMAXPROCS runs one seeded System through
 // produce, retrieve, join, repair, archive and coded retrieval at one core
-// and at four: the span forest, the registry, and every node's key,
-// counters and store must be byte-identical, because the forked checks
+// and at four: the span forest, the registry, and every node's key and
+// store must be byte-identical, because the forked checks
 // touch nothing but the message they verify and the forked key derivations
 // write only their own node's slot.
 func TestSeededRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
@@ -281,7 +279,7 @@ func TestSeededRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		t.Errorf("registry dumps differ:\n%s\n---\n%s", reg1, reg4)
 	}
 	if nodes1 != nodes4 {
-		t.Errorf("node keys, metrics or stores differ:\n--- 1 ---\n%s\n--- 4 ---\n%s", head(nodes1, 60), head(nodes4, 60))
+		t.Errorf("node keys or stores differ:\n--- 1 ---\n%s\n--- 4 ---\n%s", head(nodes1, 60), head(nodes4, 60))
 	}
 	if !strings.Contains(nodes1, "chunk ") || !strings.Contains(tree1, "verify") {
 		t.Fatal("the run stored no chunk or traced no verification: nothing was compared")
@@ -291,7 +289,8 @@ func TestSeededRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // TestDuplicateCommitDroppedBeforeVerification delivers every message
 // twice: the second copy of a commit announcement finds the header stored,
 // is counted, and changes nothing — each node finalizes each block once and
-// the leader, which applies its own commit directly, counts none.
+// a leader, which applies its own commit directly, counts none for the
+// blocks it led.
 func TestDuplicateCommitDroppedBeforeVerification(t *testing.T) {
 	cfg := Config{Nodes: 16, Clusters: 2, Replication: 2, Seed: 23}
 	sys, gen := buildSystem(t, cfg)
@@ -303,28 +302,29 @@ func TestDuplicateCommitDroppedBeforeVerification(t *testing.T) {
 			t.Fatalf("block %d not committed everywhere under duplicate delivery", b.Header.Height)
 		}
 	}
+	// One duplicate per commit announcement received over the wire; a
+	// leader receives none for the blocks it led.
+	var want int64
 	for id, n := range sys.nodes {
-		if n.committed != blocks {
-			t.Errorf("node %d finalized %d blocks, want %d", id, n.committed, blocks)
+		if got := len(n.store.Headers()); got != blocks {
+			t.Errorf("node %d finalized %d blocks, want %d", id, got, blocks)
 		}
-		led := 0
+		want += blocks
 		for _, b := range produced {
 			if l, _ := n.cluster.leaderAt(b.Header.Height); l == id {
-				led++
+				want--
 			}
 		}
-		// One duplicate per commit announcement received over the wire; a
-		// leader receives none for the blocks it led.
-		if got, want := n.metrics.DuplicateCommits.Value(), int64(blocks-led); got != want {
-			t.Errorf("node %d (led %d blocks) counted %d duplicate commits, want %d", id, led, got, want)
-		}
+	}
+	if got := sys.Registry().Counter("ici.distribute.duplicate_commits").Value(); got != want {
+		t.Errorf("ici.distribute.duplicate_commits = %d, want one per commit received over the wire = %d", got, want)
 	}
 
 	// Without faults the counter stays at zero like every other one.
 	clean, gen2 := buildSystem(t, cfg)
 	produceAndSettle(t, clean, gen2, blocks, 16)
-	if ms := clean.MetricsSnapshot(); ms != (MetricsSnapshot{}) {
-		t.Fatalf("failure-free run recorded recovery work: %+v", ms)
+	if work := recoveryWork(t, clean.Registry()); len(work) != 0 {
+		t.Fatalf("failure-free run recorded recovery work: %v", work)
 	}
 }
 

@@ -176,9 +176,6 @@ func (e TraceEvent) String() string {
 // because long experiments would accumulate unbounded memory.
 func (n *Network) EnableTrace() { n.tracing = true }
 
-// Trace returns the recorded events (nil unless EnableTrace was called).
-func (n *Network) Trace() []TraceEvent { return n.trace }
-
 // TraceString renders the whole trace, one event per line — two runs are
 // identical iff their TraceStrings are byte-identical.
 func (n *Network) TraceString() string {
