@@ -1,5 +1,5 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# commands; keep the two in sync.
+# Developer entry points. CI (.github/workflows/ci.yml) calls the race,
+# lint, lint-selftest, bench-smoke and contest-stress targets by name.
 
 GO ?= go
 
@@ -13,6 +13,44 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, then the concurrent paths again:
+#
+# Write-path stress (netx fan-out, transfer workers, unlocked verification).
+# DistributeBlock runs one goroutine per member, bootstrap / resync /
+# retire / rejoin run transfer workers, and the server verifies chunks
+# outside its store lock, forking the shared group check inside each
+# handler: ten rounds on one and on two Ps, so both the interleaved and the
+# truly parallel schedules are raced. The sim-vs-TCP differential rides
+# along, and so does the one read path (netx.Gather: a plan's batches run
+# side by side): the planner's tests, RetrieveBlock against the sweep it
+# replaced with dead, slow, corrupting and shortening members, its
+# round-trip and byte budget, the stale-map retry, the bare first pass with
+# its proven re-read, and the server's store-to-frame encoder (its
+# allocation guard, corrupt-wire).
+#
+# Fork-join (par.Each, certificate checks, workload signing, seeded run at
+# 1 vs 4 cores, shares checked in flight). core.Group.Verify and
+# consensus.VerifyCertificate fork their signature checks through
+# internal/par, the workload generator forks its signing and key
+# derivations, and a leader starts each remote member's share check when it
+# sends the share (collected on delivery): the helper, the balanced k-means
+# cycle exit, the certificate differentials (one-chunk votes and votes over
+# shares), the generator's batched-vs-sequential stream test, the
+# GOMAXPROCS-1-vs-4 byte-identity run, and every core test that delivers
+# shares tampered with, corrupted, dropped or duplicated (the share protocol
+# tests and the in-flight verdict oracle, the Byzantine and tampering
+# leaders, the corrupter, exactly-once under faults) are raced five times
+# each on one, two and four Ps.
+#
+# Gateway caches and batcher (verified-only chunk cache, proofs from the
+# cached tree, coalescing, netx.Gather through the batcher). A block-cache
+# entry (block + Merkle tree) is read by every connection handler at once
+# and the chunk cache is filled only after reassembly verified: the
+# bad-chunk, local-proof and coalescing tests five times on one and on two
+# Ps, with the reads that drive netx.Gather through the batcher (its callers
+# make round trips themselves): dead, withholding, corrupting, shortening
+# and truncating members, the sound read that is sent no proof, and the
+# cold read's allocation count.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate'
@@ -54,7 +92,7 @@ bench:
 # module of its own, so `make test` does not reach it. bench-smoke runs its
 # tests and the same-seed determinism check at smoke scale, then every
 # testing.B of the main module for one iteration so they keep compiling and
-# running; CI's bench-module job runs the same three commands.
+# running; CI's bench-module job runs this target.
 bench-smoke:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -selfcheck -quick

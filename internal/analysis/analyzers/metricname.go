@@ -9,7 +9,7 @@ import (
 )
 
 // MetricName keeps the metrics namespace closed and greppable: every
-// counter/histogram registered on a metrics.Registry must use a
+// counter registered on a metrics.Registry must use a
 // compile-time-constant name in one of the repo's four namespaces, so the
 // Snapshot/JSON/CSV column set is stable across runs and a dashboard or CI
 // grep never misses a metric because its name was assembled at runtime.
@@ -40,7 +40,7 @@ func runMetricName(pass *analysis.Pass) error {
 				return true
 			}
 			fn := calleeFunc(pass.TypesInfo, call)
-			if fn == nil || (fn.Name() != "Counter" && fn.Name() != "Histogram") {
+			if fn == nil || fn.Name() != "Counter" {
 				return true
 			}
 			recv := recvNamed(fn)
@@ -51,7 +51,7 @@ func runMetricName(pass *analysis.Pass) error {
 			tv, ok := pass.TypesInfo.Types[arg]
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				pass.Reportf(arg.Pos(),
-					"metric name passed to Registry.%s must be a string literal or constant so Snapshot/CSV columns stay stable", fn.Name())
+					"metric name passed to Registry.Counter must be a string literal or constant so Snapshot/CSV columns stay stable")
 				return true
 			}
 			name := constant.StringVal(tv.Value)

@@ -1,5 +1,5 @@
 // Package metrics is a stub of the repo's metrics registry for the
-// metricname fixtures: the analyzer matches Registry.Counter/Histogram by
+// metricname fixtures: the analyzer matches Registry.Counter by
 // receiver type name and package name, so this stub stands in for
 // icistrategy/internal/metrics.
 package metrics
@@ -10,17 +10,8 @@ type Counter struct{}
 // Inc is a stub.
 func (c *Counter) Inc() {}
 
-// Histogram is a stub.
-type Histogram struct{}
-
-// Observe is a stub.
-func (h *Histogram) Observe(v float64) {}
-
 // Registry is a stub.
 type Registry struct{}
 
 // Counter is a stub get-or-create.
 func (r *Registry) Counter(name string) *Counter { return &Counter{} }
-
-// Histogram is a stub get-or-create.
-func (r *Registry) Histogram(name string) *Histogram { return &Histogram{} }

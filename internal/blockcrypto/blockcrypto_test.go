@@ -45,37 +45,6 @@ func TestZeroHash(t *testing.T) {
 	}
 }
 
-func TestParseHashRoundTrip(t *testing.T) {
-	h := Sum256([]byte("round trip"))
-	got, err := ParseHash(h.String())
-	if err != nil {
-		t.Fatalf("ParseHash(%q): %v", h.String(), err)
-	}
-	if got != h {
-		t.Fatalf("round trip mismatch: got %s want %s", got, h)
-	}
-}
-
-func TestParseHashErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"empty", ""},
-		{"odd length", "abc"},
-		{"not hex", "zz"},
-		{"too short", "deadbeef"},
-		{"too long", Sum256(nil).String() + "00"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseHash(tc.in); err == nil {
-				t.Fatalf("ParseHash(%q) succeeded, want error", tc.in)
-			}
-		})
-	}
-}
-
 func TestShortIsPrefix(t *testing.T) {
 	h := Sum256([]byte("prefix"))
 	if h.String()[:8] != h.Short() {
@@ -233,23 +202,6 @@ func TestRNGPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestRNGShufflePreservesMultiset(t *testing.T) {
-	r := NewRNG(31)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed multiset: sum %d -> %d", sum, got)
 	}
 }
 

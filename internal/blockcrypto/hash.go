@@ -72,17 +72,3 @@ func (h Hash) Short() string {
 func (h Hash) Uint64() uint64 {
 	return binary.BigEndian.Uint64(h[:8])
 }
-
-// ParseHash decodes a 64-character hex string into a Hash.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, err
-	}
-	if len(b) != HashSize {
-		return h, errInvalidHashLength(len(b))
-	}
-	copy(h[:], b)
-	return h, nil
-}

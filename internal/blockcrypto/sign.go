@@ -4,7 +4,6 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // Signature and key sizes, re-exported so callers never import crypto/ed25519
@@ -21,12 +20,6 @@ var (
 	// ErrBadKeyLength is returned when key material has the wrong size.
 	ErrBadKeyLength = errors.New("blockcrypto: invalid key length")
 )
-
-type errInvalidHashLength int
-
-func (e errInvalidHashLength) Error() string {
-	return fmt.Sprintf("blockcrypto: invalid hash length %d, want %d", int(e), HashSize)
-}
 
 // KeyPair is an Ed25519 signing key pair.
 type KeyPair struct {

@@ -203,8 +203,8 @@ func DecodeBlock(data []byte) (*Block, error) {
 }
 
 // VerifyShape checks the block's internal consistency: non-empty body,
-// TxCount agreement, and Merkle root matching the body. It does not touch
-// ledger state.
+// TxCount agreement, and Merkle root matching the body. It does not check
+// balances or nonces.
 func (b *Block) VerifyShape() error {
 	_, err := b.VerifiedTree()
 	return err

@@ -69,51 +69,3 @@ func TestDecodeBlockBitFlips(t *testing.T) {
 		}
 	}
 }
-
-// TestLedgerRandomWorkloadInvariants drives a ledger with a random but
-// well-formed workload and checks the global invariants: balances never
-// negative (enforced by construction of uint64 + checks), total supply
-// never increases, nonces strictly sequential.
-func TestLedgerRandomWorkloadInvariants(t *testing.T) {
-	rng := blockcrypto.NewRNG(31415)
-	l, keys, ids := ledgerFixture(t, 8, 1000)
-	supply := l.TotalSupply()
-	nonces := make([]uint64, len(ids))
-	prev := blockcrypto.ZeroHash
-	for h := uint64(0); h < 30; h++ {
-		n := rng.Intn(5) + 1
-		txs := make([]*Transaction, 0, n)
-		for i := 0; i < n; i++ {
-			from := rng.Intn(len(ids))
-			to := (from + 1 + rng.Intn(len(ids)-1)) % len(ids)
-			amount := uint64(rng.Intn(20)) + 1
-			// Keep the sender solvent through the whole block: at most 5
-			// txs of at most 21 units each can draw on the same pre-block
-			// balance.
-			if l.Account(ids[from]).Balance < amount+1+21*5 {
-				continue
-			}
-			tx := signedTransfer(keys, ids, from, to, amount, nonces[from])
-			nonces[from]++
-			txs = append(txs, tx)
-		}
-		if len(txs) == 0 {
-			continue
-		}
-		b := mustBlock(t, l.Height(), prev, txs)
-		if err := l.ApplyBlock(b); err != nil {
-			t.Fatalf("height %d: %v", h, err)
-		}
-		prev = b.Hash()
-		if s := l.TotalSupply(); s > supply {
-			t.Fatalf("supply grew: %d -> %d", supply, s)
-		} else {
-			supply = s
-		}
-		for i, id := range ids {
-			if got := l.Account(id).Nonce; got != nonces[i] {
-				t.Fatalf("account %d nonce %d, expected %d", i, got, nonces[i])
-			}
-		}
-	}
-}

@@ -1,7 +1,6 @@
 // Package chain implements the blockchain data model used by every storage
 // strategy in this repository: signed transactions, Merkle trees with
-// membership proofs, blocks, and an account-based ledger with full
-// validation. The encodings are deterministic, length-prefixed binary so that
+// membership proofs, and blocks. The encodings are deterministic, length-prefixed binary so that
 // hashes and storage accounting are stable across runs.
 package chain
 

@@ -176,7 +176,7 @@ func (n *Node) onArchiveShare(_ *simnet.Network, m archiveShareMsg) {
 		if chk, err := n.store.Chunk(id); err == nil && chk.CodedK > 0 {
 			continue
 		}
-		_ = n.store.DeleteChunk(id) // nothing pins a chunk in the simulator
+		n.store.DeleteChunk(id)
 	}
 	for i, share := range m.Shares {
 		c := storage.NewChunk(storage.ChunkID{Block: m.Block, Index: i}, share)

@@ -130,11 +130,14 @@ type getCommitMsg struct {
 // getHeadersMsg asks a sponsor for all headers above FromHeight.
 type getHeadersMsg struct {
 	FromHeight uint64
+	ReqID      uint64
 }
 
-// headersMsg returns the sponsor's headers in chain order.
+// headersMsg returns the sponsor's headers in chain order, tagged with the
+// request it answers.
 type headersMsg struct {
 	Headers []chain.Header
+	ReqID   uint64
 }
 
 func (m headersMsg) wireSize() int { return len(m.Headers) * chain.HeaderSize }

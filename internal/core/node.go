@@ -804,7 +804,7 @@ func (n *Node) onGetHeaders(net *simnet.Network, from simnet.NodeID, m getHeader
 			out = append(out, h)
 		}
 	}
-	resp := headersMsg{Headers: out}
+	resp := headersMsg{Headers: out, ReqID: m.ReqID}
 	_ = net.Send(simnet.Message{
 		From: n.id, To: from, Kind: KindHeaders,
 		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,

@@ -306,6 +306,7 @@ type bootstrapState struct {
 	// arrived: a duplicate headersMsg must not rerun the chunk-fetch
 	// fan-out.
 	round
+	req         uint64 // the header request's id, echoed by its answer
 	outstanding int
 	failed      bool
 	cb          func(error)
@@ -319,20 +320,24 @@ type bootstrapState struct {
 // already be registered in the network and present in the cluster's member
 // list (System.JoinCluster arranges both). A lost header request (or lost
 // reply) is asked again like any round; the chunk phase that follows has
-// its own per-fetch retry logic.
+// its own per-fetch retry logic. A bootstrap still running when the next
+// one starts (the node was removed or left and rejoined) is replaced:
+// neither its answers nor its failures reach its successor, and its cb
+// never fires.
 func (n *Node) Bootstrap(net *simnet.Network, sponsor simnet.NodeID, cb func(error)) {
-	bs := &bootstrapState{cb: cb, span: n.tr.Start(0, "bootstrap", "bootstrap", int64(n.id))}
+	n.nextReq++
+	bs := &bootstrapState{req: n.nextReq, cb: cb, span: n.tr.Start(0, "bootstrap", "bootstrap", int64(n.id))}
 	bs.round = round{
 		targets: func() []simnet.NodeID { return []simnet.NodeID{sponsor} },
 		request: func(int) simnet.Message {
 			return simnet.Message{
 				Kind: KindGetHeaders, Size: reqOverhead,
-				Payload: getHeadersMsg{FromHeight: 0}, Span: bs.span.Context(),
+				Payload: getHeadersMsg{FromHeight: 0, ReqID: bs.req}, Span: bs.span.Context(),
 			}
 		},
 		rounds:  n.pc.headerRounds,
 		retries: n.pc.headerRetries,
-		fail:    func() { n.finishBootstrap(ErrBootstrapFailed) },
+		fail:    func() { n.finishBootstrap(bs, ErrBootstrapFailed) },
 		timeout: fetchTimeout,
 	}
 	n.bootstrap = bs
@@ -344,8 +349,8 @@ func (n *Node) Bootstrap(net *simnet.Network, sponsor simnet.NodeID, cb func(err
 // owned chunks.
 func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	bs := n.bootstrap
-	if bs == nil {
-		return
+	if bs == nil || bs.req != m.ReqID {
+		return // no bootstrap, or the answer to one a newer one replaced
 	}
 	if bs.done {
 		n.pc.duplicates.Inc()
@@ -354,7 +359,7 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	bs.done = true
 	// Validate linkage before trusting anything.
 	if err := chain.VerifyHeaderChain(m.Headers); err != nil {
-		n.finishBootstrap(fmt.Errorf("%w: %v", ErrBootstrapFailed, err))
+		n.finishBootstrap(bs, fmt.Errorf("%w: %v", ErrBootstrapFailed, err))
 		return
 	}
 	for _, h := range m.Headers {
@@ -378,33 +383,33 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 				bs.outstanding--
 				if bs.outstanding == 0 {
 					if bs.failed {
-						n.finishBootstrap(ErrBootstrapFailed)
+						n.finishBootstrap(bs, ErrBootstrapFailed)
 					} else {
-						n.finishBootstrap(nil)
+						n.finishBootstrap(bs, nil)
 					}
 				}
 			})
 		}
 	}
 	if bs.outstanding == 0 {
-		n.finishBootstrap(nil)
+		n.finishBootstrap(bs, nil)
 	}
 }
 
-func (n *Node) finishBootstrap(err error) {
-	if n.bootstrap == nil || n.bootstrap.cb == nil {
+// finishBootstrap ends bs with err. It does nothing unless bs is the node's
+// current bootstrap: one already ended, or replaced by a newer Bootstrap,
+// has no say over the node's state.
+func (n *Node) finishBootstrap(bs *bootstrapState, err error) {
+	if n.bootstrap != bs {
 		return
 	}
-	bs := n.bootstrap
-	cb := bs.cb
-	bs.cb = nil
 	n.bootstrap = nil
 	if err != nil {
 		n.pc.bootstrapFailed.Inc()
 	}
 	bs.span.SetErr(err)
 	bs.span.End()
-	cb(err)
+	bs.cb(err)
 }
 
 // fetchChunk requests one chunk, trying sources in order until one serves a

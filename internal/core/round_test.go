@@ -90,3 +90,57 @@ func TestRoundScheduleWithEveryTargetDown(t *testing.T) {
 		})
 	}
 }
+
+// TestReplacedBootstrapCannotEndItsSuccessor starts a node's bootstrap and
+// replaces it with a second one before the first ends, as a node removed
+// mid-bootstrap and rejoined does. The second asks a sponsor that is down,
+// so it must fail alone, once, when its own last round times out 210 s
+// after it started; the first's callback never fires. Neither a late
+// answer to the first (its sponsor is live) nor the first's last timeout
+// (its sponsor is down too) may end the second.
+func TestReplacedBootstrapCannotEndItsSuccessor(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		firstIsLive bool
+		replaceAt   time.Duration
+	}{
+		{"late answer to the first", true, 0},
+		{"last timeout of the first", false, time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, gen := buildSystem(t, Config{Nodes: 12, Clusters: 2, Replication: 2, Seed: 98})
+			produceAndSettle(t, sys, gen, 2, 12)
+			members, _ := sys.ClusterMembers(0)
+			n, live, dead := sys.nodes[members[0]], members[1], members[2]
+			if err := sys.FailNode(dead); err != nil {
+				t.Fatal(err)
+			}
+			first := dead
+			if tc.firstIsLive {
+				first = live
+			}
+			net := sys.Network()
+			t0 := net.Now()
+			var calls []string
+			n.Bootstrap(net, first, func(err error) { calls = append(calls, "first") })
+			var at time.Duration
+			var gotErr error
+			net.After(tc.replaceAt, func() {
+				n.Bootstrap(net, dead, func(err error) {
+					calls = append(calls, "second")
+					at, gotErr = net.Now()-t0, err
+				})
+			})
+			net.RunUntilIdle()
+
+			want := tc.replaceAt + 210*time.Second
+			if len(calls) != 1 || calls[0] != "second" || at != want || !errors.Is(gotErr, ErrBootstrapFailed) {
+				t.Fatalf("callbacks %v, the second's at %v with %v; want the second's alone, at %v with %v",
+					calls, at, gotErr, want, ErrBootstrapFailed)
+			}
+			if n.Bootstrapping() {
+				t.Fatal("the node is still bootstrapping")
+			}
+		})
+	}
+}

@@ -23,6 +23,10 @@ var (
 	ErrUnknownNodeID  = errors.New("core: unknown node")
 )
 
+// sideMillis is the side of the latency square nodes are placed in when
+// Config.Coords is nil.
+const sideMillis = 60
+
 // Config parameterizes an ICIStrategy deployment.
 type Config struct {
 	// Nodes is the initial network size.
@@ -37,15 +41,9 @@ type Config struct {
 	// Seed drives every random decision; identical seeds give identical
 	// runs.
 	Seed uint64
-	// SideMillis is the size of the latency square nodes are placed in
-	// (default 60 ms).
-	SideMillis float64
 	// Coords overrides node placement (len must equal Nodes); nil means
-	// uniform random placement in the SideMillis square.
+	// uniform random placement in a sideMillis square.
 	Coords []simnet.Coord
-	// Latency overrides the network latency model (default the standard
-	// LinkModel seeded from Seed).
-	Latency simnet.LatencyModel
 	// UplinkBytesPerSec, when positive, serializes each node's outgoing
 	// transmissions at this rate (see simnet.SetUplinkBandwidth).
 	UplinkBytesPerSec float64
@@ -61,9 +59,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Method == 0 {
 		c.Method = cluster.BalancedKMeans
-	}
-	if c.SideMillis == 0 {
-		c.SideMillis = 60
 	}
 	if c.Replication == 0 {
 		c.Replication = 1
@@ -112,7 +107,7 @@ func NewSystem(cfg Config) (*System, error) {
 	rng := blockcrypto.NewRNG(cfg.Seed)
 	coords := cfg.Coords
 	if coords == nil {
-		coords = simnet.RandomCoords(cfg.Nodes, cfg.SideMillis, rng.Fork("coords"))
+		coords = simnet.RandomCoords(cfg.Nodes, sideMillis, rng.Fork("coords"))
 	} else if len(coords) != cfg.Nodes {
 		return nil, fmt.Errorf("%w: %d coords for %d nodes", ErrBadConfig, len(coords), cfg.Nodes)
 	}
@@ -126,11 +121,7 @@ func NewSystem(cfg Config) (*System, error) {
 				ErrBadConfig, cfg.Replication, c, asg.Size(c))
 		}
 	}
-	latency := cfg.Latency
-	if latency == nil {
-		latency = simnet.NewLinkModel(rng.Fork("latency").Uint64())
-	}
-	net := simnet.New(latency)
+	net := simnet.New(simnet.NewLinkModel(rng.Fork("latency").Uint64()))
 	if cfg.UplinkBytesPerSec > 0 {
 		net.SetUplinkBandwidth(cfg.UplinkBytesPerSec)
 	}

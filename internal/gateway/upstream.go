@@ -57,20 +57,21 @@ type Upstream interface {
 // writers used (core.EpochMap) and a local header index kept fresh by
 // incremental header syncs.
 //
-// Membership is epoch-versioned: the upstream starts from the constructor
-// roster as epoch 0 and adopts any newer cluster map published to the
-// servers (see netx.SetClusterMap). Blocks resolve their placement against
-// the epoch they were written under, so reads of pre-churn history keep
-// working after members join or retire. The peer roster is append-only —
-// a member keeps its peer number across refreshes and rejoins.
+// Membership is epoch-versioned: the upstream reads the netx.Cluster's map,
+// which starts from the constructor roster as epoch 0 and takes any newer
+// cluster map published to the servers (see netx.SetClusterMap). Blocks
+// resolve their placement against the epoch they were written under, so
+// reads of pre-churn history keep working after members join or retire.
+// The peer roster is append-only — an address is numbered the first time a
+// map lists it and keeps its number across refreshes and rejoins.
 type ClusterUpstream struct {
 	replication int
 	cl          *netx.Cluster
 
-	mu     sync.Mutex
-	roster []string       // peer number -> address; append-only
-	peerOf map[string]int // address -> peer number
-	epochs core.EpochMap
+	mu       sync.Mutex
+	roster   []string       // peer number -> address; append-only
+	peerOf   map[string]int // address -> peer number
+	numbered int            // epochs in the map whose addresses peerOf holds
 
 	hmu        sync.Mutex
 	headers    map[blockcrypto.Hash]chain.Header
@@ -92,7 +93,7 @@ func NewClusterUpstream(addrs []string, replication int) (*ClusterUpstream, erro
 		peerOf:      make(map[string]int),
 		headers:     make(map[blockcrypto.Hash]chain.Header),
 	}
-	u.adopt(cl.Map())
+	u.number(cl.Map())
 	return u, nil
 }
 
@@ -109,36 +110,38 @@ func (u *ClusterUpstream) Parts(block blockcrypto.Hash) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.epochs.At(hdr.Height).Members), nil
+	return len(u.cl.Map().At(hdr.Height).Members), nil
 }
 
-// Owners implements Upstream: the chunk's holders under the map held
+// Owners implements Upstream: the chunk's holders under the cluster's map
 // (core.EpochMap.Holders), as peer numbers.
 func (u *ClusterUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error) {
 	hdr, err := u.Header(block)
 	if err != nil {
 		return nil, err
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	holders, err := u.epochs.Holders(block.Uint64(), idx, u.replication, hdr.Height)
+	m := u.cl.Map()
+	holders, err := m.Holders(block.Uint64(), idx, u.replication, hdr.Height)
 	if err != nil {
 		return nil, err
 	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.number(m)
 	out := make([]int, len(holders))
 	for i, id := range holders {
-		out[i] = u.peerOf[u.epochs.Addr(id)]
+		out[i] = u.peerOf[m.Addr(id)]
 	}
 	return out, nil
 }
 
 // Peers implements Upstream: the newest epoch's members by peer number.
 func (u *ClusterUpstream) Peers() []int {
+	m := u.cl.Map()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	addrs := u.epochs.Current().Addrs
+	u.number(m)
+	addrs := m.Current().Addrs
 	out := make([]int, len(addrs))
 	for i, addr := range addrs {
 		out[i] = u.peerOf[addr]
@@ -146,18 +149,12 @@ func (u *ClusterUpstream) Peers() []int {
 	return out
 }
 
-// Refresh implements Upstream: have the cluster poll every member it knows
-// of for a newer valid map and adopt it, growing the append-only roster with
-// any member not yet numbered. Returns true when membership advanced — the
-// caller's cue to retry a read that missed under the stale map.
-func (u *ClusterUpstream) Refresh() bool { return u.adopt(u.cl.CurrentMap()) }
-
-// adopt installs m if it is newer than the map held.
-func (u *ClusterUpstream) adopt(m core.EpochMap) bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if !m.Newer(u.epochs) {
-		return false // nothing newer, or raced with another refresher
+// number gives every address of m that has none yet the next peer number,
+// in map order. A newer map is a longer one, so the addresses are walked
+// only when the epoch count moves. The caller holds u.mu.
+func (u *ClusterUpstream) number(m core.EpochMap) {
+	if len(m) == u.numbered {
+		return
 	}
 	for _, e := range m {
 		for _, addr := range e.Addrs {
@@ -167,8 +164,16 @@ func (u *ClusterUpstream) adopt(m core.EpochMap) bool {
 			}
 		}
 	}
-	u.epochs = m
-	return true
+	u.numbered = len(m)
+}
+
+// Refresh implements Upstream: have the cluster poll every member it knows
+// of for a newer valid map and keep it. Returns true when membership
+// advanced — the caller's cue to retry a read that missed under the stale
+// map.
+func (u *ClusterUpstream) Refresh() bool {
+	before := u.cl.Map()
+	return u.cl.CurrentMap().Newer(before)
 }
 
 // client returns the cluster's cached connection to peer and its address.

@@ -9,26 +9,20 @@ import (
 
 // Registry names and enumerates metrics so every component dumps a
 // consistent snapshot instead of ad-hoc struct fields. Names are dotted
-// paths by convention ("ici.retrieve.rounds", "consensus.votes");
-// Counter/Histogram get-or-create, so independent instrumentation sites
-// sharing a name share the instrument.
+// paths by convention ("ici.retrieve.rounds", "consensus.votes"); Counter
+// is get-or-create, so independent instrumentation sites sharing a name
+// share the counter.
 //
-// Registry's own maps are safe for concurrent use, and the Counters it
-// hands out are atomic. Histograms are NOT concurrency-safe (see
-// Histogram); concurrent paths must observe into them under their own
-// serialization, as the simulator's single-threaded event loop does.
+// Registry is safe for concurrent use, and the Counters it hands out are
+// atomic.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		histograms: make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the named counter, creating it on first use. A nil
@@ -48,58 +42,17 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Histogram returns the named histogram, creating it on first use. A nil
-// registry returns a throwaway histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return &Histogram{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Names enumerates every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns every counter value and histogram summary keyed by name
-// — the stable map the JSON dump and experiment tables are built from.
-// Histogram entries expand to name.count/name.mean/name.p95/name.max.
+// Snapshot returns every counter value keyed by name — the stable map the
+// JSON dump and experiment tables are built from.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+4*len(r.histograms))
+	out := make(map[string]float64, len(r.counters))
 	for n, c := range r.counters {
 		out[n] = float64(c.Value())
-	}
-	for n, h := range r.histograms {
-		out[n+".count"] = float64(h.Count())
-		out[n+".mean"] = h.Mean()
-		out[n+".p95"] = h.Percentile(95)
-		out[n+".max"] = h.Max()
 	}
 	return out
 }
@@ -123,20 +76,4 @@ func (r *Registry) JSON() string {
 	}
 	b.WriteString("\n}\n")
 	return b.String()
-}
-
-// Table renders the registry as a two-column metrics table, for experiment
-// summaries.
-func (r *Registry) Table(title string) *Table {
-	t := NewTable(title, "metric", "value")
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t.AddRow(n, snap[n])
-	}
-	return t
 }

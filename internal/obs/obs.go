@@ -99,14 +99,6 @@ func (f *Flags) PprofAddr() string { return f.pprofBound }
 // Registry returns the run's counter registry (never nil after Setup).
 func (f *Flags) Registry() *metrics.Registry { return f.reg }
 
-// Events returns the recorded trace events (nil when tracing is off).
-func (f *Flags) Events() []trace.Event {
-	if f.ring == nil {
-		return nil
-	}
-	return f.ring.Events()
-}
-
 // Finish writes the end-of-run artifacts to w: the per-phase trace summary
 // (and optionally the span tree), then the counter dump. summarize renders
 // the events into the printed summary; commands pass a closure over

@@ -40,8 +40,8 @@ func TestDisabledByDefault(t *testing.T) {
 	if f.Registry() == nil {
 		t.Error("registry must always exist")
 	}
-	if f.Events() != nil {
-		t.Error("no events without a ring")
+	if f.ring != nil {
+		t.Error("no trace ring without -trace")
 	}
 	var out strings.Builder
 	if err := f.Finish(&out, nil); err != nil {
@@ -63,7 +63,7 @@ func TestTraceClockAdvances(t *testing.T) {
 	sp := f.Tracer().Start(0, "netx", "op", -1)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	evs := f.Events()
+	evs := f.ring.Events()
 	if len(evs) != 1 || evs[0].End <= evs[0].Start {
 		t.Fatalf("-trace clock did not advance: %+v", evs)
 	}
@@ -83,7 +83,7 @@ func TestFinishWritesSummaryTreeAndMetrics(t *testing.T) {
 	sp.End()
 	f.Registry().Counter("demo.ops").Inc()
 
-	if n := len(f.Events()); n == 0 {
+	if n := len(f.ring.Events()); n == 0 {
 		t.Fatal("no events recorded")
 	}
 	var out strings.Builder

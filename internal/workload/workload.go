@@ -1,8 +1,8 @@
 // Package workload generates the synthetic transaction streams the
-// experiments run: seeded account populations, uniform or Zipfian sender
-// popularity, Bitcoin-like transaction sizes, and a block packer that
-// respects the ledger's nonce discipline. Identical seeds produce identical
-// workloads, so every experiment is reproducible.
+// experiments run: seeded account populations, uniformly chosen senders,
+// Bitcoin-like transaction sizes, and a block packer whose senders' nonces
+// run 0, 1, 2, ... Identical seeds produce identical workloads, so every
+// experiment is reproducible.
 package workload
 
 import (
@@ -28,8 +28,6 @@ type Config struct {
 	// (a signed transfer is ~210 bytes of framing; 40 bytes of payload
 	// lands at the classic ~250-byte average).
 	PayloadBytes int
-	// ZipfS is the Zipf exponent for sender selection; 0 means uniform.
-	ZipfS float64
 	// Seed drives account keys and all sampling.
 	Seed uint64
 }
@@ -42,7 +40,6 @@ type Generator struct {
 	ids    []chain.AccountID
 	nonces []uint64
 	rng    *blockcrypto.RNG
-	zipf   []float64 // cumulative distribution when ZipfS > 0
 }
 
 // NewGenerator builds a workload generator and the funded account set.
@@ -50,7 +47,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Accounts < 2 {
 		return nil, ErrNoAccounts
 	}
-	if cfg.PayloadBytes < 0 || cfg.ZipfS < 0 {
+	if cfg.PayloadBytes < 0 {
 		return nil, ErrBadParams
 	}
 	g := &Generator{
@@ -64,31 +61,12 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.keys[i] = blockcrypto.DeriveKeyPair(cfg.Seed^0xACC0FFEE, uint64(i))
 		g.ids[i] = blockcrypto.PublicKeyHash(g.keys[i].Public)
 	})
-	if cfg.ZipfS > 0 {
-		g.zipf = zipfCDF(cfg.Accounts, cfg.ZipfS)
-	}
 	return g, nil
 }
 
 // Accounts returns the account IDs of the population.
 func (g *Generator) Accounts() []chain.AccountID {
 	return append([]chain.AccountID(nil), g.ids...)
-}
-
-// FundAll credits every account on the ledger with the given balance;
-// call once before applying generated blocks.
-func (g *Generator) FundAll(l *chain.Ledger, balance uint64) {
-	for _, id := range g.ids {
-		l.Credit(id, balance)
-	}
-}
-
-// pickSender samples a sender index by the configured popularity law.
-func (g *Generator) pickSender() int {
-	if g.zipf == nil {
-		return g.rng.Intn(len(g.ids))
-	}
-	return sampleCDF(g.zipf, g.rng.Float64())
 }
 
 // NextTx produces one signed transaction with correct nonce sequencing.
@@ -116,7 +94,7 @@ func (g *Generator) NextTxs(n int) []*chain.Transaction {
 // draw takes the next transaction's random fields and nonce from the
 // stream and returns it unsigned, with the sender key that must sign it.
 func (g *Generator) draw() (*chain.Transaction, blockcrypto.KeyPair) {
-	from := g.pickSender()
+	from := g.rng.Intn(len(g.ids))
 	to := g.rng.Intn(len(g.ids) - 1)
 	if to >= from {
 		to++

@@ -54,34 +54,6 @@ func TestSampleCDFMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestPickSenderSequenceStable locks the seeded pick sequence: the
-// refactor from an inline search to the shared sampler must be
-// byte-identical, so the transactions (and therefore every block hash built
-// from them) of existing seeded experiments are unchanged.
-func TestPickSenderSequenceStable(t *testing.T) {
-	mk := func() *Generator {
-		g, err := NewGenerator(Config{Accounts: 64, PayloadBytes: 8, ZipfS: 1.1, Seed: 99})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 5_000; i++ {
-		if ai, bi := a.pickSender(), b.pickSender(); ai != bi {
-			t.Fatalf("draw %d diverged: %d vs %d", i, ai, bi)
-		}
-	}
-	// And the full transaction stream is reproducible.
-	a2, b2 := mk(), mk()
-	for i := 0; i < 200; i++ {
-		ta, tb := a2.NextTx(), b2.NextTx()
-		if ta.ID() != tb.ID() {
-			t.Fatalf("tx %d diverged", i)
-		}
-	}
-}
-
 func TestZipfPicker(t *testing.T) {
 	if _, err := NewZipfPicker(0, 1, 1); err == nil {
 		t.Fatal("accepted zero keys")
