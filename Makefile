@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-selftest fmt vet bench bench-smoke bench-all bench-compare sim contest contest-stress loc
+.PHONY: all build test race lint lint-selftest fmt vet bench-smoke bench-all bench-compare sim contest contest-stress loc
 
 all: build test lint
 
@@ -84,9 +84,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-bench:
-	$(GO) test -run=NONE -bench 'Erasure' -benchtime 200ms .
 
 # The repository's one benchmark (bench/README.md, BENCHMARK.json) is a Go
 # module of its own, so `make test` does not reach it. bench-smoke runs its

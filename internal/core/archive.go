@@ -119,7 +119,7 @@ func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archive
 			done(fmt.Errorf("archive %s: %w", block.Short(), err))
 			return
 		}
-		code, err := erasure.Cached(info.k, info.total-info.k)
+		code, err := erasure.New(info.k, info.total-info.k)
 		if err != nil {
 			done(err)
 			return

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"icistrategy/internal/chain"
+	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
 
@@ -224,5 +225,72 @@ func TestTxQueryAfterArchiveFindsNothingCoded(t *testing.T) {
 	}
 	if !errors.Is(gotErr, ErrTxNotFound) {
 		t.Fatalf("got %v, want ErrTxNotFound", gotErr)
+	}
+}
+
+// TestRepairAfterArchiveLosesNothing removes a member of a cluster that
+// archived a block and repairs it. Repair re-establishes replicated chunks
+// only: the archived block has none, so nothing is fetched for it and
+// nothing is lost, while the invariant oracle and the coded read keep
+// rebuilding it from the remaining shares.
+func TestRepairAfterArchiveLosesNothing(t *testing.T) {
+	sys, blocks, target := archiveFixture(t, 30, 4)
+	members, _ := sys.ClusterMembers(0)
+	holdsAll := func(stage string) {
+		t.Helper()
+		for _, b := range blocks {
+			if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+		}
+	}
+	holdsAll("after archive")
+	if err := sys.RemoveNode(members[3]); err != nil {
+		t.Fatal(err)
+	}
+	lost := -1
+	if err := sys.RepairCluster(0, func(l int) { lost = l }); err != nil {
+		t.Fatal(err)
+	}
+	sys.Network().RunUntilIdle()
+	if lost != 0 {
+		t.Fatalf("repair lost %d chunks", lost)
+	}
+	if n := sys.Registry().Counter("ici.repair.lost").Value(); n != 0 {
+		t.Fatalf("ici.repair.lost = %d", n)
+	}
+	holdsAll("after repair")
+	reader, _ := sys.Node(members[0])
+	var got *chain.Block
+	var gotErr error
+	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+		got, gotErr = b, err
+	})
+	sys.Network().RunUntilIdle()
+	if gotErr != nil {
+		t.Fatalf("coded read after repair: %v", gotErr)
+	}
+	if got.Hash() != target.Hash() {
+		t.Fatal("coded read returned the wrong block")
+	}
+}
+
+// TestJoinAfterArchiveBootstraps joins a node to a cluster that archived a
+// block: the joiner takes in the replicated chunks it owns and fetches
+// nothing for the archived block, so the bootstrap completes.
+func TestJoinAfterArchiveBootstraps(t *testing.T) {
+	sys, blocks, _ := archiveFixture(t, 30, 4)
+	joinErr := errors.New("join never completed")
+	if err := sys.JoinCluster(0, func(_ simnet.NodeID, err error) { joinErr = err }); err != nil {
+		t.Fatal(err)
+	}
+	sys.Network().RunUntilIdle()
+	if joinErr != nil {
+		t.Fatalf("join: %v", joinErr)
+	}
+	for _, b := range blocks {
+		if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -224,10 +224,7 @@ func (n *Node) tryFinishRetrieve(req uint64, st *fetchState) bool {
 
 // groups returns the block's groups in order once enough chunks are present,
 // nil while more are needed: every group of a live block, or any k shares
-// of an archived one, whose rebuilt body is the block's one group. The
-// codec comes from the shared registry: this runs on every share arrival,
-// and re-deriving the systematic matrix per response used to dominate the
-// coded read path.
+// of an archived one, whose rebuilt body is the block's one group.
 func (st *fetchState) groups() ([]Group, error) {
 	if st.codedK == 0 {
 		if st.parts == 0 || len(st.chunks) < st.parts {
@@ -242,7 +239,7 @@ func (st *fetchState) groups() ([]Group, error) {
 	if len(st.chunks) < st.codedK {
 		return nil, nil
 	}
-	code, err := erasure.Cached(st.codedK, st.parts-st.codedK)
+	code, err := erasure.New(st.codedK, st.parts-st.codedK)
 	if err != nil {
 		return nil, err
 	}
@@ -369,6 +366,9 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	// cluster map carries the join's epoch); one nobody else could serve is
 	// skipped.
 	for _, h := range m.Headers {
+		if _, archived := n.cluster.archivedInfo(h.Hash()); archived {
+			continue // coded shares are placed by archival, not by the replicated layout
+		}
 		moves, _ := n.cluster.MovesTo(h.Hash(), h.Height, n.id, n.replication) // unplaceable: nothing to take in
 		for _, mv := range moves {
 			if len(mv.From) == 0 {
@@ -536,6 +536,9 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 	var wants []want
 	for _, h := range n.store.Headers() {
 		block := h.Hash()
+		if _, archived := n.cluster.archivedInfo(block); archived {
+			continue // coded shares are placed by archival, not by the replicated layout
+		}
 		// The store's per-block index answers "which chunks of this block do
 		// I hold" in one lookup; a block whose every part is already local
 		// is not planned at all.

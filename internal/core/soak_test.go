@@ -24,9 +24,6 @@ func TestSoakMixedLifecycle(t *testing.T) {
 		t.Helper()
 		for _, b := range blocks {
 			for c := 0; c < sys.NumClusters(); c++ {
-				if _, archived := sys.clusters[c].archivedInfo(b.Hash()); archived {
-					continue // verified via reconstruction read below
-				}
 				if err := sys.ClusterHoldsBlock(c, b.Hash()); err != nil {
 					t.Fatalf("%s: %v", stage, err)
 				}

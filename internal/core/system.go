@@ -339,13 +339,17 @@ func (s *System) AllCommitted(block blockcrypto.Hash) bool {
 
 // ClusterHoldsBlock verifies the intra-cluster integrity invariant for one
 // block: the union of the cluster members' chunk stores reassembles the
-// block body exactly (Merkle root check included).
+// block body exactly (Merkle root check included). An archived block is
+// rebuilt from its coded shares.
 func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 	if c < 0 || c >= len(s.clusters) {
 		return fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
 	var hdr *chain.Header
 	held := fetchState{chunks: make(map[int]retrievedChunk)}
+	if info, archived := s.clusters[c].archivedInfo(block); archived {
+		held.parts, held.codedK = info.total, info.k
+	}
 	for _, m := range s.clusters[c].Current().Members {
 		node := s.nodes[m]
 		if h, err := node.store.Header(block); err == nil && hdr == nil {
@@ -357,7 +361,10 @@ func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 	if hdr == nil {
 		return fmt.Errorf("cluster %d: %w", c, ErrUnknownBlock)
 	}
-	groups, _ := held.groups() // a live gather has nothing to fail on
+	groups, err := held.groups()
+	if err != nil {
+		return fmt.Errorf("cluster %d: rebuild of %s: %w", c, block.Short(), err)
+	}
 	if groups == nil {
 		return fmt.Errorf("cluster %d: holds %d of %d chunks of %s", c, len(held.chunks), held.parts, block.Short())
 	}

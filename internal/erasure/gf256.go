@@ -69,8 +69,8 @@ func gfPow(base byte, power int) byte {
 	return gfExp[p]
 }
 
-// mulSlice computes out[i] ^= c * in[i] for all i, the inner loop of both
-// encoding and decoding.
+// mulSliceXor computes out[i] ^= c * in[i] for all i, the inner loop of
+// encoding, decoding and the matrix arithmetic.
 func mulSliceXor(c byte, in, out []byte) {
 	if c == 0 {
 		return
@@ -83,116 +83,88 @@ func mulSliceXor(c byte, in, out []byte) {
 	}
 }
 
-// matrix is a dense GF(256) matrix, row-major.
-type matrix struct {
-	rows, cols int
-	data       []byte
+// codeRow computes one output shard as the coefficient-weighted sum of the
+// input shards: out = Σ_j coeffs[j]·inputs[j].
+func codeRow(coeffs []byte, inputs [][]byte, out []byte) {
+	clear(out)
+	for j, in := range inputs {
+		mulSliceXor(coeffs[j], in, out)
+	}
 }
 
-func newMatrix(rows, cols int) *matrix {
-	return &matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
-}
+// matrix is a GF(256) matrix, one slice per row.
+type matrix [][]byte
 
-func (m *matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
-func (m *matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
-
-// row returns a mutable view of row r; Gaussian elimination swaps and
-// scales rows in place through it, so the aliasing is the point.
-func (m *matrix) row(r int) []byte { return m.data[r*m.cols : (r+1)*m.cols] } //icilint:allow chunkalias(mutable row view for in-place elimination)
-
-// identity returns the n x n identity matrix.
-func identityMatrix(n int) *matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.set(i, i, 1)
+func newMatrix(rows, cols int) matrix {
+	m := make(matrix, rows)
+	for r := range m {
+		m[r] = make([]byte, cols)
 	}
 	return m
 }
 
 // vandermonde builds the rows x cols matrix with entry (r,c) = r^c.
 // Any cols distinct rows of it are linearly independent.
-func vandermonde(rows, cols int) *matrix {
+func vandermonde(rows, cols int) matrix {
 	m := newMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			m.set(r, c, gfPow(byte(r), c))
+	for r := range m {
+		for c := range m[r] {
+			m[r][c] = gfPow(byte(r), c)
 		}
 	}
 	return m
 }
 
 // mul returns m * other.
-func (m *matrix) mul(other *matrix) *matrix {
-	out := newMatrix(m.rows, other.cols)
-	for r := 0; r < m.rows; r++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.at(r, k)
-			if a == 0 {
-				continue
-			}
-			mulSliceXor(a, other.row(k), out.row(r))
-		}
+func (m matrix) mul(other matrix) matrix {
+	out := newMatrix(len(m), len(other[0]))
+	for r, row := range m {
+		codeRow(row, other, out[r])
+	}
+	return out
+}
+
+// rows returns the matrix formed by the given rows of m, sharing them.
+func (m matrix) rows(idx []int) matrix {
+	out := make(matrix, len(idx))
+	for i, r := range idx {
+		out[i] = m[r]
 	}
 	return out
 }
 
 // invert returns the inverse via Gauss-Jordan elimination, or false if m is
 // singular. m must be square.
-func (m *matrix) invert() (*matrix, bool) {
-	n := m.rows
+func (m matrix) invert() (matrix, bool) {
+	n := len(m)
 	work := newMatrix(n, 2*n)
-	for r := 0; r < n; r++ {
-		copy(work.row(r)[:n], m.row(r))
-		work.set(r, n+r, 1)
+	for r, row := range work {
+		copy(row, m[r])
+		row[n+r] = 1
 	}
 	for col := 0; col < n; col++ {
-		// find pivot
-		pivot := -1
-		for r := col; r < n; r++ {
-			if work.at(r, col) != 0 {
-				pivot = r
-				break
-			}
+		pivot := col
+		for pivot < n && work[pivot][col] == 0 {
+			pivot++
 		}
-		if pivot < 0 {
+		if pivot == n {
 			return nil, false
 		}
-		if pivot != col {
-			pr, cr := work.row(pivot), work.row(col)
-			for i := range pr {
-				pr[i], cr[i] = cr[i], pr[i]
-			}
-		}
-		// scale pivot row to 1
-		inv := gfInv(work.at(col, col))
-		rowC := work.row(col)
+		work[pivot], work[col] = work[col], work[pivot]
+		// scale the pivot row to 1, then eliminate the column everywhere else
+		rowC := work[col]
+		inv := gfInv(rowC[col])
 		for i := range rowC {
 			rowC[i] = gfMul(rowC[i], inv)
 		}
-		// eliminate the column everywhere else
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
+		for r, row := range work {
+			if r != col {
+				mulSliceXor(row[col], rowC, row)
 			}
-			factor := work.at(r, col)
-			if factor == 0 {
-				continue
-			}
-			mulSliceXor(factor, rowC, work.row(r))
 		}
 	}
-	out := newMatrix(n, n)
-	for r := 0; r < n; r++ {
-		copy(out.row(r), work.row(r)[n:])
+	for r, row := range work {
+		work[r] = row[n:]
 	}
-	return out, true
-}
-
-// subMatrix returns the matrix formed by the given rows.
-func (m *matrix) subMatrixRows(rows []int) *matrix {
-	out := newMatrix(len(rows), m.cols)
-	for i, r := range rows {
-		copy(out.row(i), m.row(r))
-	}
-	return out
+	return work, true
 }

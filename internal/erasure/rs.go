@@ -22,33 +22,23 @@ var (
 // multiplying with the inverse of its top k x k block, so row i < k emits
 // data shard i unchanged.
 //
-// A Code is safe for concurrent use by multiple goroutines (the encode
-// matrix is immutable and the decode-matrix cache is internally locked), so
-// one instance per (k, m) — see Cached — serves a whole process.
+// A Code is immutable after New, so it is safe for concurrent use.
 type Code struct {
 	dataShards   int
 	parityShards int
 	// encode holds the full (k+m) x k systematic matrix.
-	encode *matrix
-	// decode caches inverted decode submatrices per present-row set.
-	decode decodeCache
+	encode matrix
 }
 
 // New creates a code with the given shard counts. k must be >= 1, m >= 0,
-// and k+m <= 256 (the field size). Callers that do not need a private
-// instance should prefer Cached, which shares one Code per shape.
+// and k+m <= 256 (the field size).
 func New(dataShards, parityShards int) (*Code, error) {
 	if dataShards < 1 || parityShards < 0 || dataShards+parityShards > 256 {
 		return nil, fmt.Errorf("%w: k=%d m=%d", ErrBadShardCounts, dataShards, parityShards)
 	}
 	total := dataShards + parityShards
 	vm := vandermonde(total, dataShards)
-	topRows := make([]int, dataShards)
-	for i := range topRows {
-		topRows[i] = i
-	}
-	top := vm.subMatrixRows(topRows)
-	topInv, ok := top.invert()
+	topInv, ok := vm[:dataShards].invert()
 	if !ok {
 		// Vandermonde top blocks are always invertible; this is unreachable
 		// but kept as a guard against table corruption.
@@ -82,41 +72,9 @@ func (c *Code) Encode(shards [][]byte) error {
 	if err != nil {
 		return err
 	}
-	data := shards[:c.dataShards]
 	for i := c.dataShards; i < len(shards); i++ {
 		shards[i] = shardBuffer(shards[i], size)
-	}
-	tasks := rowTasks(c.parityShards, size)
-	runRowTasks(tasks, func(t rowTask) {
-		out := shards[c.dataShards+t.row]
-		codeRowRange(c.encode.row(c.dataShards+t.row), data, out, t.lo, t.hi)
-	})
-	return nil
-}
-
-// EncodeScalarReference recomputes parity with the pre-kernel
-// byte-at-a-time GF(2^8) path (log/exp lookups per byte, no tables, no
-// parallelism). It exists as the reference for differential tests and as
-// the benchmark baseline the kernel speedups are measured against; outputs
-// are byte-identical to Encode.
-func (c *Code) EncodeScalarReference(shards [][]byte) error {
-	if len(shards) != c.TotalShards() {
-		return fmt.Errorf("%w: got %d want %d", ErrShardCount, len(shards), c.TotalShards())
-	}
-	size, err := checkDataShards(shards[:c.dataShards])
-	if err != nil {
-		return err
-	}
-	for i := c.dataShards; i < len(shards); i++ {
-		if len(shards[i]) != size {
-			shards[i] = make([]byte, size)
-		} else {
-			clear(shards[i])
-		}
-		row := c.encode.row(i)
-		for j := 0; j < c.dataShards; j++ {
-			mulSliceXor(row[j], shards[j], shards[i])
-		}
+		codeRow(c.encode[i], shards[:c.dataShards], shards[i])
 	}
 	return nil
 }
@@ -152,11 +110,6 @@ func checkDataShards(data [][]byte) (int, error) {
 // equal size; a present shard of any other length is reported as
 // ErrShardSizeMismatch — never silently resized or clobbered. On success
 // every slot is populated and the data shards equal the originals.
-//
-// The inverted decode matrix for each distinct loss pattern is cached, so
-// repeated Reconstruct calls with the same present-row set (the common case:
-// one failed node erases the same shard index for every block it held) skip
-// Gaussian elimination entirely.
 func (c *Code) Reconstruct(shards [][]byte) error {
 	if len(shards) != c.TotalShards() {
 		return fmt.Errorf("%w: got %d want %d", ErrShardCount, len(shards), c.TotalShards())
@@ -186,62 +139,27 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	}
 	if len(missingData) > 0 {
 		rows := present[:c.dataShards]
-		inv, err := c.decodeMatrix(rows)
-		if err != nil {
-			return err
+		inv, ok := c.encode.rows(rows).invert()
+		if !ok {
+			return errors.New("erasure: decode matrix singular")
 		}
 		inputs := make([][]byte, c.dataShards)
 		for j, src := range rows {
 			inputs[j] = shards[src]
 		}
-		outs := make([][]byte, len(missingData))
-		for oi, i := range missingData {
-			outs[oi] = shardBuffer(shards[i], size)
-		}
-		runRowTasks(rowTasks(len(missingData), size), func(t rowTask) {
-			codeRowRange(inv.row(missingData[t.row]), inputs, outs[t.row], t.lo, t.hi)
-		})
-		for oi, i := range missingData {
-			shards[i] = outs[oi]
+		for _, i := range missingData {
+			shards[i] = shardBuffer(shards[i], size)
+			codeRow(inv[i], inputs, shards[i])
 		}
 	}
 	// Recompute any missing parity from the (now complete) data shards.
-	var missingParity []int
 	for i := c.dataShards; i < len(shards); i++ {
 		if len(shards[i]) == 0 {
-			missingParity = append(missingParity, i)
-		}
-	}
-	if len(missingParity) > 0 {
-		data := shards[:c.dataShards]
-		outs := make([][]byte, len(missingParity))
-		for oi, i := range missingParity {
-			outs[oi] = shardBuffer(shards[i], size)
-		}
-		runRowTasks(rowTasks(len(missingParity), size), func(t rowTask) {
-			codeRowRange(c.encode.row(missingParity[t.row]), data, outs[t.row], t.lo, t.hi)
-		})
-		for oi, i := range missingParity {
-			shards[i] = outs[oi]
+			shards[i] = shardBuffer(shards[i], size)
+			codeRow(c.encode[i], shards[:c.dataShards], shards[i])
 		}
 	}
 	return nil
-}
-
-// decodeMatrix returns the inverse of the encode submatrix for the given
-// present rows, from the cache when the loss pattern has been seen before.
-func (c *Code) decodeMatrix(rows []int) (*matrix, error) {
-	key := decodeKey(rows)
-	if inv := c.decode.get(key); inv != nil {
-		return inv, nil
-	}
-	sub := c.encode.subMatrixRows(rows)
-	inv, ok := sub.invert()
-	if !ok {
-		return nil, errors.New("erasure: decode matrix singular")
-	}
-	c.decode.put(key, inv)
-	return inv, nil
 }
 
 // Verify recomputes parity from the data shards and reports whether every
@@ -259,7 +177,7 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 		if len(shards[i]) != size {
 			return false, ErrShardSizeMismatch
 		}
-		codeRow(c.encode.row(i), shards[:c.dataShards], buf)
+		codeRow(c.encode[i], shards[:c.dataShards], buf)
 		if !bytes.Equal(buf, shards[i]) {
 			return false, nil
 		}

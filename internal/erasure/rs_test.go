@@ -2,6 +2,8 @@ package erasure
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -73,37 +75,43 @@ func TestGFPow(t *testing.T) {
 	}
 }
 
+// isIdentity reports whether m is the identity matrix.
+func isIdentity(m matrix) bool {
+	for r, row := range m {
+		for c, v := range row {
+			want := byte(0)
+			if r == c {
+				want = 1
+			}
+			if v != want {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestMatrixInvertIdentity(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 16} {
-		id := identityMatrix(n)
+		id := newMatrix(n, n)
+		for i := range id {
+			id[i][i] = 1
+		}
 		inv, ok := id.invert()
 		if !ok {
 			t.Fatalf("identity(%d) reported singular", n)
 		}
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				want := byte(0)
-				if r == c {
-					want = 1
-				}
-				if inv.at(r, c) != want {
-					t.Fatalf("inv(identity) not identity at (%d,%d)", r, c)
-				}
-			}
+		if len(inv) != n || !isIdentity(inv) {
+			t.Fatalf("inv(identity(%d)) is not the identity", n)
 		}
 	}
 }
 
 func TestMatrixInvertSingular(t *testing.T) {
-	m := newMatrix(2, 2) // all zeros
-	if _, ok := m.invert(); ok {
+	if _, ok := newMatrix(2, 2).invert(); ok { // all zeros
 		t.Fatal("zero matrix inverted")
 	}
-	m.set(0, 0, 1)
-	m.set(0, 1, 1)
-	m.set(1, 0, 1)
-	m.set(1, 1, 1) // rank 1
-	if _, ok := m.invert(); ok {
+	if _, ok := (matrix{{1, 1}, {1, 1}}).invert(); ok { // rank 1
 		t.Fatal("rank-1 matrix inverted")
 	}
 }
@@ -113,24 +121,24 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := rng.Intn(8) + 1
 		m := newMatrix(n, n)
-		for i := range m.data {
-			m.data[i] = byte(rng.Intn(256))
+		for _, row := range m {
+			copy(row, randBytes(rng, n))
+		}
+		orig := newMatrix(n, n)
+		for r := range m {
+			copy(orig[r], m[r])
 		}
 		inv, ok := m.invert()
 		if !ok {
 			continue // random singular matrix; skip
 		}
-		prod := m.mul(inv)
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				want := byte(0)
-				if r == c {
-					want = 1
-				}
-				if prod.at(r, c) != want {
-					t.Fatalf("m * m^-1 != I at (%d,%d)", r, c)
-				}
+		for r := range m {
+			if !bytes.Equal(m[r], orig[r]) {
+				t.Fatal("invert modified its receiver")
 			}
+		}
+		if !isIdentity(m.mul(inv)) {
+			t.Fatalf("m * m^-1 != I for n=%d", n)
 		}
 	}
 }
@@ -352,6 +360,169 @@ func TestCodeAccessors(t *testing.T) {
 	if c.DataShards() != 16 || c.ParityShards() != 4 || c.TotalShards() != 20 {
 		t.Fatalf("accessors: %d %d %d", c.DataShards(), c.ParityShards(), c.TotalShards())
 	}
+}
+
+// TestSplitMatchesParentShares is a known-answer test: SHA-256 digests of
+// Split's shares, and of the shares Reconstruct rebuilds after a fixed loss,
+// for deterministic payloads of odd length. Archived blocks are stored as
+// these shares, so a digest that moves means stored bytes changed.
+func TestSplitMatchesParentShares(t *testing.T) {
+	cases := []struct {
+		k, m, size int
+		lost       []int
+		split      string // digest of every share of Split, in order
+		rebuilt    string // digest of the lost shares after Reconstruct
+	}{
+		{1, 1, 1, []int{0},
+			"b4f3b0aa51c911eb6af840f4ae18312f16ca3eb54181c1513883a3980d7a1f12",
+			"f4c9b02771220de12cb0ba2a2282acf171567d4bd7a4c89ead4b7d745c2b4742"},
+		{4, 2, 37, []int{0, 3},
+			"a6023a14859f1f62467ce433332f6ddef1d6282ba5c51e071186ed3d05d639f3",
+			"ccbe415b888357855b37f3f82f0fe58956185a0a237911e66db7b5fcfb6554f8"},
+		{10, 6, 1001, []int{1, 2, 5, 7, 11, 15},
+			"3831a7619c3d877c6dbba15578dd7bf56f299105cac7139583125fd9572d9b87",
+			"dd78b2d2c802379165ec42dda3493aade6b1e7836874f4e737a74bc0916f3e14"},
+		{14, 2, 40961, []int{0, 13},
+			"65b85ac74124f343c2e84758961155e06bd133eef06f2205c85b7cc945485917",
+			"2a6c36bac4bd8497baec7418e7b895905d8632c9e325551a440780bd789c0dd3"},
+	}
+	digest := func(shards [][]byte) string {
+		h := sha256.New()
+		for _, s := range shards {
+			h.Write(s)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, tc := range cases {
+		c, err := New(tc.k, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, tc.size)
+		for i := range payload {
+			payload[i] = byte(i*131 + 7)
+		}
+		shards, err := c.Split(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(shards); got != tc.split {
+			t.Errorf("RS(%d,%d) %d bytes: Split digest %s, want %s", tc.k, tc.m, tc.size, got, tc.split)
+		}
+		for _, i := range tc.lost {
+			shards[i] = nil
+		}
+		if err := c.Reconstruct(shards); err != nil {
+			t.Fatalf("RS(%d,%d) lost %v: %v", tc.k, tc.m, tc.lost, err)
+		}
+		rebuilt := make([][]byte, len(tc.lost))
+		for j, i := range tc.lost {
+			rebuilt[j] = shards[i]
+		}
+		if got := digest(rebuilt); got != tc.rebuilt {
+			t.Errorf("RS(%d,%d) lost %v: rebuilt digest %s, want %s", tc.k, tc.m, tc.lost, got, tc.rebuilt)
+		}
+	}
+}
+
+// TestReconstructMatchesEncodeAcrossSizes erases every shard in turn across
+// the size sweep and checks bit-exact recovery.
+func TestReconstructMatchesEncodeAcrossSizes(t *testing.T) {
+	const k, m = 5, 3
+	c, err := New(k, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := blockcrypto.NewRNG(0xCAFE)
+	for _, size := range diffSizes {
+		if size == 0 {
+			continue
+		}
+		shards := make([][]byte, k+m)
+		for i := 0; i < k; i++ {
+			shards[i] = randBytes(rng, size)
+		}
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		orig := make([][]byte, len(shards))
+		for i := range shards {
+			orig[i] = append([]byte(nil), shards[i]...)
+		}
+		for lost := 0; lost < k+m; lost++ {
+			work := make([][]byte, len(orig))
+			for i := range orig {
+				if i != lost {
+					work[i] = append([]byte(nil), orig[i]...)
+				}
+			}
+			if err := c.Reconstruct(work); err != nil {
+				t.Fatalf("size=%d lost=%d: %v", size, lost, err)
+			}
+			if !bytes.Equal(work[lost], orig[lost]) {
+				t.Fatalf("size=%d lost=%d: recovered shard differs", size, lost)
+			}
+		}
+	}
+}
+
+// TestReconstructReportsWrongLengthShards pins the bugfix: a non-empty
+// shard whose length disagrees with the others must be reported, never
+// silently resized or clobbered.
+func TestReconstructReportsWrongLengthShards(t *testing.T) {
+	c, err := New(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := c.Split(bytes.Repeat([]byte{7}, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wrong-length parity shard alongside complete data.
+	work := make([][]byte, len(orig))
+	copy(work, orig)
+	bad := []byte{1, 2, 3}
+	work[4] = bad
+	if err := c.Reconstruct(work); err == nil {
+		t.Fatal("wrong-length parity shard accepted")
+	}
+	if len(work[4]) != 3 || &work[4][0] != &bad[0] {
+		t.Fatal("caller's parity slice was clobbered while reporting the error")
+	}
+	// Wrong-length data shard.
+	work = make([][]byte, len(orig))
+	copy(work, orig)
+	work[1] = []byte{9}
+	if err := c.Reconstruct(work); err == nil {
+		t.Fatal("wrong-length data shard accepted")
+	}
+	// Zero-length shard with capacity is treated as missing and its backing
+	// array reused.
+	work = make([][]byte, len(orig))
+	copy(work, orig)
+	buf := make([]byte, 0, len(orig[0]))
+	work[0] = buf
+	if err := c.Reconstruct(work); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(work[0], orig[0]) {
+		t.Fatal("reconstruction into reused buffer is wrong")
+	}
+	if &work[0][0] != &buf[:1][0] {
+		t.Fatal("capacity-bearing empty shard was not reused")
+	}
+}
+
+// diffSizes is the shard-size sweep: empty, one byte, lengths around small
+// powers of two, plus large odd sizes.
+var diffSizes = []int{0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 95, 127, 128, 255, 1000, 4096, 65537}
+
+func randBytes(rng *blockcrypto.RNG, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.Intn(256))
+	}
+	return b
 }
 
 func BenchmarkEncode16x4_64KB(b *testing.B) {

@@ -1,6 +1,6 @@
 // Package par holds the tree's one fork-join loop: run an indexed function
 // over [0, n) on a bounded set of goroutines and return when all of it is
-// done. Erasure row tasks, experiment cells and the collaborative signature
+// done. Experiment cells, workload signing and the collaborative signature
 // checks in core and consensus all fan out through Each.
 package par
 
