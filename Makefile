@@ -25,8 +25,9 @@ test:
 # side by side): the planner's tests, RetrieveBlock against the sweep it
 # replaced with dead, slow, corrupting and shortening members, its
 # round-trip and byte budget, the stale-map retry, the bare first pass with
-# its proven re-read, and the server's store-to-frame encoder (its
-# allocation guard, corrupt-wire).
+# its proven re-read, the server's store-to-frame encoder (its allocation
+# guard, corrupt-wire), and the proof queries the server answers by scanning
+# its stored chunks in place under its lock.
 #
 # Fork-join (par.Each, certificate checks, workload signing, seeded run at
 # 1 vs 4 cores, shares checked in flight). core.Group.Verify and
@@ -44,19 +45,20 @@ test:
 #
 # Gateway caches and batcher (verified-only chunk cache, proofs from the
 # cached tree, coalescing, netx.Gather through the batcher). A block-cache
-# entry (block + Merkle tree) is read by every connection handler at once
+# entry (encoding + Merkle tree) is read by every connection handler at once
 # and the chunk cache is filled only after reassembly verified: the
-# bad-chunk, local-proof and coalescing tests five times on one and on two
-# Ps, with the reads that drive netx.Gather through the batcher (its callers
-# make round trips themselves): dead, withholding, corrupting, shortening
-# and truncating members, the sound read that is sent no proof, and the
-# cold read's allocation count.
+# bad-chunk, mis-cut-copies, local-proof and coalescing tests five times on
+# one and on two Ps, with the reads that drive netx.Gather through the
+# batcher (its callers make round trips themselves): dead, withholding,
+# corrupting, shortening and truncating members, the sound read that is sent
+# no proof, the served block frame, hot and cold, and the cold read's
+# allocation count.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate'
+	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate|TxProof'
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/cluster ./internal/consensus ./internal/workload
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults'
-	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ColdRead'
+	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|MisCut|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ServedBlock|ColdRead'
 
 # The repo's own invariant suite (`icilint -list` prints it; DESIGN.md
 # "Static analysis" has the annotation grammar and the per-analyzer ledger).

@@ -137,12 +137,7 @@ func (b *Block) BodySize() int {
 
 // Encode serializes header followed by body.
 func (b *Block) Encode() []byte {
-	return b.AppendTo(make([]byte, 0, HeaderSize+b.BodySize()))
-}
-
-// AppendTo appends the block's encoding (see Encode) to buf.
-func (b *Block) AppendTo(buf []byte) []byte {
-	return b.appendBody(b.Header.AppendTo(buf))
+	return b.appendBody(b.Header.AppendTo(make([]byte, 0, HeaderSize+b.BodySize())))
 }
 
 // minTxEncodedSize is the smallest possible encoded transaction: fixed
@@ -151,35 +146,64 @@ func (b *Block) AppendTo(buf []byte) []byte {
 // hostile count prefix cannot trigger a giant allocation.
 const minTxEncodedSize = txFixedSize + 4 + 2 + 2
 
+// BodyTxCount returns the transaction count an encoded body (see
+// EncodeBody) declares, once its length could hold that many: the first step
+// of every walk of a body, for a reader that checks where a body belongs
+// before it hashes anything of it.
+func BodyTxCount(data []byte) (int, error) {
+	if len(data) < 4 {
+		return 0, ErrBlockTruncated
+	}
+	count := int(binary.BigEndian.Uint32(data))
+	if count*minTxEncodedSize > len(data)-4 {
+		return 0, fmt.Errorf("%w: %d txs declared in %d bytes", ErrBlockTruncated, count, len(data))
+	}
+	return count, nil
+}
+
+// walkBody is the one walk over an encoded body's framing: frameTx on each
+// transaction in turn, and fn handed its position and its encoded bytes,
+// which are data's own. It accepts exactly the bodies DecodeBody accepts, and
+// fn has seen every transaction when it returns nil. A transaction's ID is
+// the SHA-256 of exactly those bytes, so a reader can hash a body where it
+// lies instead of decoding it.
+func walkBody(data []byte, fn func(i int, tx []byte)) error {
+	count, err := BodyTxCount(data)
+	if err != nil {
+		return err
+	}
+	off := 4
+	for i := 0; i < count; i++ {
+		f, err := frameTx(data[off:])
+		if err != nil {
+			return fmt.Errorf("tx %d: %w", i, err)
+		}
+		fn(i, data[off:off+f.size()])
+		off += f.size()
+	}
+	if off != len(data) {
+		return fmt.Errorf("chain: %d trailing bytes after body", len(data)-off)
+	}
+	return nil
+}
+
 // DecodeBody parses a transaction body produced by EncodeBody. It walks the
 // framing once to validate it and size the result, then fills three
 // allocations whatever the count: the transactions, the pointers to them,
 // and one buffer of exactly the variable-length bytes. The result owns all
 // three and nothing of data (DESIGN.md "What a decoded value owns").
 func DecodeBody(data []byte) ([]*Transaction, error) {
-	if len(data) < 4 {
-		return nil, ErrBlockTruncated
-	}
-	count := int(binary.BigEndian.Uint32(data))
-	if count*minTxEncodedSize > len(data)-4 {
-		return nil, fmt.Errorf("%w: %d txs declared in %d bytes", ErrBlockTruncated, count, len(data))
-	}
-	off, varBytes := 4, 0
-	for i := 0; i < count; i++ {
-		f, err := frameTx(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("tx %d: %w", i, err)
-		}
-		off += f.size()
-		varBytes += f.varBytes()
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("chain: %d trailing bytes after body", len(data)-off)
+	count, varBytes := 0, 0
+	if err := walkBody(data, func(_ int, tx []byte) {
+		count++
+		varBytes += len(tx) - minTxEncodedSize
+	}); err != nil {
+		return nil, err
 	}
 	slab := make([]Transaction, count)
 	txs := make([]*Transaction, count)
 	buf := make([]byte, varBytes)
-	off = 4
+	off := 4
 	for i := range slab {
 		f, _ := frameTx(data[off:]) // accepted above
 		buf = slab[i].fill(data[off:], f, buf)
@@ -187,6 +211,40 @@ func DecodeBody(data []byte) ([]*Transaction, error) {
 		off += f.size()
 	}
 	return txs, nil
+}
+
+// FindTx looks for the transaction with the given ID in an encoded body by
+// hashing each transaction's bytes where they lie, and decodes only the one
+// it finds: that transaction and its position, or nil and -1 when the body
+// does not hold it. It fails where DecodeBody fails.
+func FindTx(body []byte, id blockcrypto.Hash) (*Transaction, int, error) {
+	return findTx(body, func(_ int, tx []byte) bool { return blockcrypto.Sum256(tx) == id })
+}
+
+// TxAt decodes transaction i of an encoded body and no other: the framing
+// is walked to it, nothing is hashed. It fails where DecodeBody fails, and
+// with ErrLeafOutOfs when the body holds no transaction i.
+func TxAt(body []byte, i int) (*Transaction, error) {
+	tx, at, err := findTx(body, func(j int, _ []byte) bool { return j == i })
+	if err == nil && at < 0 {
+		err = fmt.Errorf("%w: transaction %d", ErrLeafOutOfs, i)
+	}
+	return tx, err
+}
+
+// findTx decodes the first transaction of an encoded body that match
+// accepts, once the whole body has been walked.
+func findTx(body []byte, match func(i int, tx []byte) bool) (*Transaction, int, error) {
+	at, found := -1, []byte(nil)
+	if err := walkBody(body, func(i int, tx []byte) {
+		if at < 0 && match(i, tx) {
+			at, found = i, tx
+		}
+	}); err != nil || at < 0 {
+		return nil, -1, err
+	}
+	tx, _, err := DecodeTransaction(found)
+	return tx, at, err
 }
 
 // DecodeBlock parses a full block produced by Encode.
@@ -214,17 +272,67 @@ func (b *Block) VerifyShape() error {
 // returns the Merkle tree the check built, whose root is the header's, so a
 // proof from it verifies against the header with no second check.
 func (b *Block) VerifiedTree() (*MerkleTree, error) {
-	if len(b.Txs) == 0 {
-		return nil, ErrBlockEmptyBody
-	}
-	if int(b.Header.TxCount) != len(b.Txs) {
-		return nil, fmt.Errorf("%w: header says %d txs, body has %d", ErrBlockBadRoot, b.Header.TxCount, len(b.Txs))
+	if err := b.Header.checkCount(len(b.Txs)); err != nil {
+		return nil, err
 	}
 	tree, err := TxMerkleTree(b.Txs)
 	if err != nil {
 		return nil, err
 	}
-	if tree.Root() != b.Header.MerkleRoot {
+	return b.Header.checkRoot(tree)
+}
+
+// VerifiedBodyTree is VerifiedTree for the header's block while its body is
+// still encoded, in one piece or in several: bodies are encoded bodies (see
+// EncodeBody) whose transactions, in order, are the block's. Each is walked
+// on its own and must be one DecodeBody accepts; each transaction is hashed
+// where it lies, and nothing is decoded.
+func (h *Header) VerifiedBodyTree(bodies ...[]byte) (*MerkleTree, error) {
+	count := 0
+	for i, body := range bodies {
+		n, err := BodyTxCount(body)
+		if err != nil {
+			return nil, fmt.Errorf("body %d: %w", i, err)
+		}
+		count += n
+	}
+	if err := h.checkCount(count); err != nil {
+		return nil, err
+	}
+	tree, err := bodyTree(count, bodies)
+	if err != nil {
+		return nil, err
+	}
+	return h.checkRoot(tree)
+}
+
+// bodyTree builds the Merkle tree of the transactions of bodies, count of
+// them in all, each leaf the SHA-256 of a transaction's bytes where they lie.
+func bodyTree(count int, bodies [][]byte) (*MerkleTree, error) {
+	leaves := make([]blockcrypto.Hash, 0, count)
+	for i, body := range bodies {
+		if err := walkBody(body, func(_ int, tx []byte) { leaves = append(leaves, blockcrypto.Sum256(tx)) }); err != nil {
+			return nil, fmt.Errorf("body %d: %w", i, err)
+		}
+	}
+	return newMerkleTree(leaves)
+}
+
+// checkCount refuses a body of count transactions for the header before
+// anything of it is hashed.
+func (h *Header) checkCount(count int) error {
+	if count == 0 {
+		return ErrBlockEmptyBody
+	}
+	if int(h.TxCount) != count {
+		return fmt.Errorf("%w: header says %d txs, body has %d", ErrBlockBadRoot, h.TxCount, count)
+	}
+	return nil
+}
+
+// checkRoot returns tree when its root is the header's.
+func (h *Header) checkRoot(tree *MerkleTree) (*MerkleTree, error) {
+	if tree.Root() != h.MerkleRoot {
 		return nil, ErrBlockBadRoot
 	}
 	return tree, nil

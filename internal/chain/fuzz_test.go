@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -203,6 +204,13 @@ func fuzzSeedBody(tb testing.TB, txCount int) []byte {
 // inputs, fail with the same error, and yield deep-equal transactions; what
 // is accepted must re-encode to the identical bytes. Neither may panic or
 // over-allocate from a hostile count prefix.
+//
+// The same bytes are read by the walk that hashes a body where it lies
+// (walkBody), with the decoder as its oracle: the byte-level tree is built
+// exactly when DecodeBody accepts and TxMerkleTree builds a tree of what it
+// decoded, and is that tree; FindTx finds every decoded transaction at its
+// first position and an absent ID nowhere; TxAt decodes each position as
+// DecodeBody does. A body DecodeBody refuses, every reader refuses.
 func FuzzDecodeBody(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -214,6 +222,7 @@ func FuzzDecodeBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, err := DecodeBody(data)
 		want, werr := refDecodeBody(data)
+		checkWalk(t, data, txs, err)
 		if !sameVerdict(t, "body", err, werr, ErrTxTruncated, ErrBlockTruncated) {
 			return
 		}
@@ -231,6 +240,51 @@ func FuzzDecodeBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWalk holds the byte-level readers of data to what DecodeBody made of
+// it: txs, or the refusal derr.
+func checkWalk(t *testing.T, data []byte, txs []*Transaction, derr error) {
+	t.Helper()
+	var tree *MerkleTree
+	count, err := BodyTxCount(data)
+	if err == nil {
+		tree, err = bodyTree(count, [][]byte{data})
+	}
+	ghost := blockcrypto.Sum256([]byte("no transaction hashes to this"))
+	_, at, ferr := FindTx(data, ghost)
+	_, aerr := TxAt(data, 0)
+	if derr != nil {
+		if err == nil || ferr == nil || aerr == nil {
+			t.Fatalf("DecodeBody refuses the body (%v) and the walk does not: tree %v, FindTx %v, TxAt %v", derr, err, ferr, aerr)
+		}
+		return
+	}
+	want, werr := TxMerkleTree(txs)
+	if (err == nil) != (werr == nil) || err != nil && !errors.Is(err, werr) {
+		t.Fatalf("byte-level tree fails with %v, TxMerkleTree of the decoded body with %v", err, werr)
+	}
+	if err == nil && !reflect.DeepEqual(tree, want) {
+		t.Fatalf("byte-level tree of %d transactions has root %s, TxMerkleTree %s", len(txs), tree.Root().Short(), want.Root().Short())
+	}
+	if ferr != nil || at != -1 {
+		t.Fatalf("FindTx of an absent id: position %d, %v", at, ferr)
+	}
+	if _, err := TxAt(data, len(txs)); !errors.Is(err, ErrLeafOutOfs) {
+		t.Fatalf("TxAt past the last of %d transactions: %v", len(txs), err)
+	}
+	for i, tx := range txs {
+		id := tx.ID()
+		first := slices.IndexFunc(txs, func(o *Transaction) bool { return o.ID() == id })
+		got, at, err := FindTx(data, id)
+		if err != nil || at != first || !reflect.DeepEqual(got, txs[first]) {
+			t.Fatalf("FindTx of transaction %d: position %d (want %d), %v", i, at, first, err)
+		}
+		one, err := TxAt(data, i)
+		if err != nil || !reflect.DeepEqual(one, tx) {
+			t.Fatalf("TxAt(%d): %+v, %v", i, one, err)
+		}
+	}
 }
 
 // FuzzDecodeBlock is FuzzDecodeBody for the full-block decoder: header plus

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -113,20 +114,36 @@ func (g *Group) Verify(root blockcrypto.Hash) error { return g.check(root, true)
 func (g *Group) Proves(root blockcrypto.Hash) error { return g.check(root, false) }
 
 // ProvesChunk is a reader's whole check of one copy it was served as chunk
-// idx of parts of hdr's block: the group says so, holds exactly the
-// transactions the split puts there (ChunkRange of the header's count), and
-// each proves into the root. Proves alone passes a copy cut short with its
-// matching proofs; the block then breaks its root with no copy to blame.
+// idx of parts of hdr's block: the group stands where it was served
+// (placed), and each transaction proves into the root. Proves alone passes a
+// copy cut short with its matching proofs; the block then breaks its root
+// with no copy to blame.
 func (g *Group) ProvesChunk(hdr chain.Header, parts, idx int) error {
+	if err := placed(hdr, parts, idx, g.Index, g.Parts, g.TxStart, len(g.Txs)); err != nil {
+		return err
+	}
+	return g.Proves(hdr.MerkleRoot)
+}
+
+// placed is the position rule every reader of a block applies to a copy
+// served as chunk idx of parts of hdr's block, before anything of it is
+// hashed: the copy says it is chunk idx of parts, and it holds exactly the
+// transactions the split puts there — count of them from txStart, the
+// header's count cut by ChunkRange. It refuses a missing, repeated or
+// misplaced chunk, one cut for another part count (a block read under the
+// wrong membership), and one whose cut was moved: two copies that trade a
+// transaction across their boundary still join into the right block, and a
+// reader that kept them would pair each later with an honest neighbour.
+func placed(hdr chain.Header, parts, idx, index, ofParts, txStart, count int) error {
 	start, end, err := ChunkRange(int(hdr.TxCount), parts, idx)
 	if err != nil {
 		return err
 	}
-	if g.Index != idx || g.Parts != parts || g.TxStart != start || len(g.Txs) != end-start {
-		return fmt.Errorf("%w: chunk %d of %d with txs [%d,%d), want chunk %d of %d with [%d,%d)",
-			ErrBadGroup, g.Index, g.Parts, g.TxStart, g.TxStart+len(g.Txs), idx, parts, start, end)
+	if index != idx || ofParts != parts || txStart != start || count != end-start {
+		return fmt.Errorf("%w: position %d of %d holds chunk %d of %d with txs [%d,%d), want txs [%d,%d)",
+			ErrBadGroup, idx, parts, index, ofParts, txStart, txStart+count, start, end)
 	}
-	return g.Proves(hdr.MerkleRoot)
+	return nil
 }
 
 func (g *Group) check(root blockcrypto.Hash, sigs bool) error {
@@ -166,18 +183,17 @@ func (g *Group) checkTx(root blockcrypto.Hash, i int, sigs bool) error {
 }
 
 // Reassemble rebuilds the block of hdr from its groups, groups[i] being
-// chunk i of len(groups), and verifies it against the header's Merkle
-// root. A position holding another index or a group cut for another part
-// count — a missing, repeated or misplaced chunk, or a block read under
-// the wrong membership — is refused before anything is hashed. The Merkle
-// tree the check built comes back with the block (chain.Block.VerifiedTree),
-// for a caller that will serve proofs of it.
+// chunk i of len(groups), and verifies it against the header's Merkle root.
+// A group that is not where the split puts it (placed) is refused before
+// anything is hashed. The Merkle tree the check built comes back with the
+// block (chain.Block.VerifiedTree), for a caller that will serve proofs of
+// it.
 func Reassemble(hdr chain.Header, groups []Group) (*chain.Block, *chain.MerkleTree, error) {
 	total := 0
 	for i := range groups {
 		g := &groups[i]
-		if g.Index != i || g.Parts != len(groups) {
-			return nil, nil, fmt.Errorf("%w: position %d of %d holds chunk %d of %d", ErrBadGroup, i, len(groups), g.Index, g.Parts)
+		if err := placed(hdr, len(groups), i, g.Index, g.Parts, g.TxStart, len(g.Txs)); err != nil {
+			return nil, nil, err
 		}
 		total += len(g.Txs)
 	}
@@ -193,23 +209,63 @@ func Reassemble(hdr chain.Header, groups []Group) (*chain.Block, *chain.MerkleTr
 	return b, tree, nil
 }
 
+// ReassembleEncoding is Reassemble for copies still in the form they are
+// stored and served in, and it decodes nothing: copyAt(i) is the copy at
+// position i of parts, its index, part count and TxStart, and its group's
+// sub-body (Group.Encode). The position rule is Reassemble's (placed), with
+// the count each sub-body declares; the sub-bodies are then checked against
+// the header's root where they lie (chain.Header.VerifiedBodyTree), each one
+// framed on its own as DecodeGroup would, and joined into the block's
+// encoding (chain.Block.Encode). The encoding comes back with the Merkle
+// tree the check built.
+func ReassembleEncoding(hdr chain.Header, parts int, copyAt func(i int) (index, ofParts, txStart int, body []byte)) ([]byte, *chain.MerkleTree, error) {
+	bodies := make([][]byte, parts)
+	size := chain.HeaderSize + 4
+	for i := range bodies {
+		index, ofParts, txStart, body := copyAt(i)
+		count, err := chain.BodyTxCount(body)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: chunk %d: %w", i, err)
+		}
+		if err := placed(hdr, parts, i, index, ofParts, txStart, count); err != nil {
+			return nil, nil, err
+		}
+		bodies[i] = body
+		size += len(body) - 4
+	}
+	tree, err := hdr.VerifiedBodyTree(bodies...)
+	if err != nil {
+		return nil, nil, err
+	}
+	enc := hdr.AppendTo(make([]byte, 0, size))
+	enc = binary.BigEndian.AppendUint32(enc, hdr.TxCount)
+	for _, body := range bodies {
+		enc = append(enc, body[4:]...)
+	}
+	return enc, tree, nil
+}
+
 // StoredTxProof scans the chunks st holds of a block for the transaction
 // and returns it with its stored Merkle proof (Header left to the caller):
-// the light-client answer, which no member needs the whole block for.
+// the light-client answer, which no member needs the whole block for. Each
+// chunk is read in place (storage.Store.LendChunk: its digest is checked, a
+// damaged one is skipped) and its transactions are hashed where they lie;
+// only the one found is decoded.
 func StoredTxProof(st *storage.Store, block, txID blockcrypto.Hash) (TxProof, bool) {
+	var p TxProof
+	found := false
 	for _, idx := range st.ChunksForBlock(block) {
-		chk, err := st.Chunk(storage.ChunkID{Block: block, Index: idx})
-		if err != nil {
-			continue
-		}
-		g, err := storedGroup(&chk)
-		if err != nil {
-			continue
-		}
-		for i, tx := range g.Txs {
-			if tx.ID() == txID && i < len(g.Proofs) {
-				return TxProof{Tx: tx, Proof: g.Proofs[i]}, true
+		_ = st.LendChunk(storage.ChunkID{Block: block, Index: idx}, func(c storage.Chunk) {
+			if c.CodedK > 0 {
+				return // a coded share has no transaction structure
 			}
+			tx, at, err := chain.FindTx(c.Data, txID)
+			if err == nil && at >= 0 && at < len(c.Proofs) {
+				p, found = TxProof{Tx: tx, Proof: c.Proofs[at]}, true
+			}
+		}) // a damaged chunk is skipped: another member holds it
+		if found {
+			return p, true
 		}
 	}
 	return TxProof{}, false

@@ -107,7 +107,7 @@ func TestGatewayServesAcrossMembershipChange(t *testing.T) {
 	// The gateway's map is still epoch 0: the first post-churn read misses,
 	// refreshes the cluster map, and succeeds on retry.
 	for _, want := range post {
-		got, err := g.GetBlock(want.hash)
+		got, err := readBlock(g, want.hash)
 		if err != nil {
 			t.Fatalf("post-churn block: %v", err)
 		}
@@ -123,7 +123,7 @@ func TestGatewayServesAcrossMembershipChange(t *testing.T) {
 	// write-epoch owners answer where they survived, migrated replicas
 	// answer for the leaver's share.
 	for _, want := range pre {
-		got, err := g.GetBlock(want.hash)
+		got, err := readBlock(g, want.hash)
 		if err != nil {
 			t.Fatalf("pre-churn block: %v", err)
 		}
@@ -148,7 +148,7 @@ func TestGatewayServesAcrossMembershipChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range append(append([]*workloadBlock(nil), pre...), post...) {
-		got, err := g2.GetBlock(want.hash)
+		got, err := readBlock(g2, want.hash)
 		if err != nil {
 			t.Fatalf("fresh gateway: %v", err)
 		}
@@ -176,7 +176,7 @@ type workloadBlock struct {
 // fakeTxID picks the i-th transaction ID of a block via the gateway itself.
 func fakeTxID(t *testing.T, g *Gateway, block blockcrypto.Hash, i int) blockcrypto.Hash {
 	t.Helper()
-	b, err := g.GetBlock(block)
+	b, err := readBlock(g, block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestHeaderSyncAsksPastAnEmptyMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range blocks {
-		got, err := g.GetBlock(b.Hash())
+		got, err := readBlock(g, b.Hash())
 		if err != nil {
 			t.Fatalf("block %d behind an empty first member: %v", b.Header.Height, err)
 		}

@@ -41,8 +41,9 @@ type Config struct {
 }
 
 // Gateway serves verified block and transaction-proof reads over an
-// ICIStrategy storage cluster. Safe for concurrent use. Cached blocks are
-// shared between callers: treat every *chain.Block it returns as read-only.
+// ICIStrategy storage cluster. Safe for concurrent use. A block is kept and
+// served as its encoding, shared between callers: treat every encoding it
+// returns as read-only.
 //
 // Both caches hold only what has been verified. A block-cache entry is a
 // cachedBlock; a chunk-cache entry is a *netx.ChunkResp without its proofs,
@@ -97,23 +98,26 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// cachedBlock is a verified block with the Merkle tree its root check built
-// (chain.Block.VerifiedTree). The tree's root is the header's, so a proof cut
-// from it needs no hashing and no second check.
+// cachedBlock is a verified block as it is served, its encoding
+// (chain.Block.Encode), with the Merkle tree its root check built
+// (netx.Gather). The tree's root is the header's, so a proof cut from it
+// needs no hashing and no second check. Nothing of the block is decoded.
 type cachedBlock struct {
-	block *chain.Block
-	tree  *chain.MerkleTree
+	enc  []byte
+	tree *chain.MerkleTree
 }
 
-func (c *cachedBlock) size() int64 { return int64(c.block.BodySize() + c.tree.Size()) }
+func (c *cachedBlock) size() int64 { return int64(len(c.enc) + c.tree.Size()) }
 
-// GetBlock returns the full verified block with the given hash, from cache
-// when hot, otherwise by gathering its chunks from the cluster. Concurrent
-// calls for the same cold block coalesce into one upstream retrieval.
-func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
+// GetBlock returns the encoding (chain.Block.Encode) of the verified block
+// with the given hash, from cache when hot, otherwise by gathering its chunks
+// from the cluster. Concurrent calls for the same cold block coalesce into
+// one upstream retrieval. The encoding is shared: the caller must not write
+// to it.
+func (g *Gateway) GetBlock(h blockcrypto.Hash) ([]byte, error) {
 	key := blockKey(h)
 	if v, ok := g.blocks.Get(key); ok {
-		return v.(*cachedBlock).block, nil
+		return v.(*cachedBlock).enc, nil
 	}
 	v, err, shared := g.flights.Do(key, func() (any, error) {
 		// Re-check under the flight: a racing caller may have populated the
@@ -142,7 +146,7 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) (*chain.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.(*cachedBlock).block, nil
+	return v.(*cachedBlock).enc, nil
 }
 
 // fetchBlock reads block h from the cluster: the chunks the chunk cache
@@ -176,7 +180,7 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		missing = append(missing, idx)
 		holders[idx] = slices.Clone(owners)
 	}
-	b, tree, err := netx.Gather(hdr, got, holders, g.batch.Fetch)
+	enc, tree, err := netx.Gather(hdr, got, holders, g.batch.Fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +189,7 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		payload.Proofs = nil
 		g.chunks.Put(chunkKey(h, idx), &payload, int64(len(payload.Data)))
 	}
-	return &cachedBlock{block: b, tree: tree}, nil
+	return &cachedBlock{enc: enc, tree: tree}, nil
 }
 
 // GetTxProof answers a light-client inclusion query: the transaction, the
@@ -219,17 +223,26 @@ func (g *Gateway) GetTxProof(block, txID blockcrypto.Hash) (core.TxProof, error)
 }
 
 // proof cuts an inclusion proof from a cached block: the transaction's id is
-// a leaf of the tree, so finding it and proving it hash nothing.
+// a leaf of the tree, so finding it and proving it hash nothing, and the one
+// transaction is decoded from the encoding.
 func (c *cachedBlock) proof(txID blockcrypto.Hash) (core.TxProof, bool) {
 	at := c.tree.LeafIndex(txID)
 	if at < 0 {
+		return core.TxProof{}, false
+	}
+	hdr, err := chain.DecodeHeader(c.enc)
+	if err != nil {
+		return core.TxProof{}, false
+	}
+	tx, err := chain.TxAt(c.enc[chain.HeaderSize:], at)
+	if err != nil {
 		return core.TxProof{}, false
 	}
 	proof, err := c.tree.Prove(at)
 	if err != nil {
 		return core.TxProof{}, false
 	}
-	return core.TxProof{Tx: c.block.Txs[at], Header: c.block.Header, Proof: proof}, true
+	return core.TxProof{Tx: tx, Header: hdr, Proof: proof}, true
 }
 
 // fetchProof queries peers in rotation until one produces a proof that

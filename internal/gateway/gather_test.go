@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -299,7 +300,7 @@ func TestGatherReplansAFailedMembersChunksTogether(t *testing.T) {
 			}
 
 			g := newTestGateway(t, u, nil, 0)
-			got, err := g.GetBlock(h)
+			got, err := readBlock(g, h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +341,7 @@ func TestCopyThatDoesNotDecodeIsAskedElsewhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.GetBlock(h)
+	got, err := readBlock(g, h)
 	if err != nil {
 		t.Fatalf("a chunk cut short at one of its two holders failed the read: %v", err)
 	}
@@ -414,7 +415,7 @@ func TestGatewaySurvivesOneShorteningMember(t *testing.T) {
 		}
 		served += len(bad)
 		before := u.batchCalls.Load()
-		got, err := g.GetBlock(b.Hash())
+		got, err := readBlock(g, b.Hash())
 		if err != nil {
 			t.Fatalf("block %d: one shortening member failed a read every chunk of which has a whole replica: %v", b.Header.Height, err)
 		}
@@ -430,6 +431,108 @@ func TestGatewaySurvivesOneShorteningMember(t *testing.T) {
 	}
 }
 
+// cutAt returns chunk idx of b as a faulty member serves it: its index and
+// part count, but the transactions [start, end) with their proofs.
+func cutAt(t *testing.T, b *chain.Block, idx, parts, start, end int) netx.ChunkResp {
+	t.Helper()
+	tree, err := chain.TxMerkleTree(b.Txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := netx.ChunkResp{Index: idx, Parts: parts, TxStart: start, Data: (&chain.Block{Txs: b.Txs[start:end]}).EncodeBody()}
+	for i := start; i < end; i++ {
+		p, err := tree.Prove(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Proofs = append(c.Proofs, p)
+	}
+	return c
+}
+
+// forget drops key from the cache, as an eviction would.
+func (c *lruCache) forget(key cacheKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.size -= el.Value.(*cacheEntry).size
+		c.order.Remove(el)
+		delete(c.entries, key)
+	}
+}
+
+// TestMisCutCopiesDoNotPoisonTheChunkCache: two faulty members, within the
+// fault bound of 8 members with r = 2, move the boundary between chunks 0
+// and 1 by one transaction (13 + 11 where the split cuts 12 + 12), each copy
+// with its proofs. Joined, the pair still hashes to the root, so a reader
+// that checked only index and part count served the block and cached both
+// copies; once the cache held one without the other, every read of the
+// block failed, honest members or not, because a cached copy is never judged
+// again. The position rule refuses each copy for its cut before anything is
+// hashed: the read goes down the proven re-read, succeeds from the honest
+// holders, and caches only their copies, so a read after chunk 1 left the
+// cache succeeds too.
+func TestMisCutCopiesDoNotPoisonTheChunkCache(t *testing.T) {
+	const peers, txs = 8, 96
+	u, blocks := newFakeUpstream(t, peers, 4, txs)
+	u.replication = 2
+	// The block whose re-read of chunk 1 alone goes to the other holder than
+	// the full read: the one a poisoned cache pairs with an honest copy.
+	var b *chain.Block
+	var first []peerBatch
+	for _, c := range blocks {
+		first = planFor(t, u, c.Hash(), upTo(peers))
+		if holderOf(first, 1) != holderOf(planFor(t, u, c.Hash(), []int{1}), 1) {
+			b = c
+			break
+		}
+	}
+	if b == nil {
+		t.Fatal("every block re-reads chunk 1 from the same holder: the test shows nothing")
+	}
+	h := b.Hash()
+	honest := []netx.ChunkResp{u.chunks[0][netx.ChunkRef{Block: h, Index: 0}], u.chunks[0][netx.ChunkRef{Block: h, Index: 1}]}
+	u.setChunk(holderOf(first, 0), netx.ChunkRef{Block: h, Index: 0}, cutAt(t, b, 0, peers, 0, 13))
+	u.setChunk(holderOf(first, 1), netx.ChunkRef{Block: h, Index: 1}, cutAt(t, b, 1, peers, 13, 24))
+
+	g, err := New(Config{Upstream: u, BlockCacheBytes: 0, ChunkCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for read := 0; read < 4; read++ {
+		if read > 0 {
+			g.chunks.forget(chunkKey(h, 1))
+		}
+		got, err := readBlock(g, h)
+		if err != nil {
+			t.Fatalf("read %d: %v", read, err)
+		}
+		if got.Hash() != h || got.VerifyShape() != nil {
+			t.Fatalf("read %d: wrong block", read)
+		}
+		for idx, want := range honest {
+			v, ok := g.chunks.Get(chunkKey(h, idx))
+			if !ok {
+				t.Fatalf("read %d: chunk %d of a verified block is not cached", read, idx)
+			}
+			if c := v.(*netx.ChunkResp); c.TxStart != want.TxStart || !bytes.Equal(c.Data, want.Data) {
+				t.Fatalf("read %d: the chunk cache holds a copy of chunk %d that is not the split's (txs from %d, %d bytes; want from %d, %d bytes)",
+					read, idx, c.TxStart, len(c.Data), want.TxStart, len(want.Data))
+			}
+		}
+	}
+}
+
+// holderOf is the member a plan asks for chunk idx, or -1.
+func holderOf(plan []peerBatch, idx int) int {
+	for _, pb := range plan {
+		if slices.Contains(pb.idxs, idx) {
+			return pb.peer
+		}
+	}
+	return -1
+}
+
 // TestColdReadAllocations holds BenchmarkGatewayColdRead's allocs/op, with
 // both caches off as the benchmark has them and with both on (every lookup a
 // miss, every chunk and block admitted, the LRU's entries on top). The mean
@@ -443,7 +546,7 @@ func TestColdReadAllocations(t *testing.T) {
 		name       string
 		cacheBytes int64
 		want       float64
-	}{{"caches off", 0, 142}, {"caches on", 1 << 30, 160.5}} {
+	}{{"caches off", 0, 117}, {"caches on", 1 << 30, 135.5}} {
 		u, blocks := newFakeUpstream(t, 8, 65, 96)
 		u.replication = 2
 		g := newTestGateway(t, u, nil, tc.cacheBytes)

@@ -38,16 +38,14 @@ type WireProofReq struct {
 
 // WireResponse is the union of gateway responses; Err is set on failure.
 type WireResponse struct {
-	Err   string
-	Block []byte // chain.Block.Encode() payload
+	Err string
+	// Block is a block's encoding (chain.Block.Encode). The server answers
+	// a read with the encoding its cache holds, so a served block crosses
+	// this field as it is, and the benchmark's gateway.wire probe, which
+	// builds it, times the served form (see blockReply for the client's
+	// half).
+	Block []byte
 	Proof *WireProofResp
-
-	// block is how the server sends a block: encoded straight into the
-	// frame, where Block would cost a copy of it per read first. The two
-	// make the same frame. Served reads do not cross Block (see blockReply
-	// for the client's half); it is the form the benchmark's gateway.wire
-	// probe and the codec tests build, and what a decoded response carries.
-	block *chain.Block
 }
 
 // WireProofResp carries a verified inclusion proof.
@@ -124,8 +122,6 @@ func (r *WireResponse) AppendWire(b []byte) (uint8, []byte) {
 		}
 		b = r.Proof.Header.AppendTo(b)
 		return opRespProof, chain.AppendProof(b, r.Proof.Proof)
-	case r.block != nil:
-		return opRespBlock, r.block.AppendTo(b)
 	default:
 		return opRespBlock, append(b, r.Block...)
 	}
@@ -249,11 +245,11 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) handle(req *WireRequest) *WireResponse {
 	switch {
 	case req.GetBlock != nil:
-		b, err := s.g.GetBlock(req.GetBlock.Block)
+		enc, err := s.g.GetBlock(req.GetBlock.Block)
 		if err != nil {
 			return &WireResponse{Err: err.Error()}
 		}
-		return &WireResponse{block: b}
+		return &WireResponse{Block: enc}
 	case req.GetTxProof != nil:
 		p, err := s.g.GetTxProof(req.GetTxProof.Block, req.GetTxProof.TxID)
 		if err != nil {

@@ -155,7 +155,7 @@ func TestGatewaySurvivesOneCorruptingMemberOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range blocks {
-			got, err := g.GetBlock(b.Hash())
+			got, err := readBlock(g, b.Hash())
 			if err != nil {
 				t.Fatalf("block %d, %s corrupting: a read every chunk of which has an honest replica failed: %v", b.Header.Height, addr, err)
 			}
@@ -216,7 +216,7 @@ func TestSoundReadCarriesNoProofs(t *testing.T) {
 	readAll := func() {
 		t.Helper()
 		for _, b := range blocks {
-			got, err := g.GetBlock(b.Hash())
+			got, err := readBlock(g, b.Hash())
 			if err != nil || got.Hash() != b.Hash() {
 				t.Fatalf("block %d: %v", b.Header.Height, err)
 			}

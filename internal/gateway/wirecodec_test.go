@@ -89,14 +89,52 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerBlockFormEncodesLikeBlockBytes: the server hands AppendWire the
-// block itself; the frame must be the one its Encode() bytes would make.
-func TestServerBlockFormEncodesLikeBlockBytes(t *testing.T) {
-	_, blocks := newFakeUpstream(t, 4, 1, 16)
-	b := blocks[0]
-	direct := wireFrame(t, 3, &WireResponse{block: b})
-	if !bytes.Equal(direct, wireFrame(t, 3, &WireResponse{Block: b.Encode()})) {
-		t.Fatal("a block encoded into the frame differs from its Encode() bytes in a frame")
+// rawReply is a response frame as it came off the wire: its opcode and a
+// copy of its fields.
+type rawReply struct {
+	op     uint8
+	fields []byte
+}
+
+func (r *rawReply) DecodeWire(op uint8, fields []byte) error {
+	r.op, r.fields = op, append([]byte(nil), fields...)
+	return nil
+}
+
+// TestServedBlockFrameIsTheEncoding: the server answers a block read with
+// the encoding its read verified, so the frame a client receives is exactly
+// opRespBlock followed by the block's Encode() bytes — for a cold read (caches
+// off: every read gathers), and for the read that fills the cache and the
+// hit after it.
+func TestServedBlockFrameIsTheEncoding(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{{"cold", 0}, {"hot", 1 << 20}} {
+		u, blocks := newFakeUpstream(t, 4, 2, 16)
+		u.replication = 2
+		srv, err := NewServer("127.0.0.1:0", newTestGateway(t, u, nil, tc.cacheBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		link, err := netx.DialLink(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for read := 0; read < 2; read++ {
+			for _, b := range blocks {
+				var got rawReply
+				if _, err := link.Call(&WireRequest{GetBlock: &WireBlockReq{Block: b.Hash()}}, &got); err != nil {
+					t.Fatalf("%s: read %d: %v", tc.name, read, err)
+				}
+				if got.op != opRespBlock || !bytes.Equal(got.fields, b.Encode()) {
+					t.Fatalf("%s: read %d of block %d: opcode %#x with %d bytes, want %#x with the block's %d-byte encoding",
+						tc.name, read, b.Header.Height, got.op, len(got.fields), opRespBlock, len(b.Encode()))
+				}
+			}
+		}
+		link.Close()
+		srv.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"sync"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -122,6 +123,49 @@ func TestGetTxProofFoundAndVerifiable(t *testing.T) {
 	if err := chain.VerifyProof(b.Header.MerkleRoot, resp.Tx.ID(), resp.Proof); err != nil {
 		t.Fatalf("proof does not verify: %v", err)
 	}
+}
+
+// TestConcurrentTxProofsWhileWriting: a proof query reads the server's
+// stored chunks in place, under its lock, while other connections put chunks
+// into the same store. Readers on four connections ask for every
+// transaction of a stored block while a writer distributes more blocks; each
+// proof must verify. Run under -race (make race).
+func TestConcurrentTxProofsWhileWriting(t *testing.T) {
+	_, addrs := startServers(t, 3)
+	blocks := testBlocks(t, 4, 24)
+	cl := fullyReplicate(t, addrs, blocks[:1])
+	b := blocks[0]
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, later := range blocks[1:] {
+			if err := cl.DistributeBlock(later); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(addrs[0])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for _, tx := range b.Txs {
+				resp, err := c.GetTxProof(b.Hash(), tx.ID())
+				if err != nil || !resp.Found || resp.Tx.ID() != tx.ID() || chain.VerifyProof(b.Header.MerkleRoot, tx.ID(), resp.Proof) != nil {
+					t.Errorf("proof of a stored transaction: %+v, %v", resp, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestGetTxProofNotFound(t *testing.T) {

@@ -473,8 +473,9 @@ func (cl *Cluster) putToMember(addr string, parent trace.SpanID, hdr chain.Heade
 }
 
 // RetrieveBlock reads the block of hdr by the cluster map this cluster holds
-// — how many chunks it was cut into, who may hold each — and verifies it
-// against the header's Merkle root (Gather). A read that fails may have been
+// — how many chunks it was cut into, who may hold each — verifies it
+// against the header's Merkle root (Gather) and decodes the encoding Gather
+// returns. A read that fails may have been
 // resolved under a stale map: the members are polled for a newer one once,
 // and with one adopted the read is tried again.
 func (cl *Cluster) RetrieveBlock(hdr chain.Header) (*chain.Block, error) {
@@ -510,7 +511,7 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, m core.EpochMap, parent trace
 			holders[idx] = append(holders[idx], slices.Index(ids, id))
 		}
 	}
-	b, _, err := Gather(hdr, make([]*ChunkResp, len(holders)), holders, func(member int, refs []ChunkRef) *ChunkBatchResp {
+	enc, _, err := Gather(hdr, make([]*ChunkResp, len(holders)), holders, func(member int, refs []ChunkRef) *ChunkBatchResp {
 		addr := m.Addr(ids[member])
 		c, err := cl.tracedClient(addr, parent)
 		if err != nil {
@@ -522,5 +523,8 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, m core.EpochMap, parent trace
 		}
 		return resp
 	})
-	return b, err
+	if err != nil {
+		return nil, err
+	}
+	return chain.DecodeBlock(enc)
 }

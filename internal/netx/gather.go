@@ -21,16 +21,19 @@ import (
 // over their holders (planGather) and fetched, a member struck from
 // holders[idx] once asked, and a chunk that did not come is wanted again,
 // until the block verifies against the header's root (have then holds the
-// copies it was built from) or a wanted chunk has no holder left. The root
-// is the only check a sound read pays for, so the copies are asked for
-// bare, without their Merkle proofs. Once a reassembly is refused somebody
+// copies it was built from) or a wanted chunk has no holder left. What comes
+// back is the block's encoding (chain.Block.Encode), checked where the
+// copies' bytes lie and joined from them, and the Merkle tree the check
+// built (core.ReassembleEncoding); nothing of it is decoded. The root is the
+// only check a sound read pays for, so the copies are asked for bare,
+// without their Merkle proofs. Once a reassembly is refused somebody
 // has to say which copy is wrong: the copies of that pass are read again
 // from the members that served them, with proofs this time and for the rest
 // of the read, and one that does not come again, does not decode, is cut
 // short or does not prove is wanted again, from a holder not asked yet. A
 // stale cluster map ends the same way: chunks cut for another part count
 // than len(have) are unsound.
-func Gather(hdr chain.Header, have []*ChunkResp, holders [][]int, fetch func(member int, refs []ChunkRef) *ChunkBatchResp) (*chain.Block, *chain.MerkleTree, error) {
+func Gather(hdr chain.Header, have []*ChunkResp, holders [][]int, fetch func(member int, refs []ChunkRef) *ChunkBatchResp) ([]byte, *chain.MerkleTree, error) {
 	h, parts := hdr.Hash(), len(have)
 	rd := reading{block: h, have: have, from: make([]int, parts), holders: holders, fetch: fetch}
 	var wanted []int
@@ -52,9 +55,9 @@ func Gather(hdr chain.Header, have []*ChunkResp, holders [][]int, fetch func(mem
 			}
 			wanted = rd.ask(plan)
 		}
-		b, tree, err := reassemble(hdr, have)
+		enc, tree, err := reassemble(hdr, have)
 		if err == nil {
-			return b, tree, nil
+			return enc, tree, nil
 		}
 		if len(asked) == 0 {
 			return nil, nil, err // every copy left has proved, or was the caller's
@@ -221,17 +224,13 @@ func tieBreak(seed uint64, peer int) uint64 {
 	return x
 }
 
-// reassemble decodes the payload of every chunk and rebuilds the block of
-// hdr from them (core.Reassemble).
-func reassemble(hdr chain.Header, chunks []*ChunkResp) (*chain.Block, *chain.MerkleTree, error) {
-	groups := make([]core.Group, len(chunks))
-	for idx, c := range chunks {
-		var err error
-		if groups[idx], err = core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, nil); err != nil {
-			return nil, nil, fmt.Errorf("netx: chunk %d: %w", idx, err)
-		}
-	}
-	return core.Reassemble(hdr, groups)
+// reassemble joins the payloads of every chunk into the encoding of hdr's
+// block and checks it against the root (core.ReassembleEncoding).
+func reassemble(hdr chain.Header, chunks []*ChunkResp) ([]byte, *chain.MerkleTree, error) {
+	return core.ReassembleEncoding(hdr, len(chunks), func(i int) (int, int, int, []byte) {
+		c := chunks[i]
+		return c.Index, c.Parts, c.TxStart, c.Data
+	})
 }
 
 // sound reports whether the copy c, read with the proofs it carries, is

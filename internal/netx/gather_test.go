@@ -263,8 +263,11 @@ func (f *fakeMembers) gather() (*chain.Block, error) {
 	for idx := range holders {
 		holders[idx] = []int{idx, (idx + 1) % parts}
 	}
-	b, _, err := Gather(f.hdr, make([]*ChunkResp, parts), holders, f.fetch)
-	return b, err
+	enc, _, err := Gather(f.hdr, make([]*ChunkResp, parts), holders, f.fetch)
+	if err != nil {
+		return nil, err
+	}
+	return chain.DecodeBlock(enc)
 }
 
 // flipLast is what corrupt-wire does to a copy: the last data byte, inside
