@@ -26,8 +26,9 @@ test:
 # replaced with dead, slow, corrupting and shortening members, its
 # round-trip and byte budget, the stale-map retry, the bare first pass with
 # its proven re-read, the server's store-to-frame encoder (its allocation
-# guard, corrupt-wire), and the proof queries the server answers by scanning
-# its stored chunks in place under its lock.
+# guard, corrupt-wire), the proof queries the server answers by scanning
+# its stored chunks in place under its lock, and the unlocked owner's check
+# refusing a chunk cut one transaction short.
 #
 # Fork-join (par.Each, certificate checks, workload signing, seeded run at
 # 1 vs 4 cores, shares checked in flight). core.Group.Verify and
@@ -38,10 +39,11 @@ test:
 # cycle exit, the certificate differentials (one-chunk votes and votes over
 # shares), the generator's batched-vs-sequential stream test, the
 # GOMAXPROCS-1-vs-4 byte-identity run, and every core test that delivers
-# shares tampered with, corrupted, dropped or duplicated (the share protocol
-# tests and the in-flight verdict oracle, the Byzantine and tampering
-# leaders, the corrupter, exactly-once under faults) are raced five times
-# each on one, two and four Ps.
+# shares tampered with, corrupted, dropped, duplicated or cut short (the
+# share protocol tests and the in-flight verdict oracle, the Byzantine and
+# tampering leaders, the corrupter, exactly-once under faults, the owners
+# refusing shares cut one transaction short) are raced five times each on
+# one, two and four Ps.
 #
 # Gateway caches and batcher (verified-only chunk cache, proofs from the
 # cached tree, coalescing, netx.Gather through the batcher). A block-cache
@@ -55,9 +57,9 @@ test:
 # allocation count.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate|TxProof'
+	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate|TxProof|CutShort'
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/cluster ./internal/consensus ./internal/workload
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults|CutShort'
 	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|MisCut|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ServedBlock|ColdRead'
 
 # The repo's own invariant suite (`icilint -list` prints it; DESIGN.md

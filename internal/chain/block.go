@@ -264,29 +264,24 @@ func DecodeBlock(data []byte) (*Block, error) {
 // TxCount agreement, and Merkle root matching the body. It does not check
 // balances or nonces.
 func (b *Block) VerifyShape() error {
-	_, err := b.VerifiedTree()
-	return err
-}
-
-// VerifiedTree is VerifyShape for a caller that goes on to cut proofs: it
-// returns the Merkle tree the check built, whose root is the header's, so a
-// proof from it verifies against the header with no second check.
-func (b *Block) VerifiedTree() (*MerkleTree, error) {
 	if err := b.Header.checkCount(len(b.Txs)); err != nil {
-		return nil, err
+		return err
 	}
 	tree, err := TxMerkleTree(b.Txs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return b.Header.checkRoot(tree)
+	_, err = b.Header.checkRoot(tree)
+	return err
 }
 
-// VerifiedBodyTree is VerifiedTree for the header's block while its body is
+// VerifiedBodyTree is VerifyShape for the header's block while its body is
 // still encoded, in one piece or in several: bodies are encoded bodies (see
 // EncodeBody) whose transactions, in order, are the block's. Each is walked
 // on its own and must be one DecodeBody accepts; each transaction is hashed
-// where it lies, and nothing is decoded.
+// where it lies, and nothing is decoded. The Merkle tree the check built
+// comes back, whose root is the header's, so a proof cut from it verifies
+// against the header with no second check.
 func (h *Header) VerifiedBodyTree(bodies ...[]byte) (*MerkleTree, error) {
 	count := 0
 	for i, body := range bodies {

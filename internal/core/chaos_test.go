@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -10,8 +11,9 @@ import (
 )
 
 // TestChaosCorrupterCopies checks every corrupter arm: the returned payload
-// differs from the input, while the input — which simnet shares with the
-// sender's in-memory state — is left untouched.
+// differs from the input — a share in one transaction, every other chunk in
+// one byte of its stored bytes — while the input, which simnet shares with
+// the sender's in-memory state, is left untouched.
 func TestChaosCorrupterCopies(t *testing.T) {
 	corrupt := ChaosCorrupter()
 	rng := blockcrypto.NewRNG(99)
@@ -19,14 +21,34 @@ func TestChaosCorrupterCopies(t *testing.T) {
 	tx := &chain.Transaction{Amount: 50, Nonce: 1, Fee: 1}
 	tx.Sign(key)
 
-	chunk := chunkPayload{Group: Group{Parts: 1, Txs: []*chain.Transaction{tx}}}
+	group := Group{Parts: 1, Txs: []*chain.Transaction{tx}}
+	data := group.Encode()
+	chunk := chunkPayload{Chunk: group.Chunk(blockcrypto.ZeroHash, data)}
+	// flipped reports whether got is want with exactly one byte changed, and
+	// that want still holds the bytes the sender built.
+	flipped := func(t *testing.T, got, want, orig []byte) {
+		t.Helper()
+		if !bytes.Equal(want, orig) {
+			t.Fatal("corrupter mutated the sender's bytes")
+		}
+		diff := 0
+		for i := range want {
+			if i < len(got) && got[i] != want[i] {
+				diff++
+			}
+		}
+		if len(got) != len(want) || diff != 1 {
+			t.Fatalf("corrupted copy differs from the sender's in %d bytes (length %d, want %d), want one", diff, len(got), len(want))
+		}
+	}
+	emptyGroup := (&Group{Parts: 2, Index: 1, TxStart: 1}).Encode()
 
 	t.Run("shareMsg", func(t *testing.T) {
 		// The message a leader sends: several chunks under one header. One
 		// transaction of one chunk changes, in a copy.
 		tx2 := &chain.Transaction{Amount: 70, Nonce: 2, Fee: 1}
 		tx2.Sign(key)
-		share := shareMsg{Groups: []Group{chunk.Group, {Index: 1, Parts: 2, TxStart: 1, Txs: []*chain.Transaction{tx2}}}}
+		share := shareMsg{Groups: []Group{group, {Index: 1, Parts: 2, TxStart: 1, Txs: []*chain.Transaction{tx2}}}}
 		for i := 0; i < 8; i++ {
 			out, ok := corrupt(simnet.Message{Payload: share}, rng)
 			if !ok {
@@ -49,38 +71,50 @@ func TestChaosCorrupterCopies(t *testing.T) {
 	})
 
 	t.Run("chunkRespMsg", func(t *testing.T) {
-		resp := chunkRespMsg{Found: true, Chunk: chunk}
-		out, ok := corrupt(simnet.Message{Payload: resp}, rng)
+		orig := bytes.Clone(data)
+		out, ok := corrupt(simnet.Message{Payload: chunkRespMsg{Found: true, Chunk: chunk}}, rng)
 		if !ok {
 			t.Fatal("corrupter skipped a found chunk response")
 		}
-		if out.(chunkRespMsg).Chunk.Txs[0].Amount == 50 || tx.Amount != 50 {
-			t.Fatal("chunk response corruption leaked into sender memory")
-		}
+		flipped(t, out.(chunkRespMsg).Chunk.Data, chunk.Data, orig)
 		if _, ok := corrupt(simnet.Message{Payload: chunkRespMsg{Found: false}}, rng); ok {
 			t.Fatal("corrupter tampered with a not-found response")
 		}
 	})
 
+	t.Run("handoffMsg", func(t *testing.T) {
+		orig := bytes.Clone(data)
+		out, ok := corrupt(simnet.Message{Payload: handoffMsg{Chunk: chunk, ReqID: 3}}, rng)
+		if !ok {
+			t.Fatal("corrupter skipped a handoff")
+		}
+		flipped(t, out.(handoffMsg).Chunk.Data, chunk.Data, orig)
+		empty := chunkPayload{Chunk: (&Group{Parts: 2, Index: 1, TxStart: 1}).Chunk(blockcrypto.ZeroHash, emptyGroup)}
+		if _, ok := corrupt(simnet.Message{Payload: handoffMsg{Chunk: empty}}, rng); ok {
+			t.Fatal("corrupter claimed to corrupt a handed-off group without transactions")
+		}
+	})
+
 	t.Run("blockChunksMsg", func(t *testing.T) {
 		raw := []byte{1, 2, 3, 4}
-		m := blockChunksMsg{Chunks: []retrievedChunk{{Coded: true, Raw: raw}}}
-		out, ok := corrupt(simnet.Message{Payload: m}, rng)
-		if !ok {
-			t.Fatal("corrupter skipped a coded chunks response")
-		}
-		oraw := out.(blockChunksMsg).Chunks[0].Raw
-		same := len(oraw) == len(raw)
-		for i := range raw {
-			if oraw[i] != raw[i] {
-				same = false
+		for _, c := range []retrievedChunk{
+			{Parts: 1, Data: data},             // a live chunk's sub-body
+			{Parts: 3, Data: raw, Coded: true}, // a Reed-Solomon share
+		} {
+			orig := bytes.Clone(c.Data)
+			m := blockChunksMsg{Chunks: []retrievedChunk{c}}
+			out, ok := corrupt(simnet.Message{Payload: m}, rng)
+			if !ok {
+				t.Fatalf("corrupter skipped a chunks response (coded %v)", c.Coded)
 			}
+			flipped(t, out.(blockChunksMsg).Chunks[0].Data, m.Chunks[0].Data, orig)
 		}
-		if same {
-			t.Fatal("coded share not corrupted")
+		empty := blockChunksMsg{Chunks: []retrievedChunk{{Index: 1, Parts: 2, TxStart: 1, Data: emptyGroup}}}
+		if _, ok := corrupt(simnet.Message{Payload: empty}, rng); ok {
+			t.Fatal("corrupter claimed to corrupt a live group without transactions")
 		}
-		if raw[0] != 1 || raw[1] != 2 || raw[2] != 3 || raw[3] != 4 {
-			t.Fatal("corrupter mutated the sender's share bytes")
+		if _, ok := corrupt(simnet.Message{Payload: blockChunksMsg{}}, rng); ok {
+			t.Fatal("corrupter claimed to corrupt an empty chunks response")
 		}
 	})
 

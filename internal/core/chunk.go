@@ -13,15 +13,16 @@ import (
 
 // This file is the chunk's rules, stated once: how a block splits into
 // proven transaction groups, what an owner checks before it stores one, how
-// groups become a block again and where a stored proof is found (who gains a
-// chunk when the roster changes is EpochMap.MovesFrom). The simulator's
-// Node, the TCP server and cluster client (internal/netx) and the gateway all
-// call these; what they keep for themselves is how bytes move (DESIGN.md "One
-// chunk, two drivers").
+// stored chunks become a block again and where a stored proof is found (who
+// gains a chunk when the roster changes is EpochMap.MovesFrom). The
+// simulator's Node, the TCP server and cluster client (internal/netx) and
+// the gateway all call these; what they keep for themselves is how bytes
+// move (DESIGN.md "One chunk, two drivers").
 
 // ErrBadGroup marks a group whose shape is wrong before any hash or
-// signature is looked at: proofs that do not pair up with transactions, or a
-// proof claiming another position than the group's.
+// signature is looked at: bytes that do not decode, a group not cut where
+// the split cuts (placed), proofs that do not pair up with transactions, or
+// a proof claiming another position than the group's.
 var ErrBadGroup = errors.New("core: malformed chunk")
 
 // Group is one chunk of a block, decoded: a contiguous transaction group
@@ -73,15 +74,6 @@ func DecodeGroup(index, parts, txStart int, data []byte, proofs []chain.Proof) (
 	return Group{Index: index, Parts: parts, TxStart: txStart, Txs: txs, Proofs: proofs}, nil
 }
 
-// storedGroup decodes a stored chunk. A coded share has no transaction
-// structure and is refused.
-func storedGroup(c *storage.Chunk) (Group, error) {
-	if c.CodedK > 0 {
-		return Group{}, fmt.Errorf("%w: %s is a coded share", ErrBadGroup, c.ID)
-	}
-	return DecodeGroup(c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
-}
-
 // Encode serializes the transaction group in the format of a block
 // sub-body: what owners persist and what counts as stored bytes.
 func (g *Group) Encode() []byte {
@@ -90,22 +82,45 @@ func (g *Group) Encode() []byte {
 }
 
 // Chunk is the value an owner stores for the group: data, which must be
-// g.Encode() (a caller that received the bytes passes them on instead of
-// encoding again), with the sidecar beside it.
+// g.Encode() (AdoptChunk, which received the bytes, passes them on instead
+// of encoding again), with the sidecar beside it.
 func (g *Group) Chunk(block blockcrypto.Hash, data []byte) storage.Chunk {
 	c := storage.NewChunk(storage.ChunkID{Block: block, Index: g.Index}, data)
 	c.Parts, c.TxStart, c.Proofs = g.Parts, g.TxStart, g.Proofs
 	return c
 }
 
-// Verify checks everything an owner can check about its share against the
-// block's Merkle root: proofs pair up with transactions, every proof sits
-// at the transaction's block position and leads to the root, and every
-// signature is valid. The per-transaction checks fork-join over GOMAXPROCS;
-// they read only the group, and the error returned is the lowest failing
-// index's, as a sequential loop reports (DESIGN.md "Verification
-// concurrency").
-func (g *Group) Verify(root blockcrypto.Hash) error { return g.check(root, true) }
+// Verify checks everything an owner can check about its share of hdr's
+// block: the group holds exactly the transactions the split puts at its own
+// index of its own part count (placed, the rule every reader applies too),
+// proofs pair up with transactions, every proof sits at the transaction's
+// block position and leads to the header's Merkle root, and every signature
+// is valid. The per-transaction checks fork-join over GOMAXPROCS; they read
+// only the group, and the error returned is the lowest failing index's, as a
+// sequential loop reports (DESIGN.md "Verification concurrency").
+func (g *Group) Verify(hdr chain.Header) error {
+	if err := placed(hdr, g.Parts, g.Index, g.Index, g.Parts, g.TxStart, len(g.Txs)); err != nil {
+		return err
+	}
+	return g.check(hdr.MerkleRoot, true)
+}
+
+// AdoptChunk is the owner's check of a chunk that arrives as the bytes it is
+// stored in — fetched or handed off in the simulator, put over TCP — for
+// hdr's block: data, a group's sub-body (Group.Encode), is decoded with its
+// sidecar and put through Group.Verify. What comes back is the value to
+// store, built from the bytes received. A chunk that does not decode is
+// malformed (ErrBadGroup).
+func AdoptChunk(hdr chain.Header, index, parts, txStart int, data []byte, proofs []chain.Proof) (storage.Chunk, error) {
+	g, err := DecodeGroup(index, parts, txStart, data, proofs)
+	if err != nil {
+		return storage.Chunk{}, fmt.Errorf("%w: %w", ErrBadGroup, err)
+	}
+	if err := g.Verify(hdr); err != nil {
+		return storage.Chunk{}, err
+	}
+	return g.Chunk(hdr.Hash(), data), nil
+}
 
 // Proves is the Merkle half of Verify, for a reader: the group is what the
 // block committed to at that position. Signatures were checked when the
@@ -127,13 +142,15 @@ func (g *Group) ProvesChunk(hdr chain.Header, parts, idx int) error {
 
 // placed is the position rule every reader of a block applies to a copy
 // served as chunk idx of parts of hdr's block, before anything of it is
-// hashed: the copy says it is chunk idx of parts, and it holds exactly the
-// transactions the split puts there — count of them from txStart, the
-// header's count cut by ChunkRange. It refuses a missing, repeated or
-// misplaced chunk, one cut for another part count (a block read under the
-// wrong membership), and one whose cut was moved: two copies that trade a
-// transaction across their boundary still join into the right block, and a
-// reader that kept them would pair each later with an honest neighbour.
+// hashed — and an owner to a group at its own index of its own part count
+// (Group.Verify): the copy says it is chunk idx of parts, and it holds
+// exactly the transactions the split puts there — count of them from
+// txStart, the header's count cut by ChunkRange. It refuses a missing,
+// repeated or misplaced chunk, one cut for another part count (a block read
+// under the wrong membership), one cut short, and one whose cut was moved:
+// two copies that trade a transaction across their boundary still join
+// into the right block, and a reader that kept them would pair each later
+// with an honest neighbour.
 func placed(hdr chain.Header, parts, idx, index, ofParts, txStart, count int) error {
 	start, end, err := ChunkRange(int(hdr.TxCount), parts, idx)
 	if err != nil {
@@ -182,42 +199,16 @@ func (g *Group) checkTx(root blockcrypto.Hash, i int, sigs bool) error {
 	return nil
 }
 
-// Reassemble rebuilds the block of hdr from its groups, groups[i] being
-// chunk i of len(groups), and verifies it against the header's Merkle root.
-// A group that is not where the split puts it (placed) is refused before
-// anything is hashed. The Merkle tree the check built comes back with the
-// block (chain.Block.VerifiedTree), for a caller that will serve proofs of
-// it.
-func Reassemble(hdr chain.Header, groups []Group) (*chain.Block, *chain.MerkleTree, error) {
-	total := 0
-	for i := range groups {
-		g := &groups[i]
-		if err := placed(hdr, len(groups), i, g.Index, g.Parts, g.TxStart, len(g.Txs)); err != nil {
-			return nil, nil, err
-		}
-		total += len(g.Txs)
-	}
-	txs := make([]*chain.Transaction, 0, total)
-	for i := range groups {
-		txs = append(txs, groups[i].Txs...)
-	}
-	b := &chain.Block{Header: hdr, Txs: txs}
-	tree, err := b.VerifiedTree()
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, tree, nil
-}
-
-// ReassembleEncoding is Reassemble for copies still in the form they are
-// stored and served in, and it decodes nothing: copyAt(i) is the copy at
-// position i of parts, its index, part count and TxStart, and its group's
-// sub-body (Group.Encode). The position rule is Reassemble's (placed), with
-// the count each sub-body declares; the sub-bodies are then checked against
-// the header's root where they lie (chain.Header.VerifiedBodyTree), each one
-// framed on its own as DecodeGroup would, and joined into the block's
-// encoding (chain.Block.Encode). The encoding comes back with the Merkle
-// tree the check built.
+// ReassembleEncoding rebuilds the block of hdr from its chunks in the form
+// they are stored and served in, and it decodes nothing: copyAt(i) is the
+// copy at position i of parts, its index, part count and TxStart, and its
+// group's sub-body (Group.Encode). A copy that is not where the split puts
+// it (placed, with the count its sub-body declares) is refused before
+// anything is hashed; the sub-bodies are then checked against the header's
+// root where they lie (chain.Header.VerifiedBodyTree), each one framed on
+// its own as DecodeGroup would, and joined into the block's encoding
+// (chain.Block.Encode). The encoding comes back with the Merkle tree the
+// check built, for a caller that will serve proofs of it.
 func ReassembleEncoding(hdr chain.Header, parts int, copyAt func(i int) (index, ofParts, txStart int, body []byte)) ([]byte, *chain.MerkleTree, error) {
 	bodies := make([][]byte, parts)
 	size := chain.HeaderSize + 4

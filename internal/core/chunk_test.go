@@ -22,55 +22,47 @@ func fixtureBlock(t testing.TB, txs int) *chain.Block {
 
 // TestSplitReassembleRoundTrip splits a block into 1, 2, a cluster's worth
 // and one-per-transaction groups, and more groups than transactions: the
-// groups tile the block in SplitCounts' sizes, each verifies against the
-// root as split and as decoded back from its stored bytes, and together they
-// reassemble into the block.
+// groups tile the block in SplitCounts' sizes, each passes the owner's check
+// as split and as received in its stored bytes (AdoptChunk, which hands back
+// the chunk the owner stores), and the stored chunks reassemble into the
+// block's encoding and tree, as the decoded reference does.
 func TestSplitReassembleRoundTrip(t *testing.T) {
 	const txs = 37
 	b := fixtureBlock(t, txs)
+	want, _ := chain.TxMerkleTree(b.Txs)
 	for _, parts := range []int{1, 2, 16, txs, txs + 3} {
 		groups, err := SplitBlock(b, parts)
 		if err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
 		counts, _ := SplitCounts(txs, parts)
-		stored := make([]Group, parts)
+		stored := make([]storage.Chunk, parts)
 		next := 0
 		for i, g := range groups {
 			if g.Index != i || g.Parts != parts || g.TxStart != next || len(g.Txs) != counts[i] {
 				t.Fatalf("parts=%d group %d: index %d of %d, %d txs from %d; want %d txs from %d", parts, i, g.Index, g.Parts, len(g.Txs), g.TxStart, counts[i], next)
 			}
 			next += len(g.Txs)
-			if err := g.Verify(b.Header.MerkleRoot); err != nil {
+			if err := g.Verify(b.Header); err != nil {
 				t.Fatalf("parts=%d group %d: %v", parts, i, err)
 			}
-			chk := g.Chunk(b.Hash(), g.Encode())
-			if stored[i], err = storedGroup(&chk); err != nil {
+			if stored[i], err = AdoptChunk(b.Header, g.Index, g.Parts, g.TxStart, g.Encode(), g.Proofs); err != nil {
 				t.Fatalf("parts=%d group %d from its stored bytes: %v", parts, i, err)
 			}
-			if err := stored[i].Verify(b.Header.MerkleRoot); err != nil {
-				t.Fatalf("parts=%d group %d from its stored bytes: %v", parts, i, err)
+			if !reflect.DeepEqual(stored[i], g.Chunk(b.Hash(), g.Encode())) {
+				t.Fatalf("parts=%d group %d: the chunk adopted is not the one its owner stores", parts, i)
 			}
 		}
-		for _, set := range [][]Group{groups, stored} {
-			got, tree, err := Reassemble(b.Header, set)
-			if err != nil {
-				t.Fatalf("parts=%d: %v", parts, err)
-			}
-			if got.Hash() != b.Hash() || !reflect.DeepEqual(got.EncodeBody(), b.EncodeBody()) {
-				t.Fatalf("parts=%d: reassembled another block", parts)
-			}
-			if tree.Root() != b.Header.MerkleRoot || tree.NumLeaves() != len(b.Txs) {
-				t.Fatalf("parts=%d: the tree handed up is not the block's", parts)
-			}
-		}
-		enc, tree, err := reassembleEncoded(b.Header, stored)
+		copies := storedCopies(stored)
+		enc, tree, err := reassembleStored(b.Header, copies)
 		if err != nil {
-			t.Fatalf("parts=%d from the stored bytes: %v", parts, err)
+			t.Fatalf("parts=%d: %v", parts, err)
 		}
-		want, _ := chain.TxMerkleTree(b.Txs)
 		if !bytes.Equal(enc, b.Encode()) || !reflect.DeepEqual(tree, want) {
 			t.Fatalf("parts=%d: the bytes reassembled are not the block's encoding and tree", parts)
+		}
+		if ref, err := reassembleDecoded(b.Header, copies); err != nil || !bytes.Equal(ref.Encode(), enc) {
+			t.Fatalf("parts=%d: the decoded reference disagrees: %v", parts, err)
 		}
 	}
 	if _, err := SplitBlock(b, 0); !errors.Is(err, ErrBadParts) {
@@ -78,16 +70,63 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 	}
 }
 
-// reassembleEncoded is ReassembleEncoding over the stored form of groups.
-func reassembleEncoded(hdr chain.Header, groups []Group) ([]byte, *chain.MerkleTree, error) {
-	return ReassembleEncoding(hdr, len(groups), func(i int) (int, int, int, []byte) {
-		return groups[i].Index, groups[i].Parts, groups[i].TxStart, groups[i].Encode()
+// storedCopy is one copy of a chunk in the form it is stored and served in:
+// its position fields and its group's sub-body.
+type storedCopy struct {
+	index, parts, txStart int
+	body                  []byte
+}
+
+// storedCopies is the stored form of chunks, in order.
+func storedCopies(chunks []storage.Chunk) []storedCopy {
+	out := make([]storedCopy, len(chunks))
+	for i, c := range chunks {
+		out[i] = storedCopy{c.ID.Index, c.Parts, c.TxStart, c.Data}
+	}
+	return out
+}
+
+// groupCopies is the stored form of groups, in order.
+func groupCopies(groups []Group) []storedCopy {
+	out := make([]storedCopy, len(groups))
+	for i, g := range groups {
+		out[i] = storedCopy{g.Index, g.Parts, g.TxStart, g.Encode()}
+	}
+	return out
+}
+
+// reassembleStored is ReassembleEncoding over copies, copies[i] at position
+// i of len(copies).
+func reassembleStored(hdr chain.Header, copies []storedCopy) ([]byte, *chain.MerkleTree, error) {
+	return ReassembleEncoding(hdr, len(copies), func(i int) (int, int, int, []byte) {
+		c := copies[i]
+		return c.index, c.parts, c.txStart, c.body
 	})
 }
 
-// TestReassembleRejects hands Reassemble every wrong set of groups a reader
-// can end up with, and ReassembleEncoding the same sets in their stored
-// form: the two share the position rule and the root check.
+// reassembleDecoded is the decoded reference ReassembleEncoding is held to:
+// each copy decoded on its own (chain.DecodeBody) and placed, the
+// transactions concatenated, and the block checked whole
+// (chain.Block.VerifyShape).
+func reassembleDecoded(hdr chain.Header, copies []storedCopy) (*chain.Block, error) {
+	var txs []*chain.Transaction
+	for i, c := range copies {
+		got, err := chain.DecodeBody(c.body)
+		if err != nil {
+			return nil, err
+		}
+		if err := placed(hdr, len(copies), i, c.index, c.parts, c.txStart, len(got)); err != nil {
+			return nil, err
+		}
+		txs = append(txs, got...)
+	}
+	b := &chain.Block{Header: hdr, Txs: txs}
+	return b, b.VerifyShape()
+}
+
+// TestReassembleRejects hands ReassembleEncoding every wrong set of copies a
+// reader can end up with, and the decoded reference the same sets: both
+// refuse each for the same reason.
 func TestReassembleRejects(t *testing.T) {
 	b := fixtureBlock(t, 37)
 	split := func(parts int) []Group {
@@ -108,55 +147,41 @@ func TestReassembleRejects(t *testing.T) {
 	moved := split(4)
 	moved[0].Txs, moved[0].Proofs = append(moved[0].Txs[:10:10], moved[1].Txs[0]), append(moved[0].Proofs[:10:10], moved[1].Proofs[0])
 	moved[1].Txs, moved[1].Proofs, moved[1].TxStart = moved[1].Txs[1:], moved[1].Proofs[1:], moved[1].TxStart+1
-	for _, tc := range []struct {
-		name   string
-		groups []Group
-		hdr    chain.Header
-		want   error
-	}{
-		{"missing index", []Group{g[0], {}, g[2], g[3]}, b.Header, ErrBadGroup},
-		{"missing first index", []Group{{}, g[1], g[2], g[3]}, b.Header, ErrBadGroup},
-		{"duplicate index", []Group{g[0], g[1], g[1], g[3]}, b.Header, ErrBadGroup},
-		{"groups out of order", []Group{g[1], g[0], g[2], g[3]}, b.Header, ErrBadGroup},
-		{"last group missing", g[:3], b.Header, ErrBadGroup},
-		{"cut for another part count", split(5)[:4], b.Header, ErrBadGroup},
-		{"another block's header", g, other.Header, chain.ErrBlockBadRoot},
-		{"a header of another count", g, shorter.Header, ErrBadGroup},
-		{"a cut moved by one transaction", moved, b.Header, ErrBadGroup},
-		{"no groups", nil, b.Header, chain.ErrBlockEmptyBody},
-	} {
-		if _, _, err := Reassemble(tc.hdr, tc.groups); !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
-		}
-		if _, _, err := reassembleEncoded(tc.hdr, tc.groups); !errors.Is(err, tc.want) {
-			t.Errorf("%s, stored form: got %v, want %v", tc.name, err, tc.want)
-		}
-	}
 	tampered := split(4)
 	tx := *tampered[2].Txs[0]
 	tx.Amount++
 	tampered[2].Txs = append([]*chain.Transaction{&tx}, tampered[2].Txs[1:]...)
-	if _, _, err := Reassemble(b.Header, tampered); !errors.Is(err, chain.ErrBlockBadRoot) {
-		t.Errorf("tampered transaction: got %v, want %v", err, chain.ErrBlockBadRoot)
-	}
-	if _, _, err := reassembleEncoded(b.Header, tampered); !errors.Is(err, chain.ErrBlockBadRoot) {
-		t.Errorf("tampered transaction, stored form: got %v, want %v", err, chain.ErrBlockBadRoot)
-	}
-	// A stored copy that does not frame on its own is refused, even where
-	// the bytes joined would: the last byte of chunk 1 moved to the front of
-	// chunk 2.
-	bodies := make([][]byte, 4)
-	for i := range bodies {
-		bodies[i] = g[i].Encode()
-	}
-	last := len(bodies[1]) - 1
-	bodies[2] = append(append(bodies[2][:4:4], bodies[1][last]), bodies[2][4:]...)
-	bodies[1] = bodies[1][:last]
-	_, _, err = ReassembleEncoding(b.Header, 4, func(i int) (int, int, int, []byte) {
-		return g[i].Index, g[i].Parts, g[i].TxStart, bodies[i]
-	})
-	if !errors.Is(err, chain.ErrTxTruncated) {
-		t.Errorf("a byte moved across a boundary: got %v, want %v", err, chain.ErrTxTruncated)
+	// A copy that does not frame on its own, even where the bytes joined
+	// would: the last byte of chunk 1 moved to the front of chunk 2.
+	torn := groupCopies(g)
+	last := len(torn[1].body) - 1
+	torn[2].body = append(append(torn[2].body[:4:4], torn[1].body[last]), torn[2].body[4:]...)
+	torn[1].body = torn[1].body[:last]
+	for _, tc := range []struct {
+		name   string
+		copies []storedCopy
+		hdr    chain.Header
+		want   error
+	}{
+		{"missing index", groupCopies([]Group{g[0], {}, g[2], g[3]}), b.Header, ErrBadGroup},
+		{"missing first index", groupCopies([]Group{{}, g[1], g[2], g[3]}), b.Header, ErrBadGroup},
+		{"duplicate index", groupCopies([]Group{g[0], g[1], g[1], g[3]}), b.Header, ErrBadGroup},
+		{"groups out of order", groupCopies([]Group{g[1], g[0], g[2], g[3]}), b.Header, ErrBadGroup},
+		{"last group missing", groupCopies(g[:3]), b.Header, ErrBadGroup},
+		{"cut for another part count", groupCopies(split(5)[:4]), b.Header, ErrBadGroup},
+		{"another block's header", groupCopies(g), other.Header, chain.ErrBlockBadRoot},
+		{"a header of another count", groupCopies(g), shorter.Header, ErrBadGroup},
+		{"a cut moved by one transaction", groupCopies(moved), b.Header, ErrBadGroup},
+		{"no groups", nil, b.Header, chain.ErrBlockEmptyBody},
+		{"tampered transaction", groupCopies(tampered), b.Header, chain.ErrBlockBadRoot},
+		{"a byte moved across a boundary", torn, b.Header, chain.ErrTxTruncated},
+	} {
+		if _, _, err := reassembleStored(tc.hdr, tc.copies); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := reassembleDecoded(tc.hdr, tc.copies); !errors.Is(err, tc.want) {
+			t.Errorf("%s, decoded reference: got %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
@@ -81,6 +83,53 @@ func TestLeaveClusterHandsOffChunks(t *testing.T) {
 	for _, b := range more {
 		if err := sys.ClusterHoldsBlock(0, b.Hash()); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestLeaveClusterUnderCorruption hands a leaver's chunks off over a wire
+// that corrupts half the messages with ChaosCorrupter: a handoff whose bytes
+// were flipped is refused by its gaining member, so the departure either
+// succeeds or reports ErrHandoffFailed, and no member stores a chunk that
+// fails the owner's check.
+func TestLeaveClusterUnderCorruption(t *testing.T) {
+	sys, gen := buildSystem(t, Config{Nodes: 16, Clusters: 2, Replication: 2, Seed: 80})
+	produceAndSettle(t, sys, gen, 4, 16)
+	chaos, flipped := ChaosCorrupter(), 0
+	sys.Network().EnableFaults(80, simnet.FaultConfig{CorruptRate: 0.5, Corrupt: func(msg simnet.Message, rng *blockcrypto.RNG) (any, bool) {
+		out, ok := chaos(msg, rng)
+		if ok && msg.Kind == KindHandoff {
+			flipped++
+		}
+		return out, ok
+	}})
+	members, _ := sys.ClusterMembers(0)
+	var herr error
+	done := false
+	if err := sys.LeaveCluster(members[1], func(_ int, err error) { herr, done = err, true }); err != nil {
+		t.Fatal(err)
+	}
+	sys.Network().RunUntilIdle()
+	if !done {
+		t.Fatal("handoff never completed")
+	}
+	if herr != nil && !errors.Is(herr, ErrHandoffFailed) {
+		t.Fatalf("graceful leave under corruption: %v, want nil or %v", herr, ErrHandoffFailed)
+	}
+	if flipped == 0 {
+		t.Fatal("no handoff was corrupted: nothing was tested")
+	}
+	for id, n := range sys.nodes {
+		for _, h := range n.store.Headers() {
+			for _, idx := range n.store.ChunksForBlock(h.Hash()) {
+				chk, err := n.store.Chunk(storage.ChunkID{Block: h.Hash(), Index: idx})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := AdoptChunk(h, idx, chk.Parts, chk.TxStart, chk.Data, chk.Proofs); err != nil {
+					t.Errorf("node %d stores chunk %d of block %d that fails the owner's check: %v", id, idx, h.Height, err)
+				}
+			}
 		}
 	}
 }

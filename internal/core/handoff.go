@@ -72,7 +72,7 @@ func (n *Node) pushHandoffChunk(net *simnet.Network, hs *handoffState, id storag
 	req := n.nextReq
 	hs.pending[req] = true
 	n.pc.handoffChunks.Inc()
-	n.pc.handoffBytes.Add(int64(payload.dataBytes()))
+	n.pc.handoffBytes.Add(int64(len(payload.Data)))
 	msg := handoffMsg{Chunk: payload, ReqID: req}
 	_ = net.Send(simnet.Message{
 		From: n.id, To: to, Kind: KindHandoff,

@@ -5,6 +5,7 @@ import (
 	"icistrategy/internal/chain"
 	"icistrategy/internal/consensus"
 	"icistrategy/internal/simnet"
+	"icistrategy/internal/storage"
 )
 
 // Message kinds of the ICIStrategy protocol. Every kind maps to one payload
@@ -59,14 +60,26 @@ func (m proposeMsg) wireSize() int {
 	return chain.HeaderSize + m.Block.BodySize()
 }
 
-// chunkPayload is one distributed chunk: a group (chunk.go) under the header
-// whose Merkle root its proofs lead to.
+// chunkPayload is one chunk as its owner stores it — the group's sub-body
+// (Group.Encode) in Data, its proofs beside it — under the header whose
+// Merkle root the proofs lead to: what a fetch answer and a handoff carry. A
+// receiver takes the bytes only through AdoptChunk, and Digest is its
+// sender's: it is not trusted.
 type chunkPayload struct {
 	Header chain.Header
-	Group
+	storage.Chunk
 }
 
-// dataBytes is the chunk's storable payload size (what counts as storage).
+// wireSize counts the header, the position fields, the data and the proofs.
+func (c chunkPayload) wireSize() int {
+	n := chain.HeaderSize + 16 + len(c.Data)
+	for _, p := range c.Proofs {
+		n += p.EncodedSize()
+	}
+	return n
+}
+
+// dataBytes is the group's storable payload size (what counts as storage).
 func (g *Group) dataBytes() int {
 	sub := chain.Block{Txs: g.Txs}
 	return sub.BodySize()
@@ -82,11 +95,10 @@ func (g *Group) wireBytes() int {
 	return n
 }
 
-func (c chunkPayload) wireSize() int { return chain.HeaderSize + c.wireBytes() }
-
 // shareMsg is the payload of KindChunk: the chunks one member is asked to
 // verify, in increasing index order, under the header whose Merkle root
-// their proofs lead to. A share of one chunk is a chunkPayload.
+// their proofs lead to. It is the one chunk-bearing message that stays
+// decoded: the owner's check reads the transactions.
 type shareMsg struct {
 	Header chain.Header
 	Groups []Group
@@ -154,8 +166,8 @@ type getChunkMsg struct {
 	Attempt int
 }
 
-// chunkRespMsg returns a stored chunk with its proofs (empty Txs when the
-// responder does not hold it).
+// chunkRespMsg returns a stored chunk with its proofs (Found is false when
+// the responder does not hold it).
 type chunkRespMsg struct {
 	Block   blockcrypto.Hash
 	ReqID   uint64
@@ -198,7 +210,8 @@ type getBlockChunksMsg struct {
 }
 
 // blockChunksMsg returns all held chunks of a block, without proofs — a
-// full-block reassembly is verified against the Merkle root directly.
+// full-block reassembly is verified against the Merkle root directly
+// (ReassembleEncoding).
 type blockChunksMsg struct {
 	Block  blockcrypto.Hash
 	ReqID  uint64
@@ -206,21 +219,23 @@ type blockChunksMsg struct {
 	Chunks []retrievedChunk
 }
 
-// retrievedChunk is one chunk's content for reassembly: a transaction group
-// (without proofs) for live blocks, or a raw Reed-Solomon share for archived
-// ones. Either way Parts is the count the block was stored under.
+// retrievedChunk is one held chunk's stored fields for reassembly: a
+// group's sub-body for a live block, or a Reed-Solomon share of an archived
+// one (Coded). Either way Parts is the count the block was stored under.
 type retrievedChunk struct {
-	Group
-	Coded bool
-	Raw   []byte
+	Index, Parts, TxStart int
+	Data                  []byte
+	Coded                 bool
 }
 
+// wireSize counts a live chunk's sub-body, which holds its own count, and a
+// coded share with a four-byte length.
 func (m blockChunksMsg) wireSize() int {
 	n := reqOverhead
 	for _, c := range m.Chunks {
-		n += 4 + len(c.Raw)
-		for _, tx := range c.Txs {
-			n += tx.EncodedSize()
+		n += len(c.Data)
+		if c.Coded {
+			n += 4
 		}
 	}
 	return n

@@ -376,21 +376,21 @@ func (n *Node) sendShares(net *simnet.Network, st *leaderState, out shares) {
 // delivery: the checks of different owners overlap instead of queueing on
 // the event loop (DESIGN.md "Verification concurrency").
 type shareVerdict struct {
-	root   blockcrypto.Hash
+	hdr    chain.Header
 	groups []Group       // the slice checked; a payload rewritten in flight holds a copy
-	errs   []error       // errs[i] is groups[i].Verify(root)
+	errs   []error       // errs[i] is groups[i].Verify(hdr)
 	done   chan struct{} // closed once every errs[i] is written
 }
 
-// startVerdict checks every group of share against its header's Merkle root
-// on a goroutine that lives until the check returns.
+// startVerdict checks every group of share against its header on a
+// goroutine that lives until the check returns.
 func startVerdict(share shareMsg) *shareVerdict {
-	root, groups := share.Header.MerkleRoot, share.Groups
+	hdr, groups := share.Header, share.Groups
 	errs := make([]error, len(groups))
-	v := &shareVerdict{root: root, groups: groups, errs: errs, done: make(chan struct{})}
+	v := &shareVerdict{hdr: hdr, groups: groups, errs: errs, done: make(chan struct{})}
 	go func() {
 		for i := range groups {
-			errs[i] = groups[i].Verify(root)
+			errs[i] = groups[i].Verify(hdr)
 		}
 		close(v.done)
 	}()
@@ -398,16 +398,16 @@ func startVerdict(share shareMsg) *shareVerdict {
 }
 
 // verify is the owner's check of group i of m: the verdict started at send
-// while m still carries the root and the very groups it checked, otherwise
+// while m still carries the header and the very groups it checked, otherwise
 // Group.Verify inline — the leader's own share, or a share rewritten in
 // flight (a simnet.CorruptFunc returns a copy, never the sender's slice).
 func (m *shareMsg) verify(i int) error {
-	if v := m.verdict; v != nil && v.root == m.Header.MerkleRoot &&
+	if v := m.verdict; v != nil && v.hdr == m.Header &&
 		len(v.groups) == len(m.Groups) && &v.groups[0] == &m.Groups[0] {
 		<-v.done
 		return v.errs[i]
 	}
-	return m.Groups[i].Verify(m.Header.MerkleRoot)
+	return m.Groups[i].Verify(m.Header)
 }
 
 // coverageCheck walks uncovered chunks and extends their assignment down
@@ -479,25 +479,26 @@ func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
 	sp := n.tr.Start(n.rxSpan, "verify", "verify"+fmt.Sprint(all), int64(n.id))
 	var approved, rejected []int
 	for i := range m.Groups {
-		c := chunkPayload{Header: m.Header, Group: m.Groups[i]}
-		if n.hasChunkData(hash, c.Index) {
+		g := &m.Groups[i]
+		if n.hasChunkData(hash, g.Index) {
 			n.pc.duplicateChunks.Inc()
-			approved = append(approved, c.Index)
+			approved = append(approved, g.Index)
 			continue
 		}
-		sp.AddBytes(int64(c.dataBytes()))
+		sp.AddBytes(int64(g.dataBytes()))
 		n.pc.verified.Inc()
 		if m.verify(i) != nil {
 			n.pc.rejections.Inc()
 			sp.SetErr(errors.New("chunk rejected"))
-			rejected = append(rejected, c.Index)
+			rejected = append(rejected, g.Index)
 			continue
 		}
 		n.pc.approvals.Inc()
-		approved = append(approved, c.Index)
+		approved = append(approved, g.Index)
+		c := chunkPayload{Header: m.Header, Chunk: g.Chunk(hash, g.Encode())}
 		if n.store.HasHeader(hash) {
 			// Commit already happened (late reassignment): persist now.
-			n.persistChunk(hash, c)
+			_ = n.store.PutChunk(c.Chunk) // a chunk held already stays
 			continue
 		}
 		if len(n.pending[hash]) == 0 {
@@ -524,7 +525,7 @@ func (n *Node) hasChunkData(block blockcrypto.Hash, idx int) bool {
 		return true
 	}
 	for _, p := range n.pending[block] {
-		if p.Index == idx {
+		if p.ID.Index == idx {
 			return true
 		}
 	}
@@ -735,7 +736,7 @@ func (n *Node) applyCommit(hash blockcrypto.Hash, m commitMsg) {
 	n.pc.commits.Inc()
 	n.tr.Point(n.rxSpan, "distribute", "commit", int64(n.id), 0, "")
 	for _, c := range n.pending[hash] {
-		n.persistChunk(hash, c)
+		_ = n.store.PutChunk(c.Chunk) // a chunk held already stays
 	}
 	delete(n.pending, hash)
 	delete(n.pendingLeader, hash)
@@ -773,24 +774,20 @@ func (n *Node) sweepStale(committedHeight uint64) {
 	}
 }
 
-// persistChunk stores a verified chunk, proofs beside the bytes.
-func (n *Node) persistChunk(block blockcrypto.Hash, c chunkPayload) {
-	if n.store.HasChunk(storage.ChunkID{Block: block, Index: c.Index}) {
-		return
-	}
-	_ = n.store.PutChunk(c.Chunk(block, c.Encode())) // cannot be refused: the bytes are not empty and the ID is not held
-}
-
 // adoptChunk persists a chunk of block that arrived outside distribution —
 // fetched for bootstrap or repair, or handed off by a leaver — once it
-// verifies against the header this node committed; the header the message
-// carries is not trusted.
+// passes the owner's check (AdoptChunk) against the header this node
+// committed; the header the message carries is not trusted.
 func (n *Node) adoptChunk(block blockcrypto.Hash, c chunkPayload) bool {
 	hdr, err := n.store.Header(block)
-	if err != nil || c.Verify(hdr.MerkleRoot) != nil {
+	if err != nil {
 		return false
 	}
-	n.persistChunk(block, c)
+	chk, err := AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
+	if err != nil {
+		return false
+	}
+	_ = n.store.PutChunk(chk) // a chunk held already stays
 	return true
 }
 
@@ -826,8 +823,7 @@ func (n *Node) onGetChunk(net *simnet.Network, from simnet.NodeID, m getChunkMsg
 
 func (n *Node) onGetBlockChunks(net *simnet.Network, from simnet.NodeID, m getBlockChunksMsg) {
 	resp := blockChunksMsg{Block: m.Block, ReqID: m.ReqID, Round: m.Round}
-	// A chunk that fails its digest or does not decode is withheld rather
-	// than served.
+	// A chunk that fails its digest is withheld rather than served.
 	resp.Chunks, _ = n.heldChunks(m.Block)
 	_ = net.Send(simnet.Message{
 		From: n.id, To: from, Kind: KindBlockChunks,
@@ -835,24 +831,24 @@ func (n *Node) onGetBlockChunks(net *simnet.Network, from simnet.NodeID, m getBl
 	})
 }
 
-// storedPayload reads one stored chunk back as the message that carried it:
-// the decoded group under the block's header.
+// storedPayload reads one stored chunk back as the message that carries it,
+// under the block's header. A coded share has no transaction structure and
+// is not served.
 func (n *Node) storedPayload(id storage.ChunkID) (chunkPayload, error) {
 	chk, err := n.store.Chunk(id)
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	hdr, err := n.store.Header(id.Block)
-	if err != nil {
-		return chunkPayload{}, err
+	if chk.CodedK > 0 {
+		return chunkPayload{}, fmt.Errorf("%w: %s is a coded share", ErrBadGroup, id)
 	}
-	g, err := storedGroup(&chk)
-	return chunkPayload{Header: hdr, Group: g}, err
+	hdr, err := n.store.Header(id.Block)
+	return chunkPayload{Header: hdr, Chunk: chk}, err
 }
 
 // heldChunks returns what this node stores of a block as retrieval content
-// — groups without proofs, coded shares raw — and how many stored chunks
-// failed their digest or did not decode.
+// — each chunk's stored fields, without proofs — and how many stored chunks
+// failed their digest.
 func (n *Node) heldChunks(block blockcrypto.Hash) (out []retrievedChunk, bad int) {
 	for _, idx := range n.store.ChunksForBlock(block) {
 		chk, err := n.store.Chunk(storage.ChunkID{Block: block, Index: idx})
@@ -860,17 +856,7 @@ func (n *Node) heldChunks(block blockcrypto.Hash) (out []retrievedChunk, bad int
 			bad++
 			continue
 		}
-		c := retrievedChunk{Group: Group{Index: idx, Parts: chk.Parts}, Coded: true, Raw: chk.Data}
-		if chk.CodedK == 0 {
-			g, err := storedGroup(&chk)
-			if err != nil {
-				bad++
-				continue
-			}
-			g.Proofs = nil // a whole-block read is verified against the root directly
-			c = retrievedChunk{Group: g}
-		}
-		out = append(out, c)
+		out = append(out, retrievedChunk{Index: idx, Parts: chk.Parts, TxStart: chk.TxStart, Data: chk.Data, Coded: chk.CodedK > 0})
 	}
 	return out, bad
 }

@@ -14,7 +14,10 @@ import (
 )
 
 // clusterChunks collects every distinct chunk of b held inside cluster c —
-// the full reassembly set a (possibly stale) member response could carry.
+// the full reassembly set a (possibly stale) member response could carry —
+// and checks that they are b with the decoded reference: each chunk's bytes
+// decoded, the transactions concatenated and the block checked whole
+// (chain.Block.VerifyShape), not through ReassembleEncoding.
 func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) []retrievedChunk {
 	t.Helper()
 	ci := sys.clusters[c]
@@ -33,8 +36,17 @@ func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) []retrieved
 		t.Fatalf("cluster %d holds %d of %d chunks", c, len(found), parts)
 	}
 	out := make([]retrievedChunk, 0, len(found))
+	whole := &chain.Block{Header: b.Header}
 	for i := 0; i < parts; i++ {
+		txs, err := chain.DecodeBody(found[i].Data)
+		if err != nil {
+			t.Fatalf("cluster %d chunk %d: %v", c, i, err)
+		}
+		whole.Txs = append(whole.Txs, txs...)
 		out = append(out, found[i])
+	}
+	if err := whole.VerifyShape(); err != nil {
+		t.Fatalf("cluster %d: the chunks it holds are not block %d: %v", c, b.Header.Height, err)
 	}
 	return out
 }

@@ -43,9 +43,9 @@ func (n *Node) retrieveBlock(net *simnet.Network, block blockcrypto.Hash, parent
 // startRetrieve runs a whole-block fetch, live or archived (shares ride the
 // same request/response pair as live chunks): seed it with the chunks this
 // node holds itself, then ask the cluster for the rest. A local chunk that
-// fails its digest check (bit rot, torn write) or does not decode must not
-// be silently skipped: it is counted, and the remote fetch re-establishes
-// it from the other owners.
+// fails its digest check (bit rot, torn write) must not be silently
+// skipped: it is counted, and the remote fetch re-establishes it from the
+// other owners.
 func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
 	n.nextReq++
 	req := n.nextReq
@@ -194,26 +194,23 @@ func (n *Node) onBlockChunks(from simnet.NodeID, m blockChunksMsg) {
 }
 
 // tryFinishRetrieve reassembles and verifies the block once the fetch holds
-// enough of it.
+// enough of it. The block is decoded once, for the callback.
 func (n *Node) tryFinishRetrieve(req uint64, st *fetchState) bool {
 	if st.onBlock == nil {
 		return false
 	}
-	fail := func(err error) bool {
-		n.failFetch(req, st, err)
-		return true
-	}
-	groups, err := st.groups()
-	if err != nil {
-		return fail(err)
-	}
-	if groups == nil {
+	enc, err := st.assemble()
+	if err == nil && enc == nil {
 		return false
 	}
-	b, _, err := Reassemble(st.hdr, groups)
+	var b *chain.Block
+	if err == nil {
+		b, err = chain.DecodeBlock(enc)
+	}
 	if err != nil {
 		// Some member served corrupt, misplaced or misordered data.
-		return fail(fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
+		n.failFetch(req, st, fmt.Errorf("%w: %v", ErrRetrieveFailed, err))
+		return true
 	}
 	st.done = true
 	delete(n.fetches, req)
@@ -222,19 +219,20 @@ func (n *Node) tryFinishRetrieve(req uint64, st *fetchState) bool {
 	return true
 }
 
-// groups returns the block's groups in order once enough chunks are present,
-// nil while more are needed: every group of a live block, or any k shares
-// of an archived one, whose rebuilt body is the block's one group.
-func (st *fetchState) groups() ([]Group, error) {
+// assemble returns the block's encoding, checked against the header
+// (ReassembleEncoding), once enough chunks are present, and nil while more
+// are needed: every chunk of a live block, or any k shares of an archived
+// one, whose rebuilt body is the block's one chunk.
+func (st *fetchState) assemble() ([]byte, error) {
 	if st.codedK == 0 {
 		if st.parts == 0 || len(st.chunks) < st.parts {
 			return nil, nil
 		}
-		groups := make([]Group, st.parts)
-		for i := range groups {
-			groups[i] = st.chunks[i].Group // a gap leaves the zero Group, which Reassemble refuses
-		}
-		return groups, nil
+		enc, _, err := ReassembleEncoding(st.hdr, st.parts, func(i int) (int, int, int, []byte) {
+			c := st.chunks[i] // a gap is the zero chunk, which ReassembleEncoding refuses
+			return c.Index, c.Parts, c.TxStart, c.Data
+		})
+		return enc, err
 	}
 	if len(st.chunks) < st.codedK {
 		return nil, nil
@@ -246,7 +244,7 @@ func (st *fetchState) groups() ([]Group, error) {
 	shards := make([][]byte, st.parts)
 	for i, c := range st.chunks {
 		if i >= 0 && i < st.parts {
-			shards[i] = c.Raw
+			shards[i] = c.Data
 		}
 	}
 	if code.Reconstruct(shards) != nil {
@@ -256,11 +254,8 @@ func (st *fetchState) groups() ([]Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := DecodeGroup(0, 1, 0, body, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRetrieveFailed, err)
-	}
-	return []Group{g}, nil
+	enc, _, err := ReassembleEncoding(st.hdr, 1, func(int) (int, int, int, []byte) { return 0, 1, 0, body })
+	return enc, err
 }
 
 func (n *Node) failFetch(req uint64, st *fetchState, err error) {
@@ -488,12 +483,12 @@ func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespM
 	if !ok || st.done || st.block != m.Block {
 		return
 	}
-	if m.Found && m.Chunk.Index == st.idx && n.adoptChunk(m.Block, m.Chunk) {
+	if m.Found && m.Chunk.ID.Index == st.idx && n.adoptChunk(m.Block, m.Chunk) {
 		// A verified chunk is accepted from any source, even one already
 		// timed out: the data speaks for itself.
 		delete(n.fetches, m.ReqID)
 		st.done = true
-		n.finishFetchSpan(st, int64(m.Chunk.dataBytes()), nil)
+		n.finishFetchSpan(st, int64(len(m.Chunk.Data)), nil)
 		st.onChunk(nil)
 		return
 	}

@@ -290,10 +290,7 @@ func TestShareVerdictIsTheInlineCheck(t *testing.T) {
 		{"forged signature", share(forgedTxs), nil},
 		{"more transactions than proofs", clean, func(g *Group) { g.Proofs = g.Proofs[:len(g.Proofs)-1] }},
 	}
-	inline := func(m shareMsg, i int) string {
-		c := chunkPayload{Header: m.Header, Group: m.Groups[i]}
-		return errText(c.Verify(c.Header.MerkleRoot))
-	}
+	inline := func(m shareMsg, i int) string { return errText(m.Groups[i].Verify(m.Header)) }
 	corrupt := ChaosCorrupter()
 	for ci, tc := range cases {
 		m := tc.m
@@ -385,6 +382,61 @@ func TestShareDuplicatesAreIdempotent(t *testing.T) {
 	for id, n := range sys.nodes {
 		if got, want := n.store.Stats(), clean.nodes[id].store.Stats(); got != want {
 			t.Errorf("node %d stores %+v, a clean run %+v", id, got, want)
+		}
+	}
+}
+
+// TestOwnersRefuseAShareCutShort cuts every group of every share on the wire
+// one transaction short, its proof with it: each transaction left still
+// proves into the root and is signed, so only the owner's position rule
+// tells the group from the chunk it claims to be. No member stores a short
+// chunk, and every block committed everywhere is one each cluster holds.
+func TestOwnersRefuseAShareCutShort(t *testing.T) {
+	sys, gen := buildSystem(t, Config{Nodes: 12, Clusters: 2, Replication: 2, Seed: 7})
+	cuts := 0
+	sys.Network().EnableFaults(7, simnet.FaultConfig{CorruptRate: 1, Corrupt: func(msg simnet.Message, _ *blockcrypto.RNG) (any, bool) {
+		m, ok := msg.Payload.(shareMsg)
+		if !ok {
+			return nil, false
+		}
+		m.Groups = append([]Group(nil), m.Groups...)
+		for i := range m.Groups {
+			if g := &m.Groups[i]; len(g.Txs) > 0 {
+				g.Txs, g.Proofs = g.Txs[:len(g.Txs)-1], g.Proofs[:len(g.Proofs)-1]
+				cuts++
+			}
+		}
+		return m, true
+	}})
+	blocks := produceAndSettle(t, sys, gen, 2, 24)
+	if cuts == 0 {
+		t.Fatal("no share was cut: nothing was tested")
+	}
+	for id, n := range sys.nodes {
+		for _, h := range n.store.Headers() {
+			for _, idx := range n.store.ChunksForBlock(h.Hash()) {
+				chk, err := n.store.Chunk(storage.ChunkID{Block: h.Hash(), Index: idx})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := DecodeGroup(idx, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
+				if err == nil {
+					err = g.ProvesChunk(h, chk.Parts, idx)
+				}
+				if err != nil {
+					t.Errorf("node %d stores chunk %d of block %d: %v", id, idx, h.Height, err)
+				}
+			}
+		}
+	}
+	for _, b := range blocks {
+		if !sys.AllCommitted(b.Hash()) {
+			continue
+		}
+		for c := 0; c < sys.NumClusters(); c++ {
+			if err := sys.ClusterHoldsBlock(c, b.Hash()); err != nil {
+				t.Errorf("block %d committed everywhere: %v", b.Header.Height, err)
+			}
 		}
 	}
 }

@@ -361,15 +361,13 @@ func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 	if hdr == nil {
 		return fmt.Errorf("cluster %d: %w", c, ErrUnknownBlock)
 	}
-	groups, err := held.groups()
+	held.hdr = *hdr
+	enc, err := held.assemble()
 	if err != nil {
-		return fmt.Errorf("cluster %d: rebuild of %s: %w", c, block.Short(), err)
-	}
-	if groups == nil {
-		return fmt.Errorf("cluster %d: holds %d of %d chunks of %s", c, len(held.chunks), held.parts, block.Short())
-	}
-	if _, _, err := Reassemble(*hdr, groups); err != nil {
 		return fmt.Errorf("cluster %d: reassembly of %s: %w", c, block.Short(), err)
+	}
+	if enc == nil {
+		return fmt.Errorf("cluster %d: holds %d of %d chunks of %s", c, len(held.chunks), held.parts, block.Short())
 	}
 	return nil
 }

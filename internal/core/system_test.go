@@ -348,18 +348,17 @@ func TestVerifyChunkRejectsBadProofIndex(t *testing.T) {
 	p0, _ := tree.Prove(0)
 	p1, _ := tree.Prove(1)
 	good := Group{Index: 0, Parts: 4, TxStart: 0, Txs: txs[:2], Proofs: []chain.Proof{p0, p1}}
-	root := b.Header.MerkleRoot
-	if err := good.Verify(root); err != nil {
+	if err := good.Verify(b.Header); err != nil {
 		t.Fatalf("good chunk rejected: %v", err)
 	}
 	shifted := good
 	shifted.TxStart = 2
-	if err := shifted.Verify(root); err == nil {
+	if err := shifted.Verify(b.Header); err == nil {
 		t.Fatal("position-shifted chunk accepted")
 	}
 	mismatched := good
 	mismatched.Proofs = []chain.Proof{p0}
-	if err := mismatched.Verify(root); err == nil {
+	if err := mismatched.Verify(b.Header); err == nil {
 		t.Fatal("proof-count mismatch accepted")
 	}
 }

@@ -20,7 +20,8 @@ import (
 // verifyGroupSeq is the sequential loop Group.Verify was before its
 // per-transaction checks went fork-join, kept as the reference the
 // differential test compares against. Without sigs it is the reference for
-// Group.Proves.
+// Group.Proves; ownerSeq puts the position rule in front of it for the
+// owner's check.
 func verifyGroupSeq(root blockcrypto.Hash, g Group, sigs bool) error {
 	if len(g.Txs) != len(g.Proofs) {
 		return fmt.Errorf("%w: %d txs with %d proofs", ErrBadGroup, len(g.Txs), len(g.Proofs))
@@ -42,6 +43,15 @@ func verifyGroupSeq(root blockcrypto.Hash, g Group, sigs bool) error {
 	return nil
 }
 
+// ownerSeq is the reference for Group.Verify: the group's own position
+// (placed), then the sequential loop.
+func ownerSeq(hdr chain.Header, g Group) error {
+	if err := placed(hdr, g.Parts, g.Index, g.Index, g.Parts, g.TxStart, len(g.Txs)); err != nil {
+		return err
+	}
+	return verifyGroupSeq(hdr.MerkleRoot, g, true)
+}
+
 // fixtureTxs signs the 256 transactions every chunk fixture is cut from.
 func fixtureTxs(t testing.TB) []*chain.Transaction {
 	t.Helper()
@@ -54,11 +64,11 @@ func fixtureTxs(t testing.TB) []*chain.Transaction {
 
 // chunkFixture builds the chunk a 16-member cluster's member receives from a
 // block of the given transactions — 16 of them with their proofs, starting at
-// transaction 32 — and the block's Merkle root. The block is built over a
+// transaction 32 — and the block's header. The block is built over a
 // forged signature at each chunk position in badSigAt, so those transactions
 // carry a valid proof and fail only the signature check — what a leader
 // distributing a bad block sends.
-func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) (blockcrypto.Hash, Group) {
+func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) (chain.Header, Group) {
 	t.Helper()
 	const parts, idx, start = 16, 2, 32 // SplitCounts(256, 16): group 2 starts at transaction 32
 	txs = append([]*chain.Transaction(nil), txs...)
@@ -76,7 +86,7 @@ func chunkFixture(t testing.TB, txs []*chain.Transaction, badSigAt ...int) (bloc
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Header.MerkleRoot, groups[idx]
+	return b.Header, groups[idx]
 }
 
 // The ways a chunk can be damaged in flight at one position, each applied to
@@ -117,7 +127,7 @@ func errText(err error) string {
 // the reader's Merkle half, Proves.
 func TestVerifyChunkMatchesSequential(t *testing.T) {
 	txs := fixtureTxs(t)
-	root, good := chunkFixture(t, txs)
+	hdr, good := chunkFixture(t, txs)
 	kinds := make([]string, 0, len(chunkDamage))
 	for k := range chunkDamage {
 		kinds = append(kinds, k)
@@ -126,24 +136,27 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 
 	type testCase struct {
 		name string
-		root blockcrypto.Hash
+		hdr  chain.Header
 		g    Group
 	}
-	cases := []testCase{{"intact", root, good}}
+	cases := []testCase{{"intact", hdr, good}}
 	short := good
 	short.Proofs = good.Proofs[:len(good.Proofs)-1]
-	cases = append(cases, testCase{"proof count mismatch", root, short})
+	cases = append(cases, testCase{"proof count mismatch", hdr, short})
+	cut := good
+	cut.Txs, cut.Proofs = good.Txs[:len(good.Txs)-1], good.Proofs[:len(good.Proofs)-1]
+	cases = append(cases, testCase{"cut one transaction short", hdr, cut})
 	shifted := good
 	shifted.TxStart += 16
-	cases = append(cases, testCase{"shifted position", root, shifted})
+	cases = append(cases, testCase{"shifted position", hdr, shifted})
 	empty := good
 	empty.Txs, empty.Proofs = nil, nil
-	cases = append(cases, testCase{"empty chunk", root, empty})
+	cases = append(cases, testCase{"empty chunk", hdr, empty})
 	for _, k := range kinds {
 		for i := range good.Txs {
 			g := good
 			chunkDamage[k](&g, i)
-			cases = append(cases, testCase{fmt.Sprintf("%s at %d", k, i), root, g})
+			cases = append(cases, testCase{fmt.Sprintf("%s at %d", k, i), hdr, g})
 		}
 	}
 	// A transaction that fails only its signature, at each position, and
@@ -152,14 +165,14 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 		r, g := chunkFixture(t, txs, i)
 		cases = append(cases, testCase{fmt.Sprintf("bad signature at %d", i), r, g})
 	}
-	forgedRoot, forged := chunkFixture(t, txs, 6, 11)
+	forgedHdr, forged := chunkFixture(t, txs, 6, 11)
 	for _, k := range kinds {
 		below, above := forged, forged
 		chunkDamage[k](&below, 2)
 		chunkDamage[k](&above, 9)
 		cases = append(cases,
-			testCase{"bad signatures at 6 and 11, " + k + " at 2", forgedRoot, below},
-			testCase{"bad signatures at 6 and 11, " + k + " at 9", forgedRoot, above})
+			testCase{"bad signatures at 6 and 11, " + k + " at 2", forgedHdr, below},
+			testCase{"bad signatures at 6 and 11, " + k + " at 9", forgedHdr, above})
 	}
 	// Two failures of different kinds: every ordered pair of kinds, at a low
 	// and a high position.
@@ -169,29 +182,26 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 				g := good
 				chunkDamage[highKind](&g, pos[1])
 				chunkDamage[lowKind](&g, pos[0])
-				cases = append(cases, testCase{fmt.Sprintf("%s at %d and %s at %d", lowKind, pos[0], highKind, pos[1]), root, g})
+				cases = append(cases, testCase{fmt.Sprintf("%s at %d and %s at %d", lowKind, pos[0], highKind, pos[1]), hdr, g})
 			}
 		}
 	}
 
-	fromBytes := func(g Group, root blockcrypto.Hash) error {
-		d, err := DecodeGroup(g.Index, g.Parts, g.TxStart, g.Encode(), g.Proofs)
-		if err != nil {
-			return err
-		}
-		return d.Verify(root)
+	fromBytes := func(g Group, hdr chain.Header) error {
+		_, err := AdoptChunk(hdr, g.Index, g.Parts, g.TxStart, g.Encode(), g.Proofs)
+		return err
 	}
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, tc := range cases {
-			want := errText(verifyGroupSeq(tc.root, tc.g, true))
-			if got := errText(tc.g.Verify(tc.root)); got != want {
+			want := errText(ownerSeq(tc.hdr, tc.g))
+			if got := errText(tc.g.Verify(tc.hdr)); got != want {
 				t.Errorf("GOMAXPROCS=%d %s: fork-join says %q, sequential says %q", procs, tc.name, got, want)
 			}
-			if got := errText(fromBytes(tc.g, tc.root)); got != want {
+			if got := errText(fromBytes(tc.g, tc.hdr)); got != want {
 				t.Errorf("GOMAXPROCS=%d %s: decoded from stored bytes says %q, sequential says %q", procs, tc.name, got, want)
 			}
-			if got, want := errText(tc.g.Proves(tc.root)), errText(verifyGroupSeq(tc.root, tc.g, false)); got != want {
+			if got, want := errText(tc.g.Proves(tc.hdr.MerkleRoot)), errText(verifyGroupSeq(tc.hdr.MerkleRoot, tc.g, false)); got != want {
 				t.Errorf("GOMAXPROCS=%d %s: Proves says %q, sequential without signatures says %q", procs, tc.name, got, want)
 			}
 		}
@@ -200,23 +210,23 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 
 	// The reference itself must tell the cases apart, or the comparison
 	// above proves nothing.
-	if err := good.Verify(root); err != nil {
+	if err := good.Verify(hdr); err != nil {
 		t.Fatalf("intact chunk rejected: %v", err)
 	}
 	two := good
 	chunkDamage["bad proof"](&two, 12)
 	chunkDamage["tampered transaction"](&two, 7)
-	if got := errText(two.Verify(root)); !strings.Contains(got, fmt.Sprintf("tx %d proof", good.TxStart+7)) {
+	if got := errText(two.Verify(hdr)); !strings.Contains(got, fmt.Sprintf("tx %d proof", good.TxStart+7)) {
 		t.Fatalf("two failures reported %q, want the proof failure at index 7 (tx %d)", got, good.TxStart+7)
 	}
-	if err := forged.Verify(forgedRoot); !errors.Is(err, chain.ErrTxBadSignature) || !strings.Contains(err.Error(), fmt.Sprintf("tx %d:", good.TxStart+6)) {
+	if err := forged.Verify(forgedHdr); !errors.Is(err, chain.ErrTxBadSignature) || !strings.Contains(err.Error(), fmt.Sprintf("tx %d:", good.TxStart+6)) {
 		t.Fatalf("two forged signatures reported %v, want ErrTxBadSignature at index 6 (tx %d)", err, good.TxStart+6)
 	}
-	if err := forged.Proves(forgedRoot); err != nil {
+	if err := forged.Proves(forgedHdr.MerkleRoot); err != nil {
 		t.Fatalf("Proves looked at a signature: %v", err)
 	}
-	for _, g := range []Group{short, shifted} {
-		if err := g.Verify(root); !errors.Is(err, ErrBadGroup) {
+	for _, g := range []Group{short, cut, shifted} {
+		if err := g.Verify(hdr); !errors.Is(err, ErrBadGroup) {
 			t.Fatalf("shape error %v does not wrap ErrBadGroup", err)
 		}
 	}
@@ -331,11 +341,11 @@ func TestDuplicateCommitDroppedBeforeVerification(t *testing.T) {
 // BenchmarkVerifyChunk verifies one member's share of a 256-transaction
 // block in a 16-member cluster (16 transactions); run with -cpu 1,2.
 func BenchmarkVerifyChunk(b *testing.B) {
-	root, g := chunkFixture(b, fixtureTxs(b))
+	hdr, g := chunkFixture(b, fixtureTxs(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.Verify(root); err != nil {
+		if err := g.Verify(hdr); err != nil {
 			b.Fatal(err)
 		}
 	}

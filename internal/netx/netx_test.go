@@ -2,6 +2,7 @@ package netx
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -174,9 +175,10 @@ func TestServerRejectsUnverifiableChunks(t *testing.T) {
 	}
 
 	// Tampered data fails proof verification server-side.
+	proof1, _ := tree.Prove(1)
 	tampered := good
-	tampered.Index = 1
-	mut := *b.Txs[0]
+	tampered.Index, tampered.TxStart, tampered.Proofs = 1, 1, []chain.Proof{proof1}
+	mut := *b.Txs[1]
 	mut.Amount++
 	tsub := chain.Block{Txs: []*chain.Transaction{&mut}}
 	tampered.Data = tsub.EncodeBody()
@@ -203,6 +205,44 @@ func TestServerRejectsUnverifiableChunks(t *testing.T) {
 	empty.Data = nil
 	if err := c.PutChunk(empty); err == nil {
 		t.Fatal("empty chunk accepted")
+	}
+}
+
+// TestServerRefusesAChunkCutShort: a chunk one transaction short of the
+// range the split gives its index — every transaction it holds proves into
+// the root and is signed — is refused as a bad request and not stored, as a
+// lying transfer source might send it; the chunk as split is then taken.
+func TestServerRefusesAChunkCutShort(t *testing.T) {
+	servers, addrs := startServers(t, 1)
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := testBlocks(t, 1, 16)[0]
+	if err := c.PutHeader(b.Header); err != nil {
+		t.Fatal(err)
+	}
+	tree, _ := chain.TxMerkleTree(b.Txs)
+	put := func(txs int) error {
+		const parts, idx, start = 4, 1, 4 // SplitCounts(16, 4): chunk 1 holds txs [4,8)
+		sub := chain.Block{Txs: b.Txs[start : start+txs]}
+		req := PutChunkReq{Block: b.Hash(), Index: idx, Parts: parts, TxStart: start, Data: sub.EncodeBody()}
+		for i := start; i < start+txs; i++ {
+			p, _ := tree.Prove(i)
+			req.Proofs = append(req.Proofs, p)
+		}
+		return c.PutChunk(req)
+	}
+	// An error crosses the wire as its text.
+	if err := put(3); err == nil || !strings.HasPrefix(err.Error(), ErrBadRequest.Error()) {
+		t.Fatalf("chunk cut one transaction short: got %v, want %v", err, ErrBadRequest)
+	}
+	if st := servers[0].Stats(); st.ChunkCount != 0 {
+		t.Fatalf("the server stored %d chunks after refusing the short one", st.ChunkCount)
+	}
+	if err := put(4); err != nil {
+		t.Fatalf("chunk as split refused: %v", err)
 	}
 }
 

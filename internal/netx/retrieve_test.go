@@ -51,12 +51,14 @@ func sweepRetrieve(cl *Cluster, hdr chain.Header) (*chain.Block, error) {
 	if parts == 0 || len(found) < parts {
 		return nil, fmt.Errorf("%w: have %d of %d", ErrIncompleteBlock, len(found), parts)
 	}
-	groups := make([]core.Group, parts)
-	for i := range groups {
-		groups[i] = found[i]
+	// The decoded groups joined by concatenation and checked whole, not
+	// through core.ReassembleEncoding: the differential compares two
+	// implementations of reassembly.
+	b := &chain.Block{Header: hdr}
+	for i := 0; i < parts; i++ {
+		b.Txs = append(b.Txs, found[i].Txs...)
 	}
-	b, _, err := core.Reassemble(hdr, groups)
-	return b, err
+	return b, b.VerifyShape()
 }
 
 // TestRetrieveAgreesWithTheSweep: on seeded 8-member clusters with one

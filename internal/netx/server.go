@@ -252,12 +252,12 @@ func (s *Server) handleClusterMap(req *Request) *Response {
 	return okResp()
 }
 
-// handlePutChunk verifies what the server stores: the chunk must decode and
-// pass the group check every owner runs (core.Group.Verify) against the
-// already-stored header's root. s.mu is held to look the header up and again
-// to store; the checks between run unlocked (they read only the request and
-// the header copy), so connections verify side by side and reads do not wait
-// behind signatures.
+// handlePutChunk verifies what the server stores: the chunk must pass the
+// check every owner runs on a chunk it receives as bytes (core.AdoptChunk)
+// against the already-stored header. s.mu is held to look the header up and
+// again to store; the checks between run unlocked (they read only the
+// request and the header copy), so connections verify side by side and
+// reads do not wait behind signatures.
 func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	if len(r.Data) == 0 || r.Parts <= 0 || r.Index < 0 || r.Index >= r.Parts {
 		return errResp(ErrBadRequest)
@@ -268,17 +268,13 @@ func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	if err != nil {
 		return errResp(fmt.Errorf("store chunk: header unknown: %w", ErrNotFound))
 	}
-	g, err := core.DecodeGroup(r.Index, r.Parts, r.TxStart, r.Data, r.Proofs)
+	chunk, err := core.AdoptChunk(hdr, r.Index, r.Parts, r.TxStart, r.Data, r.Proofs)
 	if err != nil {
-		return errResp(fmt.Errorf("%w: %v", ErrBadRequest, err))
-	}
-	if err := g.Verify(hdr.MerkleRoot); err != nil {
 		if errors.Is(err, core.ErrBadGroup) {
 			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		return errResp(err)
 	}
-	chunk := g.Chunk(r.Block, r.Data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.store.PutChunk(chunk); err != nil {
