@@ -34,16 +34,18 @@ test:
 # 1 vs 4 cores, shares checked in flight). core.Group.Verify and
 # consensus.VerifyCertificate fork their signature checks through
 # internal/par, the workload generator forks its signing and key
-# derivations, and a leader starts each remote member's share check when it
-# sends the share (collected on delivery): the helper, the balanced k-means
-# cycle exit, the certificate differentials (one-chunk votes and votes over
-# shares), the generator's batched-vs-sequential stream test, the
-# GOMAXPROCS-1-vs-4 byte-identity run, and every core test that delivers
-# shares tampered with, corrupted, dropped, duplicated or cut short (the
-# share protocol tests and the in-flight verdict oracle, the Byzantine and
-# tampering leaders, the corrupter, exactly-once under faults, the owners
-# refusing shares cut one transaction short) are raced five times each on
-# one, two and four Ps.
+# derivations, and a leader starts each remote member's share check
+# (core.AdoptChunk on the share's stored bytes) when it sends the share
+# (collected on delivery): the helper, the balanced k-means cycle exit, the
+# certificate differentials (one-chunk votes and votes over shares), the
+# generator's batched-vs-sequential stream test, the GOMAXPROCS-1-vs-4
+# byte-identity run, every core test that delivers shares tampered with,
+# corrupted, dropped, duplicated or cut short (the share protocol tests and
+# the in-flight verdict oracle, the Byzantine and tampering leaders, the
+# corrupter, exactly-once under faults, the owners refusing shares cut one
+# transaction short), the receiver check's fuzz seeds and the archived
+# shares kept through joins and a prune are raced five times each on one,
+# two and four Ps.
 #
 # Gateway caches and batcher (verified-only chunk cache, proofs from the
 # cached tree, coalescing, netx.Gather through the batcher). A block-cache
@@ -59,7 +61,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate|TxProof|CutShort'
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/cluster ./internal/consensus ./internal/workload
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults|CutShort'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults|CutShort|AdoptChunk|PruneKeepsArchivedShares'
 	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|MisCut|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ServedBlock|ColdRead'
 
 # The repo's own invariant suite (`icilint -list` prints it; DESIGN.md

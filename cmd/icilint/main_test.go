@@ -159,9 +159,9 @@ var seeds = []seed{
 	{"determinism", "internal/workload/workload.go", []string{ // NextTxs collects signatures in completion order
 		"\tpar.Each(n, 0, func(i int) { out[i].Sign(keys[i]) })\n",
 		"\tvar signed []*chain.Transaction\n\tpar.Each(n, 0, func(i int) {\n\t\tout[i].Sign(keys[i])\n\t\tsigned = append(signed, out[i])\n\t})\n\tout = signed\n"}},
-	{"determinism", "internal/core/node.go", []string{ // startVerdict collects a share's group errors in completion order
-		"\t\t\terrs[i] = groups[i].Verify(hdr)\n",
-		"\t\t\terrs = append(errs, groups[i].Verify(hdr))\n"}},
+	{"determinism", "internal/core/node.go", []string{ // startVerdict collects a share's chunk errors in completion order
+		"\t\t\tadopted[i], errs[i] = AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)\n",
+		"\t\t\tchk, err := AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)\n\t\t\tadopted[i] = chk\n\t\t\terrs = append(errs, err)\n"}},
 	{"chunkalias", "internal/storage/store.go", []string{ // PutChunk keeps the caller's buffer
 		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = c\n",
 		"\ts.chunks[c.ID] = c\n"}},

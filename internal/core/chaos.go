@@ -5,29 +5,25 @@ import (
 	"icistrategy/internal/chain"
 	"icistrategy/internal/consensus"
 	"icistrategy/internal/simnet"
+	"icistrategy/internal/storage"
 )
 
 // ChaosCorrupter returns a simnet.CorruptFunc that performs kind-aware,
-// size-preserving corruption of ICI protocol payloads: it bumps a
-// transaction amount inside a share (the one chunk-bearing message that
-// travels decoded), flips one byte of a chunk's stored bytes inside every
-// other chunk-bearing message, and flips the verdict bit of votes. Every
-// mutation is applied to a copy, never to memory shared with the sender,
-// and every corrupted payload is detectable — chunk tampering breaks the
-// framing, the cut, the Merkle proofs or the block root, vote tampering
-// breaks the signature — so corruption must cost the protocols retries,
+// size-preserving corruption of ICI protocol payloads: it flips one byte of
+// one chunk's stored bytes inside every chunk-bearing message (a share, a
+// fetch answer, a handoff, a whole-block answer), bumps the amount of a
+// served transaction, and flips the verdict bit of votes. Every mutation
+// is applied to a copy, never to memory shared with the sender, and every
+// corrupted payload is detectable — chunk tampering breaks the framing, the
+// cut, a Merkle proof, a signature or the block root, vote tampering breaks
+// the vote's signature — so corruption must cost the protocols retries,
 // never integrity.
 func ChaosCorrupter() simnet.CorruptFunc {
 	return func(msg simnet.Message, rng *blockcrypto.RNG) (any, bool) {
 		switch p := msg.Payload.(type) {
 		case shareMsg:
-			if len(p.Groups) == 0 {
-				return nil, false
-			}
-			i := rng.Intn(len(p.Groups))
-			if txs, ok := tamperTxs(p.Groups[i].Txs, rng); ok {
-				p.Groups = append([]Group(nil), p.Groups...)
-				p.Groups[i].Txs = txs
+			if chunks, ok := flipChunk(p.Chunks, rng); ok {
+				p.Chunks = chunks
 				return p, true
 			}
 		case chunkRespMsg:
@@ -41,13 +37,8 @@ func ChaosCorrupter() simnet.CorruptFunc {
 				return p, true
 			}
 		case blockChunksMsg:
-			if len(p.Chunks) == 0 {
-				return nil, false
-			}
-			i := rng.Intn(len(p.Chunks))
-			if data, ok := flipByte(p.Chunks[i].Data, p.Chunks[i].Coded, rng); ok {
-				p.Chunks = append([]retrievedChunk(nil), p.Chunks...)
-				p.Chunks[i].Data = data
+			if chunks, ok := flipChunk(p.Chunks, rng); ok {
+				p.Chunks = chunks
 				return p, true
 			}
 		case txProofMsg:
@@ -82,16 +73,18 @@ func flipByte(data []byte, coded bool, rng *blockcrypto.RNG) ([]byte, bool) {
 	return out, true
 }
 
-// tamperTxs copies txs and bumps one amount; the copy leaves the sender's
-// slice untouched.
-func tamperTxs(txs []*chain.Transaction, rng *blockcrypto.RNG) ([]*chain.Transaction, bool) {
-	if len(txs) == 0 {
+// flipChunk copies chunks and flips one byte of one chunk's stored bytes
+// (flipByte); the copies leave the sender's slice and buffers untouched.
+func flipChunk(chunks []storage.Chunk, rng *blockcrypto.RNG) ([]storage.Chunk, bool) {
+	if len(chunks) == 0 {
 		return nil, false
 	}
-	out := append([]*chain.Transaction(nil), txs...)
-	i := rng.Intn(len(out))
-	tx := *out[i]
-	tx.Amount++
-	out[i] = &tx
+	i := rng.Intn(len(chunks))
+	data, ok := flipByte(chunks[i].Data, chunks[i].CodedK > 0, rng)
+	if !ok {
+		return nil, false
+	}
+	out := append([]storage.Chunk(nil), chunks...)
+	out[i].Data = data
 	return out, true
 }

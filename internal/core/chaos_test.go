@@ -8,12 +8,13 @@ import (
 	"icistrategy/internal/chain"
 	"icistrategy/internal/consensus"
 	"icistrategy/internal/simnet"
+	"icistrategy/internal/storage"
 )
 
 // TestChaosCorrupterCopies checks every corrupter arm: the returned payload
-// differs from the input — a share in one transaction, every other chunk in
-// one byte of its stored bytes — while the input, which simnet shares with
-// the sender's in-memory state, is left untouched.
+// differs from the input — every chunk-bearing message in one byte of one
+// chunk's stored bytes — while the input, which simnet shares with the
+// sender's in-memory state, is left untouched.
 func TestChaosCorrupterCopies(t *testing.T) {
 	corrupt := ChaosCorrupter()
 	rng := blockcrypto.NewRNG(99)
@@ -45,24 +46,37 @@ func TestChaosCorrupterCopies(t *testing.T) {
 
 	t.Run("shareMsg", func(t *testing.T) {
 		// The message a leader sends: several chunks under one header. One
-		// transaction of one chunk changes, in a copy.
+		// byte of one chunk changes, in a copy.
 		tx2 := &chain.Transaction{Amount: 70, Nonce: 2, Fee: 1}
 		tx2.Sign(key)
-		share := shareMsg{Groups: []Group{group, {Index: 1, Parts: 2, TxStart: 1, Txs: []*chain.Transaction{tx2}}}}
+		second := Group{Index: 1, Parts: 2, TxStart: 1, Txs: []*chain.Transaction{tx2}}
+		share := shareMsg{Chunks: []storage.Chunk{chunk.Chunk, second.Chunk(blockcrypto.ZeroHash, second.Encode())}}
+		orig := [][]byte{bytes.Clone(share.Chunks[0].Data), bytes.Clone(share.Chunks[1].Data)}
 		for i := 0; i < 8; i++ {
 			out, ok := corrupt(simnet.Message{Payload: share}, rng)
 			if !ok {
 				t.Fatal("corrupter skipped a share: chunk corruption would be switched off")
 			}
-			got := out.(shareMsg).Groups
-			if first, second := got[0].Txs[0].Amount != 50, got[1].Txs[0].Amount != 70; first == second {
-				t.Fatalf("corrupted share carries amounts %d and %d, want exactly one changed", got[0].Txs[0].Amount, got[1].Txs[0].Amount)
+			got := out.(shareMsg).Chunks
+			changed := -1
+			for j := range got {
+				if !bytes.Equal(got[j].Data, orig[j]) {
+					if changed >= 0 {
+						t.Fatal("corrupted share differs from the sender's in two chunks, want one")
+					}
+					changed = j
+				}
 			}
-			if tx.Amount != 50 || tx2.Amount != 70 || share.Groups[0].Txs[0] != tx || share.Groups[1].Txs[0] != tx2 {
-				t.Fatal("corrupter mutated the sender's share")
+			if changed < 0 {
+				t.Fatal("corrupted share carries the sender's bytes")
+			}
+			flipped(t, got[changed].Data, share.Chunks[changed].Data, orig[changed])
+			if &got[0] == &share.Chunks[0] {
+				t.Fatal("corrupter rewrote the sender's chunk slice")
 			}
 		}
-		if _, ok := corrupt(simnet.Message{Payload: shareMsg{Groups: []Group{{Parts: 1}}}}, rng); ok {
+		empty := shareMsg{Chunks: []storage.Chunk{(&Group{Parts: 2, Index: 1, TxStart: 1}).Chunk(blockcrypto.ZeroHash, emptyGroup)}}
+		if _, ok := corrupt(simnet.Message{Payload: empty}, rng); ok {
 			t.Fatal("corrupter claimed to corrupt a share without transactions")
 		}
 		if _, ok := corrupt(simnet.Message{Payload: shareMsg{}}, rng); ok {
@@ -97,19 +111,19 @@ func TestChaosCorrupterCopies(t *testing.T) {
 
 	t.Run("blockChunksMsg", func(t *testing.T) {
 		raw := []byte{1, 2, 3, 4}
-		for _, c := range []retrievedChunk{
-			{Parts: 1, Data: data},             // a live chunk's sub-body
-			{Parts: 3, Data: raw, Coded: true}, // a Reed-Solomon share
+		for _, c := range []storage.Chunk{
+			{Parts: 1, Data: data},           // a live chunk's sub-body
+			{Parts: 3, Data: raw, CodedK: 2}, // a Reed-Solomon share
 		} {
 			orig := bytes.Clone(c.Data)
-			m := blockChunksMsg{Chunks: []retrievedChunk{c}}
+			m := blockChunksMsg{Chunks: []storage.Chunk{c}}
 			out, ok := corrupt(simnet.Message{Payload: m}, rng)
 			if !ok {
-				t.Fatalf("corrupter skipped a chunks response (coded %v)", c.Coded)
+				t.Fatalf("corrupter skipped a chunks response (coded %v)", c.CodedK > 0)
 			}
 			flipped(t, out.(blockChunksMsg).Chunks[0].Data, m.Chunks[0].Data, orig)
 		}
-		empty := blockChunksMsg{Chunks: []retrievedChunk{{Index: 1, Parts: 2, TxStart: 1, Data: emptyGroup}}}
+		empty := blockChunksMsg{Chunks: []storage.Chunk{{ID: storage.ChunkID{Index: 1}, Parts: 2, TxStart: 1, Data: emptyGroup}}}
 		if _, ok := corrupt(simnet.Message{Payload: empty}, rng); ok {
 			t.Fatal("corrupter claimed to corrupt a live group without transactions")
 		}

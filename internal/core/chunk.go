@@ -105,12 +105,12 @@ func (g *Group) Verify(hdr chain.Header) error {
 	return g.check(hdr.MerkleRoot, true)
 }
 
-// AdoptChunk is the owner's check of a chunk that arrives as the bytes it is
-// stored in — fetched or handed off in the simulator, put over TCP — for
-// hdr's block: data, a group's sub-body (Group.Encode), is decoded with its
-// sidecar and put through Group.Verify. What comes back is the value to
-// store, built from the bytes received. A chunk that does not decode is
-// malformed (ErrBadGroup).
+// AdoptChunk is the owner's check of a chunk it receives for hdr's block,
+// which always arrives as the bytes it is stored in — a share, a fetch
+// answer or a handoff in the simulator, a put over TCP: data, a group's
+// sub-body (Group.Encode), is decoded with its sidecar and put through
+// Group.Verify. What comes back is the value to store, built from the bytes
+// received. A chunk that does not decode is malformed (ErrBadGroup).
 func AdoptChunk(hdr chain.Header, index, parts, txStart int, data []byte, proofs []chain.Proof) (storage.Chunk, error) {
 	g, err := DecodeGroup(index, parts, txStart, data, proofs)
 	if err != nil {

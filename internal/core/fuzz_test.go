@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"icistrategy/internal/chain"
+	"icistrategy/internal/storage"
 )
 
 // FuzzReassembleEncoding holds ReassembleEncoding to the decoded reference
@@ -77,6 +81,67 @@ func FuzzReassembleEncoding(f *testing.F) {
 		}
 		if !bytes.Equal(enc, ref.Encode()) || tree.Root() != b.Header.MerkleRoot || tree.NumLeaves() != len(ref.Txs) {
 			t.Fatal("ReassembleEncoding accepted, but not the reference block's encoding and tree")
+		}
+	})
+}
+
+// FuzzAdoptChunk holds AdoptChunk, the one check every member runs on a
+// chunk it receives, to a test-side reference: the bytes decoded
+// (chain.DecodeBody), then ownerSeq — the position rule and the sequential
+// proof and signature loop. The fuzzer rewrites a seeded group's stored
+// bytes, moves its index, part count and TxStart, and moves one proof's
+// leaf index. The group is small so that minimizing an input, which checks
+// its signatures at every step, stays quick. AdoptChunk must accept exactly when the reference does, and an
+// accepted chunk must be the bytes received, not a re-encoding of them.
+func FuzzAdoptChunk(f *testing.F) {
+	b := fixtureBlock(f, 11)
+	groups, err := SplitBlock(b, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hdr, good := b.Header, groups[1] // three transactions from TxStart 3
+	enc := good.Encode()
+	cut := good
+	cut.Txs = good.Txs[:len(good.Txs)-1]
+	if _, err := AdoptChunk(hdr, good.Index, good.Parts, good.TxStart, enc, good.Proofs); err != nil {
+		f.Fatalf("the seeded group is refused: %v", err) // the seeds would test refusals only
+	}
+	f.Add(enc, int8(0), int8(0), int8(0), uint8(0), int8(0))                                        // as sent
+	f.Add(cut.Encode(), int8(0), int8(0), int8(0), uint8(0), int8(0))                               // one transaction short
+	f.Add(enc[:len(enc)-1], int8(0), int8(0), int8(0), uint8(0), int8(0))                           // torn
+	f.Add([]byte{}, int8(0), int8(0), int8(0), uint8(0), int8(0))                                   // no bytes
+	f.Add(enc, int8(1), int8(0), int8(0), uint8(0), int8(0))                                        // another index
+	f.Add(enc, int8(0), int8(-1), int8(0), uint8(0), int8(0))                                       // another part count
+	f.Add(enc, int8(0), int8(0), int8(1), uint8(0), int8(0))                                        // another TxStart
+	f.Add(enc, int8(0), int8(0), int8(0), uint8(2), int8(1))                                        // a proof's leaf index
+	f.Add(append(bytes.Clone(enc[:40]), enc[41:]...), int8(0), int8(0), int8(0), uint8(0), int8(0)) // a byte gone
+	f.Fuzz(func(t *testing.T, data []byte, dIndex, dParts, dStart int8, proof uint8, dLeaf int8) {
+		index, parts, txStart := good.Index+int(dIndex), good.Parts+int(dParts), good.TxStart+int(dStart)
+		proofs := append([]chain.Proof(nil), good.Proofs...)
+		proofs[int(proof)%len(proofs)].LeafIndex += int(dLeaf)
+		in := bytes.Clone(data)
+
+		chk, err := AdoptChunk(hdr, index, parts, txStart, data, proofs)
+		ref := func() error {
+			txs, err := chain.DecodeBody(in)
+			if err != nil {
+				return err
+			}
+			return ownerSeq(hdr, Group{Index: index, Parts: parts, TxStart: txStart, Txs: txs, Proofs: proofs})
+		}()
+		if (err == nil) != (ref == nil) {
+			t.Fatalf("AdoptChunk says %v, the reference %v", err, ref)
+		}
+		if err != nil {
+			return
+		}
+		if len(chk.Data) != len(data) || &chk.Data[0] != &data[0] || !bytes.Equal(data, in) {
+			t.Fatal("an adopted chunk is not the bytes received")
+		}
+		want := storage.NewChunk(storage.ChunkID{Block: hdr.Hash(), Index: index}, in)
+		want.Parts, want.TxStart, want.Proofs = parts, txStart, proofs
+		if !reflect.DeepEqual(chk, want) {
+			t.Fatalf("adopted %+v, want %+v", chk, want)
 		}
 	})
 }

@@ -15,8 +15,8 @@ const (
 	// leader.
 	KindPropose = "ici/propose"
 	// KindChunk carries a member's share — every chunk it is asked to verify
-	// (transaction groups with Merkle proofs) under one header — from a
-	// cluster leader to that member.
+	// (each group's stored bytes with its Merkle proofs) under one header —
+	// from a cluster leader to that member.
 	KindChunk = "ici/chunk"
 	// KindVote carries a member's signed verdict back to the leader.
 	KindVote = "ici/vote"
@@ -70,39 +70,28 @@ type chunkPayload struct {
 	storage.Chunk
 }
 
-// wireSize counts the header, the position fields, the data and the proofs.
-func (c chunkPayload) wireSize() int {
-	n := chain.HeaderSize + 16 + len(c.Data)
+// wireSize counts the header and the chunk.
+func (c chunkPayload) wireSize() int { return chain.HeaderSize + chunkWireBytes(c.Chunk) }
+
+// chunkWireBytes is a chunk on the wire without a header: position fields,
+// data and proofs.
+func chunkWireBytes(c storage.Chunk) int {
+	n := 16 + len(c.Data)
 	for _, p := range c.Proofs {
 		n += p.EncodedSize()
 	}
 	return n
 }
 
-// dataBytes is the group's storable payload size (what counts as storage).
-func (g *Group) dataBytes() int {
-	sub := chain.Block{Txs: g.Txs}
-	return sub.BodySize()
-}
-
-// wireBytes is the chunk on the wire without a header: position fields,
-// data and proofs.
-func (g *Group) wireBytes() int {
-	n := 16 + g.dataBytes()
-	for _, p := range g.Proofs {
-		n += p.EncodedSize()
-	}
-	return n
-}
-
 // shareMsg is the payload of KindChunk: the chunks one member is asked to
-// verify, in increasing index order, under the header whose Merkle root
-// their proofs lead to. It is the one chunk-bearing message that stays
-// decoded: the owner's check reads the transactions.
+// verify and store, in increasing index order, under the header whose
+// Merkle root their proofs lead to. Like every chunk a member receives, each
+// is the bytes it is stored in, and the owner takes it only through
+// AdoptChunk.
 type shareMsg struct {
 	Header chain.Header
-	Groups []Group
-	// verdict is the owner's check of Groups, started when the leader sent
+	Chunks []storage.Chunk
+	// verdict is the owner's check of Chunks, started when the leader sent
 	// the share (node.go startVerdict); nil for the leader's own share. It
 	// is simulator bookkeeping, not wire bytes.
 	verdict *shareVerdict
@@ -111,8 +100,8 @@ type shareMsg struct {
 // wireSize counts the header once, whatever the number of chunks.
 func (m shareMsg) wireSize() int {
 	n := chain.HeaderSize
-	for i := range m.Groups {
-		n += m.Groups[i].wireBytes()
+	for _, c := range m.Chunks {
+		n += chunkWireBytes(c)
 	}
 	return n
 }
@@ -209,23 +198,16 @@ type getBlockChunksMsg struct {
 	Round int
 }
 
-// blockChunksMsg returns all held chunks of a block, without proofs — a
-// full-block reassembly is verified against the Merkle root directly
-// (ReassembleEncoding).
+// blockChunksMsg returns all held chunks of a block as stored, without
+// proofs — a full-block reassembly is verified against the Merkle root
+// directly (ReassembleEncoding): a group's sub-body for a live block, or a
+// Reed-Solomon share of an archived one (CodedK > 0). Either way Parts is the
+// count the block was stored under.
 type blockChunksMsg struct {
 	Block  blockcrypto.Hash
 	ReqID  uint64
 	Round  int // echoed from the request
-	Chunks []retrievedChunk
-}
-
-// retrievedChunk is one held chunk's stored fields for reassembly: a
-// group's sub-body for a live block, or a Reed-Solomon share of an archived
-// one (Coded). Either way Parts is the count the block was stored under.
-type retrievedChunk struct {
-	Index, Parts, TxStart int
-	Data                  []byte
-	Coded                 bool
+	Chunks []storage.Chunk
 }
 
 // wireSize counts a live chunk's sub-body, which holds its own count, and a
@@ -234,7 +216,7 @@ func (m blockChunksMsg) wireSize() int {
 	n := reqOverhead
 	for _, c := range m.Chunks {
 		n += len(c.Data)
-		if c.Coded {
+		if c.CodedK > 0 {
 			n += 4
 		}
 	}

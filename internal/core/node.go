@@ -61,7 +61,7 @@ const coverInterval = 2 * time.Second
 type leaderState struct {
 	block  *chain.Block
 	table  *consensus.ChunkTable
-	groups []Group // groups[i] is chunk i as distributed
+	chunks []storage.Chunk // chunks[i] is chunk i as distributed
 	// assigned[i] is the set of members currently asked to verify chunk i.
 	assigned []map[simnet.NodeID]bool
 	// ranking[i] is the full rendezvous fallback order for chunk i;
@@ -86,7 +86,7 @@ type fetchState struct {
 	hdr    chain.Header // the block's stored header, for whole-block retrievals
 	parts  int          // 0 until learned
 	codedK int          // >0 for archived-block retrievals
-	chunks map[int]retrievedChunk
+	chunks map[int]storage.Chunk
 
 	// A whole-block retrieval asks its cluster in rounds; a single-chunk
 	// fetch uses only the round's attempts, timeout and done.
@@ -297,7 +297,7 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 	st := &leaderState{
 		block:    b,
 		table:    table,
-		groups:   groups,
+		chunks:   make([]storage.Chunk, parts),
 		assigned: make([]map[simnet.NodeID]bool, parts),
 		ranking:  make([][]simnet.NodeID, parts),
 		nextCand: make([]int, parts),
@@ -315,12 +315,14 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 
 	out := shares{}
 	for idx := range groups {
-		if group := &groups[idx]; n.behavior.TamperChunks && len(group.Txs) > 0 {
-			tampered := *group.Txs[0]
+		g := &groups[idx]
+		if n.behavior.TamperChunks && len(g.Txs) > 0 {
+			tampered := *g.Txs[0]
 			tampered.Amount++
-			group.Txs = append([]*chain.Transaction(nil), group.Txs...)
-			group.Txs[0] = &tampered
+			g.Txs = append([]*chain.Transaction(nil), g.Txs...)
+			g.Txs[0] = &tampered
 		}
+		st.chunks[idx] = g.Chunk(hash, g.Encode())
 		ranked, rerr := epoch.Ranked(seed, idx)
 		if rerr != nil {
 			return
@@ -350,9 +352,9 @@ func (n *Node) sendShares(net *simnet.Network, st *leaderState, out shares) {
 		if len(idxs) == 0 {
 			continue
 		}
-		share := shareMsg{Header: st.block.Header, Groups: make([]Group, len(idxs))}
+		share := shareMsg{Header: st.block.Header, Chunks: make([]storage.Chunk, len(idxs))}
 		for i, idx := range idxs {
-			share.Groups[i] = st.groups[idx]
+			share.Chunks[i] = st.chunks[idx]
 		}
 		n.pc.chunksSent.Add(int64(len(idxs)))
 		if to == n.id {
@@ -371,43 +373,46 @@ func (n *Node) sendShares(net *simnet.Network, st *leaderState, out shares) {
 }
 
 // shareVerdict is an owner's check of a remote share, run while the share is
-// in flight. Group.Verify is a pure function of the bytes the owner is sent,
+// in flight. AdoptChunk is a pure function of the bytes the owner is sent,
 // so the leader starts it at send and the owner's onChunk collects it at
 // delivery: the checks of different owners overlap instead of queueing on
 // the event loop (DESIGN.md "Verification concurrency").
 type shareVerdict struct {
-	hdr    chain.Header
-	groups []Group       // the slice checked; a payload rewritten in flight holds a copy
-	errs   []error       // errs[i] is groups[i].Verify(hdr)
-	done   chan struct{} // closed once every errs[i] is written
+	hdr     chain.Header
+	chunks  []storage.Chunk // the slice checked; a payload rewritten in flight holds a copy
+	adopted []storage.Chunk // adopted[i], errs[i] is AdoptChunk of chunks[i]
+	errs    []error
+	done    chan struct{} // closed once every result is written
 }
 
-// startVerdict checks every group of share against its header on a
+// startVerdict checks every chunk of share against its header on a
 // goroutine that lives until the check returns.
 func startVerdict(share shareMsg) *shareVerdict {
-	hdr, groups := share.Header, share.Groups
-	errs := make([]error, len(groups))
-	v := &shareVerdict{hdr: hdr, groups: groups, errs: errs, done: make(chan struct{})}
+	hdr, chunks := share.Header, share.Chunks
+	adopted, errs := make([]storage.Chunk, len(chunks)), make([]error, len(chunks))
+	v := &shareVerdict{hdr: hdr, chunks: chunks, adopted: adopted, errs: errs, done: make(chan struct{})}
 	go func() {
-		for i := range groups {
-			errs[i] = groups[i].Verify(hdr)
+		for i, c := range chunks {
+			adopted[i], errs[i] = AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
 		}
 		close(v.done)
 	}()
 	return v
 }
 
-// verify is the owner's check of group i of m: the verdict started at send
-// while m still carries the header and the very groups it checked, otherwise
-// Group.Verify inline — the leader's own share, or a share rewritten in
-// flight (a simnet.CorruptFunc returns a copy, never the sender's slice).
-func (m *shareMsg) verify(i int) error {
+// verify is the owner's check of chunk i of m, returning the chunk to store:
+// the verdict started at send while m still carries the header and the very
+// chunks it checked, otherwise AdoptChunk inline — the leader's own share,
+// or a share rewritten in flight (a simnet.CorruptFunc returns a copy, never
+// the sender's slice).
+func (m *shareMsg) verify(i int) (storage.Chunk, error) {
 	if v := m.verdict; v != nil && v.hdr == m.Header &&
-		len(v.groups) == len(m.Groups) && &v.groups[0] == &m.Groups[0] {
+		len(v.chunks) == len(m.Chunks) && &v.chunks[0] == &m.Chunks[0] {
 		<-v.done
-		return v.errs[i]
+		return v.adopted[i], v.errs[i]
 	}
-	return m.Groups[i].Verify(m.Header)
+	c := m.Chunks[i]
+	return AdoptChunk(m.Header, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
 }
 
 // coverageCheck walks uncovered chunks and extends their assignment down
@@ -461,44 +466,44 @@ func (st *leaderState) reassignChunk(idx int, out shares) {
 
 // --- distribution: member side ----------------------------------------------
 
-// onChunk runs on a member handed a share: verify every chunk in it (a
-// remote share's check started when it was sent: shareMsg.verify) and
-// sign one vote over the chunks approved (and a second, rejecting one only
-// if some chunk failed). Ingestion is idempotent — a chunk already held
+// onChunk runs on a member handed a share: verify every chunk in it with
+// AdoptChunk (a remote share's check started when it was sent:
+// shareMsg.verify), queue what it approves as the bytes received, and sign
+// one vote over the chunks approved (and a second, rejecting one only if
+// some chunk failed). Ingestion is idempotent — a chunk already held
 // (persisted or pending) is not re-verified or re-queued, but the member
 // re-votes so that a vote lost on the wire cannot stall the commit (the
 // leader re-sends shares to silent assignees for exactly this reason).
 func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
 	hash := m.Header.Hash()
-	all := make([]int, len(m.Groups))
-	for i := range m.Groups {
-		all[i] = m.Groups[i].Index
+	all := make([]int, len(m.Chunks))
+	for i := range m.Chunks {
+		all[i] = m.Chunks[i].ID.Index
 	}
 	// One verify span per share; a share held already is voted on again
 	// under an empty one.
 	sp := n.tr.Start(n.rxSpan, "verify", "verify"+fmt.Sprint(all), int64(n.id))
 	var approved, rejected []int
-	for i := range m.Groups {
-		g := &m.Groups[i]
-		if n.hasChunkData(hash, g.Index) {
+	for i, idx := range all {
+		if n.hasChunkData(hash, idx) {
 			n.pc.duplicateChunks.Inc()
-			approved = append(approved, g.Index)
+			approved = append(approved, idx)
 			continue
 		}
-		sp.AddBytes(int64(g.dataBytes()))
+		sp.AddBytes(int64(len(m.Chunks[i].Data)))
 		n.pc.verified.Inc()
-		if m.verify(i) != nil {
+		chk, err := m.verify(i)
+		if err != nil {
 			n.pc.rejections.Inc()
 			sp.SetErr(errors.New("chunk rejected"))
-			rejected = append(rejected, g.Index)
+			rejected = append(rejected, idx)
 			continue
 		}
 		n.pc.approvals.Inc()
-		approved = append(approved, g.Index)
-		c := chunkPayload{Header: m.Header, Chunk: g.Chunk(hash, g.Encode())}
+		approved = append(approved, idx)
 		if n.store.HasHeader(hash) {
 			// Commit already happened (late reassignment): persist now.
-			_ = n.store.PutChunk(c.Chunk) // a chunk held already stays
+			_ = n.store.PutChunk(chk) // a chunk held already stays
 			continue
 		}
 		if len(n.pending[hash]) == 0 {
@@ -508,7 +513,7 @@ func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
 			n.pendingLeader[hash] = leader
 			n.scheduleCommitProbe(net, hash, 1)
 		}
-		n.pending[hash] = append(n.pending[hash], c)
+		n.pending[hash] = append(n.pending[hash], chunkPayload{Header: m.Header, Chunk: chk})
 	}
 	sp.End()
 	if n.behavior.VoteReject {
@@ -847,16 +852,17 @@ func (n *Node) storedPayload(id storage.ChunkID) (chunkPayload, error) {
 }
 
 // heldChunks returns what this node stores of a block as retrieval content
-// — each chunk's stored fields, without proofs — and how many stored chunks
+// — each chunk as stored, without proofs — and how many stored chunks
 // failed their digest.
-func (n *Node) heldChunks(block blockcrypto.Hash) (out []retrievedChunk, bad int) {
+func (n *Node) heldChunks(block blockcrypto.Hash) (out []storage.Chunk, bad int) {
 	for _, idx := range n.store.ChunksForBlock(block) {
 		chk, err := n.store.Chunk(storage.ChunkID{Block: block, Index: idx})
 		if err != nil {
 			bad++
 			continue
 		}
-		out = append(out, retrievedChunk{Index: idx, Parts: chk.Parts, TxStart: chk.TxStart, Data: chk.Data, Coded: chk.CodedK > 0})
+		chk.Proofs = nil
+		out = append(out, chk)
 	}
 	return out, bad
 }

@@ -18,24 +18,24 @@ import (
 // and checks that they are b with the decoded reference: each chunk's bytes
 // decoded, the transactions concatenated and the block checked whole
 // (chain.Block.VerifyShape), not through ReassembleEncoding.
-func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) []retrievedChunk {
+func clusterChunks(t *testing.T, sys *System, c int, b *chain.Block) []storage.Chunk {
 	t.Helper()
 	ci := sys.clusters[c]
 	parts := len(ci.At(b.Header.Height).Members)
-	found := make(map[int]retrievedChunk, parts)
+	found := make(map[int]storage.Chunk, parts)
 	for _, m := range ci.Current().Members {
 		node := sys.nodes[m]
 		held, _ := node.heldChunks(b.Hash())
 		for _, chk := range held {
-			if _, ok := found[chk.Index]; !ok {
-				found[chk.Index] = chk
+			if _, ok := found[chk.ID.Index]; !ok {
+				found[chk.ID.Index] = chk
 			}
 		}
 	}
 	if len(found) != parts {
 		t.Fatalf("cluster %d holds %d of %d chunks", c, len(found), parts)
 	}
-	out := make([]retrievedChunk, 0, len(found))
+	out := make([]storage.Chunk, 0, len(found))
 	whole := &chain.Block{Header: b.Header}
 	for i := 0; i < parts; i++ {
 		txs, err := chain.DecodeBody(found[i].Data)

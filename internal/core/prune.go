@@ -20,18 +20,12 @@ func (n *Node) PruneUnowned() int64 {
 		if err != nil {
 			return false // orphaned chunk without a header: collect
 		}
-		if info, archived := n.cluster.archivedInfo(id.Block); archived {
-			if c.CodedK == 0 {
-				return false // stale replicated chunk of an archived block
-			}
-			// Pruning evaluates PRESENT responsibility: churn transfer has
-			// already re-homed archived chunks under the live roster, so
-			// "do I own this now" is the question, not who wrote it.
-			owners, oerr := n.cluster.Current().Owners(info.seed, id.Index, 1)
-			if oerr != nil {
-				return true // cannot evaluate: keep conservatively
-			}
-			return slices.Contains(owners, n.id)
+		if _, archived := n.cluster.archivedInfo(id.Block); archived {
+			// Repair, bootstrap and handoff all skip archived blocks, so
+			// nothing moves a coded share: its holder is its owner, whoever
+			// the current roster ranks first. A replicated chunk left over
+			// from before archival is stale.
+			return c.CodedK > 0
 		}
 		if id.Index >= len(n.cluster.At(hdr.Height).Members) {
 			return false // impossible index under this epoch: collect

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"icistrategy/internal/chain"
@@ -112,6 +113,32 @@ func TestPruneKeepsArchivedShares(t *testing.T) {
 	sys.Network().RunUntilIdle()
 	if gotErr != nil {
 		t.Fatalf("archived block unreadable after prune: %v", gotErr)
+	}
+
+	// Nothing moves a coded share after archival — repair, bootstrap and
+	// handoff skip archived blocks — so its holder is its owner whatever the
+	// roster ranks first now. Three joins then a prune must leave every
+	// share where it is.
+	for seed := uint64(30); seed < 40; seed++ {
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) {
+			sys, _, target := archiveFixture(t, seed, 2)
+			for j := 0; j < 3; j++ {
+				var joinErr error
+				if err := sys.JoinCluster(0, func(_ simnet.NodeID, err error) { joinErr = err }); err != nil {
+					t.Fatal(err)
+				}
+				sys.Network().RunUntilIdle()
+				if joinErr != nil {
+					t.Fatal(joinErr)
+				}
+			}
+			if _, err := sys.PruneCluster(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.ClusterHoldsBlock(0, target.Hash()); err != nil {
+				t.Fatalf("archived block lost to pruning after three joins: %v", err)
+			}
+		})
 	}
 }
 

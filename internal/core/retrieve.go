@@ -50,7 +50,7 @@ func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
 	n.nextReq++
 	req := n.nextReq
 	n.fetches[req] = st
-	st.chunks = make(map[int]retrievedChunk)
+	st.chunks = make(map[int]storage.Chunk)
 	st.round = round{
 		// Ask the union of the current members and the block's
 		// placement-epoch members: before a migration completes, pre-churn
@@ -81,16 +81,16 @@ func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
 // each index wins. A chunk in the other storage mode — a member answering
 // from before or after archival — is skipped. A live retrieval learns the
 // block's part count from the chunks themselves.
-func (st *fetchState) merge(chunks []retrievedChunk) {
+func (st *fetchState) merge(chunks []storage.Chunk) {
 	for _, c := range chunks {
-		if c.Coded != (st.codedK > 0) {
+		if (c.CodedK > 0) != (st.codedK > 0) {
 			continue
 		}
-		if !c.Coded {
+		if c.CodedK == 0 {
 			st.parts = c.Parts
 		}
-		if _, have := st.chunks[c.Index]; !have {
-			st.chunks[c.Index] = c
+		if _, have := st.chunks[c.ID.Index]; !have {
+			st.chunks[c.ID.Index] = c
 		}
 	}
 }
@@ -230,7 +230,7 @@ func (st *fetchState) assemble() ([]byte, error) {
 		}
 		enc, _, err := ReassembleEncoding(st.hdr, st.parts, func(i int) (int, int, int, []byte) {
 			c := st.chunks[i] // a gap is the zero chunk, which ReassembleEncoding refuses
-			return c.Index, c.Parts, c.TxStart, c.Data
+			return c.ID.Index, c.Parts, c.TxStart, c.Data
 		})
 		return enc, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -78,7 +79,11 @@ func TestShareOneVotePerOwner(t *testing.T) {
 			wantChunkMsgs++
 			wantChunkBytes += chain.HeaderSize
 			for _, idx := range share[o] {
-				wantChunkBytes += int64(groups[idx].wireBytes())
+				g := groups[idx] // position fields, sub-body, proofs
+				wantChunkBytes += 16 + int64(len(g.Encode()))
+				for _, p := range g.Proofs {
+					wantChunkBytes += int64(p.EncodedSize())
+				}
 			}
 		}
 		cm, ok := sys.nodes[leader].commits[b.Hash()]
@@ -235,11 +240,12 @@ func TestShareRejectedChunkIsReassigned(t *testing.T) {
 
 // TestShareVerdictIsTheInlineCheck holds the check a leader starts when it
 // sends a share to the check the owner would run on delivery: for a clean
-// share and for shares damaged each way a leader can damage one, the verdict
-// reports, group by group, the error text of Group.Verify inline. A share
-// rewritten in flight — by ChaosCorrupter, or a rewrite that keeps the
-// groups under another header — carries the sender's verdict along, and it
-// must be checked inline instead. Trusting the carried verdict is not a
+// share and for shares whose stored bytes are damaged each way a leader or a
+// link can damage them, the verdict reports, chunk by chunk, what AdoptChunk
+// inline returns — the chunk to store or the error text. A share rewritten
+// in flight — by ChaosCorrupter, or a rewrite that keeps the chunks under
+// another header — carries the sender's verdict along, and it must be
+// checked inline instead. Trusting the carried verdict is not a
 // hypothetical: with it, TestShareRejectedChunkIsReassigned fails
 // ("0 chunk rejections, want 1"), the owner approving the chunk its link
 // tampered with.
@@ -260,7 +266,7 @@ func TestShareVerdictIsTheInlineCheck(t *testing.T) {
 		}
 		m := shareMsg{Header: b.Header}
 		for _, idx := range owned {
-			m.Groups = append(m.Groups, groups[idx])
+			m.Chunks = append(m.Chunks, groups[idx].Chunk(b.Hash(), groups[idx].Encode()))
 		}
 		return m
 	}
@@ -268,49 +274,72 @@ func TestShareVerdictIsTheInlineCheck(t *testing.T) {
 	// One transaction signed wrongly before the block was built: its proof is
 	// sound, only its signature fails.
 	forgedTxs := append([]*chain.Transaction(nil), txs...)
-	forgedAt := clean.Groups[damaged].TxStart + at
+	forgedAt := clean.Chunks[damaged].TxStart + at
 	forged := *forgedTxs[forgedAt]
 	forged.Signature = append([]byte(nil), forged.Signature...)
 	forged.Signature[0] ^= 1
 	forgedTxs[forgedAt] = &forged
+	// reencode rewrites a chunk's stored bytes from its decoded group.
+	reencode := func(c *storage.Chunk, edit func(g *Group)) {
+		g, err := DecodeGroup(c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&g)
+		c.Data, c.Proofs = g.Encode(), g.Proofs
+	}
 
 	cases := []struct {
 		name   string
 		m      shareMsg
-		damage func(g *Group)
+		damage func(c *storage.Chunk)
 	}{
 		{"clean", clean, nil},
-		{"tampered by the leader", clean, func(g *Group) { // what onPropose does under TamperChunks
-			tampered := *g.Txs[0]
-			tampered.Amount++
-			g.Txs = append([]*chain.Transaction(nil), g.Txs...)
-			g.Txs[0] = &tampered
+		{"tampered by the leader", clean, func(c *storage.Chunk) { // what onPropose does under TamperChunks
+			reencode(c, func(g *Group) { chunkDamage["tampered transaction"](g, 0) })
 		}},
-		{"wrong leaf index", clean, func(g *Group) { chunkDamage["wrong leaf index"](g, at) }},
+		{"wrong leaf index", clean, func(c *storage.Chunk) {
+			reencode(c, func(g *Group) { chunkDamage["wrong leaf index"](g, at) })
+		}},
 		{"forged signature", share(forgedTxs), nil},
-		{"more transactions than proofs", clean, func(g *Group) { g.Proofs = g.Proofs[:len(g.Proofs)-1] }},
+		{"more transactions than proofs", clean, func(c *storage.Chunk) { c.Proofs = c.Proofs[:len(c.Proofs)-1] }},
+		{"cut one transaction short", clean, func(c *storage.Chunk) {
+			reencode(c, func(g *Group) { g.Txs, g.Proofs = g.Txs[:len(g.Txs)-1], g.Proofs[:len(g.Proofs)-1] })
+		}},
+		{"one flipped byte", clean, func(c *storage.Chunk) {
+			c.Data = bytes.Clone(c.Data)
+			c.Data[len(c.Data)/2] ^= 0xff
+		}},
 	}
-	inline := func(m shareMsg, i int) string { return errText(m.Groups[i].Verify(m.Header)) }
+	type result struct {
+		chunk storage.Chunk
+		err   string
+	}
+	outcome := func(chk storage.Chunk, err error) result { return result{chk, errText(err)} }
+	inline := func(m shareMsg, i int) result {
+		c := m.Chunks[i]
+		return outcome(AdoptChunk(m.Header, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs))
+	}
 	corrupt := ChaosCorrupter()
 	for ci, tc := range cases {
 		m := tc.m
-		m.Groups = append([]Group(nil), m.Groups...)
+		m.Chunks = append([]storage.Chunk(nil), m.Chunks...)
 		if tc.damage != nil {
-			tc.damage(&m.Groups[damaged])
+			tc.damage(&m.Chunks[damaged])
 		}
 		m.verdict = startVerdict(m)
 		<-m.verdict.done
-		for i := range m.Groups {
+		for i := range m.Chunks {
 			want := inline(m, i)
-			if got := errText(m.verdict.errs[i]); got != want {
-				t.Errorf("%s: verdict on group %d says %q, inline %q", tc.name, i, got, want)
+			if got := outcome(m.verdict.adopted[i], m.verdict.errs[i]); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: verdict on chunk %d says %q, inline %q", tc.name, i, got.err, want.err)
 			}
-			if got := errText(m.verify(i)); got != want {
-				t.Errorf("%s: delivered group %d checked as %q, inline %q", tc.name, i, got, want)
+			if got := outcome(m.verify(i)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: delivered chunk %d checked as %q, inline %q", tc.name, i, got.err, want.err)
 			}
 			// The reference must tell the cases apart.
-			if bad := tc.name != "clean" && i == damaged; bad != (want != "<nil>") {
-				t.Fatalf("%s: inline check of group %d says %q", tc.name, i, want)
+			if bad := tc.name != "clean" && i == damaged; bad != (want.err != "<nil>") {
+				t.Fatalf("%s: inline check of chunk %d says %q", tc.name, i, want.err)
 			}
 		}
 
@@ -323,24 +352,24 @@ func TestShareVerdictIsTheInlineCheck(t *testing.T) {
 			t.Fatalf("%s: the rewrite did not carry the sender's verdict: nothing is tested", tc.name)
 		}
 		stale := 0
-		for i := range rewritten.Groups {
+		for i := range rewritten.Chunks {
 			want := inline(rewritten, i)
-			if got := errText(rewritten.verify(i)); got != want {
-				t.Errorf("%s, rewritten in flight: group %d checked as %q, inline %q", tc.name, i, got, want)
+			if got := outcome(rewritten.verify(i)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, rewritten in flight: chunk %d checked as %q, inline %q", tc.name, i, got.err, want.err)
 			}
-			if want != errText(m.verdict.errs[i]) {
+			if want.err != errText(m.verdict.errs[i]) {
 				stale++
 			}
 		}
 		if tc.name == "clean" && stale != 1 {
-			t.Errorf("clean share rewritten in flight: %d groups where the sender's verdict differs from the delivered bytes, want 1", stale)
+			t.Errorf("clean share rewritten in flight: %d chunks where the sender's verdict differs from the delivered bytes, want 1", stale)
 		}
 
 		reheaded := m
 		reheaded.Header.MerkleRoot[0] ^= 1
-		for i := range reheaded.Groups {
-			if got, want := errText(reheaded.verify(i)), inline(reheaded, i); got != want || want == "<nil>" {
-				t.Errorf("%s under another root: group %d checked as %q, inline %q", tc.name, i, got, want)
+		for i := range reheaded.Chunks {
+			if got, want := outcome(reheaded.verify(i)), inline(reheaded, i); !reflect.DeepEqual(got, want) || want.err == "<nil>" {
+				t.Errorf("%s under another root: chunk %d checked as %q, inline %q", tc.name, i, got.err, want.err)
 			}
 		}
 	}
@@ -399,10 +428,16 @@ func TestOwnersRefuseAShareCutShort(t *testing.T) {
 		if !ok {
 			return nil, false
 		}
-		m.Groups = append([]Group(nil), m.Groups...)
-		for i := range m.Groups {
-			if g := &m.Groups[i]; len(g.Txs) > 0 {
-				g.Txs, g.Proofs = g.Txs[:len(g.Txs)-1], g.Proofs[:len(g.Proofs)-1]
+		m.Chunks = append([]storage.Chunk(nil), m.Chunks...)
+		for i := range m.Chunks {
+			c := &m.Chunks[i]
+			txs, err := chain.DecodeBody(c.Data)
+			if err != nil {
+				t.Error(err)
+				return nil, false
+			}
+			if len(txs) > 0 {
+				c.Data, c.Proofs = (&Group{Txs: txs[:len(txs)-1]}).Encode(), c.Proofs[:len(c.Proofs)-1]
 				cuts++
 			}
 		}

@@ -346,7 +346,7 @@ func (s *System) ClusterHoldsBlock(c int, block blockcrypto.Hash) error {
 		return fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
 	var hdr *chain.Header
-	held := fetchState{chunks: make(map[int]retrievedChunk)}
+	held := fetchState{chunks: make(map[int]storage.Chunk)}
 	if info, archived := s.clusters[c].archivedInfo(block); archived {
 		held.parts, held.codedK = info.total, info.k
 	}
