@@ -1,8 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
 	"testing"
 
+	"icistrategy/internal/chain"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -275,5 +280,77 @@ func TestRepairRoutesAroundCorruptedSource(t *testing.T) {
 	sys.Network().RunUntilIdle()
 	if lost != 0 {
 		t.Fatalf("repair lost %d chunks despite r=3 and one corrupted member", lost)
+	}
+}
+
+// TestLifecycleScheduleGolden pins the whole schedule of one seeded run
+// through every System and Node verb under message loss, duplication and
+// reordering, so retries and timers fire: produce, an auto-routed read, an
+// inclusion query, join, leave, rejoin, removal with repair, archival and
+// an archived read. The digest covers the simulator's full message trace,
+// the final virtual time and every counter of the registry. It was
+// recorded before Node sent through its own transport; a change that
+// moves it has changed what some node sends, when, or in what order.
+func TestLifecycleScheduleGolden(t *testing.T) {
+	const want = "75870533a41092083ca4275a51753da7966680256dc61c66d130ab93023dccd3"
+	sys, gen := buildSystem(t, Config{Nodes: 16, Clusters: 2, Replication: 2, Seed: 41})
+	net := sys.Network()
+	net.EnableTrace()
+	net.EnableFaults(41, simnet.FaultConfig{DropRate: 0.04, DupRate: 0.05, ReorderRate: 0.1})
+	blocks := produceAndSettle(t, sys, gen, 4, 16)
+
+	fired := 0
+	members, _ := sys.ClusterMembers(0)
+	reader, _ := sys.Node(members[0])
+	reader.RetrieveBlockAuto(net, blocks[0].Hash(), func(*chain.Block, error) { fired++ })
+	reader.QueryTxProof(net, blocks[1].Hash(), blocks[1].Txs[3].ID(), func(TxProof, error) { fired++ })
+	net.RunUntilIdle()
+
+	if err := sys.JoinCluster(0, func(simnet.NodeID, error) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntilIdle()
+	if err := sys.LeaveCluster(members[1], func(int, error) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntilIdle()
+	if err := sys.RejoinCluster(members[1], func(error) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntilIdle()
+	if err := sys.RemoveNode(members[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RepairCluster(0, func(int) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntilIdle()
+	blocks = append(blocks, produceAndSettle(t, sys, gen, 1, 16)...)
+
+	if err := sys.ArchiveBlock(1, blocks[0].Hash(), 1, func(error) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntilIdle()
+	members1, _ := sys.ClusterMembers(1)
+	archReader, _ := sys.Node(members1[1])
+	archReader.RetrieveBlockAuto(net, blocks[0].Hash(), func(*chain.Block, error) { fired++ })
+	net.RunUntilIdle()
+	if fired != 8 {
+		t.Fatalf("%d of 8 callbacks fired", fired)
+	}
+
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\nnow %v\n", net.TraceString(), net.Now())
+	snap := sys.Registry().Snapshot()
+	names := make([]string, 0, len(snap))
+	for name := range snap {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(h, "%s %v\n", name, snap[name])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("lifecycle schedule digest %s, want %s", got, want)
 	}
 }
