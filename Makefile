@@ -1,9 +1,10 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the race,
-# lint, lint-selftest, bench-smoke and contest-stress targets by name.
+# lint, lint-selftest, bench-smoke, examples and contest-stress targets by
+# name.
 
 GO ?= go
 
-.PHONY: all build test race lint lint-selftest fmt vet bench-smoke bench-all bench-compare sim contest contest-stress loc
+.PHONY: all build test race lint lint-selftest fmt vet bench-smoke bench-all bench-compare sim examples contest contest-stress loc
 
 all: build test lint
 
@@ -113,6 +114,11 @@ bench-compare:
 
 sim:
 	$(GO) run ./cmd/icisim -nodes 32 -clusters 4 -blocks 2 -trace summary
+
+# Run every program under examples/; each exits non-zero when its walkthrough
+# fails, so the public API they use is exercised, not just compiled.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Run every shipped integration scenario: real icinet -serve clusters over
 # loopback TCP, driven by the contest harness (DESIGN.md "Integration

@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reader.RetrieveBlock(sys.Network(), blocks[3].Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(blocks[3].Hash(), func(b *chain.Block, err error) {
 		if err != nil {
 			log.Fatalf("degraded read failed: %v", err)
 		}
@@ -117,7 +117,7 @@ func main() {
 		if corrupted {
 			// The corrupted copy fails its digest check and is withheld;
 			// the replica serves the read instead.
-			reader.RetrieveBlock(sys.Network(), b.Hash(), func(rb *chain.Block, err error) {
+			reader.RetrieveBlock(b.Hash(), func(rb *chain.Block, err error) {
 				if err != nil {
 					log.Fatalf("read after corruption failed: %v", err)
 				}

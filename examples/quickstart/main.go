@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	target := blocks[2]
-	reader.RetrieveBlock(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func retrieveVerified(t *testing.T, sys *core.System, reader *core.Node, want *c
 	var got *chain.Block
 	var gotErr error
 	fired := false
-	reader.RetrieveBlock(sys.Network(), want.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(want.Hash(), func(b *chain.Block, err error) {
 		got, gotErr, fired = b, err, true
 	})
 	sys.Network().RunUntilIdle()
@@ -166,7 +166,7 @@ func runChaosLifecycle(t *testing.T, seed uint64) {
 	}
 	var proof core.TxProof
 	var proofErr error
-	reader.QueryTxProof(net, probe.Hash(), probe.Txs[0].ID(), func(p core.TxProof, err error) {
+	reader.QueryTxProof(probe.Hash(), probe.Txs[0].ID(), func(p core.TxProof, err error) {
 		proof, proofErr = p, err
 	})
 	net.RunUntilIdle()
@@ -320,7 +320,7 @@ func chaosTraceRun(t *testing.T, seed uint64) (string, simnet.TrafficStats, simn
 		blocks = append(blocks, b)
 	}
 	if reader := finalizedReader(sys, cfg.Nodes, blocks[0]); reader != nil {
-		reader.RetrieveBlock(net, blocks[0].Hash(), func(*chain.Block, error) {})
+		reader.RetrieveBlock(blocks[0].Hash(), func(*chain.Block, error) {})
 		net.RunUntilIdle()
 	}
 	return net.TraceString(), net.TotalTraffic(), net.FaultStats(), sys.Registry().JSON()

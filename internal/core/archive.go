@@ -83,8 +83,7 @@ func (s *System) ArchiveBlock(c int, block blockcrypto.Hash, parity int, cb func
 	if parity < 1 || parity >= total {
 		return fmt.Errorf("%w: parity=%d, members=%d", ErrBadParity, parity, total)
 	}
-	// The archiver is any live member; use the block's rendezvous leader
-	// order so repeated archival work spreads across the cluster.
+	// The archiver is the first live member of the current roster.
 	var archiver *Node
 	for _, m := range ci.Current().Members {
 		if !s.net.IsDown(m) {
@@ -96,7 +95,7 @@ func (s *System) ArchiveBlock(c int, block blockcrypto.Hash, parity int, cb func
 		return fmt.Errorf("core: cluster %d has no live archiver", c)
 	}
 	info := archiveInfo{k: total - parity, total: total, seed: block.Uint64() ^ archiveSalt}
-	archiver.archive(s.net, block, info, func(err error) {
+	archiver.archive(block, info, func(err error) {
 		if err == nil {
 			ci.archived[block] = info
 		}
@@ -106,7 +105,7 @@ func (s *System) ArchiveBlock(c int, block blockcrypto.Hash, parity int, cb func
 }
 
 // archive retrieves the full block, encodes it, and distributes shares.
-func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archiveInfo, cb func(error)) {
+func (n *Node) archive(block blockcrypto.Hash, info archiveInfo, cb func(error)) {
 	n.pc.archives.Inc()
 	span := n.tr.Start(0, "archive", "archive", int64(n.id))
 	done := func(err error) {
@@ -114,7 +113,7 @@ func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archive
 		span.End()
 		cb(err)
 	}
-	n.retrieveBlock(net, block, span.Context(), func(b *chain.Block, err error) {
+	n.retrieveBlock(block, span.Context(), func(b *chain.Block, err error) {
 		if err != nil {
 			done(fmt.Errorf("archive %s: %w", block.Short(), err))
 			return
@@ -145,15 +144,8 @@ func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archive
 		}
 		for _, m := range n.cluster.Current().Members {
 			msg := archiveShareMsg{Block: block, K: info.k, Total: info.total, Shares: perMember[m]}
-			if m == n.id {
-				prev := n.rxSpan
-				n.rxSpan = span.Context()
-				n.onArchiveShare(net, msg)
-				n.rxSpan = prev
-				continue
-			}
-			_ = net.Send(simnet.Message{
-				From: n.id, To: m, Kind: KindArchiveShare,
+			_ = n.send(simnet.Message{
+				To: m, Kind: KindArchiveShare,
 				Size: msg.wireSize(), Payload: msg, Span: span.Context(),
 			})
 		}
@@ -163,7 +155,7 @@ func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archive
 
 // onArchiveShare stores this member's coded shares and drops its old
 // transaction-group chunks for the block.
-func (n *Node) onArchiveShare(_ *simnet.Network, m archiveShareMsg) {
+func (n *Node) onArchiveShare(m archiveShareMsg) {
 	if !n.store.HasHeader(m.Block) {
 		return // never finalized here; nothing to archive
 	}
@@ -188,8 +180,8 @@ func (n *Node) onArchiveShare(_ *simnet.Network, m archiveShareMsg) {
 // RetrieveArchivedBlock reassembles a coded block: gather shares from the
 // cluster, reconstruct with Reed-Solomon once k distinct shares arrived,
 // decode the body, and verify the Merkle root. info comes from the shared
-// cluster record; System.RetrieveBlockAuto routes automatically.
-func (n *Node) RetrieveArchivedBlock(net *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
+// cluster record; Node.RetrieveBlockAuto routes automatically.
+func (n *Node) RetrieveArchivedBlock(block blockcrypto.Hash, cb func(*chain.Block, error)) {
 	info, ok := n.cluster.archivedInfo(block)
 	if !ok {
 		cb(nil, fmt.Errorf("%w: %s", ErrNotArchived, block.Short()))
@@ -201,7 +193,7 @@ func (n *Node) RetrieveArchivedBlock(net *simnet.Network, block blockcrypto.Hash
 		return
 	}
 	n.pc.codedRetrieves.Inc()
-	n.startRetrieve(net, &fetchState{
+	n.startRetrieve(&fetchState{
 		block:   block,
 		hdr:     hdr,
 		parts:   info.total,
@@ -212,11 +204,11 @@ func (n *Node) RetrieveArchivedBlock(net *simnet.Network, block blockcrypto.Hash
 }
 
 // RetrieveBlockAuto reads a block through whichever storage mode the
-// cluster currently uses for it.
-func (n *Node) RetrieveBlockAuto(net *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
+// cluster currently uses for it. The unused network argument is pinned by bench/.
+func (n *Node) RetrieveBlockAuto(_ *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
 	if _, ok := n.cluster.archivedInfo(block); ok {
-		n.RetrieveArchivedBlock(net, block, cb)
+		n.RetrieveArchivedBlock(block, cb)
 		return
 	}
-	n.RetrieveBlock(net, block, cb)
+	n.RetrieveBlock(block, cb)
 }

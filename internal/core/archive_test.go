@@ -170,7 +170,7 @@ func TestArchiveOnlyAffectsOneCluster(t *testing.T) {
 	reader, _ := sys.Node(members1[0])
 	var got *chain.Block
 	var gotErr error
-	reader.RetrieveBlock(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()
@@ -198,7 +198,7 @@ func TestRetrieveArchivedRequiresArchive(t *testing.T) {
 	blocks := produceAndSettle(t, sys, gen, 1, 12)
 	node, _ := sys.Node(0)
 	var gotErr error
-	node.RetrieveArchivedBlock(sys.Network(), blocks[0].Hash(), func(_ *chain.Block, err error) {
+	node.RetrieveArchivedBlock(blocks[0].Hash(), func(_ *chain.Block, err error) {
 		gotErr = err
 	})
 	sys.Network().RunUntilIdle()
@@ -216,7 +216,7 @@ func TestTxQueryAfterArchiveFindsNothingCoded(t *testing.T) {
 	node, _ := sys.Node(members[0])
 	var gotErr error
 	done := false
-	node.QueryTxProof(sys.Network(), target.Hash(), target.Txs[0].ID(), func(_ TxProof, err error) {
+	node.QueryTxProof(target.Hash(), target.Txs[0].ID(), func(_ TxProof, err error) {
 		gotErr, done = err, true
 	})
 	sys.Network().RunUntilIdle()

@@ -74,7 +74,7 @@ func TestLeaveClusterHandsOffChunks(t *testing.T) {
 	// shrunk membership.
 	reader, _ := sys.Node(members[0])
 	var gotErr error
-	reader.RetrieveBlock(sys.Network(), blocks[0].Hash(), func(_ *chain.Block, err error) { gotErr = err })
+	reader.RetrieveBlock(blocks[0].Hash(), func(_ *chain.Block, err error) { gotErr = err })
 	sys.Network().RunUntilIdle()
 	if gotErr != nil {
 		t.Fatalf("pre-departure retrieval after leave: %v", gotErr)
@@ -228,6 +228,42 @@ func TestRejoinRequiresDeparture(t *testing.T) {
 	if err := sys.RejoinCluster(members[0], func(error) {}); err == nil {
 		t.Fatal("rejoin of a current member accepted")
 	}
+
+	// A node still handing off its chunks has not departed yet: the leave's
+	// callback would take it down after a rejoin had readmitted it.
+	sys, gen = buildSystem(t, Config{Nodes: 16, Clusters: 2, Replication: 2, Seed: 82})
+	produceAndSettle(t, sys, gen, 3, 16)
+	members, _ = sys.ClusterMembers(0)
+	leaver := members[2]
+	left := false
+	if err := sys.LeaveCluster(leaver, func(_ int, err error) {
+		if err != nil {
+			t.Errorf("leave: %v", err)
+		}
+		left = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RejoinCluster(leaver, func(error) {}); err == nil {
+		t.Fatal("rejoin accepted while the leave's handoff was still running")
+	}
+	sys.Network().RunUntilIdle()
+	if !left || !sys.Network().IsDown(leaver) {
+		t.Fatalf("leave finished=%v, leaver down=%v: want a finished leave and a down node", left, sys.Network().IsDown(leaver))
+	}
+	var rejoinErr error
+	rejoined := false
+	if err := sys.RejoinCluster(leaver, func(err error) { rejoinErr, rejoined = err, true }); err != nil {
+		t.Fatalf("rejoin after the leave finished: %v", err)
+	}
+	sys.Network().RunUntilIdle()
+	if !rejoined || rejoinErr != nil {
+		t.Fatalf("rejoin after the leave: fired=%v err=%v", rejoined, rejoinErr)
+	}
+	now, _ := sys.ClusterMembers(0)
+	if !slices.Contains(now, leaver) || sys.Network().IsDown(leaver) {
+		t.Fatalf("rejoined node: member=%v down=%v, want a live member", slices.Contains(now, leaver), sys.Network().IsDown(leaver))
+	}
 }
 
 // TestRetrievePreDepartureBlockAfterTwoRemovals is the stale-placement
@@ -313,7 +349,7 @@ func TestRetrievePreDepartureBlockAfterTwoRemovals(t *testing.T) {
 		}
 		var got *chain.Block
 		var rerr error
-		reader.RetrieveBlock(sys.Network(), b.Hash(), func(blk *chain.Block, err error) { got, rerr = blk, err })
+		reader.RetrieveBlock(b.Hash(), func(blk *chain.Block, err error) { got, rerr = blk, err })
 		sys.Network().RunUntilIdle()
 		if rerr != nil {
 			t.Fatalf("pre-departure block %d unretrievable: %v", b.Header.Height, rerr)

@@ -32,7 +32,7 @@ type handoffState struct {
 // delta between the block's placement epoch and the departure epoch, of
 // the chunks this node holds. cb fires once with the number of chunks
 // moved; any unacknowledged push fails the whole handoff.
-func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error)) {
+func (n *Node) HandoffChunks(cb func(moved int, err error)) {
 	if n.handoff != nil {
 		cb(0, fmt.Errorf("core: handoff already in progress on node %d", n.id))
 		return
@@ -52,7 +52,7 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 				continue // owned but never received: nothing to hand out
 			}
 			for _, gain := range mv.To {
-				n.pushHandoffChunk(net, hs, id, gain)
+				n.pushHandoffChunk(hs, id, gain)
 			}
 		}
 	}
@@ -62,7 +62,7 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 
 // pushHandoffChunk sends one owned chunk to one gaining member and arms
 // its acknowledgement timeout.
-func (n *Node) pushHandoffChunk(net *simnet.Network, hs *handoffState, id storage.ChunkID, to simnet.NodeID) {
+func (n *Node) pushHandoffChunk(hs *handoffState, id storage.ChunkID, to simnet.NodeID) {
 	payload, err := n.storedPayload(id)
 	if err != nil {
 		hs.failed++
@@ -74,11 +74,11 @@ func (n *Node) pushHandoffChunk(net *simnet.Network, hs *handoffState, id storag
 	n.pc.handoffChunks.Inc()
 	n.pc.handoffBytes.Add(int64(len(payload.Data)))
 	msg := handoffMsg{Chunk: payload, ReqID: req}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: to, Kind: KindHandoff,
+	_ = n.send(simnet.Message{
+		To: to, Kind: KindHandoff,
 		Size: msg.wireSize(), Payload: msg, Span: n.rxSpan,
 	})
-	net.After(handoffTimeout, func() {
+	n.net.After(handoffTimeout, func() {
 		cur := n.handoff
 		if cur != hs || hs.done || !hs.pending[req] {
 			return
@@ -92,10 +92,10 @@ func (n *Node) pushHandoffChunk(net *simnet.Network, hs *handoffState, id storag
 // onHandoff runs on a gaining member: verify the pushed chunk against the
 // locally committed header exactly like a fetched chunk, persist it, and
 // acknowledge.
-func (n *Node) onHandoff(net *simnet.Network, from simnet.NodeID, m handoffMsg) {
+func (n *Node) onHandoff(from simnet.NodeID, m handoffMsg) {
 	ack := handoffAckMsg{ReqID: m.ReqID, OK: n.adoptChunk(m.Chunk.Header.Hash(), m.Chunk)}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: from, Kind: KindHandoffAck,
+	_ = n.send(simnet.Message{
+		To: from, Kind: KindHandoffAck,
 		Size: reqOverhead, Payload: ack, Span: n.rxSpan,
 	})
 }

@@ -303,7 +303,7 @@ func TestLifecycleScheduleGolden(t *testing.T) {
 	members, _ := sys.ClusterMembers(0)
 	reader, _ := sys.Node(members[0])
 	reader.RetrieveBlockAuto(net, blocks[0].Hash(), func(*chain.Block, error) { fired++ })
-	reader.QueryTxProof(net, blocks[1].Hash(), blocks[1].Txs[3].ID(), func(TxProof, error) { fired++ })
+	reader.QueryTxProof(blocks[1].Hash(), blocks[1].Txs[3].ID(), func(TxProof, error) { fired++ })
 	net.RunUntilIdle()
 
 	if err := sys.JoinCluster(0, func(simnet.NodeID, error) { fired++ }); err != nil {

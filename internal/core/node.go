@@ -105,11 +105,19 @@ type fetchState struct {
 	span trace.Span
 }
 
-// Node is one ICIStrategy participant. Nodes are driven entirely by the
-// simulated network: HandleMessage is the single entry point. Not safe for
-// concurrent use (the simulator is single-threaded).
+// transport is what a node needs of the network it runs on: send a message
+// and run a function after a delay. The simulator's Network satisfies it.
+type transport interface {
+	Send(simnet.Message) error
+	After(time.Duration, func())
+}
+
+// Node is one ICIStrategy participant, driven entirely through its transport:
+// messages go out through send and come in through HandleMessage, and timers
+// run on the transport's clock. Not safe for concurrent use.
 type Node struct {
 	id       simnet.NodeID
+	net      transport
 	cluster  *clusterInfo
 	key      blockcrypto.KeyPair
 	registry func(simnet.NodeID) []byte // public key lookup
@@ -144,12 +152,13 @@ type Node struct {
 }
 
 // newNode wires a node; System owns construction.
-func newNode(id simnet.NodeID, ci *clusterInfo, key blockcrypto.KeyPair, replication int, registry func(simnet.NodeID) []byte, tr *trace.Tracer, pc *protoCounters) *Node {
+func newNode(id simnet.NodeID, net transport, ci *clusterInfo, key blockcrypto.KeyPair, replication int, registry func(simnet.NodeID) []byte, tr *trace.Tracer, pc *protoCounters) *Node {
 	if pc == nil {
 		pc = newProtoCounters(nil)
 	}
 	return &Node{
 		id:            id,
+		net:           net,
 		cluster:       ci,
 		key:           key,
 		registry:      registry,
@@ -184,8 +193,22 @@ func (n *Node) SetBehavior(b Behavior) { n.behavior = b }
 // would be empty or partial and corrupt the joiner's bootstrap).
 func (n *Node) Bootstrapping() bool { return n.bootstrap != nil }
 
-// HandleMessage implements simnet.Handler.
-func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
+// HandleMessage implements simnet.Handler; replies go out through n.net.
+func (n *Node) HandleMessage(_ *simnet.Network, msg simnet.Message) { n.handle(msg) }
+
+// send emits msg from this node. A message to the node itself never touches
+// the transport: it is handled at once, as if it had arrived.
+func (n *Node) send(msg simnet.Message) error {
+	msg.From = n.id
+	if msg.To == n.id {
+		n.handle(msg)
+		return nil
+	}
+	return n.net.Send(msg)
+}
+
+// handle dispatches one message to its handler.
+func (n *Node) handle(msg simnet.Message) {
 	// The incoming message's span context becomes the implicit parent for
 	// everything this handler does (spans it opens, messages it sends).
 	prev := n.rxSpan
@@ -194,15 +217,15 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 	switch msg.Kind {
 	case KindPropose:
 		if m, ok := msg.Payload.(proposeMsg); ok {
-			n.onPropose(net, m)
+			n.onPropose(m)
 		}
 	case KindChunk:
 		if m, ok := msg.Payload.(shareMsg); ok {
-			n.onChunk(net, msg.From, m)
+			n.onChunk(msg.From, m)
 		}
 	case KindVote:
 		if m, ok := msg.Payload.(consensus.Vote); ok {
-			n.onVote(net, m)
+			n.onVote(m)
 		}
 	case KindCommit:
 		if m, ok := msg.Payload.(commitMsg); ok {
@@ -210,23 +233,23 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 		}
 	case KindGetHeaders:
 		if m, ok := msg.Payload.(getHeadersMsg); ok {
-			n.onGetHeaders(net, msg.From, m)
+			n.onGetHeaders(msg.From, m)
 		}
 	case KindHeaders:
 		if m, ok := msg.Payload.(headersMsg); ok {
-			n.onHeaders(net, m)
+			n.onHeaders(m)
 		}
 	case KindGetChunk:
 		if m, ok := msg.Payload.(getChunkMsg); ok {
-			n.onGetChunk(net, msg.From, m)
+			n.onGetChunk(msg.From, m)
 		}
 	case KindChunkResp:
 		if m, ok := msg.Payload.(chunkRespMsg); ok {
-			n.onChunkResp(net, msg.From, m)
+			n.onChunkResp(msg.From, m)
 		}
 	case KindGetBlockChunks:
 		if m, ok := msg.Payload.(getBlockChunksMsg); ok {
-			n.onGetBlockChunks(net, msg.From, m)
+			n.onGetBlockChunks(msg.From, m)
 		}
 	case KindBlockChunks:
 		if m, ok := msg.Payload.(blockChunksMsg); ok {
@@ -234,11 +257,11 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 		}
 	case KindGetCommit:
 		if m, ok := msg.Payload.(getCommitMsg); ok {
-			n.onGetCommit(net, msg.From, m)
+			n.onGetCommit(msg.From, m)
 		}
 	case KindGetTxProof:
 		if m, ok := msg.Payload.(getTxProofMsg); ok {
-			n.onGetTxProof(net, msg.From, m)
+			n.onGetTxProof(msg.From, m)
 		}
 	case KindTxProof:
 		if m, ok := msg.Payload.(txProofMsg); ok {
@@ -246,11 +269,11 @@ func (n *Node) HandleMessage(net *simnet.Network, msg simnet.Message) {
 		}
 	case KindArchiveShare:
 		if m, ok := msg.Payload.(archiveShareMsg); ok {
-			n.onArchiveShare(net, m)
+			n.onArchiveShare(m)
 		}
 	case KindHandoff:
 		if m, ok := msg.Payload.(handoffMsg); ok {
-			n.onHandoff(net, msg.From, m)
+			n.onHandoff(msg.From, m)
 		}
 	case KindHandoffAck:
 		if m, ok := msg.Payload.(handoffAckMsg); ok {
@@ -270,7 +293,7 @@ var _ simnet.Handler = (*Node)(nil)
 // that is the collaborative part: every transaction is verified by the
 // owners of its chunk, and the block commits once every chunk is covered by
 // a quorum of approvals.
-func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
+func (n *Node) onPropose(m proposeMsg) {
 	b := m.Block
 	hash := b.Hash()
 	if _, ok := n.leading[hash]; ok {
@@ -335,18 +358,19 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 			out[o] = append(out[o], idx)
 		}
 	}
-	n.sendShares(net, st, out)
-	net.After(coverInterval, func() { n.coverageCheck(net, hash) })
+	n.sendShares(st, out)
+	n.net.After(coverInterval, func() { n.coverageCheck(hash) })
 }
 
 // shares holds, per member, the chunks about to be sent to it; callers add
 // chunks in increasing order.
 type shares map[simnet.NodeID][]int
 
-// sendShares delivers each member's share as one message (locally when the
-// leader owns it), under the distribution span. Members are walked in the
-// write epoch's roster order, not the map's.
-func (n *Node) sendShares(net *simnet.Network, st *leaderState, out shares) {
+// sendShares delivers each member's share as one message under the
+// distribution span; the leader's own share is checked inline on delivery,
+// every other one from send (startVerdict). Members are walked in the write
+// epoch's roster order, not the map's.
+func (n *Node) sendShares(st *leaderState, out shares) {
 	for _, to := range n.cluster.At(st.block.Header.Height).Members {
 		idxs := out[to]
 		if len(idxs) == 0 {
@@ -357,16 +381,11 @@ func (n *Node) sendShares(net *simnet.Network, st *leaderState, out shares) {
 			share.Chunks[i] = st.chunks[idx]
 		}
 		n.pc.chunksSent.Add(int64(len(idxs)))
-		if to == n.id {
-			prev := n.rxSpan
-			n.rxSpan = st.span.Context()
-			n.onChunk(net, n.id, share)
-			n.rxSpan = prev
-			continue
+		if to != n.id {
+			share.verdict = startVerdict(share)
 		}
-		share.verdict = startVerdict(share)
-		_ = net.Send(simnet.Message{
-			From: n.id, To: to, Kind: KindChunk,
+		_ = n.send(simnet.Message{
+			To: to, Kind: KindChunk,
 			Size: share.wireSize(), Payload: share, Span: st.span.Context(),
 		})
 	}
@@ -417,7 +436,7 @@ func (m *shareMsg) verify(i int) (storage.Chunk, error) {
 
 // coverageCheck walks uncovered chunks and extends their assignment down
 // the rendezvous ranking, bounded to one full pass over the membership.
-func (n *Node) coverageCheck(net *simnet.Network, block blockcrypto.Hash) {
+func (n *Node) coverageCheck(block blockcrypto.Hash) {
 	st, ok := n.leading[block]
 	if !ok || st.committed || st.rejected {
 		return
@@ -445,8 +464,8 @@ func (n *Node) coverageCheck(net *simnet.Network, block blockcrypto.Hash) {
 		}
 		st.reassignChunk(idx, out)
 	}
-	n.sendShares(net, st, out)
-	net.After(coverInterval, func() { n.coverageCheck(net, block) })
+	n.sendShares(st, out)
+	n.net.After(coverInterval, func() { n.coverageCheck(block) })
 }
 
 // reassignChunk adds chunk idx to the share of the next-ranked member not
@@ -474,7 +493,7 @@ func (st *leaderState) reassignChunk(idx int, out shares) {
 // (persisted or pending) is not re-verified or re-queued, but the member
 // re-votes so that a vote lost on the wire cannot stall the commit (the
 // leader re-sends shares to silent assignees for exactly this reason).
-func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
+func (n *Node) onChunk(leader simnet.NodeID, m shareMsg) {
 	hash := m.Header.Hash()
 	all := make([]int, len(m.Chunks))
 	for i := range m.Chunks {
@@ -511,7 +530,7 @@ func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
 			// the distributing leader and arm the commit probe in case the
 			// commit announcement gets lost.
 			n.pendingLeader[hash] = leader
-			n.scheduleCommitProbe(net, hash, 1)
+			n.scheduleCommitProbe(hash, 1)
 		}
 		n.pending[hash] = append(n.pending[hash], chunkPayload{Header: m.Header, Chunk: chk})
 	}
@@ -519,8 +538,8 @@ func (n *Node) onChunk(net *simnet.Network, leader simnet.NodeID, m shareMsg) {
 	if n.behavior.VoteReject {
 		approved, rejected = nil, all
 	}
-	n.voteShare(net, leader, hash, approved, true, sp.Context())
-	n.voteShare(net, leader, hash, rejected, false, sp.Context())
+	n.voteShare(leader, hash, approved, true, sp.Context())
+	n.voteShare(leader, hash, rejected, false, sp.Context())
 }
 
 // hasChunkData reports whether this node already holds chunk idx of block,
@@ -540,20 +559,13 @@ func (n *Node) hasChunkData(block blockcrypto.Hash, idx int) bool {
 // voteShare signs and delivers this member's verdict on a set of chunks
 // (nothing when the set is empty), applying the DropVotes knob. The vote
 // travels under span (the verify span that produced the verdict).
-func (n *Node) voteShare(net *simnet.Network, leader simnet.NodeID, block blockcrypto.Hash, chunks []int, approve bool, span trace.SpanID) {
+func (n *Node) voteShare(leader simnet.NodeID, block blockcrypto.Hash, chunks []int, approve bool, span trace.SpanID) {
 	if len(chunks) == 0 || n.behavior.DropVotes {
 		return
 	}
 	vote := consensus.SignShareVote(n.id, block, chunks, approve, n.key)
-	if leader == n.id {
-		prev := n.rxSpan
-		n.rxSpan = span
-		n.onVote(net, vote)
-		n.rxSpan = prev
-		return
-	}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: leader, Kind: KindVote,
+	_ = n.send(simnet.Message{
+		To: leader, Kind: KindVote,
 		Size: vote.EncodedSize(), Payload: vote, Span: span,
 	})
 }
@@ -571,8 +583,8 @@ const maxCommitProbes = 3
 // scheduleCommitProbe arms one commit-status pull for a block this node
 // holds pending chunks of. Probes back off exponentially and rotate away
 // from the leader in case it crashed after committing.
-func (n *Node) scheduleCommitProbe(net *simnet.Network, block blockcrypto.Hash, attempt int) {
-	net.After(commitProbeDelay<<(attempt-1), func() {
+func (n *Node) scheduleCommitProbe(block blockcrypto.Hash, attempt int) {
+	n.net.After(commitProbeDelay<<(attempt-1), func() {
 		if n.store.HasHeader(block) {
 			return // commit arrived normally
 		}
@@ -581,13 +593,13 @@ func (n *Node) scheduleCommitProbe(net *simnet.Network, block blockcrypto.Hash, 
 		}
 		if target, ok := n.commitProbeTarget(block, attempt); ok {
 			n.pc.commitProbes.Inc()
-			_ = net.Send(simnet.Message{
-				From: n.id, To: target, Kind: KindGetCommit,
+			_ = n.send(simnet.Message{
+				To: target, Kind: KindGetCommit,
 				Size: reqOverhead, Payload: getCommitMsg{Block: block},
 			})
 		}
 		if attempt < maxCommitProbes {
-			n.scheduleCommitProbe(net, block, attempt+1)
+			n.scheduleCommitProbe(block, attempt+1)
 		}
 	})
 }
@@ -614,13 +626,13 @@ func (n *Node) commitProbeTarget(block blockcrypto.Hash, attempt int) (simnet.No
 // onGetCommit re-serves a retained commit certificate to a member whose
 // commit announcement was lost. Unknown (or swept) blocks are ignored —
 // the prober's backoff handles silence.
-func (n *Node) onGetCommit(net *simnet.Network, from simnet.NodeID, m getCommitMsg) {
+func (n *Node) onGetCommit(from simnet.NodeID, m getCommitMsg) {
 	cm, ok := n.commits[m.Block]
 	if !ok {
 		return
 	}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: from, Kind: KindCommit,
+	_ = n.send(simnet.Message{
+		To: from, Kind: KindCommit,
 		Size: cm.wireSize(), Payload: cm, Span: n.rxSpan,
 	})
 }
@@ -629,7 +641,7 @@ func (n *Node) onGetCommit(net *simnet.Network, from simnet.NodeID, m getCommitM
 // every chunk is covered, reject when any chunk accumulates a
 // Byzantine-proof number of rejections, and reassign a chunk immediately
 // when an assignee rejects it.
-func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
+func (n *Node) onVote(v consensus.Vote) {
 	st, ok := n.leading[v.Block]
 	if !ok || st.committed || st.rejected {
 		return
@@ -666,7 +678,7 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 		for _, idx := range fresh {
 			st.reassignChunk(idx, out)
 		}
-		n.sendShares(net, st, out)
+		n.sendShares(st, out)
 	}
 	switch decision {
 	case consensus.Rejected:
@@ -686,8 +698,8 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 			if m == n.id {
 				continue
 			}
-			_ = net.Send(simnet.Message{
-				From: n.id, To: m, Kind: KindCommit,
+			_ = n.send(simnet.Message{
+				To: m, Kind: KindCommit,
 				Size: size, Payload: msg, Span: st.span.Context(),
 			})
 		}
@@ -798,7 +810,7 @@ func (n *Node) adoptChunk(block blockcrypto.Hash, c chunkPayload) bool {
 
 // --- serving ---------------------------------------------------------------
 
-func (n *Node) onGetHeaders(net *simnet.Network, from simnet.NodeID, m getHeadersMsg) {
+func (n *Node) onGetHeaders(from simnet.NodeID, m getHeadersMsg) {
 	all := n.store.Headers()
 	out := make([]chain.Header, 0, len(all))
 	for _, h := range all {
@@ -807,31 +819,31 @@ func (n *Node) onGetHeaders(net *simnet.Network, from simnet.NodeID, m getHeader
 		}
 	}
 	resp := headersMsg{Headers: out, ReqID: m.ReqID}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: from, Kind: KindHeaders,
+	_ = n.send(simnet.Message{
+		To: from, Kind: KindHeaders,
 		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
 	})
 }
 
-func (n *Node) onGetChunk(net *simnet.Network, from simnet.NodeID, m getChunkMsg) {
+func (n *Node) onGetChunk(from simnet.NodeID, m getChunkMsg) {
 	id := storage.ChunkID{Block: m.Block, Index: m.Idx}
 	resp := chunkRespMsg{Block: m.Block, ReqID: m.ReqID, Attempt: m.Attempt}
 	if payload, err := n.storedPayload(id); err == nil {
 		resp.Found = true
 		resp.Chunk = payload
 	}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: from, Kind: KindChunkResp,
+	_ = n.send(simnet.Message{
+		To: from, Kind: KindChunkResp,
 		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
 	})
 }
 
-func (n *Node) onGetBlockChunks(net *simnet.Network, from simnet.NodeID, m getBlockChunksMsg) {
+func (n *Node) onGetBlockChunks(from simnet.NodeID, m getBlockChunksMsg) {
 	resp := blockChunksMsg{Block: m.Block, ReqID: m.ReqID, Round: m.Round}
 	// A chunk that fails its digest is withheld rather than served.
 	resp.Chunks, _ = n.heldChunks(m.Block)
-	_ = net.Send(simnet.Message{
-		From: n.id, To: from, Kind: KindBlockChunks,
+	_ = n.send(simnet.Message{
+		To: from, Kind: KindBlockChunks,
 		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
 	})
 }

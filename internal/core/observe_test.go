@@ -68,7 +68,7 @@ func TestStaleRoundResponseSkipsBookkeeping(t *testing.T) {
 	var got *chain.Block
 	var gotErr error
 	calls := 0
-	n.RetrieveBlock(sys.net, b.Hash(), func(bb *chain.Block, err error) { got, gotErr, calls = bb, err, calls+1 })
+	n.RetrieveBlock(b.Hash(), func(bb *chain.Block, err error) { got, gotErr, calls = bb, err, calls+1 })
 	req := n.nextReq
 	st := n.fetches[req]
 	if st == nil {
@@ -135,7 +135,7 @@ func TestStaleNegativeChunkRespSkipsRingAdvance(t *testing.T) {
 	calls := 0
 	var gotErr error
 	srcs := []simnet.NodeID{members[1], members[2]}
-	n.fetchChunk(sys.net, b.Hash(), idx, srcs, 0, "repair", func(err error) { calls++; gotErr = err })
+	n.fetchChunk(b.Hash(), idx, srcs, 0, "repair", func(err error) { calls++; gotErr = err })
 	req := n.nextReq
 	st := n.fetches[req]
 	if st == nil {
@@ -144,16 +144,16 @@ func TestStaleNegativeChunkRespSkipsRingAdvance(t *testing.T) {
 	// Both sources time out (what the armed timers do), wrapping into a
 	// second pass that re-asks sources[0] as attempt 3.
 	st.timedOut = true
-	n.advanceChunkSource(sys.net, req, st)
+	n.advanceChunkSource(req, st)
 	st.timedOut = true
-	n.advanceChunkSource(sys.net, req, st)
+	n.advanceChunkSource(req, st)
 	if st.attempts != 3 || st.srcPos != 0 || st.passes != 1 {
 		t.Fatalf("ring state after wrap: attempts=%d srcPos=%d passes=%d", st.attempts, st.srcPos, st.passes)
 	}
 
 	// The stale negative answering attempt 1 arrives from the very source
 	// the fetch is currently waiting on.
-	n.onChunkResp(sys.net, members[1], chunkRespMsg{Block: b.Hash(), ReqID: req, Attempt: 1})
+	n.onChunkResp(members[1], chunkRespMsg{Block: b.Hash(), ReqID: req, Attempt: 1})
 	if st.srcPos != 0 {
 		t.Fatalf("stale negative advanced the ring: srcPos=%d", st.srcPos)
 	}
@@ -165,11 +165,11 @@ func TestStaleNegativeChunkRespSkipsRingAdvance(t *testing.T) {
 	}
 
 	// Live answers still drive the ring to its definitive end.
-	n.onChunkResp(sys.net, members[1], chunkRespMsg{Block: b.Hash(), ReqID: req, Attempt: st.attempts})
+	n.onChunkResp(members[1], chunkRespMsg{Block: b.Hash(), ReqID: req, Attempt: st.attempts})
 	if st.srcPos != 1 {
 		t.Fatalf("current-attempt negative did not advance: srcPos=%d", st.srcPos)
 	}
-	n.onChunkResp(sys.net, members[2], chunkRespMsg{Block: b.Hash(), ReqID: req, Attempt: st.attempts})
+	n.onChunkResp(members[2], chunkRespMsg{Block: b.Hash(), ReqID: req, Attempt: st.attempts})
 	if calls != 1 || !errors.Is(gotErr, ErrChunkLost) {
 		t.Fatalf("fetch end: calls=%d err=%v", calls, gotErr)
 	}
@@ -192,7 +192,7 @@ func TestRetrieveExactlyOnceUnderFaults(t *testing.T) {
 		for _, id := range members[:3] {
 			node := sys.nodes[id]
 			calls := 0
-			node.RetrieveBlock(sys.net, b.Hash(), func(*chain.Block, error) { calls++ })
+			node.RetrieveBlock(b.Hash(), func(*chain.Block, error) { calls++ })
 			sys.Network().RunUntilIdle()
 			if calls != 1 {
 				t.Fatalf("node %d block %d: cb fired %d times", id, b.Header.Height, calls)
@@ -216,7 +216,7 @@ func TestRetrieveExactlyOnceUnderFaults(t *testing.T) {
 	sys.Network().EnableFaults(94, simnet.FaultConfig{DropRate: 0.25, DupRate: 0.2, ReorderRate: 0.3})
 	node := sys.nodes[members[0]]
 	calls := 0
-	node.RetrieveArchivedBlock(sys.net, blocks[0].Hash(), func(*chain.Block, error) { calls++ })
+	node.RetrieveArchivedBlock(blocks[0].Hash(), func(*chain.Block, error) { calls++ })
 	sys.Network().RunUntilIdle()
 	if calls != 1 {
 		t.Fatalf("coded retrieve cb fired %d times", calls)
@@ -245,7 +245,7 @@ func exerciseAllProtocols(t *testing.T, tr *trace.Tracer, reg *metrics.Registry,
 
 	members, _ := sys.ClusterMembers(0)
 	retrieved := false
-	sys.nodes[members[0]].RetrieveBlock(sys.net, blocks[0].Hash(), func(_ *chain.Block, err error) {
+	sys.nodes[members[0]].RetrieveBlock(blocks[0].Hash(), func(_ *chain.Block, err error) {
 		if err != nil {
 			t.Errorf("retrieve: %v", err)
 		}
@@ -280,7 +280,7 @@ func exerciseAllProtocols(t *testing.T, tr *trace.Tracer, reg *metrics.Registry,
 	sys.Network().RunUntilIdle()
 
 	members1, _ := sys.ClusterMembers(1)
-	sys.nodes[members1[0]].RetrieveArchivedBlock(sys.net, blocks[1].Hash(), func(_ *chain.Block, err error) {
+	sys.nodes[members1[0]].RetrieveArchivedBlock(blocks[1].Hash(), func(_ *chain.Block, err error) {
 		if err != nil {
 			t.Errorf("coded retrieve: %v", err)
 		}

@@ -77,7 +77,7 @@ func TestPruneAfterJoinRestoresExactFootprint(t *testing.T) {
 	// Reads still work against the pruned cluster.
 	reader, _ := sys.Node(members[0])
 	var gotErr error
-	reader.RetrieveBlock(sys.Network(), blocks[2].Hash(), func(_ *chain.Block, err error) {
+	reader.RetrieveBlock(blocks[2].Hash(), func(_ *chain.Block, err error) {
 		gotErr = err
 	})
 	sys.Network().RunUntilIdle()

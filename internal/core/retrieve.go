@@ -19,20 +19,20 @@ import (
 // this node's cluster. cb is invoked exactly once, with the verified block
 // or an error. This is the read path a light client or application would
 // use against an ICIStrategy cluster.
-func (n *Node) RetrieveBlock(net *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
-	n.retrieveBlock(net, block, n.rxSpan, cb)
+func (n *Node) RetrieveBlock(block blockcrypto.Hash, cb func(*chain.Block, error)) {
+	n.retrieveBlock(block, n.rxSpan, cb)
 }
 
 // retrieveBlock is RetrieveBlock under an explicit parent span (archival
 // retrieves blocks from inside its own span).
-func (n *Node) retrieveBlock(net *simnet.Network, block blockcrypto.Hash, parent trace.SpanID, cb func(*chain.Block, error)) {
+func (n *Node) retrieveBlock(block blockcrypto.Hash, parent trace.SpanID, cb func(*chain.Block, error)) {
 	hdr, err := n.store.Header(block)
 	if err != nil {
 		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
 		return
 	}
 	n.pc.retrievals.Inc()
-	n.startRetrieve(net, &fetchState{
+	n.startRetrieve(&fetchState{
 		block:   block,
 		hdr:     hdr,
 		onBlock: cb,
@@ -46,7 +46,7 @@ func (n *Node) retrieveBlock(net *simnet.Network, block blockcrypto.Hash, parent
 // fails its digest check (bit rot, torn write) must not be silently
 // skipped: it is counted, and the remote fetch re-establishes it from the
 // other owners.
-func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
+func (n *Node) startRetrieve(st *fetchState) {
 	n.nextReq++
 	req := n.nextReq
 	n.fetches[req] = st
@@ -73,7 +73,7 @@ func (n *Node) startRetrieve(net *simnet.Network, st *fetchState) {
 	n.pc.localErrors.Add(int64(bad))
 	st.merge(chunks)
 	if !n.tryFinishRetrieve(req, st) {
-		n.broadcast(net, &st.round)
+		n.broadcast(&st.round)
 	}
 }
 
@@ -102,7 +102,7 @@ func (st *fetchState) merge(chunks []storage.Chunk) {
 // broadcast; answers go through answer.
 type round struct {
 	targets func() []simnet.NodeID       // whom to ask, re-read every round
-	request func(tag int) simnet.Message // the request of round tag; From and To are filled in
+	request func(tag int) simnet.Message // the request of round tag; To is filled in
 	rounds  *metrics.Counter             // rounds issued
 	retries *metrics.Counter             // timed-out rounds asked again
 	stale   *metrics.Counter             // answers to a superseded round
@@ -119,24 +119,23 @@ type round struct {
 // the round's timeout. A timed-out round is asked again with a doubled
 // timeout, up to maxFetchAttempts; after the last one, or when there is no
 // one to ask, the request fails.
-func (n *Node) broadcast(net *simnet.Network, r *round) {
+func (n *Node) broadcast(r *round) {
 	r.attempts++
 	targets := r.targets()
 	r.waiting = len(targets)
 	r.responded = make(map[simnet.NodeID]bool, len(targets))
 	r.rounds.Inc()
 	msg := r.request(r.attempts)
-	msg.From = n.id
 	for _, m := range targets {
 		msg.To = m
-		_ = net.Send(msg)
+		_ = n.send(msg)
 	}
 	if r.waiting == 0 {
 		r.fail()
 		return
 	}
 	attempt := r.attempts
-	net.After(r.timeout, func() {
+	n.net.After(r.timeout, func() {
 		if r.done || r.attempts != attempt {
 			return // finished, or a newer round superseded this timer
 		}
@@ -146,7 +145,7 @@ func (n *Node) broadcast(net *simnet.Network, r *round) {
 		}
 		r.retries.Inc()
 		r.timeout *= 2
-		n.broadcast(net, r)
+		n.broadcast(r)
 	})
 }
 
@@ -316,7 +315,7 @@ type bootstrapState struct {
 // one starts (the node was removed or left and rejoined) is replaced:
 // neither its answers nor its failures reach its successor, and its cb
 // never fires.
-func (n *Node) Bootstrap(net *simnet.Network, sponsor simnet.NodeID, cb func(error)) {
+func (n *Node) Bootstrap(sponsor simnet.NodeID, cb func(error)) {
 	n.nextReq++
 	bs := &bootstrapState{req: n.nextReq, cb: cb, span: n.tr.Start(0, "bootstrap", "bootstrap", int64(n.id))}
 	bs.round = round{
@@ -334,12 +333,12 @@ func (n *Node) Bootstrap(net *simnet.Network, sponsor simnet.NodeID, cb func(err
 	}
 	n.bootstrap = bs
 	n.pc.bootstraps.Inc()
-	n.broadcast(net, &bs.round)
+	n.broadcast(&bs.round)
 }
 
 // onHeaders continues the bootstrap: validate the header chain, then fetch
 // owned chunks.
-func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
+func (n *Node) onHeaders(m headersMsg) {
 	bs := n.bootstrap
 	if bs == nil || bs.req != m.ReqID {
 		return // no bootstrap, or the answer to one a newer one replaced
@@ -371,7 +370,7 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 			}
 			bs.outstanding++
 			n.pc.bootstrapChunks.Inc()
-			n.fetchChunk(net, mv.Block, mv.Index, mv.From, bs.span.Context(), "bootstrap", func(err error) {
+			n.fetchChunk(mv.Block, mv.Index, mv.From, bs.span.Context(), "bootstrap", func(err error) {
 				if err != nil {
 					bs.failed = true
 				}
@@ -410,7 +409,7 @@ func (n *Node) finishBootstrap(bs *bootstrapState, err error) {
 // fetchChunk requests one chunk, trying sources in order until one serves a
 // verifiable copy. cb fires once. The fetch's span opens under parent with
 // the calling protocol's label (bootstrap or repair).
-func (n *Node) fetchChunk(net *simnet.Network, block blockcrypto.Hash, idx int, sources []simnet.NodeID, parent trace.SpanID, proto string, cb func(error)) {
+func (n *Node) fetchChunk(block blockcrypto.Hash, idx int, sources []simnet.NodeID, parent trace.SpanID, proto string, cb func(error)) {
 	id := storage.ChunkID{Block: block, Index: idx}
 	if n.store.HasChunk(id) {
 		cb(nil)
@@ -431,28 +430,28 @@ func (n *Node) fetchChunk(net *simnet.Network, block blockcrypto.Hash, idx int, 
 		span:    n.tr.Start(parent, proto, fmt.Sprintf("fetch-chunk[%d]", idx), int64(n.id)),
 	}
 	n.fetches[req] = st
-	n.sendChunkReq(net, req, st)
+	n.sendChunkReq(req, st)
 }
 
 // sendChunkReq asks the fetch's current source for the chunk and arms a
 // per-request timeout. A timed-out source is skipped (it may be crashed, or
 // the request/response was lost) and the fetch moves on.
-func (n *Node) sendChunkReq(net *simnet.Network, req uint64, st *fetchState) {
+func (n *Node) sendChunkReq(req uint64, st *fetchState) {
 	st.attempts++
 	attempt := st.attempts
-	_ = net.Send(simnet.Message{
-		From: n.id, To: st.sources[st.srcPos], Kind: KindGetChunk,
+	_ = n.send(simnet.Message{
+		To: st.sources[st.srcPos], Kind: KindGetChunk,
 		Size: reqOverhead, Span: st.span.Context(),
 		Payload: getChunkMsg{Block: st.block, Idx: st.idx, ReqID: req, Attempt: attempt},
 	})
-	net.After(st.timeout, func() {
+	n.net.After(st.timeout, func() {
 		cur, ok := n.fetches[req]
 		if !ok || cur.done || cur.attempts != attempt {
 			return // answered, or a later request superseded this timer
 		}
 		n.pc.chunkTimeouts.Inc()
 		cur.timedOut = true
-		n.advanceChunkSource(net, req, cur)
+		n.advanceChunkSource(req, cur)
 	})
 }
 
@@ -461,7 +460,7 @@ func (n *Node) sendChunkReq(net *simnet.Network, req uint64, st *fetchState) {
 // if some source timed out during the pass: a pass where every source
 // definitively answered "don't have it" (or served garbage) cannot be saved
 // by asking again.
-func (n *Node) advanceChunkSource(net *simnet.Network, req uint64, st *fetchState) {
+func (n *Node) advanceChunkSource(req uint64, st *fetchState) {
 	st.srcPos++
 	if st.srcPos >= len(st.sources) {
 		if !st.timedOut || st.passes+1 >= maxSourcePasses {
@@ -474,11 +473,11 @@ func (n *Node) advanceChunkSource(net *simnet.Network, req uint64, st *fetchStat
 		st.timeout *= 2
 		n.pc.chunkRetries.Inc()
 	}
-	n.sendChunkReq(net, req, st)
+	n.sendChunkReq(req, st)
 }
 
 // onChunkResp finishes (or advances) a single-chunk fetch.
-func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespMsg) {
+func (n *Node) onChunkResp(from simnet.NodeID, m chunkRespMsg) {
 	st, ok := n.fetches[m.ReqID]
 	if !ok || st.done || st.block != m.Block {
 		return
@@ -503,7 +502,7 @@ func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespM
 		return
 	}
 	if st.srcPos < len(st.sources) && from == st.sources[st.srcPos] {
-		n.advanceChunkSource(net, m.ReqID, st)
+		n.advanceChunkSource(m.ReqID, st)
 		return
 	}
 	n.pc.duplicates.Inc()
@@ -521,7 +520,7 @@ func (n *Node) onChunkResp(net *simnet.Network, from simnet.NodeID, m chunkRespM
 // deficits. cb receives the number of chunks that could not be recovered
 // from inside the cluster (0 means full intra-cluster integrity was
 // restored).
-func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
+func (n *Node) RepairOwnership(cb func(lost int)) {
 	n.pc.repairs.Inc()
 	span := n.tr.Start(0, "repair", "repair", int64(n.id))
 	type want struct {
@@ -565,7 +564,7 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 	lost, outstanding := 0, len(wants)
 	n.pc.repairChunks.Add(int64(len(wants)))
 	for _, w := range wants {
-		n.fetchChunk(net, w.Block, w.Index, w.From, span.Context(), "repair", func(err error) {
+		n.fetchChunk(w.Block, w.Index, w.From, span.Context(), "repair", func(err error) {
 			if err != nil {
 				lost++
 			}

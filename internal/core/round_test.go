@@ -24,13 +24,13 @@ func TestRoundScheduleWithEveryTargetDown(t *testing.T) {
 	}{
 		{"retrieve", KindGetBlockChunks, "ici.retrieve.retries", ErrRetrieveFailed,
 			func(_ *testing.T, net *simnet.Network, n *Node, b *chain.Block, done func(error)) {
-				n.RetrieveBlock(net, b.Hash(), func(_ *chain.Block, err error) { done(err) })
+				n.RetrieveBlock(b.Hash(), func(_ *chain.Block, err error) { done(err) })
 			}},
 		{"txquery", KindGetTxProof, "ici.txquery.retries", ErrTxNotFound,
 			func(t *testing.T, net *simnet.Network, n *Node, b *chain.Block, done func(error)) {
 				for _, tx := range b.Txs {
 					if _, held := StoredTxProof(n.store, b.Hash(), tx.ID()); !held {
-						n.QueryTxProof(net, b.Hash(), tx.ID(), func(_ TxProof, err error) { done(err) })
+						n.QueryTxProof(b.Hash(), tx.ID(), func(_ TxProof, err error) { done(err) })
 						return
 					}
 				}
@@ -122,11 +122,11 @@ func TestReplacedBootstrapCannotEndItsSuccessor(t *testing.T) {
 			net := sys.Network()
 			t0 := net.Now()
 			var calls []string
-			n.Bootstrap(net, first, func(err error) { calls = append(calls, "first") })
+			n.Bootstrap(first, func(err error) { calls = append(calls, "first") })
 			var at time.Duration
 			var gotErr error
 			net.After(tc.replaceAt, func() {
-				n.Bootstrap(net, dead, func(err error) {
+				n.Bootstrap(dead, func(err error) {
 					calls = append(calls, "second")
 					at, gotErr = net.Now()-t0, err
 				})

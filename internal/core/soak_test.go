@@ -108,7 +108,7 @@ func TestSoakMixedLifecycle(t *testing.T) {
 	for _, tx := range probe.Txs[:5] {
 		var gotErr error
 		done := false
-		node0.QueryTxProof(sys.Network(), probe.Hash(), tx.ID(), func(p TxProof, err error) {
+		node0.QueryTxProof(probe.Hash(), tx.ID(), func(p TxProof, err error) {
 			gotErr, done = err, true
 			if err == nil {
 				if verr := p.Verify(); verr != nil {

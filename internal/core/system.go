@@ -161,7 +161,7 @@ func NewSystem(cfg Config) (*System, error) {
 	for i, key := range keys {
 		id := simnet.NodeID(i)
 		s.keys[id] = key
-		node := newNode(id, s.clusters[asg.ClusterOf[i]], key, cfg.Replication, registry, s.tr, s.pc)
+		node := newNode(id, s.net, s.clusters[asg.ClusterOf[i]], key, cfg.Replication, registry, s.tr, s.pc)
 		s.nodes[id] = node
 		if err := s.net.AddNode(id, node, coords[i]); err != nil {
 			return nil, err
@@ -272,16 +272,8 @@ func (s *System) ProduceBlock(txs []*chain.Transaction) (*chain.Block, error) {
 			span.End()
 			return nil, lerr
 		}
-		if leader == proposer {
-			p := s.nodes[proposer]
-			prev := p.rxSpan
-			p.rxSpan = span.Context()
-			p.onPropose(s.net, msg)
-			p.rxSpan = prev
-			continue
-		}
-		if err := s.net.Send(simnet.Message{
-			From: proposer, To: leader, Kind: KindPropose,
+		if err := s.nodes[proposer].send(simnet.Message{
+			To: leader, Kind: KindPropose,
 			Size: msg.wireSize(), Payload: msg, Span: span.Context(),
 		}); err != nil {
 			span.SetErr(err)
@@ -439,7 +431,7 @@ func (s *System) RepairCluster(c int, cb func(lost int)) error {
 		if s.net.IsDown(m) {
 			continue
 		}
-		s.nodes[m].RepairOwnership(s.net, func(lost int) {
+		s.nodes[m].RepairOwnership(func(lost int) {
 			totalLost += lost
 			outstanding--
 			if outstanding == 0 {
@@ -493,7 +485,7 @@ func (s *System) JoinCluster(c int, cb func(simnet.NodeID, error)) error {
 	s.nextID++
 	key := blockcrypto.DeriveKeyPair(s.cfg.Seed, uint64(id))
 	s.keys[id] = key
-	node := newNode(id, ci, key, s.cfg.Replication, s.PublicKey, s.tr, s.pc)
+	node := newNode(id, s.net, ci, key, s.cfg.Replication, s.PublicKey, s.tr, s.pc)
 	s.nodes[id] = node
 	// Place the newcomer near its sponsor — joining nodes pick the
 	// latency-closest cluster in practice.
@@ -518,7 +510,7 @@ func (s *System) admit(ci *clusterInfo, n *Node, sponsor simnet.NodeID, cb func(
 		return err
 	}
 	target := epoch.Seq
-	n.Bootstrap(s.net, sponsor, func(err error) {
+	n.Bootstrap(sponsor, func(err error) {
 		if err == nil {
 			ci.AdvancePlacement(target)
 		}
@@ -554,7 +546,7 @@ func (s *System) LeaveCluster(id simnet.NodeID, cb func(moved int, err error)) e
 		return err
 	}
 	target := epoch.Seq
-	n.HandoffChunks(s.net, func(moved int, herr error) {
+	n.HandoffChunks(func(moved int, herr error) {
 		if herr == nil {
 			ci.AdvancePlacement(target)
 		}
@@ -567,9 +559,9 @@ func (s *System) LeaveCluster(id simnet.NodeID, cb func(moved int, err error)) e
 // RejoinCluster brings a previously departed node back under its original
 // identity: the same ID and keypair return to membership in a new epoch,
 // and the node bootstraps the blocks it missed (chunks it still holds from
-// before departing are not refetched). cb fires once the resync completes;
-// on success placement advances to the rejoin epoch. Drive the network
-// afterwards.
+// before departing are not refetched); a node still handing off is refused.
+// cb fires once the resync completes; on success placement advances to the
+// rejoin epoch. Drive the network afterwards.
 func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 	n, err := s.Node(id)
 	if err != nil {
@@ -578,6 +570,9 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 	ci := n.cluster
 	if slices.Contains(ci.Current().Members, id) {
 		return fmt.Errorf("core: node %d is already a member of cluster %d", id, ci.index)
+	}
+	if n.handoff != nil {
+		return fmt.Errorf("core: node %d is still handing off its chunks", id)
 	}
 	sponsor, serr := s.sponsorFor(ci, id)
 	if serr != nil {

@@ -154,7 +154,7 @@ func TestRetrieveBlock(t *testing.T) {
 	}
 	var got *chain.Block
 	var gotErr error
-	node.RetrieveBlock(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	node.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()
@@ -179,7 +179,7 @@ func TestRetrieveUnknownBlock(t *testing.T) {
 	produceAndSettle(t, sys, gen, 1, 8)
 	node, _ := sys.Node(0)
 	var gotErr error
-	node.RetrieveBlock(sys.Network(), blockcrypto.Sum256([]byte("phantom")), func(_ *chain.Block, err error) {
+	node.RetrieveBlock(blockcrypto.Sum256([]byte("phantom")), func(_ *chain.Block, err error) {
 		gotErr = err
 	})
 	sys.Network().RunUntilIdle()
@@ -203,7 +203,7 @@ func TestRetrieveDegradedByReplication(t *testing.T) {
 	reader, _ := sys.Node(members[0])
 	var got *chain.Block
 	var gotErr error
-	reader.RetrieveBlock(sys.Network(), blocks[2].Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(blocks[2].Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()
@@ -360,5 +360,60 @@ func TestVerifyChunkRejectsBadProofIndex(t *testing.T) {
 	mismatched.Proofs = []chain.Proof{p0}
 	if err := mismatched.Verify(b.Header); err == nil {
 		t.Fatal("proof-count mismatch accepted")
+	}
+}
+
+// recordingTransport passes every call on to the network underneath and
+// keeps what was sent.
+type recordingTransport struct {
+	transport
+	sent []simnet.Message
+}
+
+func (r *recordingTransport) Send(msg simnet.Message) error {
+	r.sent = append(r.sent, msg)
+	return r.transport.Send(msg)
+}
+
+// TestNodeSendsToItselfWithoutTheTransport records the transport of a node
+// that proposes a block to itself, hands itself its own share and votes on
+// it: every message the transport sees is addressed to another node, and the
+// transport's count is the network's.
+func TestNodeSendsToItselfWithoutTheTransport(t *testing.T) {
+	const nodes = 16
+	sys, gen := buildSystem(t, Config{Nodes: nodes, Clusters: 2, Replication: 2, Seed: 7})
+	// The first height whose proposer leads its own cluster.
+	var height uint64
+	for ; ; height++ {
+		id := simnet.NodeID(height % nodes)
+		if l, _ := sys.nodes[id].cluster.leaderAt(height); l == id {
+			break
+		}
+	}
+	id := simnet.NodeID(height % nodes)
+	node := sys.nodes[id]
+	rec := &recordingTransport{transport: node.net}
+	node.net = rec
+	blocks := produceAndSettle(t, sys, gen, int(height)+1, 16)
+
+	for _, b := range blocks {
+		if !sys.AllCommitted(b.Hash()) {
+			t.Fatalf("block %d not committed everywhere", b.Header.Height)
+		}
+	}
+	if len(node.store.ChunksForBlock(blocks[height].Hash())) == 0 {
+		t.Fatalf("node %d holds no chunk of block %d it proposed to itself", id, height)
+	}
+	for _, m := range rec.sent {
+		if m.To == id || m.From != id {
+			t.Fatalf("transport of node %d saw %s from %d to %d", id, m.Kind, m.From, m.To)
+		}
+	}
+	traffic, err := sys.Network().Traffic(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.sent) == 0 || int64(len(rec.sent)) != traffic.MsgsSent {
+		t.Fatalf("transport saw %d messages, network counts %d sent", len(rec.sent), traffic.MsgsSent)
 	}
 }

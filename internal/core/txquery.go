@@ -81,7 +81,7 @@ type txQueryState struct {
 // result is verified against the locally stored header before cb fires. A
 // round every member answered without producing the proof is a definitive
 // not-found.
-func (n *Node) QueryTxProof(net *simnet.Network, block, txID blockcrypto.Hash, cb func(TxProof, error)) {
+func (n *Node) QueryTxProof(block, txID blockcrypto.Hash, cb func(TxProof, error)) {
 	hdr, err := n.store.Header(block)
 	if err != nil {
 		cb(TxProof{}, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
@@ -111,7 +111,7 @@ func (n *Node) QueryTxProof(net *simnet.Network, block, txID blockcrypto.Hash, c
 		timeout: fetchTimeout,
 	}
 	n.txQueries[req] = st
-	n.broadcast(net, &st.round)
+	n.broadcast(&st.round)
 }
 
 // endQuery fires a query's callback once and forgets the query.
@@ -122,15 +122,15 @@ func (n *Node) endQuery(req uint64, st *txQueryState, proof TxProof, err error) 
 }
 
 // onGetTxProof serves an inclusion query from this node's stored chunks.
-func (n *Node) onGetTxProof(net *simnet.Network, from simnet.NodeID, m getTxProofMsg) {
+func (n *Node) onGetTxProof(from simnet.NodeID, m getTxProofMsg) {
 	resp := txProofMsg{Block: m.Block, ReqID: m.ReqID, Round: m.Round}
 	if proof, ok := StoredTxProof(n.store, m.Block, m.TxID); ok {
 		resp.Found = true
 		resp.Tx = proof.Tx
 		resp.Proof = proof.Proof
 	}
-	_ = net.Send(simnet.Message{
-		From: n.id, To: from, Kind: KindTxProof,
+	_ = n.send(simnet.Message{
+		To: from, Kind: KindTxProof,
 		Size: resp.wireSize(), Payload: resp,
 	})
 }

@@ -23,7 +23,7 @@ func TestQueryTxProofSucceeds(t *testing.T) {
 		var got TxProof
 		var gotErr error
 		done := false
-		node.QueryTxProof(sys.Network(), target.Hash(), tx.ID(), func(p TxProof, err error) {
+		node.QueryTxProof(target.Hash(), tx.ID(), func(p TxProof, err error) {
 			got, gotErr, done = p, err, true
 		})
 		sys.Network().RunUntilIdle()
@@ -51,7 +51,7 @@ func TestQueryTxProofUnknownTx(t *testing.T) {
 	node, _ := sys.Node(0)
 	var gotErr error
 	done := false
-	node.QueryTxProof(sys.Network(), blocks[0].Hash(), blockcrypto.Sum256([]byte("ghost tx")),
+	node.QueryTxProof(blocks[0].Hash(), blockcrypto.Sum256([]byte("ghost tx")),
 		func(_ TxProof, err error) { gotErr, done = err, true })
 	sys.Network().RunUntilIdle()
 	if !done {
@@ -67,7 +67,7 @@ func TestQueryTxProofUnknownBlock(t *testing.T) {
 	produceAndSettle(t, sys, gen, 1, 12)
 	node, _ := sys.Node(0)
 	var gotErr error
-	node.QueryTxProof(sys.Network(), blockcrypto.Sum256([]byte("no such block")),
+	node.QueryTxProof(blockcrypto.Sum256([]byte("no such block")),
 		blockcrypto.Sum256([]byte("tx")), func(_ TxProof, err error) { gotErr = err })
 	sys.Network().RunUntilIdle()
 	if !errors.Is(gotErr, ErrUnknownBlock) {
@@ -89,7 +89,7 @@ func TestQueryTxProofLocalFastPath(t *testing.T) {
 				sys.Network().ResetTraffic()
 				var got TxProof
 				var gotErr error
-				node.QueryTxProof(sys.Network(), target.Hash(), tx.ID(), func(p TxProof, err error) {
+				node.QueryTxProof(target.Hash(), tx.ID(), func(p TxProof, err error) {
 					got, gotErr = p, err
 				})
 				if gotErr != nil {
@@ -249,7 +249,7 @@ func TestStaleTxProofResponseSkipsBookkeeping(t *testing.T) {
 	var got TxProof
 	var gotErr error
 	calls := 0
-	n.QueryTxProof(sys.net, b.Hash(), tx.ID(), func(p TxProof, err error) { got, gotErr, calls = p, err, calls+1 })
+	n.QueryTxProof(b.Hash(), tx.ID(), func(p TxProof, err error) { got, gotErr, calls = p, err, calls+1 })
 	req := n.nextReq
 	st := n.txQueries[req]
 	if st == nil {
@@ -317,7 +317,7 @@ func TestTxQueryExactlyOnceUnderFaults(t *testing.T) {
 			node := sys.nodes[id]
 			for _, txID := range []blockcrypto.Hash{b.Txs[0].ID(), blockcrypto.Sum256([]byte("ghost"))} {
 				calls := 0
-				node.QueryTxProof(sys.net, b.Hash(), txID, func(TxProof, error) { calls++ })
+				node.QueryTxProof(b.Hash(), txID, func(TxProof, error) { calls++ })
 				sys.Network().RunUntilIdle()
 				if calls != 1 {
 					t.Fatalf("node %d: cb fired %d times", id, calls)

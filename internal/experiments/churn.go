@@ -256,7 +256,7 @@ func runChurn(p Params, variant string, rate int) (churnResult, error) {
 	if err != nil {
 		return res, err
 	}
-	reader.RetrieveBlock(sys.Network(), blocks[0], func(b *chain.Block, rerr error) {
+	reader.RetrieveBlock(blocks[0], func(b *chain.Block, rerr error) {
 		res.RetrieveOK = rerr == nil && b != nil
 	})
 	sys.Network().RunUntilIdle()

@@ -64,7 +64,7 @@ func E14TraceBreakdown(p Params) (*metrics.Table, error) {
 		return nil, err
 	}
 	var retErr error
-	reader.RetrieveBlock(sys.Network(), blocks[0].Hash(), func(_ *chain.Block, err error) { retErr = err })
+	reader.RetrieveBlock(blocks[0].Hash(), func(_ *chain.Block, err error) { retErr = err })
 	sys.Network().RunUntilIdle()
 	if retErr != nil {
 		return nil, fmt.Errorf("traced retrieve: %w", retErr)
@@ -99,7 +99,7 @@ func E14TraceBreakdown(p Params) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	codedReader.RetrieveArchivedBlock(sys.Network(), blocks[len(blocks)-1].Hash(), func(_ *chain.Block, err error) { retErr = err })
+	codedReader.RetrieveArchivedBlock(blocks[len(blocks)-1].Hash(), func(_ *chain.Block, err error) { retErr = err })
 	sys.Network().RunUntilIdle()
 	if retErr != nil {
 		return nil, fmt.Errorf("traced coded retrieve: %w", retErr)
