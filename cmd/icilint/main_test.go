@@ -163,8 +163,8 @@ var seeds = []seed{
 		"\t\t\tadopted[i], errs[i] = AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)\n",
 		"\t\t\tchk, err := AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)\n\t\t\tadopted[i] = chk\n\t\t\terrs = append(errs, err)\n"}},
 	{"chunkalias", "internal/storage/store.go", []string{ // PutChunk keeps the caller's buffer
-		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = c\n",
-		"\ts.chunks[c.ID] = c\n"}},
+		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = held{Chunk: c, edge: edge}\n",
+		"\ts.chunks[c.ID] = held{Chunk: c, edge: edge}\n"}},
 	{"atomicmix", "internal/metrics/metrics.go", []string{ // the PR-3 Counter: atomic add, bare read
 		"\tv atomic.Int64\n}", "\tv int64\n}",
 		"\tc.v.Add(delta)\n", "\tatomic.AddInt64(&c.v, delta)\n",

@@ -141,10 +141,11 @@ func (t *MerkleTree) Prove(i int) (Proof, error) {
 }
 
 // VerifyProof checks that leaf is a member of the tree with the given root
-// under proof.
+// under proof, at the proof's LeafIndex (checkPosition): a proof taken from
+// another leaf of the same tree does not verify under a relabeled index.
 func VerifyProof(root, leaf blockcrypto.Hash, proof Proof) error {
-	if len(proof.Steps) > maxProofDepth {
-		return ErrProofTooLarge
+	if err := checkPosition(proof); err != nil {
+		return err
 	}
 	h := leaf
 	for _, s := range proof.Steps {
@@ -156,6 +157,26 @@ func VerifyProof(root, leaf blockcrypto.Hash, proof Proof) error {
 	}
 	if h != root {
 		return ErrProofInvalid
+	}
+	return nil
+}
+
+// checkPosition is the rule that ties a proof to its position: the steps'
+// sides spell LeafIndex in binary, low bit first (step l's sibling is on the
+// left exactly when bit l is set, as Prove writes it), and LeafIndex <
+// 2^len(Steps). Without it a chunk could swap two of its transactions and
+// their proofs, keep the labels, and still have every proof verify.
+func checkPosition(p Proof) error {
+	if len(p.Steps) > maxProofDepth {
+		return ErrProofTooLarge
+	}
+	if p.LeafIndex < 0 || p.LeafIndex>>len(p.Steps) != 0 {
+		return fmt.Errorf("%w: leaf index %d does not fit %d steps", ErrProofInvalid, p.LeafIndex, len(p.Steps))
+	}
+	for l, s := range p.Steps {
+		if s.Left != (p.LeafIndex>>l&1 == 1) {
+			return fmt.Errorf("%w: step %d is on the wrong side for leaf index %d", ErrProofInvalid, l, p.LeafIndex)
+		}
 	}
 	return nil
 }

@@ -106,6 +106,27 @@ func TestMerkleProofRejectsFlippedSide(t *testing.T) {
 	}
 }
 
+// TestMerkleProofRejectsRelabeledLeaf: a leaf's own proof does not verify
+// under another position's label, whether the label names another leaf of
+// the tree or lies beyond what the steps can reach. Otherwise two
+// transactions of a chunk could trade places, proofs and all, and every
+// proof would still verify at the label of the place it was moved to.
+func TestMerkleProofRejectsRelabeledLeaf(t *testing.T) {
+	leaves := leavesOf(16)
+	tree, _ := NewMerkleTree(leaves)
+	proof, _ := tree.Prove(5)
+	if err := VerifyProof(tree.Root(), leaves[5], proof); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []int{4, 6, 5 + 16, -11} {
+		relabeled := proof
+		relabeled.LeafIndex = label
+		if err := VerifyProof(tree.Root(), leaves[5], relabeled); !errors.Is(err, ErrProofInvalid) {
+			t.Errorf("proof of leaf 5 labeled %d: %v, want %v", label, err, ErrProofInvalid)
+		}
+	}
+}
+
 func TestMerkleProveOutOfRange(t *testing.T) {
 	tree, _ := NewMerkleTree(leavesOf(4))
 	for _, i := range []int{-1, 4, 100} {

@@ -237,24 +237,32 @@ func ReassembleEncoding(hdr chain.Header, parts int, copyAt func(i int) (index, 
 }
 
 // StoredTxProof scans the chunks st holds of a block for the transaction
-// and returns it with its stored Merkle proof (Header left to the caller):
-// the light-client answer, which no member needs the whole block for. Each
+// and returns it with its Merkle proof (Header left to the caller): the
+// light-client answer, which no member needs the whole block for. Each
 // chunk is read in place (storage.Store.LendChunk: its digest is checked, a
 // damaged one is skipped) and its transactions are hashed where they lie;
-// only the one found is decoded.
+// only the one found is decoded, and only the chunk that holds it is read
+// again with the proofs the store rebuilds.
 func StoredTxProof(st *storage.Store, block, txID blockcrypto.Hash) (TxProof, bool) {
-	var p TxProof
-	found := false
 	for _, idx := range st.ChunksForBlock(block) {
-		_ = st.LendChunk(storage.ChunkID{Block: block, Index: idx}, func(c storage.Chunk) {
-			if c.CodedK > 0 {
-				return // a coded share has no transaction structure
-			}
-			tx, at, err := chain.FindTx(c.Data, txID)
-			if err == nil && at >= 0 && at < len(c.Proofs) {
-				p, found = TxProof{Tx: tx, Proof: c.Proofs[at]}, true
+		id := storage.ChunkID{Block: block, Index: idx}
+		var tx *chain.Transaction
+		at := -1
+		_ = st.LendChunk(id, false, func(c storage.Chunk) {
+			if c.CodedK == 0 { // a coded share has no transaction structure
+				tx, at, _ = chain.FindTx(c.Data, txID) // at < 0 unless found
 			}
 		}) // a damaged chunk is skipped: another member holds it
+		if at < 0 {
+			continue
+		}
+		var p TxProof
+		found := false
+		_ = st.LendChunk(id, true, func(c storage.Chunk) {
+			if at < len(c.Proofs) {
+				p, found = TxProof{Tx: tx, Proof: c.Proofs[at]}, true
+			}
+		})
 		if found {
 			return p, true
 		}

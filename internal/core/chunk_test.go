@@ -278,3 +278,17 @@ func TestProvesChunkChecksTheRange(t *testing.T) {
 		t.Errorf("tampered transaction: got %v, want %v", err, chain.ErrProofInvalid)
 	}
 }
+
+// storedChunk reads chunk id of st back with the proofs the store rebuilds
+// for it, as a node serves it.
+func storedChunk(t *testing.T, st *storage.Store, id storage.ChunkID) storage.Chunk {
+	t.Helper()
+	var chk storage.Chunk
+	if err := st.LendChunk(id, true, func(c storage.Chunk) {
+		chk = c
+		chk.Data = append([]byte(nil), c.Data...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return chk
+}

@@ -122,10 +122,7 @@ func TestLeaveClusterUnderCorruption(t *testing.T) {
 	for id, n := range sys.nodes {
 		for _, h := range n.store.Headers() {
 			for _, idx := range n.store.ChunksForBlock(h.Hash()) {
-				chk, err := n.store.Chunk(storage.ChunkID{Block: h.Hash(), Index: idx})
-				if err != nil {
-					t.Fatal(err)
-				}
+				chk := storedChunk(t, n.store, storage.ChunkID{Block: h.Hash(), Index: idx})
 				if _, err := AdoptChunk(h, idx, chk.Parts, chk.TxStart, chk.Data, chk.Proofs); err != nil {
 					t.Errorf("node %d stores chunk %d of block %d that fails the owner's check: %v", id, idx, h.Height, err)
 				}

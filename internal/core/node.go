@@ -848,12 +848,15 @@ func (n *Node) onGetBlockChunks(from simnet.NodeID, m getBlockChunksMsg) {
 	})
 }
 
-// storedPayload reads one stored chunk back as the message that carries it,
-// under the block's header. A coded share has no transaction structure and
-// is not served.
+// storedPayload reads one stored chunk back, with its proofs, as the
+// message that carries it, under the block's header. A coded share has no
+// transaction structure and is not served.
 func (n *Node) storedPayload(id storage.ChunkID) (chunkPayload, error) {
-	chk, err := n.store.Chunk(id)
-	if err != nil {
+	var chk storage.Chunk
+	if err := n.store.LendChunk(id, true, func(c storage.Chunk) {
+		chk = c
+		chk.Data = append([]byte(nil), c.Data...)
+	}); err != nil {
 		return chunkPayload{}, err
 	}
 	if chk.CodedK > 0 {
@@ -864,8 +867,8 @@ func (n *Node) storedPayload(id storage.ChunkID) (chunkPayload, error) {
 }
 
 // heldChunks returns what this node stores of a block as retrieval content
-// — each chunk as stored, without proofs — and how many stored chunks
-// failed their digest.
+// — each chunk as stored, which a read returns without proofs — and how
+// many stored chunks failed their digest.
 func (n *Node) heldChunks(block blockcrypto.Hash) (out []storage.Chunk, bad int) {
 	for _, idx := range n.store.ChunksForBlock(block) {
 		chk, err := n.store.Chunk(storage.ChunkID{Block: block, Index: idx})
@@ -873,7 +876,6 @@ func (n *Node) heldChunks(block blockcrypto.Hash) (out []storage.Chunk, bad int)
 			bad++
 			continue
 		}
-		chk.Proofs = nil
 		out = append(out, chk)
 	}
 	return out, bad

@@ -450,10 +450,7 @@ func TestOwnersRefuseAShareCutShort(t *testing.T) {
 	for id, n := range sys.nodes {
 		for _, h := range n.store.Headers() {
 			for _, idx := range n.store.ChunksForBlock(h.Hash()) {
-				chk, err := n.store.Chunk(storage.ChunkID{Block: h.Hash(), Index: idx})
-				if err != nil {
-					t.Fatal(err)
-				}
+				chk := storedChunk(t, n.store, storage.ChunkID{Block: h.Hash(), Index: idx})
 				g, err := DecodeGroup(idx, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
 				if err == nil {
 					err = g.ProvesChunk(h, chk.Parts, idx)

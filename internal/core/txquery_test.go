@@ -219,6 +219,24 @@ func TestTxProofVerifyEdgeCases(t *testing.T) {
 			t.Fatal("proof for index 2 verified the transaction at index 5")
 		}
 	})
+
+	t.Run("relabeled index", func(t *testing.T) {
+		b, tree := newProven(t, 8)
+		p5, err := tree.Prove(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The transaction at 5 with its own path, labeled as another
+		// position: the answer must not say where the transaction is not.
+		for _, label := range []int{4, 2, 5 + 8} {
+			relabeled := p5
+			relabeled.LeafIndex = label
+			tp := TxProof{Tx: b.Txs[5], Header: b.Header, Proof: relabeled}
+			if err := tp.Verify(); !errors.Is(err, chain.ErrProofInvalid) {
+				t.Fatalf("the proof of index 5 labeled %d: %v, want %v", label, err, chain.ErrProofInvalid)
+			}
+		}
+	})
 }
 
 // TestStaleTxProofResponseSkipsBookkeeping is the txquery half of the

@@ -109,6 +109,20 @@ var chunkDamage = map[string]func(g *Group, i int){
 		p.Steps[0].Sibling[0] ^= 1
 		g.Proofs[i] = p
 	},
+	// Transaction i and the next (the one before, at the end) trade places,
+	// their proofs with them, the labels kept: every proof still leads from
+	// its transaction to the root, through steps that spell the other
+	// position.
+	"swapped with its neighbour": func(g *Group, i int) {
+		j := i + 1
+		if j == len(g.Txs) {
+			j = i - 1
+		}
+		g.Txs = append([]*chain.Transaction(nil), g.Txs...)
+		g.Proofs = append([]chain.Proof(nil), g.Proofs...)
+		g.Txs[i], g.Txs[j] = g.Txs[j], g.Txs[i]
+		g.Proofs[i].Steps, g.Proofs[j].Steps = g.Proofs[j].Steps, g.Proofs[i].Steps
+	},
 }
 
 func errText(err error) string {
@@ -228,6 +242,16 @@ func TestVerifyChunkMatchesSequential(t *testing.T) {
 	for _, g := range []Group{short, cut, shifted} {
 		if err := g.Verify(hdr); !errors.Is(err, ErrBadGroup) {
 			t.Fatalf("shape error %v does not wrap ErrBadGroup", err)
+		}
+	}
+	for i := range good.Txs {
+		g := good
+		chunkDamage["swapped with its neighbour"](&g, i)
+		if err := ownerSeq(hdr, g); !errors.Is(err, chain.ErrProofInvalid) {
+			t.Errorf("transaction %d swapped with its neighbour: the owner's check says %v, want %v", i, err, chain.ErrProofInvalid)
+		}
+		if err := g.ProvesChunk(hdr, g.Parts, g.Index); !errors.Is(err, chain.ErrProofInvalid) {
+			t.Errorf("transaction %d swapped with its neighbour: a reader's check says %v, want %v", i, err, chain.ErrProofInvalid)
 		}
 	}
 }

@@ -22,7 +22,8 @@ import (
 // same split and the same group check and place with the same rendezvous
 // hashing, so every member must end up holding the same (block, index) set,
 // each chunk with the same bytes, part count, position and proofs, and the
-// same ChunkBytes.
+// same ChunkBytes. The proofs each store rebuilds from what it keeps are
+// the ones the split made.
 //
 // The third case is a block of fewer transactions than members: SplitCounts
 // then yields empty trailing groups, and both drivers store those as
@@ -179,10 +180,13 @@ func twoDrivers(t *testing.T, n, r int, seed uint64, txs int) (*core.System, fun
 
 // requireSameStores checks that simulator node i and servers[i] hold the
 // same chunks of blocks, each with the same bytes, part count, position and
-// proofs, and the same ChunkBytes; it returns how many chunks it compared.
+// proofs — rebuilt by each store, and the ones core.SplitBlock made — and
+// the same ChunkBytes and SidecarBytes; it returns how many chunks it
+// compared.
 func requireSameStores(t *testing.T, sys *core.System, servers []*Server, blocks []*chain.Block) int {
 	t.Helper()
 	held := 0
+	split := make([][]core.Group, len(blocks))
 	for i, s := range servers {
 		node, err := sys.Node(simnet.NodeID(i))
 		if err != nil {
@@ -191,6 +195,8 @@ func requireSameStores(t *testing.T, sys *core.System, servers []*Server, blocks
 		tcp := readState(t, s.Addr(), blocks)
 		if sim := node.Store().Stats(); sim.ChunkBytes != tcp.Stats.ChunkBytes || sim.ChunkCount != tcp.Stats.ChunkCount || sim.ChunkBytes != s.Stats().ChunkBytes {
 			t.Errorf("member %d: simulator holds %d chunks in %d bytes, TCP server %d in %d", i, sim.ChunkCount, sim.ChunkBytes, tcp.Stats.ChunkCount, tcp.Stats.ChunkBytes)
+		} else if sim.SidecarBytes != s.Stats().SidecarBytes {
+			t.Errorf("member %d: simulator keeps %d sidecar bytes, TCP server %d", i, sim.SidecarBytes, s.Stats().SidecarBytes)
 		}
 		for bi, b := range blocks {
 			idxs := node.Store().ChunksForBlock(b.Hash())
@@ -200,16 +206,22 @@ func requireSameStores(t *testing.T, sys *core.System, servers []*Server, blocks
 				continue
 			}
 			for k, idx := range idxs {
-				sim, err := node.Store().Chunk(storage.ChunkID{Block: b.Hash(), Index: idx})
-				if err != nil {
-					t.Fatal(err)
-				}
+				sim := storedChunk(t, node.Store(), storage.ChunkID{Block: b.Hash(), Index: idx})
 				got := served[k]
 				if got.Index != idx || got.Parts != sim.Parts || got.TxStart != sim.TxStart ||
 					!bytes.Equal(got.Data, sim.Data) || !sameProofs(got.Proofs, sim.Proofs) {
 					t.Errorf("member %d block %d chunk %d: simulator stores parts=%d txStart=%d %d bytes %d proofs, TCP server index=%d parts=%d txStart=%d %d bytes %d proofs",
 						i, bi, idx, sim.Parts, sim.TxStart, len(sim.Data), len(sim.Proofs),
 						got.Index, got.Parts, got.TxStart, len(got.Data), len(got.Proofs))
+				}
+				if split[bi] == nil {
+					var err error
+					if split[bi], err = core.SplitBlock(b, sim.Parts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !sameProofs(sim.Proofs, split[bi][idx].Proofs) {
+					t.Errorf("member %d block %d chunk %d: the stores rebuild other proofs than the split made", i, bi, idx)
 				}
 				held++
 			}
@@ -222,4 +234,18 @@ func requireSameStores(t *testing.T, sys *core.System, servers []*Server, blocks
 // decoded empty group carries nil, a split one an empty slice).
 func sameProofs(a, b []chain.Proof) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// storedChunk reads chunk id of st back with the proofs the store rebuilds
+// for it, as a member serves it.
+func storedChunk(t *testing.T, st *storage.Store, id storage.ChunkID) storage.Chunk {
+	t.Helper()
+	var chk storage.Chunk
+	if err := st.LendChunk(id, true, func(c storage.Chunk) {
+		chk = c
+		chk.Data = append([]byte(nil), c.Data...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return chk
 }

@@ -2,8 +2,11 @@ package netx
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,6 +203,114 @@ func TestRetrieveSurvivesOneShorteningMember(t *testing.T) {
 	}
 }
 
+// TestRetrieveSurvivesOneSwappingMember: member 0 serves every chunk with
+// its first two transactions swapped, and when proofs are asked for, their
+// proofs swapped with them under the labels of the places they now stand.
+// Each proof still leads from its transaction to the root, so only the rule
+// that a proof's steps spell its leaf index (chain.VerifyProof) tells the
+// copy apart: without it the copy proves, and the block breaks its root
+// with no copy to blame. With it the whole copy on another member is asked
+// for.
+func TestRetrieveSurvivesOneSwappingMember(t *testing.T) {
+	_, addrs := startServers(t, 3)
+	cl, err := NewCluster(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	blocks := distributeBlocks(t, cl, 3, 18)
+	proxy, swaps := swappingProxy(t, addrs[0])
+	swapping, err := NewCluster(append([]string{proxy}, addrs[1:]...), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer swapping.Close()
+	for _, b := range blocks {
+		got, err := swapping.RetrieveBlock(b.Header)
+		if err != nil {
+			t.Fatalf("block %d: one swapping member failed a read every chunk of which has a whole replica: %v", b.Header.Height, err)
+		}
+		if got.Hash() != b.Hash() || len(got.Txs) != len(b.Txs) {
+			t.Fatalf("block %d reassembled wrong", b.Header.Height)
+		}
+	}
+	if swaps.Load() == 0 {
+		t.Fatal("the swapping member served no proven chunk: nothing was tested")
+	}
+}
+
+// swappingProxy relays TCP to backend and rewrites every chunk in its
+// responses with the first two transactions swapped, and their proofs, when
+// served, swapped with them under the kept labels. It returns its address
+// and a count of the proven chunks it swapped.
+func swappingProxy(t *testing.T, backend string) (string, *atomic.Int64) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	swaps := new(atomic.Int64)
+	relay := func(client net.Conn) {
+		defer client.Close()
+		up, err := net.Dial("tcp", backend)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		go func() { // requests: relay raw, until the client hangs up
+			_, _ = io.Copy(up, client)
+			_ = up.Close()
+		}()
+		for {
+			var resp Response
+			id, _, err := ReadFrame(up, &resp)
+			if err != nil {
+				return
+			}
+			var chunks []*ChunkResp
+			if resp.Chunk != nil {
+				chunks = append(chunks, resp.Chunk)
+			}
+			if b := resp.ChunkBatch; b != nil {
+				for i := range b.Chunks {
+					chunks = append(chunks, &b.Chunks[i])
+				}
+			}
+			if b := resp.BlockChunks; b != nil {
+				for i := range b.Chunks {
+					chunks = append(chunks, &b.Chunks[i])
+				}
+			}
+			for _, c := range chunks {
+				g, err := core.DecodeGroup(c.Index, c.Parts, c.TxStart, c.Data, c.Proofs)
+				if err != nil || len(g.Txs) < 2 {
+					continue
+				}
+				g.Txs[0], g.Txs[1] = g.Txs[1], g.Txs[0]
+				if len(g.Proofs) == len(g.Txs) {
+					g.Proofs[0].Steps, g.Proofs[1].Steps = g.Proofs[1].Steps, g.Proofs[0].Steps
+					swaps.Add(1)
+				}
+				c.Data = g.Encode()
+			}
+			if _, err := WriteFrame(client, id, &resp); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			client, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go relay(client)
+		}
+	}()
+	return l.Addr().String(), swaps
+}
+
 // shortenStored rewrites every chunk s stores of the blocks without its last
 // transaction and that transaction's proof, and returns how many it rewrote.
 func shortenStored(t *testing.T, s *Server, blocks []*chain.Block) (shortened int) {
@@ -209,10 +320,7 @@ func shortenStored(t *testing.T, s *Server, blocks []*chain.Block) (shortened in
 	for _, b := range blocks {
 		for _, idx := range s.store.ChunksForBlock(b.Hash()) {
 			id := storage.ChunkID{Block: b.Hash(), Index: idx}
-			chk, err := s.store.Chunk(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			chk := storedChunk(t, s.store, id)
 			g, err := core.DecodeGroup(idx, chk.Parts, chk.TxStart, chk.Data, chk.Proofs)
 			if err != nil {
 				t.Fatal(err)

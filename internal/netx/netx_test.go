@@ -2,11 +2,13 @@ package netx
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
 	"icistrategy/internal/workload"
 )
 
@@ -97,6 +99,46 @@ func TestClusterDistributeAndRetrieve(t *testing.T) {
 		if got.Hash() != b.Hash() || len(got.Txs) != len(b.Txs) {
 			t.Fatal("retrieved block mismatch")
 		}
+	}
+}
+
+// TestGetChunkServesTheSplitsProofs: a server keeps a chunk's Merkle edge,
+// not its proofs, and what it serves with proofs is exactly what
+// core.SplitBlock made, for every replica of every chunk, an uneven split's
+// included.
+func TestGetChunkServesTheSplitsProofs(t *testing.T) {
+	const n, r = 4, 2
+	_, addrs := startServers(t, n)
+	cl, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	served := 0
+	for _, b := range distributeBlocks(t, cl, 2, 37) {
+		groups, err := core.SplitBlock(b, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range addrs {
+			c, err := cl.Client(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx, g := range groups {
+				chk, err := c.GetChunk(b.Hash(), idx)
+				if err != nil {
+					continue // another member owns it
+				}
+				if !reflect.DeepEqual(chk.Proofs, g.Proofs) {
+					t.Errorf("block %d chunk %d from %s: served proofs are not the split's", b.Header.Height, idx, addr)
+				}
+				served++
+			}
+		}
+	}
+	if want := 2 * n * r; served != want {
+		t.Fatalf("%d chunks served, want %d", served, want)
 	}
 }
 

@@ -367,12 +367,10 @@ func (r *storedChunks) AppendWire(b []byte) (uint8, []byte) {
 // appendStored is the one place a stored chunk is put on the wire: its
 // digest is checked (a damaged or missing chunk is withheld: ok is false and
 // b comes back as it was) and its fields are appended to b from the store's
-// own value, with or without the proofs. The caller holds s.mu.
+// own value, with or without the proofs the store rebuilds. The caller holds
+// s.mu.
 func (r *storedChunks) appendStored(b []byte, id storage.ChunkID, proofs bool) (out []byte, ok bool) {
-	err := r.s.store.LendChunk(id, func(c storage.Chunk) {
-		if !proofs {
-			c.Proofs = nil
-		}
+	err := r.s.store.LendChunk(id, proofs, func(c storage.Chunk) {
 		b = appendChunkPayload(b, c.ID.Index, c.Parts, c.TxStart, c.Data)
 		if r.corrupt {
 			// The last byte is inside the last transaction's signature, so

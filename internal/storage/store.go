@@ -38,7 +38,7 @@ func (c ChunkID) String() string {
 
 // Chunk is a stored slice of a block body together with its digest, so reads
 // are self-verifying, and the sidecar an owner keeps beside the bytes to
-// serve verifiable reads: a chunk and its proofs are put, read, pruned and
+// serve verifiable reads: a chunk and its sidecar are put, read, pruned and
 // deleted as one value. Only Data counts as stored bytes (Stats).
 type Chunk struct {
 	ID     ChunkID
@@ -50,7 +50,10 @@ type Chunk struct {
 	Parts int
 	// TxStart is the block position of the first transaction in Data, and
 	// Proofs[i] proves transaction i of Data under the header's Merkle
-	// root. Proofs are never written after the put; readers share them.
+	// root. Proofs is the in-flight form, which PutChunk takes: the store
+	// keeps only the Merkle edge of the run (chain.RangeProof), and a read
+	// returns Proofs nil unless it asks LendChunk for them, rebuilt from
+	// Data.
 	TxStart int
 	Proofs  []chain.Proof
 	// CodedK > 0 marks Data as a Reed-Solomon byte share of an archived
@@ -81,6 +84,10 @@ type Stats struct {
 	HeaderCount int64
 	ChunkBytes  int64
 	ChunkCount  int64
+	// SidecarBytes is the hash bytes of the Merkle edges kept beside the
+	// chunks (chain.RangeProof.Size): what an owner holds to serve proofs.
+	// It is not data, and TotalBytes leaves it out.
+	SidecarBytes int64
 }
 
 // TotalBytes returns header plus chunk bytes.
@@ -89,10 +96,15 @@ func (s Stats) TotalBytes() int64 { return s.HeaderBytes + s.ChunkBytes }
 // Store is one node's local storage. The zero value is not usable; create
 // with NewStore. Store is not safe for concurrent use (the simulator is
 // single-threaded per node).
+//
+// The store's at-rest form of a chunk's proofs is its own: a chunk put with
+// proofs keeps the Merkle edge of its run of transactions, at most two
+// hashes a tree level, and LendChunk rebuilds the proofs from that edge and
+// Data when a reader asks for them.
 type Store struct {
 	headers     map[blockcrypto.Hash]chain.Header
 	headerOrder []blockcrypto.Hash
-	chunks      map[ChunkID]Chunk
+	chunks      map[ChunkID]held
 	// byBlock indexes stored chunk indices per block, kept in lockstep with
 	// chunks by PutChunk/DeleteChunk/GC, so retrieval and repair paths pay
 	// O(chunks of that block) instead of scanning the whole store.
@@ -104,7 +116,7 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		headers: make(map[blockcrypto.Hash]chain.Header),
-		chunks:  make(map[ChunkID]Chunk),
+		chunks:  make(map[ChunkID]held),
 		byBlock: make(map[blockcrypto.Hash]map[int]struct{}),
 	}
 }
@@ -145,10 +157,19 @@ func (s *Store) Headers() []chain.Header {
 	return out
 }
 
-// PutChunk stores a chunk after verifying it (idempotent; re-putting the
-// same chunk is a no-op, re-putting different data under the same ID is an
-// error). The store keeps a private copy of the data: a caller mutating its
-// buffer after the put cannot corrupt the stored chunk.
+// held is a chunk as the store keeps it: Proofs nil, and the Merkle edge
+// they were put with, nil for a chunk put without proofs (a coded share).
+type held struct {
+	Chunk
+	edge *chain.RangeProof
+}
+
+// PutChunk stores a chunk after verifying it against its digest
+// (idempotent; re-putting the same chunk is a no-op, re-putting different
+// data under the same ID is an error). The store keeps a private copy of
+// the data: a caller mutating its buffer after the put cannot corrupt the
+// stored chunk. Of the proofs it keeps the run's edge
+// (chain.RangeProofOf), and refuses proofs that are not a run from TxStart.
 func (s *Store) PutChunk(c Chunk) error {
 	if err := c.Verify(); err != nil {
 		return err
@@ -159,8 +180,18 @@ func (s *Store) PutChunk(c Chunk) error {
 		}
 		return nil
 	}
+	var edge *chain.RangeProof
+	if len(c.Proofs) > 0 {
+		e, err := chain.RangeProofOf(c.TxStart, c.Proofs)
+		if err != nil {
+			return fmt.Errorf("storage: proofs of chunk %s: %w", c.ID, err)
+		}
+		edge = &e
+		s.stats.SidecarBytes += int64(e.Size())
+	}
+	c.Proofs = nil
 	c.Data = append([]byte(nil), c.Data...)
-	s.chunks[c.ID] = c
+	s.chunks[c.ID] = held{Chunk: c, edge: edge}
 	idxs, ok := s.byBlock[c.ID.Block]
 	if !ok {
 		idxs = make(map[int]struct{})
@@ -172,43 +203,52 @@ func (s *Store) PutChunk(c Chunk) error {
 	return nil
 }
 
-// Chunk fetches a stored chunk, verifying integrity on the way out. The
-// returned chunk holds a private copy of the data: mutating it cannot
-// corrupt the store, and a later re-read returns the original bytes.
+// Chunk fetches a stored chunk, verifying integrity on the way out, without
+// its proofs. The returned chunk holds a private copy of the data: mutating
+// it cannot corrupt the store, and a later re-read returns the original
+// bytes.
 func (s *Store) Chunk(id ChunkID) (Chunk, error) {
-	c, err := s.verified(id)
+	h, err := s.verified(id)
 	if err != nil {
 		return Chunk{}, err
 	}
-	c.Data = append([]byte(nil), c.Data...)
-	return c, nil
+	h.Data = append([]byte(nil), h.Data...)
+	return h.Chunk, nil
 }
 
 // LendChunk verifies a stored chunk's integrity like Chunk and hands fn the
-// stored value itself, sidecar included, for a reader that copies the bytes
-// somewhere of its own anyway (a server's response frame). As in GC's keep,
-// its Data is the store's own buffer: fn must not write to it, and must not
-// keep it past its return.
-func (s *Store) LendChunk(id ChunkID, fn func(Chunk)) error {
-	c, err := s.verified(id)
+// stored value itself, for a reader that copies the bytes somewhere of its
+// own anyway (a server's response frame). As in GC's keep, its Data is the
+// store's own buffer: fn must not write to it, and must not keep it past
+// its return. withProofs is the one read that comes with proofs: they are
+// rebuilt from the chunk's Merkle edge and its verified Data (nil for a
+// chunk put without them), and fn owns them. A chunk whose proofs cannot be
+// rebuilt is not lent.
+func (s *Store) LendChunk(id ChunkID, withProofs bool, fn func(Chunk)) error {
+	h, err := s.verified(id)
 	if err != nil {
 		return err
 	}
-	fn(c)
+	if withProofs && h.edge != nil {
+		if h.Proofs, err = h.edge.Proofs(h.TxStart, h.Data); err != nil {
+			return fmt.Errorf("storage: proofs of chunk %s: %w", id, err)
+		}
+	}
+	fn(h.Chunk)
 	return nil
 }
 
 // verified looks a chunk up and checks it against its digest. The value
 // returned still shares its Data with the store.
-func (s *Store) verified(id ChunkID) (Chunk, error) {
-	c, ok := s.chunks[id]
+func (s *Store) verified(id ChunkID) (held, error) {
+	h, ok := s.chunks[id]
 	if !ok {
-		return Chunk{}, fmt.Errorf("chunk %s: %w", id, ErrNotFound)
+		return held{}, fmt.Errorf("chunk %s: %w", id, ErrNotFound)
 	}
-	if err := c.Verify(); err != nil {
-		return Chunk{}, err
+	if err := h.Verify(); err != nil {
+		return held{}, err
 	}
-	return c, nil
+	return h, nil
 }
 
 // HasChunk reports whether the chunk is stored.
@@ -219,14 +259,14 @@ func (s *Store) HasChunk(id ChunkID) bool {
 
 // DeleteChunk removes a chunk. Deleting a missing chunk is a no-op.
 func (s *Store) DeleteChunk(id ChunkID) {
-	if c, ok := s.chunks[id]; ok {
-		s.dropChunk(id, c)
+	if h, ok := s.chunks[id]; ok {
+		s.dropChunk(id, h)
 	}
 }
 
 // dropChunk removes a chunk from the map, the per-block index, and the
 // accounting.
-func (s *Store) dropChunk(id ChunkID, c Chunk) {
+func (s *Store) dropChunk(id ChunkID, h held) {
 	delete(s.chunks, id)
 	if idxs, ok := s.byBlock[id.Block]; ok {
 		delete(idxs, id.Index)
@@ -234,8 +274,11 @@ func (s *Store) dropChunk(id ChunkID, c Chunk) {
 			delete(s.byBlock, id.Block)
 		}
 	}
-	s.stats.ChunkBytes -= int64(len(c.Data))
+	s.stats.ChunkBytes -= int64(len(h.Data))
 	s.stats.ChunkCount--
+	if h.edge != nil {
+		s.stats.SidecarBytes -= int64(h.edge.Size())
+	}
 }
 
 // ChunksForBlock returns the indices of stored chunks of the given block,
@@ -255,16 +298,16 @@ func (s *Store) ChunksForBlock(block blockcrypto.Hash) []int {
 }
 
 // GC deletes every chunk for which keep returns false and returns
-// the number of bytes freed. keep sees the stored value, sidecar included;
-// its Data is the store's own buffer and must not be written to.
+// the number of bytes freed. keep sees the stored value without its
+// proofs; its Data is the store's own buffer and must not be written to.
 func (s *Store) GC(keep func(Chunk) bool) int64 {
 	var freed int64
-	for id, c := range s.chunks {
-		if keep(c) {
+	for id, h := range s.chunks {
+		if keep(h.Chunk) {
 			continue
 		}
-		freed += int64(len(c.Data))
-		s.dropChunk(id, c)
+		freed += int64(len(h.Data))
+		s.dropChunk(id, h)
 	}
 	return freed
 }

@@ -286,12 +286,12 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	}
 }
 
-// TestLendChunk: the lent value is what Chunk returns, sidecar included,
-// without the copy; a chunk that is missing or fails its digest is not lent.
+// TestLendChunk: the lent value is what Chunk returns, without the copy,
+// and with the proofs it was put with only when they are asked for; a chunk
+// that is missing or fails its digest is not lent.
 func TestLendChunk(t *testing.T) {
 	s := NewStore()
-	c := testChunk(3, 1, 50)
-	c.Parts, c.TxStart, c.Proofs = 4, 12, []chain.Proof{{LeafIndex: 12}}
+	c, proofs := provenChunk(t, 96, 1, 12, 12)
 	if err := s.PutChunk(c); err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,11 @@ func TestLendChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want.Proofs != nil || want.Parts != 8 || want.TxStart != 12 {
+		t.Fatalf("Chunk read back %d proofs, parts %d, txStart %d", len(want.Proofs), want.Parts, want.TxStart)
+	}
 	lent := 0
-	if err := s.LendChunk(c.ID, func(got Chunk) {
+	if err := s.LendChunk(c.ID, false, func(got Chunk) {
 		lent++
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("lent %+v, Chunk returns %+v", got, want)
@@ -308,18 +311,108 @@ func TestLendChunk(t *testing.T) {
 	}); err != nil || lent != 1 {
 		t.Fatalf("LendChunk: %v, fn called %d times", err, lent)
 	}
-	allocs := testing.AllocsPerRun(50, func() { _ = s.LendChunk(c.ID, func(Chunk) {}) })
+	if err := s.LendChunk(c.ID, true, func(got Chunk) {
+		lent++
+		if !reflect.DeepEqual(got.Proofs, proofs) {
+			t.Errorf("lent with proofs: %d proofs, not the %d put", len(got.Proofs), len(proofs))
+		}
+		got.Proofs = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lent with proofs %+v, Chunk returns %+v", got, want)
+		}
+	}); err != nil || lent != 2 {
+		t.Fatalf("LendChunk with proofs: %v, fn called %d times in all", err, lent)
+	}
+	allocs := testing.AllocsPerRun(50, func() { _ = s.LendChunk(c.ID, false, func(Chunk) {}) })
 	if allocs != 0 {
 		t.Errorf("lending a chunk allocates %.0f times", allocs)
 	}
 	s.Corrupt(c.ID)
 	called := func(Chunk) { t.Error("a chunk that is not there, or is damaged, was lent") }
-	if err := s.LendChunk(c.ID, called); !errors.Is(err, ErrCorrupted) {
-		t.Errorf("damaged chunk: got %v, want %v", err, ErrCorrupted)
+	for _, withProofs := range []bool{false, true} {
+		if err := s.LendChunk(c.ID, withProofs, called); !errors.Is(err, ErrCorrupted) {
+			t.Errorf("damaged chunk, proofs %v: got %v, want %v", withProofs, err, ErrCorrupted)
+		}
+		if err := s.LendChunk(ChunkID{Index: 99}, withProofs, called); !errors.Is(err, ErrNotFound) {
+			t.Errorf("missing chunk, proofs %v: got %v, want %v", withProofs, err, ErrNotFound)
+		}
 	}
-	if err := s.LendChunk(ChunkID{Index: 99}, called); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing chunk: got %v, want %v", err, ErrNotFound)
+}
+
+// provenChunk returns chunk idx of a block of n transactions, holding the
+// count transactions from start, with their Merkle proofs under the block's
+// root, and those proofs. The transactions are unsigned: the store reads
+// their framing and hashes, nothing else.
+func provenChunk(t *testing.T, n, idx, start, count int) (Chunk, []chain.Proof) {
+	t.Helper()
+	txs := make([]*chain.Transaction, n)
+	for i := range txs {
+		txs[i] = &chain.Transaction{Amount: uint64(1 + i), Nonce: uint64(i), Payload: make([]byte, 200)}
 	}
+	tree, err := chain.TxMerkleTree(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proofs := make([]chain.Proof, count)
+	for i := range proofs {
+		if proofs[i], err = tree.Prove(start + i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block := chain.Block{Txs: txs[start : start+count]}
+	c := NewChunk(ChunkID{Block: tree.Root(), Index: idx}, block.EncodeBody())
+	c.Parts, c.TxStart, c.Proofs = n/count, start, proofs
+	return c, proofs
+}
+
+// TestPutChunkRefusesProofsOfAnotherRun: proofs are kept as the Merkle edge
+// of the run from TxStart, so proofs that are not that run — shifted from
+// TxStart, or two of them traded under their labels — are refused, and
+// nothing is stored.
+func TestPutChunkRefusesProofsOfAnotherRun(t *testing.T) {
+	s := NewStore()
+	shifted, _ := provenChunk(t, 96, 1, 12, 12)
+	shifted.TxStart++
+	swapped, _ := provenChunk(t, 96, 2, 24, 12)
+	swapped.Proofs[0].Steps, swapped.Proofs[1].Steps = swapped.Proofs[1].Steps, swapped.Proofs[0].Steps
+	for _, c := range []Chunk{shifted, swapped} {
+		if err := s.PutChunk(c); err == nil {
+			t.Errorf("chunk %d stored with proofs of another run", c.ID.Index)
+		}
+	}
+	if st := s.Stats(); st != (Stats{}) || s.HasChunk(shifted.ID) || s.HasChunk(swapped.ID) {
+		t.Fatalf("a refused put left %+v behind", st)
+	}
+}
+
+// TestSidecarBytesPerChunk guards what an owner keeps to serve proofs: a
+// chunk of 12 transactions cut from a block of 96 keeps at most two hashes
+// per level of the block's 7-level tree, not the 12 proofs of 7 steps it
+// was put with.
+func TestSidecarBytesPerChunk(t *testing.T) {
+	const n, count, depth = 96, 12, 7
+	s := NewStore()
+	put := 0
+	for idx := 0; idx < n/count; idx++ {
+		c, proofs := provenChunk(t, n, idx, idx*count, count)
+		before := s.Stats().SidecarBytes
+		if err := s.PutChunk(c); err != nil {
+			t.Fatal(err)
+		}
+		kept := s.Stats().SidecarBytes - before
+		if kept > 2*depth*blockcrypto.HashSize {
+			t.Errorf("chunk %d keeps %d sidecar bytes, more than %d", idx, kept, 2*depth*blockcrypto.HashSize)
+		}
+		for _, p := range proofs {
+			put += p.EncodedSize()
+		}
+	}
+	st := s.Stats()
+	if st.TotalBytes() != st.HeaderBytes+st.ChunkBytes {
+		t.Fatalf("TotalBytes %d counts the sidecar", st.TotalBytes())
+	}
+	t.Logf("%d chunks keep %d sidecar bytes, %d per chunk, against %d per chunk of encoded proofs",
+		st.ChunkCount, st.SidecarBytes, st.SidecarBytes/st.ChunkCount, int64(put)/st.ChunkCount)
 }
 
 func TestChunkIDString(t *testing.T) {
@@ -329,14 +422,14 @@ func TestChunkIDString(t *testing.T) {
 	}
 }
 
-// TestSidecarLivesAndDiesWithTheChunk: the proofs, position and part count
-// put with a chunk come back with it, leave with it on DeleteChunk and GC
-// (keep sees them), and never count as stored bytes.
+// TestSidecarLivesAndDiesWithTheChunk: the position, part count and proofs
+// put with a chunk come back with it (the proofs only when asked for),
+// leave with it on DeleteChunk and GC (keep sees the rest), and never count
+// as stored bytes.
 func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
 	s := NewStore()
-	proofs := []chain.Proof{{LeafIndex: 8, Steps: make([]chain.ProofStep, 5)}, {LeafIndex: 9, Steps: make([]chain.ProofStep, 5)}}
-	live := testChunk(1, 2, 40)
-	live.Parts, live.TxStart, live.Proofs = 4, 8, proofs
+	live, proofs := provenChunk(t, 12, 2, 8, 2)
+	live.Parts = 4
 	share := testChunk(1, 3, 24)
 	share.Parts, share.CodedK = 4, 3
 	bare := testChunk(2, 0, 16)
@@ -345,15 +438,23 @@ func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.ChunkBytes != 40+24+16 || st.ChunkCount != 3 {
-		t.Fatalf("stats %+v: ChunkBytes must count Data only", st)
+	dataBytes := int64(len(live.Data) + 24 + 16)
+	if st := s.Stats(); st.ChunkBytes != dataBytes || st.ChunkCount != 3 || st.SidecarBytes == 0 {
+		t.Fatalf("stats %+v: ChunkBytes must count Data only, SidecarBytes the live chunk's edge", st)
 	}
 	got, err := s.Chunk(live.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Parts != 4 || got.TxStart != 8 || got.CodedK != 0 || len(got.Proofs) != 2 || got.Proofs[1].LeafIndex != 9 {
+	if got.Parts != 4 || got.TxStart != 8 || got.CodedK != 0 || got.Proofs != nil {
 		t.Fatalf("sidecar read back as %+v", got)
+	}
+	if err := s.LendChunk(live.ID, true, func(c Chunk) {
+		if !reflect.DeepEqual(c.Proofs, proofs) || c.Proofs[1].LeafIndex != 9 {
+			t.Errorf("proofs read back as %+v", c.Proofs)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	var seen []Chunk
@@ -361,16 +462,19 @@ func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
 		seen = append(seen, c)
 		return c.CodedK > 0
 	})
-	if freed != 40+16 || len(seen) != 3 {
+	if freed != int64(len(live.Data)+16) || len(seen) != 3 {
 		t.Fatalf("GC freed %d bytes after showing keep %d chunks", freed, len(seen))
 	}
 	for _, c := range seen {
-		if c.ID == live.ID && (c.Parts != 4 || len(c.Proofs) != 2) {
-			t.Fatalf("keep saw the live chunk without its sidecar: %+v", c)
+		if c.ID == live.ID && (c.Parts != 4 || c.TxStart != 8 || c.Proofs != nil) {
+			t.Fatalf("keep saw the live chunk as %+v", c)
 		}
 	}
 	if _, err := s.Chunk(live.ID); err == nil {
 		t.Fatal("collected chunk still readable")
+	}
+	if st := s.Stats(); st.SidecarBytes != 0 {
+		t.Fatalf("collected chunk's edge still counted: %+v", st)
 	}
 	// Re-putting the ID with another sidecar stores the new one: nothing of
 	// the collected chunk was left behind.
@@ -378,11 +482,15 @@ func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
 	if err := s.PutChunk(live); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Chunk(live.ID); got.Parts != 6 || got.Proofs != nil {
-		t.Fatalf("re-put chunk read back with a stale sidecar: %+v", got)
+	if err := s.LendChunk(live.ID, true, func(c Chunk) {
+		if c.Parts != 6 || c.Proofs != nil {
+			t.Errorf("re-put chunk read back with a stale sidecar: %+v", c)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	s.DeleteChunk(share.ID)
-	if st := s.Stats(); st.ChunkBytes != 40 || st.ChunkCount != 1 {
+	if st := s.Stats(); st.ChunkBytes != int64(len(live.Data)) || st.ChunkCount != 1 || st.SidecarBytes != 0 {
 		t.Fatalf("stats after delete %+v", st)
 	}
 	checkBlockIndex(t, s)
