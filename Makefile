@@ -1,12 +1,11 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the race,
-# lint, lint-selftest, bench-smoke, examples and contest-stress targets by
-# name.
+# bench-smoke, examples and contest-stress targets by name.
 
 GO ?= go
 
-.PHONY: all build test race lint lint-selftest fmt vet bench-smoke bench-all bench-compare sim examples contest contest-stress loc
+.PHONY: all build test race fmt vet bench-smoke bench-all bench-compare sim examples contest contest-stress loc
 
-all: build test lint
+all: build test
 
 build:
 	$(GO) build ./...
@@ -14,7 +13,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector, then the concurrent paths again:
+# The whole suite under the race detector, then the concurrent paths again.
+# The first line also runs the mutation gate, whose go test runs of the
+# seeded copies are built without the race detector except atomic-mix's.
 #
 # Write-path stress (netx fan-out, transfer workers, unlocked verification).
 # DistributeBlock runs one goroutine per member, bootstrap / resync /
@@ -64,27 +65,6 @@ race:
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/cluster ./internal/consensus ./internal/workload
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults|CutShort|AdoptChunk|PruneKeepsArchivedShares'
 	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|MisCut|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ServedBlock|ColdRead'
-
-# The repo's own invariant suite (`icilint -list` prints it; DESIGN.md
-# "Static analysis" has the annotation grammar and the per-analyzer ledger).
-# Exit 1 means findings; fix or annotate with
-# //icilint:allow analyzer(reason). An annotation that no longer matches a
-# diagnostic is itself a finding.
-lint:
-	$(GO) run ./cmd/icilint ./...
-
-# Prove the gate still bites. The determinism fixture (core) is known-bad,
-# so icilint must exit non-zero on it; and for every analyzer of the suite,
-# one seeded edit to a real package of a copy of this module must be
-# reported under that analyzer's name (the seeds table in
-# cmd/icilint/main_test.go) — an analyzer that fences nothing here fails.
-lint-selftest:
-	@if $(GO) run ./cmd/icilint ./internal/analysis/analyzers/testdata/src/core; then \
-		echo "icilint passed known-bad fixture core: the gate is broken" >&2; \
-		exit 1; \
-	fi; \
-	echo "lint-selftest ok: fixture still flagged"
-	$(GO) test -count=1 -run TestSeededEditsAreReported ./cmd/icilint
 
 fmt:
 	gofmt -l -w .
@@ -139,9 +119,7 @@ contest-stress:
 	kill $$pids; exit $$status
 
 # Non-test, non-testdata Go lines of the main module (bench/ is a module of
-# its own): the number a "net lines down" claim is made in. The second line
-# is the linter's own share of it (internal/analysis + cmd/icilint). Counts
-# tracked files, so `git add` first.
+# its own): the number a "net lines down" claim is made in. Counts tracked
+# files, so `git add` first.
 loc:
 	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | grep -v '/testdata/' | xargs cat | wc -l
-	@git ls-files 'internal/analysis/*.go' 'cmd/icilint/*.go' | grep -v '_test.go$$' | grep -v '/testdata/' | xargs cat | wc -l

@@ -68,7 +68,10 @@ func (b *batcher) Fetch(peer int, refs []netx.ChunkRef) *netx.ChunkBatchResp {
 	q.inflight = true
 	q.mu.Unlock()
 	if lead && b.roundTrip(peer, q) {
-		//icilint:allow goroleak(single drainer per peer; every queued Fetch blocks on its want until the drainer answers it, and the drainer exits once pending empties)
+		// One drainer per peer: only the holder of the inflight flag starts
+		// it, every queued Fetch blocks on its want until the drainer
+		// answers it, and the drainer exits once pending empties
+		// (TestBatcherSharesRoundTrips).
 		go b.drain(peer, q)
 	}
 	<-w.done

@@ -199,4 +199,25 @@ func TestBatcherSharesRoundTrips(t *testing.T) {
 			t.Fatalf("fetch %d got chunk %d", i, c.Index)
 		}
 	}
+
+	// The drainer exits once pending empties: it gives up the peer's
+	// inflight flag, and the next want is a solo round trip of its own.
+	q := b.queue(0)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		q.mu.Lock()
+		idle := !q.inflight && len(q.pending) == 0
+		q.mu.Unlock()
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("peer 0's queue still in flight after every want was answered")
+		}
+	}
+	if resp := b.Fetch(0, []netx.ChunkRef{{Block: hash, Index: 1}}); resp == nil || !resp.Found[0] {
+		t.Fatal("fourth fetch returned no chunk")
+	}
+	if calls := u.batchCalls.Load(); calls != 3 {
+		t.Fatalf("4 wants cost %d RPCs, want 3", calls)
+	}
 }

@@ -54,6 +54,34 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestCounterValueWhileBumped reads a counter while another goroutine bumps
+// it: every read is one the writer wrote, so values never go down. Under
+// -race a read that is not atomic is reported here; TestCounterConcurrent
+// reads only after its writers are done and cannot see one.
+func TestCounterValueWhileBumped(t *testing.T) {
+	const n = 10_000
+	var c Counter
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			c.Inc()
+		}
+	}()
+	last := int64(0)
+	for i := 0; i < n; i++ {
+		v := c.Value()
+		if v < last || v > n {
+			t.Fatalf("Value() = %d after %d", v, last)
+		}
+		last = v
+	}
+	<-done
+	if got := c.Value(); got != n {
+		t.Fatalf("Value() = %d, want %d", got, n)
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(50) != 0 || h.Stddev() != 0 {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -114,8 +115,11 @@ const firstBlockSeed42 = "81cc998e23203be371d56139e8adf4f9d7aa4ef1d7975c4556cc0c
 // TestNextTxsIsTheSequentialStream requires NextTxs(n) to be the stream n
 // calls to NextTx draw, byte for byte, and pins the first block of a seeded
 // chain, so a draw moved out of stream order fails even when both paths
-// move it the same way.
+// move it the same way. It signs on four Ps whatever the machine has: on one
+// P par.Each is the plain loop, and a signature collected in completion
+// order would come out in stream order anyway.
 func TestNextTxsIsTheSequentialStream(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := Config{Accounts: 64, PayloadBytes: 40, Seed: 42}
 	for _, n := range []int{0, 1, 2, 96, 257} {
 		batched, err := NewGenerator(cfg)
