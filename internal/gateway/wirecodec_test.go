@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -496,5 +498,41 @@ func TestCloseDrainsAnInFlightRead(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("Close took %v with an idle client connected", d)
+	}
+}
+
+// TestResponseFramesGolden pins the bytes of every gateway response frame:
+// the codec's samples (an error, a block, no variant, a proof with and
+// without its transaction) and what the server's handler answers a block
+// read, a proof query and a read of an unknown block with. A change that
+// moves the digest has changed what a gateway client is sent.
+func TestResponseFramesGolden(t *testing.T) {
+	const want = "2203dc4725e8f2f769b6bf40063ae8763f7252d55cb435a6303d27815711ee14"
+	h := sha256.New()
+	for _, s := range wireSamples(t) {
+		if _, ok := s.msg.(*WireResponse); ok {
+			h.Write(wireFrame(t, 0, s.msg))
+		}
+	}
+	u, blocks := newFakeUpstream(t, 4, 1, 16)
+	srv := &Server{g: newTestGateway(t, u, nil, 0)}
+	b := blocks[0]
+	for _, c := range []struct {
+		req    *WireRequest
+		wantOp uint8
+	}{
+		{&WireRequest{GetBlock: &WireBlockReq{Block: b.Hash()}}, opRespBlock},
+		{&WireRequest{GetTxProof: &WireProofReq{Block: b.Hash(), TxID: b.Txs[7].ID()}}, opRespProof},
+		{&WireRequest{GetBlock: &WireBlockReq{Block: blockcrypto.Sum256([]byte("unknown"))}}, opRespErr},
+		{&WireRequest{}, opRespErr},
+	} {
+		resp := srv.handle(c.req)
+		if op, _ := resp.AppendWire(nil); op != c.wantOp {
+			t.Fatalf("server answered %+v with opcode %#x, want %#x", c.req, op, c.wantOp)
+		}
+		h.Write(wireFrame(t, 0, resp))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("response frames digest %s, want %s", got, want)
 	}
 }
