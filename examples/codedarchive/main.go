@@ -91,7 +91,7 @@ func main() {
 	fmt.Printf("failed members holding %d of %d shares\n", lost, len(members))
 
 	reader, _ := sys.Node(members[0])
-	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		if err != nil {
 			log.Fatalf("coded read: %v", err)
 		}

@@ -11,15 +11,10 @@ import (
 	"icistrategy/internal/storage"
 )
 
-// KindArchiveShare carries Reed-Solomon shares (and the drop-old-chunks
-// directive) to a cluster member during block archival.
-const KindArchiveShare = "ici/archive-share"
-
 // Archival errors.
 var (
 	ErrBadParity       = errors.New("core: parity must be in [1, members-1]")
 	ErrAlreadyArchived = errors.New("core: block already archived")
-	ErrNotArchived     = errors.New("core: block is not archived")
 )
 
 // archiveInfo is the cluster-wide record of one archived block: the body
@@ -35,8 +30,9 @@ type archiveInfo struct {
 // in rendezvous space.
 const archiveSalt = 0xA6C417E5A17
 
-// archiveShareMsg delivers a member's shares of an archived block. Shares
-// may be empty: the message then only instructs the member to drop its
+// archiveShareMsg carries a member's Reed-Solomon shares of a block, and the
+// directive to drop its old chunks, during block archival. Shares may be
+// empty: the message then only instructs the member to drop its
 // transaction-group chunks for the block.
 type archiveShareMsg struct {
 	Block blockcrypto.Hash
@@ -46,6 +42,7 @@ type archiveShareMsg struct {
 	Shares map[int][]byte
 }
 
+func (archiveShareMsg) kind() string { return "ici/archive-share" }
 func (m archiveShareMsg) wireSize() int {
 	n := reqOverhead
 	for _, s := range m.Shares {
@@ -144,10 +141,7 @@ func (n *Node) archive(block blockcrypto.Hash, info archiveInfo, cb func(error))
 		}
 		for _, m := range n.cluster.Current().Members {
 			msg := archiveShareMsg{Block: block, K: info.k, Total: info.total, Shares: perMember[m]}
-			_ = n.send(simnet.Message{
-				To: m, Kind: KindArchiveShare,
-				Size: msg.wireSize(), Payload: msg, Span: span.Context(),
-			})
+			_ = n.send(m, msg, span.Context())
 		}
 		done(nil)
 	})
@@ -177,38 +171,8 @@ func (n *Node) onArchiveShare(m archiveShareMsg) {
 	}
 }
 
-// RetrieveArchivedBlock reassembles a coded block: gather shares from the
-// cluster, reconstruct with Reed-Solomon once k distinct shares arrived,
-// decode the body, and verify the Merkle root. info comes from the shared
-// cluster record; Node.RetrieveBlockAuto routes automatically.
-func (n *Node) RetrieveArchivedBlock(block blockcrypto.Hash, cb func(*chain.Block, error)) {
-	info, ok := n.cluster.archivedInfo(block)
-	if !ok {
-		cb(nil, fmt.Errorf("%w: %s", ErrNotArchived, block.Short()))
-		return
-	}
-	hdr, err := n.store.Header(block)
-	if err != nil {
-		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
-		return
-	}
-	n.pc.codedRetrieves.Inc()
-	n.startRetrieve(&fetchState{
-		block:   block,
-		hdr:     hdr,
-		parts:   info.total,
-		codedK:  info.k,
-		onBlock: cb,
-		span:    n.tr.Start(n.rxSpan, "archive", "retrieve-archived", int64(n.id)),
-	})
-}
-
-// RetrieveBlockAuto reads a block through whichever storage mode the
-// cluster currently uses for it. The unused network argument is pinned by bench/.
+// RetrieveBlockAuto is RetrieveBlock. bench/ calls it by this name, with a
+// network argument that is not used.
 func (n *Node) RetrieveBlockAuto(_ *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
-	if _, ok := n.cluster.archivedInfo(block); ok {
-		n.RetrieveArchivedBlock(block, cb)
-		return
-	}
 	n.RetrieveBlock(block, cb)
 }

@@ -64,7 +64,7 @@ func TestArchiveReducesStorageAndStaysReadable(t *testing.T) {
 	reader, _ := sys.Node(members[3])
 	var got *chain.Block
 	var gotErr error
-	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()
@@ -100,7 +100,7 @@ func TestArchivedReadSurvivesParityManyFailures(t *testing.T) {
 	reader, _ := sys.Node(members[0])
 	var got *chain.Block
 	var gotErr error
-	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()
@@ -125,7 +125,7 @@ func TestArchivedReadFailsPastParity(t *testing.T) {
 	reader, _ := sys.Node(members[0])
 	var gotErr error
 	completed := false
-	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(_ *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(_ *chain.Block, err error) {
 		gotErr, completed = err, true
 	})
 	sys.Network().RunUntilIdle()
@@ -184,7 +184,7 @@ func TestArchiveOnlyAffectsOneCluster(t *testing.T) {
 	members0, _ := sys.ClusterMembers(0)
 	r0, _ := sys.Node(members0[0])
 	other := blocks[2]
-	r0.RetrieveBlockAuto(sys.Network(), other.Hash(), func(b *chain.Block, err error) {
+	r0.RetrieveBlock(other.Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()
@@ -193,17 +193,33 @@ func TestArchiveOnlyAffectsOneCluster(t *testing.T) {
 	}
 }
 
-func TestRetrieveArchivedRequiresArchive(t *testing.T) {
-	sys, gen := buildSystem(t, Config{Nodes: 12, Clusters: 2, Replication: 1, Seed: 35})
-	blocks := produceAndSettle(t, sys, gen, 1, 12)
-	node, _ := sys.Node(0)
-	var gotErr error
-	node.RetrieveArchivedBlock(blocks[0].Hash(), func(_ *chain.Block, err error) {
-		gotErr = err
-	})
-	sys.Network().RunUntilIdle()
-	if !errors.Is(gotErr, ErrNotArchived) {
-		t.Fatalf("got %v, want ErrNotArchived", gotErr)
+// TestRetrieveBlockReadsAnArchivedBlock: the one read entry point rebuilds
+// an archived block from its coded shares through every member of the
+// cluster, and counts each read as a coded one.
+func TestRetrieveBlockReadsAnArchivedBlock(t *testing.T) {
+	for seed := uint64(30); seed <= 32; seed++ {
+		sys, _, target := archiveFixture(t, seed, 2)
+		reg := sys.Registry()
+		live, coded := reg.Counter("ici.retrieve.requests").Value(), reg.Counter("ici.archive.retrievals").Value()
+		members, _ := sys.ClusterMembers(0)
+		for _, m := range members {
+			var got *chain.Block
+			var gotErr error
+			sys.nodes[m].RetrieveBlock(target.Hash(), func(b *chain.Block, err error) { got, gotErr = b, err })
+			sys.Network().RunUntilIdle()
+			if gotErr != nil {
+				t.Fatalf("seed %d: node %d read the archived block: %v", seed, m, gotErr)
+			}
+			if got.Hash() != target.Hash() {
+				t.Fatalf("seed %d: node %d read the wrong block", seed, m)
+			}
+		}
+		if got := reg.Counter("ici.archive.retrievals").Value() - coded; got != int64(len(members)) {
+			t.Fatalf("seed %d: %d coded reads counted, want %d", seed, got, len(members))
+		}
+		if got := reg.Counter("ici.retrieve.requests").Value() - live; got != 0 {
+			t.Fatalf("seed %d: %d archived reads counted as live ones", seed, got)
+		}
 	}
 }
 
@@ -263,7 +279,7 @@ func TestRepairAfterArchiveLosesNothing(t *testing.T) {
 	reader, _ := sys.Node(members[0])
 	var got *chain.Block
 	var gotErr error
-	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(b *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(b *chain.Block, err error) {
 		got, gotErr = b, err
 	})
 	sys.Network().RunUntilIdle()

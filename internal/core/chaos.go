@@ -3,7 +3,6 @@ package core
 import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
-	"icistrategy/internal/consensus"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -49,7 +48,7 @@ func ChaosCorrupter() simnet.CorruptFunc {
 			tx.Amount++
 			p.Tx = &tx
 			return p, true
-		case consensus.Vote:
+		case voteMsg:
 			p.Approve = !p.Approve // signature no longer covers the verdict
 			return p, true
 		}

@@ -145,15 +145,15 @@ func TestChaosCorrupterCopies(t *testing.T) {
 
 	t.Run("vote", func(t *testing.T) {
 		v := consensus.SignShareVote(1, blockcrypto.Sum256([]byte("b")), []int{0, 2}, true, key)
-		out, ok := corrupt(simnet.Message{Payload: v}, rng)
+		out, ok := corrupt(simnet.Message{Payload: voteMsg{v}}, rng)
 		if !ok {
 			t.Fatal("corrupter skipped a vote")
 		}
-		flipped := out.(consensus.Vote)
+		flipped := out.(voteMsg)
 		if flipped.Approve == v.Approve {
 			t.Fatal("vote verdict not flipped")
 		}
-		if consensus.VerifyVote(flipped, key.Public) == nil {
+		if consensus.VerifyVote(flipped.Vote, key.Public) == nil {
 			t.Fatal("flipped vote still verifies — corruption would be undetectable")
 		}
 	})

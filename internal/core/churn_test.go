@@ -98,7 +98,7 @@ func TestLeaveClusterUnderCorruption(t *testing.T) {
 	chaos, flipped := ChaosCorrupter(), 0
 	sys.Network().EnableFaults(80, simnet.FaultConfig{CorruptRate: 0.5, Corrupt: func(msg simnet.Message, rng *blockcrypto.RNG) (any, bool) {
 		out, ok := chaos(msg, rng)
-		if ok && msg.Kind == KindHandoff {
+		if ok && msg.Kind == (handoffMsg{}).kind() {
 			flipped++
 		}
 		return out, ok

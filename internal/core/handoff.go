@@ -73,11 +73,7 @@ func (n *Node) pushHandoffChunk(hs *handoffState, id storage.ChunkID, to simnet.
 	hs.pending[req] = true
 	n.pc.handoffChunks.Inc()
 	n.pc.handoffBytes.Add(int64(len(payload.Data)))
-	msg := handoffMsg{Chunk: payload, ReqID: req}
-	_ = n.send(simnet.Message{
-		To: to, Kind: KindHandoff,
-		Size: msg.wireSize(), Payload: msg, Span: n.rxSpan,
-	})
+	_ = n.send(to, handoffMsg{Chunk: payload, ReqID: req}, n.rxSpan)
 	n.net.After(handoffTimeout, func() {
 		cur := n.handoff
 		if cur != hs || hs.done || !hs.pending[req] {
@@ -94,10 +90,7 @@ func (n *Node) pushHandoffChunk(hs *handoffState, id storage.ChunkID, to simnet.
 // acknowledge.
 func (n *Node) onHandoff(from simnet.NodeID, m handoffMsg) {
 	ack := handoffAckMsg{ReqID: m.ReqID, OK: n.adoptChunk(m.Chunk.Header.Hash(), m.Chunk)}
-	_ = n.send(simnet.Message{
-		To: from, Kind: KindHandoffAck,
-		Size: reqOverhead, Payload: ack, Span: n.rxSpan,
-	})
+	_ = n.send(from, ack, n.rxSpan)
 }
 
 // onHandoffAck settles one pushed chunk on the leaver.

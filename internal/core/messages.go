@@ -8,54 +8,25 @@ import (
 	"icistrategy/internal/storage"
 )
 
-// Message kinds of the ICIStrategy protocol. Every kind maps to one payload
-// type below; sizes are the wire sizes used for traffic accounting.
-const (
-	// KindPropose carries a full block from the producer to each cluster
-	// leader.
-	KindPropose = "ici/propose"
-	// KindChunk carries a member's share — every chunk it is asked to verify
-	// (each group's stored bytes with its Merkle proofs) under one header —
-	// from a cluster leader to that member.
-	KindChunk = "ici/chunk"
-	// KindVote carries a member's signed verdict back to the leader.
-	KindVote = "ici/vote"
-	// KindCommit carries the leader's commit certificate to cluster members.
-	KindCommit = "ici/commit"
-	// KindGetHeaders / KindHeaders implement the header sync of the
-	// bootstrap protocol.
-	KindGetHeaders = "ici/get-headers"
-	KindHeaders    = "ici/headers"
-	// KindGetChunk / KindChunkResp fetch one stored chunk with its proofs
-	// (bootstrap and repair).
-	KindGetChunk  = "ici/get-chunk"
-	KindChunkResp = "ici/chunk-resp"
-	// KindGetBlockChunks / KindBlockChunks fetch all chunks a member holds
-	// for a block (full-block retrieval).
-	KindGetBlockChunks = "ici/get-block-chunks"
-	KindBlockChunks    = "ici/block-chunks"
-	// KindGetCommit pulls a block's commit certificate from a peer that
-	// finalized it. Members send it when the commit announcement for a
-	// block they hold pending chunks of never arrived (lost on the wire or
-	// missed during a crash); the answer is an ordinary KindCommit. A
-	// failure-free run never sends one.
-	KindGetCommit = "ici/get-commit"
-	// KindHandoff / KindHandoffAck implement graceful departure: a leaving
-	// member pushes each chunk whose ownership its departure shifts to the
-	// gaining member, which verifies, persists and acknowledges it.
-	KindHandoff    = "ici/handoff"
-	KindHandoffAck = "ici/handoff-ack"
-)
+// message is one payload of the ICIStrategy protocol. Its type is its
+// identity on the wire: kind names it in traffic accounting and traces, and
+// wireSize is the size it is charged. Node.send reads both, and Node.handle
+// dispatches on the type alone.
+type message interface {
+	kind() string
+	wireSize() int
+}
 
 // reqOverhead is the wire size of a small request (kind tag, block hash,
 // indexes); one size for all control requests keeps accounting simple.
 const reqOverhead = 48
 
-// proposeMsg is the payload of KindPropose.
+// proposeMsg carries a full block from the producer to each cluster leader.
 type proposeMsg struct {
 	Block *chain.Block
 }
 
+func (proposeMsg) kind() string { return "ici/propose" }
 func (m proposeMsg) wireSize() int {
 	return chain.HeaderSize + m.Block.BodySize()
 }
@@ -83,11 +54,12 @@ func chunkWireBytes(c storage.Chunk) int {
 	return n
 }
 
-// shareMsg is the payload of KindChunk: the chunks one member is asked to
-// verify and store, in increasing index order, under the header whose
-// Merkle root their proofs lead to. Like every chunk a member receives, each
-// is the bytes it is stored in, and the owner takes it only through
-// AdoptChunk.
+// shareMsg carries a member's share from a cluster leader to that member:
+// the chunks it is asked to verify and store — each group's stored bytes
+// with its Merkle proofs — in increasing index order, under the header
+// whose Merkle root their proofs lead to. Like every chunk a member
+// receives, each is the bytes it is stored in, and the owner takes it only
+// through AdoptChunk.
 type shareMsg struct {
 	Header chain.Header
 	Chunks []storage.Chunk
@@ -96,6 +68,8 @@ type shareMsg struct {
 	// is simulator bookkeeping, not wire bytes.
 	verdict *shareVerdict
 }
+
+func (shareMsg) kind() string { return "ici/chunk" }
 
 // wireSize counts the header once, whatever the number of chunks.
 func (m shareMsg) wireSize() int {
@@ -106,15 +80,22 @@ func (m shareMsg) wireSize() int {
 	return n
 }
 
-// commitMsg is the payload of KindCommit: the leader's proof that every
-// chunk of the block was verified by a quorum of its assignees, one signed
-// vote per member and share.
+// voteMsg carries a member's signed verdict on its share back to the leader.
+type voteMsg struct{ consensus.Vote }
+
+func (voteMsg) kind() string    { return "ici/vote" }
+func (m voteMsg) wireSize() int { return m.EncodedSize() }
+
+// commitMsg carries the leader's commit certificate to cluster members: its
+// proof that every chunk of the block was verified by a quorum of its
+// assignees, one signed vote per member and share.
 type commitMsg struct {
 	Header chain.Header
 	Parts  int
 	Votes  []consensus.Vote
 }
 
+func (commitMsg) kind() string { return "ici/commit" }
 func (m commitMsg) wireSize() int {
 	n := chain.HeaderSize + 8
 	for _, v := range m.Votes {
@@ -123,16 +104,27 @@ func (m commitMsg) wireSize() int {
 	return n
 }
 
-// getCommitMsg asks a peer for the commit certificate of one block.
+// getCommitMsg pulls a block's commit certificate from a peer that
+// finalized it. Members send it when the commit announcement for a block
+// they hold pending chunks of never arrived (lost on the wire or missed
+// during a crash); the answer is an ordinary commitMsg. A failure-free run
+// never sends one.
 type getCommitMsg struct {
 	Block blockcrypto.Hash
 }
 
-// getHeadersMsg asks a sponsor for all headers above FromHeight.
+func (getCommitMsg) kind() string  { return "ici/get-commit" }
+func (getCommitMsg) wireSize() int { return reqOverhead }
+
+// getHeadersMsg asks a sponsor for all headers above FromHeight: the header
+// sync of the bootstrap protocol.
 type getHeadersMsg struct {
 	FromHeight uint64
 	ReqID      uint64
 }
+
+func (getHeadersMsg) kind() string  { return "ici/get-headers" }
+func (getHeadersMsg) wireSize() int { return reqOverhead }
 
 // headersMsg returns the sponsor's headers in chain order, tagged with the
 // request it answers.
@@ -141,9 +133,11 @@ type headersMsg struct {
 	ReqID   uint64
 }
 
+func (headersMsg) kind() string    { return "ici/headers" }
 func (m headersMsg) wireSize() int { return len(m.Headers) * chain.HeaderSize }
 
-// getChunkMsg asks an owner for one chunk of one block.
+// getChunkMsg asks an owner for one chunk of one block (bootstrap and
+// repair).
 type getChunkMsg struct {
 	Block blockcrypto.Hash
 	Idx   int
@@ -155,6 +149,9 @@ type getChunkMsg struct {
 	Attempt int
 }
 
+func (getChunkMsg) kind() string  { return "ici/get-chunk" }
+func (getChunkMsg) wireSize() int { return reqOverhead }
+
 // chunkRespMsg returns a stored chunk with its proofs (Found is false when
 // the responder does not hold it).
 type chunkRespMsg struct {
@@ -165,6 +162,7 @@ type chunkRespMsg struct {
 	Chunk   chunkPayload
 }
 
+func (chunkRespMsg) kind() string { return "ici/chunk-resp" }
 func (m chunkRespMsg) wireSize() int {
 	if !m.Found {
 		return reqOverhead
@@ -172,13 +170,15 @@ func (m chunkRespMsg) wireSize() int {
 	return m.Chunk.wireSize()
 }
 
-// handoffMsg pushes one chunk from a gracefully leaving member to the
-// member gaining its ownership under the post-departure epoch.
+// handoffMsg implements graceful departure: a leaving member pushes each
+// chunk whose ownership its departure shifts to the member gaining it under
+// the post-departure epoch, which verifies, persists and acknowledges it.
 type handoffMsg struct {
 	Chunk chunkPayload
 	ReqID uint64 // correlates the ack with the leaver's pending handoff
 }
 
+func (handoffMsg) kind() string    { return "ici/handoff" }
 func (m handoffMsg) wireSize() int { return m.Chunk.wireSize() + 8 }
 
 // handoffAckMsg confirms one handed-off chunk was verified and persisted.
@@ -187,7 +187,11 @@ type handoffAckMsg struct {
 	OK    bool
 }
 
-// getBlockChunksMsg asks a member for every chunk it holds of one block.
+func (handoffAckMsg) kind() string  { return "ici/handoff-ack" }
+func (handoffAckMsg) wireSize() int { return reqOverhead }
+
+// getBlockChunksMsg asks a member for every chunk it holds of one block
+// (full-block retrieval).
 type getBlockChunksMsg struct {
 	Block blockcrypto.Hash
 	ReqID uint64
@@ -197,6 +201,9 @@ type getBlockChunksMsg struct {
 	// "every member answered" definitive failure prematurely.
 	Round int
 }
+
+func (getBlockChunksMsg) kind() string  { return "ici/get-block-chunks" }
+func (getBlockChunksMsg) wireSize() int { return reqOverhead }
 
 // blockChunksMsg returns all held chunks of a block as stored, without
 // proofs — a full-block reassembly is verified against the Merkle root
@@ -209,6 +216,8 @@ type blockChunksMsg struct {
 	Round  int // echoed from the request
 	Chunks []storage.Chunk
 }
+
+func (blockChunksMsg) kind() string { return "ici/block-chunks" }
 
 // wireSize counts a live chunk's sub-body, which holds its own count, and a
 // coded share with a four-byte length.

@@ -196,89 +196,58 @@ func (n *Node) Bootstrapping() bool { return n.bootstrap != nil }
 // HandleMessage implements simnet.Handler; replies go out through n.net.
 func (n *Node) HandleMessage(_ *simnet.Network, msg simnet.Message) { n.handle(msg) }
 
-// send emits msg from this node. A message to the node itself never touches
-// the transport: it is handled at once, as if it had arrived.
-func (n *Node) send(msg simnet.Message) error {
-	msg.From = n.id
-	if msg.To == n.id {
+// send emits m from this node to to under span, charged m's wire size. A
+// message to the node itself never touches the transport: it is handled at
+// once, as if it had arrived.
+func (n *Node) send(to simnet.NodeID, m message, span trace.SpanID) error {
+	msg := simnet.Message{From: n.id, To: to, Kind: m.kind(), Size: m.wireSize(), Payload: m, Span: span}
+	if to == n.id {
 		n.handle(msg)
 		return nil
 	}
 	return n.net.Send(msg)
 }
 
-// handle dispatches one message to its handler.
+// handle dispatches one message to its handler by the payload's type.
 func (n *Node) handle(msg simnet.Message) {
 	// The incoming message's span context becomes the implicit parent for
 	// everything this handler does (spans it opens, messages it sends).
 	prev := n.rxSpan
 	n.rxSpan = msg.Span
 	defer func() { n.rxSpan = prev }()
-	switch msg.Kind {
-	case KindPropose:
-		if m, ok := msg.Payload.(proposeMsg); ok {
-			n.onPropose(m)
-		}
-	case KindChunk:
-		if m, ok := msg.Payload.(shareMsg); ok {
-			n.onChunk(msg.From, m)
-		}
-	case KindVote:
-		if m, ok := msg.Payload.(consensus.Vote); ok {
-			n.onVote(m)
-		}
-	case KindCommit:
-		if m, ok := msg.Payload.(commitMsg); ok {
-			n.onCommit(m)
-		}
-	case KindGetHeaders:
-		if m, ok := msg.Payload.(getHeadersMsg); ok {
-			n.onGetHeaders(msg.From, m)
-		}
-	case KindHeaders:
-		if m, ok := msg.Payload.(headersMsg); ok {
-			n.onHeaders(m)
-		}
-	case KindGetChunk:
-		if m, ok := msg.Payload.(getChunkMsg); ok {
-			n.onGetChunk(msg.From, m)
-		}
-	case KindChunkResp:
-		if m, ok := msg.Payload.(chunkRespMsg); ok {
-			n.onChunkResp(msg.From, m)
-		}
-	case KindGetBlockChunks:
-		if m, ok := msg.Payload.(getBlockChunksMsg); ok {
-			n.onGetBlockChunks(msg.From, m)
-		}
-	case KindBlockChunks:
-		if m, ok := msg.Payload.(blockChunksMsg); ok {
-			n.onBlockChunks(msg.From, m)
-		}
-	case KindGetCommit:
-		if m, ok := msg.Payload.(getCommitMsg); ok {
-			n.onGetCommit(msg.From, m)
-		}
-	case KindGetTxProof:
-		if m, ok := msg.Payload.(getTxProofMsg); ok {
-			n.onGetTxProof(msg.From, m)
-		}
-	case KindTxProof:
-		if m, ok := msg.Payload.(txProofMsg); ok {
-			n.onTxProof(msg.From, m)
-		}
-	case KindArchiveShare:
-		if m, ok := msg.Payload.(archiveShareMsg); ok {
-			n.onArchiveShare(m)
-		}
-	case KindHandoff:
-		if m, ok := msg.Payload.(handoffMsg); ok {
-			n.onHandoff(msg.From, m)
-		}
-	case KindHandoffAck:
-		if m, ok := msg.Payload.(handoffAckMsg); ok {
-			n.onHandoffAck(m)
-		}
+	switch m := msg.Payload.(type) {
+	case proposeMsg:
+		n.onPropose(m)
+	case shareMsg:
+		n.onChunk(msg.From, m)
+	case voteMsg:
+		n.onVote(m.Vote)
+	case commitMsg:
+		n.onCommit(m)
+	case getHeadersMsg:
+		n.onGetHeaders(msg.From, m)
+	case headersMsg:
+		n.onHeaders(m)
+	case getChunkMsg:
+		n.onGetChunk(msg.From, m)
+	case chunkRespMsg:
+		n.onChunkResp(msg.From, m)
+	case getBlockChunksMsg:
+		n.onGetBlockChunks(msg.From, m)
+	case blockChunksMsg:
+		n.onBlockChunks(msg.From, m)
+	case getCommitMsg:
+		n.onGetCommit(msg.From, m)
+	case getTxProofMsg:
+		n.onGetTxProof(msg.From, m)
+	case txProofMsg:
+		n.onTxProof(msg.From, m)
+	case archiveShareMsg:
+		n.onArchiveShare(m)
+	case handoffMsg:
+		n.onHandoff(msg.From, m)
+	case handoffAckMsg:
+		n.onHandoffAck(m)
 	}
 }
 
@@ -384,10 +353,7 @@ func (n *Node) sendShares(st *leaderState, out shares) {
 		if to != n.id {
 			share.verdict = startVerdict(share)
 		}
-		_ = n.send(simnet.Message{
-			To: to, Kind: KindChunk,
-			Size: share.wireSize(), Payload: share, Span: st.span.Context(),
-		})
+		_ = n.send(to, share, st.span.Context())
 	}
 }
 
@@ -564,10 +530,7 @@ func (n *Node) voteShare(leader simnet.NodeID, block blockcrypto.Hash, chunks []
 		return
 	}
 	vote := consensus.SignShareVote(n.id, block, chunks, approve, n.key)
-	_ = n.send(simnet.Message{
-		To: leader, Kind: KindVote,
-		Size: vote.EncodedSize(), Payload: vote, Span: span,
-	})
+	_ = n.send(leader, voteMsg{vote}, span)
 }
 
 // commitProbeDelay is how long a member holding pending chunks waits for
@@ -593,10 +556,7 @@ func (n *Node) scheduleCommitProbe(block blockcrypto.Hash, attempt int) {
 		}
 		if target, ok := n.commitProbeTarget(block, attempt); ok {
 			n.pc.commitProbes.Inc()
-			_ = n.send(simnet.Message{
-				To: target, Kind: KindGetCommit,
-				Size: reqOverhead, Payload: getCommitMsg{Block: block},
-			})
+			_ = n.send(target, getCommitMsg{Block: block}, 0)
 		}
 		if attempt < maxCommitProbes {
 			n.scheduleCommitProbe(block, attempt+1)
@@ -631,10 +591,7 @@ func (n *Node) onGetCommit(from simnet.NodeID, m getCommitMsg) {
 	if !ok {
 		return
 	}
-	_ = n.send(simnet.Message{
-		To: from, Kind: KindCommit,
-		Size: cm.wireSize(), Payload: cm, Span: n.rxSpan,
-	})
+	_ = n.send(from, cm, n.rxSpan)
 }
 
 // onVote runs on the leader: aggregate votes chunk by chunk; commit when
@@ -693,15 +650,10 @@ func (n *Node) onVote(v consensus.Vote) {
 		}
 		st.committed = true
 		msg := commitMsg{Header: st.block.Header, Parts: st.table.Parts(), Votes: cert}
-		size := msg.wireSize()
 		for _, m := range n.cluster.Current().Members {
-			if m == n.id {
-				continue
+			if m != n.id {
+				_ = n.send(m, msg, st.span.Context())
 			}
-			_ = n.send(simnet.Message{
-				To: m, Kind: KindCommit,
-				Size: size, Payload: msg, Span: st.span.Context(),
-			})
 		}
 		// Every vote of the certificate passed VerifyVote above on its way
 		// into st.pool: the leader applies its commit without a second check.
@@ -818,11 +770,7 @@ func (n *Node) onGetHeaders(from simnet.NodeID, m getHeadersMsg) {
 			out = append(out, h)
 		}
 	}
-	resp := headersMsg{Headers: out, ReqID: m.ReqID}
-	_ = n.send(simnet.Message{
-		To: from, Kind: KindHeaders,
-		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
-	})
+	_ = n.send(from, headersMsg{Headers: out, ReqID: m.ReqID}, n.rxSpan)
 }
 
 func (n *Node) onGetChunk(from simnet.NodeID, m getChunkMsg) {
@@ -832,20 +780,14 @@ func (n *Node) onGetChunk(from simnet.NodeID, m getChunkMsg) {
 		resp.Found = true
 		resp.Chunk = payload
 	}
-	_ = n.send(simnet.Message{
-		To: from, Kind: KindChunkResp,
-		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
-	})
+	_ = n.send(from, resp, n.rxSpan)
 }
 
 func (n *Node) onGetBlockChunks(from simnet.NodeID, m getBlockChunksMsg) {
 	resp := blockChunksMsg{Block: m.Block, ReqID: m.ReqID, Round: m.Round}
 	// A chunk that fails its digest is withheld rather than served.
 	resp.Chunks, _ = n.heldChunks(m.Block)
-	_ = n.send(simnet.Message{
-		To: from, Kind: KindBlockChunks,
-		Size: resp.wireSize(), Payload: resp, Span: n.rxSpan,
-	})
+	_ = n.send(from, resp, n.rxSpan)
 }
 
 // storedPayload reads one stored chunk back, with its proofs, as the

@@ -216,7 +216,7 @@ func TestRetrieveExactlyOnceUnderFaults(t *testing.T) {
 	sys.Network().EnableFaults(94, simnet.FaultConfig{DropRate: 0.25, DupRate: 0.2, ReorderRate: 0.3})
 	node := sys.nodes[members[0]]
 	calls := 0
-	node.RetrieveArchivedBlock(blocks[0].Hash(), func(*chain.Block, error) { calls++ })
+	node.RetrieveBlock(blocks[0].Hash(), func(*chain.Block, error) { calls++ })
 	sys.Network().RunUntilIdle()
 	if calls != 1 {
 		t.Fatalf("coded retrieve cb fired %d times", calls)
@@ -280,7 +280,7 @@ func exerciseAllProtocols(t *testing.T, tr *trace.Tracer, reg *metrics.Registry,
 	sys.Network().RunUntilIdle()
 
 	members1, _ := sys.ClusterMembers(1)
-	sys.nodes[members1[0]].RetrieveArchivedBlock(blocks[1].Hash(), func(_ *chain.Block, err error) {
+	sys.nodes[members1[0]].RetrieveBlock(blocks[1].Hash(), func(_ *chain.Block, err error) {
 		if err != nil {
 			t.Errorf("coded retrieve: %v", err)
 		}

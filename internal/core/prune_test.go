@@ -107,7 +107,7 @@ func TestPruneKeepsArchivedShares(t *testing.T) {
 	// The archived block must still reconstruct after pruning.
 	reader, _ := sys.Node(members[0])
 	var gotErr error
-	reader.RetrieveBlockAuto(sys.Network(), target.Hash(), func(_ *chain.Block, err error) {
+	reader.RetrieveBlock(target.Hash(), func(_ *chain.Block, err error) {
 		gotErr = err
 	})
 	sys.Network().RunUntilIdle()

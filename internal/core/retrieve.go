@@ -16,28 +16,33 @@ import (
 )
 
 // RetrieveBlock reassembles a full historical block from the chunks held by
-// this node's cluster. cb is invoked exactly once, with the verified block
-// or an error. This is the read path a light client or application would
-// use against an ICIStrategy cluster.
+// this node's cluster, or, once the cluster archived it, rebuilds it from
+// any k of its Reed-Solomon shares. cb is invoked exactly once, with the
+// verified block or an error. This is the read path a light client or
+// application would use against an ICIStrategy cluster.
 func (n *Node) RetrieveBlock(block blockcrypto.Hash, cb func(*chain.Block, error)) {
 	n.retrieveBlock(block, n.rxSpan, cb)
 }
 
 // retrieveBlock is RetrieveBlock under an explicit parent span (archival
-// retrieves blocks from inside its own span).
+// retrieves blocks from inside its own span). A coded read counts and
+// traces under archive, a live one under retrieve.
 func (n *Node) retrieveBlock(block blockcrypto.Hash, parent trace.SpanID, cb func(*chain.Block, error)) {
 	hdr, err := n.store.Header(block)
 	if err != nil {
 		cb(nil, fmt.Errorf("%w: %s", ErrUnknownBlock, block.Short()))
 		return
 	}
-	n.pc.retrievals.Inc()
-	n.startRetrieve(&fetchState{
-		block:   block,
-		hdr:     hdr,
-		onBlock: cb,
-		span:    n.tr.Start(parent, "retrieve", "retrieve", int64(n.id)),
-	})
+	st := &fetchState{block: block, hdr: hdr, onBlock: cb}
+	if info, archived := n.cluster.archivedInfo(block); archived {
+		n.pc.codedRetrieves.Inc()
+		st.parts, st.codedK = info.total, info.k
+		st.span = n.tr.Start(parent, "archive", "retrieve-archived", int64(n.id))
+	} else {
+		n.pc.retrievals.Inc()
+		st.span = n.tr.Start(parent, "retrieve", "retrieve", int64(n.id))
+	}
+	n.startRetrieve(st)
 }
 
 // startRetrieve runs a whole-block fetch, live or archived (shares ride the
@@ -57,12 +62,10 @@ func (n *Node) startRetrieve(st *fetchState) {
 		// chunks still live on the epoch the block was written under, and
 		// asking only the current membership would miss them.
 		targets: func() []simnet.NodeID { return n.cluster.fetchMembers(st.hdr.Height, n.id) },
-		request: func(tag int) simnet.Message {
-			return simnet.Message{
-				Kind: KindGetBlockChunks, Size: reqOverhead, Span: st.span.Context(),
-				Payload: getBlockChunksMsg{Block: st.block, ReqID: req, Round: tag},
-			}
+		request: func(tag int) message {
+			return getBlockChunksMsg{Block: st.block, ReqID: req, Round: tag}
 		},
+		span:    st.span.Context(),
 		rounds:  n.pc.retrieveRounds,
 		retries: n.pc.retrieveRetries,
 		stale:   n.pc.staleResponses,
@@ -101,12 +104,13 @@ func (st *fetchState) merge(chunks []storage.Chunk) {
 // sets what every round sends and how the request fails, then calls
 // broadcast; answers go through answer.
 type round struct {
-	targets func() []simnet.NodeID       // whom to ask, re-read every round
-	request func(tag int) simnet.Message // the request of round tag; To is filled in
-	rounds  *metrics.Counter             // rounds issued
-	retries *metrics.Counter             // timed-out rounds asked again
-	stale   *metrics.Counter             // answers to a superseded round
-	fail    func()                       // ends the request with its caller's terminal error
+	targets func() []simnet.NodeID // whom to ask, re-read every round
+	request func(tag int) message  // the request of round tag
+	span    trace.SpanID           // the span every round's requests travel under
+	rounds  *metrics.Counter       // rounds issued
+	retries *metrics.Counter       // timed-out rounds asked again
+	stale   *metrics.Counter       // answers to a superseded round
+	fail    func()                 // ends the request with its caller's terminal error
 
 	attempts  int                    // rounds issued so far
 	waiting   int                    // targets yet to answer this round
@@ -125,10 +129,9 @@ func (n *Node) broadcast(r *round) {
 	r.waiting = len(targets)
 	r.responded = make(map[simnet.NodeID]bool, len(targets))
 	r.rounds.Inc()
-	msg := r.request(r.attempts)
+	req := r.request(r.attempts)
 	for _, m := range targets {
-		msg.To = m
-		_ = n.send(msg)
+		_ = n.send(m, req, r.span)
 	}
 	if r.waiting == 0 {
 		r.fail()
@@ -320,12 +323,8 @@ func (n *Node) Bootstrap(sponsor simnet.NodeID, cb func(error)) {
 	bs := &bootstrapState{req: n.nextReq, cb: cb, span: n.tr.Start(0, "bootstrap", "bootstrap", int64(n.id))}
 	bs.round = round{
 		targets: func() []simnet.NodeID { return []simnet.NodeID{sponsor} },
-		request: func(int) simnet.Message {
-			return simnet.Message{
-				Kind: KindGetHeaders, Size: reqOverhead,
-				Payload: getHeadersMsg{FromHeight: 0, ReqID: bs.req}, Span: bs.span.Context(),
-			}
-		},
+		request: func(int) message { return getHeadersMsg{FromHeight: 0, ReqID: bs.req} },
+		span:    bs.span.Context(),
 		rounds:  n.pc.headerRounds,
 		retries: n.pc.headerRetries,
 		fail:    func() { n.finishBootstrap(bs, ErrBootstrapFailed) },
@@ -439,11 +438,7 @@ func (n *Node) fetchChunk(block blockcrypto.Hash, idx int, sources []simnet.Node
 func (n *Node) sendChunkReq(req uint64, st *fetchState) {
 	st.attempts++
 	attempt := st.attempts
-	_ = n.send(simnet.Message{
-		To: st.sources[st.srcPos], Kind: KindGetChunk,
-		Size: reqOverhead, Span: st.span.Context(),
-		Payload: getChunkMsg{Block: st.block, Idx: st.idx, ReqID: req, Attempt: attempt},
-	})
+	_ = n.send(st.sources[st.srcPos], getChunkMsg{Block: st.block, Idx: st.idx, ReqID: req, Attempt: attempt}, st.span.Context())
 	n.net.After(st.timeout, func() {
 		cur, ok := n.fetches[req]
 		if !ok || cur.done || cur.attempts != attempt {

@@ -22,11 +22,11 @@ func TestRoundScheduleWithEveryTargetDown(t *testing.T) {
 		want                error
 		start               func(t *testing.T, net *simnet.Network, n *Node, b *chain.Block, done func(error))
 	}{
-		{"retrieve", KindGetBlockChunks, "ici.retrieve.retries", ErrRetrieveFailed,
+		{"retrieve", getBlockChunksMsg{}.kind(), "ici.retrieve.retries", ErrRetrieveFailed,
 			func(_ *testing.T, net *simnet.Network, n *Node, b *chain.Block, done func(error)) {
 				n.RetrieveBlock(b.Hash(), func(_ *chain.Block, err error) { done(err) })
 			}},
-		{"txquery", KindGetTxProof, "ici.txquery.retries", ErrTxNotFound,
+		{"txquery", getTxProofMsg{}.kind(), "ici.txquery.retries", ErrTxNotFound,
 			func(t *testing.T, net *simnet.Network, n *Node, b *chain.Block, done func(error)) {
 				for _, tx := range b.Txs {
 					if _, held := StoredTxProof(n.store, b.Hash(), tx.ID()); !held {

@@ -106,13 +106,13 @@ func TestShareOneVotePerOwner(t *testing.T) {
 	if got := sys.Registry().Snapshot()["consensus.votes"]; got != float64(wantVotes) {
 		t.Errorf("consensus.votes = %v, want one per owner = %d", got, wantVotes)
 	}
-	if got := net.KindTraffic(KindChunk); got.Messages != wantChunkMsgs || got.Bytes != wantChunkBytes {
+	if got := net.KindTraffic(shareMsg{}.kind()); got.Messages != wantChunkMsgs || got.Bytes != wantChunkBytes {
 		t.Errorf("chunk traffic %+v, want %d messages (one per remote owner) of %d bytes (header once per share)", got, wantChunkMsgs, wantChunkBytes)
 	}
-	if got := net.KindTraffic(KindVote).Messages; got != wantChunkMsgs {
+	if got := net.KindTraffic(voteMsg{}.kind()).Messages; got != wantChunkMsgs {
 		t.Errorf("%d vote messages, want one per remote owner = %d", got, wantChunkMsgs)
 	}
-	if got := net.KindTraffic(KindCommit).Bytes; got != wantCommitBytes {
+	if got := net.KindTraffic(commitMsg{}.kind()).Bytes; got != wantCommitBytes {
 		t.Errorf("commit traffic %d bytes, want %d (the certificate's votes at their own sizes)", got, wantCommitBytes)
 	}
 	if work := recoveryWork(t, sys.Registry()); len(work) != 0 {
@@ -343,7 +343,7 @@ func TestShareVerdictIsTheInlineCheck(t *testing.T) {
 			}
 		}
 
-		out, ok := corrupt(simnet.Message{Kind: KindChunk, Payload: m}, blockcrypto.NewRNG(uint64(ci)))
+		out, ok := corrupt(simnet.Message{Kind: m.kind(), Payload: m}, blockcrypto.NewRNG(uint64(ci)))
 		if !ok {
 			t.Fatalf("%s: ChaosCorrupter declined a share", tc.name)
 		}

@@ -89,7 +89,7 @@ func TestSoakMixedLifecycle(t *testing.T) {
 		for _, b := range blocks {
 			var got *chain.Block
 			var gotErr error
-			node.RetrieveBlockAuto(sys.Network(), b.Hash(), func(blk *chain.Block, err error) {
+			node.RetrieveBlock(b.Hash(), func(blk *chain.Block, err error) {
 				got, gotErr = blk, err
 			})
 			sys.Network().RunUntilIdle()

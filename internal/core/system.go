@@ -272,10 +272,7 @@ func (s *System) ProduceBlock(txs []*chain.Transaction) (*chain.Block, error) {
 			span.End()
 			return nil, lerr
 		}
-		if err := s.nodes[proposer].send(simnet.Message{
-			To: leader, Kind: KindPropose,
-			Size: msg.wireSize(), Payload: msg, Span: span.Context(),
-		}); err != nil {
+		if err := s.nodes[proposer].send(leader, msg, span.Context()); err != nil {
 			span.SetErr(err)
 			span.End()
 			return nil, err

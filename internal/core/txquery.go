@@ -8,15 +8,6 @@ import (
 	"icistrategy/internal/simnet"
 )
 
-// Light-client query message kinds.
-const (
-	// KindGetTxProof asks a member whether it holds the chunk containing a
-	// transaction of a block, and for the Merkle proof if so.
-	KindGetTxProof = "ici/get-txproof"
-	// KindTxProof is the response.
-	KindTxProof = "ici/txproof"
-)
-
 // ErrTxNotFound is reported when no cluster member serves a proof for the
 // requested transaction.
 var ErrTxNotFound = fmt.Errorf("core: transaction not found in block")
@@ -39,7 +30,8 @@ func (p TxProof) Verify() error {
 	return chain.VerifyProof(p.Header.MerkleRoot, p.Tx.ID(), p.Proof)
 }
 
-// getTxProofMsg asks for a proof of txID inside block. Round tags the
+// getTxProofMsg asks a member whether it holds the chunk containing
+// transaction txID of block, and for the Merkle proof if so. Round tags the
 // broadcast round so late answers to a superseded round are recognizable.
 type getTxProofMsg struct {
 	Block blockcrypto.Hash
@@ -47,6 +39,9 @@ type getTxProofMsg struct {
 	ReqID uint64
 	Round int
 }
+
+func (getTxProofMsg) kind() string  { return "ici/get-txproof" }
+func (getTxProofMsg) wireSize() int { return reqOverhead }
 
 // txProofMsg answers a proof query. Found is false when this member's
 // chunks do not contain the transaction. Round echoes the query's round.
@@ -59,6 +54,7 @@ type txProofMsg struct {
 	Proof chain.Proof
 }
 
+func (txProofMsg) kind() string { return "ici/txproof" }
 func (m txProofMsg) wireSize() int {
 	if !m.Found {
 		return reqOverhead
@@ -98,11 +94,8 @@ func (n *Node) QueryTxProof(block, txID blockcrypto.Hash, cb func(TxProof, error
 	st := &txQueryState{block: block, hdr: hdr, txID: txID, cb: cb}
 	st.round = round{
 		targets: func() []simnet.NodeID { return others(n.id, n.cluster.Current().Members) },
-		request: func(tag int) simnet.Message {
-			return simnet.Message{
-				Kind: KindGetTxProof, Size: reqOverhead,
-				Payload: getTxProofMsg{Block: block, TxID: txID, ReqID: req, Round: tag},
-			}
+		request: func(tag int) message {
+			return getTxProofMsg{Block: block, TxID: txID, ReqID: req, Round: tag}
 		},
 		rounds:  n.pc.txqueryRounds,
 		retries: n.pc.txqueryRetries,
@@ -129,10 +122,7 @@ func (n *Node) onGetTxProof(from simnet.NodeID, m getTxProofMsg) {
 		resp.Tx = proof.Tx
 		resp.Proof = proof.Proof
 	}
-	_ = n.send(simnet.Message{
-		To: from, Kind: KindTxProof,
-		Size: resp.wireSize(), Payload: resp,
-	})
+	_ = n.send(from, resp, 0)
 }
 
 // onTxProof consumes one member's answer to an inclusion query: a verified

@@ -99,7 +99,7 @@ func E14TraceBreakdown(p Params) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	codedReader.RetrieveArchivedBlock(blocks[len(blocks)-1].Hash(), func(_ *chain.Block, err error) { retErr = err })
+	codedReader.RetrieveBlock(blocks[len(blocks)-1].Hash(), func(_ *chain.Block, err error) { retErr = err })
 	sys.Network().RunUntilIdle()
 	if retErr != nil {
 		return nil, fmt.Errorf("traced coded retrieve: %w", retErr)

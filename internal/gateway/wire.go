@@ -45,14 +45,8 @@ type WireResponse struct {
 	// builds it, times the served form (see blockReply for the client's
 	// half).
 	Block []byte
-	Proof *WireProofResp
-}
-
-// WireProofResp carries a verified inclusion proof.
-type WireProofResp struct {
-	Tx     *chain.Transaction
-	Header chain.Header
-	Proof  chain.Proof
+	// Proof is a verified inclusion proof.
+	Proof *core.TxProof
 }
 
 // Opcodes of the gateway protocol, disjoint from the storage protocol's so
@@ -160,11 +154,11 @@ func decodeRemoteErr(into *string, fields []byte) error {
 	return nil
 }
 
-func decodeWireProof(b []byte) (*WireProofResp, error) {
+func decodeWireProof(b []byte) (*core.TxProof, error) {
 	if len(b) == 0 || b[0] > 1 {
 		return nil, errors.New("bad transaction flag")
 	}
-	p := &WireProofResp{}
+	p := &core.TxProof{}
 	hasTx := b[0] == 1
 	b = b[1:]
 	if hasTx {
@@ -255,7 +249,7 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 		if err != nil {
 			return &WireResponse{Err: err.Error()}
 		}
-		return &WireResponse{Proof: &WireProofResp{Tx: p.Tx, Header: p.Header, Proof: p.Proof}}
+		return &WireResponse{Proof: &p}
 	default:
 		return &WireResponse{Err: "gateway: malformed request"}
 	}
@@ -344,7 +338,7 @@ func (c *Client) GetTxProof(block, txID blockcrypto.Hash) (core.TxProof, error) 
 	if resp.Proof == nil {
 		return core.TxProof{}, fmt.Errorf("%w: empty proof response", ErrRemote)
 	}
-	p := core.TxProof{Tx: resp.Proof.Tx, Header: resp.Proof.Header, Proof: resp.Proof.Proof}
+	p := *resp.Proof
 	if err := p.Verify(); err != nil {
 		return core.TxProof{}, fmt.Errorf("gateway: proof verification: %w", err)
 	}

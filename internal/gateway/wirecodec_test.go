@@ -16,6 +16,7 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/core"
 	"icistrategy/internal/netx"
 )
 
@@ -53,8 +54,8 @@ func wireSamples(t testing.TB) []wireSample {
 		{"err_resp", &WireResponse{Err: "gateway: unknown block"}, freshWireResponse},
 		{"block_resp", &WireResponse{Block: b.Encode()}, freshWireResponse},
 		{"empty_resp", &WireResponse{}, freshWireResponse},
-		{"proof_resp", &WireResponse{Proof: &WireProofResp{Tx: b.Txs[5], Header: b.Header, Proof: proof}}, freshWireResponse},
-		{"proof_without_tx_resp", &WireResponse{Proof: &WireProofResp{Header: b.Header}}, freshWireResponse},
+		{"proof_resp", &WireResponse{Proof: &core.TxProof{Tx: b.Txs[5], Header: b.Header, Proof: proof}}, freshWireResponse},
+		{"proof_without_tx_resp", &WireResponse{Proof: &core.TxProof{Header: b.Header}}, freshWireResponse},
 	}
 }
 
@@ -268,7 +269,7 @@ func FuzzCodecVsGob(f *testing.F) {
 		case 2:
 			resp.Block = blob(200)
 		case 3:
-			p := &WireProofResp{
+			p := &core.TxProof{
 				Header: chain.Header{Height: u64(), PrevHash: hash(), MerkleRoot: hash(), TimeMillis: u64(), Proposer: u64(), TxCount: uint32(u64())},
 				Proof:  chain.Proof{LeafIndex: int(int64(u64()))},
 			}

@@ -60,6 +60,9 @@ var seeds = []seed{
 		"cl.base.Owners(seed, idx, cl.replication)",
 		"core.Owners(seed, cl.base.Members, idx, cl.replication)"},
 		".", "TestPlacementNamesItsEpoch", false},
+	{"dropped-dispatch", "internal/core/node.go", []string{ // handle loses its handoff-ack arm: every ack is dropped
+		"\tcase handoffAckMsg:\n\t\tn.onHandoffAck(m)\n", ""},
+		"./internal/core", "TestLeaveClusterHandsOffChunks", false},
 }
 
 // TestEverySeededBugFailsANamedTest applies each seed on its own to a copy
