@@ -170,9 +170,3 @@ func (n *Node) onArchiveShare(m archiveShareMsg) {
 		_ = n.store.PutChunk(c) // an empty share is refused; reconstruction then counts it missing
 	}
 }
-
-// RetrieveBlockAuto is RetrieveBlock. bench/ calls it by this name, with a
-// network argument that is not used.
-func (n *Node) RetrieveBlockAuto(_ *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
-	n.RetrieveBlock(block, cb)
-}

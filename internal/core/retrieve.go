@@ -24,6 +24,12 @@ func (n *Node) RetrieveBlock(block blockcrypto.Hash, cb func(*chain.Block, error
 	n.retrieveBlock(block, n.rxSpan, cb)
 }
 
+// RetrieveBlockAuto is RetrieveBlock. bench/ calls it by this name, with a
+// network argument that is not used.
+func (n *Node) RetrieveBlockAuto(_ *simnet.Network, block blockcrypto.Hash, cb func(*chain.Block, error)) {
+	n.RetrieveBlock(block, cb)
+}
+
 // retrieveBlock is RetrieveBlock under an explicit parent span (archival
 // retrieves blocks from inside its own span). A coded read counts and
 // traces under archive, a live one under retrieve.
