@@ -10,7 +10,7 @@ import (
 // ChaosCorrupter returns a simnet.CorruptFunc that performs kind-aware,
 // size-preserving corruption of ICI protocol payloads: it flips one byte of
 // one chunk's stored bytes inside every chunk-bearing message (a share, a
-// fetch answer, a handoff, a whole-block answer), bumps the amount of a
+// fetch answer, a whole-block answer), bumps the amount of a
 // served transaction, and flips the verdict bit of votes. Every mutation
 // is applied to a copy, never to memory shared with the sender, and every
 // corrupted payload is detectable — chunk tampering breaks the framing, the
@@ -27,11 +27,6 @@ func ChaosCorrupter() simnet.CorruptFunc {
 			}
 		case chunkRespMsg:
 			if data, ok := flipByte(p.Chunk.Data, false, rng); ok { // a not-found answer carries no bytes
-				p.Chunk.Data = data
-				return p, true
-			}
-		case handoffMsg:
-			if data, ok := flipByte(p.Chunk.Data, false, rng); ok {
 				p.Chunk.Data = data
 				return p, true
 			}

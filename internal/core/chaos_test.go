@@ -94,18 +94,9 @@ func TestChaosCorrupterCopies(t *testing.T) {
 		if _, ok := corrupt(simnet.Message{Payload: chunkRespMsg{Found: false}}, rng); ok {
 			t.Fatal("corrupter tampered with a not-found response")
 		}
-	})
-
-	t.Run("handoffMsg", func(t *testing.T) {
-		orig := bytes.Clone(data)
-		out, ok := corrupt(simnet.Message{Payload: handoffMsg{Chunk: chunk, ReqID: 3}}, rng)
-		if !ok {
-			t.Fatal("corrupter skipped a handoff")
-		}
-		flipped(t, out.(handoffMsg).Chunk.Data, chunk.Data, orig)
 		empty := chunkPayload{Chunk: (&Group{Parts: 2, Index: 1, TxStart: 1}).Chunk(blockcrypto.ZeroHash, emptyGroup)}
-		if _, ok := corrupt(simnet.Message{Payload: handoffMsg{Chunk: empty}}, rng); ok {
-			t.Fatal("corrupter claimed to corrupt a handed-off group without transactions")
+		if _, ok := corrupt(simnet.Message{Payload: chunkRespMsg{Found: true, Chunk: empty}}, rng); ok {
+			t.Fatal("corrupter claimed to corrupt a served group without transactions")
 		}
 	})
 

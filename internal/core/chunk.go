@@ -106,8 +106,8 @@ func (g *Group) Verify(hdr chain.Header) error {
 }
 
 // AdoptChunk is the owner's check of a chunk it receives for hdr's block,
-// which always arrives as the bytes it is stored in — a share, a fetch
-// answer or a handoff in the simulator, a put over TCP: data, a group's
+// which always arrives as the bytes it is stored in — a share or a fetch
+// answer in the simulator, a put over TCP: data, a group's
 // sub-body (Group.Encode), is decoded with its sidecar and put through
 // Group.Verify. What comes back is the value to store, built from the bytes
 // received. A chunk that does not decode is malformed (ErrBadGroup).

@@ -120,9 +120,9 @@ func (s byIdentity) Swap(i, j int) {
 }
 
 // AdvancePlacement records that a completed migration (repair after a
-// removal, bootstrap after a join or rejoin, handoff after a graceful leave)
-// moved every block's chunks to the placement of epoch toSeq: all older
-// epochs now resolve chunk locations against it. It is monotone — a late
+// removal or a graceful leave, bootstrap after a join or rejoin) moved every
+// block's chunks to the placement of epoch toSeq: all older epochs now
+// resolve chunk locations against it. It is monotone — a late
 // older migration never moves placement back — and epochs newer than toSeq,
 // pushed while the migration ran, are left to their own migrations.
 func (m EpochMap) AdvancePlacement(toSeq int) {

@@ -33,9 +33,9 @@ func (m proposeMsg) wireSize() int {
 
 // chunkPayload is one chunk as its owner stores it — the group's sub-body
 // (Group.Encode) in Data, its proofs beside it — under the header whose
-// Merkle root the proofs lead to: what a fetch answer and a handoff carry. A
-// receiver takes the bytes only through AdoptChunk, and Digest is its
-// sender's: it is not trusted.
+// Merkle root the proofs lead to: what a fetch answer carries. A receiver
+// takes the bytes only through AdoptChunk, and Digest is its sender's: it
+// is not trusted.
 type chunkPayload struct {
 	Header chain.Header
 	storage.Chunk
@@ -169,26 +169,6 @@ func (m chunkRespMsg) wireSize() int {
 	}
 	return m.Chunk.wireSize()
 }
-
-// handoffMsg implements graceful departure: a leaving member pushes each
-// chunk whose ownership its departure shifts to the member gaining it under
-// the post-departure epoch, which verifies, persists and acknowledges it.
-type handoffMsg struct {
-	Chunk chunkPayload
-	ReqID uint64 // correlates the ack with the leaver's pending handoff
-}
-
-func (handoffMsg) kind() string    { return "ici/handoff" }
-func (m handoffMsg) wireSize() int { return m.Chunk.wireSize() + 8 }
-
-// handoffAckMsg confirms one handed-off chunk was verified and persisted.
-type handoffAckMsg struct {
-	ReqID uint64
-	OK    bool
-}
-
-func (handoffAckMsg) kind() string  { return "ici/handoff-ack" }
-func (handoffAckMsg) wireSize() int { return reqOverhead }
 
 // getBlockChunksMsg asks a member for every chunk it holds of one block
 // (full-block retrieval).

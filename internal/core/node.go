@@ -139,7 +139,9 @@ type Node struct {
 	txQueries map[uint64]*txQueryState
 	nextReq   uint64
 	bootstrap *bootstrapState
-	handoff   *handoffState
+	// leaving is set while System.LeaveCluster's repair still reads from
+	// this node: it has left the membership but not gone down yet.
+	leaving bool
 
 	// tr/pc are the System-wide structured tracer and protocol counters
 	// (tr may be nil = disabled; pc is never nil). rxSpan is the span
@@ -244,10 +246,6 @@ func (n *Node) handle(msg simnet.Message) {
 		n.onTxProof(msg.From, m)
 	case archiveShareMsg:
 		n.onArchiveShare(m)
-	case handoffMsg:
-		n.onHandoff(msg.From, m)
-	case handoffAckMsg:
-		n.onHandoffAck(m)
 	}
 }
 
@@ -744,9 +742,9 @@ func (n *Node) sweepStale(committedHeight uint64) {
 }
 
 // adoptChunk persists a chunk of block that arrived outside distribution —
-// fetched for bootstrap or repair, or handed off by a leaver — once it
-// passes the owner's check (AdoptChunk) against the header this node
-// committed; the header the message carries is not trusted.
+// fetched for bootstrap or repair — once it passes the owner's check
+// (AdoptChunk) against the header this node committed; the header the
+// message carries is not trusted.
 func (n *Node) adoptChunk(block blockcrypto.Hash, c chunkPayload) bool {
 	hdr, err := n.store.Header(block)
 	if err != nil {

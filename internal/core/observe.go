@@ -65,12 +65,6 @@ type protoCounters struct {
 	repairChunks *metrics.Counter // ici.repair.chunk_fetches: missing chunks fetched
 	repairLost   *metrics.Counter // ici.repair.lost: chunks unrecoverable in-cluster
 
-	// graceful departure (handoff).
-	handoffs      *metrics.Counter // ici.handoff.departures: HandoffChunks calls
-	handoffChunks *metrics.Counter // ici.handoff.chunks: chunks pushed to gaining owners
-	handoffBytes  *metrics.Counter // ici.handoff.bytes: chunk payload bytes handed off
-	handoffFailed *metrics.Counter // ici.handoff.failures: handoffs not acknowledged
-
 	// coded archival.
 	archives       *metrics.Counter // ici.archive.blocks: blocks converted to coded storage
 	archiveShares  *metrics.Counter // ici.archive.shares: RS shares stored on members
@@ -125,11 +119,6 @@ func newProtoCounters(reg *metrics.Registry) *protoCounters {
 		repairs:      reg.Counter("ici.repair.scans"),
 		repairChunks: reg.Counter("ici.repair.chunk_fetches"),
 		repairLost:   reg.Counter("ici.repair.lost"),
-
-		handoffs:      reg.Counter("ici.handoff.departures"),
-		handoffChunks: reg.Counter("ici.handoff.chunks"),
-		handoffBytes:  reg.Counter("ici.handoff.bytes"),
-		handoffFailed: reg.Counter("ici.handoff.failures"),
 
 		archives:       reg.Counter("ici.archive.blocks"),
 		archiveShares:  reg.Counter("ici.archive.shares"),

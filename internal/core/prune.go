@@ -21,8 +21,8 @@ func (n *Node) PruneUnowned() int64 {
 			return false // orphaned chunk without a header: collect
 		}
 		if _, archived := n.cluster.archivedInfo(id.Block); archived {
-			// Repair, bootstrap and handoff all skip archived blocks, so
-			// nothing moves a coded share: its holder is its owner, whoever
+			// Repair and bootstrap skip archived blocks, so nothing moves
+			// a coded share: its holder is its owner, whoever
 			// the current roster ranks first. A replicated chunk left over
 			// from before archival is stale.
 			return c.CodedK > 0

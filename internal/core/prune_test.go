@@ -115,8 +115,8 @@ func TestPruneKeepsArchivedShares(t *testing.T) {
 		t.Fatalf("archived block unreadable after prune: %v", gotErr)
 	}
 
-	// Nothing moves a coded share after archival — repair, bootstrap and
-	// handoff skip archived blocks — so its holder is its owner whatever the
+	// Nothing moves a coded share after archival — repair and bootstrap
+	// skip archived blocks — so its holder is its owner whatever the
 	// roster ranks first now. Three joins then a prune must leave every
 	// share where it is.
 	for seed := uint64(30); seed < 40; seed++ {

@@ -129,7 +129,7 @@ func TestSimAndTCPMoveTheSameChunks(t *testing.T) {
 
 	blocks = append(blocks, produce(six, 2)...)
 	simErr = errors.New("pending")
-	if err := sys.LeaveCluster(n, func(_ int, err error) { simErr = err }); err != nil {
+	if err := sys.LeaveCluster(n, func(err error) { simErr = err }); err != nil {
 		t.Fatal(err)
 	}
 	moved, err = six.RetireMember(addrs[n])

@@ -60,8 +60,8 @@ var seeds = []seed{
 		"cl.base.Owners(seed, idx, cl.replication)",
 		"core.Owners(seed, cl.base.Members, idx, cl.replication)"},
 		".", "TestPlacementNamesItsEpoch", false},
-	{"dropped-dispatch", "internal/core/node.go", []string{ // handle loses its handoff-ack arm: every ack is dropped
-		"\tcase handoffAckMsg:\n\t\tn.onHandoffAck(m)\n", ""},
+	{"dropped-dispatch", "internal/core/node.go", []string{ // handle loses its chunk-answer arm: every fetched chunk is dropped
+		"\tcase chunkRespMsg:\n\t\tn.onChunkResp(msg.From, m)\n", ""},
 		"./internal/core", "TestLeaveClusterHandsOffChunks", false},
 }
 
