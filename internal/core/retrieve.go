@@ -306,10 +306,8 @@ type bootstrapState struct {
 	// arrived: a duplicate headersMsg must not rerun the chunk-fetch
 	// fan-out.
 	round
-	req         uint64 // the header request's id, echoed by its answer
-	outstanding int
-	failed      bool
-	cb          func(error)
+	req uint64 // the header request's id, echoed by its answer
+	cb  func(error)
 	// span covers the whole join: header sync plus every owned-chunk fetch.
 	span trace.Span
 }
@@ -361,38 +359,15 @@ func (n *Node) onHeaders(m headersMsg) {
 	for _, h := range m.Headers {
 		n.store.PutHeader(h)
 	}
-	// Fetch the chunks this node now owns under the current epoch (the
-	// cluster map carries the join's epoch); one nobody else could serve is
-	// skipped.
-	for _, h := range m.Headers {
-		if _, archived := n.cluster.archivedInfo(h.Hash()); archived {
-			continue // coded shares are placed by archival, not by the replicated layout
+	// Take in the chunks this node now owns under the current epoch (the
+	// cluster map carries the join's epoch).
+	n.takeIn(bs.span.Context(), "bootstrap", n.pc.bootstrapChunks, func(lost int) {
+		if lost > 0 {
+			n.finishBootstrap(bs, ErrBootstrapFailed)
+			return
 		}
-		moves, _ := n.cluster.MovesTo(h.Hash(), h.Height, n.id, n.replication) // unplaceable: nothing to take in
-		for _, mv := range moves {
-			if len(mv.From) == 0 {
-				continue
-			}
-			bs.outstanding++
-			n.pc.bootstrapChunks.Inc()
-			n.fetchChunk(mv.Block, mv.Index, mv.From, bs.span.Context(), "bootstrap", func(err error) {
-				if err != nil {
-					bs.failed = true
-				}
-				bs.outstanding--
-				if bs.outstanding == 0 {
-					if bs.failed {
-						n.finishBootstrap(bs, ErrBootstrapFailed)
-					} else {
-						n.finishBootstrap(bs, nil)
-					}
-				}
-			})
-		}
-	}
-	if bs.outstanding == 0 {
 		n.finishBootstrap(bs, nil)
-	}
+	})
 }
 
 // finishBootstrap ends bs with err. It does nothing unless bs is the node's
@@ -511,19 +486,36 @@ func (n *Node) onChunkResp(from simnet.NodeID, m chunkRespMsg) {
 
 // --- repair -------------------------------------------------------------------
 
-// RepairOwnership scans every committed block and fetches any chunk this
-// node owns under the current epoch (after a membership change) but does
-// not hold — the placement delta between the block's placement epoch and
-// the current one, never a full reshuffle. Deficits are drained
-// oldest-placement-epoch first: blocks still sitting on the oldest
-// membership are the most at-risk (their source sets shrink with every
-// further departure), so a repair storm re-establishes them before newer
-// deficits. cb receives the number of chunks that could not be recovered
+// RepairOwnership re-establishes the chunks this node owns under the
+// current epoch after a membership change (takeIn) under a repair span of
+// its own. cb receives the number of chunks that could not be recovered
 // from inside the cluster (0 means full intra-cluster integrity was
 // restored).
 func (n *Node) RepairOwnership(cb func(lost int)) {
 	n.pc.repairs.Inc()
 	span := n.tr.Start(0, "repair", "repair", int64(n.id))
+	n.takeIn(span.Context(), "repair", n.pc.repairChunks, func(lost int) {
+		if lost > 0 {
+			n.pc.repairLost.Add(int64(lost))
+			span.SetErr(fmt.Errorf("%d chunks lost", lost))
+		}
+		span.End()
+		cb(lost)
+	})
+}
+
+// takeIn is the one path by which a node gains chunks after a membership
+// change (join, rejoin, repair, a graceful leave's repair): it scans every
+// committed block and fetches each chunk this node owns under the current
+// epoch but does not hold — the placement delta between the block's
+// placement epoch and the current one, never a full reshuffle. Each fetch
+// opens its span under parent with the calling protocol's label, and
+// fetched counts the chunks requested. Deficits are drained
+// oldest-placement-epoch first: blocks still sitting on the oldest
+// membership are the most at-risk (their source sets shrink with every
+// further departure), so a repair storm re-establishes them before newer
+// deficits. cb receives the number of chunks no source served.
+func (n *Node) takeIn(parent trace.SpanID, proto string, fetched *metrics.Counter, cb func(lost int)) {
 	type want struct {
 		epochSeq int // the block's placement epoch (repair priority)
 		Move
@@ -541,7 +533,7 @@ func (n *Node) RepairOwnership(cb func(lost int)) {
 		if len(held) == len(n.cluster.At(h.Height).Members) {
 			continue
 		}
-		moves, _ := n.cluster.MovesTo(block, h.Height, n.id, n.replication) // unplaceable: nothing to repair
+		moves, _ := n.cluster.MovesTo(block, h.Height, n.id, n.replication) // unplaceable: nothing to take in
 		for _, mv := range moves {
 			if !slices.Contains(held, mv.Index) {
 				wants = append(wants, want{n.cluster.PlacementAt(h.Height).Seq, mv})
@@ -558,24 +550,18 @@ func (n *Node) RepairOwnership(cb func(lost int)) {
 		return wants[i].Index < wants[j].Index
 	})
 	if len(wants) == 0 {
-		span.End()
 		cb(0)
 		return
 	}
 	lost, outstanding := 0, len(wants)
-	n.pc.repairChunks.Add(int64(len(wants)))
+	fetched.Add(int64(len(wants)))
 	for _, w := range wants {
-		n.fetchChunk(w.Block, w.Index, w.From, span.Context(), "repair", func(err error) {
+		n.fetchChunk(w.Block, w.Index, w.From, parent, proto, func(err error) {
 			if err != nil {
 				lost++
 			}
 			outstanding--
 			if outstanding == 0 {
-				if lost > 0 {
-					n.pc.repairLost.Add(int64(lost))
-					span.SetErr(fmt.Errorf("%d chunks lost", lost))
-				}
-				span.End()
 				cb(lost)
 			}
 		})
