@@ -115,8 +115,8 @@ func main() {
 			break
 		}
 		if corrupted {
-			// The corrupted copy fails its digest check and is withheld;
-			// the replica serves the read instead.
+			// The corrupted copy fails its stored checksum (CRC-32C) and
+			// is withheld; the replica serves the read instead.
 			reader.RetrieveBlock(b.Hash(), func(rb *chain.Block, err error) {
 				if err != nil {
 					log.Fatalf("read after corruption failed: %v", err)

@@ -58,6 +58,9 @@ func rendezvousScore(blockSeed uint64, chunkIdx int, node simnet.NodeID) uint64 
 // result is deterministic, balanced in expectation, and minimally
 // disruptive: removing a member only reassigns the chunks that member
 // owned.
+//
+// Distinct members never tie (mix64 is a bijection), so the order of the
+// owners is fixed by their scores alone.
 func Owners(blockSeed uint64, members []simnet.NodeID, chunkIdx, r int) ([]simnet.NodeID, error) {
 	if len(members) == 0 {
 		return nil, ErrNoMembers
@@ -69,19 +72,21 @@ func Owners(blockSeed uint64, members []simnet.NodeID, chunkIdx, r int) ([]simne
 		id    simnet.NodeID
 		score uint64
 	}
+	// best is kept sorted by descending score: each candidate that makes
+	// the top r is insertion-sorted into place.
 	best := make([]scored, 0, r)
 	for _, m := range members {
 		s := rendezvousScore(blockSeed, chunkIdx, m)
-		if len(best) < r {
+		switch {
+		case len(best) < r:
 			best = append(best, scored{id: m, score: s})
-			sort.Slice(best, func(i, j int) bool { return best[i].score > best[j].score })
+		case s > best[r-1].score:
+			best[r-1] = scored{id: m, score: s}
+		default:
 			continue
 		}
-		if s > best[r-1].score {
-			best[r-1] = scored{id: m, score: s}
-			for i := r - 1; i > 0 && best[i].score > best[i-1].score; i-- {
-				best[i], best[i-1] = best[i-1], best[i]
-			}
+		for i := len(best) - 1; i > 0 && best[i].score > best[i-1].score; i-- {
+			best[i], best[i-1] = best[i-1], best[i]
 		}
 	}
 	out := make([]simnet.NodeID, r)

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/simnet"
 )
 
@@ -49,6 +52,60 @@ func TestOwnersDeterministicAndDistinct(t *testing.T) {
 					t.Fatal("duplicate owner")
 				}
 				seen[a[i]] = true
+			}
+		}
+	}
+}
+
+// ownersBySort is the reference TestOwnersMatchesSortReference holds
+// Owners to: the same selection, with sort.Slice ordering the first r.
+func ownersBySort(blockSeed uint64, members []simnet.NodeID, chunkIdx, r int) []simnet.NodeID {
+	type scored struct {
+		id    simnet.NodeID
+		score uint64
+	}
+	best := make([]scored, 0, r)
+	for _, m := range members {
+		s := rendezvousScore(blockSeed, chunkIdx, m)
+		if len(best) < r {
+			best = append(best, scored{id: m, score: s})
+			sort.Slice(best, func(i, j int) bool { return best[i].score > best[j].score })
+			continue
+		}
+		if s > best[r-1].score {
+			best[r-1] = scored{id: m, score: s}
+			for i := r - 1; i > 0 && best[i].score > best[i-1].score; i-- {
+				best[i], best[i-1] = best[i-1], best[i]
+			}
+		}
+	}
+	out := make([]simnet.NodeID, r)
+	for i, b := range best {
+		out[i] = b.id
+	}
+	return out
+}
+
+// TestOwnersMatchesSortReference: the owners and their order are what the
+// sort.Slice version chose, over random seeds, member sets (in any order,
+// with repeated IDs too) and every r.
+func TestOwnersMatchesSortReference(t *testing.T) {
+	rng := blockcrypto.NewRNG(4646)
+	for trial := 0; trial < 400; trial++ {
+		members := make([]simnet.NodeID, 1+rng.Intn(70))
+		span := 1 + rng.Intn(1000)
+		for i := range members {
+			members[i] = simnet.NodeID(rng.Intn(span))
+		}
+		seed := rng.Uint64()
+		for r := 1; r <= len(members); r++ {
+			idx := rng.Intn(64)
+			got, err := Owners(seed, members, idx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ownersBySort(seed, members, idx, r); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, chunk %d, r=%d over %v: owners %v, sort.Slice chose %v", seed, idx, r, members, got, want)
 			}
 		}
 	}

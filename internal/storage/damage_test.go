@@ -1,0 +1,158 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"testing"
+
+	"icistrategy/internal/blockcrypto"
+)
+
+// refusesEveryRead asserts that every read of id — Chunk, and LendChunk
+// with and without proofs — fails with ErrCorrupted and lends nothing.
+func refusesEveryRead(t testing.TB, s *Store, id ChunkID, what string) {
+	t.Helper()
+	if _, err := s.Chunk(id); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("%s: Chunk returned %v, want %v", what, err, ErrCorrupted)
+	}
+	for _, withProofs := range []bool{false, true} {
+		lent := false
+		err := s.LendChunk(id, withProofs, func(Chunk) { lent = true })
+		if !errors.Is(err, ErrCorrupted) || lent {
+			t.Fatalf("%s: LendChunk(proofs %v) returned %v (lent %v), want %v", what, withProofs, err, lent, ErrCorrupted)
+		}
+	}
+}
+
+// readsBack asserts that Chunk returns id with exactly want as its bytes.
+func readsBack(t testing.TB, s *Store, id ChunkID, want []byte, what string) {
+	t.Helper()
+	got, err := s.Chunk(id)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !bytes.Equal(got.Data, want) {
+		t.Fatalf("%s: read back other bytes", what)
+	}
+}
+
+// TestEverySmallDamageIsCaught: a CRC-32C catches every change confined to
+// 32 consecutive bits, so on a stored chunk of the benchmark's size every
+// flipped bit, and every 2-, 3- and 4-byte burst written over the stored
+// bytes, is refused by every read. Once the damage is undone, the chunk and
+// its undamaged twin read back as put.
+func TestEverySmallDamageIsCaught(t *testing.T) {
+	s := NewStore()
+	c, twin := testChunk(5, 0, 2800), testChunk(5, 1, 2800)
+	orig := append([]byte(nil), c.Data...)
+	for _, x := range []Chunk{c, twin} {
+		if err := s.PutChunk(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stored := s.chunks[c.ID].Data
+	saved := make([]byte, 4)
+	damage := func(at int, burst []byte, xor bool) {
+		n := copy(saved, stored[at:at+len(burst)])
+		for i, b := range burst {
+			if xor {
+				stored[at+i] ^= b
+			} else {
+				stored[at+i] = b
+			}
+		}
+		if bytes.Equal(stored[at:at+n], saved[:n]) {
+			return // the pattern is what was there: no damage
+		}
+		refusesEveryRead(t, s, c.ID, fmt.Sprintf("%d-byte damage %x at %d", len(burst), burst, at))
+		copy(stored[at:], saved[:n])
+		readsBack(t, s, c.ID, orig, "repaired chunk")
+		readsBack(t, s, twin.ID, orig, "undamaged twin")
+	}
+	bursts := [][]byte{
+		{0x00, 0x00}, {0xff, 0xff}, {0xa5, 0x5a},
+		{0x00, 0x00, 0x00}, {0xff, 0xff, 0xff}, {0xa5, 0x5a, 0xa5},
+		{0x00, 0x00, 0x00, 0x00}, {0xff, 0xff, 0xff, 0xff}, {0xa5, 0x5a, 0xa5, 0x5a},
+	}
+	for at := range stored {
+		for bit := 0; bit < 8; bit++ {
+			damage(at, []byte{1 << bit}, true)
+		}
+		for _, b := range bursts {
+			if at+len(b) <= len(stored) {
+				damage(at, b, false)
+			}
+		}
+	}
+}
+
+// withCRC returns data followed by its CRC-32C, little-endian. Every
+// payload so ended has one and the same CRC-32C, the code's residue: the
+// checksum is affine over GF(2), and the appended value cancels what the
+// payload contributed.
+func withCRC(data []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), data...), crc32.Checksum(data, castagnoli))
+}
+
+// TestEqualChecksumIsNotARepeat: a re-put under a held ID is a no-op only
+// for the same bytes. Two payloads of one length with one checksum are not
+// the same chunk: the second is refused, and the first stays stored.
+func TestEqualChecksumIsNotARepeat(t *testing.T) {
+	base := testChunk(6, 0, 2796)
+	a := NewChunk(base.ID, withCRC(base.Data))
+	base.Data[100] ^= 0x01
+	b := NewChunk(base.ID, withCRC(base.Data))
+	if bytes.Equal(a.Data, b.Data) || len(a.Data) != len(b.Data) || a.Digest != b.Digest {
+		t.Fatalf("payloads equal %v, lengths %d and %d, checksums %08x and %08x: want two payloads of one length and checksum",
+			bytes.Equal(a.Data, b.Data), len(a.Data), len(b.Data), a.Digest, b.Digest)
+	}
+	s := NewStore()
+	if err := s.PutChunk(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutChunk(b); err == nil {
+		t.Fatal("other bytes with an equal checksum were taken for a repeat")
+	}
+	if err := s.PutChunk(NewChunk(a.ID, append([]byte(nil), a.Data...))); err != nil {
+		t.Fatalf("an identical re-put was refused: %v", err)
+	}
+	readsBack(t, s, a.ID, a.Data, "the first put")
+	if st := s.Stats(); st.ChunkCount != 1 || st.ChunkBytes != int64(len(a.Data)) {
+		t.Fatalf("stats after the re-puts: %+v", st)
+	}
+}
+
+// FuzzStoredChunkDamage damages 1 to 4 consecutive bytes of a stored
+// chunk, anywhere in an arbitrary payload: every read must refuse it, and
+// an undamaged copy stored beside it must read back byte for byte.
+func FuzzStoredChunkDamage(f *testing.F) {
+	f.Add([]byte{0}, uint16(0), uint8(0), uint32(0))
+	f.Add(bytes.Repeat([]byte{0xa5}, 2800), uint16(1400), uint8(3), uint32(0xffffffff))
+	f.Add([]byte("a chunk of a block body"), uint16(20), uint8(3), uint32(0x80000001))
+	f.Fuzz(func(t *testing.T, data []byte, at uint16, width uint8, mask uint32) {
+		if len(data) == 0 {
+			return
+		}
+		orig := append([]byte(nil), data...)
+		s := NewStore()
+		block := blockcrypto.Sum256([]byte("fuzz"))
+		damaged, twin := NewChunk(ChunkID{Block: block}, data), NewChunk(ChunkID{Block: block, Index: 1}, data)
+		for _, x := range []Chunk{damaged, twin} {
+			if err := s.PutChunk(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		off := int(at) % len(data)
+		n := min(1+int(width)%4, len(data)-off)
+		mask |= 1 // at least the first byte changes
+		stored := s.chunks[damaged.ID].Data
+		for i := 0; i < n; i++ {
+			stored[off+i] ^= byte(mask >> (8 * i))
+		}
+		refusesEveryRead(t, s, damaged.ID, "damaged chunk")
+		readsBack(t, s, twin.ID, orig, "undamaged copy")
+	})
+}

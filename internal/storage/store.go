@@ -6,11 +6,19 @@
 // The stores are in-memory maps — the simulator runs thousands of nodes in
 // one process — but the accounting mirrors what an on-disk layout would
 // consume, which is what the storage experiments measure.
+//
+// A stored chunk carries a CRC-32C of its bytes, checked on every put and
+// every read. It catches bytes that change after the put; it is no trust
+// check, since it never leaves the store and whoever can change the bytes
+// can change it too. Integrity against a dishonest holder is the reader's
+// check of the assembled block against its header's Merkle root.
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"icistrategy/internal/blockcrypto"
@@ -20,7 +28,7 @@ import (
 // Store errors.
 var (
 	ErrNotFound   = errors.New("storage: not found")
-	ErrCorrupted  = errors.New("storage: chunk does not match its digest")
+	ErrCorrupted  = errors.New("storage: chunk does not match its checksum")
 	ErrChunkEmpty = errors.New("storage: chunk is empty")
 )
 
@@ -36,14 +44,17 @@ func (c ChunkID) String() string {
 	return fmt.Sprintf("%s/%d", c.Block.Short(), c.Index)
 }
 
-// Chunk is a stored slice of a block body together with its digest, so reads
-// are self-verifying, and the sidecar an owner keeps beside the bytes to
-// serve verifiable reads: a chunk and its sidecar are put, read, pruned and
-// deleted as one value. Only Data counts as stored bytes (Stats).
+// Chunk is a stored slice of a block body together with its checksum, so
+// damage to the stored bytes is caught on every read, and the sidecar an
+// owner keeps beside the bytes to serve verifiable reads: a chunk and its
+// sidecar are put, read, pruned and deleted as one value. Only Data counts
+// as stored bytes (Stats).
 type Chunk struct {
-	ID     ChunkID
-	Data   []byte
-	Digest blockcrypto.Hash
+	ID   ChunkID
+	Data []byte
+	// Digest is the CRC-32C (Castagnoli) of Data: it detects damage, it
+	// does not authenticate (see the package comment).
+	Digest uint32
 
 	// Parts is how many chunks the block was split into (how many shares,
 	// for a coded chunk).
@@ -61,18 +72,22 @@ type Chunk struct {
 	CodedK int
 }
 
-// NewChunk builds a chunk, computing its digest; the caller fills the
+// castagnoli is the CRC-32C table: hash/crc32 computes it with the
+// processor's CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// NewChunk builds a chunk, computing its checksum; the caller fills the
 // sidecar.
 func NewChunk(id ChunkID, data []byte) Chunk {
-	return Chunk{ID: id, Data: data, Digest: blockcrypto.Sum256(data)}
+	return Chunk{ID: id, Data: data, Digest: crc32.Checksum(data, castagnoli)}
 }
 
-// Verify reports whether the chunk data still matches its digest.
+// Verify reports whether the chunk data still matches its checksum.
 func (c *Chunk) Verify() error {
 	if len(c.Data) == 0 {
 		return ErrChunkEmpty
 	}
-	if blockcrypto.Sum256(c.Data) != c.Digest {
+	if crc32.Checksum(c.Data, castagnoli) != c.Digest {
 		return fmt.Errorf("%w: %s", ErrCorrupted, c.ID)
 	}
 	return nil
@@ -164,18 +179,18 @@ type held struct {
 	edge *chain.RangeProof
 }
 
-// PutChunk stores a chunk after verifying it against its digest
-// (idempotent; re-putting the same chunk is a no-op, re-putting different
-// data under the same ID is an error). The store keeps a private copy of
-// the data: a caller mutating its buffer after the put cannot corrupt the
-// stored chunk. Of the proofs it keeps the run's edge
+// PutChunk stores a chunk after verifying it against its checksum
+// (idempotent; re-putting the same bytes is a no-op, re-putting other bytes
+// under the same ID is an error, whatever their checksum). The store keeps a
+// private copy of the data: a caller mutating its buffer after the put
+// cannot corrupt the stored chunk. Of the proofs it keeps the run's edge
 // (chain.RangeProofOf), and refuses proofs that are not a run from TxStart.
 func (s *Store) PutChunk(c Chunk) error {
 	if err := c.Verify(); err != nil {
 		return err
 	}
 	if existing, ok := s.chunks[c.ID]; ok {
-		if existing.Digest != c.Digest {
+		if !bytes.Equal(existing.Data, c.Data) {
 			return fmt.Errorf("storage: conflicting data for chunk %s", c.ID)
 		}
 		return nil
@@ -238,7 +253,7 @@ func (s *Store) LendChunk(id ChunkID, withProofs bool, fn func(Chunk)) error {
 	return nil
 }
 
-// verified looks a chunk up and checks it against its digest. The value
+// verified looks a chunk up and checks it against its checksum. The value
 // returned still shares its Data with the store.
 func (s *Store) verified(id ChunkID) (held, error) {
 	h, ok := s.chunks[id]
@@ -317,8 +332,8 @@ func (s *Store) Stats() Stats { return s.stats }
 
 // Corrupt flips a byte of the stored chunk, for failure-injection tests.
 // It reports whether the chunk existed. The stored slice is private (copied
-// on put), so it can be mutated in place; the digest is left unchanged, so
-// reads now fail verification.
+// on put), so it can be mutated in place; the checksum is left unchanged,
+// so reads now fail verification.
 func (s *Store) Corrupt(id ChunkID) bool {
 	c, ok := s.chunks[id]
 	if !ok || len(c.Data) == 0 {

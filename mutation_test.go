@@ -38,6 +38,14 @@ var seeds = []seed{
 		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = held{Chunk: c, edge: edge}\n",
 		"\ts.chunks[c.ID] = held{Chunk: c, edge: edge}\n"},
 		"./internal/storage", "TestChunkMutationDoesNotCorruptStore", false},
+	{"unchecked-read", "internal/storage/store.go", []string{ // verified serves a chunk without checking its checksum
+		"\tif err := h.Verify(); err != nil {\n\t\treturn held{}, err\n\t}\n", ""},
+		"./internal/storage", "TestCorruptionDetectedOnRead", false},
+	{"checksum-conflict", "internal/storage/store.go", []string{ // a re-put compares checksums, not bytes
+		"\t\"bytes\"\n", "",
+		"\t\tif !bytes.Equal(existing.Data, c.Data) {\n",
+		"\t\tif existing.Digest != c.Digest {\n"},
+		"./internal/storage", "TestEqualChecksumIsNotARepeat", false},
 	{"atomic-mix", "internal/metrics/metrics.go", []string{ // the PR-3 Counter: atomic add, bare read
 		"\tv atomic.Int64\n}", "\tv int64\n}",
 		"\tc.v.Add(delta)\n", "\tatomic.AddInt64(&c.v, delta)\n",
