@@ -129,18 +129,16 @@ func resolveResyncMode(mode string, restarted bool) (string, error) {
 
 // selfResync bootstraps this member's store from its peers over TCP.
 // In "restart" mode the membership is unchanged and the member re-fetches
-// the chunks it owns (netx.ResyncMember); in "join" mode this member is
-// the newest addition (its id must be the last) and takes ownership under
-// the grown membership (netx.BootstrapNewMember).
+// the chunks it owns (netx.ResyncMember, which refuses an id the cluster
+// map does not give this address); in "join" mode this member is the
+// newest addition (its id must be the last) and takes ownership under the
+// grown membership (netx.BootstrapNewMember).
 func selfResync(mode, selfAddr string, id, replication int, members []string) (int, error) {
 	if len(members) == 0 {
 		return 0, errors.New("resync: no -members configured")
 	}
 	switch mode {
 	case "restart":
-		if id < 0 || id >= len(members) {
-			return 0, fmt.Errorf("resync: id %d outside membership of %d", id, len(members))
-		}
 		cl, err := netx.NewCluster(members, replication)
 		if err != nil {
 			return 0, err
@@ -177,7 +175,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("icinet -serve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address")
 	id := fs.Int("id", 0, "this member's placement id")
-	membersFlag := fs.String("members", "", "comma-separated member addresses in placement-id order, including this node")
+	membersFlag := fs.String("members", "", "comma-separated member addresses, including this node: the genesis membership in placement-id order until a cluster map is published, then any members to reach")
 	replication := fs.Int("replication", 2, "replication factor blocks were distributed with")
 	stateDir := fs.String("state", "", "state directory: persists identity and detects restarts")
 	resyncFlag := fs.String("resync", "auto", `bootstrap-from-peers at startup: "auto" (restart-resync iff the state dir shows a prior run), "join", "restart", "none"`)

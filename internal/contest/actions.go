@@ -164,9 +164,13 @@ func (x *run) logTarget(a *Action) (*node, *regexp.Regexp, error) {
 	return n, re, nil
 }
 
-// viaCluster builds a cluster client over the nodes named in via=: the
-// membership a block is written under, node i being placement identity i. A
-// read names it too, stopped members included, and plans around them.
+// viaCluster builds a cluster client over the nodes named in via=
+// (netx.NewCluster). Until a membership change is published they are the
+// genesis membership, node i being placement identity i, and a read names
+// them too, stopped members included, and plans around them. Once a cluster
+// map is published, the client adopts it when it is built: via= then only
+// has to reach its members, in any order, and writes, reads and churn go by
+// the map's identities.
 func (x *run) viaCluster(a *Action) (*netx.Cluster, error) {
 	names := splitList(a.Opts["via"])
 	if len(names) == 0 {
@@ -267,10 +271,11 @@ func (x *run) bootstrapMember(a *Action) error {
 }
 
 // churnMember drives graceful membership churn over the production netx
-// paths. via= must list the full membership including the churning node, in
-// placement-id order. retire hands the node's displaced chunks to their new
-// owners and publishes the shrunk epoch; rejoin re-provisions the returning
-// node against each block's write epoch and republishes the full map.
+// paths, on the cluster map the via= client holds (viaCluster). retire
+// hands the node's displaced chunks to their new owners and publishes the
+// current epoch without it; rejoin re-provisions the returning node, under
+// the identity it left with, against each block's write epoch and publishes
+// the current epoch with it.
 func (x *run) churnMember(a *Action, kind string) error {
 	target, err := x.lookupNode(a.Opts["node"])
 	if err != nil {

@@ -65,6 +65,7 @@ func TestScenarioMembership(t *testing.T)   { runScenario(t, "../../scenarios/me
 func TestScenarioByzantine(t *testing.T)    { runScenario(t, "../../scenarios/byzantine.cont") }
 func TestScenarioGateway(t *testing.T)      { runScenario(t, "../../scenarios/gateway.cont") }
 func TestScenarioChurn(t *testing.T)        { runScenario(t, "../../scenarios/churn.cont") }
+func TestScenarioRetireMiddle(t *testing.T) { runScenario(t, "../../scenarios/retire-middle.cont") }
 
 // TestBrokenScenarioFails is the harness's negative self-test: a scenario
 // with an impossible assertion MUST fail, and the failure must carry the

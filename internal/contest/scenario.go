@@ -35,10 +35,10 @@
 //	sleep DURATION
 //	distribute               via=n0,n1 [blocks=2] [tx=20] [seed=42]
 //	bootstrap-member         node=NX via=n0,n1 [min=1]
-//	retire-member            node=NX via=<full membership incl NX> [min=1]
+//	retire-member            node=NX via=<membership incl NX> [min=1]
 //	                         graceful leave: displaced chunks hand off to
 //	                         their new owners, shrunk epoch published
-//	rejoin-member            node=NX via=<full membership incl NX> [min=1]
+//	rejoin-member            node=NX via=<membership incl NX> [min=1]
 //	                         return as the same identity: owed chunks are
 //	                         re-provisioned per write epoch, map republished
 //	inject-fault NODE        kind=corrupt-stored|drop|delay|corrupt-wire|clear
@@ -48,6 +48,10 @@
 //	assert-retrieve          block=N via=<write members, stopped ones too> | gateway=NODE [expect=ok|fail]
 //	assert-down NODE...
 //	assert-up NODE...
+//
+// A via= list is the genesis membership, in placement-id order, until a
+// membership change is published; after that it is any members to reach,
+// in any order, and the published cluster map says who is who.
 package contest
 
 import (

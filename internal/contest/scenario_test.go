@@ -1,6 +1,7 @@
 package contest
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,14 +107,11 @@ func TestParseScenarioErrors(t *testing.T) {
 }
 
 func TestParseShippedScenarios(t *testing.T) {
-	for _, f := range []string{
-		"../../scenarios/bootstrap.cont",
-		"../../scenarios/crash-restart.cont",
-		"../../scenarios/membership.cont",
-		"../../scenarios/byzantine.cont",
-		"../../scenarios/gateway.cont",
-		"testdata/broken.cont",
-	} {
+	shipped, err := filepath.Glob("../../scenarios/*.cont")
+	if err != nil || len(shipped) == 0 {
+		t.Fatalf("no shipped scenarios found: %v", err)
+	}
+	for _, f := range append(shipped, "testdata/broken.cont") {
 		if _, err := ParseScenarioFile(f); err != nil {
 			t.Errorf("%s: %v", f, err)
 		}

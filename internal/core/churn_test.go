@@ -159,6 +159,99 @@ func TestGracefulLeaveSurvivesMessageLoss(t *testing.T) {
 	}
 }
 
+// TestRepairWithAMemberDownKeepsPlacement: a member fails, another is
+// removed, and the repair runs while the first is down; it then recovers and
+// the cluster is pruned. A down member took nothing in, so the repair must
+// not advance placement past it: at quiescence every chunk has r holders
+// among its placement owners, or placement stayed where the chunks were
+// written. On seeds 4 and 10 the live members lose nothing, and a repair
+// that advanced anyway left a chunk with one of its two owners holding it.
+func TestRepairWithAMemberDownKeepsPlacement(t *testing.T) {
+	const r = 2
+	for seed := uint64(1); seed <= 10; seed++ {
+		sys, gen := buildSystem(t, Config{Nodes: 16, Clusters: 2, Replication: r, Seed: seed})
+		blocks := produceAndSettle(t, sys, gen, 4, 24)
+		members, _ := sys.ClusterMembers(0)
+		if err := sys.FailNode(members[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RemoveNode(members[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RepairCluster(0, func(int) {}); err != nil {
+			t.Fatal(err)
+		}
+		sys.Network().RunUntilIdle()
+		if err := sys.RecoverNode(members[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.PruneCluster(0); err != nil {
+			t.Fatal(err)
+		}
+		ci := sys.clusters[0]
+		for _, b := range blocks {
+			h := b.Header.Height
+			place := ci.PlacementAt(h)
+			if place == ci.At(h) {
+				continue
+			}
+			for idx := range ci.At(h).Members {
+				owners, err := place.Owners(b.Hash().Uint64(), idx, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held := 0
+				for _, o := range owners {
+					if sys.nodes[o].store.HasChunk(storage.ChunkID{Block: b.Hash(), Index: idx}) {
+						held++
+					}
+				}
+				if held < r {
+					t.Errorf("seed %d: placement at epoch %d, and chunk %d of block %d is held by %d of its %d owners", seed, place.Seq, idx, h, held, r)
+				}
+			}
+		}
+	}
+}
+
+// TestRepairReplacesADamagedChunk damages every chunk one member holds in
+// place, then repairs its cluster. The member takes each in again from
+// another owner, and the sound copy replaces the damaged one: every chunk
+// reads back, and nothing was lost. A repair that counted the damaged copies
+// as held reported 0 lost and left all of them unreadable.
+func TestRepairReplacesADamagedChunk(t *testing.T) {
+	sys, gen := buildSystem(t, Config{Nodes: 16, Clusters: 2, Replication: 2, Seed: 72})
+	blocks := produceAndSettle(t, sys, gen, 3, 24)
+	members, _ := sys.ClusterMembers(0)
+	victim := sys.nodes[members[0]]
+	var damaged []storage.ChunkID
+	for _, b := range blocks {
+		for _, idx := range victim.store.ChunksForBlock(b.Hash()) {
+			id := storage.ChunkID{Block: b.Hash(), Index: idx}
+			if !victim.store.Corrupt(id) {
+				t.Fatalf("chunk %s not held", id)
+			}
+			damaged = append(damaged, id)
+		}
+	}
+	if len(damaged) == 0 {
+		t.Fatal("the member holds no chunk: nothing was tested")
+	}
+	lost := -1
+	if err := sys.RepairCluster(0, func(l int) { lost = l }); err != nil {
+		t.Fatal(err)
+	}
+	sys.Network().RunUntilIdle()
+	if lost != 0 {
+		t.Fatalf("repair lost %d chunks", lost)
+	}
+	for _, id := range damaged {
+		if _, err := victim.store.Chunk(id); err != nil {
+			t.Errorf("after the repair: %v", err)
+		}
+	}
+}
+
 func TestLeaveClusterValidation(t *testing.T) {
 	sys, gen := buildSystem(t, Config{Nodes: 8, Clusters: 2, Replication: 1, Seed: 81})
 	produceAndSettle(t, sys, gen, 1, 8)

@@ -391,7 +391,7 @@ func (n *Node) finishBootstrap(bs *bootstrapState, err error) {
 // the calling protocol's label (bootstrap or repair).
 func (n *Node) fetchChunk(block blockcrypto.Hash, idx int, sources []simnet.NodeID, parent trace.SpanID, proto string, cb func(error)) {
 	id := storage.ChunkID{Block: block, Index: idx}
-	if n.store.HasChunk(id) {
+	if n.holdsSound(id) {
 		cb(nil)
 		return
 	}
@@ -484,6 +484,12 @@ func (n *Node) onChunkResp(from simnet.NodeID, m chunkRespMsg) {
 	n.pc.duplicates.Inc()
 }
 
+// holdsSound reports whether this node stores chunk id with bytes that
+// still pass their checksum.
+func (n *Node) holdsSound(id storage.ChunkID) bool {
+	return n.store.LendChunk(id, false, func(storage.Chunk) {}) == nil
+}
+
 // --- repair -------------------------------------------------------------------
 
 // RepairOwnership re-establishes the chunks this node owns under the
@@ -528,8 +534,11 @@ func (n *Node) takeIn(parent trace.SpanID, proto string, fetched *metrics.Counte
 		}
 		// The store's per-block index answers "which chunks of this block do
 		// I hold" in one lookup; a block whose every part is already local
-		// is not planned at all.
-		held := n.store.ChunksForBlock(block)
+		// and sound is not planned at all. A copy damaged in place is held
+		// in name only: it is taken in again, and the put replaces it.
+		held := slices.DeleteFunc(n.store.ChunksForBlock(block), func(idx int) bool {
+			return !n.holdsSound(storage.ChunkID{Block: block, Index: idx})
+		})
 		if len(held) == len(n.cluster.At(h.Height).Members) {
 			continue
 		}

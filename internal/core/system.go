@@ -400,39 +400,33 @@ func (s *System) RemoveNode(id simnet.NodeID) error {
 	return s.net.SetDown(id, true)
 }
 
-// RepairCluster triggers every member of cluster c to re-establish the
-// chunks it owns under the current epoch; cb receives the total number of
-// unrecoverable chunks once all members finish. When nothing was lost the
-// cluster's placement advances to the current epoch: every block's chunks
-// are now fully accounted for under the current membership, and stale
-// copies become prunable. Drive the network afterwards.
+// RepairCluster triggers every live member of cluster c to re-establish
+// the chunks it owns under the current epoch; cb receives the total number
+// of unrecoverable chunks once all of them finish. When every member of the
+// current epoch took part and nothing was lost, the cluster's placement
+// advances to the current epoch: every block's chunks are now fully
+// accounted for under the current membership, and stale copies become
+// prunable. A member that was down took nothing in, so placement stays
+// where its chunks are. Drive the network afterwards.
 func (s *System) RepairCluster(c int, cb func(lost int)) error {
 	if c < 0 || c >= len(s.clusters) {
 		return fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
 	ci := s.clusters[c]
 	target := ci.Current().Seq
-	outstanding := 0
-	totalLost := 0
-	for _, m := range ci.Current().Members {
-		if s.net.IsDown(m) {
-			continue
-		}
-		outstanding++
-	}
-	if outstanding == 0 {
+	live := slices.DeleteFunc(slices.Clone(ci.Current().Members), s.net.IsDown)
+	if len(live) == 0 {
 		cb(0)
 		return nil
 	}
-	for _, m := range ci.Current().Members {
-		if s.net.IsDown(m) {
-			continue
-		}
+	everyone := len(live) == len(ci.Current().Members)
+	outstanding, totalLost := len(live), 0
+	for _, m := range live {
 		s.nodes[m].RepairOwnership(func(lost int) {
 			totalLost += lost
 			outstanding--
 			if outstanding == 0 {
-				if totalLost == 0 {
+				if totalLost == 0 && everyone {
 					ci.AdvancePlacement(target)
 				}
 				cb(totalLost)

@@ -134,14 +134,16 @@ func TestGatewayServesAcrossMembershipChange(t *testing.T) {
 
 	// A fresh gateway that only ever knew the shrunk roster also reads the
 	// pre-churn history (its map lists every epoch, so write-epoch parts
-	// resolve correctly even though the roster grew from 3 members).
+	// resolve correctly even though the roster grew from 3 members). It
+	// adopted the published map when it was built: a refresh finds nothing
+	// newer.
 	up2, err := NewClusterUpstream(addrs[:n-1], r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer up2.Close()
-	if !up2.Refresh() {
-		t.Fatal("fresh upstream did not adopt the published cluster map")
+	if up2.Refresh() || len(up2.cl.Map()) != 2 {
+		t.Fatalf("fresh upstream holds %d epochs after its build, want the published 2", len(up2.cl.Map()))
 	}
 	g2, err := New(Config{Upstream: up2, BlockCacheBytes: 1 << 20, ChunkCacheBytes: 1 << 20})
 	if err != nil {

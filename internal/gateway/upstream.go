@@ -10,8 +10,8 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
-	"icistrategy/internal/core"
 	"icistrategy/internal/netx"
+	"icistrategy/internal/simnet"
 )
 
 // Gateway errors.
@@ -24,9 +24,9 @@ var (
 // production implementation is ClusterUpstream (below) over the netx TCP
 // protocol; tests substitute fakes to count and fault upstream traffic.
 //
-// Peer numbers are stable for the lifetime of the Upstream — membership
-// refreshes may add peers but never renumber existing ones, so cached
-// placement and per-peer batching stay coherent across churn.
+// A peer number is a member's placement identity (core.Epoch.Members): a
+// membership change adds or drops identities but never renumbers one, so
+// cached placement and per-peer batching stay coherent across churn.
 type Upstream interface {
 	// Parts returns how many chunks the block was split into at write time
 	// (the netx distribution convention: one chunk per member of the
@@ -62,16 +62,11 @@ type Upstream interface {
 // cluster map published to the servers (see netx.SetClusterMap). Blocks
 // resolve their placement against the epoch they were written under, so
 // reads of pre-churn history keep working after members join or retire.
-// The peer roster is append-only — an address is numbered the first time a
-// map lists it and keeps its number across refreshes and rejoins.
+// A peer is a member identity of that map, and the map says where it
+// serves.
 type ClusterUpstream struct {
 	replication int
 	cl          *netx.Cluster
-
-	mu       sync.Mutex
-	roster   []string       // peer number -> address; append-only
-	peerOf   map[string]int // address -> peer number
-	numbered int            // epochs in the map whose addresses peerOf holds
 
 	hmu        sync.Mutex
 	headers    map[blockcrypto.Hash]chain.Header
@@ -79,22 +74,20 @@ type ClusterUpstream struct {
 }
 
 // NewClusterUpstream wires an upstream over the cluster's server addresses;
-// replication must match the value blocks were distributed with. The given
-// addresses become membership epoch 0 (identity i at addrs[i] — the
-// netx.NewCluster convention); later epochs arrive via Refresh.
+// replication must match the value blocks were distributed with. The
+// upstream reads by the map netx.NewCluster starts from: the published
+// cluster map when a member serves one, else the given addresses as epoch 0,
+// identity i at addrs[i]. Later epochs arrive via Refresh.
 func NewClusterUpstream(addrs []string, replication int) (*ClusterUpstream, error) {
 	cl, err := netx.NewCluster(addrs, replication)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
 	}
-	u := &ClusterUpstream{
+	return &ClusterUpstream{
 		replication: replication,
 		cl:          cl,
-		peerOf:      make(map[string]int),
 		headers:     make(map[blockcrypto.Hash]chain.Header),
-	}
-	u.number(cl.Map())
-	return u, nil
+	}, nil
 }
 
 // SetTimeout sets the per-round-trip deadline for upstream calls.
@@ -120,51 +113,23 @@ func (u *ClusterUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error)
 	if err != nil {
 		return nil, err
 	}
-	m := u.cl.Map()
-	holders, err := m.Holders(block.Uint64(), idx, u.replication, hdr.Height)
+	holders, err := u.cl.Map().Holders(block.Uint64(), idx, u.replication, hdr.Height)
 	if err != nil {
 		return nil, err
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.number(m)
-	out := make([]int, len(holders))
-	for i, id := range holders {
-		out[i] = u.peerOf[m.Addr(id)]
-	}
-	return out, nil
+	return peers(holders), nil
 }
 
-// Peers implements Upstream: the newest epoch's members by peer number.
-func (u *ClusterUpstream) Peers() []int {
-	m := u.cl.Map()
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.number(m)
-	addrs := m.Current().Addrs
-	out := make([]int, len(addrs))
-	for i, addr := range addrs {
-		out[i] = u.peerOf[addr]
+// Peers implements Upstream: the newest epoch's members.
+func (u *ClusterUpstream) Peers() []int { return peers(u.cl.Map().Current().Members) }
+
+// peers returns member identities as peer numbers.
+func peers(ids []simnet.NodeID) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
 	}
 	return out
-}
-
-// number gives every address of m that has none yet the next peer number,
-// in map order. A newer map is a longer one, so the addresses are walked
-// only when the epoch count moves. The caller holds u.mu.
-func (u *ClusterUpstream) number(m core.EpochMap) {
-	if len(m) == u.numbered {
-		return
-	}
-	for _, e := range m {
-		for _, addr := range e.Addrs {
-			if _, ok := u.peerOf[addr]; !ok {
-				u.peerOf[addr] = len(u.roster)
-				u.roster = append(u.roster, addr)
-			}
-		}
-	}
-	u.numbered = len(m)
 }
 
 // Refresh implements Upstream: have the cluster poll every member it knows
@@ -176,15 +141,13 @@ func (u *ClusterUpstream) Refresh() bool {
 	return u.cl.CurrentMap().Newer(before)
 }
 
-// client returns the cluster's cached connection to peer and its address.
+// client returns the cluster's cached connection to peer and its address:
+// where the newest epoch listing the peer has it serve.
 func (u *ClusterUpstream) client(peer int) (*netx.Client, string, error) {
-	u.mu.Lock()
-	if peer < 0 || peer >= len(u.roster) {
-		u.mu.Unlock()
-		return nil, "", fmt.Errorf("gateway: peer %d of %d", peer, len(u.roster))
+	addr := u.cl.Map().Addr(simnet.NodeID(peer))
+	if addr == "" {
+		return nil, "", fmt.Errorf("gateway: peer %d is in no epoch of the cluster map", peer)
 	}
-	addr := u.roster[peer]
-	u.mu.Unlock()
 	c, err := u.cl.Client(addr)
 	return c, addr, err
 }

@@ -12,59 +12,72 @@ import (
 	"icistrategy/internal/simnet"
 )
 
-// This file is the real-TCP side of a membership change: what moves is
-// planned by core (EpochMap.MovesTo, MovesFrom) on planMap's copy of the
-// cluster map; transfer carries it out, verify-on-write. BootstrapNewMember
-// (a newcomer joins), ResyncMember (a member restarted empty) and
-// RejoinMember (churn.go) provision a server.
+// This file is the real-TCP side of a membership change: who takes part
+// is read from the cluster map (CurrentMap), what moves is planned by core
+// (EpochMap.MovesTo, MovesFrom) on planMap's copy of it; transfer carries it
+// out, verify-on-write. BootstrapNewMember (a newcomer joins), ResyncMember
+// (a member restarted empty) and RejoinMember (churn.go) provision a server.
 
-// BootstrapNewMember provisions a brand-new storage server as the next
-// member of this cluster: every header (hash chain checked), then every
-// chunk the newcomer owns under the grown membership, each fetched from a
-// member that holds it. It returns how many chunks were transferred. The
-// cluster's view is not mutated: a caller that wants the newcomer to serve
-// publishes the grown epoch (PublishEpoch) and builds a Cluster over it.
+// BootstrapNewMember provisions a brand-new storage server as a new member
+// of this cluster, under an identity no epoch of the cluster map has ever
+// listed: every header (hash chain checked), then every chunk the newcomer
+// owns once the current epoch is grown by it, each fetched from a member
+// that holds it. It returns how many chunks were transferred. Nothing is
+// published: a caller that wants the newcomer to serve publishes the grown
+// epoch (PublishEpoch).
 func (cl *Cluster) BootstrapNewMember(newAddr string) (int, error) {
-	newID := simnet.NodeID(len(cl.base.Members))
-	return cl.provision(newAddr, newID, append(slices.Clone(cl.base.Members), newID), append(slices.Clone(cl.base.Addrs), newAddr))
+	m := cl.CurrentMap()
+	cur, id := m.Current(), fresh(m)
+	return cl.provision(m, newAddr, id, append(slices.Clone(cur.Members), id), append(slices.Clone(cur.Addrs), newAddr))
 }
 
-// ResyncMember re-provisions member id, serving at addr, whose store was lost
-// (crash, restart, disk wipe) with the headers and every chunk it owns under
-// the published membership; cl must span that membership. It returns how
-// many chunks were transferred. A chunk only the lost member held
-// (replication 1) cannot be recovered and fails the resync.
+// fresh returns the identity one above the highest that any epoch of m
+// lists: a departed member's identity is never handed to a newcomer, whose
+// placement would then claim the departed member's chunks.
+func fresh(m core.EpochMap) simnet.NodeID {
+	var top simnet.NodeID
+	for _, e := range m {
+		top = max(top, slices.Max(e.Members))
+	}
+	return top + 1
+}
+
+// ResyncMember re-provisions member id, serving at addr in the current
+// epoch of the cluster map, whose store was lost (crash, restart, disk
+// wipe) with the headers and every chunk it owns. It returns how many
+// chunks were transferred. A chunk only the lost member held (replication
+// 1) cannot be recovered and fails the resync.
 func (cl *Cluster) ResyncMember(addr string, id simnet.NodeID) (int, error) {
-	if int(id) < 0 || int(id) >= len(cl.base.Members) {
-		return 0, fmt.Errorf("netx: resync: member id %d outside cluster of %d", id, len(cl.base.Members))
+	m := cl.CurrentMap()
+	cur := m.Current()
+	if i := slices.Index(cur.Addrs, addr); i < 0 || cur.Members[i] != id {
+		return 0, fmt.Errorf("netx: resync: %s is not member %d of the current epoch", addr, id)
 	}
-	if cl.base.Addrs[int(id)] != addr {
-		return 0, fmt.Errorf("netx: resync: member %d is %s, not %s", id, cl.base.Addrs[int(id)], addr)
-	}
-	return cl.provision(addr, id, nil, nil)
+	return cl.provision(m, addr, id, nil, nil)
 }
 
 // provision pushes headers plus every chunk member self takes in
 // (EpochMap.MovesTo) into the server at target, each fetched from the
-// sources the plan names. ids and addrs are the membership the change leads
-// to, nil for a resync, which changes none.
-func (cl *Cluster) provision(target string, self simnet.NodeID, ids []simnet.NodeID, addrs []string) (int, error) {
+// sources the plan names. The plan is m with, unless ids is nil, the
+// membership ids at addrs that the change leads to (planMap); a resync
+// changes none.
+func (cl *Cluster) provision(m core.EpochMap, target string, self simnet.NodeID, ids []simnet.NodeID, addrs []string) (int, error) {
+	plan, err := planMap(m, ids, addrs)
+	if err != nil {
+		return 0, fmt.Errorf("netx: bootstrap: %w", err)
+	}
 	headers, err := cl.syncHeaders(target)
 	if err != nil {
 		return 0, err
 	}
 	n, err := cl.transfer(func(emit func(chunkMove) bool) error {
-		m, err := cl.planMap(ids, addrs)
-		if err != nil {
-			return err
-		}
 		for _, h := range headers {
-			moves, err := m.MovesTo(h.Hash(), h.Height, self, cl.replication)
+			moves, err := plan.MovesTo(h.Hash(), h.Height, self, cl.replication)
 			if err != nil {
 				return err
 			}
 			for _, mv := range moves {
-				if !emit(chunkMove{block: mv.Block, index: mv.Index, from: addrsOf(m, mv.From, target), to: []string{target}}) {
+				if !emit(chunkMove{block: mv.Block, index: mv.Index, from: addrsOf(plan, mv.From, target), to: []string{target}}) {
 					return nil
 				}
 			}
@@ -77,14 +90,14 @@ func (cl *Cluster) provision(target string, self simnet.NodeID, ids []simnet.Nod
 	return n, nil
 }
 
-// planMap returns the map a membership change is planned on: a copy of the
-// newest published map with placement advanced to its current epoch — a TCP
-// epoch is published only once the migration into it completed, and the
-// placement cursor never crosses the wire — and, unless ids is nil, the
+// planMap returns the map a membership change is planned on: a copy of m,
+// the newest published map, with placement advanced to its current epoch —
+// a TCP epoch is published only once the migration into it completed, and
+// the placement cursor never crosses the wire — and, unless ids is nil, the
 // membership ids at addrs pushed on top, from a height no block reaches. The
-// map this Cluster holds, serves and reads by is not touched.
-func (cl *Cluster) planMap(ids []simnet.NodeID, addrs []string) (core.EpochMap, error) {
-	m := slices.Clone(cl.CurrentMap())
+// map a Cluster holds, serves and reads by is not touched.
+func planMap(m core.EpochMap, ids []simnet.NodeID, addrs []string) (core.EpochMap, error) {
+	m = slices.Clone(m)
 	m.AdvancePlacement(m.Current().Seq)
 	if ids == nil {
 		return m, nil
@@ -229,9 +242,9 @@ func (cl *Cluster) moveChunk(mv chunkMove, dests map[string]*Client) error {
 	return nil
 }
 
-// syncHeaders copies the header chain from the first reachable member
-// (skipping target itself) into the server at target, validating genesis
-// anchoring and hash-chain linkage on the way.
+// syncHeaders copies the header chain from the first reachable member of
+// the current epoch (skipping target itself) into the server at target,
+// validating genesis anchoring and hash-chain linkage on the way.
 func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
 	targetClient, err := cl.dial(target)
 	if err != nil {
@@ -240,7 +253,7 @@ func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
 	defer targetClient.Close()
 	var headers []chain.Header
 	err = ErrNoServers // what is left to report when target is the only member
-	for _, addr := range cl.base.Addrs {
+	for _, addr := range cl.Map().Current().Addrs {
 		if addr == target {
 			continue
 		}

@@ -34,17 +34,17 @@ func (c *Client) SetClusterMap(m core.EpochMap) error {
 	return respError(resp)
 }
 
-// CurrentMap polls every member this cluster knows of — the constructor's,
-// then any the newest map it has seen lists in any epoch — for its published
-// cluster map, keeps the newest valid one, and returns it. Before any churn
-// is published that is the constructor membership as epoch 0, the map every
-// deployment implicitly runs under. Polling every member (not just the
-// first) tolerates members that missed an earlier publish; a member that
-// answers with an invalid map is skipped like one that does not answer.
+// CurrentMap polls every member the map this cluster holds lists in any
+// epoch for its published cluster map, keeps the newest valid one, and
+// returns it. Before any churn is published that is the constructor roster
+// as epoch 0, the map every deployment implicitly runs under. Polling every
+// member (not just the first) tolerates members that are down or missed an
+// earlier publish; a member that answers with an invalid map is skipped
+// like one that does not answer.
 func (cl *Cluster) CurrentMap() core.EpochMap {
 	best := cl.Map()
 	var polled []string
-	for _, e := range append([]core.Epoch{cl.base}, best...) {
+	for _, e := range best {
 		for _, addr := range e.Addrs {
 			if slices.Contains(polled, addr) {
 				continue
@@ -84,13 +84,14 @@ func (cl *Cluster) adopt(m core.EpochMap) core.EpochMap {
 	return cl.cmap
 }
 
-// maxHeight reports the highest header height any reachable member holds.
-// Each member is asked only for headers at or above the best height seen so
-// far, so one member sends the chain and the rest send their tails.
+// maxHeight reports the highest header height any reachable member of the
+// current epoch holds. Each member is asked only for headers at or above the
+// best height seen so far, so one member sends the chain and the rest send
+// their tails.
 func (cl *Cluster) maxHeight() (uint64, bool) {
 	var top uint64
 	found := false
-	for _, addr := range cl.base.Addrs {
+	for _, addr := range cl.Map().Current().Addrs {
 		c, err := cl.Client(addr)
 		if err != nil {
 			continue
@@ -110,7 +111,8 @@ func (cl *Cluster) maxHeight() (uint64, bool) {
 }
 
 // PublishEpoch appends a membership epoch to the cluster map and pushes the
-// updated map to every reachable member of both the old and new rosters.
+// updated map to every reachable member of both the old and new current
+// epochs.
 // The epoch governs blocks written above the highest header currently held,
 // so in-flight history keeps resolving against its write-time membership; a
 // height below the current epoch's — no member answered for its headers —
@@ -126,14 +128,8 @@ func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error
 	if err != nil {
 		return 0, fmt.Errorf("netx: publish epoch: %w", err)
 	}
-	targets := slices.Clone(cl.base.Addrs)
-	for _, addr := range next.Addrs {
-		if !slices.Contains(targets, addr) {
-			targets = append(targets, addr)
-		}
-	}
 	published := 0
-	for _, addr := range targets {
+	for _, addr := range addrsOf(m, slices.Concat(m[next.Seq-1].Members, next.Members), "") {
 		c, err := cl.Client(addr)
 		if err != nil {
 			continue
@@ -151,21 +147,23 @@ func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error
 	return next.Seq, nil
 }
 
-// RetireMember gracefully removes the member serving at addr from a cluster
-// whose full current membership this Cluster was built over: the chunks it
-// holds that the shrunk membership gives to others (EpochMap.MovesFrom) are
-// pushed to them, then the shrunk epoch is published. Returns the number of
-// chunks moved.
+// RetireMember gracefully removes the member serving at addr from the
+// current epoch of the cluster map: the chunks it holds that the shrunk
+// membership gives to others (EpochMap.MovesFrom) are pushed to them, then
+// the shrunk epoch is published. Returns the number of chunks moved.
 func (cl *Cluster) RetireMember(addr string) (int, error) {
-	li := slices.Index(cl.base.Addrs, addr)
+	m := cl.CurrentMap()
+	cur := m.Current()
+	li := slices.Index(cur.Addrs, addr)
 	if li < 0 {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
-	if len(cl.base.Addrs) == 1 {
-		return 0, fmt.Errorf("netx: cannot retire the last member")
+	ids := slices.Delete(slices.Clone(cur.Members), li, li+1)
+	addrs := slices.Delete(slices.Clone(cur.Addrs), li, li+1)
+	plan, err := planMap(m, ids, addrs) // refuses an epoch of no members: the last one stays
+	if err != nil {
+		return 0, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
-	ids := slices.Delete(slices.Clone(cl.base.Members), li, li+1)
-	addrs := slices.Delete(slices.Clone(cl.base.Addrs), li, li+1)
 
 	leaver, err := cl.Client(addr)
 	if err != nil {
@@ -177,13 +175,9 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 		return 0, fmt.Errorf("netx: retire %s: headers: %w", addr, err)
 	}
 	moved, err := cl.transfer(func(emit func(chunkMove) bool) error {
-		m, err := cl.planMap(ids, addrs)
-		if err != nil {
-			return err
-		}
 		for _, hdr := range headers {
 			block := hdr.Hash()
-			moves, err := m.MovesFrom(block, hdr.Height, cl.base.Members[li], cl.replication)
+			moves, err := plan.MovesFrom(block, hdr.Height, cur.Members[li], cl.replication)
 			if err != nil {
 				return err
 			}
@@ -197,7 +191,7 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 				if i < 0 {
 					continue // owned but not held: nothing to hand out
 				}
-				if !emit(chunkMove{block: block, index: mv.Index, chunk: &resp.Chunks[i], to: addrsOf(m, mv.To, "")}) {
+				if !emit(chunkMove{block: block, index: mv.Index, chunk: &resp.Chunks[i], to: addrsOf(plan, mv.To, "")}) {
 					return nil
 				}
 			}
@@ -213,21 +207,36 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 	return moved, nil
 }
 
-// RejoinMember re-provisions a member returning after a graceful departure
-// with every chunk it owns under the restored membership, which cl spans
+// RejoinMember re-provisions the member returning at addr after a graceful
+// departure, as the identity the newest epoch listing addr gave it, with
+// every chunk it owns once the current epoch takes it back
 // (EpochMap.MovesTo), and publishes that membership as a new epoch. Returns
 // the chunks transferred.
 func (cl *Cluster) RejoinMember(addr string) (int, error) {
-	li := slices.Index(cl.base.Addrs, addr)
-	if li < 0 {
+	m := cl.CurrentMap()
+	id, ok := identity(m, addr)
+	if !ok {
 		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
 	}
-	transferred, err := cl.provision(addr, cl.base.Members[li], cl.base.Members, cl.base.Addrs)
+	cur := m.Current()
+	ids, addrs := append(slices.Clone(cur.Members), id), append(slices.Clone(cur.Addrs), addr)
+	transferred, err := cl.provision(m, addr, id, ids, addrs)
 	if err != nil {
 		return transferred, err
 	}
-	if _, err := cl.PublishEpoch(cl.base.Members, cl.base.Addrs); err != nil {
+	if _, err := cl.PublishEpoch(ids, addrs); err != nil {
 		return transferred, err
 	}
 	return transferred, nil
+}
+
+// identity returns the placement identity the newest epoch of m that lists
+// addr gives the member serving there.
+func identity(m core.EpochMap, addr string) (simnet.NodeID, bool) {
+	for i := len(m) - 1; i >= 0; i-- {
+		if j := slices.Index(m[i].Addrs, addr); j >= 0 {
+			return m[i].Members[j], true
+		}
+	}
+	return 0, false
 }

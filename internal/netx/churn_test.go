@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -326,16 +327,20 @@ func requireOwned(t *testing.T, addr string, id simnet.NodeID, m core.EpochMap, 
 }
 
 // TestResyncAfterChurn: member 1 loses its store after the churn and resyncs
-// into a fresh server. Every block is planned against the map the cluster
-// published — at the parent commit the resync planned over the constructor
-// roster, asked for a fourth chunk of blocks written in three, and failed.
+// into a fresh server on its address. Every block is planned against the map
+// the cluster published — a resync planned over the constructor roster asks
+// for a fourth chunk of blocks written in three, and fails.
 func TestResyncAfterChurn(t *testing.T) {
 	servers, addrs, _, blocks := churned(t)
 	if err := servers[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	reborn := newJoiner(t)
-	view, err := NewCluster([]string{addrs[0], reborn.Addr(), addrs[2], addrs[3]}, 2)
+	reborn, err := NewServer(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = reborn.Close() })
+	view, err := NewCluster(addrs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,5 +397,106 @@ func TestCurrentMapSkipsInvalidPeerMap(t *testing.T) {
 	m := cl.CurrentMap()
 	if len(m) != 2 || m.Current().FromHeight != 4 {
 		t.Fatalf("CurrentMap = %+v, want the valid two-epoch map", m)
+	}
+}
+
+// retiredMiddle retires a member from the middle of the roster over loopback
+// servers: four members, r = 2, three blocks; member 1 retires; five blocks
+// are written through a Cluster built over the three that stay, which take
+// identities 0, 2 and 3 from the published map. Every member of the current
+// epoch holds every chunk it owns under that map.
+func retiredMiddle(t *testing.T) (servers []*Server, addrs []string, blocks []*chain.Block) {
+	t.Helper()
+	const n, r = 4, 2
+	servers, addrs = startServers(t, n)
+	full, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	blocks = seededBlocks(t, 26, 8, 16)
+	for _, b := range blocks[:3] {
+		if err := full.DistributeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved, err := full.RetireMember(addrs[1]); err != nil || moved == 0 {
+		t.Fatalf("retire moved %d chunks: %v", moved, err)
+	}
+	staying, err := NewCluster([]string{addrs[0], addrs[2], addrs[3]}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staying.Close()
+	for _, b := range blocks[3:] {
+		if err := staying.DistributeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := staying.Map()
+	if got := m.Current().Members; !slices.Equal(got, []simnet.NodeID{0, 2, 3}) {
+		t.Fatalf("the staying members write as %v, want the published 0, 2, 3", got)
+	}
+	for _, id := range m.Current().Members {
+		requireOwned(t, addrs[id], id, m, blocks, r)
+	}
+	return servers, addrs, blocks
+}
+
+// TestRetiredMiddleMemberLeavesEveryBlockReadable: with any one of the three
+// staying members down, a Cluster that holds the published map reads every
+// block. A writer that numbered the staying members by their position wrote
+// the post-retire blocks under identities 0, 1 and 2, so a reader by the map
+// looked for copies where there were none.
+func TestRetiredMiddleMemberLeavesEveryBlockReadable(t *testing.T) {
+	for _, down := range []int{0, 2, 3} {
+		t.Run(fmt.Sprint("member ", down, " down"), func(t *testing.T) {
+			servers, addrs, blocks := retiredMiddle(t)
+			if err := servers[down].Close(); err != nil {
+				t.Fatal(err)
+			}
+			reader, err := NewCluster([]string{addrs[0], addrs[2], addrs[3]}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Close()
+			if m := reader.CurrentMap(); len(m) != 2 {
+				t.Fatalf("the reader holds %d epochs, want the published 2", len(m))
+			}
+			for _, b := range blocks {
+				if got, err := reader.RetrieveBlock(b.Header); err != nil || got.Hash() != b.Hash() {
+					t.Errorf("block %d: %v", b.Header.Height, err)
+				}
+			}
+		})
+	}
+}
+
+// TestBootstrapAfterAMiddleRetireTakesAFreshIdentity: a joiner bootstrapped
+// through the three members that stay after member 1 retired joins as
+// identity 4, one above the highest any epoch lists, and takes in exactly
+// the chunks identity 4 owns once the current epoch is grown by it.
+// Identity 3, the count of current members, is member 3's: a joiner given
+// it would claim member 3's chunks.
+func TestBootstrapAfterAMiddleRetireTakesAFreshIdentity(t *testing.T) {
+	_, addrs, blocks := retiredMiddle(t)
+	staying, err := NewCluster([]string{addrs[0], addrs[2], addrs[3]}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staying.Close()
+	joiner := newJoiner(t)
+	moved, err := staying.BootstrapNewMember(joiner.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := slices.Clone(staying.Map())
+	cur := grown.Current()
+	if _, err := grown.Push(math.MaxUint64, append(slices.Clone(cur.Members), 4), append(slices.Clone(cur.Addrs), joiner.Addr())); err != nil {
+		t.Fatal(err)
+	}
+	owned := requireOwned(t, joiner.Addr(), 4, grown, blocks, 2)
+	if held := joiner.Stats().ChunkCount; moved != owned || held != int64(owned) {
+		t.Fatalf("bootstrap moved %d chunks and the joiner holds %d; identity 4 owns %d", moved, held, owned)
 	}
 }

@@ -281,19 +281,24 @@ func (c *Client) Stats() (*StatsResp, error) {
 // Cluster drives a whole ICIStrategy cluster of TCP storage servers: it
 // applies the same rendezvous placement as the simulator's protocol layer
 // to distribute blocks, and reassembles them with Merkle-root verification
-// on reads.
+// on reads. Who the members are, and which placement identity each serves
+// as, it reads from its one cluster map.
 type Cluster struct {
-	base        core.Epoch // the constructor membership: identity i serves at Addrs[i]
 	replication int
 
 	mu      sync.Mutex
 	clients map[string]*Client
-	cmap    core.EpochMap // newest cluster map seen: base until a poll or publish finds a newer
+	cmap    core.EpochMap // newest cluster map seen: the constructor roster until a poll or publish finds a newer
 	timeout time.Duration // per-round-trip deadline applied to every client
 	tr      *trace.Tracer
 }
 
-// NewCluster wires a cluster client over the given server addresses.
+// NewCluster wires a cluster client over the given server addresses. They
+// are the genesis membership, identity i at addrs[i], until a member answers
+// with a published cluster map: the map is polled once here (CurrentMap),
+// and after that it changes only through this Cluster's own publishes and a
+// read's retry under a newer map. Once a map is published, addrs need only
+// reach one of its members, in any order.
 func NewCluster(addrs []string, replication int) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, ErrNoServers
@@ -306,17 +311,17 @@ func NewCluster(addrs []string, replication int) (*Cluster, error) {
 		ids[i] = simnet.NodeID(i)
 	}
 	var cmap core.EpochMap
-	base, err := cmap.Push(0, ids, addrs)
-	if err != nil {
+	if _, err := cmap.Push(0, ids, addrs); err != nil {
 		return nil, fmt.Errorf("netx: %w", err)
 	}
-	return &Cluster{
-		base:        *base,
+	cl := &Cluster{
 		replication: replication,
 		clients:     make(map[string]*Client),
 		cmap:        cmap,
 		timeout:     DefaultRPCTimeout,
-	}, nil
+	}
+	cl.CurrentMap()
+	return cl, nil
 }
 
 // SetTimeout sets the per-round-trip deadline applied to every connection
@@ -397,11 +402,12 @@ func (cl *Cluster) DropClient(addr string, c *Client) {
 	}
 }
 
-// DistributeBlock stores a block across the cluster: the header goes to
-// every server, and each transaction-group chunk (with Merkle proofs) to
-// its rendezvous owners. Members are written to side by side; when several
-// fail, the error of the first in address order is returned, and what the
-// others stored stands (it is verified data, and puts are idempotent).
+// DistributeBlock stores a block across the current epoch of the cluster
+// map: the header goes to every member, and each transaction-group chunk
+// (with Merkle proofs) to its rendezvous owners. Members are written to side
+// by side; when several fail, the error of the first in identity order is
+// returned, and what the others stored stands (it is verified data, and
+// puts are idempotent).
 func (cl *Cluster) DistributeBlock(b *chain.Block) error {
 	span := cl.tracer().Start(0, "distribute", "distribute-block", clientNode)
 	span.AddBytes(int64(b.BodySize()))
@@ -412,31 +418,33 @@ func (cl *Cluster) DistributeBlock(b *chain.Block) error {
 }
 
 func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
-	groups, err := core.SplitBlock(b, len(cl.base.Addrs))
+	cur := cl.Map().Current()
+	groups, err := core.SplitBlock(b, len(cur.Members))
 	if err != nil {
 		return err
 	}
 	hash := b.Hash()
 	seed := hash.Uint64()
 	reqs := make([]PutChunkReq, len(groups))
-	owned := make([][]int, len(cl.base.Addrs)) // chunk indices per member, ascending
+	owned := make([][]int, len(cur.Members)) // chunk indices per member, by its position in cur, ascending
 	for idx := range groups {
 		g := &groups[idx]
 		reqs[idx] = PutChunkReq{Block: hash, Index: idx, Parts: g.Parts, TxStart: g.TxStart, Data: g.Encode(), Proofs: g.Proofs}
-		owners, err := cl.base.Owners(seed, idx, cl.replication)
+		owners, err := cur.Owners(seed, idx, cl.replication)
 		if err != nil {
 			return err
 		}
 		for _, o := range owners {
-			owned[int(o)] = append(owned[int(o)], idx)
+			m := slices.Index(cur.Members, o)
+			owned[m] = append(owned[m], idx)
 		}
 	}
 
 	// One goroutine per member: a server refuses a chunk whose header it
 	// does not hold, and one connection delivers in order.
-	errs := make([]error, len(cl.base.Addrs))
+	errs := make([]error, len(cur.Addrs))
 	var wg sync.WaitGroup
-	for m, addr := range cl.base.Addrs {
+	for m, addr := range cur.Addrs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -494,10 +502,9 @@ func (cl *Cluster) RetrieveBlock(hdr chain.Header) (*chain.Block, error) {
 }
 
 // retrieveBlock is one Gather under the map m, one GetChunkBatch per member
-// asked; a member's number is its position in ids, whatever its identity.
+// asked; a member's number is its identity.
 func (cl *Cluster) retrieveBlock(hdr chain.Header, m core.EpochMap, parent trace.SpanID) (*chain.Block, error) {
 	seed := hdr.Hash().Uint64()
-	var ids []simnet.NodeID
 	holders := make([][]int, len(m.At(hdr.Height).Members))
 	for idx := range holders {
 		owners, err := m.Holders(seed, idx, cl.replication, hdr.Height)
@@ -505,14 +512,11 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, m core.EpochMap, parent trace
 			return nil, err
 		}
 		for _, id := range owners {
-			if !slices.Contains(ids, id) {
-				ids = append(ids, id)
-			}
-			holders[idx] = append(holders[idx], slices.Index(ids, id))
+			holders[idx] = append(holders[idx], int(id))
 		}
 	}
 	enc, _, err := Gather(hdr, make([]*ChunkResp, len(holders)), holders, func(member int, refs []ChunkRef) *ChunkBatchResp {
-		addr := m.Addr(ids[member])
+		addr := m.Addr(simnet.NodeID(member))
 		c, err := cl.tracedClient(addr, parent)
 		if err != nil {
 			return nil // dead server: degraded read

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"icistrategy/internal/chain"
@@ -135,13 +136,64 @@ func TestSimAndTCPMoveTheSameChunks(t *testing.T) {
 	moved, err = six.RetireMember(addrs[n])
 	settle("leave", &simErr, moved, err)
 
-	blocks = append(blocks, produce(five, 2)...)
+	// A writer takes its membership from the map: one over the members that
+	// stay writes under the shrunk epoch.
+	staying, err := NewCluster(addrs[:n], r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staying.Close()
+	blocks = append(blocks, produce(staying, 2)...)
 	simErr = errors.New("pending")
 	if err := sys.RejoinCluster(n, func(err error) { simErr = err }); err != nil {
 		t.Fatal(err)
 	}
 	moved, err = six.RejoinMember(addrs[n])
 	settle("rejoin", &simErr, moved, err)
+}
+
+// TestSimAndTCPMoveTheSameChunksOnAMiddleLeave: member 1 of five leaves —
+// LeaveCluster on the simulator, RetireMember over TCP — and two blocks are
+// then written on the simulator and through a Cluster built over the four
+// members that stay. Both drivers place those blocks over identities 0, 2,
+// 3 and 4, so every member holds the same chunks on both, and every member
+// of the current epoch the chunks the map gives it. A TCP writer that
+// numbered the four by their position placed them over 0, 1, 2 and 3.
+func TestSimAndTCPMoveTheSameChunksOnAMiddleLeave(t *testing.T) {
+	const n, r = 5, 2
+	sys, produce := twoDrivers(t, n, r, 7, 37)
+	servers, addrs := startServers(t, n)
+	full, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	blocks := produce(full, 3)
+
+	simErr := errors.New("pending")
+	if err := sys.LeaveCluster(1, func(err error) { simErr = err }); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := full.RetireMember(addrs[1])
+	sys.Network().RunUntilIdle()
+	if simErr != nil || err != nil || moved == 0 {
+		t.Fatalf("leave: simulator %v; TCP moved %d chunks, %v", simErr, moved, err)
+	}
+	staying, err := NewCluster(slices.Delete(slices.Clone(addrs), 1, 2), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staying.Close()
+	blocks = append(blocks, produce(staying, 2)...)
+
+	m := staying.Map()
+	if seq, _ := sys.ClusterEpoch(0); seq != m.Current().Seq {
+		t.Fatalf("simulator at epoch %d, TCP map at %d", seq, m.Current().Seq)
+	}
+	requireSameStores(t, sys, servers, blocks)
+	for _, id := range m.Current().Members {
+		requireOwned(t, addrs[id], id, m, blocks, r)
+	}
 }
 
 // twoDrivers returns a one-cluster simulator of n members and a function

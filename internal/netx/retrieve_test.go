@@ -20,7 +20,7 @@ func sweepRetrieve(cl *Cluster, hdr chain.Header) (*chain.Block, error) {
 	block := hdr.Hash()
 	found := make(map[int]core.Group)
 	parts := 0
-	for _, addr := range cl.base.Addrs {
+	for _, addr := range cl.Map().Current().Addrs {
 		c, err := cl.Client(addr)
 		if err != nil {
 			continue // dead server: degraded read
@@ -307,10 +307,11 @@ func TestSoundReadCarriesNoProofs(t *testing.T) {
 // TestRetrieveAsksAMemberTheMapAdded: a cluster client over three servers
 // publishes a four-member epoch, and blocks are then written through the
 // four at r = 1, so most have a chunk only the fourth member holds. The
-// client's roster is three addresses but the map it holds lists the fourth:
-// it must read every block, with no further poll of the map. A second client
-// over the same three servers that never saw the publish resolves the first
-// such block under its stale map, fails, polls once, and reads them all.
+// client was built over three addresses but the map it holds lists the
+// fourth: it must read every block, with no further poll of the map. A
+// second client over the same three servers, built before the publish,
+// resolves the first such block under its stale map, fails, polls once, and
+// reads them all.
 func TestRetrieveAsksAMemberTheMapAdded(t *testing.T) {
 	ring := trace.NewRing(4096)
 	tr := trace.New(ring)
@@ -323,6 +324,11 @@ func TestRetrieveAsksAMemberTheMapAdded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer three.Close()
+	fresh, err := NewCluster(addrs[:3], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
 	written := seededBlocks(t, 31, 6, 16)
 	for _, b := range written[:2] {
 		if err := three.DistributeBlock(b); err != nil {
@@ -345,11 +351,6 @@ func TestRetrieveAsksAMemberTheMapAdded(t *testing.T) {
 	if servers[3].Stats().ChunkCount == 0 {
 		t.Fatal("the added member holds no chunk: nothing was tested")
 	}
-	fresh, err := NewCluster(addrs[:3], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
 	for _, reader := range []struct {
 		name string
 		cl   *Cluster
@@ -365,9 +366,10 @@ func TestRetrieveAsksAMemberTheMapAdded(t *testing.T) {
 		}
 	}
 	// Serve points are recorded after the reply has left; Close joins every
-	// connection goroutine. A poll is one get-cluster-map to each of the
-	// three servers of the roster: the publish makes one, the stale client's
-	// first miss one, and the publisher's reads none.
+	// connection goroutine. A poll is one get-cluster-map to each member the
+	// polling client's map lists: each client's build makes one (3, 3 and
+	// 4), the publish one of the three, the stale client's first miss one of
+	// the three, and the publisher's reads none.
 	for _, cl := range []*Cluster{three, four, fresh} {
 		cl.Close()
 	}
@@ -376,7 +378,7 @@ func TestRetrieveAsksAMemberTheMapAdded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if polls := spansByName(ring)["serve:get-cluster-map"]; polls != 2*3 {
-		t.Fatalf("%d get-cluster-map requests served, want 6: two polls of three members", polls)
+	if polls := spansByName(ring)["serve:get-cluster-map"]; polls != 3+3+4+3+3 {
+		t.Fatalf("%d get-cluster-map requests served, want 16: three builds, the publish and one stale read", polls)
 	}
 }

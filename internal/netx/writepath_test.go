@@ -27,7 +27,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 	if err != nil {
 		return err
 	}
-	for _, addr := range cl.base.Addrs {
+	for _, addr := range cl.Map().Current().Addrs {
 		c, err := cl.Client(addr)
 		if err != nil {
 			return err
@@ -36,7 +36,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 			return fmt.Errorf("put header to %s: %w", addr, err)
 		}
 	}
-	parts := len(cl.base.Addrs)
+	parts := len(cl.Map().Current().Addrs)
 	counts, err := core.SplitCounts(len(b.Txs), parts)
 	if err != nil {
 		return err
@@ -53,12 +53,12 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 		}
 		sub := chain.Block{Txs: group}
 		req := PutChunkReq{Block: b.Hash(), Index: idx, Parts: parts, TxStart: txStart, Data: sub.EncodeBody(), Proofs: proofs}
-		owners, err := core.Owners(seed, cl.base.Members, idx, cl.replication)
+		owners, err := core.Owners(seed, cl.Map().Current().Members, idx, cl.replication)
 		if err != nil {
 			return err
 		}
 		for _, o := range owners {
-			addr := cl.base.Addrs[int(o)]
+			addr := cl.Map().Current().Addrs[int(o)]
 			c, err := cl.Client(addr)
 			if err != nil {
 				return err
@@ -72,7 +72,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 	return nil
 }
 
-// sequentialBootstrap provisions target as member len(cl.base.Members) one chunk
+// sequentialBootstrap provisions target as member len(cl.Map().Current().Members) one chunk
 // after another over one connection: the reference for BootstrapNewMember.
 func sequentialBootstrap(t *testing.T, cl *Cluster, target string) int {
 	t.Helper()
@@ -85,15 +85,15 @@ func sequentialBootstrap(t *testing.T, cl *Cluster, target string) int {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	grown := memberIDs(len(cl.base.Members) + 1)
+	grown := memberIDs(len(cl.Map().Current().Members) + 1)
 	n := 0
 	for _, h := range headers {
-		for _, idx := range ownedChunks(t, h.Hash(), grown, len(cl.base.Members), cl.replication)[len(cl.base.Members)] {
-			owners, err := core.Owners(h.Hash().Uint64(), cl.base.Members, idx, cl.replication)
+		for _, idx := range ownedChunks(t, h.Hash(), grown, len(cl.Map().Current().Members), cl.replication)[len(cl.Map().Current().Members)] {
+			owners, err := core.Owners(h.Hash().Uint64(), cl.Map().Current().Members, idx, cl.replication)
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := cl.Client(cl.base.Addrs[int(owners[0])])
+			src, err := cl.Client(cl.Map().Current().Addrs[int(owners[0])])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,8 +327,9 @@ func TestDistributeWithMembersDown(t *testing.T) {
 }
 
 // TestDistributeChunkPutFails reaches one member through a proxy that dies
-// after relaying one reply — the header's — so that member's first chunk is
-// what fails, while the others finish.
+// after relaying two replies — the cluster map NewCluster polls for, and the
+// header's — so that member's first chunk is what fails, while the others
+// finish.
 func TestDistributeChunkPutFails(t *testing.T) {
 	const n, r = 4, 2
 	servers, addrs := startServers(t, n)
@@ -338,7 +339,7 @@ func TestDistributeChunkPutFails(t *testing.T) {
 	for len(owned[m]) == 0 {
 		m++
 	}
-	proxy := newDyingProxy(t, addrs[m], 1)
+	proxy := newDyingProxy(t, addrs[m], 2)
 	via := append([]string(nil), addrs...)
 	via[m] = proxy.addr
 	cl, err := NewCluster(via, r)
@@ -387,7 +388,7 @@ func TestTransferStopsAtUnavailableChunk(t *testing.T) {
 	if bad < 2 || len(moves) <= limit {
 		t.Fatalf("joiner owns %d chunks: too few for the test", len(moves))
 	}
-	owners, err := core.Owners(moves[bad].Block.Uint64(), cl.base.Members, moves[bad].Index, r)
+	owners, err := core.Owners(moves[bad].Block.Uint64(), cl.Map().Current().Members, moves[bad].Index, r)
 	if err != nil {
 		t.Fatal(err)
 	}

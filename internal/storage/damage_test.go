@@ -125,6 +125,31 @@ func TestEqualChecksumIsNotARepeat(t *testing.T) {
 	}
 }
 
+// TestPutReplacesADamagedCopy: a held copy damaged in place no longer
+// passes its own checksum, and a put of the sound bytes replaces it — the
+// repair path's put — with the accounting unchanged.
+func TestPutReplacesADamagedCopy(t *testing.T) {
+	c := testChunk(7, 1, 1200)
+	s := NewStore()
+	if err := s.PutChunk(c); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if !s.Corrupt(c.ID) {
+		t.Fatal("chunk not held")
+	}
+	if _, err := s.Chunk(c.ID); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("damaged read: %v, want ErrCorrupted", err)
+	}
+	if err := s.PutChunk(NewChunk(c.ID, append([]byte(nil), c.Data...))); err != nil {
+		t.Fatalf("the sound copy was refused: %v", err)
+	}
+	readsBack(t, s, c.ID, c.Data, "the replacing put")
+	if after := s.Stats(); after != before {
+		t.Fatalf("stats %+v after the replacement, %+v before the damage", after, before)
+	}
+}
+
 // FuzzStoredChunkDamage damages 1 to 4 consecutive bytes of a stored
 // chunk, anywhere in an arbitrary payload: every read must refuse it, and
 // an undamaged copy stored beside it must read back byte for byte.

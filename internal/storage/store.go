@@ -181,7 +181,8 @@ type held struct {
 
 // PutChunk stores a chunk after verifying it against its checksum
 // (idempotent; re-putting the same bytes is a no-op, re-putting other bytes
-// under the same ID is an error, whatever their checksum). The store keeps a
+// under the same ID is an error, whatever their checksum). A held copy that
+// fails its own checksum was damaged in place and is replaced. The store keeps a
 // private copy of the data: a caller mutating its buffer after the put
 // cannot corrupt the stored chunk. Of the proofs it keeps the run's edge
 // (chain.RangeProofOf), and refuses proofs that are not a run from TxStart.
@@ -189,7 +190,9 @@ func (s *Store) PutChunk(c Chunk) error {
 	if err := c.Verify(); err != nil {
 		return err
 	}
-	if existing, ok := s.chunks[c.ID]; ok {
+	if existing, ok := s.chunks[c.ID]; ok && existing.Verify() != nil {
+		s.dropChunk(c.ID, existing) // damaged in place: the sound copy replaces it
+	} else if ok {
 		if !bytes.Equal(existing.Data, c.Data) {
 			return fmt.Errorf("storage: conflicting data for chunk %s", c.ID)
 		}

@@ -65,9 +65,13 @@ var seeds = []seed{
 		"func (c *Client) Close() error { go c.link.Close(); return nil }"},
 		"./internal/netx", "TestClientAfterClose", false},
 	{"epochless-placement", "internal/netx/client.go", []string{ // distributeBlock places without naming an epoch
-		"cl.base.Owners(seed, idx, cl.replication)",
-		"core.Owners(seed, cl.base.Members, idx, cl.replication)"},
+		"cur.Owners(seed, idx, cl.replication)",
+		"core.Owners(seed, cur.Members, idx, cl.replication)"},
 		".", "TestPlacementNamesItsEpoch", false},
+	{"positional-identity", "internal/netx/bootstrap.go", []string{ // a joiner is numbered by the count of current members
+		"cur, id := m.Current(), fresh(m)",
+		"cur, id := m.Current(), simnet.NodeID(len(m.Current().Members))"},
+		"./internal/netx", "TestBootstrapAfterAMiddleRetireTakesAFreshIdentity", false},
 	{"dropped-dispatch", "internal/core/node.go", []string{ // handle loses its chunk-answer arm: every fetched chunk is dropped
 		"\tcase chunkRespMsg:\n\t\tn.onChunkResp(msg.From, m)\n", ""},
 		"./internal/core", "TestLeaveClusterHandsOffChunks", false},
