@@ -102,13 +102,10 @@ examples:
 
 # Run every shipped integration scenario: real icinet -serve clusters over
 # loopback TCP, driven by the contest harness (DESIGN.md "Integration
-# harness"). CI's contest-smoke job runs them all plus the negative
-# self-test.
+# harness"). CI's contest-smoke job runs the same glob plus the negative
+# self-test, and contest.TestScenarios one subtest per file.
 contest:
-	$(GO) run ./cmd/icicontest scenarios/bootstrap.cont \
-		scenarios/crash-restart.cont scenarios/membership.cont \
-		scenarios/byzantine.cont scenarios/gateway.cont \
-		scenarios/churn.cont scenarios/retire-middle.cont
+	$(GO) run ./cmd/icicontest scenarios/*.cont
 
 # The contest suite twenty times on one and on two Ps with every CPU kept
 # busy by a shell loop — the loaded 1-2 CPU box tier-1 must stay green on

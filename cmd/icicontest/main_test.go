@@ -51,7 +51,7 @@ while [ $# -gt 0 ]; do
   shift
 done
 trap 'exit 0' TERM INT
-echo "ICINET READY addr=$addr id=0"
+echo "ICINET READY addr=$addr"
 echo "event=serve.ready" >&2
 while :; do sleep 0.1; done
 `

@@ -19,7 +19,7 @@
 //	icinet [-members 8] [-replication 2] [-blocks 5] [-tx 100] [-seed 42]
 //	       [-listen 127.0.0.1:0] [-trace summary|tree] [-metrics FILE|-]
 //	       [-pprof ADDR]
-//	icinet -serve [-listen ADDR] [-id N] [-members A,B,C] [-replication R]
+//	icinet -serve [-listen ADDR] [-members A,B,C] [-replication R]
 //	       [-state DIR] [-resync auto|join|restart|none] [-chaos]
 package main
 

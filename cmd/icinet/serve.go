@@ -4,13 +4,15 @@
 //
 // Contract with the harness:
 //
-//   - stdout: exactly one readiness line, "ICINET READY addr=... id=...",
-//     printed once the listener is bound and serving.
+//   - stdout: exactly one readiness line, "ICINET READY addr=..." (plus
+//     " gateway=..." with -gateway), once the listener is bound and serving.
+//   - identity: what the cluster map says of the member's address (the
+//     genesis membership is -members, in order, until a map is published).
 //   - stderr: a structured logfmt event stream (event=NAME k=v ...) the
 //     harness matches wait-log / assert-log conditions against.
 //   - SIGTERM/SIGINT: graceful shutdown — drain in-flight requests, emit
 //     event=serve.stop, exit 0.
-//   - -state DIR: the member's identity (id, members, replication) is
+//   - -state DIR: the member's configuration (members, replication) is
 //     persisted to DIR/member.json; a marker distinguishes first start
 //     from restart so -resync auto can re-sync lost chunks from peers via
 //     the netx bootstrap path.
@@ -25,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,7 +38,6 @@ import (
 	"icistrategy/internal/gateway"
 	"icistrategy/internal/netx"
 	"icistrategy/internal/obs"
-	"icistrategy/internal/simnet"
 	"icistrategy/internal/trace"
 )
 
@@ -75,9 +77,8 @@ func logfmtValue(v any) string {
 }
 
 // memberState is what -state DIR persists: enough for a restarted process
-// to rejoin with the same identity (flags may be omitted on restart).
+// to find its cluster again (flags may be omitted on restart).
 type memberState struct {
-	ID          int      `json:"id"`
 	Members     []string `json:"members"`
 	Replication int      `json:"replication"`
 }
@@ -86,7 +87,7 @@ type memberState struct {
 func memberStatePath(dir string) string   { return filepath.Join(dir, "member.json") }
 func startedMarkerPath(dir string) string { return filepath.Join(dir, "started") }
 
-// loadMemberState reads a persisted identity; ok is false when none exists.
+// loadMemberState reads a persisted state; ok is false when none exists.
 func loadMemberState(dir string) (memberState, bool, error) {
 	data, err := os.ReadFile(memberStatePath(dir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -129,11 +130,12 @@ func resolveResyncMode(mode string, restarted bool) (string, error) {
 
 // selfResync bootstraps this member's store from its peers over TCP.
 // In "restart" mode the membership is unchanged and the member re-fetches
-// the chunks it owns (netx.ResyncMember, which refuses an id the cluster
-// map does not give this address); in "join" mode this member is the
-// newest addition (its id must be the last) and takes ownership under the
-// grown membership (netx.BootstrapNewMember).
-func selfResync(mode, selfAddr string, id, replication int, members []string) (int, error) {
+// the chunks it owns under the identity the cluster map gives its address
+// (netx.ResyncMember, which refuses an address the map does not list); in
+// "join" mode this member is a newcomer, bootstrapped through the other
+// -members under a fresh identity, and takes ownership under the grown
+// membership (netx.BootstrapNewMember).
+func selfResync(mode, selfAddr string, replication int, members []string) (int, error) {
 	if len(members) == 0 {
 		return 0, errors.New("resync: no -members configured")
 	}
@@ -144,12 +146,9 @@ func selfResync(mode, selfAddr string, id, replication int, members []string) (i
 			return 0, err
 		}
 		defer cl.Close()
-		return cl.ResyncMember(selfAddr, simnet.NodeID(id))
+		return cl.ResyncMember(selfAddr)
 	case "join":
-		if id != len(members)-1 {
-			return 0, fmt.Errorf("resync join: joining member must hold the last id, got %d of %d", id, len(members))
-		}
-		peers := members[:len(members)-1]
+		peers := slices.DeleteFunc(slices.Clone(members), func(a string) bool { return a == selfAddr })
 		cl, err := netx.NewCluster(peers, replication)
 		if err != nil {
 			return 0, err
@@ -174,7 +173,6 @@ const (
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("icinet -serve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address")
-	id := fs.Int("id", 0, "this member's placement id")
 	membersFlag := fs.String("members", "", "comma-separated member addresses, including this node: the genesis membership in placement-id order until a cluster map is published, then any members to reach")
 	replication := fs.Int("replication", 2, "replication factor blocks were distributed with")
 	stateDir := fs.String("state", "", "state directory: persists identity and detects restarts")
@@ -206,7 +204,6 @@ func runServe(args []string) error {
 		}
 		if ok && len(members) == 0 {
 			members = prev.Members
-			*id = prev.ID
 			*replication = prev.Replication
 		}
 		if _, err := os.Stat(startedMarkerPath(*stateDir)); err == nil {
@@ -221,7 +218,7 @@ func runServe(args []string) error {
 
 	srv, err := netx.NewServer(*listen)
 	if err != nil {
-		return fmt.Errorf("serve: start member %d: %w", *id, err)
+		return fmt.Errorf("serve: %w", err)
 	}
 	defer srv.Close()
 	srv.SetTracer(obsf.Tracer())
@@ -231,7 +228,7 @@ func runServe(args []string) error {
 	}
 
 	if *stateDir != "" {
-		if err := saveMemberState(*stateDir, memberState{ID: *id, Members: members, Replication: *replication}); err != nil {
+		if err := saveMemberState(*stateDir, memberState{Members: members, Replication: *replication}); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 		if err := os.WriteFile(startedMarkerPath(*stateDir), []byte(srv.Addr()+"\n"), 0o644); err != nil {
@@ -269,18 +266,18 @@ func runServe(args []string) error {
 
 	// Readiness: the harness blocks on this line before acting on the node.
 	if gsrv != nil {
-		fmt.Printf("ICINET READY addr=%s id=%d gateway=%s\n", srv.Addr(), *id, gsrv.Addr())
+		fmt.Printf("ICINET READY addr=%s gateway=%s\n", srv.Addr(), gsrv.Addr())
 	} else {
-		fmt.Printf("ICINET READY addr=%s id=%d\n", srv.Addr(), *id)
+		fmt.Printf("ICINET READY addr=%s\n", srv.Addr())
 	}
-	elog.Event("serve.ready", "addr", srv.Addr(), "id", *id, "restarted", restarted, "chaos", *chaos)
+	elog.Event("serve.ready", "addr", srv.Addr(), "restarted", restarted, "chaos", *chaos)
 	if gsrv != nil {
 		elog.Event("gateway.ready", "addr", gsrv.Addr(), "cache_bytes", *gatewayCache)
 	}
 
 	if mode != "none" {
 		elog.Event("bootstrap.start", "mode", mode, "members", len(members))
-		n, err := resyncWithRetry(elog, mode, srv.Addr(), *id, *replication, members)
+		n, err := resyncWithRetry(elog, mode, srv.Addr(), *replication, members)
 		if err != nil {
 			// Not fatal: the node keeps serving what it has; the harness
 			// asserts on bootstrap.done when a scenario requires the sync.
@@ -311,10 +308,10 @@ func runServe(args []string) error {
 
 // resyncWithRetry runs selfResync with a short retry loop so a node racing
 // its peers out of the gate does not give up on the first refused dial.
-func resyncWithRetry(elog *eventLog, mode, selfAddr string, id, replication int, members []string) (int, error) {
+func resyncWithRetry(elog *eventLog, mode, selfAddr string, replication int, members []string) (int, error) {
 	var lastErr error
 	for attempt := 1; attempt <= resyncAttempts; attempt++ {
-		n, err := selfResync(mode, selfAddr, id, replication, members)
+		n, err := selfResync(mode, selfAddr, replication, members)
 		if err == nil {
 			return n, nil
 		}

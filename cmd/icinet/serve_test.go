@@ -12,10 +12,10 @@ import (
 func TestEventLogFormatsLogfmt(t *testing.T) {
 	var b strings.Builder
 	l := newEventLog(&b)
-	l.Event("serve.ready", "addr", "127.0.0.1:9", "id", 3, "restarted", false)
+	l.Event("serve.ready", "addr", "127.0.0.1:9", "restarted", false)
 	l.Event("bootstrap.failed", "err", "dial tcp: connection refused")
 	got := b.String()
-	want := "event=serve.ready addr=127.0.0.1:9 id=3 restarted=false\n" +
+	want := "event=serve.ready addr=127.0.0.1:9 restarted=false\n" +
 		"event=bootstrap.failed err=\"dial tcp: connection refused\"\n"
 	if got != want {
 		t.Fatalf("logfmt output:\n%q\nwant:\n%q", got, want)
@@ -27,7 +27,7 @@ func TestMemberStateRoundTrip(t *testing.T) {
 	if _, ok, err := loadMemberState(dir); err != nil || ok {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
-	in := memberState{ID: 2, Members: []string{"a:1", "b:2", "c:3"}, Replication: 2}
+	in := memberState{Members: []string{"a:1", "b:2", "c:3"}, Replication: 2}
 	if err := saveMemberState(dir, in); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMemberStateRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
-	if out.ID != in.ID || out.Replication != in.Replication || len(out.Members) != 3 {
+	if out.Replication != in.Replication || len(out.Members) != 3 {
 		t.Fatalf("round trip mangled state: %+v", out)
 	}
 }
@@ -120,8 +120,10 @@ func TestSelfResyncJoinMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = joiner.Close() })
-	members := append(append([]string(nil), addrs...), joiner.Addr())
-	n, err := selfResync("join", joiner.Addr(), 3, 2, members)
+	// The joiner's own address may stand anywhere in -members: it joins
+	// through the others under a fresh identity.
+	members := append([]string{joiner.Addr()}, addrs...)
+	n, err := selfResync("join", joiner.Addr(), 2, members)
 	if err != nil {
 		t.Fatalf("join resync: %v", err)
 	}
@@ -131,9 +133,8 @@ func TestSelfResyncJoinMode(t *testing.T) {
 	if joiner.Stats().HeaderCount != 2 {
 		t.Fatalf("joiner has %d headers, want 2", joiner.Stats().HeaderCount)
 	}
-	// Joining with a non-final id is a config error.
-	if _, err := selfResync("join", joiner.Addr(), 1, 2, members); err == nil {
-		t.Fatal("join with non-final id accepted")
+	if _, err := selfResync("join", joiner.Addr(), 2, []string{joiner.Addr()}); err == nil {
+		t.Fatal("join with no other member accepted")
 	}
 }
 
@@ -150,20 +151,20 @@ func TestSelfResyncRestartMode(t *testing.T) {
 	t.Cleanup(func() { _ = reborn.Close() })
 	members := append([]string(nil), addrs...)
 	members[1] = reborn.Addr()
-	n, err := selfResync("restart", reborn.Addr(), 1, 2, members)
+	n, err := selfResync("restart", reborn.Addr(), 2, members)
 	if err != nil {
 		t.Fatalf("restart resync: %v", err)
 	}
 	if int64(n) != lost {
 		t.Fatalf("resynced %d chunks, crashed member held %d", n, lost)
 	}
-	if _, err := selfResync("restart", reborn.Addr(), 9, 2, members); err == nil {
-		t.Fatal("out-of-range id accepted")
+	if _, err := selfResync("restart", "127.0.0.1:1", 2, members); err == nil {
+		t.Fatal("a non-member address accepted")
 	}
-	if _, err := selfResync("bogus", reborn.Addr(), 1, 2, members); err == nil {
+	if _, err := selfResync("bogus", reborn.Addr(), 2, members); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	if _, err := selfResync("restart", reborn.Addr(), 1, 2, nil); err == nil {
+	if _, err := selfResync("restart", reborn.Addr(), 2, nil); err == nil {
 		t.Fatal("empty membership accepted")
 	}
 }

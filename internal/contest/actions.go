@@ -272,7 +272,7 @@ func (x *run) bootstrapMember(a *Action) error {
 
 // churnMember drives graceful membership churn over the production netx
 // paths, on the cluster map the via= client holds (viaCluster). retire
-// hands the node's displaced chunks to their new owners and publishes the
+// has the members that stay pull the node's chunks and publishes the
 // current epoch without it; rejoin re-provisions the returning node, under
 // the identity it left with, against each block's write epoch and publishes
 // the current epoch with it.

@@ -59,13 +59,20 @@ func runScenario(t *testing.T, path string) {
 	}
 }
 
-func TestScenarioBootstrap(t *testing.T)    { runScenario(t, "../../scenarios/bootstrap.cont") }
-func TestScenarioCrashRestart(t *testing.T) { runScenario(t, "../../scenarios/crash-restart.cont") }
-func TestScenarioMembership(t *testing.T)   { runScenario(t, "../../scenarios/membership.cont") }
-func TestScenarioByzantine(t *testing.T)    { runScenario(t, "../../scenarios/byzantine.cont") }
-func TestScenarioGateway(t *testing.T)      { runScenario(t, "../../scenarios/gateway.cont") }
-func TestScenarioChurn(t *testing.T)        { runScenario(t, "../../scenarios/churn.cont") }
-func TestScenarioRetireMiddle(t *testing.T) { runScenario(t, "../../scenarios/retire-middle.cont") }
+// TestScenarios runs every shipped scenario, one subtest per file, so a new
+// scenario is run by adding its file.
+func TestScenarios(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.cont")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no scenarios found")
+	}
+	for _, path := range paths {
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".cont"), func(t *testing.T) { runScenario(t, path) })
+	}
+}
 
 // TestBrokenScenarioFails is the harness's negative self-test: a scenario
 // with an impossible assertion MUST fail, and the failure must carry the

@@ -71,7 +71,7 @@ type run struct {
 	blocks  []*chain.Block
 }
 
-var readyRe = regexp.MustCompile(`^ICINET READY addr=(\S+) id=(\d+)(?: gateway=(\S+))?$`)
+var readyRe = regexp.MustCompile(`^ICINET READY addr=(\S+)(?: gateway=(\S+))?$`)
 
 // Run executes the scenario: allocates every member's address up front,
 // walks the stages in order, and tears all surviving processes down before
@@ -200,7 +200,6 @@ func (x *run) startNode(n *node, timeout time.Duration) error {
 	args := []string{
 		"-serve",
 		"-listen", n.addr,
-		"-id", strconv.Itoa(n.def.ID),
 		"-members", strings.Join(x.memberAddrs(), ","),
 		"-replication", strconv.Itoa(x.sc.Replication),
 		"-state", n.stateDir,
@@ -257,10 +256,10 @@ func (x *run) startNode(n *node, timeout time.Duration) error {
 		<-n.done
 		return fmt.Errorf("node %s reported addr %s, expected %s", n.def.Name, m[1], n.addr)
 	}
-	if n.def.Gateway && m[3] != n.gwAddr {
+	if n.def.Gateway && m[2] != n.gwAddr {
 		_ = cmd.Process.Kill()
 		<-n.done
-		return fmt.Errorf("node %s reported gateway %q, expected %s", n.def.Name, m[3], n.gwAddr)
+		return fmt.Errorf("node %s reported gateway %q, expected %s", n.def.Name, m[2], n.gwAddr)
 	}
 	n.up = true
 	n.runs++

@@ -13,19 +13,17 @@ import (
 // for fast process-lifecycle tests that skip the network actions.
 const fakeIcinet = `#!/bin/sh
 addr=""
-id=0
 state=""
 while [ $# -gt 0 ]; do
   case "$1" in
     -listen) addr="$2"; shift ;;
-    -id) id="$2"; shift ;;
     -state) state="$2"; shift ;;
   esac
   shift
 done
 trap 'echo "event=serve.stop" >&2; exit 0' TERM INT
-echo "ICINET READY addr=$addr id=$id"
-echo "event=serve.ready addr=$addr id=$id" >&2
+echo "ICINET READY addr=$addr"
+echo "event=serve.ready addr=$addr" >&2
 if [ -n "$state" ] && [ -f "$state/fake-marker" ]; then
   echo "event=fake.restarted" >&2
 else
@@ -210,7 +208,7 @@ func TestRunnerStopDetectsUncleanExit(t *testing.T) {
 	stubborn := filepath.Join(t.TempDir(), "stubborn")
 	script := `#!/bin/sh
 trap '' TERM
-echo "ICINET READY addr=$3 id=0"
+echo "ICINET READY addr=$3"
 while :; do sleep 0.1; done
 `
 	// $3 is the -listen value given the runner's fixed argument order.

@@ -36,8 +36,9 @@
 //	distribute               via=n0,n1 [blocks=2] [tx=20] [seed=42]
 //	bootstrap-member         node=NX via=n0,n1 [min=1]
 //	retire-member            node=NX via=<membership incl NX> [min=1]
-//	                         graceful leave: displaced chunks hand off to
-//	                         their new owners, shrunk epoch published
+//	                         graceful leave: the members that stay pull
+//	                         its chunks, shrunk epoch published; NX may
+//	                         be down
 //	rejoin-member            node=NX via=<membership incl NX> [min=1]
 //	                         return as the same identity: owed chunks are
 //	                         re-provisioned per write epoch, map republished

@@ -13,8 +13,8 @@ import (
 
 // This file is the chunk's rules, stated once: how a block splits into
 // proven transaction groups, what an owner checks before it stores one, how
-// stored chunks become a block again and where a stored proof is found (who
-// gains a chunk when the roster changes is EpochMap.MovesFrom). The
+// stored chunks become a block again and where a stored proof is found (what
+// a roster change moves is EpochMap.MovesTo). The
 // simulator's Node, the TCP server and cluster client (internal/netx) and
 // the gateway all call these; what they keep for themselves is how bytes
 // move (DESIGN.md "One chunk, two drivers").

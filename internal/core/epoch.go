@@ -208,25 +208,25 @@ func (m EpochMap) Holders(seed uint64, idx, r int, height uint64) ([]simnet.Node
 }
 
 // Move is one chunk copy a membership change calls for: chunk Index of
-// Block, written at Height, goes to every member of To from the first member
-// of From that serves it.
+// Block, written at Height, goes to member To from the first member of From
+// that serves it.
 type Move struct {
 	Block  blockcrypto.Hash
 	Height uint64
 	Index  int
 	From   []simnet.NodeID
-	To     []simnet.NodeID
+	To     simnet.NodeID
 }
 
-// MovesTo and MovesFrom are the one rule for what a membership change moves,
-// in the simulator and over TCP alike. Each plans one block, on a map the
-// change's epoch was pushed onto.
-//
-// MovesTo returns the chunks of a block written at the given height that
-// member self must take in (join, rejoin, resync, repair): every chunk it
-// owns under Current(), of the block's chunk count under At(height), each
-// from its holders (Holders), then from the other members of its placement
-// epoch, which may keep a stale extra copy — never from self.
+// MovesTo is the one rule for what a membership change moves, in the
+// simulator and over TCP alike: every member that gains chunks pulls them,
+// planned on a map the change's epoch was pushed onto, one block at a time.
+// It returns the chunks of a block written at the given height that member
+// self must take in (join, rejoin, resync, repair, and each staying member
+// on a retire): every chunk it owns under Current(), of the block's chunk
+// count under At(height), each from its holders (Holders), then from the
+// other members of its placement epoch, which may keep a stale extra copy —
+// never from self. A caller that knows what self already holds skips those.
 func (m EpochMap) MovesTo(block blockcrypto.Hash, height uint64, self simnet.NodeID, r int) ([]Move, error) {
 	seed, cur, place := block.Uint64(), m.Current(), m.PlacementAt(height)
 	var moves []Move
@@ -242,40 +242,7 @@ func (m EpochMap) MovesTo(block blockcrypto.Hash, height uint64, self simnet.Nod
 		if err != nil {
 			return nil, err
 		}
-		moves = append(moves, Move{Block: block, Height: height, Index: idx, From: others(self, holders, place.Members), To: []simnet.NodeID{self}})
-	}
-	return moves, nil
-}
-
-// MovesFrom returns the copies member leaver must hand out of a block written
-// at the given height: each chunk it owns under PlacementAt(height) goes to
-// the owners under Current() that were not owners there. By the rendezvous
-// property a departure moves exactly the leaver's chunks; a stale extra copy
-// it does not own, and a chunk whose owners stay, move nowhere.
-func (m EpochMap) MovesFrom(block blockcrypto.Hash, height uint64, leaver simnet.NodeID, r int) ([]Move, error) {
-	seed, cur, place := block.Uint64(), m.Current(), m.PlacementAt(height)
-	var moves []Move
-	for idx := range m.At(height).Members {
-		old, err := place.Owners(seed, idx, r)
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Contains(old, leaver) {
-			continue
-		}
-		owners, err := cur.Owners(seed, idx, r)
-		if err != nil {
-			return nil, err
-		}
-		var gain []simnet.NodeID
-		for _, o := range owners {
-			if !slices.Contains(old, o) {
-				gain = append(gain, o)
-			}
-		}
-		if gain != nil {
-			moves = append(moves, Move{Block: block, Height: height, Index: idx, From: []simnet.NodeID{leaver}, To: gain})
-		}
+		moves = append(moves, Move{Block: block, Height: height, Index: idx, From: others(self, holders, place.Members), To: self})
 	}
 	return moves, nil
 }

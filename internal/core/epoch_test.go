@@ -308,7 +308,9 @@ func seededBlock(seed uint64) blockcrypto.Hash {
 //
 // A chunk's sources are its owners under the placement epoch, then its
 // current owners, then the rest of the placement members, never the member
-// taking it in.
+// taking it in. A retire row plans the pulls of every member of the
+// current epoch — the retire's plan: each takes the chunks MovesTo gives it
+// that it did not own under the placement epoch.
 func TestMembershipMoves(t *testing.T) {
 	rejoined := []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1, 2), at(6, 0, 1, 2, 3)}
 	departed := []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1), at(6, 0, 1, 5)}
@@ -319,8 +321,8 @@ func TestMembershipMoves(t *testing.T) {
 		advance int // AdvancePlacement target; 0 moves nothing
 		r       int
 		height  uint64
-		member  simnet.NodeID
-		out     bool // MovesFrom(member); MovesTo(member) otherwise
+		member  simnet.NodeID // MovesTo(member); unused by a retire row
+		retire  bool
 		want    []Move
 	}{
 		{
@@ -357,7 +359,7 @@ func TestMembershipMoves(t *testing.T) {
 			// Every member of three already holds every chunk.
 			name:   "r clamped: leaving a cluster no larger than r moves nothing",
 			epochs: []Epoch{at(0, 0, 1, 2), at(2, 0, 1)},
-			r:      3, height: 0, member: 2, out: true,
+			r:      3, height: 0, retire: true,
 		},
 		{
 			// Member 3 owned chunks 1 and 2 when the block was written; it is
@@ -383,25 +385,28 @@ func TestMembershipMoves(t *testing.T) {
 			want: []Move{{Index: 1, From: epochIDs(1, 0, 2)}, {Index: 2, From: epochIDs(2, 1, 0)}},
 		},
 		{
+			// Member 3 leaves: chunks 1 and 2 were its own, and the member
+			// that gains each pulls it, from member 3 among the other holders.
 			name:   "a leaver hands out what it owned",
 			epochs: []Epoch{at(0, 0, 1, 2, 3), at(4, 0, 1, 2)},
-			r:      2, height: 0, member: 3, out: true,
-			want: []Move{{Index: 1, From: epochIDs(3), To: epochIDs(0)}, {Index: 2, From: epochIDs(3), To: epochIDs(1)}},
+			r:      2, height: 0, retire: true,
+			want: []Move{{Index: 1, From: epochIDs(1, 3, 2), To: 0}, {Index: 2, From: epochIDs(3, 2, 0), To: 1}},
 		},
 		{
-			// Member 4's join migrated chunks 0 and 3 away from member 2,
-			// which keeps stale copies of them: only chunk 2 is still its own.
+			// Member 2 leaves. Member 4's join migrated chunks 0 and 3 away
+			// from it, which keeps stale copies of them: only chunk 2 was
+			// still its own, and only chunk 2 moves.
 			name:    "a leaver that holds a stale copy it does not own",
 			epochs:  grown,
 			advance: 1,
-			r:       2, height: 0, member: 2, out: true,
-			want: []Move{{Index: 2, From: epochIDs(2), To: epochIDs(4)}},
+			r:       2, height: 0, retire: true,
+			want: []Move{{Index: 2, From: epochIDs(3, 2, 0, 1), To: 4}},
 		},
 		{
 			name:   "the same leaver had the join not migrated",
 			epochs: grown,
-			r:      2, height: 0, member: 2, out: true,
-			want: []Move{{Index: 0, From: epochIDs(2), To: epochIDs(4)}, {Index: 2, From: epochIDs(2), To: epochIDs(4)}, {Index: 3, From: epochIDs(2), To: epochIDs(4)}},
+			r:      2, height: 0, retire: true,
+			want: []Move{{Index: 0, From: epochIDs(0, 2, 1, 3), To: 4}, {Index: 2, From: epochIDs(3, 2, 0, 1), To: 4}, {Index: 3, From: epochIDs(0, 2, 1, 3), To: 4}},
 		},
 	}
 	block := seededBlock(0x3c6ef372fe94f82a)
@@ -409,19 +414,18 @@ func TestMembershipMoves(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := pushed(t, tc.epochs...)
 			m.AdvancePlacement(tc.advance)
-			plan := m.MovesTo
-			if tc.out {
-				plan = m.MovesFrom
+			got, err := m.MovesTo(block, tc.height, tc.member, tc.r)
+			if tc.retire {
+				got, err = retirePulls(m, block, tc.height, tc.r)
 			}
-			got, err := plan(block, tc.height, tc.member, tc.r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range tc.want {
 				w := &tc.want[i]
 				w.Block, w.Height = block, tc.height
-				if !tc.out {
-					w.To = []simnet.NodeID{tc.member}
+				if !tc.retire {
+					w.To = tc.member
 				}
 			}
 			if !reflect.DeepEqual(got, tc.want) {
@@ -434,58 +438,27 @@ func TestMembershipMoves(t *testing.T) {
 	}
 }
 
-// TestMovesFromIsThePlacementDelta removes each member of a cluster in turn:
-// for every chunk of every block, what MovesFrom has a holder send is exactly
-// the new owners that were not owners before, only a chunk the leaver owned
-// moves, and nobody but an owner is asked to send it.
-func TestMovesFromIsThePlacementDelta(t *testing.T) {
-	const n, r, blocks = 7, 3, 64
-	full := ids(n)
-	for _, leaver := range full {
-		shrunk := others(leaver, full)
-		m := pushed(t, Epoch{Members: full}, Epoch{FromHeight: 1, Members: shrunk})
-		for b := uint64(0); b < blocks; b++ {
-			block := seededBlock(b * 0x9e3779b97f4a7c15)
-			want := make(map[simnet.NodeID]map[int][]simnet.NodeID) // holder -> chunk -> gainers
-			for idx := 0; idx < n; idx++ {
-				old, _ := Owners(block.Uint64(), full, idx, r)
-				now, _ := Owners(block.Uint64(), shrunk, idx, r)
-				var gain []simnet.NodeID
-				for _, o := range now {
-					if !slices.Contains(old, o) {
-						gain = append(gain, o)
-					}
-				}
-				if slices.Contains(old, leaver) != (len(gain) == 1) {
-					t.Fatalf("leaver %d block %d chunk %d: owned=%v but %d members gain it", leaver, b, idx, slices.Contains(old, leaver), len(gain))
-				}
-				for _, o := range old {
-					if gain != nil {
-						if want[o] == nil {
-							want[o] = make(map[int][]simnet.NodeID)
-						}
-						want[o][idx] = gain
-					}
-				}
+// retirePulls is a retire's plan on m, whose current epoch is the one the
+// leaver is not in: every member of it takes in the chunks MovesTo gives it
+// that it did not own under the block's placement epoch.
+func retirePulls(m EpochMap, block blockcrypto.Hash, height uint64, r int) ([]Move, error) {
+	var out []Move
+	for _, s := range m.Current().Members {
+		moves, err := m.MovesTo(block, height, s, r)
+		if err != nil {
+			return nil, err
+		}
+		for _, mv := range moves {
+			old, err := m.PlacementAt(height).Owners(block.Uint64(), mv.Index, r)
+			if err != nil {
+				return nil, err
 			}
-			for _, holder := range full {
-				moves, err := m.MovesFrom(block, 0, holder, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make(map[int][]simnet.NodeID)
-				for _, mv := range moves {
-					if !slices.Equal(mv.From, []simnet.NodeID{holder}) {
-						t.Fatalf("holder %d asked to send from %v", holder, mv.From)
-					}
-					got[mv.Index] = mv.To
-				}
-				if w := want[holder]; len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
-					t.Fatalf("leaver %d block %d: holder %d sends %v, want %v", leaver, b, holder, got, w)
-				}
+			if !slices.Contains(old, s) {
+				out = append(out, mv)
 			}
 		}
 	}
+	return out, nil
 }
 
 func TestEpochMapAddr(t *testing.T) {

@@ -13,10 +13,12 @@ import (
 )
 
 // This file is the real-TCP side of a membership change: who takes part
-// is read from the cluster map (CurrentMap), what moves is planned by core
-// (EpochMap.MovesTo, MovesFrom) on planMap's copy of it; transfer carries it
-// out, verify-on-write. BootstrapNewMember (a newcomer joins), ResyncMember
-// (a member restarted empty) and RejoinMember (churn.go) provision a server.
+// is read from the cluster map (CurrentMap), what moves is planned by core's
+// one rule (EpochMap.MovesTo: every member that gains a chunk pulls it) on
+// planMap's copy of it; transfer carries it out, verify-on-write.
+// BootstrapNewMember (a newcomer joins), ResyncMember (a member restarted
+// empty) and RejoinMember (churn.go) provision one server; RetireMember
+// (churn.go) has every staying member pull the leaver's share.
 
 // BootstrapNewMember provisions a brand-new storage server as a new member
 // of this cluster, under an identity no epoch of the cluster map has ever
@@ -42,18 +44,18 @@ func fresh(m core.EpochMap) simnet.NodeID {
 	return top + 1
 }
 
-// ResyncMember re-provisions member id, serving at addr in the current
-// epoch of the cluster map, whose store was lost (crash, restart, disk
-// wipe) with the headers and every chunk it owns. It returns how many
-// chunks were transferred. A chunk only the lost member held (replication
-// 1) cannot be recovered and fails the resync.
-func (cl *Cluster) ResyncMember(addr string, id simnet.NodeID) (int, error) {
+// ResyncMember re-provisions the member serving at addr in the current
+// epoch of the cluster map, as the identity the map gives it, whose store
+// was lost (crash, restart, disk wipe) with the headers and every chunk it
+// owns. It returns how many chunks were transferred. A chunk only the lost
+// member held (replication 1) cannot be recovered and fails the resync.
+func (cl *Cluster) ResyncMember(addr string) (int, error) {
 	m := cl.CurrentMap()
 	cur := m.Current()
-	if i := slices.Index(cur.Addrs, addr); i < 0 || cur.Members[i] != id {
-		return 0, fmt.Errorf("netx: resync: %s is not member %d of the current epoch", addr, id)
+	if i := slices.Index(cur.Addrs, addr); i >= 0 {
+		return cl.provision(m, addr, cur.Members[i], nil, nil)
 	}
-	return cl.provision(m, addr, id, nil, nil)
+	return 0, fmt.Errorf("netx: resync: %s is not a member of the current epoch", addr)
 }
 
 // provision pushes headers plus every chunk member self takes in
@@ -70,19 +72,8 @@ func (cl *Cluster) provision(m core.EpochMap, target string, self simnet.NodeID,
 	if err != nil {
 		return 0, err
 	}
-	n, err := cl.transfer(func(emit func(chunkMove) bool) error {
-		for _, h := range headers {
-			moves, err := plan.MovesTo(h.Hash(), h.Height, self, cl.replication)
-			if err != nil {
-				return err
-			}
-			for _, mv := range moves {
-				if !emit(chunkMove{block: mv.Block, index: mv.Index, from: addrsOf(plan, mv.From, target), to: []string{target}}) {
-					return nil
-				}
-			}
-		}
-		return nil
+	n, err := cl.transfer(plan, headers, func(block blockcrypto.Hash, height uint64) ([]core.Move, error) {
+		return plan.MovesTo(block, height, self, cl.replication)
 	})
 	if err != nil {
 		return n, fmt.Errorf("netx: bootstrap: %w", err)
@@ -130,26 +121,25 @@ const transferWorkers = 4
 
 // chunkMove is one chunk to copy between servers.
 type chunkMove struct {
-	seq   int // position in the producer's order
+	seq   int // position in the plan's order
 	block blockcrypto.Hash
 	index int
-	from  []string   // holders to fetch from, in fail-over order...
-	chunk *ChunkResp // ...or the chunk itself, when the producer already read it
-	to    []string   // servers to push to
+	from  []string // holders to fetch from, in fail-over order
+	to    string   // the server taking it in
 }
 
-// transfer copies chunks between servers on transferWorkers goroutines.
-// produce runs on the caller's goroutine and hands each move to emit, which
-// reports false once a move has failed and no more are taken. A worker
-// fetches its move's chunk from the first holder that serves it and pushes
-// it to every destination over connections of its own: the destination
+// transfer carries out, on transferWorkers goroutines, the moves movesOf
+// plans on plan for each of headers in turn; planning runs on the caller's
+// goroutine and stops once a move has failed. A worker fetches its move's
+// chunk from the first of its sources that serves it and pushes it to the
+// member taking it in over a connection of its own: the destination
 // verifies on write, and separate connections let it verify several chunks
 // at once. Moves already taken when one fails still finish.
 //
-// It returns how many moves had every push acknowledged, and the error of
-// the earliest failed move in the producer's order — the one a sequential
-// copy would have stopped at — or else the producer's own.
-func (cl *Cluster) transfer(produce func(emit func(chunkMove) bool) error) (int, error) {
+// It returns how many moves had their push acknowledged, and the error of
+// the earliest failed move in the plan's order — the one a sequential copy
+// would have stopped at — or else the planner's own.
+func (cl *Cluster) transfer(plan core.EpochMap, headers []chain.Header, movesOf func(block blockcrypto.Hash, height uint64) ([]core.Move, error)) (int, error) {
 	var (
 		moves = make(chan chunkMove)
 		wg    sync.WaitGroup
@@ -182,17 +172,26 @@ func (cl *Cluster) transfer(produce func(emit func(chunkMove) bool) error) (int,
 		}()
 	}
 	seq := 0
-	err := produce(func(mv chunkMove) bool {
-		mu.Lock()
-		ok := failed == nil
-		mu.Unlock()
-		if ok {
-			mv.seq = seq
-			seq++
-			moves <- mv // never blocks for good: the workers receive until moves is closed
+	err := func() error {
+		for _, h := range headers {
+			planned, err := movesOf(h.Hash(), h.Height)
+			if err != nil {
+				return err
+			}
+			for _, mv := range planned {
+				mu.Lock()
+				stop := failed != nil
+				mu.Unlock()
+				if stop {
+					return nil
+				}
+				to := plan.Addr(mv.To) // a source at the destination's address has nothing to offer
+				moves <- chunkMove{seq: seq, block: mv.Block, index: mv.Index, from: addrsOf(plan, mv.From, to), to: to}
+				seq++ // the send never blocks for good: the workers receive until moves is closed
+			}
 		}
-		return ok
-	})
+		return nil
+	}()
 	close(moves)
 	wg.Wait()
 	if failed != nil {
@@ -201,9 +200,10 @@ func (cl *Cluster) transfer(produce func(emit func(chunkMove) bool) error) (int,
 	return done, err
 }
 
-// moveChunk carries out one move, dialing destinations into dests as needed.
+// moveChunk carries out one move, dialing its destination into dests as
+// needed.
 func (cl *Cluster) moveChunk(mv chunkMove, dests map[string]*Client) error {
-	chunk := mv.chunk
+	var chunk *ChunkResp
 	for _, addr := range mv.from {
 		c, err := cl.Client(addr)
 		if err != nil {
@@ -226,35 +226,48 @@ func (cl *Cluster) moveChunk(mv chunkMove, dests map[string]*Client) error {
 		Data:    chunk.Data,
 		Proofs:  chunk.Proofs,
 	}
-	for _, addr := range mv.to {
-		dst := dests[addr]
-		if dst == nil {
-			var err error
-			if dst, err = cl.dial(addr); err != nil {
-				return err
-			}
-			dests[addr] = dst
+	dst := dests[mv.to]
+	if dst == nil {
+		var err error
+		if dst, err = cl.dial(mv.to); err != nil {
+			return err
 		}
-		if err := dst.PutChunk(req); err != nil {
-			return fmt.Errorf("push chunk %d to %s: %w", mv.index, addr, err)
-		}
+		dests[mv.to] = dst
+	}
+	if err := cl.putChunk(dst, req); err != nil {
+		return fmt.Errorf("push chunk %d to %s: %w", mv.index, mv.to, err)
 	}
 	return nil
 }
 
-// syncHeaders copies the header chain from the first reachable member of
-// the current epoch (skipping target itself) into the server at target,
-// validating genesis anchoring and hash-chain linkage on the way.
+// syncHeaders copies the header chain (memberHeaders) into the server at
+// target.
 func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
 	targetClient, err := cl.dial(target)
 	if err != nil {
 		return nil, fmt.Errorf("netx: bootstrap: dial member %s: %w", target, err)
 	}
 	defer targetClient.Close()
+	headers, err := cl.memberHeaders(target)
+	if err != nil {
+		return nil, fmt.Errorf("netx: bootstrap: %w", err)
+	}
+	for i, h := range headers {
+		if err := targetClient.PutHeader(h); err != nil {
+			return nil, fmt.Errorf("netx: bootstrap: push header %d: %w", i, err)
+		}
+	}
+	return headers, nil
+}
+
+// memberHeaders reads the header chain from the first reachable member of
+// the current epoch other than skip, validating genesis anchoring and
+// hash-chain linkage.
+func (cl *Cluster) memberHeaders(skip string) ([]chain.Header, error) {
 	var headers []chain.Header
-	err = ErrNoServers // what is left to report when target is the only member
+	err := ErrNoServers // what is left to report when skip is the only member
 	for _, addr := range cl.Map().Current().Addrs {
-		if addr == target {
+		if addr == skip {
 			continue
 		}
 		var c *Client
@@ -268,15 +281,10 @@ func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
 		cl.DropClient(addr, c)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("netx: bootstrap: no member served headers: %w", err)
+		return nil, fmt.Errorf("no member served headers: %w", err)
 	}
 	if err := chain.VerifyHeaderChain(headers); err != nil {
-		return nil, fmt.Errorf("netx: bootstrap: %w", err)
-	}
-	for i, h := range headers {
-		if err := targetClient.PutHeader(h); err != nil {
-			return nil, fmt.Errorf("netx: bootstrap: push header %d: %w", i, err)
-		}
+		return nil, err
 	}
 	return headers, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"icistrategy/internal/chain"
-	"icistrategy/internal/simnet"
 )
 
 // The bootstrap failure-path suite: peers that refuse connections, peers
@@ -314,7 +313,7 @@ func TestResyncMemberRestoresCrashedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer view.Close()
-	transferred, err := view.ResyncMember(reborn.Addr(), simnet.NodeID(2))
+	transferred, err := view.ResyncMember(reborn.Addr())
 	if err != nil {
 		t.Fatalf("resync: %v", err)
 	}
@@ -340,17 +339,23 @@ func TestResyncMemberRestoresCrashedNode(t *testing.T) {
 	}
 }
 
+// TestResyncMemberValidatesIdentity: the identity a resync provisions is
+// the one the current epoch gives the address, so an address the current
+// epoch does not list — never a member, or retired — is refused.
 func TestResyncMemberValidatesIdentity(t *testing.T) {
-	_, addrs := startServers(t, 2)
+	_, addrs := startServers(t, 3)
 	cl, err := NewCluster(addrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.ResyncMember(addrs[0], simnet.NodeID(5)); err == nil {
-		t.Fatal("out-of-range member id accepted")
+	if _, err := cl.ResyncMember("127.0.0.1:1"); err == nil {
+		t.Fatal("a non-member address accepted")
 	}
-	if _, err := cl.ResyncMember(addrs[0], simnet.NodeID(1)); err == nil {
-		t.Fatal("address/id mismatch accepted")
+	if _, err := cl.RetireMember(addrs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ResyncMember(addrs[2]); err == nil {
+		t.Fatal("a retired member's address accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/core"
 	"icistrategy/internal/simnet"
 )
@@ -148,9 +149,11 @@ func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error
 }
 
 // RetireMember gracefully removes the member serving at addr from the
-// current epoch of the cluster map: the chunks it holds that the shrunk
-// membership gives to others (EpochMap.MovesFrom) are pushed to them, then
-// the shrunk epoch is published. Returns the number of chunks moved.
+// current epoch of the cluster map: every member that stays pulls the
+// chunks the shrunk membership gives it (retireMoves), then the shrunk epoch
+// is published. The leaver is one source among each chunk's other holders,
+// so a leaver that is down is skipped while a copy survives elsewhere.
+// Returns the number of chunks moved.
 func (cl *Cluster) RetireMember(addr string) (int, error) {
 	m := cl.CurrentMap()
 	cur := m.Current()
@@ -164,39 +167,12 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
-
-	leaver, err := cl.Client(addr)
+	headers, err := cl.memberHeaders(addr)
 	if err != nil {
 		return 0, fmt.Errorf("netx: retire %s: %w", addr, err)
 	}
-	headers, err := leaver.GetHeaders(0)
-	if err != nil {
-		cl.DropClient(addr, leaver)
-		return 0, fmt.Errorf("netx: retire %s: headers: %w", addr, err)
-	}
-	moved, err := cl.transfer(func(emit func(chunkMove) bool) error {
-		for _, hdr := range headers {
-			block := hdr.Hash()
-			moves, err := plan.MovesFrom(block, hdr.Height, cur.Members[li], cl.replication)
-			if err != nil {
-				return err
-			}
-			resp, err := leaver.GetBlockChunks(block)
-			if err != nil {
-				cl.DropClient(addr, leaver)
-				return fmt.Errorf("chunks of %x: %w", block[:4], err)
-			}
-			for _, mv := range moves {
-				i := slices.IndexFunc(resp.Chunks, func(c ChunkResp) bool { return c.Index == mv.Index })
-				if i < 0 {
-					continue // owned but not held: nothing to hand out
-				}
-				if !emit(chunkMove{block: block, index: mv.Index, chunk: &resp.Chunks[i], to: addrsOf(plan, mv.To, "")}) {
-					return nil
-				}
-			}
-		}
-		return nil
+	moved, err := cl.transfer(plan, headers, func(block blockcrypto.Hash, height uint64) ([]core.Move, error) {
+		return retireMoves(plan, block, height, cl.replication)
 	})
 	if err != nil {
 		return moved, fmt.Errorf("netx: retire %s: %w", addr, err)
@@ -205,6 +181,32 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 		return moved, err
 	}
 	return moved, nil
+}
+
+// retireMoves plans a retire for a block written at the given height on
+// plan, whose current epoch leaves the leaver out and whose placement epoch
+// is the one replaced: each staying member takes in the chunks MovesTo gives
+// it that it did not own there. By rendezvous that is exactly the leaver's
+// share, each chunk to the one member that gains it.
+func retireMoves(plan core.EpochMap, block blockcrypto.Hash, height uint64, r int) ([]core.Move, error) {
+	old := plan.PlacementAt(height)
+	var out []core.Move
+	for _, s := range plan.Current().Members {
+		moves, err := plan.MovesTo(block, height, s, r)
+		if err != nil {
+			return nil, err
+		}
+		for _, mv := range moves {
+			owners, err := old.Owners(block.Uint64(), mv.Index, r)
+			if err != nil {
+				return nil, err
+			}
+			if !slices.Contains(owners, s) {
+				out = append(out, mv)
+			}
+		}
+	}
+	return out, nil
 }
 
 // RejoinMember re-provisions the member returning at addr after a graceful

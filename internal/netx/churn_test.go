@@ -345,7 +345,7 @@ func TestResyncAfterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer view.Close()
-	moved, err := view.ResyncMember(reborn.Addr(), 1)
+	moved, err := view.ResyncMember(reborn.Addr())
 	if err != nil {
 		t.Fatalf("resync after churn: %v", err)
 	}
@@ -499,4 +499,229 @@ func TestBootstrapAfterAMiddleRetireTakesAFreshIdentity(t *testing.T) {
 	if held := joiner.Stats().ChunkCount; moved != owned || held != int64(owned) {
 		t.Fatalf("bootstrap moved %d chunks and the joiner holds %d; identity 4 owns %d", moved, held, owned)
 	}
+}
+
+// TestRetirePlanIsThePlacementDelta removes each member of seven in turn:
+// for every chunk of every block, the retire's plan sends it to exactly the
+// member that owns it under the shrunk epoch and did not own it before —
+// rendezvous gives each chunk the leaver owned one such member, and any
+// other chunk none — so only the leaver's share moves, and no staying
+// member is sent a chunk it holds. The oracle is core.Owners alone.
+func TestRetirePlanIsThePlacementDelta(t *testing.T) {
+	const n, r, blocks = 7, 3, 64
+	full := memberIDs(n)
+	var genesis core.EpochMap
+	if _, err := genesis.Push(0, full, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, leaver := range full {
+		shrunk := slices.DeleteFunc(slices.Clone(full), func(id simnet.NodeID) bool { return id == leaver })
+		plan, err := planMap(genesis, shrunk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := uint64(0); b < blocks; b++ {
+			hdr := chain.Header{Height: b}
+			block := hdr.Hash()
+			want := make(map[int]simnet.NodeID) // chunk -> the member that gains it
+			for idx := 0; idx < n; idx++ {
+				old, _ := core.Owners(block.Uint64(), full, idx, r)
+				now, _ := core.Owners(block.Uint64(), shrunk, idx, r)
+				var gain []simnet.NodeID
+				for _, o := range now {
+					if !slices.Contains(old, o) {
+						gain = append(gain, o)
+					}
+				}
+				if slices.Contains(old, leaver) != (len(gain) == 1) {
+					t.Fatalf("leaver %d block %d chunk %d: owned=%v but %d members gain it", leaver, b, idx, slices.Contains(old, leaver), len(gain))
+				}
+				if gain != nil {
+					want[idx] = gain[0]
+				}
+			}
+			moves, err := retireMoves(plan, block, 0, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[int]simnet.NodeID)
+			for _, mv := range moves {
+				if _, twice := got[mv.Index]; twice {
+					t.Fatalf("leaver %d block %d: chunk %d planned twice", leaver, b, mv.Index)
+				}
+				got[mv.Index] = mv.To
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("leaver %d block %d: the retire moves %v, want %v", leaver, b, got, want)
+			}
+		}
+	}
+}
+
+// TestRetireADeadMember retires a member whose server is down. With r = 2
+// every chunk it owned has another holder, so the members that stay pull
+// it from there: the retire moves exactly the dead member's share, is
+// published, and every member of the shrunk epoch holds every chunk it
+// owns. With r = 1 the dead member's chunks are gone: the retire fails,
+// naming a chunk, and nothing is published. When the leaver pushed its
+// share out, both retires failed dialing it.
+func TestRetireADeadMember(t *testing.T) {
+	for _, r := range []int{2, 1} {
+		t.Run(fmt.Sprint("r=", r), func(t *testing.T) {
+			const n = 4
+			servers, addrs := startServers(t, n)
+			cl, err := NewCluster(addrs, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			blocks := seededBlocks(t, 26, 3, 16)
+			share := 0
+			for _, b := range blocks {
+				if err := cl.DistributeBlock(b); err != nil {
+					t.Fatal(err)
+				}
+				share += len(ownedChunks(t, b.Hash(), memberIDs(n), n, r)[1])
+			}
+			if err := servers[1].Close(); err != nil {
+				t.Fatal(err)
+			}
+			moved, err := cl.RetireMember(addrs[1])
+			if r == 1 {
+				if err == nil || !strings.Contains(err.Error(), "unavailable from any owner") {
+					t.Fatalf("retire with the only copies down: moved %d, err %v; want a chunk named unavailable", moved, err)
+				}
+				for _, i := range []int{0, 2, 3} {
+					servers[i].mu.Lock()
+					held := servers[i].cmap
+					servers[i].mu.Unlock()
+					if held != nil {
+						t.Fatalf("member %d holds a map after the failed retire: %+v", i, held)
+					}
+				}
+				return
+			}
+			if err != nil || moved != share {
+				t.Fatalf("retire moved %d chunks, err %v; the dead member owned %d", moved, err, share)
+			}
+			m := cl.Map()
+			if got := m.Current().Members; !slices.Equal(got, []simnet.NodeID{0, 2, 3}) {
+				t.Fatalf("published members %v, want 0, 2, 3", got)
+			}
+			for _, id := range m.Current().Members {
+				requireOwned(t, addrs[id], id, m, blocks, r)
+			}
+		})
+	}
+}
+
+// TestStaleMapWriterWritesUnderThePublishedMap: five members publish a
+// sixth's join, and a cluster over all six retires it again. A writer that
+// still holds the join's map cuts the next blocks six ways; the members,
+// which hold the retire's map, refuse those chunks, and the writer polls,
+// adopts the published map and writes the blocks again five ways, which a
+// reader by that map reads back. Before members checked a chunk's part
+// count against their map, they stored the six-way split, DistributeBlock
+// returned nil, and neither block read back.
+func TestStaleMapWriterWritesUnderThePublishedMap(t *testing.T) {
+	const n, r = 5, 2
+	_, addrs := startServers(t, n+1)
+	five, err := NewCluster(addrs[:n], r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer five.Close()
+	blocks := seededBlocks(t, 7, 5, 16)
+	for _, b := range blocks[:3] {
+		if err := five.DistributeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := five.BootstrapNewMember(addrs[n]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := five.PublishEpoch(memberIDs(n+1), addrs); err != nil {
+		t.Fatal(err)
+	}
+	six, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer six.Close()
+	if _, err := six.RetireMember(addrs[n]); err != nil {
+		t.Fatal(err)
+	}
+	if stale := five.Map(); len(stale.Current().Members) != n+1 {
+		t.Fatalf("the writer's map lists %d members, want the stale %d", len(stale.Current().Members), n+1)
+	}
+	for _, b := range blocks[3:] {
+		if err := five.DistributeBlock(b); err != nil {
+			t.Fatalf("block %d: %v", b.Header.Height, err)
+		}
+	}
+	m := six.Map()
+	if !reflect.DeepEqual(five.Map(), m) {
+		t.Fatalf("the writer holds %+v, the members serve %+v", five.Map(), m)
+	}
+	for _, b := range blocks {
+		if got, err := six.RetrieveBlock(b.Header); err != nil || got.Hash() != b.Hash() {
+			t.Errorf("block %d: %v", b.Header.Height, err)
+		}
+	}
+	for _, id := range m.Current().Members {
+		requireOwned(t, addrs[id], id, m, blocks, r)
+	}
+}
+
+// TestMemberThatMissedAPublishIsHandedTheMap: member 0 holds an older map
+// than the others, as after missing a publish, and by it a block written
+// under the newest epoch has three parts, not four. It refuses the
+// writer's chunks until the writer hands it the writer's map, which it
+// keeps as the newer; the block is then stored whole.
+func TestMemberThatMissedAPublishIsHandedTheMap(t *testing.T) {
+	const n, r = 4, 2
+	servers, addrs := startServers(t, n)
+	var older core.EpochMap
+	for _, e := range []struct {
+		ids   []simnet.NodeID
+		addrs []string
+	}{{memberIDs(n), addrs}, {memberIDs(n - 1), addrs[:n-1]}} {
+		if _, err := older.Push(0, e.ids, e.addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newer := slices.Clone(older)
+	if _, err := newer.Push(0, memberIDs(n), addrs); err != nil {
+		t.Fatal(err)
+	}
+	for i, addr := range addrs {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := newer
+		if i == 0 {
+			held = older
+		}
+		if err := c.SetClusterMap(held); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	cl, err := NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	b := testBlocks(t, 1, 24)[0]
+	if err := cl.DistributeBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	servers[0].mu.Lock()
+	held := servers[0].cmap
+	servers[0].mu.Unlock()
+	if len(held) != len(newer) {
+		t.Fatalf("member 0 holds a map of %d epochs, want the writer's %d", len(held), len(newer))
+	}
+	requireShare(t, servers[0], 0, []*chain.Block{b}, n, r)
 }

@@ -407,18 +407,25 @@ func (cl *Cluster) DropClient(addr string, c *Client) {
 // (with Merkle proofs) to its rendezvous owners. Members are written to side
 // by side; when several fail, the error of the first in identity order is
 // returned, and what the others stored stands (it is verified data, and
-// puts are idempotent).
+// puts are idempotent). A write that fails may have been split under a
+// stale map, which members refuse: as a read does, the members are polled
+// for a newer map once, and with one adopted the block is written again.
 func (cl *Cluster) DistributeBlock(b *chain.Block) error {
 	span := cl.tracer().Start(0, "distribute", "distribute-block", clientNode)
 	span.AddBytes(int64(b.BodySize()))
-	err := cl.distributeBlock(b, span.Context())
+	m := cl.Map()
+	err := cl.distributeBlock(b, m, span.Context())
+	if err != nil && cl.CurrentMap().Newer(m) {
+		err = cl.distributeBlock(b, cl.Map(), span.Context())
+	}
 	span.SetErr(err)
 	span.End()
 	return err
 }
 
-func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
-	cur := cl.Map().Current()
+// distributeBlock is one write of b under the current epoch of m.
+func (cl *Cluster) distributeBlock(b *chain.Block, m core.EpochMap, parent trace.SpanID) error {
+	cur := m.Current()
 	groups, err := core.SplitBlock(b, len(cur.Members))
 	if err != nil {
 		return err
@@ -472,12 +479,23 @@ func (cl *Cluster) putToMember(addr string, parent trace.SpanID, hdr chain.Heade
 		return fmt.Errorf("put header to %s: %w", addr, err)
 	}
 	for _, idx := range owned {
-		if err := c.PutChunk(reqs[idx]); err != nil {
+		if err := cl.putChunk(c, reqs[idx]); err != nil {
 			cl.DropClient(addr, c)
 			return fmt.Errorf("put chunk %d to %s: %w", idx, addr, err)
 		}
 	}
 	return nil
+}
+
+// putChunk pushes req over c. A member that refuses it may hold a stale
+// cluster map, having missed a publish: it is handed the map this cluster
+// holds, which it keeps only if that is newer, and asked once more.
+func (cl *Cluster) putChunk(c *Client, req PutChunkReq) error {
+	err := c.PutChunk(req)
+	if err == nil || c.link.closed() || c.SetClusterMap(cl.Map()) != nil {
+		return err
+	}
+	return c.PutChunk(req)
 }
 
 // RetrieveBlock reads the block of hdr by the cluster map this cluster holds

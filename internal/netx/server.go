@@ -254,19 +254,26 @@ func (s *Server) handleClusterMap(req *Request) *Response {
 
 // handlePutChunk verifies what the server stores: the chunk must pass the
 // check every owner runs on a chunk it receives as bytes (core.AdoptChunk)
-// against the already-stored header. s.mu is held to look the header up and
-// again to store; the checks between run unlocked (they read only the
-// request and the header copy), so connections verify side by side and
-// reads do not wait behind signatures.
+// against the already-stored header, cut into as many parts as the map this
+// server holds gives the block's write epoch members: a writer holding a
+// stale map splits for another membership, which no reader by the map can
+// put together (a server that holds no map takes the count on trust). s.mu
+// is held to look the header and map up and again to store; the checks
+// between run unlocked (they read only the request and the header copy), so
+// connections verify side by side and reads do not wait behind signatures.
 func (s *Server) handlePutChunk(r *PutChunkReq) *Response {
 	if len(r.Data) == 0 || r.Parts <= 0 || r.Index < 0 || r.Index >= r.Parts {
 		return errResp(ErrBadRequest)
 	}
 	s.mu.Lock()
 	hdr, err := s.store.Header(r.Block)
+	m := s.cmap
 	s.mu.Unlock()
 	if err != nil {
 		return errResp(fmt.Errorf("store chunk: header unknown: %w", ErrNotFound))
+	}
+	if len(m) > 0 && r.Parts != len(m.At(hdr.Height).Members) {
+		return errResp(fmt.Errorf("%w: block cut into %d parts, not by epoch %d of the cluster map", ErrBadRequest, r.Parts, m.At(hdr.Height).Seq))
 	}
 	chunk, err := core.AdoptChunk(hdr, r.Index, r.Parts, r.TxStart, r.Data, r.Proofs)
 	if err != nil {
@@ -347,8 +354,7 @@ func (r *storedChunks) AppendWire(b []byte) (uint8, []byte) {
 		}
 		return opRespChunkBatch, b
 	default:
-		// Every chunk held of one block, for a member that takes them over
-		// (RetireMember), so with proofs. How many pass their digest check
+		// Every chunk held of one block, with proofs. How many pass their digest check
 		// is known only once they are in the frame: the two fields before
 		// them are put in front afterwards.
 		block := r.req.GetBlockChunks.Block

@@ -72,6 +72,10 @@ var seeds = []seed{
 		"cur, id := m.Current(), fresh(m)",
 		"cur, id := m.Current(), simnet.NodeID(len(m.Current().Members))"},
 		"./internal/netx", "TestBootstrapAfterAMiddleRetireTakesAFreshIdentity", false},
+	{"retire-takes-held", "internal/netx/churn.go", []string{ // a retire sends each staying member every chunk it owns, held or not
+		"if !slices.Contains(owners, s) {",
+		"if len(owners) > 0 {"},
+		"./internal/netx", "TestRetirePlanIsThePlacementDelta", false},
 	{"dropped-dispatch", "internal/core/node.go", []string{ // handle loses its chunk-answer arm: every fetched chunk is dropped
 		"\tcase chunkRespMsg:\n\t\tn.onChunkResp(msg.From, m)\n", ""},
 		"./internal/core", "TestLeaveClusterHandsOffChunks", false},
