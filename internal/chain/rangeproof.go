@@ -49,21 +49,7 @@ func RangeProofOf(start int, proofs []Proof) (RangeProof, error) {
 		}
 	}
 	first, last := proofs[0].Steps, proofs[len(proofs)-1].Steps
-	// Counted first so the edge is allocated at its size: it is what a
-	// store keeps for as long as it holds the chunk.
-	kept := 0
-	for l := range first {
-		if first[l].Left {
-			kept++
-		}
-		if !last[l].Left {
-			kept++
-		}
-	}
 	r := RangeProof{Depth: depth}
-	if kept > 0 {
-		r.Hashes = make([]blockcrypto.Hash, 0, kept)
-	}
 	for l := range first {
 		if first[l].Left {
 			r.Hashes = append(r.Hashes, first[l].Sibling)

@@ -62,13 +62,13 @@ func (cl *Cluster) ResyncMember(addr string) (int, error) {
 // (EpochMap.MovesTo) into the server at target, each fetched from the
 // sources the plan names. The plan is m with, unless ids is nil, the
 // membership ids at addrs that the change leads to (planMap); a resync
-// changes none.
+// changes none. A published m is handed to the target first (syncHeaders).
 func (cl *Cluster) provision(m core.EpochMap, target string, self simnet.NodeID, ids []simnet.NodeID, addrs []string) (int, error) {
 	plan, err := planMap(m, ids, addrs)
 	if err != nil {
 		return 0, fmt.Errorf("netx: bootstrap: %w", err)
 	}
-	headers, err := cl.syncHeaders(target)
+	headers, err := cl.syncHeaders(target, m)
 	if err != nil {
 		return 0, err
 	}
@@ -241,13 +241,20 @@ func (cl *Cluster) moveChunk(mv chunkMove, dests map[string]*Client) error {
 }
 
 // syncHeaders copies the header chain (memberHeaders) into the server at
-// target.
-func (cl *Cluster) syncHeaders(target string) ([]chain.Header, error) {
+// target. Before that it hands the server m, unless m is the constructor
+// roster that nothing published: a server that holds no map takes any
+// writer's part count on trust (handlePutChunk), a stale writer's too.
+func (cl *Cluster) syncHeaders(target string, m core.EpochMap) ([]chain.Header, error) {
 	targetClient, err := cl.dial(target)
 	if err != nil {
 		return nil, fmt.Errorf("netx: bootstrap: dial member %s: %w", target, err)
 	}
 	defer targetClient.Close()
+	if m.Current().Seq > 0 {
+		if err := targetClient.SetClusterMap(m); err != nil {
+			return nil, fmt.Errorf("netx: bootstrap: hand %s the cluster map: %w", target, err)
+		}
+	}
 	headers, err := cl.memberHeaders(target)
 	if err != nil {
 		return nil, fmt.Errorf("netx: bootstrap: %w", err)

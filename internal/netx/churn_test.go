@@ -624,13 +624,55 @@ func TestRetireADeadMember(t *testing.T) {
 // count against their map, they stored the six-way split, DistributeBlock
 // returned nil, and neither block read back.
 func TestStaleMapWriterWritesUnderThePublishedMap(t *testing.T) {
+	_, addrs, five, six, blocks := staleWriter(t)
+	writeAndReadBack(t, addrs, five, six, blocks)
+}
+
+// TestResyncedMemberIsHandedTheMap: as above, but member 0 restarts empty
+// after the retire and is resynced before the stale writer writes to it
+// over a new connection. A resync
+// hands the member the map its plan came from, so it refuses the six-way
+// split like every other member, and the blocks rewritten five ways are
+// stored by every owner. A member resynced without the map took the six-way
+// chunks on trust and then refused the rewrite as conflicting data.
+func TestResyncedMemberIsHandedTheMap(t *testing.T) {
+	servers, addrs, five, six, blocks := staleWriter(t)
+	if err := servers[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	reborn, err := NewServer(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = reborn.Close() })
+	if _, err := six.ResyncMember(addrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The writer's connection to member 0 went with the old server: a call
+	// on it fails, and the writer writes over a new one.
+	c, err := five.Client(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(); err == nil {
+		t.Fatal("a connection to the closed server still answers")
+	}
+	five.DropClient(addrs[0], c)
+	writeAndReadBack(t, addrs, five, six, blocks)
+}
+
+// staleWriter starts six servers and leaves two clusters over them: five,
+// over the first five, has written 3 of the 5 blocks returned, bootstrapped
+// the sixth server and published its join; six, over all six, has retired
+// the sixth again. five still holds the join's map.
+func staleWriter(t *testing.T) ([]*Server, []string, *Cluster, *Cluster, []*chain.Block) {
 	const n, r = 5, 2
-	_, addrs := startServers(t, n+1)
+	servers, addrs := startServers(t, n+1)
 	five, err := NewCluster(addrs[:n], r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer five.Close()
+	t.Cleanup(func() { five.Close() })
 	blocks := seededBlocks(t, 7, 5, 16)
 	for _, b := range blocks[:3] {
 		if err := five.DistributeBlock(b); err != nil {
@@ -647,13 +689,22 @@ func TestStaleMapWriterWritesUnderThePublishedMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer six.Close()
+	t.Cleanup(func() { six.Close() })
 	if _, err := six.RetireMember(addrs[n]); err != nil {
 		t.Fatal(err)
 	}
 	if stale := five.Map(); len(stale.Current().Members) != n+1 {
 		t.Fatalf("the writer's map lists %d members, want the stale %d", len(stale.Current().Members), n+1)
 	}
+	return servers, addrs, five, six, blocks
+}
+
+// writeAndReadBack has the stale writer five write blocks 3 and 4, then
+// checks that it adopted the map six serves, that six reads every block
+// back, and that every member holds every chunk it owns.
+func writeAndReadBack(t *testing.T, addrs []string, five, six *Cluster, blocks []*chain.Block) {
+	t.Helper()
+	const r = 2
 	for _, b := range blocks[3:] {
 		if err := five.DistributeBlock(b); err != nil {
 			t.Fatalf("block %d: %v", b.Header.Height, err)

@@ -76,7 +76,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 // after another over one connection: the reference for BootstrapNewMember.
 func sequentialBootstrap(t *testing.T, cl *Cluster, target string) int {
 	t.Helper()
-	headers, err := cl.syncHeaders(target)
+	headers, err := cl.syncHeaders(target, cl.Map())
 	if err != nil {
 		t.Fatal(err)
 	}

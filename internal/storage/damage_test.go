@@ -6,9 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
-	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/chain"
 )
 
 // refusesEveryRead asserts that every read of id — Chunk, and LendChunk
@@ -53,7 +54,7 @@ func TestEverySmallDamageIsCaught(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stored := s.chunks[c.ID].Data
+	stored := heldRecord(t, s, c.ID).buf // a chunk put without proofs is its payload
 	saved := make([]byte, 4)
 	damage := func(at int, burst []byte, xor bool) {
 		n := copy(saved, stored[at:at+len(burst)])
@@ -150,34 +151,77 @@ func TestPutReplacesADamagedCopy(t *testing.T) {
 	}
 }
 
-// FuzzStoredChunkDamage damages 1 to 4 consecutive bytes of a stored
-// chunk, anywhere in an arbitrary payload: every read must refuse it, and
-// an undamaged copy stored beside it must read back byte for byte.
+// heldRecord returns the store's own record of id.
+func heldRecord(tb testing.TB, s *Store, id ChunkID) *record {
+	tb.Helper()
+	recs, i, ok := s.find(id)
+	if !ok {
+		tb.Fatalf("chunk %s not held", id)
+	}
+	return &recs[i]
+}
+
+// FuzzStoredChunkDamage damages 1 to 4 consecutive bytes anywhere in the
+// stored record of a proven chunk — its payload or the Merkle edge behind
+// it — cut from a block of up to 96 transactions carrying an arbitrary
+// payload. Every read must refuse a damaged payload. A damaged edge leaves
+// the payload readable; of the proofs rebuilt from it, some fail to verify
+// against the block's root, and none that differs from the proof put
+// verifies. A copy stored beside it reads back byte for byte, with the
+// proofs put.
 func FuzzStoredChunkDamage(f *testing.F) {
-	f.Add([]byte{0}, uint16(0), uint8(0), uint32(0))
-	f.Add(bytes.Repeat([]byte{0xa5}, 2800), uint16(1400), uint8(3), uint32(0xffffffff))
-	f.Add([]byte("a chunk of a block body"), uint16(20), uint8(3), uint32(0x80000001))
-	f.Fuzz(func(t *testing.T, data []byte, at uint16, width uint8, mask uint32) {
-		if len(data) == 0 {
-			return
-		}
-		orig := append([]byte(nil), data...)
+	f.Add([]byte{0}, uint8(0), uint8(0), uint16(0), uint8(0), uint32(0))
+	f.Add(bytes.Repeat([]byte{0xa5}, 40), uint8(95), uint8(12), uint16(2900), uint8(3), uint32(0xffffffff))
+	f.Add([]byte("a chunk of a block body"), uint8(11), uint8(200), uint16(20), uint8(3), uint32(0x80000001))
+	f.Fuzz(func(t *testing.T, payload []byte, txs, run uint8, at uint16, width uint8, mask uint32) {
+		n := 1 + int(txs)%96
+		start := int(run) % n
+		count := 1 + int(run/7)%(n-start)
+		block := testTxs(n, payload[:min(len(payload), 256)])
+		damaged, proofs := provenRun(t, block, 0, start, count)
+		twin, _ := provenRun(t, block, 1, start, count)
+		body := append([]byte(nil), damaged.Data...)
 		s := NewStore()
-		block := blockcrypto.Sum256([]byte("fuzz"))
-		damaged, twin := NewChunk(ChunkID{Block: block}, data), NewChunk(ChunkID{Block: block, Index: 1}, data)
 		for _, x := range []Chunk{damaged, twin} {
 			if err := s.PutChunk(x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		off := int(at) % len(data)
-		n := min(1+int(width)%4, len(data)-off)
+		rec := heldRecord(t, s, damaged.ID)
+		off := int(at) % len(rec.buf)
+		k := min(1+int(width)%4, len(rec.buf)-off)
 		mask |= 1 // at least the first byte changes
-		stored := s.chunks[damaged.ID].Data
-		for i := 0; i < n; i++ {
-			stored[off+i] ^= byte(mask >> (8 * i))
+		for i := 0; i < k; i++ {
+			rec.buf[off+i] ^= byte(mask >> (8 * i))
 		}
-		refusesEveryRead(t, s, damaged.ID, "damaged chunk")
-		readsBack(t, s, twin.ID, orig, "undamaged copy")
+		if off < rec.size {
+			refusesEveryRead(t, s, damaged.ID, "damaged payload")
+		} else {
+			readsBack(t, s, damaged.ID, body, "payload before a damaged edge")
+			if err := s.LendChunk(damaged.ID, true, func(c Chunk) {
+				refused := 0
+				for i, p := range c.Proofs {
+					switch {
+					case chain.VerifyProof(damaged.ID.Block, block[start+i].ID(), p) != nil:
+						refused++
+					case !reflect.DeepEqual(p, proofs[i]):
+						t.Fatalf("proof %d rebuilt from a damaged edge verifies, and is not the proof put", i)
+					}
+				}
+				if refused == 0 { // every edge hash is a sibling in some proof of the run
+					t.Fatal("every proof rebuilt from a damaged edge verifies")
+				}
+			}); err != nil && !errors.Is(err, chain.ErrProofMalformed) {
+				t.Fatalf("proofs from a damaged edge: %v", err)
+			}
+		}
+		readsBack(t, s, twin.ID, body, "undamaged copy")
+		if err := s.LendChunk(twin.ID, true, func(c Chunk) {
+			if !reflect.DeepEqual(c.Proofs, proofs) {
+				t.Error("the undamaged copy's proofs are not the ones put")
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

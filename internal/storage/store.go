@@ -5,7 +5,8 @@
 //
 // The stores are in-memory maps — the simulator runs thousands of nodes in
 // one process — but the accounting mirrors what an on-disk layout would
-// consume, which is what the storage experiments measure.
+// consume, which is what the storage experiments measure. A held chunk is
+// one record (Store), the in-memory form of a segment file's record.
 //
 // A stored chunk carries a CRC-32C of its bytes, checked on every put and
 // every read. It catches bytes that change after the put; it is no trust
@@ -16,10 +17,11 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
@@ -112,27 +114,24 @@ func (s Stats) TotalBytes() int64 { return s.HeaderBytes + s.ChunkBytes }
 // with NewStore. Store is not safe for concurrent use (the simulator is
 // single-threaded per node).
 //
-// The store's at-rest form of a chunk's proofs is its own: a chunk put with
-// proofs keeps the Merkle edge of its run of transactions, at most two
-// hashes a tree level, and LendChunk rebuilds the proofs from that edge and
-// Data when a reader asks for them.
+// A held chunk is one record: its payload followed by the hashes of its
+// run's Merkle edge in one exactly sized buffer, with the checksum, index,
+// part count, TxStart and CodedK beside it. The records of a block sit in
+// one map entry, sorted by chunk index; that is the store's one chunk index.
+// LendChunk rebuilds a chunk's proofs from the edge and the payload when a
+// reader asks for them.
 type Store struct {
 	headers     map[blockcrypto.Hash]chain.Header
 	headerOrder []blockcrypto.Hash
-	chunks      map[ChunkID]held
-	// byBlock indexes stored chunk indices per block, kept in lockstep with
-	// chunks by PutChunk/DeleteChunk/GC, so retrieval and repair paths pay
-	// O(chunks of that block) instead of scanning the whole store.
-	byBlock map[blockcrypto.Hash]map[int]struct{}
-	stats   Stats
+	blocks      map[blockcrypto.Hash][]record
+	stats       Stats
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
 		headers: make(map[blockcrypto.Hash]chain.Header),
-		chunks:  make(map[ChunkID]held),
-		byBlock: make(map[blockcrypto.Hash]map[int]struct{}),
+		blocks:  make(map[blockcrypto.Hash][]record),
 	}
 }
 
@@ -172,11 +171,76 @@ func (s *Store) Headers() []chain.Header {
 	return out
 }
 
-// held is a chunk as the store keeps it: Proofs nil, and the Merkle edge
-// they were put with, nil for a chunk put without proofs (a coded share).
-type held struct {
-	Chunk
-	edge *chain.RangeProof
+// record is a chunk as the store holds it.
+type record struct {
+	// buf is the payload, then the hashes of its Merkle edge
+	// (chain.RangeProof.Hashes), allocated at exactly that size.
+	buf     []byte
+	size    int // payload bytes: buf[:size]
+	index   int
+	parts   int
+	txStart int
+	codedK  int
+	digest  uint32
+	// depth is the edge's tree depth (chain.RangeProof.Depth, at most 64);
+	// -1 marks a chunk put without proofs, which keeps no edge.
+	depth int8
+}
+
+// chunk returns the record as a chunk of block, without proofs. Its Data is
+// the store's own buffer, capped at the payload: an append to it cannot
+// reach the edge behind.
+func (r *record) chunk(block blockcrypto.Hash) Chunk {
+	return Chunk{
+		ID:      ChunkID{Block: block, Index: r.index},
+		Data:    r.buf[:r.size:r.size],
+		Digest:  r.digest,
+		Parts:   r.parts,
+		TxStart: r.txStart,
+		CodedK:  r.codedK,
+	}
+}
+
+// verify checks the record's payload against its checksum.
+func (r *record) verify(id ChunkID) error {
+	if crc32.Checksum(r.buf[:r.size], castagnoli) != r.digest {
+		return fmt.Errorf("%w: %s", ErrCorrupted, id)
+	}
+	return nil
+}
+
+// edge rebuilds the record's Merkle edge from the hashes behind its payload.
+func (r *record) edge() chain.RangeProof {
+	tail := r.buf[r.size:]
+	e := chain.RangeProof{Depth: int(r.depth), Hashes: make([]blockcrypto.Hash, len(tail)/blockcrypto.HashSize)}
+	for i := range e.Hashes {
+		copy(e.Hashes[i][:], tail[i*blockcrypto.HashSize:])
+	}
+	return e
+}
+
+// find returns the records of id's block and the position of id among
+// them: where it is if ok, else where it would go.
+func (s *Store) find(id ChunkID) (recs []record, i int, ok bool) {
+	recs = s.blocks[id.Block]
+	i, ok = slices.BinarySearchFunc(recs, id.Index, func(r record, index int) int { return cmp.Compare(r.index, index) })
+	return recs, i, ok
+}
+
+// setBlock stores a block's records, dropping its entry once none are left.
+func (s *Store) setBlock(block blockcrypto.Hash, recs []record) {
+	if len(recs) == 0 {
+		delete(s.blocks, block)
+		return
+	}
+	s.blocks[block] = recs
+}
+
+// account adds a record to the stats (sign 1) or takes it off (sign -1).
+func (s *Store) account(r record, sign int64) {
+	s.stats.ChunkBytes += sign * int64(r.size)
+	s.stats.ChunkCount += sign
+	s.stats.SidecarBytes += sign * int64(len(r.buf)-r.size)
 }
 
 // PutChunk stores a chunk after verifying it against its checksum
@@ -190,34 +254,34 @@ func (s *Store) PutChunk(c Chunk) error {
 	if err := c.Verify(); err != nil {
 		return err
 	}
-	if existing, ok := s.chunks[c.ID]; ok && existing.Verify() != nil {
-		s.dropChunk(c.ID, existing) // damaged in place: the sound copy replaces it
-	} else if ok {
-		if !bytes.Equal(existing.Data, c.Data) {
+	recs, i, held := s.find(c.ID)
+	if held && recs[i].verify(c.ID) == nil {
+		if !bytes.Equal(recs[i].buf[:recs[i].size], c.Data) {
 			return fmt.Errorf("storage: conflicting data for chunk %s", c.ID)
 		}
 		return nil
 	}
-	var edge *chain.RangeProof
+	r := record{size: len(c.Data), index: c.ID.Index, parts: c.Parts, txStart: c.TxStart, codedK: c.CodedK, digest: c.Digest, depth: -1}
+	var edge chain.RangeProof
 	if len(c.Proofs) > 0 {
-		e, err := chain.RangeProofOf(c.TxStart, c.Proofs)
-		if err != nil {
+		var err error
+		if edge, err = chain.RangeProofOf(c.TxStart, c.Proofs); err != nil {
 			return fmt.Errorf("storage: proofs of chunk %s: %w", c.ID, err)
 		}
-		edge = &e
-		s.stats.SidecarBytes += int64(e.Size())
+		r.depth = int8(edge.Depth)
 	}
-	c.Proofs = nil
-	c.Data = append([]byte(nil), c.Data...)
-	s.chunks[c.ID] = held{Chunk: c, edge: edge}
-	idxs, ok := s.byBlock[c.ID.Block]
-	if !ok {
-		idxs = make(map[int]struct{})
-		s.byBlock[c.ID.Block] = idxs
+	r.buf = make([]byte, len(c.Data), len(c.Data)+edge.Size())
+	copy(r.buf, c.Data)
+	for _, h := range edge.Hashes {
+		r.buf = append(r.buf, h[:]...)
 	}
-	idxs[c.ID.Index] = struct{}{}
-	s.stats.ChunkBytes += int64(len(c.Data))
-	s.stats.ChunkCount++
+	if held { // damaged in place: the sound copy replaces it
+		s.account(recs[i], -1)
+		recs[i] = r
+	} else {
+		s.blocks[c.ID.Block] = slices.Insert(recs, i, r)
+	}
+	s.account(r, 1)
 	return nil
 }
 
@@ -226,12 +290,13 @@ func (s *Store) PutChunk(c Chunk) error {
 // it cannot corrupt the store, and a later re-read returns the original
 // bytes.
 func (s *Store) Chunk(id ChunkID) (Chunk, error) {
-	h, err := s.verified(id)
+	r, err := s.verified(id)
 	if err != nil {
 		return Chunk{}, err
 	}
-	h.Data = append([]byte(nil), h.Data...)
-	return h.Chunk, nil
+	c := r.chunk(id.Block)
+	c.Data = append([]byte(nil), c.Data...)
+	return c, nil
 }
 
 // LendChunk verifies a stored chunk's integrity like Chunk and hands fn the
@@ -243,75 +308,58 @@ func (s *Store) Chunk(id ChunkID) (Chunk, error) {
 // chunk put without them), and fn owns them. A chunk whose proofs cannot be
 // rebuilt is not lent.
 func (s *Store) LendChunk(id ChunkID, withProofs bool, fn func(Chunk)) error {
-	h, err := s.verified(id)
+	r, err := s.verified(id)
 	if err != nil {
 		return err
 	}
-	if withProofs && h.edge != nil {
-		if h.Proofs, err = h.edge.Proofs(h.TxStart, h.Data); err != nil {
+	c := r.chunk(id.Block)
+	if withProofs && r.depth >= 0 {
+		if c.Proofs, err = r.edge().Proofs(r.txStart, c.Data); err != nil {
 			return fmt.Errorf("storage: proofs of chunk %s: %w", id, err)
 		}
 	}
-	fn(h.Chunk)
+	fn(c)
 	return nil
 }
 
-// verified looks a chunk up and checks it against its checksum. The value
-// returned still shares its Data with the store.
-func (s *Store) verified(id ChunkID) (held, error) {
-	h, ok := s.chunks[id]
+// verified looks a chunk up and checks it against its checksum. The record
+// returned is the store's own.
+func (s *Store) verified(id ChunkID) (*record, error) {
+	recs, i, ok := s.find(id)
 	if !ok {
-		return held{}, fmt.Errorf("chunk %s: %w", id, ErrNotFound)
+		return nil, fmt.Errorf("chunk %s: %w", id, ErrNotFound)
 	}
-	if err := h.Verify(); err != nil {
-		return held{}, err
+	if err := recs[i].verify(id); err != nil {
+		return nil, err
 	}
-	return h, nil
+	return &recs[i], nil
 }
 
 // HasChunk reports whether the chunk is stored.
 func (s *Store) HasChunk(id ChunkID) bool {
-	_, ok := s.chunks[id]
+	_, _, ok := s.find(id)
 	return ok
 }
 
 // DeleteChunk removes a chunk. Deleting a missing chunk is a no-op.
 func (s *Store) DeleteChunk(id ChunkID) {
-	if h, ok := s.chunks[id]; ok {
-		s.dropChunk(id, h)
-	}
-}
-
-// dropChunk removes a chunk from the map, the per-block index, and the
-// accounting.
-func (s *Store) dropChunk(id ChunkID, h held) {
-	delete(s.chunks, id)
-	if idxs, ok := s.byBlock[id.Block]; ok {
-		delete(idxs, id.Index)
-		if len(idxs) == 0 {
-			delete(s.byBlock, id.Block)
-		}
-	}
-	s.stats.ChunkBytes -= int64(len(h.Data))
-	s.stats.ChunkCount--
-	if h.edge != nil {
-		s.stats.SidecarBytes -= int64(h.edge.Size())
+	if recs, i, ok := s.find(id); ok {
+		s.account(recs[i], -1)
+		s.setBlock(id.Block, slices.Delete(recs, i, i+1))
 	}
 }
 
 // ChunksForBlock returns the indices of stored chunks of the given block,
-// ascending. It reads the per-block index, so the cost is proportional to
-// the chunks of that one block, not the whole store.
+// ascending: the block's records, which are kept in that order.
 func (s *Store) ChunksForBlock(block blockcrypto.Hash) []int {
-	idxs, ok := s.byBlock[block]
-	if !ok {
+	recs := s.blocks[block]
+	if len(recs) == 0 {
 		return nil
 	}
-	out := make([]int, 0, len(idxs))
-	for idx := range idxs {
-		out = append(out, idx)
+	out := make([]int, len(recs))
+	for i := range recs {
+		out[i] = recs[i].index
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -320,12 +368,18 @@ func (s *Store) ChunksForBlock(block blockcrypto.Hash) []int {
 // proofs; its Data is the store's own buffer and must not be written to.
 func (s *Store) GC(keep func(Chunk) bool) int64 {
 	var freed int64
-	for id, h := range s.chunks {
-		if keep(h.Chunk) {
-			continue
+	for block, recs := range s.blocks {
+		kept := recs[:0]
+		for _, r := range recs {
+			if keep(r.chunk(block)) {
+				kept = append(kept, r)
+				continue
+			}
+			freed += int64(r.size)
+			s.account(r, -1)
 		}
-		freed += int64(len(h.Data))
-		s.dropChunk(id, h)
+		clear(recs[len(kept):]) // the dropped buffers go with them
+		s.setBlock(block, kept)
 	}
 	return freed
 }
@@ -334,14 +388,14 @@ func (s *Store) GC(keep func(Chunk) bool) int64 {
 func (s *Store) Stats() Stats { return s.stats }
 
 // Corrupt flips a byte of the stored chunk, for failure-injection tests.
-// It reports whether the chunk existed. The stored slice is private (copied
+// It reports whether the chunk existed. The stored buffer is private (copied
 // on put), so it can be mutated in place; the checksum is left unchanged,
 // so reads now fail verification.
 func (s *Store) Corrupt(id ChunkID) bool {
-	c, ok := s.chunks[id]
-	if !ok || len(c.Data) == 0 {
+	recs, i, ok := s.find(id)
+	if !ok {
 		return false
 	}
-	c.Data[0] ^= 0xFF
+	recs[i].buf[0] ^= 0xFF
 	return true
 }

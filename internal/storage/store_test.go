@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -211,29 +212,9 @@ func TestChunkMutationDoesNotCorruptStore(t *testing.T) {
 	}
 }
 
-// checkBlockIndex asserts the per-block index and the chunk map describe
-// exactly the same set of chunks.
-func checkBlockIndex(t *testing.T, s *Store) {
-	t.Helper()
-	total := 0
-	for block, idxs := range s.byBlock {
-		if len(idxs) == 0 {
-			t.Fatalf("index holds empty entry for block %s", block.Short())
-		}
-		for idx := range idxs {
-			if _, ok := s.chunks[ChunkID{Block: block, Index: idx}]; !ok {
-				t.Fatalf("index lists missing chunk %s/%d", block.Short(), idx)
-			}
-			total++
-		}
-	}
-	if total != len(s.chunks) {
-		t.Fatalf("index covers %d chunks, store holds %d", total, len(s.chunks))
-	}
-}
-
-// TestBlockIndexConsistencyAfterGC drives put/delete/GC and asserts the
-// per-block index never drifts from the chunk map.
+// TestBlockIndexConsistencyAfterGC drives put/delete/GC and asserts that
+// ChunksForBlock lists what is left, and that a block none of whose chunks
+// is left holds no index entry.
 func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 	s := NewStore()
 	for block := byte(0); block < 4; block++ {
@@ -243,12 +224,9 @@ func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 			}
 		}
 	}
-	checkBlockIndex(t, s)
 	s.DeleteChunk(testChunk(1, 5, 16).ID)
-	checkBlockIndex(t, s)
 	// GC away every odd index.
 	s.GC(func(c Chunk) bool { return c.ID.Index%2 == 0 })
-	checkBlockIndex(t, s)
 	for block := byte(0); block < 4; block++ {
 		want := []int{0, 2, 4}
 		got := s.ChunksForBlock(testChunk(block, 0, 16).ID.Block)
@@ -263,9 +241,8 @@ func TestBlockIndexConsistencyAfterGC(t *testing.T) {
 	}
 	// Dropping the rest must empty the index entirely.
 	s.GC(func(Chunk) bool { return false })
-	checkBlockIndex(t, s)
-	if len(s.byBlock) != 0 {
-		t.Fatalf("index still holds %d blocks after full GC", len(s.byBlock))
+	if len(s.blocks) != 0 {
+		t.Fatalf("index still holds %d blocks after full GC", len(s.blocks))
 	}
 }
 
@@ -339,29 +316,46 @@ func TestLendChunk(t *testing.T) {
 	}
 }
 
-// provenChunk returns chunk idx of a block of n transactions, holding the
-// count transactions from start, with their Merkle proofs under the block's
-// root, and those proofs. The transactions are unsigned: the store reads
-// their framing and hashes, nothing else.
+// provenChunk returns chunk idx of a block of n transactions with 200-byte
+// payloads, holding the count transactions from start, with their Merkle
+// proofs under the block's root, and those proofs.
 func provenChunk(t *testing.T, n, idx, start, count int) (Chunk, []chain.Proof) {
 	t.Helper()
+	return provenRun(t, testTxs(n, make([]byte, 200)), idx, start, count)
+}
+
+// testTxs returns n transactions carrying payload, each of a signed
+// transaction's size but unsigned: the store reads their framing and hashes,
+// nothing else.
+func testTxs(n int, payload []byte) []*chain.Transaction {
 	txs := make([]*chain.Transaction, n)
 	for i := range txs {
-		txs[i] = &chain.Transaction{Amount: uint64(1 + i), Nonce: uint64(i), Payload: make([]byte, 200)}
+		txs[i] = &chain.Transaction{
+			Amount: uint64(1 + i), Nonce: uint64(i), Payload: payload,
+			PublicKey: make([]byte, 32), Signature: make([]byte, 64),
+		}
 	}
+	return txs
+}
+
+// provenRun returns chunk idx of the block of txs, holding the count
+// transactions from start, with their Merkle proofs under the block's root,
+// and those proofs.
+func provenRun(tb testing.TB, txs []*chain.Transaction, idx, start, count int) (Chunk, []chain.Proof) {
+	tb.Helper()
 	tree, err := chain.TxMerkleTree(txs)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	proofs := make([]chain.Proof, count)
 	for i := range proofs {
 		if proofs[i], err = tree.Prove(start + i); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	block := chain.Block{Txs: txs[start : start+count]}
 	c := NewChunk(ChunkID{Block: tree.Root(), Index: idx}, block.EncodeBody())
-	c.Parts, c.TxStart, c.Proofs = n/count, start, proofs
+	c.Parts, c.TxStart, c.Proofs = len(txs)/count, start, proofs
 	return c, proofs
 }
 
@@ -493,5 +487,73 @@ func TestSidecarLivesAndDiesWithTheChunk(t *testing.T) {
 	if st := s.Stats(); st.ChunkBytes != int64(len(live.Data)) || st.ChunkCount != 1 || st.SidecarBytes != 0 {
 		t.Fatalf("stats after delete %+v", st)
 	}
-	checkBlockIndex(t, s)
+}
+
+// TestLentDataEndsAtThePayload: a stored chunk's Merkle edge lies right
+// behind its payload, so the Data a reader is lent — by LendChunk or GC's
+// keep — is capped at the payload. A reader appending to it gets a buffer of
+// its own, and the proofs rebuilt from the edge stay the ones put.
+func TestLentDataEndsAtThePayload(t *testing.T) {
+	s := NewStore()
+	c, proofs := provenChunk(t, 96, 1, 12, 12)
+	if err := s.PutChunk(c); err != nil {
+		t.Fatal(err)
+	}
+	appendTo := func(got Chunk) {
+		if cap(got.Data) != len(got.Data) {
+			t.Errorf("lent %d bytes of payload with room for %d", len(got.Data), cap(got.Data))
+		}
+		_ = append(got.Data, make([]byte, blockcrypto.HashSize)...)
+	}
+	if err := s.LendChunk(c.ID, false, appendTo); err != nil {
+		t.Fatal(err)
+	}
+	s.GC(func(got Chunk) bool {
+		appendTo(got)
+		return true
+	})
+	if err := s.LendChunk(c.ID, true, func(got Chunk) {
+		if !reflect.DeepEqual(got.Proofs, proofs) {
+			t.Error("the proofs rebuilt after a reader's append are not the ones put")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoredChunkHeapCost guards what holding a chunk costs the heap beside
+// the bytes it holds: a chunk of the benchmark's shape — 12 of a block's 96
+// transactions with 40-byte payloads, one of 8 parts, put with proofs —
+// costs at most 1.15 times its payload plus its Merkle edge. The store holds
+// two chunks of each block, as a member of an 8-member cluster does at
+// replication 2.
+func TestStoredChunkHeapCost(t *testing.T) {
+	const blocks, n, parts, limit = 256, 96, 8, 1.15
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	for b := 0; b < blocks; b++ {
+		txs := testTxs(n, make([]byte, 40))
+		for i := range txs {
+			txs[i].Nonce += uint64(b * n) // every block its own transactions
+		}
+		for _, idx := range []int{b % parts, (b + 3) % parts} {
+			c, _ := provenRun(t, txs, idx, idx*n/parts, n/parts)
+			if err := s.PutChunk(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := s.Stats()
+	held := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	ratio := held / float64(st.ChunkBytes+st.SidecarBytes)
+	t.Logf("%d chunks: %d payload and %d edge bytes a chunk, %.0f heap bytes a chunk (%.3f×)",
+		st.ChunkCount, st.ChunkBytes/st.ChunkCount, st.SidecarBytes/st.ChunkCount, held/float64(st.ChunkCount), ratio)
+	if ratio > limit {
+		t.Errorf("a stored chunk costs %.3f× its payload and edge, more than %.2f×", ratio, limit)
+	}
+	runtime.KeepAlive(s)
 }

@@ -35,17 +35,21 @@ var seeds = []seed{
 		"\t\t\tchk, err := AdoptChunk(hdr, c.ID.Index, c.Parts, c.TxStart, c.Data, c.Proofs)\n\t\t\tadopted[i] = chk\n\t\t\terrs = append(errs, err)\n"},
 		"./internal/core", "TestShareVerdictIsTheInlineCheck", false},
 	{"chunk-alias", "internal/storage/store.go", []string{ // PutChunk keeps the caller's buffer
-		"\tc.Data = append([]byte(nil), c.Data...)\n\ts.chunks[c.ID] = held{Chunk: c, edge: edge}\n",
-		"\ts.chunks[c.ID] = held{Chunk: c, edge: edge}\n"},
+		"\tr.buf = make([]byte, len(c.Data), len(c.Data)+edge.Size())\n\tcopy(r.buf, c.Data)\n",
+		"\tr.buf = c.Data\n"},
 		"./internal/storage", "TestChunkMutationDoesNotCorruptStore", false},
 	{"unchecked-read", "internal/storage/store.go", []string{ // verified serves a chunk without checking its checksum
-		"\tif err := h.Verify(); err != nil {\n\t\treturn held{}, err\n\t}\n", ""},
+		"\tif err := recs[i].verify(id); err != nil {\n\t\treturn nil, err\n\t}\n", ""},
 		"./internal/storage", "TestCorruptionDetectedOnRead", false},
 	{"checksum-conflict", "internal/storage/store.go", []string{ // a re-put compares checksums, not bytes
 		"\t\"bytes\"\n", "",
-		"\t\tif !bytes.Equal(existing.Data, c.Data) {\n",
-		"\t\tif existing.Digest != c.Digest {\n"},
+		"\t\tif !bytes.Equal(recs[i].buf[:recs[i].size], c.Data) {\n",
+		"\t\tif recs[i].digest != c.Digest {\n"},
 		"./internal/storage", "TestEqualChecksumIsNotARepeat", false},
+	{"uncapped-lend", "internal/storage/store.go", []string{ // a lent chunk's Data runs on into the Merkle edge behind it
+		"Data:    r.buf[:r.size:r.size],",
+		"Data:    r.buf[:r.size],"},
+		"./internal/storage", "TestLentDataEndsAtThePayload", false},
 	{"atomic-mix", "internal/metrics/metrics.go", []string{ // the PR-3 Counter: atomic add, bare read
 		"\tv atomic.Int64\n}", "\tv int64\n}",
 		"\tc.v.Add(delta)\n", "\tatomic.AddInt64(&c.v, delta)\n",
