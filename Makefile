@@ -30,7 +30,9 @@ test:
 # its proven re-read, the server's store-to-frame encoder (its allocation
 # guard, corrupt-wire), the proof queries the server answers by scanning
 # its stored chunks in place under its lock, and the unlocked owner's check
-# refusing a chunk cut one transaction short.
+# refusing a chunk cut one transaction short. The one call path to a member
+# (Cluster.Call) rides along: reads and writes that redial a member
+# restarted at its address, and the cache that drops only dead connections.
 #
 # Fork-join (par.Each, certificate checks, workload signing, seeded run at
 # 1 vs 4 cores, shares checked in flight). core.Group.Verify and
@@ -49,22 +51,21 @@ test:
 # shares kept through joins and a prune are raced five times each on one,
 # two and four Ps.
 #
-# Gateway caches and batcher (verified-only chunk cache, proofs from the
-# cached tree, coalescing, netx.Gather through the batcher). A block-cache
-# entry (encoding + Merkle tree) is read by every connection handler at once
-# and the chunk cache is filled only after reassembly verified: the
-# bad-chunk, mis-cut-copies, local-proof and coalescing tests five times on
-# one and on two Ps, with the reads that drive netx.Gather through the
-# batcher (its callers make round trips themselves): dead, withholding,
+# Gateway caches (verified-only chunk cache, proofs from the cached tree,
+# coalescing, netx.Gather's fetches side by side). A block-cache entry
+# (encoding + Merkle tree) is read by every connection handler at once and
+# the chunk cache is filled only after reassembly verified: the bad-chunk,
+# mis-cut-copies, local-proof and coalescing tests five times on one and on
+# two Ps, with the reads that drive netx.Gather: dead, withholding,
 # corrupting, shortening and truncating members, the sound read that is sent
 # no proof, the served block frame, hot and cold, and the cold read's
 # allocation count.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate|TxProof|CutShort'
+	$(GO) test -race -count=10 -cpu 1,2 ./internal/netx -run 'Distribute|Bootstrap|Resync|Retire|Rejoin|ClusterTracing|Concurrent|SimAndTCP|CorruptingMember|Plan|Gather|Retrieve|MapAdded|SoundRead|ServedBatch|CorruptRate|TxProof|CutShort|Restarted|DeadConnections'
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/par ./internal/cluster ./internal/consensus ./internal/workload
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/core -run 'TestSeededRunIdenticalAcrossGOMAXPROCS|TestShare|Byzantine|Tampering|ChaosCorrupter|ExactlyOnceUnderFaults|CutShort|AdoptChunk|PruneKeepsArchivedShares'
-	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|MisCut|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|Batcher|SoundRead|ServedBlock|ColdRead'
+	$(GO) test -race -count=5 -cpu 1,2 ./internal/gateway -run 'BadChunk|MisCut|LocalProof|Coalesce|CorruptingMember|ShorteningMember|DoesNotDecode|Gather|SoundRead|ServedBlock|ColdRead'
 
 fmt:
 	gofmt -l -w .

@@ -9,7 +9,6 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/metrics"
-	"icistrategy/internal/netx"
 )
 
 func testCounters(reg *metrics.Registry, prefix string) cacheCounters {
@@ -152,72 +151,5 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	_, _, shared := g.Do(key("k"), func() (any, error) { runs.Add(1); return 1, nil })
 	if shared || runs.Load() != 2 {
 		t.Fatal("flight key leaked past completion")
-	}
-}
-
-func TestBatcherSharesRoundTrips(t *testing.T) {
-	u, blocks := newFakeUpstream(t, 2, 1, 8)
-	u.entered = make(chan struct{}, 8)
-	u.gate = make(chan struct{})
-	var reg *metrics.Registry // nil: throwaway counters
-	b := newBatcher(u, reg.Counter("x"), reg.Counter("y"))
-	hash := blocks[0].Hash()
-
-	// First want starts a drain whose RPC blocks on the gate.
-	var wg sync.WaitGroup
-	results := make([]*netx.ChunkResp, 3)
-	fetch := func(i int) {
-		defer wg.Done()
-		if resp := b.Fetch(0, []netx.ChunkRef{{Block: hash, Index: i % 2}}); resp != nil && resp.Found[0] {
-			results[i] = &resp.Chunks[0]
-		}
-	}
-	wg.Add(1)
-	go fetch(0)
-	<-u.entered // RPC 1 is in flight, holding the drain
-
-	// Two more wants for the same peer accumulate behind the in-flight RPC
-	// and must ride the next frame together.
-	wg.Add(2)
-	go fetch(1)
-	go fetch(2)
-	time.Sleep(100 * time.Millisecond)
-	close(u.gate)
-	wg.Wait()
-
-	if calls := u.batchCalls.Load(); calls != 2 {
-		t.Fatalf("3 wants cost %d RPCs, want 2 (1 solo + 1 shared)", calls)
-	}
-	if refs := u.batchRefs.Load(); refs != 3 {
-		t.Fatalf("wire refs = %d, want 3", refs)
-	}
-	for i, c := range results {
-		if c == nil {
-			t.Fatalf("fetch %d returned no chunk", i)
-		}
-		if c.Index != i%2 {
-			t.Fatalf("fetch %d got chunk %d", i, c.Index)
-		}
-	}
-
-	// The drainer exits once pending empties: it gives up the peer's
-	// inflight flag, and the next want is a solo round trip of its own.
-	q := b.queue(0)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		q.mu.Lock()
-		idle := !q.inflight && len(q.pending) == 0
-		q.mu.Unlock()
-		if idle {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer 0's queue still in flight after every want was answered")
-		}
-	}
-	if resp := b.Fetch(0, []netx.ChunkRef{{Block: hash, Index: 1}}); resp == nil || !resp.Found[0] {
-		t.Fatal("fourth fetch returned no chunk")
-	}
-	if calls := u.batchCalls.Load(); calls != 3 {
-		t.Fatalf("4 wants cost %d RPCs, want 3", calls)
 	}
 }

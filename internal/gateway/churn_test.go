@@ -2,10 +2,6 @@ package gateway
 
 import (
 	"errors"
-	"io"
-	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"icistrategy/internal/blockcrypto"
@@ -206,156 +202,6 @@ func TestUpstreamRefreshNoMapIsFalse(t *testing.T) {
 	}
 	if got := up.Peers(); len(got) != 3 {
 		t.Fatalf("peers = %v, want 3 members", got)
-	}
-}
-
-// countingProxy forwards TCP connections to backend and counts the ones it
-// accepted — how many times a client dialed.
-func countingProxy(t *testing.T, backend string) (string, *atomic.Int64) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		accepts atomic.Int64
-		wg      sync.WaitGroup
-	)
-	t.Cleanup(func() {
-		_ = l.Close()
-		wg.Wait()
-	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			in, err := l.Accept()
-			if err != nil {
-				return
-			}
-			accepts.Add(1)
-			out, err := net.Dial("tcp", backend)
-			if err != nil {
-				_ = in.Close()
-				continue
-			}
-			wg.Add(2)
-			for _, pair := range [][2]net.Conn{{in, out}, {out, in}} {
-				go func() {
-					defer wg.Done()
-					_, _ = io.Copy(pair[0], pair[1])
-					_ = pair[0].Close() // one side ended: unblock the other copy
-				}()
-			}
-		}
-	}()
-	return l.Addr().String(), &accepts
-}
-
-// TestUpstreamEvictsOnlyDeadConnections is the regression test for the
-// gateway's own connection cache, which evicted by peer number on any error:
-// a server that answered with an error had its sound connection closed, and
-// a goroutine still holding the old client evicted the fresh connection
-// another goroutine had just dialed. The upstream now shares netx.Cluster's
-// cache, which drops only a connection a failed call already closed, and
-// only while it is still the cached one.
-func TestUpstreamEvictsOnlyDeadConnections(t *testing.T) {
-	addrs, blocks := startCluster(t, 1, 1, 1, 8)
-	proxied, accepts := countingProxy(t, addrs[0])
-	up, err := NewClusterUpstream([]string{proxied}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-	refs := []netx.ChunkRef{{Block: blocks[0].Hash(), Index: 0}}
-
-	// A server-answered error (an empty batch is a malformed request) leaves
-	// the connection in the cache: the next fetch does not dial.
-	if _, err := up.FetchBatch(0, nil); err == nil {
-		t.Fatal("empty batch was served")
-	}
-	if resp, err := up.FetchBatch(0, refs); err != nil || !resp.Found[0] {
-		t.Fatalf("fetch after a refusal: %v", err)
-	}
-	if n := accepts.Load(); n != 1 {
-		t.Fatalf("server saw %d connections, want 1: a refusal evicted a sound connection", n)
-	}
-
-	// A connection that died is replaced...
-	stale, err := up.cl.Client(proxied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = stale.Close()
-	if _, err := up.FetchBatch(0, refs); err == nil {
-		t.Fatal("fetch on a closed connection succeeded")
-	}
-	if _, err := up.FetchBatch(0, refs); err != nil {
-		t.Fatalf("fetch after the dead connection was dropped: %v", err)
-	}
-	if n := accepts.Load(); n != 2 {
-		t.Fatalf("server saw %d connections, want 2", n)
-	}
-	// ...and a late report about the dead one does not evict its successor.
-	up.cl.DropClient(proxied, stale)
-	if _, err := up.FetchBatch(0, refs); err != nil {
-		t.Fatal(err)
-	}
-	if n := accepts.Load(); n != 2 {
-		t.Fatalf("server saw %d connections, want 2: a stale drop evicted the fresh connection", n)
-	}
-}
-
-// TestUpstreamRedialsARestartedMember: a member restarts at its address
-// while the upstream still caches a connection to its old process. The next
-// fetch finds that connection hung up and is asked again on a new one;
-// without that it failed, and a gather struck the member as if it were down
-// — unreadable, when no other holder of its chunks was up.
-func TestUpstreamRedialsARestartedMember(t *testing.T) {
-	_, blocks := startCluster(t, 1, 1, 1, 8)
-	b := blocks[0]
-	// serve starts a member at addr holding b.
-	serve := func(addr string) *netx.Server {
-		s, err := netx.NewServer(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		cl, err := netx.NewCluster([]string{s.Addr()}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		if err := cl.DistributeBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	first := serve("127.0.0.1:0")
-	addr := first.Addr()
-	up, err := NewClusterUpstream([]string{addr}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-	refs := []netx.ChunkRef{{Block: b.Hash(), Index: 0}}
-	if resp, err := up.FetchBatch(0, refs); err != nil || !resp.Found[0] {
-		t.Fatalf("fetch before the restart: %v", err)
-	}
-	old, err := up.cl.Client(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := first.Close(); err != nil {
-		t.Fatal(err)
-	}
-	serve(addr)
-	if resp, err := up.FetchBatch(0, refs); err != nil || !resp.Found[0] {
-		t.Fatalf("fetch from the restarted member: %v", err)
-	}
-	if cur, _ := up.cl.Client(addr); cur == old {
-		t.Fatal("the hung-up connection is still cached")
 	}
 }
 

@@ -1,17 +1,17 @@
 // Package gateway is the client-serving read front end of an ICIStrategy
 // storage cluster: a stateless-by-contract cache layer that turns the
 // cluster's chunked, collaborative storage into a low-latency block and
-// light-client API. Three mechanisms carry the load so the cluster itself
+// light-client API. Two mechanisms carry the load so the cluster itself
 // stays cheap to read from:
 //
 //   - byte-bounded LRU caches for hot chunks and reassembled blocks, with
 //     size-based admission control so one huge block cannot flush the
 //     working set;
 //   - singleflight coalescing, so N concurrent requests for the same cold
-//     block cost exactly one upstream retrieval;
-//   - cross-request batching: netx.Gather reads a cold block from the fewest
-//     members that cover its chunks, one batch each, and batches of concurrent
-//     misses to the same peer share wire round trips instead of paying one each.
+//     block cost exactly one upstream retrieval.
+//
+// A cold block is read by netx.Gather, from the fewest members that cover
+// its chunks, one batch each.
 //
 // All observable behavior lands in a metrics.Registry under ici.gateway.*.
 package gateway
@@ -54,10 +54,11 @@ type Gateway struct {
 	blocks  *lruCache
 	chunks  *lruCache
 	flights flightGroup
-	batch   *batcher
 
 	coalesced   *metrics.Counter // ici.gateway.coalesced
 	fetches     *metrics.Counter // ici.gateway.fetches
+	batches     *metrics.Counter // ici.gateway.batch.rpcs
+	batchRefs   *metrics.Counter // ici.gateway.batch.refs
 	proofs      *metrics.Counter // ici.gateway.txproofs
 	proofsLocal *metrics.Counter // ici.gateway.txproofs_local
 	refreshes   *metrics.Counter // ici.gateway.map_refreshes
@@ -88,13 +89,12 @@ func New(cfg Config) (*Gateway, error) {
 		}),
 		coalesced:   reg.Counter("ici.gateway.coalesced"),
 		fetches:     reg.Counter("ici.gateway.fetches"),
+		batches:     reg.Counter("ici.gateway.batch.rpcs"),
+		batchRefs:   reg.Counter("ici.gateway.batch.refs"),
 		proofs:      reg.Counter("ici.gateway.txproofs"),
 		proofsLocal: reg.Counter("ici.gateway.txproofs_local"),
 		refreshes:   reg.Counter("ici.gateway.map_refreshes"),
 	}
-	g.batch = newBatcher(cfg.Upstream,
-		reg.Counter("ici.gateway.batch.rpcs"),
-		reg.Counter("ici.gateway.batch.refs"))
 	return g, nil
 }
 
@@ -150,7 +150,7 @@ func (g *Gateway) GetBlock(h blockcrypto.Hash) ([]byte, error) {
 }
 
 // fetchBlock reads block h from the cluster: the chunks the chunk cache
-// holds are taken from it, and the rest are gathered through the batcher,
+// holds are taken from it, and the rest are gathered (fetchBatch),
 // reassembled and verified against the header's Merkle root by netx.Gather.
 // Only then do the fetched chunks enter the chunk cache: a copy that is
 // wrong never serves a later read. A stale membership surfaces there as an
@@ -180,16 +180,27 @@ func (g *Gateway) fetchBlock(h blockcrypto.Hash) (*cachedBlock, error) {
 		missing = append(missing, idx)
 		holders[idx] = slices.Clone(owners)
 	}
-	enc, tree, err := netx.Gather(hdr, got, holders, g.batch.Fetch)
+	enc, tree, err := netx.Gather(hdr, got, holders, g.fetchBatch)
 	if err != nil {
 		return nil, err
 	}
 	for _, idx := range missing {
-		payload := *got[idx] // a copy: the batcher hands one response to every reader that wanted it
-		payload.Proofs = nil
-		g.chunks.Put(chunkKey(h, idx), &payload, int64(len(payload.Data)))
+		got[idx].Proofs = nil // the copy is this read's own: only its round trip's response holds it
+		g.chunks.Put(chunkKey(h, idx), got[idx], int64(len(got[idx].Data)))
 	}
 	return &cachedBlock{enc: enc, tree: tree}, nil
+}
+
+// fetchBatch is netx.Gather's fetch: one round trip to one peer, its answer
+// or nil when it failed.
+func (g *Gateway) fetchBatch(peer int, refs []netx.ChunkRef) *netx.ChunkBatchResp {
+	g.batches.Inc()
+	g.batchRefs.Add(int64(len(refs)))
+	resp, err := g.up.FetchBatch(peer, refs)
+	if err != nil {
+		return nil
+	}
+	return resp
 }
 
 // GetTxProof answers a light-client inclusion query: the transaction, the

@@ -546,7 +546,7 @@ func TestColdReadAllocations(t *testing.T) {
 		name       string
 		cacheBytes int64
 		want       float64
-	}{{"caches off", 0, 117}, {"caches on", 1 << 30, 135.5}} {
+	}{{"caches off", 0, 91}, {"caches on", 1 << 30, 109.4}} {
 		u, blocks := newFakeUpstream(t, 8, 65, 96)
 		u.replication = 2
 		g := newTestGateway(t, u, nil, tc.cacheBytes)
@@ -555,7 +555,7 @@ func TestColdReadAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		read(blocks[0]) // warm-up: the batcher's queues, the goroutines a gather parks
+		read(blocks[0]) // warm-up: the goroutines a gather parks
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, b := range blocks[1:] { // every block is read once: no read is a hit

@@ -3,9 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
-	"syscall"
 	"time"
 
 	"icistrategy/internal/blockcrypto"
@@ -26,7 +24,7 @@ var (
 //
 // A peer number is a member's placement identity (core.Epoch.Members): a
 // membership change adds or drops identities but never renumbers one, so
-// cached placement and per-peer batching stay coherent across churn.
+// cached placement stays coherent across churn.
 type Upstream interface {
 	// Parts returns how many chunks the block was split into at write time
 	// (the netx distribution convention: one chunk per member of the
@@ -141,50 +139,32 @@ func (u *ClusterUpstream) Refresh() bool {
 	return u.cl.CurrentMap().Newer(before)
 }
 
-// client returns the cluster's cached connection to peer and its address:
+// call runs f on the cluster's cached connection to peer (netx.Cluster.Call),
 // where the newest epoch listing the peer has it serve.
-func (u *ClusterUpstream) client(peer int) (*netx.Client, string, error) {
+func (u *ClusterUpstream) call(peer int, f func(*netx.Client) error) error {
 	addr := u.cl.Map().Addr(simnet.NodeID(peer))
 	if addr == "" {
-		return nil, "", fmt.Errorf("gateway: peer %d is in no epoch of the cluster map", peer)
+		return fmt.Errorf("gateway: peer %d is in no epoch of the cluster map", peer)
 	}
-	c, err := u.cl.Client(addr)
-	return c, addr, err
+	return u.cl.Call(addr, 0, f)
 }
 
-// FetchBatch implements Upstream. A read on a cached connection whose server
-// has hung up since — the member restarted — is asked again once on a new
-// one: the read is idempotent, and failing it would strike a live member
-// from the gather.
-func (u *ClusterUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (*netx.ChunkBatchResp, error) {
-	for again := true; ; again = false {
-		c, addr, err := u.client(peer)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.GetChunkBatch(refs)
-		if err == nil {
-			return resp, nil
-		}
-		u.cl.DropClient(addr, c)
-		if !again || !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
-			return nil, err
-		}
-	}
+// FetchBatch implements Upstream.
+func (u *ClusterUpstream) FetchBatch(peer int, refs []netx.ChunkRef) (resp *netx.ChunkBatchResp, err error) {
+	err = u.call(peer, func(c *netx.Client) (err error) {
+		resp, err = c.GetChunkBatch(refs)
+		return err
+	})
+	return resp, err
 }
 
 // TxProof implements Upstream.
-func (u *ClusterUpstream) TxProof(peer int, block, txID blockcrypto.Hash) (*netx.TxProofResp, error) {
-	c, addr, err := u.client(peer)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.GetTxProof(block, txID)
-	if err != nil {
-		u.cl.DropClient(addr, c)
-		return nil, err
-	}
-	return resp, nil
+func (u *ClusterUpstream) TxProof(peer int, block, txID blockcrypto.Hash) (resp *netx.TxProofResp, err error) {
+	err = u.call(peer, func(c *netx.Client) (err error) {
+		resp, err = c.GetTxProof(block, txID)
+		return err
+	})
+	return resp, err
 }
 
 // Header implements Upstream: a local index miss triggers an incremental
@@ -204,14 +184,11 @@ func (u *ClusterUpstream) Header(block blockcrypto.Hash) (chain.Header, error) {
 		if ok {
 			break
 		}
-		c, addr, err := u.client(peer)
-		if err != nil {
-			down = err
-			continue
-		}
-		hdrs, err := c.GetHeaders(from)
-		if err != nil {
-			u.cl.DropClient(addr, c)
+		var hdrs []chain.Header
+		if err := u.call(peer, func(c *netx.Client) (err error) {
+			hdrs, err = c.GetHeaders(from)
+			return err
+		}); err != nil {
 			down = err
 			continue
 		}

@@ -205,14 +205,12 @@ func (cl *Cluster) transfer(plan core.EpochMap, headers []chain.Header, movesOf 
 func (cl *Cluster) moveChunk(mv chunkMove, dests map[string]*Client) error {
 	var chunk *ChunkResp
 	for _, addr := range mv.from {
-		c, err := cl.Client(addr)
-		if err != nil {
-			continue
-		}
-		if chunk, err = c.GetChunk(mv.block, mv.index); err == nil {
+		if cl.Call(addr, 0, func(c *Client) (err error) {
+			chunk, err = c.GetChunk(mv.block, mv.index)
+			return err
+		}) == nil {
 			break
 		}
-		cl.DropClient(addr, c)
 	}
 	if chunk == nil {
 		return fmt.Errorf("chunk %d of %s unavailable from any owner", mv.index, mv.block.Short())
@@ -277,15 +275,13 @@ func (cl *Cluster) memberHeaders(skip string) ([]chain.Header, error) {
 		if addr == skip {
 			continue
 		}
-		var c *Client
-		if c, err = cl.Client(addr); err != nil {
-			continue
-		}
-		if headers, err = c.GetHeaders(0); err == nil {
+		if err = cl.Call(addr, 0, func(c *Client) (err error) {
+			headers, err = c.GetHeaders(0)
+			return err
+		}); err == nil {
 			break
 		}
 		err = fmt.Errorf("get headers from %s: %w", addr, err)
-		cl.DropClient(addr, c)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("no member served headers: %w", err)

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"icistrategy/internal/blockcrypto"
+	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
 	"icistrategy/internal/simnet"
 )
@@ -51,13 +52,11 @@ func (cl *Cluster) CurrentMap() core.EpochMap {
 				continue
 			}
 			polled = append(polled, addr)
-			c, err := cl.Client(addr)
-			if err != nil {
-				continue
-			}
-			m, err := c.GetClusterMap()
-			if err != nil {
-				cl.DropClient(addr, c)
+			var m core.EpochMap
+			if cl.Call(addr, 0, func(c *Client) (err error) {
+				m, err = c.GetClusterMap()
+				return err
+			}) != nil {
 				continue
 			}
 			if m.Newer(best) && checkMap(m) == nil {
@@ -93,13 +92,11 @@ func (cl *Cluster) maxHeight() (uint64, bool) {
 	var top uint64
 	found := false
 	for _, addr := range cl.Map().Current().Addrs {
-		c, err := cl.Client(addr)
-		if err != nil {
-			continue
-		}
-		headers, err := c.GetHeaders(top)
-		if err != nil {
-			cl.DropClient(addr, c)
+		var headers []chain.Header
+		if cl.Call(addr, 0, func(c *Client) (err error) {
+			headers, err = c.GetHeaders(top)
+			return err
+		}) != nil {
 			continue
 		}
 		for _, h := range headers {
@@ -131,15 +128,9 @@ func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error
 	}
 	published := 0
 	for _, addr := range addrsOf(m, slices.Concat(m[next.Seq-1].Members, next.Members), "") {
-		c, err := cl.Client(addr)
-		if err != nil {
-			continue
+		if cl.Call(addr, 0, func(c *Client) error { return c.SetClusterMap(m) }) == nil {
+			published++
 		}
-		if err := c.SetClusterMap(m); err != nil {
-			cl.DropClient(addr, c)
-			continue
-		}
-		published++
 	}
 	if published == 0 {
 		return 0, fmt.Errorf("netx: cluster map epoch %d reached no member", next.Seq)

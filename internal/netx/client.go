@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"icistrategy/internal/blockcrypto"
@@ -128,8 +130,8 @@ func (l *Link) exchange(req WireEncoder, resp WireDecoder) (int, error) {
 
 // Client is a connection to one storage server; Cluster (below)
 // multiplexes clients for whole-cluster operations. A traced Client
-// (Cluster.tracedClient) records each round trip under parent; several
-// Clients may share one Link.
+// (Cluster.client) records each round trip under parent; several Clients
+// may share one Link.
 type Client struct {
 	link   *Link
 	tr     *trace.Tracer
@@ -348,29 +350,62 @@ func (cl *Cluster) Close() {
 	cl.clients = make(map[string]*Client)
 }
 
-// Client returns the cached connection to addr, dialing one if there is
-// none. The cache is shared by everything that reads through this cluster,
-// the gateway upstream included.
-func (cl *Cluster) Client(addr string) (*Client, error) {
+// Call runs f on the cached connection to addr, dialing one if there is
+// none: the one way to a member over the cache, for the Cluster and for the
+// gateway reading through it. With parent nonzero and a tracer installed,
+// f's round trips are recorded under parent.
+//
+// A call that fails in transport has closed its connection (Link.Call),
+// which is dropped from the cache. If the server had hung up — the member
+// restarted at its address since the connection was dialed — f is run once
+// more on a new connection: every request a Cluster sends is idempotent.
+// A deadline is not asked again; the member is slow or gone.
+func (cl *Cluster) Call(addr string, parent trace.SpanID, f func(*Client) error) error {
+	for again := true; ; again = false {
+		c, err := cl.client(addr, parent)
+		if err != nil {
+			return err
+		}
+		err = f(c)
+		if err == nil || !c.link.closed() {
+			return err
+		}
+		cl.drop(addr, c)
+		if !again || !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			return err
+		}
+	}
+}
+
+// client returns the cached connection to addr, dialing one if there is
+// none, with its round trips parented under parent when that is nonzero and
+// a tracer is installed. The tracing lives on a Client of the caller's own
+// over the shared Link, so a later call through the cache is not recorded
+// under a span that has ended.
+func (cl *Cluster) client(addr string, parent trace.SpanID) (*Client, error) {
 	cl.mu.Lock()
-	if c, ok := cl.clients[addr]; ok {
+	c, ok := cl.clients[addr]
+	tr := cl.tr
+	cl.mu.Unlock()
+	if !ok {
+		fresh, err := Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		cl.mu.Lock()
+		if c, ok = cl.clients[addr]; ok {
+			_ = fresh.Close() // another goroutine dialed first
+		} else {
+			fresh.SetTimeout(cl.timeout)
+			cl.clients[addr] = fresh
+			c = fresh
+		}
 		cl.mu.Unlock()
+	}
+	if parent == 0 || !tr.Enabled() {
 		return c, nil
 	}
-	cl.mu.Unlock()
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if existing, ok := cl.clients[addr]; ok {
-		_ = c.Close()
-		return existing, nil
-	}
-	c.SetTimeout(cl.timeout)
-	cl.clients[addr] = c
-	return c, nil
+	return &Client{link: c.link, tr: tr, parent: parent}, nil
 }
 
 // dial opens a connection of the caller's own to addr, outside the cache,
@@ -386,12 +421,12 @@ func (cl *Cluster) dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// DropClient evicts c's connection from the cache once a call on it has
-// failed in transport, which closed it (Link.Call). A connection whose
-// server only answered with an error is sound and stays: other goroutines
-// may be in the middle of calls on it. A newer connection to addr that
-// another goroutine has dialed since stays too.
-func (cl *Cluster) DropClient(addr string, c *Client) {
+// drop evicts c's connection from the cache once a call on it has failed
+// in transport, which closed it (Link.Call). A connection whose server only
+// answered with an error is sound and stays: other goroutines may be in the
+// middle of calls on it. A newer connection to addr that another goroutine
+// has dialed since stays too.
+func (cl *Cluster) drop(addr string, c *Client) {
 	if !c.link.closed() {
 		return
 	}
@@ -468,23 +503,30 @@ func (cl *Cluster) distributeBlock(b *chain.Block, m core.EpochMap, parent trace
 }
 
 // putToMember sends one member its share of a block over the cached
-// connection: the header, then the chunks it owns.
+// connection: the header, then the chunks it owns. An error names the put
+// that failed last.
 func (cl *Cluster) putToMember(addr string, parent trace.SpanID, hdr chain.Header, reqs []PutChunkReq, owned []int) error {
-	c, err := cl.tracedClient(addr, parent)
-	if err != nil {
-		return err
-	}
-	if err := c.PutHeader(hdr); err != nil {
-		cl.DropClient(addr, c)
+	at := -1 // the chunk being put; -1 while the header is
+	err := cl.Call(addr, parent, func(c *Client) error {
+		at = -1
+		if err := c.PutHeader(hdr); err != nil {
+			return err
+		}
+		for _, idx := range owned {
+			at = idx
+			if err := cl.putChunk(c, reqs[idx]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	switch {
+	case err == nil:
+		return nil
+	case at < 0:
 		return fmt.Errorf("put header to %s: %w", addr, err)
 	}
-	for _, idx := range owned {
-		if err := cl.putChunk(c, reqs[idx]); err != nil {
-			cl.DropClient(addr, c)
-			return fmt.Errorf("put chunk %d to %s: %w", idx, addr, err)
-		}
-	}
-	return nil
+	return fmt.Errorf("put chunk %d to %s: %w", at, addr, err)
 }
 
 // putChunk pushes req over c. A member that refuses it may hold a stale
@@ -534,15 +576,11 @@ func (cl *Cluster) retrieveBlock(hdr chain.Header, m core.EpochMap, parent trace
 		}
 	}
 	enc, _, err := Gather(hdr, make([]*ChunkResp, len(holders)), holders, func(member int, refs []ChunkRef) *ChunkBatchResp {
-		addr := m.Addr(simnet.NodeID(member))
-		c, err := cl.tracedClient(addr, parent)
-		if err != nil {
-			return nil // dead server: degraded read
-		}
-		resp, err := c.GetChunkBatch(refs)
-		if err != nil {
-			cl.DropClient(addr, c)
-		}
+		var resp *ChunkBatchResp
+		_ = cl.Call(m.Addr(simnet.NodeID(member)), parent, func(c *Client) (err error) {
+			resp, err = c.GetChunkBatch(refs)
+			return err
+		}) // a member that does not answer is struck: a degraded read
 		return resp
 	})
 	if err != nil {

@@ -121,7 +121,7 @@ func TestGetChunkServesTheSplitsProofs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, addr := range addrs {
-			c, err := cl.Client(addr)
+			c, err := cl.client(addr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

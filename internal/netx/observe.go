@@ -41,22 +41,6 @@ func (cl *Cluster) tracer() *trace.Tracer {
 	return cl.tr
 }
 
-// tracedClient returns the cached connection to addr with its round-trips
-// parented under parent. The tracing lives on a Client of this operation's
-// own over the shared Link, so a later call through the cache is not
-// recorded under a span that has ended; untraced, it is the cached Client.
-func (cl *Cluster) tracedClient(addr string, parent trace.SpanID) (*Client, error) {
-	c, err := cl.Client(addr)
-	if err != nil {
-		return nil, err
-	}
-	tr := cl.tracer()
-	if !tr.Enabled() {
-		return c, nil
-	}
-	return &Client{link: c.link, tr: tr, parent: parent}, nil
-}
-
 // SetTracer installs (or clears) the tracer for served requests: every
 // handled request emits one point event with its request-plus-response wire
 // size.

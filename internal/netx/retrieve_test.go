@@ -21,13 +21,13 @@ func sweepRetrieve(cl *Cluster, hdr chain.Header) (*chain.Block, error) {
 	found := make(map[int]core.Group)
 	parts := 0
 	for _, addr := range cl.Map().Current().Addrs {
-		c, err := cl.Client(addr)
+		c, err := cl.client(addr, 0)
 		if err != nil {
 			continue // dead server: degraded read
 		}
 		resp, err := c.GetBlockChunks(block)
 		if err != nil {
-			cl.DropClient(addr, c)
+			cl.drop(addr, c)
 			continue
 		}
 		if resp.Parts > 0 {

@@ -28,7 +28,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 		return err
 	}
 	for _, addr := range cl.Map().Current().Addrs {
-		c, err := cl.Client(addr)
+		c, err := cl.client(addr, 0)
 		if err != nil {
 			return err
 		}
@@ -59,7 +59,7 @@ func sequentialDistribute(cl *Cluster, b *chain.Block) error {
 		}
 		for _, o := range owners {
 			addr := cl.Map().Current().Addrs[int(o)]
-			c, err := cl.Client(addr)
+			c, err := cl.client(addr, 0)
 			if err != nil {
 				return err
 			}
@@ -93,7 +93,7 @@ func sequentialBootstrap(t *testing.T, cl *Cluster, target string) int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := cl.Client(cl.Map().Current().Addrs[int(owners[0])])
+			src, err := cl.client(cl.Map().Current().Addrs[int(owners[0])], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -561,16 +561,16 @@ func TestRefusalKeepsTheSharedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.Client(addrs[0])
+	c, err := cl.client(addrs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GetChunk(blockcrypto.Hash{1}, 0); err == nil {
 		t.Fatal("an empty server served a chunk")
 	} else {
-		cl.DropClient(addrs[0], c)
+		cl.drop(addrs[0], c)
 	}
-	if again, err := cl.Client(addrs[0]); err != nil || again != c {
+	if again, err := cl.client(addrs[0], 0); err != nil || again != c {
 		t.Fatalf("the connection was evicted after a refusal (err %v)", err)
 	}
 	if _, err := c.Stats(); err != nil {

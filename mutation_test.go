@@ -80,6 +80,10 @@ var seeds = []seed{
 		"if !slices.Contains(owners, s) {",
 		"if len(owners) > 0 {"},
 		"./internal/netx", "TestRetirePlanIsThePlacementDelta", false},
+	{"no-redial", "internal/netx/client.go", []string{ // Cluster.Call asks once and returns the hang-up
+		"for again := true; ; again = false {",
+		"for again := false; ; again = false {"},
+		"./internal/netx", "TestRetrieveFromARestartedMember", false},
 	{"dropped-dispatch", "internal/core/node.go", []string{ // handle loses its chunk-answer arm: every fetched chunk is dropped
 		"\tcase chunkRespMsg:\n\t\tn.onChunkResp(msg.From, m)\n", ""},
 		"./internal/core", "TestLeaveClusterHandsOffChunks", false},
